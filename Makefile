@@ -11,7 +11,7 @@ BENCH_PKGS ?= . ./internal/sim ./internal/store
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench bench-save bench-diff sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f nightly vet fmt-check fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench bench-save bench-diff sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f bench-harness nightly vet fmt-check fault-smoke lint cover verify clean
 
 all: build
 
@@ -59,11 +59,15 @@ store-race:
 	$(GO) test -race ./internal/store/... ./cmd/store/...
 
 # Focused race pass over the parallel I/O fast path: serial-vs-parallel
-# byte equivalence through a full fail/rebuild lifecycle, intent-log group
-# commit (coalescing, failure delivery), fan-out ordering/first-error-wins,
-# and concurrent range writers against a sharded rebuild with IOWorkers>1.
+# byte equivalence through a full fail/rebuild lifecycle (P and P+Q, every
+# batch forced through the fan-out), intent-log group commit (coalescing,
+# failure delivery), fan-out ordering/first-error-wins, concurrent range
+# writers against a sharded rebuild with IOWorkers>1, and the overlap
+# tests: rendezvous backends that prove both rounds of a small write and
+# the sweep's write-behind overlap, and the latency gate opening and
+# shutting.
 store-par-race:
-	$(GO) test -race -run 'TestParallel|TestIntent|TestFanOut|TestWorkerConfig|TestConcurrentRange' -count=1 ./internal/store/
+	$(GO) test -race -run 'TestParallel|TestIntent|TestFanOut|TestWorkerConfig|TestConcurrentRange|TestOverlap' -count=1 ./internal/store/
 
 # The chaos invariant under the race detector: 12 workers against
 # fault-injecting backends (transients, latent sector errors, torn writes,
@@ -82,6 +86,12 @@ store-chaos:
 # to STORE_CHAOS_DIR, rerun with CHAOS_SEED=<seed>).
 store-chaos-2f:
 	$(GO) test -race -run 'TestChaos2F' -count=1 -v ./internal/store/
+
+# The benchmark harness's own invariants (benchmark/ is its own module):
+# exact access counts per op, the recorder's attribution, the quiet-tail
+# estimator — on a tiny geometry, under the race detector.
+bench-harness:
+	cd benchmark && $(GO) test -race ./...
 
 # The nightly long-haul: property suites too slow to run on every push.
 # Every two-disk failure pair must recover on the P+Q store, a rebuild
@@ -133,8 +143,9 @@ cover:
 # The full pre-merge gate: formatting, static checks, build, the race-able
 # test suite, the fault-injection, parallel-sweep, telemetry and storage-
 # engine race smokes, the storage chaos invariants (single- and
-# double-failure), and a benchmark smoke pass.
-verify: fmt-check vet build race fault-smoke sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f bench-smoke
+# double-failure), the benchmark harness's own tests, and a benchmark
+# smoke pass.
+verify: fmt-check vet build race fault-smoke sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f bench-harness bench-smoke
 	@echo "verify: OK"
 
 clean:

@@ -94,7 +94,7 @@ func main() {
 	flag.DurationVar(&cfg.scrubThrottle, "scrub-throttle", 0, "scrub throttle per stripe (e.g. 100us)")
 	flag.IntVar(&cfg.retries, "retries", 0, "transient-error retries per op (0 = engine default)")
 	flag.IntVar(&cfg.failThreshold, "fail-threshold", 0, "auto-fail a disk after this many persistent errors (0 = off)")
-	flag.IntVar(&cfg.ioWorkers, "io-workers", 0, "intra-request I/O fan-out width (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.ioWorkers, "io-workers", 0, "upper bound on intra-request I/O overlap; the store decides per batch from its backends' speed (1 = serial engine, 0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.rebuildWork, "rebuild-workers", 0, "concurrent rebuild/scrub shards (0 = io-workers)")
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
@@ -469,6 +469,10 @@ func run(cfg config, out io.Writer) error {
 	if faultsOn || st.Retries > 0 || st.HealedUnits > 0 {
 		fmt.Fprintf(out, "robustness: %d retries, %d units healed (%d media, %d checksum), %d scrub repairs, %d stale parity rewrites\n",
 			st.Retries, st.HealedUnits, st.MediaErrors, st.ChecksumErrors, st.ScrubUnitRepairs, st.ScrubParityFixes)
+	}
+	if ioWorkers > 1 {
+		fmt.Fprintf(out, "overlap: %d batches fanned out, %d issued inline, device latency %v (moving average)\n",
+			st.FanOuts, st.FanOutsInline, st.DeviceLatency)
 	}
 	fmt.Fprintf(out, "verify: OK — all %d units match their last write, parity consistent\n", total)
 	return nil

@@ -24,6 +24,7 @@ func TestRunMemScenario(t *testing.T) {
 	for _, want := range []string{
 		"fault-free", "degraded", "rebuilding", "healed", "verify: OK",
 		"8 io-workers, 4 rebuild-workers", "lifecycle summary", "wall-clock",
+		"overlap: ", "issued inline, device latency",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)

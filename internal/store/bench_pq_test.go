@@ -99,21 +99,10 @@ func BenchmarkStorePQDegraded2Read(b *testing.B) {
 
 // BenchmarkStorePQWriteRMW measures the healthy dual-parity small write:
 // the six-access read-modify-write (read data+P+Q, write data+P+Q, Q
-// folded through the GF(2^8) generator), against single parity's four.
+// folded through the GF(2^8) generator), against single parity's four —
+// six device waits serial, two overlapped.
 func BenchmarkStorePQWriteRMW(b *testing.B) {
-	pqWorkerVariants(b, 105, func(b *testing.B, s *Store, _ *atomic.Int64) {
-		buf := make([]byte, s.UnitSize())
-		total := s.DataUnits()
-		b.SetBytes(int64(s.UnitSize()))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n := int64(i) % total
-			fill(buf, n, 2)
-			if err := s.WriteUnit(n, buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	pqWorkerVariants(b, 105, func(b *testing.B, s *Store, _ *atomic.Int64) { benchSmallWrite(b, s) })
 }
 
 // BenchmarkStorePQRebuild2 measures the two-erasure rebuild: each

@@ -183,6 +183,60 @@ func BenchmarkStoreDegradedRead(b *testing.B) {
 	})
 }
 
+// benchSmallWrite measures a single client's healthy unit writes: the
+// read-modify-write whose accesses the parallel store issues as two
+// overlapped rounds.
+func benchSmallWrite(b *testing.B, s *Store) {
+	buf := make([]byte, s.UnitSize())
+	total := s.DataUnits()
+	b.SetBytes(int64(s.UnitSize()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := int64(i) % total
+		fill(buf, n, 2)
+		if err := s.WriteUnit(n, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreSmallWrite measures the healthy single-parity small
+// write: four accesses (read data+P, write data+P), four device waits
+// serial and two overlapped. BenchmarkStorePQWriteRMW is its P+Q twin:
+// six waits serial, two overlapped.
+func BenchmarkStoreSmallWrite(b *testing.B) {
+	workerVariants(b, 105, func(b *testing.B, s *Store, _ *atomic.Int64) { benchSmallWrite(b, s) })
+}
+
+// BenchmarkFanOutHandOff measures what overlapThreshold is set against:
+// the cost of handing one item of a two-item batch to a pool helper and
+// joining it, over the same batch run inline.
+func BenchmarkFanOutHandOff(b *testing.B) {
+	for _, v := range []struct {
+		name      string
+		threshold time.Duration
+	}{{"inline", time.Hour}, {"handoff", 0}} {
+		b.Run(v.name, func(b *testing.B) {
+			old := overlapThreshold
+			overlapThreshold = v.threshold
+			defer func() { overlapThreshold = old }()
+			s, err := New(Config{Layout: testLayout(b, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			var sink atomic.Int64
+			item := func(i int) error { sink.Add(int64(i)); return nil }
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.fanOut(2, item); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStoreRangeRead measures an 8-stripe (32-unit) sequential read,
 // which the parallel store decomposes into per-stripe jobs.
 func BenchmarkStoreRangeRead(b *testing.B) {

@@ -32,6 +32,7 @@ import (
 const chaos2FSecondDisk = 0
 
 func TestChaos2FDoubleFailureRebuild(t *testing.T) {
+	forceOverlap(t)
 	seed := chaosSeed(t)
 	recordChaosSeed(t, seed)
 

@@ -66,6 +66,7 @@ func chaosRates(disk int) FaultConfig {
 }
 
 func TestChaosAcknowledgedWritesSurviveFaultsAndRebuild(t *testing.T) {
+	forceOverlap(t)
 	seed := chaosSeed(t)
 	recordChaosSeed(t, seed)
 

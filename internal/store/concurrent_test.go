@@ -171,6 +171,7 @@ func TestConcurrentClientsThroughFailureAndRebuild(t *testing.T) {
 // operations (large-write and partial-stripe paths) from several
 // goroutines across a failure and rebuild.
 func TestConcurrentRangeWritersWithRebuild(t *testing.T) {
+	forceOverlap(t)
 	const workers = 8
 	lay := testLayout(t, 7, 3)
 	s, err := New(Config{

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"declust/internal/gf256"
 	"declust/internal/layout"
 )
 
@@ -73,7 +74,9 @@ func (s *Store) DiskErrors() []int64 {
 func (s *Store) readPhys(d Disk, dn int, off int64, phys []byte) error {
 	var err error
 	for attempt := 0; ; attempt++ {
+		t := s.gate.begin()
 		err = d.ReadUnit(off, phys)
+		s.gate.end(t)
 		if err == nil {
 			if verifyTrailer(phys, s.unitSize, off) {
 				return nil
@@ -109,7 +112,10 @@ func (s *Store) readPhys(d Disk, dn int, off int64, phys []byte) error {
 func (s *Store) writePhysRaw(d Disk, dn int, off int64, phys []byte) error {
 	var err error
 	for attempt := 0; ; attempt++ {
-		if err = d.WriteUnit(off, phys); err == nil {
+		t := s.gate.begin()
+		err = d.WriteUnit(off, phys)
+		s.gate.end(t)
+		if err == nil {
 			return nil
 		}
 		if errors.Is(err, ErrDiskFailed) {
@@ -150,6 +156,28 @@ func (e *lostUnitError) Error() string {
 	return fmt.Sprintf("store: unit %v is lost", e.u)
 }
 
+// term is one unit of a gather and where its contents go: XORed into p
+// (when non-nil) and, multiplied by coef (when nonzero), into the gather's
+// shared accumulator q. Single parity XORs every term into one p. Under
+// P+Q a data unit d folds as (a P sum, g^d) and the stored P and Q units
+// XOR into the sums they close — which turns a sum over data into that
+// sum's difference from the stored parity, exactly what both the delta
+// update and the erasure decode want.
+type term struct {
+	loc  layout.Loc
+	p    []byte
+	coef byte
+}
+
+func (t term) foldInto(q, data []byte) {
+	if t.p != nil {
+		xorInto(t.p, data)
+	}
+	if t.coef != 0 {
+		gf256.MulAddSlice(q, data, t.coef)
+	}
+}
+
 // damagedUnit records a unit a gather found damaged (media error or
 // checksum mismatch), in ascending item order.
 type damagedUnit struct {
@@ -158,58 +186,59 @@ type damagedUnit struct {
 	err error
 }
 
-// xorUnitsInto reads every listed unit and XORs its data into dst (which
-// the caller has prepared — XOR is order-independent, so the result is
-// bit-identical however the reads land). The reads fan out across idle
-// I/O pool helpers. A lost unit or a hard read error aborts the gather;
+// readLive reads unit u, which must not be lost, into phys.
+func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) error {
+	if st.lost(u) {
+		return &lostUnitError{u: u}
+	}
+	return s.readPhys(st.disk(u), u.Disk, u.Offset, phys)
+}
+
+// gather reads every listed unit and folds its data into its term's
+// accumulators (which the caller has prepared — the sums are order-
+// independent, so the result is bit-identical however the reads land). It
+// is the first round of every parity update and the whole of every
+// reconstruction, and it overlaps its reads when the gate says they are
+// worth overlapping. A lost unit or a hard read error aborts the gather;
 // damaged units (needsHeal) are skipped and returned sorted by item index
 // so callers holding the stripe's write lock can heal them serially —
 // healing rewrites units, which must never race the batch's other reads.
 // Caller holds (at least) the stripe's read lock.
-func (s *Store) xorUnitsInto(st *diskState, units []layout.Loc, dst []byte) ([]damagedUnit, error) {
-	if s.ioWorkers == 1 {
-		// Serial store: read in index order on this goroutine, building
-		// no closures — the zero-extra-alloc path degraded reads had
-		// before the pool existed.
+func (s *Store) gather(st *diskState, terms []term, q []byte) ([]damagedUnit, error) {
+	if !s.overlap(len(terms)) {
+		// Inline: read in index order through one buffer, building no
+		// closure — the serial engine's zero-extra-alloc path.
 		var damaged []damagedUnit
 		phys := s.getBuf()
 		defer s.putBuf(phys)
-		for i, u := range units {
-			if st.lost(u) {
-				return nil, &lostUnitError{u: u}
-			}
-			if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys); err != nil {
-				if needsHeal(err) {
-					damaged = append(damaged, damagedUnit{idx: i, loc: u, err: err})
-					continue
-				}
+		for i, t := range terms {
+			if err := s.readLive(st, t.loc, *phys); err == nil {
+				t.foldInto(q, (*phys)[:s.unitSize])
+			} else if needsHeal(err) {
+				damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
+			} else {
 				return nil, err
 			}
-			xorInto(dst, (*phys)[:s.unitSize])
 		}
 		return damaged, nil
 	}
 	var mu sync.Mutex
 	var damaged []damagedUnit
-	err := s.fanOut(len(units), func(i int) error {
-		u := units[i]
-		if st.lost(u) {
-			return &lostUnitError{u: u}
-		}
+	err := s.fanOut(len(terms), func(i int) error {
+		t := terms[i]
 		phys := s.getBuf()
 		defer s.putBuf(phys)
-		if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys); err != nil {
-			if needsHeal(err) {
-				mu.Lock()
-				damaged = append(damaged, damagedUnit{idx: i, loc: u, err: err})
-				mu.Unlock()
-				return nil
-			}
+		err := s.readLive(st, t.loc, *phys)
+		if err != nil && !needsHeal(err) {
 			return err
 		}
 		mu.Lock()
-		xorInto(dst, (*phys)[:s.unitSize])
-		mu.Unlock()
+		defer mu.Unlock()
+		if err != nil {
+			damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
+		} else {
+			t.foldInto(q, (*phys)[:s.unitSize])
+		}
 		return nil
 	})
 	if err != nil {
@@ -219,14 +248,49 @@ func (s *Store) xorUnitsInto(st *diskState, units []layout.Loc, dst []byte) ([]d
 	return damaged, nil
 }
 
-// xorOthersInto computes the contents of unit u as the XOR of every other
-// unit of its stripe, into out (one logical unit), fanning the survivor
-// reads across idle I/O workers. It requires every other unit readable
-// and valid: a lost or damaged sibling makes the stripe unrecoverable.
-// Caller holds (at least) the stripe's read lock.
-func (s *Store) xorOthersInto(st *diskState, u layout.Loc, out []byte) error {
+// gatherHealing is gather for callers holding the stripe's WRITE lock:
+// units the batch reports damaged are healed in place, serially, once the
+// batch's other reads are done, and folded in after all. No listed unit
+// may be lost.
+func (s *Store) gatherHealing(st *diskState, terms []term, q []byte) error {
+	damaged, err := s.gather(st, terms, q)
+	if err != nil || len(damaged) == 0 {
+		return err
+	}
+	obuf := s.getBuf()
+	defer s.putBuf(obuf)
+	odata := (*obuf)[:s.unitSize]
+	for _, d := range damaged {
+		if err := s.readUnitHealing(st, d.loc, odata); err != nil {
+			return err
+		}
+		terms[d.idx].foldInto(q, odata)
+	}
+	return nil
+}
+
+// gatherSiblings computes the XOR of every unit of u's stripe but u itself
+// into out — the gather that reconstructs u under single parity.
+func (s *Store) gatherSiblings(st *diskState, u layout.Loc, out []byte) ([]damagedUnit, error) {
+	sc := s.scratch.Get().(*stripeScratch)
+	defer s.scratch.Put(sc)
+	stripe, j := s.lay.Locate(u)
+	terms := sc.terms[:0]
+	for p, g := 0, s.lay.G(); p < g; p++ {
+		if p != j {
+			terms = append(terms, term{loc: s.lay.Unit(stripe, p), p: out})
+		}
+	}
 	zeroBytes(out)
-	damaged, err := s.xorUnitsInto(st, layout.SurvivingUnits(s.lay, u), out)
+	return s.gather(st, terms, nil)
+}
+
+// xorOthersInto computes the contents of unit u as the XOR of every other
+// unit of its stripe, into out (one logical unit). It requires every other
+// unit readable and valid: a lost or damaged sibling makes the stripe
+// unrecoverable. Caller holds (at least) the stripe's read lock.
+func (s *Store) xorOthersInto(st *diskState, u layout.Loc, out []byte) error {
+	damaged, err := s.gatherSiblings(st, u, out)
 	if err != nil {
 		var le *lostUnitError
 		if errors.As(err, &le) {

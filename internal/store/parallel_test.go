@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"declust/internal/layout"
 )
 
 // The parallel fast path must be invisible in results: a store with
@@ -103,49 +105,65 @@ func compareStores(t *testing.T, a, b *Store) {
 }
 
 // TestParallelMatchesSerial drives a serial (IOWorkers=1) and a parallel
-// (IOWorkers=8) store through the same seeded lifecycle — healthy ops,
-// failure, degraded ops, rebuild, healed ops — and requires byte-identical
-// unit contents and clean parity at every phase boundary.
+// (IOWorkers=8, every batch forced through the fan-out) store through the
+// same seeded lifecycle — healthy ops, as many failures as the code
+// corrects, degraded ops, the rebuilds, healed ops — under P and under
+// P+Q, and requires byte-identical unit contents and clean parity at
+// every phase boundary.
 func TestParallelMatchesSerial(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			lay := testLayout(t, 7, 4)
-			mk := func(io, rw int) *Store {
-				s, err := New(Config{
-					Layout: lay, UnitsPerDisk: 48, UnitSize: 512,
-					IOWorkers: io, RebuildWorkers: rw,
-				})
-				if err != nil {
-					t.Fatal(err)
+	forceOverlap(t)
+	for _, code := range []struct {
+		name string
+		lay  layout.Layout
+	}{
+		{"P", testLayout(t, 7, 4)},
+		{"P+Q", testPQLayout(t, 7, 4)},
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", code.name, seed), func(t *testing.T) {
+				lay := code.lay
+				mk := func(io, rw int) *Store {
+					s, err := New(Config{
+						Layout: lay, UnitsPerDisk: 48, UnitSize: 512,
+						IOWorkers: io, RebuildWorkers: rw,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { s.Close() })
+					return s
 				}
-				t.Cleanup(func() { s.Close() })
-				return s
-			}
-			serial := mk(1, 1)
-			parallel := mk(8, 4)
-			rng := rand.New(rand.NewSource(seed))
+				serial := mk(1, 1)
+				parallel := mk(8, 4)
+				rng := rand.New(rand.NewSource(seed))
 
-			driveTwin(t, rng, serial, parallel, 200)
-			compareStores(t, serial, parallel)
+				driveTwin(t, rng, serial, parallel, 200)
+				compareStores(t, serial, parallel)
 
-			victim := rng.Intn(lay.Disks())
-			if err := serial.Fail(victim); err != nil {
-				t.Fatal(err)
-			}
-			if err := parallel.Fail(victim); err != nil {
-				t.Fatal(err)
-			}
-			driveTwin(t, rng, serial, parallel, 200)
-
-			if err := serial.Rebuild(NewMemDisk(48, 512)); err != nil {
-				t.Fatalf("serial rebuild: %v", err)
-			}
-			if err := parallel.Rebuild(NewMemDisk(48, 512)); err != nil {
-				t.Fatalf("parallel rebuild: %v", err)
-			}
-			driveTwin(t, rng, serial, parallel, 100)
-			compareStores(t, serial, parallel)
-		})
+				for _, victim := range rng.Perm(lay.Disks())[:serial.Parities()] {
+					if err := serial.Fail(victim); err != nil {
+						t.Fatal(err)
+					}
+					if err := parallel.Fail(victim); err != nil {
+						t.Fatal(err)
+					}
+					driveTwin(t, rng, serial, parallel, 200)
+				}
+				for range serial.FailedDisks() {
+					if err := serial.Rebuild(NewMemDisk(48, 512)); err != nil {
+						t.Fatalf("serial rebuild: %v", err)
+					}
+					if err := parallel.Rebuild(NewMemDisk(48, 512)); err != nil {
+						t.Fatalf("parallel rebuild: %v", err)
+					}
+					driveTwin(t, rng, serial, parallel, 100)
+				}
+				compareStores(t, serial, parallel)
+				if st := parallel.Stats(); st.FanOuts == 0 {
+					t.Fatalf("the parallel store never fanned out: %+v", st)
+				}
+			})
+		}
 	}
 }
 
@@ -422,6 +440,7 @@ func TestFanOutSerialFallback(t *testing.T) {
 // TestFanOutParallelFirstErrorWins pins that with helpers engaged the
 // lowest-indexed error is the one returned.
 func TestFanOutParallelFirstErrorWins(t *testing.T) {
+	forceOverlap(t)
 	s, err := New(Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 8})
 	if err != nil {
 		t.Fatal(err)

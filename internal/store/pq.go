@@ -3,8 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"declust/internal/gf256"
 	"declust/internal/layout"
@@ -17,10 +15,11 @@ import (
 // Together they correct any two erasures — two lost disks, or one lost
 // disk plus one damaged unit — where single parity corrects one.
 //
-// The single-parity paths elsewhere in the package are untouched: every
-// entry point (reconstruct, commit, scrub, check) dispatches here only
-// when s.parities == 2, so a Parities:1 store runs the exact code it ran
-// before this file existed.
+// Every entry point (reconstruct, commit, scrub, check) dispatches here
+// only when s.parities == 2. What the two codes share is below them: one
+// gather (io.go) reads and folds units for both — single parity is the
+// case where every term XORs into one accumulator — and one commitWrites
+// lands the second round of both.
 
 // pqDamagedError reports a unit the solver needed but found damaged
 // (media error or checksum mismatch). Callers holding the write lock may
@@ -123,108 +122,49 @@ func (s *Store) pqSolveOnce(st *diskState, stripe int64, list []pqErasure) error
 	needQ := !eQ && (nd == 2 || (nd == 1 && eP))
 	useQ := eQ || needQ
 
-	phys := s.getBuf()
 	accP := s.getBuf()
 	accQ := s.getBuf()
-	pU := s.getBuf()
-	qU := s.getBuf()
-	defer s.putBuf(phys)
 	defer s.putBuf(accP)
 	defer s.putBuf(accQ)
-	defer s.putBuf(pU)
-	defer s.putBuf(qU)
-	px := (*accP)[:s.unitSize] // XOR of the read data units
-	qx := (*accQ)[:s.unitSize] // Σ g^d·(read data unit d)
+	px := (*accP)[:s.unitSize]
+	qx := (*accQ)[:s.unitSize]
 	zeroBytes(px)
 	zeroBytes(qx)
 
-	// Gather every read the erasure pattern needs: the surviving data
-	// units, plus whichever parities the decode uses. The parallel store
-	// fans the reads across idle I/O workers — the two-erasure decode is
-	// as wide as the degraded read it serves — and folds each result
-	// under a lock; both sums are order-independent, so the answer is
-	// bit-identical however the reads land.
-	type gatherItem struct {
-		j int
-		d int // data ordinal, or -1 for a parity unit
-	}
-	items := make([]gatherItem, 0, k+2)
+	// Gather every read the erasure pattern needs, as one batch: the
+	// surviving data units into both sums (px ⊕= d, qx ⊕= g^d·d), plus
+	// whichever parities the decode uses, each into the sum it closes — so
+	// what the gather leaves in px and qx is already the surviving data's
+	// difference from the stored P and Q, the erased units' own share.
+	sc := s.scratch.Get().(*stripeScratch)
+	defer s.scratch.Put(sc)
+	terms := sc.terms[:0]
 	for d := 0; d < k; d++ {
 		if d == eData[0] || d == eData[1] {
 			continue
 		}
-		items = append(items, gatherItem{j: layout.DataPos(s.lay, stripe, d), d: d})
+		t := term{loc: s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d)), p: px}
+		if useQ {
+			t.coef = gf256.Exp(d)
+		}
+		terms = append(terms, t)
 	}
 	if needP {
-		items = append(items, gatherItem{j: pPos, d: -1})
+		terms = append(terms, term{loc: s.lay.Unit(stripe, pPos), p: px})
 	}
 	if needQ {
-		items = append(items, gatherItem{j: qPos, d: -1})
+		terms = append(terms, term{loc: s.lay.Unit(stripe, qPos), p: qx})
 	}
-	pData := (*pU)[:s.unitSize]
-	qData := (*qU)[:s.unitSize]
-	fold := func(it gatherItem, data []byte) {
-		switch {
-		case it.d >= 0:
-			xorInto(px, data)
-			if useQ {
-				gf256.MulAddSlice(qx, data, gf256.Exp(it.d))
-			}
-		case it.j == pPos:
-			copy(pData, data)
-		default:
-			copy(qData, data)
-		}
+	damaged, err := s.gather(st, terms, qx)
+	if err != nil {
+		return err
 	}
-	if s.ioWorkers == 1 {
-		tmp := (*phys)[:s.unitSize] // reads land here, then fold
-		for _, it := range items {
-			u := s.lay.Unit(stripe, it.j)
-			if st.lost(u) {
-				return &lostUnitError{u: u}
-			}
-			if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys); err != nil {
-				if needsHeal(err) {
-					return &pqDamagedError{j: it.j, loc: u, cause: err}
-				}
-				return err
-			}
-			fold(it, tmp)
-		}
-	} else {
-		var mu sync.Mutex
-		var damaged []*pqDamagedError
-		err := s.fanOut(len(items), func(i int) error {
-			it := items[i]
-			u := s.lay.Unit(stripe, it.j)
-			if st.lost(u) {
-				return &lostUnitError{u: u}
-			}
-			b := s.getBuf()
-			defer s.putBuf(b)
-			if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *b); err != nil {
-				if needsHeal(err) {
-					mu.Lock()
-					damaged = append(damaged, &pqDamagedError{j: it.j, loc: u, cause: err})
-					mu.Unlock()
-					return nil
-				}
-				return err
-			}
-			mu.Lock()
-			fold(it, (*b)[:s.unitSize])
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if len(damaged) > 0 {
-			// Report the lowest position so absorb-and-retry callers heal
-			// deterministically whatever order the reads completed in.
-			sort.Slice(damaged, func(a, b int) bool { return damaged[a].j < damaged[b].j })
-			return damaged[0]
-		}
+	if len(damaged) > 0 {
+		// The lowest item, so absorb-and-retry callers heal the same unit
+		// whatever order the reads completed in.
+		d := damaged[0]
+		_, j := s.lay.Locate(d.loc)
+		return &pqDamagedError{j: j, loc: d.loc, cause: d.err}
 	}
 
 	switch nd {
@@ -241,12 +181,9 @@ func (s *Store) pqSolveOnce(st *diskState, stripe int64, list []pqErasure) error
 		if !eP {
 			// Through P: d_x = P ⊕ (XOR of the other data units).
 			copy(dx, px)
-			xorInto(dx, pData)
 		} else {
 			// P erased too — through Q: d_x = g^(−x)·(Q ⊕ Σ_{d≠x} g^d·d_d).
-			copy(dx, qx)
-			xorInto(dx, qData)
-			gf256.MulSlice(dx, dx, gf256.Exp(-x))
+			gf256.MulSlice(dx, qx, gf256.Exp(-x))
 			// And P from the now-complete data.
 			copy(pOut, px)
 			xorInto(pOut, dx)
@@ -257,11 +194,10 @@ func (s *Store) pqSolveOnce(st *diskState, stripe int64, list []pqErasure) error
 		}
 	case 2:
 		// Two erased data units x < y: with every surviving data unit's
-		// contribution removed, Pxy = d_x ⊕ d_y and Qxy = g^x·d_x ⊕ g^y·d_y;
-		// gf256.TwoErasureCoeffs gives d_y = a·Pxy ⊕ b·Qxy, d_x = d_y ⊕ Pxy.
+		// contribution removed, px = Pxy = d_x ⊕ d_y and qx = Qxy =
+		// g^x·d_x ⊕ g^y·d_y; gf256.TwoErasureCoeffs gives
+		// d_y = a·Pxy ⊕ b·Qxy, d_x = d_y ⊕ Pxy.
 		x, y := eData[0], eData[1]
-		xorInto(px, pData) // px is now Pxy
-		xorInto(qx, qData) // qx is now Qxy
 		a, b := gf256.TwoErasureCoeffs(x, y)
 		dx, dy := eDataOut[0], eDataOut[1]
 		gf256.MulSlice(dy, px, a)
@@ -362,61 +298,32 @@ func (s *Store) pqRecoverInto(st *diskState, u layout.Loc, out []byte) error {
 }
 
 // commitStripePQ is commitStripeLocked's P+Q arm: commit new contents for
-// one or more data units of a stripe, maintaining both parity equations.
-// Caller holds the stripe's write lock and the region's intent mark.
+// one or more data units of a stripe, maintaining both parity equations,
+// in the same two rounds. Caller holds the stripe's write lock and the
+// region's intent mark.
 //
 // The write paths mirror the single-parity engine, one parity heavier:
 //
 //   - large write (all data units): P and Q computed fresh, no pre-reads;
-//   - every written unit readable: delta RMW — read old data and old
+//   - every written unit readable: delta RMW — gather old data and old
 //     parities, fold old⊕new into P and g^d·(old⊕new) into Q (the
-//     six-access small write: read D,P,Q + write D,P,Q);
+//     six-access small write: read D,P,Q, then write D,P,Q);
 //   - a written unit lost: fold forward — every data unit's new value
 //     (written new, surviving read, lost-unwritten decoded from the old
 //     parities) rebuilds P and Q from scratch;
 //   - a lost parity unit is simply not written (its rebuild recomputes
 //     it); with both parities lost the data writes go through alone.
-func (s *Store) commitStripePQ(stripe int64, locs []layout.Loc, datas [][]byte) error {
-	st := s.st.Load()
-	g := s.lay.G()
-	k := g - 2
+func (s *Store) commitStripePQ(st *diskState, stripe int64, sc *stripeScratch) error {
+	k := s.lay.G() - 2
 	pLoc := layout.ParityLocOf(s.lay, stripe, 0)
 	qLoc := layout.ParityLocOf(s.lay, stripe, 1)
 	pLost := st.lost(pLoc)
 	qLost := st.lost(qLoc)
-
 	if pLost && qLost {
 		// Both parities lost: the two failures are this stripe's P and Q
 		// disks, so every data unit is live — plain data writes (§7), and
 		// the rebuilds recompute both parities.
-		if len(locs) == 1 {
-			return s.writeDataUnit(st.disk(locs[0]), locs[0].Disk, locs[0].Offset, datas[0])
-		}
-		return s.fanOut(len(locs), func(i int) error {
-			return s.writeDataUnit(st.disk(locs[i]), locs[i].Disk, locs[i].Offset, datas[i])
-		})
-	}
-
-	// Map the stripe's data ordinals: location, which write (if any)
-	// covers it, and whether it is lost.
-	dloc := make([]layout.Loc, k)
-	wIdx := make([]int, k)
-	lost := make([]bool, k)
-	writtenLost := false
-	for d := 0; d < k; d++ {
-		u := s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d))
-		dloc[d] = u
-		wIdx[d] = -1
-		lost[d] = st.lost(u)
-		for i := range locs {
-			if locs[i] == u {
-				wIdx[d] = i
-				if lost[d] {
-					writtenLost = true
-				}
-				break
-			}
-		}
+		return s.commitWrites(st, sc)
 	}
 
 	pBuf := s.getBuf()
@@ -425,124 +332,110 @@ func (s *Store) commitStripePQ(stripe int64, locs []layout.Loc, datas [][]byte) 
 	defer s.putBuf(qBuf)
 	pData := (*pBuf)[:s.unitSize]
 	qData := (*qBuf)[:s.unitSize]
+	zeroBytes(pData)
+	zeroBytes(qData)
+	var pSum []byte // nil with P lost: nothing folds into it
+	if !pLost {
+		pSum = pData
+	}
 
-	switch {
-	case len(locs) == k:
-		// Large-write optimization: parity from the new contents alone.
-		zeroBytes(pData)
-		zeroBytes(qData)
-		for d := 0; d < k; d++ {
-			xorInto(pData, datas[wIdx[d]])
-			if !qLost {
-				gf256.MulAddSlice(qData, datas[wIdx[d]], gf256.Exp(d))
-			}
+	// One pass over the stripe's data ordinals: how each unit folds into
+	// the new parities. Written units are kept by their index in sc.locs,
+	// unwritten ones — live and lost apart — for a fold-forward.
+	wr, rest := sc.terms[:len(sc.locs)], sc.rest[:0]
+	var lostRest [2]term
+	nLostRest := 0
+	writtenLost := false
+	for d := 0; d < k; d++ {
+		t := term{loc: s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d)), p: pSum}
+		if !qLost {
+			t.coef = gf256.Exp(d)
 		}
+		i := indexLoc(sc.locs, t.loc)
+		switch lost := st.lost(t.loc); {
+		case i >= 0:
+			wr[i] = t
+			writtenLost = writtenLost || lost
+		case lost:
+			lostRest[nLostRest] = t
+			nLostRest++
+		default:
+			rest = append(rest, t)
+		}
+	}
+
+	// First round. Both sums are order-independent, so whatever they need
+	// from the disks folds in as the reads land; what each written unit
+	// contributes — its new contents, or under a delta new ⊕ old — folds
+	// in after, once per unit.
+	var need []term
+	delta := sc.delta[:0]
+	switch {
+	case len(sc.locs) == k:
+		// Large-write optimization: parity from the new contents alone.
 	case !writtenLost:
 		// Delta read-modify-write: every written unit's old contents are
 		// readable, so P' = P ⊕ Σ(old⊕new) and Q' = Q ⊕ Σ g^d·(old⊕new).
-		// Lost unwritten units don't disturb the deltas. Pre-reads heal
-		// damaged units in place — the write lock is already held.
+		// Each old unit gathers into a buffer holding its new contents,
+		// the old parities into the sums. Lost unwritten units don't
+		// disturb the deltas.
+		need = rest[:0]
+		for i, loc := range sc.locs {
+			b := s.getBuf()
+			delta = append(delta, b)
+			copy(*b, sc.datas[i])
+			need = append(need, term{loc: loc, p: (*b)[:s.unitSize]})
+		}
 		if !pLost {
-			if err := s.readUnitHealing(st, pLoc, pData); err != nil {
-				return err
-			}
+			need = append(need, term{loc: pLoc, p: pData})
 		}
 		if !qLost {
-			if err := s.readUnitHealing(st, qLoc, qData); err != nil {
-				return err
-			}
+			need = append(need, term{loc: qLoc, p: qData})
 		}
-		oBuf := s.getBuf()
-		oData := (*oBuf)[:s.unitSize]
-		for d := 0; d < k; d++ {
-			if wIdx[d] < 0 {
-				continue
-			}
-			if err := s.readUnitHealing(st, dloc[d], oData); err != nil {
-				s.putBuf(oBuf)
-				return err
-			}
-			xorInto(oData, datas[wIdx[d]]) // oData is now the delta
-			if !pLost {
-				xorInto(pData, oData)
-			}
-			if !qLost {
-				gf256.MulAddSlice(qData, oData, gf256.Exp(d))
-			}
-		}
-		s.putBuf(oBuf)
 	default:
 		// A lost unit is being written: its old contents are unreadable,
 		// so fold forward — rebuild P and Q from every data unit's new
-		// value. Lost unwritten units contribute their decoded old value
-		// (the old parities still encode it).
-		zeroBytes(pData)
-		zeroBytes(qData)
-		fold := func(d int, b []byte) {
-			if !pLost {
-				xorInto(pData, b)
-			}
-			if !qLost {
-				gf256.MulAddSlice(qData, b, gf256.Exp(d))
-			}
-		}
-		for d := 0; d < k; d++ {
-			if wIdx[d] >= 0 {
-				fold(d, datas[wIdx[d]])
-			}
-		}
+		// value. Unwritten survivors are gathered; a lost unwritten unit
+		// contributes its decoded old value (the old parities still encode
+		// it), before the gather — decoding may heal, and a heal rewrites.
 		lBuf := s.getBuf()
 		lData := (*lBuf)[:s.unitSize]
-		for d := 0; d < k; d++ {
-			if wIdx[d] >= 0 {
-				continue
-			}
-			if lost[d] {
-				// Unwritten and lost: decode its (unchanged) value from
-				// the old parities and the other survivors.
-				if err := s.pqRecoverInto(st, dloc[d], lData); err != nil {
-					s.putBuf(lBuf)
-					return err
-				}
-			} else if err := s.readUnitHealing(st, dloc[d], lData); err != nil {
+		for _, t := range lostRest[:nLostRest] {
+			if err := s.pqRecoverInto(st, t.loc, lData); err != nil {
 				s.putBuf(lBuf)
 				return err
 			}
-			fold(d, lData)
+			t.foldInto(qData, lData)
 		}
 		s.putBuf(lBuf)
+		need = rest
+	}
+	err := s.gatherHealing(st, need, qData)
+	if err == nil {
+		for i, t := range wr {
+			contrib := sc.datas[i]
+			if len(delta) > 0 {
+				contrib = (*delta[i])[:s.unitSize]
+			}
+			t.foldInto(qData, contrib)
+		}
+	}
+	for _, b := range delta {
+		s.putBuf(b)
+	}
+	if err != nil {
+		return err
 	}
 
 	// Commit: data writes (redirected to a replacement or folded when
-	// lost), then the surviving parities.
-	writes := make([]func() error, 0, len(locs)+2)
-	for i := range locs {
-		i := i
-		isLost := false
-		for d := 0; d < k; d++ {
-			if wIdx[d] == i {
-				isLost = lost[d]
-				break
-			}
-		}
-		writes = append(writes, func() error {
-			return s.commitOneLocked(st, locs[i], datas[i], isLost)
-		})
-	}
+	// lost) and the surviving parities, one batch.
 	if !pLost {
-		writes = append(writes, func() error {
-			return s.writeStamped(st.disk(pLoc), pLoc.Disk, pLoc.Offset, *pBuf)
-		})
+		sc.par = append(sc.par, parityWrite{loc: pLoc, phys: *pBuf})
 	}
 	if !qLost {
-		writes = append(writes, func() error {
-			return s.writeStamped(st.disk(qLoc), qLoc.Disk, qLoc.Offset, *qBuf)
-		})
+		sc.par = append(sc.par, parityWrite{loc: qLoc, phys: *qBuf})
 	}
-	if len(writes) == 1 {
-		return writes[0]()
-	}
-	return s.fanOut(len(writes), func(i int) error { return writes[i]() })
+	return s.commitWrites(st, sc)
 }
 
 // checkParityPQ verifies both parity equations of every stripe at

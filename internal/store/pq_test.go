@@ -321,6 +321,7 @@ func TestPQSelfHealingDegradedRead(t *testing.T) {
 // the end every acknowledged write reads back byte-for-byte and both
 // parity equations balance.
 func TestPQConcurrentDoubleFailureRebuild(t *testing.T) {
+	forceOverlap(t)
 	lay := testPQLayout(t, 7, 4)
 	s, err := New(Config{
 		Layout: lay, UnitsPerDisk: 64, UnitSize: 512,

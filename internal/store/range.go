@@ -19,11 +19,32 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 	return n, nil
 }
 
-// rangeScratch holds one range-write stripe job's reusable slices,
-// recycled through Store.scratch so concurrent jobs don't allocate.
-type rangeScratch struct {
+// stripeScratch is the working set of one stripe job, recycled through
+// Store.scratch so the unit paths allocate nothing. For a parity update —
+// a range write's per-stripe job, or WriteUnit's one-unit span — that is
+// the units written and their new contents, the pre-reads the update
+// needs, and the parity writes that finish it; a reconstruction uses
+// terms alone.
+type stripeScratch struct {
 	locs  []layout.Loc
 	datas [][]byte
+	terms []term        // first round: what the new parity must gather
+	rest  []term        // P+Q: the stripe's unwritten data units
+	delta []*[]byte     // P+Q: one pooled buffer per written unit, new ⊕ old
+	par   []parityWrite // second round: parity units to write beside locs
+}
+
+// newStripeScratch sizes every list for a stripe of g units, so a job only
+// ever reslices them.
+func newStripeScratch(g int) *stripeScratch {
+	return &stripeScratch{
+		locs:  make([]layout.Loc, 0, g),
+		datas: make([][]byte, 0, g),
+		terms: make([]term, 0, g),
+		rest:  make([]term, 0, g),
+		delta: make([]*[]byte, 0, g),
+		par:   make([]parityWrite, 0, 2),
+	}
 }
 
 // span returns the intersection of stripe's data units with the request
@@ -78,6 +99,21 @@ func (s *Store) ReadRange(start int64, dst []byte) error {
 // write lock and the sweep resumes after it.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	us := int64(s.unitSize)
+	if s.overlap(int(hi - lo)) {
+		// The span's units sit on distinct disks: one batch reads them
+		// all. A batch cannot repair (its reads share the lock), so one
+		// that meets damage is abandoned for the unit-by-unit sweep below,
+		// which re-reads the span and heals as it goes.
+		s.locks.rlock(stripe)
+		err := s.fanOut(int(hi-lo), func(i int) error {
+			u := lo + int64(i)
+			return s.readLocked(stripe, s.mapper.Loc(u), dst[(u-start)*us:(u-start+1)*us])
+		})
+		s.locks.runlock(stripe)
+		if !needsHeal(err) {
+			return err
+		}
+	}
 	for u := lo; u < hi; {
 		healU := int64(-1)
 		var healLoc layout.Loc
@@ -142,17 +178,16 @@ func (s *Store) WriteRange(start int64, src []byte) error {
 // from src, whose first byte corresponds to logical unit start, as one
 // parity update under the stripe's write lock.
 func (s *Store) writeStripeSpan(stripe, start, lo, hi int64, src []byte) error {
-	sc := s.scratch.Get().(*rangeScratch)
+	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
-	locs, datas := sc.locs[:0], sc.datas[:0]
+	sc.locs, sc.datas = sc.locs[:0], sc.datas[:0]
 	us := int64(s.unitSize)
 	for v := lo; v < hi; v++ {
-		locs = append(locs, s.mapper.Loc(v))
-		datas = append(datas, src[(v-start)*us:(v-start+1)*us])
+		sc.locs = append(sc.locs, s.mapper.Loc(v))
+		sc.datas = append(sc.datas, src[(v-start)*us:(v-start+1)*us])
 	}
-	sc.locs, sc.datas = locs, datas
 	s.locks.lock(stripe)
-	err := s.writeStripeLocked(stripe, locs, datas)
+	err := s.writeStripeLocked(stripe, sc)
 	s.locks.unlock(stripe)
 	return err
 }

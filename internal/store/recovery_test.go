@@ -38,6 +38,7 @@ func openCrashStore(dir string, lay layout.Layout, usable int64) (*Store, error)
 		UnitsPerDisk: 40,
 		UnitSize:     512,
 		Disks:        disks,
+		IOWorkers:    4,
 		Intent:       OpenFileIntent(filepath.Join(dir, "intent.log")),
 	})
 	if err != nil {
@@ -55,6 +56,7 @@ func TestCrashChildProcess(t *testing.T) {
 	if dir == "" {
 		t.Skip("child process of TestCrashDuringWriteRecovers")
 	}
+	forceOverlap(t) // the kill lands among overlapped data and parity writes
 	lay, usable := crashGeometry(t)
 	s, err := openCrashStore(dir, lay, usable)
 	if err != nil {
@@ -81,6 +83,7 @@ func TestCrashDuringWriteRecovers(t *testing.T) {
 	if os.Getenv(crashChildEnv) != "" {
 		t.Skip("already the child")
 	}
+	forceOverlap(t)
 	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0], "-test.run=TestCrashChildProcess$", "-test.v")
 	cmd.Env = append(os.Environ(), crashChildEnv+"="+dir)

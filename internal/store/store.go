@@ -30,14 +30,19 @@ type Config struct {
 	// unit count at the physical unit size; backends reporting a
 	// Geometry are validated against the store's.
 	Disks []Disk
-	// IOWorkers bounds the store's I/O helper goroutines, the parallel
-	// fast path: multi-unit operations (degraded-read survivor gathers,
-	// parity pre-reads and commits, range operations, CheckParity) fan
-	// their independent disk accesses across up to IOWorkers−1 idle
-	// helpers plus the submitting goroutine. Helpers are acquired with a
-	// non-blocking try, so a saturated store degrades to serial issue
-	// instead of queueing. 1 disables fan-out entirely (the serial
-	// engine, bit-identical results); 0 defaults to GOMAXPROCS.
+	// IOWorkers is the upper bound on overlap: how many independent disk
+	// accesses of one operation (degraded-read survivor gathers, the
+	// pre-reads and then the writes of a parity update, range operations,
+	// CheckParity) the store may keep in flight at once, on up to
+	// IOWorkers−1 idle helper goroutines plus the submitting one. The
+	// store decides per batch whether to use them: it times a sample of
+	// its backend accesses and overlaps a batch only when the device
+	// waits saved outweigh the hand-off, so a memory- or page-cache-fast
+	// backend is served inline whatever this is set to (see
+	// Stats.DeviceLatency). Helpers are acquired with a non-blocking try,
+	// so a saturated store degrades to serial issue instead of queueing.
+	// 1 is the serial engine (no helpers, no timing, bit-identical
+	// results); 0 defaults to GOMAXPROCS.
 	IOWorkers int
 	// RebuildWorkers is how many shards Rebuild and Scrub sweep
 	// concurrently; the declustered layout spreads each shard's
@@ -147,6 +152,15 @@ type Stats struct {
 	// recovery pass at open; ResyncRepairs those it had to repair.
 	ResyncedStripes int64
 	ResyncRepairs   int64
+	// FanOuts counts batches of independent accesses issued overlapped,
+	// across I/O helpers; FanOutsInline the batches issued inline instead,
+	// because the backends answer too fast for a hand-off to pay or every
+	// helper was busy; DeviceLatency is the moving average of sampled
+	// backend access times that decides between the two. All three stay
+	// zero on a serial store (IOWorkers=1), which measures nothing.
+	FanOuts       int64
+	FanOutsInline int64
+	DeviceLatency time.Duration
 }
 
 // failSlot tracks one failed disk: its number, the replacement being
@@ -226,6 +240,7 @@ type Store struct {
 	ioWorkers      int
 	rebuildWorkers int
 	pool           ioPool
+	gate           *overlapGate // nil on a serial store (IOWorkers=1)
 
 	locks lockTable
 	st    atomic.Pointer[diskState]
@@ -246,7 +261,7 @@ type Store struct {
 	regionActive   []atomic.Int32
 	parityDoubt    atomic.Bool // a write failed mid-stripe; hold intent until a clean scrub
 
-	scratch sync.Pool // rangeScratch for per-stripe write jobs
+	scratch sync.Pool // stripeScratch for per-stripe jobs
 
 	diskErrs []atomic.Int64 // persistent-error score per slot
 
@@ -357,12 +372,15 @@ func New(cfg Config) (*Store, error) {
 		diskErrs:       make([]atomic.Int64, c),
 	}
 	s.pool.free.Store(int32(s.ioWorkers - 1))
+	if s.ioWorkers > 1 {
+		s.gate = &overlapGate{threshold: int64(overlapThreshold)}
+	}
 	s.intentCond.L = &s.intentMu
 	s.bufs.New = func() any {
 		b := make([]byte, s.physSize)
 		return &b
 	}
-	s.scratch.New = func() any { return new(rangeScratch) }
+	s.scratch.New = func() any { return newStripeScratch(l.G()) }
 	s.st.Store(&diskState{disks: disks})
 
 	s.intent = cfg.Intent
@@ -549,7 +567,7 @@ func (s *Store) Parities() int { return s.parities }
 
 // Stats returns a snapshot of the engine counters.
 func (s *Store) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Reads:            s.reads.Load(),
 		Writes:           s.writes.Load(),
 		DegradedReads:    s.degradedReads.Load(),
@@ -569,6 +587,12 @@ func (s *Store) Stats() Stats {
 		ResyncedStripes:  s.resyncStripes.Load(),
 		ResyncRepairs:    s.resyncRepairs.Load(),
 	}
+	if g := s.gate; g != nil {
+		st.FanOuts = g.fanOuts.Load()
+		st.FanOutsInline = g.inline.Load()
+		st.DeviceLatency = time.Duration(g.ewma.Load())
+	}
+	return st
 }
 
 // RebuildProgress reports units restored within the current failure (by
@@ -654,8 +678,8 @@ func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
 }
 
 // reconstructLocked computes loc's contents into dst from its stripe's
-// surviving units: the XOR of the G−1 survivors under single parity
-// (fanned across idle I/O workers), the erasure decode under P+Q. Caller
+// surviving units: the XOR of the G−1 survivors under single parity, the
+// erasure decode under P+Q, either one a single gather. Caller
 // holds (at least) the stripe's read lock; damaged survivors are reported
 // (needsHeal), not repaired — repairing requires the write lock, which
 // healRead takes for the exclusive retry.
@@ -663,8 +687,7 @@ func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) err
 	if s.parities == 2 {
 		return s.pqReconstructLocked(st, loc, dst)
 	}
-	zeroBytes(dst)
-	damaged, err := s.xorUnitsInto(st, layout.SurvivingUnits(s.lay, loc), dst)
+	damaged, err := s.gatherSiblings(st, loc, dst)
 	if err != nil {
 		var le *lostUnitError
 		if errors.As(err, &le) {
@@ -680,36 +703,34 @@ func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) err
 
 // WriteUnit writes src (exactly one unit) to logical data unit n,
 // maintaining parity: the four-access read-modify-write when the stripe
-// is whole, parity folding or replacement redirection when it is not.
+// is whole — two device waits, the pre-reads overlapped and then the
+// writes — parity folding or replacement redirection when it is not. It
+// is the one-unit span of WriteRange.
 func (s *Store) WriteUnit(n int64, src []byte) error {
 	if err := s.checkUnit(n, src); err != nil {
 		return err
 	}
-	loc := s.mapper.Loc(n)
-	stripe, _ := s.lay.Locate(loc)
-	s.locks.lock(stripe)
-	err := s.writeStripeLocked(stripe, []layout.Loc{loc}, [][]byte{src})
-	s.locks.unlock(stripe)
-	if err == nil {
-		s.writes.Add(1)
+	if err := s.writeStripeSpan(n/s.dataPerStripe, n, n, n+1, src); err != nil {
+		return err
 	}
-	return err
+	s.writes.Add(1)
+	return nil
 }
 
 // writeStripeLocked commits new contents for one or more data units of a
 // single stripe, updating parity once, under the write-intent discipline:
 // the stripe's region is durably marked dirty before any disk is touched,
 // so a crash mid-update is always covered by the recovery pass. Caller
-// holds the stripe's write lock; locs are distinct data-unit locations of
-// this stripe.
-func (s *Store) writeStripeLocked(stripe int64, locs []layout.Loc, datas [][]byte) error {
+// holds the stripe's write lock; sc.locs are distinct data-unit locations
+// of this stripe and sc.datas their new contents.
+func (s *Store) writeStripeLocked(stripe int64, sc *stripeScratch) error {
 	r := stripe / intentRegionStripes
 	s.regionActive[r].Add(1)
 	defer s.regionActive[r].Add(-1)
 	if err := s.markIntent(r); err != nil {
 		return err
 	}
-	if err := s.commitStripeLocked(stripe, locs, datas); err != nil {
+	if err := s.commitStripeLocked(stripe, sc); err != nil {
 		// The stripe may now be parity-inconsistent (some units committed,
 		// others not). Its region stays intent-marked, and Sync refuses to
 		// clear any region until a clean scrub re-establishes consistency.
@@ -719,226 +740,137 @@ func (s *Store) writeStripeLocked(stripe int64, locs []layout.Loc, datas [][]byt
 	return nil
 }
 
-// commitStripeLocked performs the stripe's parity-maintaining update.
-// The single-unit path (WriteUnit) runs the exact serial sequence —
-// pre-read, delta, commit — with no fan-out machinery, preserving the
-// zero-extra-alloc hot path; multi-unit commits (range writes) fan their
-// independent pre-reads and commit writes across idle I/O workers.
-func (s *Store) commitStripeLocked(stripe int64, locs []layout.Loc, datas [][]byte) error {
-	if s.parities == 2 {
-		return s.commitStripePQ(stripe, locs, datas)
-	}
+// commitStripeLocked performs the stripe's parity-maintaining update in
+// two rounds of independent accesses, each issued as one batch: gather
+// whatever the new parity needs beyond the new contents themselves, then
+// write data and parity. However many units are written, the update is
+// two device waits when the batches overlap, and the same accesses in
+// index order when they do not.
+func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	st := s.st.Load()
+	sc.par = sc.par[:0]
+	if s.parities == 2 {
+		return s.commitStripePQ(st, stripe, sc)
+	}
 	ploc := layout.ParityLoc(s.lay, stripe)
-
 	if st.lost(ploc) {
 		// Lost parity: there is no parity to maintain, so each write is
 		// a single data access (§7); the rebuild sweep recomputes the
 		// parity unit from data when its turn comes.
-		if len(locs) == 1 {
-			return s.writeDataUnit(st.disk(locs[0]), locs[0].Disk, locs[0].Offset, datas[0])
-		}
-		return s.fanOut(len(locs), func(i int) error {
-			return s.writeDataUnit(st.disk(locs[i]), locs[i].Disk, locs[i].Offset, datas[i])
-		})
+		return s.commitWrites(st, sc)
 	}
 
-	// Find the stripe's lost data unit, if any, and whether it is being
-	// written. A single-failure-correcting layout puts at most one unit
-	// of a stripe on any disk.
-	lostIdx := -1 // index into locs of a written lost unit
-	var lostLoc layout.Loc
-	haveLost := false
-	if len(st.fails) > 0 {
-		g := s.lay.G()
-		pp := s.lay.ParityPos(stripe)
-		for j := 0; j < g; j++ {
-			if j == pp {
-				continue
-			}
-			u := s.lay.Unit(stripe, j)
-			if st.lost(u) {
-				lostLoc, haveLost = u, true
-				break
-			}
-		}
-		if haveLost {
-			for i, loc := range locs {
-				if loc == lostLoc {
-					lostIdx = i
-					break
-				}
-			}
-		}
-	}
-
+	// The new parity starts as the XOR of the new contents. XOR is order-
+	// independent, so whatever else it needs folds in as the reads land.
 	pbuf := s.getBuf()
 	defer s.putBuf(pbuf)
 	pdata := (*pbuf)[:s.unitSize]
+	copy(pdata, sc.datas[0])
+	for _, d := range sc.datas[1:] {
+		xorInto(pdata, d)
+	}
 
+	// A single-failure-correcting layout puts at most one unit of a
+	// stripe on any disk, so at most one written unit is lost.
+	writtenLost := false
+	for _, loc := range sc.locs {
+		writtenLost = writtenLost || st.lost(loc)
+	}
+	g := s.lay.G()
+	need := sc.terms[:0] // what the new parity must still gather
 	switch {
-	case len(locs) == s.lay.G()-1:
+	case len(sc.locs) == g-1:
 		// Large-write optimization: the segment covers every data unit
-		// of the stripe, so parity is computed from the new contents
-		// with no pre-reads.
-		copy(pdata, datas[0])
-		for _, d := range datas[1:] {
-			xorInto(pdata, d)
-		}
-	case haveLost && lostIdx >= 0:
+		// of the stripe, so the new contents are all parity needs.
+	case writtenLost:
 		// Writing the lost unit: its old contents are unreadable, so the
 		// delta method is unavailable. Fold forward instead: parity
 		// becomes the XOR of every data unit's new contents — written
 		// units contribute their new data, unwritten survivors are read.
-		copy(pdata, datas[lostIdx])
-		for i, d := range datas {
-			if i != lostIdx {
-				xorInto(pdata, d)
-			}
-		}
-		if len(locs) == 1 {
-			obuf := s.getBuf()
-			odata := (*obuf)[:s.unitSize]
-			g := s.lay.G()
-			pp := s.lay.ParityPos(stripe)
-			for j := 0; j < g; j++ {
-				if j == pp {
-					continue
-				}
-				u := s.lay.Unit(stripe, j)
-				if u == locs[0] {
-					continue
-				}
-				if err := s.readUnitHealing(st, u, odata); err != nil {
-					s.putBuf(obuf)
-					return err
-				}
-				xorInto(pdata, odata)
-			}
-			s.putBuf(obuf)
-			break
-		}
-		g := s.lay.G()
 		pp := s.lay.ParityPos(stripe)
-		units := make([]layout.Loc, 0, g-1)
 		for j := 0; j < g; j++ {
-			if j == pp {
-				continue
+			if u := s.lay.Unit(stripe, j); j != pp && indexLoc(sc.locs, u) < 0 {
+				need = append(need, term{loc: u, p: pdata})
 			}
-			u := s.lay.Unit(stripe, j)
-			written := false
-			for _, loc := range locs {
-				if u == loc {
-					written = true
-					break
-				}
-			}
-			if !written {
-				units = append(units, u)
-			}
-		}
-		if err := s.gatherHealing(st, units, pdata); err != nil {
-			return err
 		}
 	default:
 		// Read-modify-write: parity' = parity ⊕ old ⊕ new, folded over
-		// every written unit. All written units are readable here (a
-		// written lost unit takes the branch above). Pre-reads heal
-		// damaged units in place — the write lock is already held.
-		if len(locs) == 1 {
-			if err := s.readUnitHealing(st, ploc, pdata); err != nil {
-				return err
-			}
-			obuf := s.getBuf()
-			odata := (*obuf)[:s.unitSize]
-			if err := s.readUnitHealing(st, locs[0], odata); err != nil {
-				s.putBuf(obuf)
-				return err
-			}
-			xorInto(pdata, odata)
-			xorInto(pdata, datas[0])
-			s.putBuf(obuf)
-			break
-		}
-		// XOR is order-independent, so the old parity and every written
-		// unit's old contents gather concurrently into pdata; the new
-		// contents fold in afterward.
-		zeroBytes(pdata)
-		units := make([]layout.Loc, 0, len(locs)+1)
-		units = append(units, ploc)
-		units = append(units, locs...)
-		if err := s.gatherHealing(st, units, pdata); err != nil {
-			return err
-		}
-		for _, d := range datas {
-			xorInto(pdata, d)
+		// every written unit, all of them readable here.
+		need = append(need, term{loc: ploc, p: pdata})
+		for _, loc := range sc.locs {
+			need = append(need, term{loc: loc, p: pdata})
 		}
 	}
+	if err := s.gatherHealing(st, need, nil); err != nil {
+		return err
+	}
+	sc.par = append(sc.par, parityWrite{loc: ploc, phys: *pbuf})
+	return s.commitWrites(st, sc)
+}
 
-	// Commit data, then parity. A written lost unit goes to the
-	// replacement when one is installed (write redirection, which counts
-	// as reconstruction); with no replacement it is dropped — parity now
-	// encodes it, which is the fold.
-	if len(locs) == 1 {
-		if err := s.commitOneLocked(st, locs[0], datas[0], lostIdx == 0); err != nil {
-			return err
+// indexLoc returns the index of u in locs, or −1.
+func indexLoc(locs []layout.Loc, u layout.Loc) int {
+	for i, loc := range locs {
+		if loc == u {
+			return i
 		}
-		return s.writeStamped(st.disk(ploc), ploc.Disk, ploc.Offset, *pbuf)
 	}
-	// Multi-unit commit: the data writes and the parity write land on
-	// distinct disks, so they fan out as one batch. Ordering among them
-	// carries no crash-consistency weight — the region's durable intent
-	// mark covers any interleaving, and recovery resyncs the stripe.
-	return s.fanOut(len(locs)+1, func(i int) error {
-		if i == len(locs) {
-			return s.writeStamped(st.disk(ploc), ploc.Disk, ploc.Offset, *pbuf)
+	return -1
+}
+
+// parityWrite is one parity unit's new contents in an engine-owned
+// physical buffer, waiting for the commit's second round.
+type parityWrite struct {
+	loc  layout.Loc
+	phys []byte
+}
+
+// commitWrites is the second round of a parity update: every written data
+// unit and every parity unit in sc.par, as one batch — they sit on
+// distinct disks. Ordering among them carries no crash-consistency weight:
+// the region's durable intent mark covers any interleaving, and recovery
+// resyncs the stripe. Inline, data goes first and parity last.
+func (s *Store) commitWrites(st *diskState, sc *stripeScratch) error {
+	n := len(sc.locs) + len(sc.par)
+	if !s.overlap(n) {
+		for i := 0; i < n; i++ {
+			if err := s.commitWrite(st, sc, i); err != nil {
+				return err
+			}
 		}
-		return s.commitOneLocked(st, locs[i], datas[i], i == lostIdx)
-	})
+		return nil
+	}
+	return s.fanOut(n, func(i int) error { return s.commitWrite(st, sc, i) })
+}
+
+// commitWrite issues item i of a commit's write batch.
+func (s *Store) commitWrite(st *diskState, sc *stripeScratch, i int) error {
+	if i < len(sc.locs) {
+		return s.commitOneLocked(st, sc.locs[i], sc.datas[i])
+	}
+	p := sc.par[i-len(sc.locs)]
+	return s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, p.phys)
 }
 
 // commitOneLocked commits one data unit's new contents: to its home slot
 // normally, to the replacement when the unit is lost and one is installed
-// (write redirection), or to parity alone when it is lost with no
-// replacement (the fold — no write at all).
-func (s *Store) commitOneLocked(st *diskState, loc layout.Loc, data []byte, isLost bool) error {
-	if isLost {
-		if f := st.slot(loc.Disk); f != nil && f.repl != nil {
-			if err := s.writeDataUnit(f.repl, loc.Disk, loc.Offset, data); err != nil {
-				return err
-			}
-			s.markRebuilt(f, loc.Offset)
-			s.redirectedWrites.Add(1)
-		} else {
-			s.foldedWrites.Add(1)
-		}
+// (write redirection, which counts as reconstruction), or to parity alone
+// when it is lost with no replacement (the fold — no write at all: parity
+// now encodes it).
+func (s *Store) commitOneLocked(st *diskState, loc layout.Loc, data []byte) error {
+	if !st.lost(loc) {
+		return s.writeDataUnit(st.disk(loc), loc.Disk, loc.Offset, data)
+	}
+	f := st.slot(loc.Disk)
+	if f.repl == nil {
+		s.foldedWrites.Add(1)
 		return nil
 	}
-	return s.writeDataUnit(st.disk(loc), loc.Disk, loc.Offset, data)
-}
-
-// gatherHealing XORs the listed units' contents into dst. The reads fan
-// out raw across idle I/O workers; units they report damaged are then
-// healed serially — the caller holds the stripe's write lock, and a heal
-// rewrites its unit, which must never race the batch's other reads. No
-// listed unit may be lost.
-func (s *Store) gatherHealing(st *diskState, units []layout.Loc, dst []byte) error {
-	damaged, err := s.xorUnitsInto(st, units, dst)
-	if err != nil {
+	if err := s.writeDataUnit(f.repl, loc.Disk, loc.Offset, data); err != nil {
 		return err
 	}
-	if len(damaged) == 0 {
-		return nil
-	}
-	obuf := s.getBuf()
-	defer s.putBuf(obuf)
-	odata := (*obuf)[:s.unitSize]
-	for _, d := range damaged {
-		if err := s.readUnitHealing(st, d.loc, odata); err != nil {
-			return err
-		}
-		xorInto(dst, odata)
-	}
+	s.markRebuilt(f, loc.Offset)
+	s.redirectedWrites.Add(1)
 	return nil
 }
 
@@ -950,6 +882,17 @@ func (s *Store) markRebuilt(f *failSlot, off int64) {
 		s.rebuiltUnits.Add(1)
 		s.rebuiltNow.Add(1)
 	}
+}
+
+// writeRebuilt lands a recovered unit on the replacement, records it
+// rebuilt, and releases its stripe's lock, which the caller took.
+func (s *Store) writeRebuilt(repl Disk, f *failSlot, stripe int64, loc layout.Loc, data []byte) error {
+	defer s.locks.unlock(stripe)
+	if err := s.writeDataUnit(repl, loc.Disk, loc.Offset, data); err != nil {
+		return err
+	}
+	s.markRebuilt(f, loc.Offset)
+	return nil
 }
 
 // Fail takes disk d out of service: its backend is detached (to be closed
@@ -1040,6 +983,17 @@ func (s *Store) Rebuild(repl Disk) error {
 	// the failure snapshot under its stripe lock, so a second disk failing
 	// mid-sweep is picked up as another erasure (P+Q decodes through it)
 	// instead of being read as a live survivor.
+	//
+	// When device waits are worth overlapping a shard is double-buffered:
+	// the replacement write of one unit is left behind to land while the
+	// worker gathers the next unit's survivors, so a unit costs one device
+	// wait instead of two. The write owns its stripe's lock until it has
+	// landed — the unit is not rebuilt, and its stripe not consistent with
+	// the rebuilt map, before that — and at most one is in flight per
+	// worker: the worker joins it once the next gather is done, before
+	// that gather's own write may start. It runs on a goroutine of the
+	// worker's own, not an I/O pool helper: RebuildWorkers already bounds
+	// it, and the sweep's gathers need every token the clients leave.
 	workers := s.rebuildWorkers
 	if int64(workers) > s.unitsPerDisk {
 		workers = int(s.unitsPerDisk)
@@ -1051,39 +1005,66 @@ func (s *Store) Rebuild(repl Disk) error {
 		swErr   error
 		swErrAt int64
 	)
+	fail := func(off int64, err error) {
+		errMu.Lock()
+		if swErr == nil || off < swErrAt {
+			swErr = fmt.Errorf("store: rebuild of %v: %w", layout.Loc{Disk: target, Offset: off}, err)
+			swErrAt = off
+		}
+		errMu.Unlock()
+		stop.Store(true)
+	}
 	for w := 0; w < workers; w++ {
 		lo := s.unitsPerDisk * int64(w) / int64(workers)
 		hi := s.unitsPerDisk * int64(w+1) / int64(workers)
 		wg.Add(1)
 		go func(lo, hi int64) {
 			defer wg.Done()
-			buf := s.getBuf()
-			defer s.putBuf(buf)
-			data := (*buf)[:s.unitSize]
+			var bufs [2]*[]byte
+			for i := range bufs {
+				bufs[i] = s.getBuf()
+				defer s.putBuf(bufs[i])
+			}
+			cur := 0                      // the buffer no write in flight is using
+			behind := make(chan error, 1) // outcome of the write in flight
+			behindAt := int64(-1)         // its offset; −1: none in flight
+			join := func() bool {
+				if behindAt < 0 {
+					return true
+				}
+				err, at := <-behind, behindAt
+				behindAt = -1
+				if err != nil {
+					fail(at, err)
+				}
+				return err == nil
+			}
+			defer join()
 			for off := lo; off < hi && !stop.Load(); off++ {
 				loc := layout.Loc{Disk: target, Offset: off}
 				stripe, _ := s.lay.Locate(loc)
+				data := (*bufs[cur])[:s.unitSize]
 				s.locks.lock(stripe)
-				var err error
 				stc := s.st.Load()
-				f := stc.slot(target)
-				if f != nil && !f.rebuilt[off] {
-					if err = s.recoverInto(stc, loc, data); err == nil {
-						if err = s.writeDataUnit(repl, target, off, data); err == nil {
-							s.markRebuilt(f, off)
-						}
+				switch f := stc.slot(target); {
+				case f == nil || f.rebuilt[off]:
+					s.locks.unlock(stripe)
+				default:
+					err := s.recoverInto(stc, loc, data)
+					if err != nil {
+						fail(off, err)
 					}
-				}
-				s.locks.unlock(stripe)
-				if err != nil {
-					errMu.Lock()
-					if swErr == nil || off < swErrAt {
-						swErr = fmt.Errorf("store: rebuild of %v: %w", loc, err)
-						swErrAt = off
+					if !join() || err != nil {
+						s.locks.unlock(stripe)
+						return
 					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
+					if s.overlap(2) {
+						behindAt, cur = off, cur^1
+						go func() { behind <- s.writeRebuilt(repl, f, stripe, loc, data) }()
+					} else if err := s.writeRebuilt(repl, f, stripe, loc, data); err != nil {
+						fail(off, err)
+						return
+					}
 				}
 				if s.throttle > 0 {
 					time.Sleep(s.throttle * time.Duration(workers))
