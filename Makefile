@@ -11,7 +11,7 @@ BENCH_PKGS ?= . ./internal/sim ./internal/store
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench bench-save bench-diff sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f bench-harness nightly vet fmt-check fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f bench-harness nightly vet fmt-check fault-smoke lint cover verify clean
 
 all: build
 
@@ -21,6 +21,11 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, once: the parallel sweep driver
+# and the -j commands, the observability stack (live telemetry server, span
+# exporters, tracestat), the fault-injection stack, and the storage engine
+# — concurrent clients through failure and rebuild, serial-vs-parallel
+# byte equivalence, intent-log group commit, fan-out and overlap tests.
 race:
 	$(GO) test -race ./...
 
@@ -41,33 +46,6 @@ bench-save:
 # 0.5 on noisy shared runners) — benchdiff reads it as its default.
 bench-diff:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -diff
-
-# Race pass over the parallel sweep driver and the commands that expose -j.
-sweep-race:
-	$(GO) test -race ./internal/experiments/... ./cmd/...
-
-# Race pass over the observability stack: the live telemetry server's
-# concurrent scrape bridge, the span tracer and exporters, and the
-# tracestat / raidsim -listen command paths.
-telemetry-race:
-	$(GO) test -race ./internal/telemetry/... ./cmd/tracestat/... ./cmd/raidsim/...
-
-# Race pass over the real-data storage engine: concurrent clients driven
-# through live failure, degraded service, and rebuild (internal/store), plus
-# the cmd/store lifecycle driver.
-store-race:
-	$(GO) test -race ./internal/store/... ./cmd/store/...
-
-# Focused race pass over the parallel I/O fast path: serial-vs-parallel
-# byte equivalence through a full fail/rebuild lifecycle (P and P+Q, every
-# batch forced through the fan-out), intent-log group commit (coalescing,
-# failure delivery), fan-out ordering/first-error-wins, concurrent range
-# writers against a sharded rebuild with IOWorkers>1, and the overlap
-# tests: rendezvous backends that prove both rounds of a small write and
-# the sweep's write-behind overlap, and the latency gate opening and
-# shutting.
-store-par-race:
-	$(GO) test -race -run 'TestParallel|TestIntent|TestFanOut|TestWorkerConfig|TestConcurrentRange|TestOverlap' -count=1 ./internal/store/
 
 # The chaos invariant under the race detector: 12 workers against
 # fault-injecting backends (transients, latent sector errors, torn writes,
@@ -114,12 +92,10 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Focused race pass over the fault-injection stack (injector, array error
-# paths, scrubbing, checkpoint/restart), then a short end-to-end lifecycle
-# run with media faults enabled: random disk failures, latent sector
-# errors, transient timeouts, scrubbing, and true double failures.
+# A short end-to-end lifecycle run with media faults enabled: random disk
+# failures, latent sector errors, transient timeouts, scrubbing, and true
+# double failures. (The fault stack's race pass is part of `race`.)
 fault-smoke:
-	$(GO) test -race ./internal/fault/... ./internal/array/...
 	$(GO) run ./examples/continuous
 
 # Pinned static analysis: staticcheck (bug-prone constructs, dead code,
@@ -140,12 +116,12 @@ cover:
 	awk -v t="$$total" -v f="$$floor" 'BEGIN { exit (t + 0 < f + 0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $$floor% floor"; exit 1; }
 
-# The full pre-merge gate: formatting, static checks, build, the race-able
-# test suite, the fault-injection, parallel-sweep, telemetry and storage-
-# engine race smokes, the storage chaos invariants (single- and
-# double-failure), the benchmark harness's own tests, and a benchmark
-# smoke pass.
-verify: fmt-check vet build race fault-smoke sweep-race telemetry-race store-race store-par-race store-chaos store-chaos-2f bench-harness bench-smoke
+# The full pre-merge gate: formatting, static checks, build, the whole test
+# suite under the race detector (once), the fault-injection lifecycle
+# smoke, the storage chaos invariants (single- and double-failure, run
+# verbosely so the seed is printed), the benchmark harness's own tests,
+# and a benchmark smoke pass.
+verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f bench-harness bench-smoke
 	@echo "verify: OK"
 
 clean:

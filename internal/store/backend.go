@@ -58,9 +58,9 @@ var ErrTransient = errors.New("store: transient I/O error")
 // reconstructs its contents from the stripe's survivors and rewrites it.
 var ErrMedia = errors.New("store: unrecoverable media error")
 
-// ErrUnrecoverable reports genuine data loss: a stripe with two or more
-// damaged or missing units, which single-failure-correcting parity cannot
-// reconstruct.
+// ErrUnrecoverable reports genuine data loss: a stripe with more damaged
+// or missing units than it has parity units (two under single parity,
+// three under P+Q), which the code cannot reconstruct.
 var ErrUnrecoverable = errors.New("store: unrecoverable stripe (multiple damaged units)")
 
 // memDisk is an in-memory backend: one contiguous byte slice.

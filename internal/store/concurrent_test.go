@@ -14,7 +14,7 @@ import (
 // continuous-operation acceptance test: 12 client goroutines read and
 // write through the store while a disk fails, serves degraded traffic,
 // and rebuilds onto a replacement — all under the race detector when run
-// via `make store-race`. Each client owns a disjoint slice of the logical
+// via `make race`. Each client owns a disjoint slice of the logical
 // space and verifies every read against its own last write, so any
 // corruption (including rebuild racing user writes on a stripe) is
 // detected at the byte level. The main goroutine gates the rebuild on

@@ -12,7 +12,10 @@ import (
 // disk, returning the wrappers for knob access.
 func faultStore(t *testing.T, c, g int, unitsPerDisk int64, unitSize int, mk func(disk int) FaultConfig, cfg Config) (*Store, []*FaultDisk) {
 	t.Helper()
-	lay := testLayout(t, c, g)
+	lay := cfg.Layout
+	if lay == nil {
+		lay = testLayout(t, c, g)
+	}
 	cfg.Layout = lay
 	cfg.UnitsPerDisk = unitsPerDisk
 	cfg.UnitSize = unitSize

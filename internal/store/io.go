@@ -148,21 +148,13 @@ func (s *Store) writeStamped(d Disk, dn int, off int64, phys []byte) error {
 	return s.writePhysRaw(d, dn, off, phys)
 }
 
-// lostUnitError aborts a gather whose unit set contains a lost unit; the
-// caller formats it into its own unrecoverable-stripe message.
-type lostUnitError struct{ u layout.Loc }
-
-func (e *lostUnitError) Error() string {
-	return fmt.Sprintf("store: unit %v is lost", e.u)
-}
-
 // term is one unit of a gather and where its contents go: XORed into p
 // (when non-nil) and, multiplied by coef (when nonzero), into the gather's
-// shared accumulator q. Single parity XORs every term into one p. Under
-// P+Q a data unit d folds as (a P sum, g^d) and the stored P and Q units
-// XOR into the sums they close — which turns a sum over data into that
-// sum's difference from the stored parity, exactly what both the delta
-// update and the erasure decode want.
+// shared accumulator q. A data unit d folds as (the P sum, g^d) — no
+// coefficient when no Q sum is being kept — and the stored P and Q units
+// XOR into the sums they close, which turns a sum over data into that
+// sum's difference from the stored parity, exactly what the delta update,
+// the erasure decode and the verify pass want (code.go).
 type term struct {
 	loc  layout.Loc
 	p    []byte
@@ -189,7 +181,7 @@ type damagedUnit struct {
 // readLive reads unit u, which must not be lost, into phys.
 func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) error {
 	if st.lost(u) {
-		return &lostUnitError{u: u}
+		return fmt.Errorf("store: unit %v is lost", u)
 	}
 	return s.readPhys(st.disk(u), u.Disk, u.Offset, phys)
 }
@@ -269,53 +261,6 @@ func (s *Store) gatherHealing(st *diskState, terms []term, q []byte) error {
 	return nil
 }
 
-// gatherSiblings computes the XOR of every unit of u's stripe but u itself
-// into out — the gather that reconstructs u under single parity.
-func (s *Store) gatherSiblings(st *diskState, u layout.Loc, out []byte) ([]damagedUnit, error) {
-	sc := s.scratch.Get().(*stripeScratch)
-	defer s.scratch.Put(sc)
-	stripe, j := s.lay.Locate(u)
-	terms := sc.terms[:0]
-	for p, g := 0, s.lay.G(); p < g; p++ {
-		if p != j {
-			terms = append(terms, term{loc: s.lay.Unit(stripe, p), p: out})
-		}
-	}
-	zeroBytes(out)
-	return s.gather(st, terms, nil)
-}
-
-// xorOthersInto computes the contents of unit u as the XOR of every other
-// unit of its stripe, into out (one logical unit). It requires every other
-// unit readable and valid: a lost or damaged sibling makes the stripe
-// unrecoverable. Caller holds (at least) the stripe's read lock.
-func (s *Store) xorOthersInto(st *diskState, u layout.Loc, out []byte) error {
-	damaged, err := s.gatherSiblings(st, u, out)
-	if err != nil {
-		var le *lostUnitError
-		if errors.As(err, &le) {
-			return fmt.Errorf("%w: %v is damaged and %v is lost", ErrUnrecoverable, u, le.u)
-		}
-		return err
-	}
-	if len(damaged) > 0 {
-		d := damaged[0]
-		return fmt.Errorf("%w: %v and %v are both damaged: %v", ErrUnrecoverable, u, d.loc, d.err)
-	}
-	return nil
-}
-
-// recoverInto computes the contents of unit u — lost or damaged — from
-// the rest of its stripe, into out: the XOR of the survivors under single
-// parity, the erasure decode under P+Q (which can see through one more
-// lost or damaged unit). Caller holds the stripe's WRITE lock.
-func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
-	if s.parities == 2 {
-		return s.pqRecoverInto(st, u, out)
-	}
-	return s.xorOthersInto(st, u, out)
-}
-
 // countHeal classifies a damaged-unit cause into the stats counters.
 func (s *Store) countHeal(cause error) {
 	if errors.Is(cause, ErrMedia) {
@@ -346,14 +291,17 @@ func (s *Store) readUnitHealing(st *diskState, u layout.Loc, out []byte) error {
 	if rerr := s.recoverInto(st, u, out); rerr != nil {
 		return rerr
 	}
-	// Rewrite the damaged unit with its reconstructed contents (heals a
-	// latent sector error, replaces rotted bytes). A failed rewrite is
-	// charged to the disk but the read itself has succeeded.
-	d := st.disk(u)
-	if werr := s.writeDataUnit(d, u.Disk, u.Offset, out); werr == nil {
+	s.healUnit(st, u, out)
+	return nil
+}
+
+// healUnit rewrites damaged unit u with its reconstructed contents (heals a
+// latent sector error, replaces rotted bytes). A failed rewrite is charged
+// to the disk, but the operation that needed the contents has them.
+func (s *Store) healUnit(st *diskState, u layout.Loc, data []byte) {
+	if err := s.writeDataUnit(st.disk(u), u.Disk, u.Offset, data); err == nil {
 		s.healedUnits.Add(1)
 	} else {
 		s.scoreDiskError(u.Disk)
 	}
-	return nil
 }

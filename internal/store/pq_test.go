@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"declust/internal/core"
+	"declust/internal/gf256"
 	"declust/internal/layout"
 )
 
@@ -76,13 +77,16 @@ func TestPQRoundTripAndParity(t *testing.T) {
 	}
 }
 
-// TestPQTwoErasureDecodeBranches drives each of the three 2-erasure decode
-// cases by choosing which two disks to fail relative to stripe 0's layout:
-// erased P + a data unit (decode through Q), erased Q + a data unit
-// (decode through P, recompute Q), and two data units (the Pxy/Qxy
-// two-unknown solve). Every unit of the store must stay byte-exact through
-// the double-degraded window, the writes, and both rebuilds.
+// TestPQTwoErasureDecodeBranches drives each line of the decode matrix by
+// choosing which disks to fail relative to stripe 0's layout. Under single
+// parity: a lost data unit (through P) and a lost P (recomputed from
+// data). Under P+Q, the three 2-erasure cases: erased P + a data unit
+// (decode through Q), erased Q + a data unit (decode through P, recompute
+// Q), and two data units (the Pxy/Qxy two-unknown solve). Every unit of
+// the store must stay byte-exact through the degraded window, the writes,
+// and every rebuild.
 func TestPQTwoErasureDecodeBranches(t *testing.T) {
+	lay1 := testLayout(t, 7, 4)
 	lay := testPQLayout(t, 7, 4)
 	pDisk := layout.ParityLocOf(lay, 0, 0).Disk
 	qDisk := layout.ParityLocOf(lay, 0, 1).Disk
@@ -90,37 +94,39 @@ func TestPQTwoErasureDecodeBranches(t *testing.T) {
 	d1 := lay.Unit(0, layout.DataPos(lay, 0, 1)).Disk
 	cases := []struct {
 		name  string
-		fails [2]int
+		lay   layout.Layout
+		fails []int
 	}{
-		{"erased-P", [2]int{pDisk, d0}},
-		{"erased-Q", [2]int{qDisk, d0}},
-		{"two-data", [2]int{d0, d1}},
+		{"P/lost-data", lay1, []int{lay1.Unit(0, layout.DataPos(lay1, 0, 0)).Disk}},
+		{"P/lost-P", lay1, []int{layout.ParityLoc(lay1, 0).Disk}},
+		{"erased-P", lay, []int{pDisk, d0}},
+		{"erased-Q", lay, []int{qDisk, d0}},
+		{"two-data", lay, []int{d0, d1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Config{Layout: lay, UnitsPerDisk: 64, UnitSize: 512})
+			s, err := New(Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: 512})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
 			fillAll(t, s, 1)
-			if err := s.Fail(tc.fails[0]); err != nil {
-				t.Fatal(err)
+			for _, d := range tc.fails {
+				if err := s.Fail(d); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := s.Fail(tc.fails[1]); err != nil {
-				t.Fatal(err)
+			if got := s.FailedDisks(); len(got) != len(tc.fails) {
+				t.Fatalf("FailedDisks() = %v, want %d entries", got, len(tc.fails))
 			}
-			if got := s.FailedDisks(); len(got) != 2 {
-				t.Fatalf("FailedDisks() = %v, want two entries", got)
-			}
-			// Every unit must decode while doubly degraded.
+			// Every unit must decode with the code's budget spent.
 			for n := int64(0); n < s.DataUnits(); n++ {
 				verifyUnit(t, s, n, 1)
 			}
 			if s.Stats().DegradedReads == 0 {
 				t.Fatal("no reads were served by reconstruction")
 			}
-			// Writes while doubly degraded: folds, lost parity, delta RMW.
+			// Writes while degraded: folds, lost parity, delta RMW.
 			buf := make([]byte, s.UnitSize())
 			for n := int64(0); n < s.DataUnits(); n += 3 {
 				fill(buf, n, 2)
@@ -128,9 +134,13 @@ func TestPQTwoErasureDecodeBranches(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, want := range []Mode{Degraded, Healthy} {
+			for left := len(tc.fails) - 1; left >= 0; left-- {
 				if err := s.Rebuild(NewMemDisk(s.unitsPerDisk, s.UnitSize())); err != nil {
 					t.Fatal(err)
+				}
+				want := Healthy
+				if left > 0 {
+					want = Degraded
 				}
 				if got := s.Mode(); got != want {
 					t.Fatalf("mode %v after rebuild, want %v", got, want)
@@ -455,54 +465,109 @@ func TestPQConcurrentDoubleFailureRebuild(t *testing.T) {
 	}
 }
 
-// TestPQSingleParityGolden pins the Parities:1 byte path: a store over the
-// classic single-parity layout must produce the exact same on-disk bytes
-// whether or not the P+Q code exists in the binary — i.e. the dispatch is
-// dormant at parities==1. The golden is the single-parity store itself,
-// byte-compared disk-for-disk against a twin built before any PQ write
-// path can diverge (both write the same sequence; their backends must
-// agree exactly).
-func TestPQSingleParityGolden(t *testing.T) {
-	build := func() *Store {
-		disks := make([]Disk, 7)
-		for i := range disks {
-			disks[i] = NewMemDisk(64, 512)
-		}
-		s, err := New(Config{
-			Layout: testLayout(t, 7, 3), UnitsPerDisk: 64, UnitSize: 512, Disks: disks,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	a, b := build(), build()
-	defer a.Close()
-	defer b.Close()
-	buf := make([]byte, a.UnitSize())
-	for n := int64(0); n < a.DataUnits(); n++ {
-		fill(buf, n, 11)
-		if err := a.WriteUnit(n, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.WriteUnit(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pa := make([]byte, a.physSize)
-	pb := make([]byte, b.physSize)
-	sta, stb := a.st.Load(), b.st.Load()
-	for d := 0; d < 7; d++ {
-		for off := int64(0); off < 64; off++ {
-			if sta.disks[d].ReadUnit(off, pa) != nil {
-				continue
-			}
-			if err := stb.disks[d].ReadUnit(off, pb); err != nil {
+// TestOnDiskImageMatchesReference pins the bytes on disk, for both codes,
+// against an image the test computes itself: fill every unit, fail as many
+// disks as the code has parities, overwrite a sample while degraded (unit
+// writes and a range spanning whole and partial stripes), rebuild each
+// failure, then compare every unit of every backend with the reference —
+// data units from the logical contents, P as their byte-at-a-time XOR, Q
+// as the byte-at-a-time Σ g^d·D — and check every trailer. Whatever path
+// the engine took to each unit (RMW, fold, large write, decode, rebuild),
+// the array must end byte-identical to the definition of the code.
+func TestOnDiskImageMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lay   layout.Layout
+		fails []int
+	}{
+		{"P", testLayout(t, 7, 4), []int{2}},
+		{"P+Q", testPQLayout(t, 7, 4), []int{2, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const us = 64
+			s, err := New(Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: us})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(pa, pb) {
-				t.Fatalf("disk %d offset %d: single-parity stores diverge", d, off)
+			defer s.Close()
+			if len(tc.fails) != s.Parities() {
+				t.Fatalf("case fails %d disks, code has %d parities", len(tc.fails), s.Parities())
 			}
-		}
+			version := make([]uint64, s.DataUnits())
+			write := func(n int64, v uint64) {
+				buf := make([]byte, us)
+				fill(buf, n, v)
+				if err := s.WriteUnit(n, buf); err != nil {
+					t.Fatal(err)
+				}
+				version[n] = v
+			}
+			for n := range version {
+				write(int64(n), 1)
+			}
+			for _, d := range tc.fails {
+				if err := s.Fail(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for n := int64(0); n < s.DataUnits(); n += 3 {
+				write(n, 2)
+			}
+			per := s.dataPerStripe
+			span := make([]byte, (2*per+1)*us)
+			for i := int64(0); i < 2*per+1; i++ {
+				n := 5*per - 1 + i // a stripe's tail, a whole stripe, most of the next
+				fill(span[i*us:(i+1)*us], n, 3)
+				version[n] = 3
+			}
+			if err := s.WriteRange(5*per-1, span); err != nil {
+				t.Fatal(err)
+			}
+			for range tc.fails {
+				if err := s.Rebuild(NewMemDisk(s.unitsPerDisk, us)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			logical := map[layout.Loc]int64{}
+			for n := int64(0); n < s.DataUnits(); n++ {
+				logical[s.mapper.Loc(n)] = n
+			}
+			disks := s.st.Load().disks
+			phys := make([]byte, s.physSize)
+			for stripe := int64(0); stripe < s.Stripes(); stripe++ {
+				want := make([][]byte, s.lay.G())
+				p, q := make([]byte, us), make([]byte, us)
+				for j := range want {
+					if layout.IsParityPos(s.lay, stripe, j) {
+						continue
+					}
+					n := logical[s.lay.Unit(stripe, j)]
+					want[j] = make([]byte, us)
+					fill(want[j], n, version[n])
+					c := gf256.Exp(layout.DataOrdinal(s.lay, stripe, j))
+					for i, b := range want[j] {
+						p[i] ^= b
+						q[i] ^= gf256.Mul(c, b)
+					}
+				}
+				want[layout.ParityPosOf(s.lay, stripe, 0)] = p
+				if s.Parities() == 2 {
+					want[layout.ParityPosOf(s.lay, stripe, 1)] = q
+				}
+				for j, w := range want {
+					u := s.lay.Unit(stripe, j)
+					if err := disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(phys[:us], w) {
+						t.Fatalf("stripe %d position %d (%v): bytes on disk differ from the reference", stripe, j, u)
+					}
+					if !verifyTrailer(phys, us, u.Offset) {
+						t.Fatalf("stripe %d position %d (%v): trailer does not verify", stripe, j, u)
+					}
+				}
+			}
+		})
 	}
 }

@@ -23,27 +23,29 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 // Store.scratch so the unit paths allocate nothing. For a parity update —
 // a range write's per-stripe job, or WriteUnit's one-unit span — that is
 // the units written and their new contents, the pre-reads the update
-// needs, and the parity writes that finish it; a reconstruction uses
-// terms alone.
+// needs, and the parity writes that finish it; a reconstruction uses terms
+// and eras, a verification terms and par.
 type stripeScratch struct {
 	locs  []layout.Loc
 	datas [][]byte
-	terms []term        // first round: what the new parity must gather
-	rest  []term        // P+Q: the stripe's unwritten data units
-	delta []*[]byte     // P+Q: one pooled buffer per written unit, new ⊕ old
-	par   []parityWrite // second round: parity units to write beside locs
+	terms []term        // how written units fold; or the reads of a solve or a verify
+	rest  []term        // first round: what the new parities must gather
+	delta []*[]byte     // one pooled buffer per written unit, new ⊕ old, when Q needs it
+	par   []parityWrite // the live parity sums: second round, beside locs
+	eras  []erasure     // a solve's erased positions
 }
 
-// newStripeScratch sizes every list for a stripe of g units, so a job only
-// ever reslices them.
-func newStripeScratch(g int) *stripeScratch {
+// newStripeScratch sizes every list for a stripe of g units, m of them
+// parity, so a job only ever reslices them.
+func newStripeScratch(g, m int) *stripeScratch {
 	return &stripeScratch{
 		locs:  make([]layout.Loc, 0, g),
 		datas: make([][]byte, 0, g),
 		terms: make([]term, 0, g),
 		rest:  make([]term, 0, g),
 		delta: make([]*[]byte, 0, g),
-		par:   make([]parityWrite, 0, 2),
+		par:   make([]parityWrite, 0, m),
+		eras:  make([]erasure, 0, m),
 	}
 }
 

@@ -10,100 +10,93 @@ import (
 
 // The scrubber is the engine's background integrity sweep: it walks every
 // stripe, verifies each unit's checksum trailer and the stripe's parity
-// equation, and repairs what single-failure parity can repair — a damaged
-// unit is reconstructed from its siblings and rewritten; a stripe whose
-// units are all individually valid but whose XOR does not balance (the
-// lost-write signature, or a crash between data and parity commits) gets
-// its parity recomputed from data, resolving the conflict in favor of
-// data. The same per-stripe repair is what the write-intent recovery pass
-// runs at open, just over dirty regions only.
+// equations, and repairs what the code can repair — damaged units, as many
+// as the stripe has parities, are solved from the rest and rewritten; a
+// stripe whose units are all individually valid but whose equations do
+// not balance (the lost-write signature, or a crash between data and
+// parity commits) gets the unbalanced parity recomputed from data,
+// resolving the conflict in favor of data. The same per-stripe repair is
+// what the write-intent recovery pass runs at open, just over dirty
+// regions only.
 
 // stripeFix reports what resyncStripe had to do to a stripe.
 type stripeFix int
 
 const (
 	fixNone   stripeFix = iota // stripe verified clean
-	fixUnit                    // one damaged unit reconstructed and rewritten
+	fixUnit                    // damaged units reconstructed and rewritten
 	fixParity                  // parity recomputed from data
 )
 
 // resyncStripe verifies and repairs one stripe under its write lock (or
-// before the store serves traffic). No unit of the stripe may be lost.
-// Damage within the code's correction power — one unit under single
-// parity, two under P+Q — is repaired in place; anything beyond is
-// unrecoverable.
+// before the store serves traffic), from one pass over its units (see
+// syndromes). No unit of the stripe may be lost. Damage within the code's
+// correction power — one unit per parity — is solved from the sums the
+// pass already holds and rewritten in place; anything beyond is
+// unrecoverable and nothing is rewritten.
 func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
-	if s.parities == 2 {
-		return s.resyncStripePQ(st, stripe)
+	sc := s.scratch.Get().(*stripeScratch)
+	defer s.scratch.Put(sc)
+	px, qx, damaged, err := s.syndromes(st, sc, stripe)
+	defer s.putParity(sc)
+	if err != nil {
+		return fixNone, err
 	}
-	g := s.lay.G()
-	pp := s.lay.ParityPos(stripe)
-	phys := s.getBuf()
-	acc := s.getBuf()
-	defer s.putBuf(phys)
-	defer s.putBuf(acc)
-	accData := (*acc)[:s.unitSize]
-	for i := range accData {
-		accData[i] = 0
+	if len(damaged) > s.parities {
+		return fixNone, fmt.Errorf("%w: stripe %d has %d damaged units (%v, %v, ...): %v",
+			ErrUnrecoverable, stripe, len(damaged), damaged[0].loc, damaged[1].loc, damaged[0].err)
 	}
-	badJ := -1
-	var badErr error
-	for j := 0; j < g; j++ {
-		u := s.lay.Unit(stripe, j)
-		err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys)
-		if err == nil {
-			xorInto(accData, (*phys)[:s.unitSize])
-			continue
+	if len(damaged) > 0 {
+		// The pass read the stripe in position order, so a damaged unit's
+		// index is its position. The units are solved in place in the sums:
+		// sumOwners says which erasure each sum turns into.
+		list := sc.eras[:0]
+		for _, d := range damaged {
+			list = append(list, s.erase(stripe, d.idx, d.loc, px, d.err))
 		}
-		if !needsHeal(err) {
-			return fixNone, err
+		po, qo := sumOwners(list)
+		if qo != nil {
+			qo.out = qx
 		}
-		if badJ >= 0 {
-			return fixNone, fmt.Errorf("%w: stripe %d units %v and %v: %v",
-				ErrUnrecoverable, stripe, s.lay.Unit(stripe, badJ), u, err)
+		if po != nil {
+			po.out = px
 		}
-		badJ, badErr = j, err
-	}
-
-	if badJ >= 0 {
-		// One damaged unit: its correct contents are the XOR of its
-		// siblings, which accData already holds.
-		u := s.lay.Unit(stripe, badJ)
-		s.countHeal(badErr)
-		s.scoreDiskError(u.Disk)
-		if err := s.writeDataUnit(st.disk(u), u.Disk, u.Offset, accData); err != nil {
-			return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", u, err)
+		decode(list, px, qx)
+		for _, e := range list {
+			s.countHeal(e.cause)
+			s.scoreDiskError(e.loc.Disk)
+			if err := s.writeDataUnit(st.disk(e.loc), e.loc.Disk, e.loc.Offset, e.out); err != nil {
+				return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", e.loc, err)
+			}
+			s.healedUnits.Add(1)
 		}
-		s.healedUnits.Add(1)
 		return fixUnit, nil
 	}
 
-	// All units individually valid: the parity equation must balance.
-	balanced := true
-	for _, b := range accData {
-		if b != 0 {
-			balanced = false
-			break
+	// All units individually valid: each equation must balance. One that
+	// does not — a write was lost somewhere, or a crash split a data/parity
+	// commit — gets its parity recomputed from data, trusting data over
+	// parity: the stored parity ⊕ the imbalance is the sum over data.
+	fix := fixNone
+	for _, p := range sc.par {
+		if sum := (*p.buf)[:s.unitSize]; !allZero(sum) {
+			phys := s.getBuf()
+			err := s.readPhys(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *phys)
+			if err == nil {
+				xorInto(sum, (*phys)[:s.unitSize])
+				err = s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
+			}
+			s.putBuf(phys)
+			if err != nil {
+				return fixNone, fmt.Errorf("store: rewriting parity %v: %w", p.loc, err)
+			}
+			fix = fixParity
 		}
 	}
-	if balanced {
-		return fixNone, nil
-	}
-	// It does not — a write was lost somewhere, or a crash split a
-	// data/parity commit. Recompute parity from data (XOR the imbalance
-	// into the stored parity), trusting data over parity.
-	ploc := s.lay.Unit(stripe, pp)
-	if err := s.readPhys(st.disk(ploc), ploc.Disk, ploc.Offset, *phys); err != nil {
-		return fixNone, err
-	}
-	xorInto((*phys)[:s.unitSize], accData)
-	if err := s.writeStamped(st.disk(ploc), ploc.Disk, ploc.Offset, *phys); err != nil {
-		return fixNone, fmt.Errorf("store: rewriting parity %v: %w", ploc, err)
-	}
-	return fixParity, nil
+	return fix, nil
 }
 
-// isUnrecoverable reports data loss single parity cannot repair.
+// isUnrecoverable reports damage beyond the code's correction power.
 func isUnrecoverable(err error) bool { return errors.Is(err, ErrUnrecoverable) }
 
 // stripeHasLost reports whether any unit of stripe is lost in st.
@@ -134,8 +127,9 @@ type ScrubResult struct {
 	// interrupted-write signature — repaired by recomputing parity from
 	// data.
 	ParityRewrites int64
-	// Unrecoverable counts stripes with two or more damaged units, which
-	// single-failure parity cannot repair. They are left as found.
+	// Unrecoverable counts stripes with more damaged units than the code
+	// has parities (two under single parity, three under P+Q). They are
+	// left as found.
 	Unrecoverable int64
 }
 

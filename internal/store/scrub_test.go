@@ -104,6 +104,38 @@ func TestScrubCountsUnrecoverableStripes(t *testing.T) {
 	}
 }
 
+// TestScrubCountsEachDamageCause puts a latent sector error and a
+// checksum-rotted unit in the same P+Q stripe: the scrub heals both from
+// one pass, and each is charged to its own cause — one media error, one
+// checksum error, two healed units.
+func TestScrubCountsEachDamageCause(t *testing.T) {
+	s, fds := faultStore(t, 7, 4, 64, 512,
+		func(int) FaultConfig { return FaultConfig{} }, Config{Layout: testPQLayout(t, 7, 4)})
+	fillAll(t, s, 5)
+	before := s.Stats()
+	lse, rotten := s.lay.Unit(3, 0), s.lay.Unit(3, 2)
+	fds[lse.Disk].InjectLSE(lse.Offset)
+	rot(t, s, rotten)
+	res, err := s.Scrub()
+	if err != nil {
+		t.Fatalf("Scrub: %v", err)
+	}
+	if res.UnitRepairs != 1 {
+		t.Fatalf("UnitRepairs = %d stripes, want 1", res.UnitRepairs)
+	}
+	after := s.Stats()
+	if c, m, h := after.ChecksumErrors-before.ChecksumErrors, after.MediaErrors-before.MediaErrors,
+		after.HealedUnits-before.HealedUnits; c != 1 || m != 1 || h != 2 {
+		t.Fatalf("ChecksumErrors, MediaErrors, HealedUnits grew by %d, %d, %d; want 1, 1, 2", c, m, h)
+	}
+	if err := s.CheckParity(); err != nil {
+		t.Fatalf("CheckParity after scrub: %v", err)
+	}
+	for n := int64(0); n < s.DataUnits(); n++ {
+		verifyUnit(t, s, n, 5)
+	}
+}
+
 func TestScrubSkipsDegradedStripes(t *testing.T) {
 	s := newTestStore(t, 7, 3, 64, 512)
 	fillAll(t, s, 1)

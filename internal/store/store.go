@@ -86,8 +86,9 @@ type Mode int
 const (
 	// Healthy: all C disks in service.
 	Healthy Mode = iota
-	// Degraded: one disk failed, no replacement installed; lost reads
-	// reconstruct on the fly, lost writes fold into parity.
+	// Degraded: a disk has failed (two may, under P+Q), no replacement
+	// installed; lost reads reconstruct on the fly, lost writes fold into
+	// parity.
 	Degraded
 	// Rebuilding: a replacement is installed and the sweep is copying
 	// reconstructed units onto it under live load.
@@ -111,8 +112,8 @@ func (m Mode) String() string {
 type Stats struct {
 	// Reads and Writes count completed user unit operations.
 	Reads, Writes int64
-	// DegradedReads counts reads served by on-the-fly XOR reconstruction
-	// from the G−1 survivors.
+	// DegradedReads counts reads served by on-the-fly reconstruction from
+	// the stripe's survivors.
 	DegradedReads int64
 	// FoldedWrites counts writes to lost units absorbed by the parity
 	// unit (no replacement installed, or stripe not yet rebuilt).
@@ -380,7 +381,7 @@ func New(cfg Config) (*Store, error) {
 		b := make([]byte, s.physSize)
 		return &b
 	}
-	s.scratch.New = func() any { return newStripeScratch(l.G()) }
+	s.scratch.New = func() any { return newStripeScratch(l.G(), parities) }
 	s.st.Store(&diskState{disks: disks})
 
 	s.intent = cfg.Intent
@@ -613,9 +614,9 @@ func (s *Store) checkUnit(n int64, buf []byte) error {
 }
 
 // ReadUnit reads logical data unit n into dst (exactly one unit). Lost
-// units are reconstructed on the fly by XORing the stripe's survivors;
-// damaged units (media errors, checksum mismatches) are reconstructed
-// the same way and rewritten in place — the self-healing read.
+// units are reconstructed on the fly from the stripe's survivors; damaged
+// units (media errors, checksum mismatches) are reconstructed the same way
+// and rewritten in place — the self-healing read.
 func (s *Store) ReadUnit(n int64, dst []byte) error {
 	if err := s.checkUnit(n, dst); err != nil {
 		return err
@@ -677,35 +678,11 @@ func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
 	return s.readUnitHealing(st, loc, dst)
 }
 
-// reconstructLocked computes loc's contents into dst from its stripe's
-// surviving units: the XOR of the G−1 survivors under single parity, the
-// erasure decode under P+Q, either one a single gather. Caller
-// holds (at least) the stripe's read lock; damaged survivors are reported
-// (needsHeal), not repaired — repairing requires the write lock, which
-// healRead takes for the exclusive retry.
-func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) error {
-	if s.parities == 2 {
-		return s.pqReconstructLocked(st, loc, dst)
-	}
-	damaged, err := s.gatherSiblings(st, loc, dst)
-	if err != nil {
-		var le *lostUnitError
-		if errors.As(err, &le) {
-			return fmt.Errorf("%w: two lost units in one stripe (%v and %v)", ErrUnrecoverable, loc, le.u)
-		}
-		return err
-	}
-	if len(damaged) > 0 {
-		return damaged[0].err
-	}
-	return nil
-}
-
 // WriteUnit writes src (exactly one unit) to logical data unit n,
-// maintaining parity: the four-access read-modify-write when the stripe
-// is whole — two device waits, the pre-reads overlapped and then the
-// writes — parity folding or replacement redirection when it is not. It
-// is the one-unit span of WriteRange.
+// maintaining parity: the read-modify-write of the unit and each parity
+// when the stripe is whole — two device waits, the pre-reads overlapped
+// and then the writes — parity folding or replacement redirection when it
+// is not. It is the one-unit span of WriteRange.
 func (s *Store) WriteUnit(n int64, src []byte) error {
 	if err := s.checkUnit(n, src); err != nil {
 		return err
@@ -740,89 +717,11 @@ func (s *Store) writeStripeLocked(stripe int64, sc *stripeScratch) error {
 	return nil
 }
 
-// commitStripeLocked performs the stripe's parity-maintaining update in
-// two rounds of independent accesses, each issued as one batch: gather
-// whatever the new parity needs beyond the new contents themselves, then
-// write data and parity. However many units are written, the update is
-// two device waits when the batches overlap, and the same accesses in
-// index order when they do not.
-func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
-	st := s.st.Load()
-	sc.par = sc.par[:0]
-	if s.parities == 2 {
-		return s.commitStripePQ(st, stripe, sc)
-	}
-	ploc := layout.ParityLoc(s.lay, stripe)
-	if st.lost(ploc) {
-		// Lost parity: there is no parity to maintain, so each write is
-		// a single data access (§7); the rebuild sweep recomputes the
-		// parity unit from data when its turn comes.
-		return s.commitWrites(st, sc)
-	}
-
-	// The new parity starts as the XOR of the new contents. XOR is order-
-	// independent, so whatever else it needs folds in as the reads land.
-	pbuf := s.getBuf()
-	defer s.putBuf(pbuf)
-	pdata := (*pbuf)[:s.unitSize]
-	copy(pdata, sc.datas[0])
-	for _, d := range sc.datas[1:] {
-		xorInto(pdata, d)
-	}
-
-	// A single-failure-correcting layout puts at most one unit of a
-	// stripe on any disk, so at most one written unit is lost.
-	writtenLost := false
-	for _, loc := range sc.locs {
-		writtenLost = writtenLost || st.lost(loc)
-	}
-	g := s.lay.G()
-	need := sc.terms[:0] // what the new parity must still gather
-	switch {
-	case len(sc.locs) == g-1:
-		// Large-write optimization: the segment covers every data unit
-		// of the stripe, so the new contents are all parity needs.
-	case writtenLost:
-		// Writing the lost unit: its old contents are unreadable, so the
-		// delta method is unavailable. Fold forward instead: parity
-		// becomes the XOR of every data unit's new contents — written
-		// units contribute their new data, unwritten survivors are read.
-		pp := s.lay.ParityPos(stripe)
-		for j := 0; j < g; j++ {
-			if u := s.lay.Unit(stripe, j); j != pp && indexLoc(sc.locs, u) < 0 {
-				need = append(need, term{loc: u, p: pdata})
-			}
-		}
-	default:
-		// Read-modify-write: parity' = parity ⊕ old ⊕ new, folded over
-		// every written unit, all of them readable here.
-		need = append(need, term{loc: ploc, p: pdata})
-		for _, loc := range sc.locs {
-			need = append(need, term{loc: loc, p: pdata})
-		}
-	}
-	if err := s.gatherHealing(st, need, nil); err != nil {
-		return err
-	}
-	sc.par = append(sc.par, parityWrite{loc: ploc, phys: *pbuf})
-	return s.commitWrites(st, sc)
-}
-
-// indexLoc returns the index of u in locs, or −1.
-func indexLoc(locs []layout.Loc, u layout.Loc) int {
-	for i, loc := range locs {
-		if loc == u {
-			return i
-		}
-	}
-	return -1
-}
-
-// parityWrite is one parity unit's new contents in an engine-owned
-// physical buffer, waiting for the commit's second round.
+// parityWrite is one parity unit's new contents in a pooled physical
+// buffer, waiting for the commit's second round.
 type parityWrite struct {
-	loc  layout.Loc
-	phys []byte
+	loc layout.Loc
+	buf *[]byte
 }
 
 // commitWrites is the second round of a parity update: every written data
@@ -849,7 +748,7 @@ func (s *Store) commitWrite(st *diskState, sc *stripeScratch, i int) error {
 		return s.commitOneLocked(st, sc.locs[i], sc.datas[i])
 	}
 	p := sc.par[i-len(sc.locs)]
-	return s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, p.phys)
+	return s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
 }
 
 // commitOneLocked commits one data unit's new contents: to its home slot
@@ -905,11 +804,8 @@ func (s *Store) Fail(d int) error {
 	defer s.admin.Unlock()
 	st := s.st.Load()
 	if len(st.fails) >= s.parities {
-		if s.parities == 1 {
-			return fmt.Errorf("store: disk %d already failed; single-failure layout", st.fails[0].disk)
-		}
-		return fmt.Errorf("store: disks %d and %d already failed; the P+Q code corrects two failures",
-			st.fails[0].disk, st.fails[1].disk)
+		return fmt.Errorf("store: disks %v already failed; %d parity units per stripe correct no more",
+			s.FailedDisks(), s.parities)
 	}
 	if d < 0 || d >= len(st.disks) {
 		return fmt.Errorf("store: disk %d out of range [0,%d)", d, len(st.disks))
@@ -1099,40 +995,33 @@ func (s *Store) Rebuild(repl Disk) error {
 
 // CheckParity verifies, at quiesce (no operations in flight), that every
 // stripe's checksums hold and its parity equations balance: the XOR over
-// all units of a whole stripe is zero and — under P+Q — the Reed–Solomon
-// sum over the data units equals the stored Q. Stripes with a lost unit
-// are skipped — their consistency is exactly what degraded reads exercise.
-// CheckParity reports damage; Scrub repairs it.
+// the data units equals the stored P and — under P+Q — their Reed–Solomon
+// sum equals the stored Q. Stripes with a lost unit are skipped — their
+// consistency is exactly what degraded reads exercise. CheckParity reports
+// damage; Scrub repairs it.
 func (s *Store) CheckParity() error {
-	if s.parities == 2 {
-		return s.checkParityPQ()
-	}
-	g := s.lay.G()
 	return s.fanOut(int(s.numStripes), func(i int) error {
 		stripe := int64(i)
-		buf := s.getBuf()
-		acc := s.getBuf()
-		defer s.putBuf(buf)
-		defer s.putBuf(acc)
-		accData := (*acc)[:s.unitSize]
-		zeroBytes(accData)
+		sc := s.scratch.Get().(*stripeScratch)
+		defer s.scratch.Put(sc)
 		s.locks.rlock(stripe)
 		defer s.locks.runlock(stripe)
 		st := s.st.Load()
-		for j := 0; j < g; j++ {
-			u := s.lay.Unit(stripe, j)
-			if st.lost(u) {
-				return nil // skipped: degraded reads exercise its consistency
-			}
-			if err := s.readPhys(st.disk(u), u.Disk, u.Offset, *buf); err != nil {
-				return fmt.Errorf("store: stripe %d: %w", stripe, err)
-			}
-			xorInto(accData, (*buf)[:s.unitSize])
+		if s.stripeHasLost(st, stripe) {
+			return nil
 		}
-		for _, b := range accData {
-			if b != 0 {
-				return fmt.Errorf("store: stripe %d parity inconsistent", stripe)
-			}
+		px, qx, damaged, err := s.syndromes(st, sc, stripe)
+		defer s.putParity(sc)
+		if err == nil && len(damaged) > 0 {
+			err = damaged[0].err
+		}
+		switch {
+		case err != nil:
+			return fmt.Errorf("store: stripe %d: %w", stripe, err)
+		case !allZero(px):
+			return fmt.Errorf("store: stripe %d P parity inconsistent", stripe)
+		case !allZero(qx):
+			return fmt.Errorf("store: stripe %d Q parity inconsistent", stripe)
 		}
 		return nil
 	})
