@@ -17,10 +17,10 @@ package array
 
 import (
 	"fmt"
+	"slices"
 
 	"declust/internal/disk"
 	"declust/internal/fault"
-	"declust/internal/gf256"
 	"declust/internal/layout"
 	"declust/internal/metrics"
 	"declust/internal/sim"
@@ -129,9 +129,10 @@ type Array struct {
 	lay    layout.Layout
 	mapper layout.DataMapper
 	// parities is the layout's parity units per stripe: 1 (P, the paper's
-	// model) or 2 (P+Q, the RAID-6-style double-failure code). With 2,
-	// writes maintain both parity words (the six-access read-modify-write)
-	// and degraded reads decode through whichever equations survive.
+	// model) or 2 (P+Q, the RAID-6-style double-failure code). It is only
+	// ever a count — of equations to sum, of units to keep current, of
+	// dead units a stripe survives; no path asks which code it is (see
+	// weigh in ops.go).
 	parities int
 
 	disks        []*disk.Disk
@@ -148,9 +149,10 @@ type Array struct {
 
 	locks lockTable
 
-	// Contents: one word per unit per disk; parity units hold the XOR of
-	// their stripe's data words. expected mirrors the latest value
-	// logically written to each data unit.
+	// Contents: one word per unit per disk; parity unit k holds the sum
+	// Σ g^(k·d)·data_d of its stripe's data words (P, k = 0, their XOR).
+	// expected mirrors the latest value logically written to each data
+	// unit.
 	contents [][]uint64
 	expected []uint64
 	writeSeq uint64
@@ -315,69 +317,56 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// initContents gives every data unit a distinct value and every parity
+// unit its equation's sum over its stripe's data.
 func (a *Array) initContents() {
-	if _, ok := a.mapper.(layout.StripeIndexMapper); ok {
-		// Fast path for the paper's stripe-index mapping: one stripe-major
-		// pass fills data and parity together. Data unit numbers increase
-		// with position within a stripe (skipping parity), so this visits
-		// n = 0..dataUnits-1 in order without any inverse-mapping calls.
-		g := a.lay.G()
-		n := int64(0)
-		for s := int64(0); s < a.numStripes; s++ {
-			var x, q uint64
-			d := 0
-			for j := 0; j < g; j++ {
-				if layout.IsParityPos(a.lay, s, j) {
-					continue
-				}
-				u := a.lay.Unit(s, j)
-				v := splitmix64(uint64(n) + 1)
-				a.expected[n] = v
-				a.contents[u.Disk][u.Offset] = v
-				x ^= v
-				if a.parities == 2 {
-					q ^= gf256.MulWord(gf256.Exp(d), v)
-				}
-				d++
-				n++
-			}
-			a.setParityVals(s, x, q)
+	// Under the paper's stripe-index mapping, data unit numbers increase
+	// with position within a stripe (skipping parity), so the stripe-major
+	// pass below visits n = 0..dataUnits-1 in order and fills data and
+	// parity together without any mapping calls. Other mappings place
+	// their data first.
+	_, stripeMajor := a.mapper.(layout.StripeIndexMapper)
+	if !stripeMajor {
+		for n := int64(0); n < a.dataUnits; n++ {
+			a.expected[n] = splitmix64(uint64(n) + 1)
+			a.setUnitVal(a.mapper.Loc(n), a.expected[n])
 		}
-		return
 	}
-	for n := int64(0); n < a.dataUnits; n++ {
-		v := splitmix64(uint64(n) + 1)
-		loc := a.mapper.Loc(n)
-		a.contents[loc.Disk][loc.Offset] = v
-		a.expected[n] = v
-	}
+	g := a.lay.G()
+	sums := make([]uint64, a.parities)
+	pp := make([]int, a.parities)
+	n := int64(0)
 	for s := int64(0); s < a.numStripes; s++ {
-		var x, q uint64
+		clear(sums)
+		a.parityPositions(s, pp)
 		d := 0
-		for j := 0; j < a.lay.G(); j++ {
-			if layout.IsParityPos(a.lay, s, j) {
+		for j := 0; j < g; j++ {
+			if slices.Contains(pp, j) {
 				continue
 			}
 			u := a.lay.Unit(s, j)
-			v := a.contents[u.Disk][u.Offset]
-			x ^= v
-			if a.parities == 2 {
-				q ^= gf256.MulWord(gf256.Exp(d), v)
+			if stripeMajor {
+				a.expected[n] = splitmix64(uint64(n) + 1)
+				a.contents[u.Disk][u.Offset] = a.expected[n]
+				n++
+			}
+			for k := range sums {
+				sums[k] ^= weigh(k, d, a.contents[u.Disk][u.Offset])
 			}
 			d++
 		}
-		a.setParityVals(s, x, q)
+		for k, v := range sums {
+			pl := a.lay.Unit(s, pp[k])
+			a.contents[pl.Disk][pl.Offset] = v
+		}
 	}
 }
 
-// setParityVals stores a stripe's parity words: P always, Q under dual
-// parity.
-func (a *Array) setParityVals(s int64, p, q uint64) {
-	pl := layout.ParityLocOf(a.lay, s, 0)
-	a.contents[pl.Disk][pl.Offset] = p
-	if a.parities == 2 {
-		ql := layout.ParityLocOf(a.lay, s, 1)
-		a.contents[ql.Disk][ql.Offset] = q
+// parityPositions fills pp, one slot per parity unit, with the positions
+// of the stripe's parity units, P first.
+func (a *Array) parityPositions(stripe int64, pp []int) {
+	for k := range pp {
+		pp[k] = layout.ParityPosOf(a.lay, stripe, k)
 	}
 }
 

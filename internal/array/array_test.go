@@ -1,10 +1,8 @@
 package array
 
 import (
-	"math/rand"
 	"testing"
 
-	"declust/internal/blockdesign"
 	"declust/internal/disk"
 	"declust/internal/layout"
 	"declust/internal/sim"
@@ -14,30 +12,7 @@ import (
 // 21 disks, on 1/100-scale drives (9 cylinders, 756 units, 755 usable).
 func testArray(t *testing.T, mutate func(*Config)) (*sim.Engine, *Array) {
 	t.Helper()
-	d, err := blockdesign.PaperDesign(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := layout.NewDeclustered(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Layout:      l,
-		Geom:        disk.IBM0661().Scaled(1, 100),
-		UnitSectors: 8,
-		CvscanBias:  0.2,
-		ReconProcs:  1,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	eng := sim.New()
-	a, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, a
+	return arrayOf(t, 5, 1, mutate)
 }
 
 func raid5Array(t *testing.T, c int, mutate func(*Config)) (*sim.Engine, *Array) {
@@ -92,13 +67,18 @@ func TestNewRejectsBadConfig(t *testing.T) {
 }
 
 func TestInitialStateConsistent(t *testing.T) {
-	_, a := testArray(t, nil)
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	if a.Degraded() || a.Reconstructing() || a.FailedDisk() != -1 {
-		t.Fatal("fresh array not fault-free")
-	}
+	bothCodes(t, func(t *testing.T, m int) {
+		_, a := arrayOf(t, 5, m, nil)
+		if a.Parities() != m {
+			t.Fatalf("Parities() = %d, want %d", a.Parities(), m)
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		if a.Degraded() || a.Reconstructing() || a.FailedDisk() != -1 {
+			t.Fatal("fresh array not fault-free")
+		}
+	})
 }
 
 func TestFaultFreeReadReturnsData(t *testing.T) {
@@ -122,46 +102,6 @@ func TestFaultFreeReadIsOneAccess(t *testing.T) {
 	}
 }
 
-func TestFaultFreeWriteIsFourAccesses(t *testing.T) {
-	eng, a := testArray(t, nil)
-	a.Write(17, func() {})
-	eng.Run()
-	if n := totalCompleted(a); n != 4 {
-		t.Fatalf("write used %d disk accesses, want 4 (paper §6)", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSmallWriteOptimizationIsThreeAccesses(t *testing.T) {
-	// G=3 with the optimization: write data, read companion, write parity.
-	d, err := blockdesign.PaperDesign(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := layout.NewDeclustered(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	a, err := New(eng, Config{
-		Layout: l, Geom: disk.IBM0661().Scaled(1, 100), UnitSectors: 8,
-		CvscanBias: 0.2, SmallWriteOpt: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Write(5, func() {})
-	eng.Run()
-	if n := totalCompleted(a); n != 3 {
-		t.Fatalf("G=3 optimized write used %d accesses, want 3", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWriteThenReadBack(t *testing.T) {
 	eng, a := testArray(t, nil)
 	a.Write(100, func() {
@@ -175,21 +115,14 @@ func TestWriteThenReadBack(t *testing.T) {
 }
 
 func TestManyRandomOpsStayConsistent(t *testing.T) {
-	eng, a := testArray(t, nil)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		unit := rng.Int63n(a.DataUnits())
-		when := rng.Float64() * 5000
-		if rng.Intn(2) == 0 {
-			eng.At(when, func() { a.Read(unit, func(uint64) {}) })
-		} else {
-			eng.At(when, func() { a.Write(unit, func() {}) })
+	bothCodes(t, func(t *testing.T, m int) {
+		eng, a := arrayOf(t, 5, m, nil)
+		pumpWorkload(eng, a, 2000, 5000, 11)
+		eng.Run()
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	eng.Run()
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestConcurrentWritesSameStripeSerialize(t *testing.T) {
@@ -264,85 +197,37 @@ func TestDegradedReadReconstructsOnTheFly(t *testing.T) {
 	}
 }
 
-func TestDegradedWriteToLostDataFoldsIntoParity(t *testing.T) {
-	eng, a := testArray(t, nil)
-	a.Fail(2)
-	var unit int64 = -1
-	for n := int64(0); n < a.DataUnits(); n++ {
-		if layout.DataLoc(a.Layout(), n).Disk == 2 {
-			unit = n
-			break
-		}
-	}
-	a.Write(unit, func() {})
-	eng.Run()
-	// G-2 = 3 reads + 1 parity write.
-	if n := totalCompleted(a); n != 4 {
-		t.Fatalf("folded write used %d accesses, want G-2+1=4", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatalf("fold broke recoverability: %v", err)
-	}
-	// The folded value must reconstruct correctly.
-	var got uint64
-	a.Read(unit, func(v uint64) { got = v })
-	eng.Run()
-	if got != a.ExpectedValue(unit) {
-		t.Fatalf("folded unit reads %#x, want %#x", got, a.ExpectedValue(unit))
-	}
-}
-
-func TestDegradedWriteWithLostParityIsOneAccess(t *testing.T) {
-	eng, a := testArray(t, nil)
-	a.Fail(2)
-	// Find a data unit whose parity lives on disk 2 but which itself
-	// does not.
-	var unit int64 = -1
-	for n := int64(0); n < a.DataUnits(); n++ {
-		loc := layout.DataLoc(a.Layout(), n)
-		if loc.Disk == 2 {
-			continue
-		}
-		s, _ := a.Layout().Locate(loc)
-		if layout.ParityLoc(a.Layout(), s).Disk == 2 {
-			unit = n
-			break
-		}
-	}
-	if unit < 0 {
-		t.Fatal("no matching unit")
-	}
-	a.Write(unit, func() {})
-	eng.Run()
-	if n := totalCompleted(a); n != 1 {
-		t.Fatalf("lost-parity write used %d accesses, want 1 (paper §7)", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestDegradedManyOpsStayRecoverable runs a mixed workload against a
+// degraded array — every degraded write plan and on-the-fly read, many times
+// over — then rebuilds: nothing may be lost or left inconsistent on the way.
 func TestDegradedManyOpsStayRecoverable(t *testing.T) {
-	eng, a := testArray(t, nil)
-	a.Fail(7)
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 1500; i++ {
-		unit := rng.Int63n(a.DataUnits())
-		when := rng.Float64() * 5000
-		if rng.Intn(2) == 0 {
-			eng.At(when, func() {
-				a.Read(unit, func(v uint64) {
-					_ = v
-				})
-			})
-		} else {
-			eng.At(when, func() { a.Write(unit, func() {}) })
+	bothCodes(t, func(t *testing.T, m int) {
+		eng, a := arrayOf(t, 5, m, nil)
+		if err := a.Fail(7); err != nil {
+			t.Fatal(err)
 		}
-	}
-	eng.Run()
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
+		pumpWorkload(eng, a, 1500, 5000, 13)
+		eng.Run()
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Replace(); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Reconstruct(nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if a.Degraded() {
+			t.Fatal("rebuild did not heal the array")
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		if len(a.DataLosses()) != 0 {
+			t.Fatalf("degraded lifecycle recorded losses: %v", a.DataLosses())
+		}
+	})
 }
 
 func TestRaid5DegradedReadTouchesAllSurvivors(t *testing.T) {

@@ -2,95 +2,46 @@ package array
 
 import (
 	"fmt"
+	"slices"
 
-	"declust/internal/gf256"
 	"declust/internal/layout"
 )
 
-// CheckConsistency verifies the array's data-layer invariants. It is meant
+// CheckConsistency verifies the array's data-layer invariant. It is meant
 // to be called at quiesce (no user operations or reconstruction in flight):
+// every readable unit — data and parity alike — holds exactly the value
+// derivable from the last logical writes, and no stripe has more
+// unreadable units than it has parities. Every parity equation therefore
+// balances wherever it can be evaluated, and whatever is lost remains
+// decodable — with one parity: readable data is current, a whole stripe's
+// parity is the XOR of its data, and a lost data unit is the XOR of the
+// survivors. (Losses beyond the code are restored out of band; recordLoss
+// keeps the model consistent through them.)
 //
-//   - every readable data unit holds the last value written to it;
-//   - for stripes with no lost unit, parity equals the XOR of the data;
-//   - for stripes whose data unit is lost, the lost value is recoverable:
-//     XOR of parity and surviving data equals the last value written.
-//
-// Together these prove the driver's degraded paths (parity folding,
-// redirection, piggybacking) never corrupt or strand data.
+// This proves the driver's degraded paths (parity folding, redirection,
+// piggybacking) never corrupt or strand data.
 func (a *Array) CheckConsistency() error {
 	if a.locks.heldCount() != 0 {
 		return fmt.Errorf("array: %d stripe locks held; not quiesced", a.locks.heldCount())
 	}
-	if a.parities == 2 {
-		return a.checkConsistencyPQ()
-	}
 	g := a.lay.G()
+	sums := make([]uint64, a.parities)
+	pp := make([]int, a.parities)
 	for s := int64(0); s < a.numStripes; s++ {
-		pp := a.lay.ParityPos(s)
-		var xor uint64
-		lost := -1 // position of an unreadable unit, if any
-		for j := 0; j < g; j++ {
-			u := a.lay.Unit(s, j)
-			if !a.available(u) {
-				if lost != -1 {
-					return fmt.Errorf("stripe %d: two lost units; layout broken", s)
-				}
-				lost = j
-				continue
-			}
-			xor ^= a.unitVal(u)
-			if j != pp {
-				idx := a.mapper.Index(s, j)
-				if got, want := a.unitVal(u), a.expected[idx]; got != want {
-					return fmt.Errorf("stripe %d: data unit %d at %v holds %#x, want %#x",
-						s, idx, u, got, want)
-				}
-			}
-		}
-		switch {
-		case lost == -1:
-			// All units readable: the parity equation must balance,
-			// i.e. XOR over data and parity is zero.
-			if xor != 0 {
-				return fmt.Errorf("stripe %d: parity inconsistent (residue %#x)", s, xor)
-			}
-		case lost == pp:
-			// Lost parity: nothing further to check; data was
-			// verified against expected above.
-		default:
-			// Lost data: it must be recoverable from the survivors.
-			idx := a.mapper.Index(s, lost)
-			if xor != a.expected[idx] {
-				return fmt.Errorf("stripe %d: lost data unit %d reconstructs to %#x, want %#x",
-					s, idx, xor, a.expected[idx])
-			}
-		}
-	}
-	return nil
-}
-
-// checkConsistencyPQ verifies the dual-parity invariants at quiesce. With
-// losses restored out of band (recordLoss keeps the model consistent), the
-// invariant is stronger than the single-parity one: every readable unit —
-// data, P, and Q — must hold exactly the value derivable from the last
-// logical writes, so both parity equations balance and any two lost units
-// per stripe remain decodable.
-func (a *Array) checkConsistencyPQ() error {
-	g := a.lay.G()
-	pq := [2]string{"P", "Q"}
-	for s := int64(0); s < a.numStripes; s++ {
-		var p, q uint64
+		clear(sums)
+		a.parityPositions(s, pp)
 		lost := 0
 		d := 0
 		for j := 0; j < g; j++ {
-			if layout.IsParityPos(a.lay, s, j) {
+			if slices.Contains(pp, j) {
 				continue
 			}
 			u := a.lay.Unit(s, j)
 			idx := a.mapper.Index(s, j)
 			want := a.expected[idx]
-			p ^= want
-			q ^= gf256.MulWord(gf256.Exp(d), want)
+			for k := range sums {
+				sums[k] ^= weigh(k, d, want)
+			}
 			d++
 			if !a.available(u) {
 				lost++
@@ -101,15 +52,15 @@ func (a *Array) checkConsistencyPQ() error {
 					s, idx, u, got, want)
 			}
 		}
-		for k, want := range [2]uint64{p, q} {
-			u := layout.ParityLocOf(a.lay, s, k)
+		for k, want := range sums {
+			u := a.lay.Unit(s, pp[k])
 			if !a.available(u) {
 				lost++
 				continue
 			}
 			if got := a.unitVal(u); got != want {
-				return fmt.Errorf("stripe %d: %s parity at %v holds %#x, want %#x",
-					s, pq[k], u, got, want)
+				return fmt.Errorf("stripe %d: parity %d at %v holds %#x, want %#x",
+					s, k, u, got, want)
 			}
 		}
 		if lost > a.parities {

@@ -23,10 +23,13 @@ func (a *Array) takeOpSpan() *telemetry.Span {
 	return sp
 }
 
-// xfer is one unit-sized disk transfer.
+// xfer is one unit-sized disk transfer. A write issued by a write plan
+// carries in val the content its unit takes when the plan's round
+// completes (see userOp); other transfers leave it zero.
 type xfer struct {
 	loc   layout.Loc
 	write bool
+	val   uint64
 }
 
 const (
@@ -221,50 +224,70 @@ func (a *Array) newValue() uint64 {
 	return splitmix64(a.writeSeq | 1<<63)
 }
 
-// xorUnits XORs the current contents of a set of units.
-func (a *Array) xorUnits(locs []layout.Loc) uint64 {
+// weigh multiplies v by the coefficient a stripe's d-th data unit carries
+// in its k-th parity, g^(k·d): 1 throughout P (k = 0), which is therefore
+// the plain XOR of the data, and g^d in Q (k = 1), the Reed–Solomon sum.
+// Every parity word the driver computes — initial contents, write plans,
+// reconstruction, the consistency check — is a sum of these terms, so
+// single parity is the same arithmetic with one equation, not a second
+// code path.
+func weigh(k, d int, v uint64) uint64 {
+	if k == 0 {
+		return v
+	}
+	return gf256.MulWord(gf256.Exp(k*d), v)
+}
+
+// term is data unit loc's contribution to its stripe's k-th parity when it
+// holds v.
+func (a *Array) term(k int, stripe int64, loc layout.Loc, v uint64) uint64 {
+	if k == 0 {
+		return v // skip the ordinal lookup P never needs
+	}
+	_, j := a.lay.Locate(loc)
+	return weigh(k, layout.DataOrdinal(a.lay, stripe, j), v)
+}
+
+// paritySum is the k-th parity of the current contents of a set of one
+// stripe's data units. With k = 0 it is a plain XOR and the set may
+// include parity units too (the P equation sums to zero over the stripe).
+func (a *Array) paritySum(k int, stripe int64, locs []layout.Loc) uint64 {
 	var v uint64
-	for _, l := range locs {
-		v ^= a.unitVal(l)
+	for _, u := range locs {
+		v ^= a.term(k, stripe, u, a.unitVal(u))
 	}
 	return v
 }
 
-// qSum computes the Reed–Solomon sum Σ g^d·value_d of a set of data units,
-// d being each unit's data ordinal within its stripe.
-func (a *Array) qSum(stripe int64, locs []layout.Loc) uint64 {
-	var q uint64
-	for _, u := range locs {
-		_, j := a.lay.Locate(u)
-		d := layout.DataOrdinal(a.lay, stripe, j)
-		q ^= gf256.MulWord(gf256.Exp(d), a.unitVal(u))
+// parityIndex returns which parity unit position j of the stripe holds
+// (0 for P, 1 for Q), or -1 for a data position.
+func (a *Array) parityIndex(stripe int64, j int) int {
+	for k := 0; k < a.parities; k++ {
+		if j == layout.ParityPosOf(a.lay, stripe, k) {
+			return k
+		}
 	}
-	return q
+	return -1
 }
 
-// qTerm is one data unit's contribution to its stripe's Q word.
-func (a *Array) qTerm(stripe int64, loc layout.Loc, v uint64) uint64 {
-	_, j := a.lay.Locate(loc)
-	return gf256.MulWord(gf256.Exp(layout.DataOrdinal(a.lay, stripe, j)), v)
+// decodeParity returns the parity whose single equation rebuilds position
+// j alone: a lost parity unit is recomputed through its own equation, a
+// lost data unit is solved through P.
+func (a *Array) decodeParity(stripe int64, j int) int {
+	return max(a.parityIndex(stripe, j), 0)
 }
 
-// reconSources returns the units to read to reconstruct loc's contents.
-// Single parity reads every other unit of the stripe; dual parity decodes
-// a single erasure through one equation, so it skips the unneeded parity —
-// Q for a lost data or P unit, P for a lost Q unit — reading G−2 units.
+// reconSources returns the units to read to reconstruct loc's contents:
+// the stripe's other data units plus the one parity unit of the decoding
+// equation (see decodeParity) — every other unit under single parity, G−2
+// units under P+Q, which skips the parity it does not need.
 func (a *Array) reconSources(loc layout.Loc) []layout.Loc {
-	if a.parities == 1 {
-		return layout.SurvivingUnits(a.lay, loc)
-	}
 	stripe, jLost := a.lay.Locate(loc)
-	skip := layout.ParityPosOf(a.lay, stripe, 1)
-	if jLost == skip {
-		skip = layout.ParityPosOf(a.lay, stripe, 0)
-	}
+	via := layout.ParityPosOf(a.lay, stripe, a.decodeParity(stripe, jLost))
 	g := a.lay.G()
-	out := make([]layout.Loc, 0, g-2)
+	out := make([]layout.Loc, 0, g-1)
 	for j := 0; j < g; j++ {
-		if j == jLost || j == skip {
+		if j == jLost || (j != via && layout.IsParityPos(a.lay, stripe, j)) {
 			continue
 		}
 		out = append(out, a.lay.Unit(stripe, j))
@@ -272,79 +295,78 @@ func (a *Array) reconSources(loc layout.Loc) []layout.Loc {
 	return out
 }
 
-// reconValue computes loc's contents from its reconSources: the XOR of
-// the sources (which for a data or P unit includes whatever balances the
-// P equation), or — for a lost Q unit — the Reed–Solomon sum of the
-// stripe's data units.
+// reconValue computes loc's contents from its reconSources. A parity unit
+// is its equation's sum over the data; a data unit is the XOR of the other
+// data and P, which is the P sum taken over all the sources.
 func (a *Array) reconValue(loc layout.Loc, srcs []layout.Loc) uint64 {
-	if a.parities == 2 {
-		stripe, j := a.lay.Locate(loc)
-		if j == layout.ParityPosOf(a.lay, stripe, 1) {
-			return a.qSum(stripe, srcs)
-		}
-	}
-	return a.xorUnits(srcs)
+	stripe, j := a.lay.Locate(loc)
+	return a.paritySum(a.decodeParity(stripe, j), stripe, srcs)
 }
 
-// dataUnitsOf returns the stripe's data unit locations excluding `except`
-// (pass an invalid Loc to keep all).
-func (a *Array) dataUnitsOf(stripe int64, except layout.Loc) []layout.Loc {
-	g := a.lay.G()
-	out := make([]layout.Loc, 0, g-1)
-	for j := 0; j < g; j++ {
-		if layout.IsParityPos(a.lay, stripe, j) {
-			continue
-		}
-		u := a.lay.Unit(stripe, j)
-		if u != except {
-			out = append(out, u)
+// allAvailable reports whether every unit of locs can be accessed directly.
+func (a *Array) allAvailable(locs []layout.Loc) bool {
+	for _, u := range locs {
+		if !a.available(u) {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-// userOp tracks one user Read or Write through its phases. Nodes are
-// pooled on the Array with every stage continuation pre-bound, so the
-// fault-free request paths allocate nothing in steady state. Degraded-mode
-// and repair paths still build ad-hoc closures — they are rare and
-// latency-bound, not allocation-bound.
+// target is one logical data unit a write covers: where it lives and the
+// value it is given.
+type target struct {
+	unit  int64
+	loc   layout.Loc
+	value uint64
+}
+
+// parityUnit is one of a stripe's parity units: P (k = 0) or Q (k = 1).
+type parityUnit struct {
+	k   int
+	loc layout.Loc
+}
+
+// userOp tracks one user operation through its rounds of transfers: a
+// direct read (one round of one transfer), or a write — Write's single
+// unit or one stripe's share of a WriteRange — which, once its stripe lock
+// is held, is a plan: at most two rounds, the units of the second usually
+// being the ones the first pre-read. A planner (writeLocked for Write,
+// planGroup for WriteRange) fills the plan from what the stripe has — which
+// of its parity units are live, whether the data unit is — and run plays
+// it: round 1, repair of its failed reads, round 2, finish. Every write
+// transfer carries the value its unit takes when its round completes.
+//
+// All of those values are computed while planning, i.e. when the first
+// round is submitted, not when it completes: the stripe lock guarantees no
+// writer changes the sampled units in flight, while a concurrent Replace()
+// swaps the failed slot's content array and would otherwise make a
+// completion-time sample read fresh zeros instead of what the platter
+// returned.
+//
+// Nodes are pooled on the Array with the stage continuations pre-bound and
+// the plan's buffers kept, so unit reads and writes allocate nothing in
+// steady state, whatever the stripe's condition (a fold's list of
+// surviving data units excepted).
 type userOp struct {
 	a         *Array
-	unit      int64
-	loc       layout.Loc
 	stripe    int64
-	ploc      layout.Loc
-	qloc      layout.Loc // Q parity unit (dual parity only)
-	other     layout.Loc // small-write companion data unit
-	value     uint64
-	otherData uint64 // small-write companion's data
-	oldData   uint64 // read-modify-write pre-read
-	oldParity uint64
-	newParity uint64
-	oldQ      uint64 // dual-parity read-modify-write pre-read
-	newQ      uint64
-	dOrd      int // the written unit's data ordinal (Q coefficient index)
+	data      []target     // what a write covers
+	live      []parityUnit // the stripe's available parity units, P first
+	rounds    [2][]xfer
+	names     [2]string // span of round 1 (or of a lone round 2), and of round 2 ("" stays in it)
+	redirect  bool      // the plan writes a lost data unit to its replacement, reconstructing it
 	readDone  func(value uint64)
 	writeDone func()
 	span      *telemetry.Span // root span handed over by the caller; nil when off
 	phase     *telemetry.Span // open lifecycle-phase child, ended by the stage that retires it
-	xs        [3]xfer         // phase transfer buffer; consumed synchronously by io
 
 	// Stage continuations, bound once per node.
 	readPlainFn   func([]xfer)
 	writeLockedFn func()
-	mirrorDoneFn  func([]xfer)
-	swPreFn       func([]xfer)
-	swRepairedFn  func()
-	swCommitFn    func([]xfer)
-	rmwPreFn      func([]xfer)
-	rmwRepairedFn func()
-	rmwCommitFn   func([]xfer)
-	pqPreFn       func([]xfer)
-	pqRepairedFn  func()
-	pqCommitFn    func([]xfer)
-	lostParityFn  func([]xfer)
-	finishFn      func()
+	repairFn      func([]xfer)
+	commitFn      func()
+	commitDoneFn  func([]xfer)
 }
 
 func (a *Array) getOp() *userOp {
@@ -356,22 +378,19 @@ func (a *Array) getOp() *userOp {
 	op := &userOp{a: a}
 	op.readPlainFn = op.readPlain
 	op.writeLockedFn = op.writeLocked
-	op.mirrorDoneFn = op.mirrorDone
-	op.swPreFn = op.swPre
-	op.swRepairedFn = op.swRepaired
-	op.swCommitFn = op.swCommit
-	op.rmwPreFn = op.rmwPre
-	op.rmwRepairedFn = op.rmwRepaired
-	op.rmwCommitFn = op.rmwCommit
-	op.pqPreFn = op.pqPre
-	op.pqRepairedFn = op.pqRepaired
-	op.pqCommitFn = op.pqCommit
-	op.lostParityFn = op.lostParity
-	op.finishFn = op.finish
+	op.repairFn = op.repair
+	op.commitFn = op.commit
+	op.commitDoneFn = op.commitDone
 	return op
 }
 
 func (a *Array) putOp(op *userOp) {
+	op.data = op.data[:0]
+	op.live = op.live[:0]
+	op.rounds[0] = op.rounds[0][:0]
+	op.rounds[1] = op.rounds[1][:0]
+	op.names = [2]string{}
+	op.redirect = false
 	op.readDone = nil
 	op.writeDone = nil
 	op.span = nil
@@ -392,12 +411,11 @@ func (a *Array) Read(unit int64, done func(value uint64)) {
 	loc := a.mapper.Loc(unit)
 	if loc.Disk != a.failed || a.redirectableRead(loc) {
 		op := a.getOp()
-		op.loc = loc
 		op.readDone = done
 		op.span = sp
-		op.xs[0] = xfer{loc: loc}
+		op.read(loc)
 		a.phaseSpan = sp // segments attach to the root: one phase only
-		a.io(op.xs[:1], userPriority, op.readPlainFn)
+		a.io(op.rounds[0], userPriority, op.readPlainFn)
 		return
 	}
 	// On-the-fly reconstruction under the stripe lock: a consistent
@@ -457,7 +475,7 @@ func (a *Array) Read(unit int64, done func(value uint64)) {
 // node before answering; the media-error case falls back to closures for
 // the repair (rare, and its latency is dominated by disk accesses anyway).
 func (op *userOp) readPlain(fails []xfer) {
-	a, loc, done := op.a, op.loc, op.readDone
+	a, loc, done := op.a, op.rounds[0][0].loc, op.readDone
 	a.putOp(op)
 	if len(fails) == 0 {
 		done(a.unitVal(loc))
@@ -500,313 +518,229 @@ func (a *Array) Write(unit int64, done func()) {
 	}
 	a.mUserWrites.Inc()
 	op := a.getOp()
-	op.unit = unit
-	op.loc = a.mapper.Loc(unit)
-	op.stripe, _ = a.lay.Locate(op.loc)
-	op.value = a.newValue()
+	loc := a.mapper.Loc(unit)
+	op.stripe, _ = a.lay.Locate(loc)
+	op.data = append(op.data, target{unit: unit, loc: loc, value: a.newValue()})
 	op.writeDone = done
 	op.span = a.takeOpSpan()
 	op.phase = op.span.Child(telemetry.PhaseLockWait, a.eng.Now())
 	a.locks.acquire(op.stripe, op.writeLockedFn)
 }
 
-// finish releases the stripe lock, recycles the node and delivers the
-// write completion, closing whatever lifecycle phase was still open.
-func (op *userOp) finish() {
-	a, done := op.a, op.writeDone
-	op.phase.End(a.eng.Now())
-	a.locks.release(op.stripe)
-	a.putOp(op)
-	done()
+// read adds reads of locs to the first round.
+func (op *userOp) read(locs ...layout.Loc) {
+	for _, loc := range locs {
+		op.rounds[0] = append(op.rounds[0], xfer{loc: loc})
+	}
 }
 
-// writeLocked chooses the write path with the stripe lock held, so the
-// failure state it sees cannot change under it.
+// write adds to round r a write of loc, which takes the value v when the
+// round completes.
+func (op *userOp) write(r int, loc layout.Loc, v uint64) {
+	op.rounds[r] = append(op.rounds[r], xfer{loc: loc, write: true, val: v})
+}
+
+// writeData adds the covered data units' writes to round r.
+func (op *userOp) writeData(r int) {
+	for _, t := range op.data {
+		op.write(r, t.loc, t.value)
+	}
+}
+
+// writeParities adds to the second round a write of each live parity,
+// recomputed from the new data and the current contents of others — the
+// stripe's data units the write does not cover, which the first round
+// reads unless there are none.
+func (op *userOp) writeParities(others []layout.Loc) {
+	a := op.a
+	for _, p := range op.live {
+		v := a.paritySum(p.k, op.stripe, others)
+		for _, t := range op.data {
+			v ^= a.term(p.k, op.stripe, t.loc, t.value)
+		}
+		op.write(1, p.loc, v)
+	}
+}
+
+// planRMW plans the read-modify-write: pre-read the covered data units and
+// the live parities, then overwrite them all, each parity moved by the
+// data's change — 2(k+1) accesses under single parity, or P+Q with one
+// parity lost, the paper's four for k = 1 (§6); 2(k+2) with P and Q live.
+func (op *userOp) planRMW() {
+	a := op.a
+	op.names = [2]string{telemetry.PhasePreread, telemetry.PhaseCommit}
+	for _, t := range op.data {
+		op.read(t.loc)
+	}
+	op.writeData(1)
+	for _, p := range op.live {
+		v := a.unitVal(p.loc)
+		for _, t := range op.data {
+			v ^= a.term(p.k, op.stripe, t.loc, a.unitVal(t.loc)^t.value)
+		}
+		op.read(p.loc)
+		op.write(1, p.loc, v)
+	}
+}
+
+// findLive lists the stripe's available parity units.
+func (op *userOp) findLive() {
+	a := op.a
+	for k := 0; k < a.parities; k++ {
+		if pl := layout.ParityLocOf(a.lay, op.stripe, k); a.available(pl) {
+			op.live = append(op.live, parityUnit{k, pl})
+		}
+	}
+}
+
+// uncovered returns the stripe's data units the write does not cover.
+func (op *userOp) uncovered() []layout.Loc {
+	a := op.a
+	g := a.lay.G()
+	out := make([]layout.Loc, 0, g-1)
+	for j := 0; j < g; j++ {
+		if layout.IsParityPos(a.lay, op.stripe, j) {
+			continue
+		}
+		if u := a.lay.Unit(op.stripe, j); !op.covers(u) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+func (op *userOp) covers(u layout.Loc) bool {
+	for _, t := range op.data {
+		if t.loc == u {
+			return true
+		}
+	}
+	return false
+}
+
+// writeLocked plans a unit write with the stripe lock held, so the failure
+// state it sees cannot change under it, and starts it. The plan depends
+// only on what the stripe has:
+//
+//   - data unit lost: fold — read the surviving data, write each live
+//     parity so that a later sweep reconstructs the new value. Under
+//     Baseline (or with no replacement installed) that is all; the other
+//     algorithms also send the new data to the replacement, which counts
+//     as reconstruction. With no surviving data (G = 2, or G = 3 under
+//     P+Q) the parities encode the new value directly and nothing is read.
+//   - no live parity: there is nothing to pre-read for, so the write is a
+//     single data access (§7); the parity unit is recomputed from data
+//     when its turn in the sweep comes.
+//   - G = 2: the parity unit is a copy of the data unit, so the write is
+//     two plain writes with no pre-reads — the G = 2 declustered layout
+//     behaves as declustered mirroring (Copeland & Keller's interleaved
+//     declustering, §3).
+//   - three-unit stripe with the small-write optimization on: overlap the
+//     read of the one other data unit with the data write, then write
+//     parity computed from the two new values — three accesses.
+//   - otherwise: read-modify-write over the live parities (planRMW).
 func (op *userOp) writeLocked() {
 	a := op.a
 	op.phase.End(a.eng.Now()) // lock wait is over
 	op.phase = nil
-	op.ploc = layout.ParityLoc(a.lay, op.stripe)
-	if a.parities == 2 {
-		op.writeLockedPQ()
+	op.findLive()
+	if loc := op.data[0].loc; !a.available(loc) {
+		others := op.uncovered()
+		op.redirect = (a.replacement || a.spareLay != nil) && a.cfg.Algorithm != Baseline
+		op.names[0] = telemetry.PhaseFold
+		op.read(others...)
+		op.writeParities(others)
+		if op.redirect {
+			op.writeData(1)
+		}
+	} else if len(op.live) == 0 {
+		op.names[0] = telemetry.PhaseDataWrite
+		op.writeData(1)
+	} else if a.lay.G() == 2 {
+		op.names[0] = telemetry.PhaseMirror
+		op.writeData(1)
+		op.writeParities(nil)
+	} else if others := op.smallWriteCompanion(); others != nil {
+		op.names = [2]string{telemetry.PhaseSWPreread, telemetry.PhaseSWCommit}
+		op.read(others...)
+		op.writeData(0)
+		op.writeParities(others)
+	} else {
+		op.planRMW()
+	}
+	op.run()
+}
+
+// smallWriteCompanion returns the stripe's one other data unit when the
+// three-access write applies to it, nil otherwise.
+func (op *userOp) smallWriteCompanion() []layout.Loc {
+	a := op.a
+	if !a.cfg.SmallWriteOpt || a.lay.G() != 3 {
+		return nil
+	}
+	others := op.uncovered()
+	if len(others) != 1 || !a.available(others[0]) {
+		return nil
+	}
+	return others
+}
+
+// run plays the plan: the first round if it has one, then commit.
+func (op *userOp) run() {
+	a := op.a
+	op.phase = op.span.Child(op.names[0], a.eng.Now())
+	if len(op.rounds[0]) == 0 {
+		op.commit()
 		return
 	}
-	switch {
-	case a.available(op.loc) && a.available(op.ploc):
-		op.writeNormal()
-	case !a.available(op.loc):
-		op.phase = op.span.Child(telemetry.PhaseFold, a.eng.Now())
-		a.writeLostData(op.unit, op.loc, op.stripe, op.ploc, op.value, op.phase, op.finishFn)
-	default:
-		// Parity is lost and not reconstructed: there is no value in
-		// updating it, so the write is a single data access (§7); the
-		// parity unit will be recomputed from data when its turn in
-		// the sweep comes.
-		op.phase = op.span.Child(telemetry.PhaseDataWrite, a.eng.Now())
-		op.xs[0] = xfer{loc: op.loc, write: true}
-		a.phaseSpan = op.phase
-		a.io(op.xs[:1], userPriority, op.lostParityFn)
+	a.phaseSpan = op.phase
+	a.io(op.rounds[0], userPriority, op.repairFn)
+}
+
+// repair recovers the first round's unreadable units before the plan
+// continues. In a fold they are survivors of a stripe that already lost a
+// unit, so the value being folded rests on a loss: repairThen records it
+// and restores out of band.
+func (op *userOp) repair(fails []xfer) {
+	op.a.repairThen(op.stripe, fails, userPriority, op.commitFn)
+}
+
+// commit issues the second round.
+func (op *userOp) commit() {
+	a := op.a
+	a.land(op.rounds[0])
+	if name := op.names[1]; name != "" {
+		op.phase.End(a.eng.Now())
+		op.phase = op.span.Child(name, a.eng.Now())
+	}
+	a.phaseSpan = op.phase
+	a.io(op.rounds[1], userPriority, op.commitDoneFn)
+}
+
+// land gives every unit a completed round wrote the value its transfer
+// carried.
+func (a *Array) land(xs []xfer) {
+	for _, x := range xs {
+		if x.write {
+			a.setUnitVal(x.loc, x.val)
+		}
 	}
 }
 
-func (op *userOp) lostParity(_ []xfer) {
-	op.a.setUnitVal(op.loc, op.value)
-	op.a.expected[op.unit] = op.value
-	op.finish()
-}
-
-// writeLockedPQ chooses the dual-parity write path. Under the one-failed-
-// disk model at most one unit of the stripe is unavailable (layout
-// criterion 1), so the cases are: everything available (the six-access
-// read-modify-write), the data unit lost (fold into both parities), or
-// one parity lost (write data, delta-update the surviving parity).
-func (op *userOp) writeLockedPQ() {
-	a := op.a
-	op.qloc = layout.ParityLocOf(a.lay, op.stripe, 1)
-	_, j := a.lay.Locate(op.loc)
-	op.dOrd = layout.DataOrdinal(a.lay, op.stripe, j)
-	switch {
-	case !a.available(op.loc):
-		op.phase = op.span.Child(telemetry.PhaseFold, a.eng.Now())
-		a.writeLostData(op.unit, op.loc, op.stripe, op.ploc, op.value, op.phase, op.finishFn)
-	case a.available(op.ploc) && a.available(op.qloc):
-		// Six-access read-modify-write: pre-read old data, P and Q, then
-		// overwrite all three — the dual-parity small-write cost the
-		// sweeps measure against α.
-		op.phase = op.span.Child(telemetry.PhasePreread, a.eng.Now())
-		op.oldData = a.unitVal(op.loc)
-		op.oldParity = a.unitVal(op.ploc)
-		op.oldQ = a.unitVal(op.qloc)
-		op.xs[0] = xfer{loc: op.loc}
-		op.xs[1] = xfer{loc: op.ploc}
-		op.xs[2] = xfer{loc: op.qloc}
-		a.phaseSpan = op.phase
-		a.io(op.xs[:3], userPriority, op.pqPreFn)
-	default:
-		// One parity lost: delta-update the survivor alongside the data
-		// write; the lost parity is recomputed when the sweep reaches it.
-		op.writeLostOneParityPQ()
+// commitDone finishes the write: the array has committed data and parity.
+// It closes whatever lifecycle phase was still open, releases the stripe
+// lock, recycles the node and delivers the completion.
+func (op *userOp) commitDone(_ []xfer) {
+	a, done := op.a, op.writeDone
+	a.land(op.rounds[1])
+	for _, t := range op.data {
+		a.expected[t.unit] = t.value
 	}
-}
-
-func (op *userOp) pqPre(fails []xfer) {
-	op.a.repairThen(op.stripe, fails, userPriority, op.pqRepairedFn)
-}
-
-func (op *userOp) pqRepaired() {
-	a := op.a
+	if op.redirect {
+		a.markReconstructed(op.data[0].loc.Offset)
+	}
 	op.phase.End(a.eng.Now())
-	op.phase = op.span.Child(telemetry.PhaseCommit, a.eng.Now())
-	delta := op.oldData ^ op.value
-	op.newParity = op.oldParity ^ delta
-	op.newQ = op.oldQ ^ gf256.MulWord(gf256.Exp(op.dOrd), delta)
-	op.xs[0] = xfer{loc: op.loc, write: true}
-	op.xs[1] = xfer{loc: op.ploc, write: true}
-	op.xs[2] = xfer{loc: op.qloc, write: true}
-	a.phaseSpan = op.phase
-	a.io(op.xs[:3], userPriority, op.pqCommitFn)
-}
-
-func (op *userOp) pqCommit(_ []xfer) {
-	a := op.a
-	a.setUnitVal(op.loc, op.value)
-	a.setUnitVal(op.ploc, op.newParity)
-	a.setUnitVal(op.qloc, op.newQ)
-	a.expected[op.unit] = op.value
-	op.finish()
-}
-
-// writeLostOneParityPQ writes a data unit whose stripe has exactly one
-// parity unit lost: a four-access read-modify-write against the surviving
-// parity (rare path; ad-hoc closures are fine here).
-func (op *userOp) writeLostOneParityPQ() {
-	a := op.a
-	surv := op.qloc
-	pSurvives := a.available(op.ploc)
-	if pSurvives {
-		surv = op.ploc
-	}
-	op.phase = op.span.Child(telemetry.PhasePreread, a.eng.Now())
-	oldData := a.unitVal(op.loc)
-	oldSurv := a.unitVal(surv)
-	a.phaseSpan = op.phase
-	a.io([]xfer{{loc: op.loc}, {loc: surv}}, userPriority, func(fails []xfer) {
-		a.repairThen(op.stripe, fails, userPriority, func() {
-			op.phase.End(a.eng.Now())
-			op.phase = op.span.Child(telemetry.PhaseCommit, a.eng.Now())
-			delta := oldData ^ op.value
-			newSurv := oldSurv ^ delta
-			if !pSurvives {
-				newSurv = oldSurv ^ gf256.MulWord(gf256.Exp(op.dOrd), delta)
-			}
-			a.phaseSpan = op.phase
-			a.io([]xfer{{loc: op.loc, write: true}, {loc: surv, write: true}}, userPriority, func(_ []xfer) {
-				a.setUnitVal(op.loc, op.value)
-				a.setUnitVal(surv, newSurv)
-				a.expected[op.unit] = op.value
-				op.finish()
-			})
-		})
-	})
-}
-
-// writeNormal is the fault-free path, also used when the touched units are
-// already reconstructed on the replacement: the four-access
-// read-modify-write, or the three-access small-write when the stripe has
-// exactly three units and the third is readable.
-func (op *userOp) writeNormal() {
-	a := op.a
-	if a.lay.G() == 2 {
-		// Mirroring degenerate: the parity unit is a copy of the data
-		// unit, so the write is two plain writes with no pre-reads —
-		// the G=2 declustered layout behaves as declustered mirroring
-		// (Copeland & Keller's interleaved declustering, §3).
-		op.phase = op.span.Child(telemetry.PhaseMirror, a.eng.Now())
-		op.xs[0] = xfer{loc: op.loc, write: true}
-		op.xs[1] = xfer{loc: op.ploc, write: true}
-		a.phaseSpan = op.phase
-		a.io(op.xs[:2], userPriority, op.mirrorDoneFn)
-		return
-	}
-	// Contents feeding parity computations are sampled when the reads
-	// are submitted, not when they complete: the stripe lock guarantees
-	// no writer changes them in flight, while a concurrent Replace()
-	// swaps the failed slot's content array and would otherwise make a
-	// completion-time sample read fresh zeros instead of what the
-	// platter returned.
-	if a.cfg.SmallWriteOpt && a.lay.G() == 3 {
-		others := a.dataUnitsOf(op.stripe, op.loc)
-		if len(others) == 1 && a.available(others[0]) {
-			op.other = others[0]
-			op.otherData = a.unitVal(op.other)
-			// Overlap the companion read with the data write, then
-			// write parity computed from the two new values.
-			op.phase = op.span.Child(telemetry.PhaseSWPreread, a.eng.Now())
-			op.xs[0] = xfer{loc: op.other}
-			op.xs[1] = xfer{loc: op.loc, write: true}
-			a.phaseSpan = op.phase
-			a.io(op.xs[:2], userPriority, op.swPreFn)
-			return
-		}
-	}
-	// Pre-read old data and parity, then overwrite both.
-	op.phase = op.span.Child(telemetry.PhasePreread, a.eng.Now())
-	op.oldData = a.unitVal(op.loc)
-	op.oldParity = a.unitVal(op.ploc)
-	op.xs[0] = xfer{loc: op.loc}
-	op.xs[1] = xfer{loc: op.ploc}
-	a.phaseSpan = op.phase
-	a.io(op.xs[:2], userPriority, op.rmwPreFn)
-}
-
-func (op *userOp) mirrorDone(_ []xfer) {
-	a := op.a
-	a.setUnitVal(op.loc, op.value)
-	a.setUnitVal(op.ploc, op.value)
-	a.expected[op.unit] = op.value
-	op.finish()
-}
-
-func (op *userOp) swPre(fails []xfer) {
-	op.a.repairThen(op.stripe, fails, userPriority, op.swRepairedFn)
-}
-
-func (op *userOp) swRepaired() {
-	a := op.a
-	op.phase.End(a.eng.Now())
-	op.phase = op.span.Child(telemetry.PhaseSWCommit, a.eng.Now())
-	a.setUnitVal(op.loc, op.value)
-	a.expected[op.unit] = op.value
-	op.newParity = op.value ^ op.otherData
-	op.xs[0] = xfer{loc: op.ploc, write: true}
-	a.phaseSpan = op.phase
-	a.io(op.xs[:1], userPriority, op.swCommitFn)
-}
-
-func (op *userOp) swCommit(_ []xfer) {
-	op.a.setUnitVal(op.ploc, op.newParity)
-	op.finish()
-}
-
-func (op *userOp) rmwPre(fails []xfer) {
-	op.a.repairThen(op.stripe, fails, userPriority, op.rmwRepairedFn)
-}
-
-func (op *userOp) rmwRepaired() {
-	op.phase.End(op.a.eng.Now())
-	op.phase = op.span.Child(telemetry.PhaseCommit, op.a.eng.Now())
-	op.newParity = op.oldParity ^ op.oldData ^ op.value
-	op.xs[0] = xfer{loc: op.loc, write: true}
-	op.xs[1] = xfer{loc: op.ploc, write: true}
-	op.a.phaseSpan = op.phase
-	op.a.io(op.xs[:2], userPriority, op.rmwCommitFn)
-}
-
-func (op *userOp) rmwCommit(_ []xfer) {
-	a := op.a
-	a.setUnitVal(op.loc, op.value)
-	a.setUnitVal(op.ploc, op.newParity)
-	a.expected[op.unit] = op.value
-	op.finish()
-}
-
-// writeLostData handles a write whose data unit is on the failed slot and
-// not yet reconstructed. Under Baseline (or with no replacement installed)
-// the write folds into the parity unit: parity absorbs the new data so a
-// later sweep reconstructs the new value. Under the other algorithms the
-// new data also goes directly to the replacement, which counts as
-// reconstruction.
-func (a *Array) writeLostData(unit int64, loc layout.Loc, stripe int64, ploc layout.Loc, value uint64, sp *telemetry.Span, finish func()) {
-	others := a.dataUnitsOf(stripe, loc) // surviving data units
-	toReplacement := (a.replacement || a.spareLay != nil) && a.cfg.Algorithm != Baseline
-	var qloc layout.Loc
-	if a.parities == 2 {
-		qloc = layout.ParityLocOf(a.lay, stripe, 1)
-	}
-	commitParity := func(newParity, newQ uint64) {
-		a.phaseSpan = sp
-		xs := make([]xfer, 0, 3)
-		xs = append(xs, xfer{loc: ploc, write: true})
-		if a.parities == 2 {
-			xs = append(xs, xfer{loc: qloc, write: true})
-		}
-		if toReplacement {
-			xs = append(xs, xfer{loc: loc, write: true})
-		}
-		a.io(xs, userPriority, func(_ []xfer) {
-			a.setUnitVal(ploc, newParity)
-			if a.parities == 2 {
-				a.setUnitVal(qloc, newQ)
-			}
-			if toReplacement {
-				a.setUnitVal(loc, value)
-			}
-			a.expected[unit] = value
-			if toReplacement {
-				a.markReconstructed(loc.Offset)
-			}
-			finish()
-		})
-	}
-	if len(others) == 0 {
-		// No surviving data beside the lost unit: G = 2 (mirroring
-		// degenerate, parity is the lost unit's twin) or G = 3 dual parity
-		// (P and Q encode the single data unit directly).
-		commitParity(value, a.qTerm(stripe, loc, value))
-		return
-	}
-	a.phaseSpan = sp
-	a.io(reads(others), userPriority, func(fails []xfer) {
-		// A failed survivor read: the stripe has two dead units, so the
-		// value being folded into parity rests on a loss; repairThen
-		// records it and restores before the fold continues.
-		a.repairThen(stripe, fails, userPriority, func() {
-			newP := a.xorUnits(others) ^ value
-			var newQ uint64
-			if a.parities == 2 {
-				newQ = a.qSum(stripe, others) ^ a.qTerm(stripe, loc, value)
-			}
-			commitParity(newP, newQ)
-		})
-	})
+	a.locks.release(op.stripe)
+	a.putOp(op)
+	done()
 }

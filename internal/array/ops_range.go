@@ -140,191 +140,81 @@ func (a *Array) WriteRange(unit int64, count int, done func()) {
 }
 
 func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
-	g := a.lay.G()
-	ploc := layout.ParityLoc(a.lay, grp.stripe)
-	qloc := ploc // == ploc means "no Q"
-	if a.parities == 2 {
-		qloc = layout.ParityLocOf(a.lay, grp.stripe, 1)
-	}
-	hasQ := a.parities == 2
-
 	// Degraded stripes use the single-unit paths, which handle folding,
 	// redirection and reconstruction marking; the group degenerates to
 	// per-unit writes.
-	writable := a.available(ploc) && (!hasQ || a.available(qloc))
-	for _, loc := range grp.locs {
-		if !a.available(loc) {
-			writable = false
-		}
-	}
-	if !writable {
+	perUnit := func() {
 		part := join(len(grp.units), done)
 		for _, n := range grp.units {
 			a.SetOpSpan(sp)
 			a.Write(n, part)
 		}
+	}
+	if !a.groupWritable(grp) {
+		perUnit()
 		return
 	}
-
-	values := make([]uint64, len(grp.units))
-	for i := range values {
-		values[i] = a.newValue()
+	op := a.getOp()
+	op.stripe = grp.stripe
+	for i, n := range grp.units {
+		op.data = append(op.data, target{unit: n, loc: grp.locs[i], value: a.newValue()})
 	}
-	k := len(grp.units)
-	lockSp := sp.Child(telemetry.PhaseLockWait, a.eng.Now())
+	op.writeDone = done
+	op.span = sp
+	op.phase = sp.Child(telemetry.PhaseLockWait, a.eng.Now())
 	a.locks.acquire(grp.stripe, func() {
-		lockSp.End(a.eng.Now())
-		var phase *telemetry.Span
-		finish := func() {
-			phase.End(a.eng.Now())
-			a.locks.release(grp.stripe)
-			done()
-		}
+		op.phase.End(a.eng.Now())
+		op.phase = nil
 		// State may have changed while waiting; bail to per-unit writes
 		// if the stripe degraded (writeLocked handles every case, but
 		// we must not hold the lock across its own acquire).
-		stillWritable := a.available(ploc) && (!hasQ || a.available(qloc))
-		for _, loc := range grp.locs {
-			if !a.available(loc) {
-				stillWritable = false
-			}
-		}
-		if !stillWritable {
+		if !a.groupWritable(grp) {
 			a.locks.release(grp.stripe)
-			part := join(len(grp.units), done)
-			for _, n := range grp.units {
-				a.SetOpSpan(sp)
-				a.Write(n, part)
-			}
+			a.putOp(op)
+			perUnit()
 			return
 		}
-
-		// qDelta sums the written units' contributions to Q, old vs new.
-		qOfValues := func() uint64 {
-			var q uint64
-			for i, loc := range grp.locs {
-				q ^= a.qTerm(grp.stripe, loc, values[i])
-			}
-			return q
-		}
-		commit := func() []xfer {
-			xs := make([]xfer, 0, k+2)
-			for _, loc := range grp.locs {
-				xs = append(xs, xfer{loc: loc, write: true})
-			}
-			xs = append(xs, xfer{loc: ploc, write: true})
-			if hasQ {
-				xs = append(xs, xfer{loc: qloc, write: true})
-			}
-			return xs
-		}
-		apply := func(parity, q uint64) {
-			for i, loc := range grp.locs {
-				a.setUnitVal(loc, values[i])
-				a.expected[grp.units[i]] = values[i]
-			}
-			a.setUnitVal(ploc, parity)
-			if hasQ {
-				a.setUnitVal(qloc, q)
-			}
-		}
-
-		// The reconstruct-write path pre-reads the stripe's untouched
-		// data units, so it is only eligible when they are all readable
-		// (they may include a lost, unreconstructed unit even though
-		// everything the group writes is available).
-		touched := make(map[layout.Loc]bool, k)
-		for _, loc := range grp.locs {
-			touched[loc] = true
-		}
-		var others []layout.Loc
-		othersReadable := true
-		for j := 0; j < g; j++ {
-			if layout.IsParityPos(a.lay, grp.stripe, j) {
-				continue
-			}
-			u := a.lay.Unit(grp.stripe, j)
-			if !touched[u] {
-				others = append(others, u)
-				if !a.available(u) {
-					othersReadable = false
-				}
-			}
-		}
-
-		switch {
-		case k == layout.DataPerStripe(a.lay):
-			// Large write: parity from the new data alone.
-			var parity uint64
-			for _, v := range values {
-				parity ^= v
-			}
-			var q uint64
-			if hasQ {
-				q = qOfValues()
-			}
-			phase = sp.Child(telemetry.PhaseCommit, a.eng.Now())
-			a.phaseSpan = phase
-			a.io(commit(), userPriority, func(_ []xfer) {
-				apply(parity, q)
-				finish()
-			})
-		case 2*(k+a.parities) <= g || !othersReadable:
-			// Read-modify-write: pre-read old data and parity. Old
-			// contents are sampled at submit time (see writeNormal).
-			parity := a.unitVal(ploc)
-			var q uint64
-			for i, loc := range grp.locs {
-				parity ^= a.unitVal(loc) ^ values[i]
-				if hasQ {
-					q ^= a.qTerm(grp.stripe, loc, a.unitVal(loc)^values[i])
-				}
-			}
-			if hasQ {
-				q ^= a.unitVal(qloc)
-			}
-			pre := append(reads(grp.locs), xfer{loc: ploc})
-			if hasQ {
-				pre = append(pre, xfer{loc: qloc})
-			}
-			phase = sp.Child(telemetry.PhasePreread, a.eng.Now())
-			a.phaseSpan = phase
-			a.io(pre, userPriority, func(fails []xfer) {
-				a.repairThen(grp.stripe, fails, userPriority, func() {
-					phase.End(a.eng.Now())
-					phase = sp.Child(telemetry.PhaseCommit, a.eng.Now())
-					a.phaseSpan = phase
-					a.io(commit(), userPriority, func(_ []xfer) {
-						apply(parity, q)
-						finish()
-					})
-				})
-			})
-		default:
-			// Reconstruct-write: read the untouched data units.
-			parity := a.xorUnits(others)
-			for _, v := range values {
-				parity ^= v
-			}
-			var q uint64
-			if hasQ {
-				q = a.qSum(grp.stripe, others) ^ qOfValues()
-			}
-			phase = sp.Child(telemetry.PhasePreread, a.eng.Now())
-			a.phaseSpan = phase
-			a.io(reads(others), userPriority, func(fails []xfer) {
-				a.repairThen(grp.stripe, fails, userPriority, func() {
-					phase.End(a.eng.Now())
-					phase = sp.Child(telemetry.PhaseCommit, a.eng.Now())
-					a.phaseSpan = phase
-					a.io(commit(), userPriority, func(_ []xfer) {
-						apply(parity, q)
-						finish()
-					})
-				})
-			})
-		}
+		op.planGroup()
+		op.run()
 	})
+}
+
+// groupWritable reports whether a stripe group can be written as a whole:
+// every parity unit and every unit the group covers is available.
+func (a *Array) groupWritable(grp stripeGroup) bool {
+	for k := 0; k < a.parities; k++ {
+		if !a.available(layout.ParityLocOf(a.lay, grp.stripe, k)) {
+			return false
+		}
+	}
+	return a.allAvailable(grp.locs)
+}
+
+// planGroup plans a whole-group write (see WriteRange) of k data units,
+// its stripe locked and groupWritable.
+func (op *userOp) planGroup() {
+	a := op.a
+	op.findLive()
+	others := op.uncovered()
+	switch k := len(op.data); {
+	case len(others) == 0:
+		// Large write: parity from the new data alone.
+		op.names[0] = telemetry.PhaseCommit
+		op.writeData(1)
+		op.writeParities(nil)
+	case 2*(k+a.parities) <= a.lay.G() || !a.allAvailable(others):
+		// Reconstruct-write would pre-read the stripe's untouched data
+		// units, so it is only eligible when they are all readable (they
+		// may include a lost, unreconstructed unit even though everything
+		// the group writes is available).
+		op.planRMW()
+	default:
+		// Reconstruct-write: read the untouched data units.
+		op.names = [2]string{telemetry.PhasePreread, telemetry.PhaseCommit}
+		op.read(others...)
+		op.writeData(1)
+		op.writeParities(others)
+	}
 }
 
 func (a *Array) checkRange(unit int64, count int) {

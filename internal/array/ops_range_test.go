@@ -7,46 +7,6 @@ import (
 	"declust/internal/layout"
 )
 
-func TestLargeWriteUsesNoPreReads(t *testing.T) {
-	// A (G−1)-aligned write of G−1 units covers one stripe: G accesses.
-	eng, a := testArray(t, nil) // G = 5
-	a.WriteRange(0, 4, func() {})
-	eng.Run()
-	if n := totalCompleted(a); n != 5 {
-		t.Fatalf("large write used %d accesses, want G=5", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPartialRangeWriteRMW(t *testing.T) {
-	// 1 unit of a G=5 stripe: RMW is 2(k+1) = 4 <= G, so 4 accesses.
-	eng, a := testArray(t, nil)
-	a.WriteRange(0, 1, func() {})
-	eng.Run()
-	if n := totalCompleted(a); n != 4 {
-		t.Fatalf("1-unit range write used %d accesses, want 4 (RMW)", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPartialRangeWriteReconstructWrite(t *testing.T) {
-	// 3 units of a G=5 stripe: RMW would be 8 accesses; reconstruct-write
-	// reads the 1 untouched unit and writes 4 -> 5 accesses.
-	eng, a := testArray(t, nil)
-	a.WriteRange(0, 3, func() {})
-	eng.Run()
-	if n := totalCompleted(a); n != 5 {
-		t.Fatalf("3-unit range write used %d accesses, want 5 (reconstruct-write)", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRangeWriteSpanningStripes(t *testing.T) {
 	// 8 units starting at 0 with G=5: stripe 0 fully (large write, 5
 	// accesses) + stripe 1 one... 8 units = stripe0 units 0-3 (large

@@ -1,130 +1,12 @@
 package array
 
-import (
-	"math/rand"
-	"testing"
-
-	"declust/internal/blockdesign"
-	"declust/internal/disk"
-	"declust/internal/layout"
-	"declust/internal/sim"
-)
-
-// pqTestArray wraps testArray's paper layout (C=21, G=5) in the P+Q
-// dual-parity code: 3 data + P + Q per stripe.
-func pqTestArray(t *testing.T, mutate func(*Config)) (*sim.Engine, *Array) {
-	t.Helper()
-	d, err := blockdesign.PaperDesign(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := layout.NewDeclustered(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := layout.NewDualParity(inner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Layout:      l,
-		Geom:        disk.IBM0661().Scaled(1, 100),
-		UnitSectors: 8,
-		CvscanBias:  0.2,
-		ReconProcs:  1,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	eng := sim.New()
-	a, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, a
-}
-
-func TestPQInitialStateConsistent(t *testing.T) {
-	_, a := pqTestArray(t, nil)
-	if a.Parities() != 2 {
-		t.Fatalf("Parities() = %d, want 2", a.Parities())
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPQWriteIsSixAccesses(t *testing.T) {
-	// The dual-parity small write: read D, P, Q; write D, P, Q (§6's
-	// four-access RMW plus one read and one write for Q).
-	eng, a := pqTestArray(t, nil)
-	a.Write(17, func() {})
-	eng.Run()
-	if n := totalCompleted(a); n != 6 {
-		t.Fatalf("P+Q write used %d disk accesses, want 6", n)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPQManyRandomOpsStayConsistent(t *testing.T) {
-	eng, a := pqTestArray(t, nil)
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 2000; i++ {
-		unit := rng.Int63n(a.DataUnits())
-		when := rng.Float64() * 5000
-		if rng.Intn(2) == 0 {
-			eng.At(when, func() { a.Read(unit, func(uint64) {}) })
-		} else {
-			eng.At(when, func() { a.Write(unit, func() {}) })
-		}
-	}
-	eng.Run()
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPQDegradedOpsAndRebuildStayConsistent(t *testing.T) {
-	eng, a := pqTestArray(t, nil)
-	if err := a.Fail(2); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 1000; i++ {
-		unit := rng.Int63n(a.DataUnits())
-		when := rng.Float64() * 5000
-		if rng.Intn(2) == 0 {
-			eng.At(when, func() { a.Read(unit, func(uint64) {}) })
-		} else {
-			eng.At(when, func() { a.Write(unit, func() {}) })
-		}
-	}
-	eng.Run()
-	if err := a.Replace(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Reconstruct(nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if a.Degraded() {
-		t.Fatal("rebuild did not heal the array")
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.DataLosses()) != 0 {
-		t.Fatalf("degraded P+Q lifecycle recorded losses: %v", a.DataLosses())
-	}
-}
+import "testing"
 
 // The tentpole claim at the simulator level: a true second whole-disk
 // failure, which costs a single-parity declustered array α of its at-risk
 // stripes, loses NOTHING under P+Q — every double-dead stripe decodes.
 func TestPQSecondFailureLosesNothing(t *testing.T) {
-	_, a := pqTestArray(t, nil)
+	_, a := arrayOf(t, 5, 2, nil)
 	if err := a.Fail(0); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -451,5 +452,99 @@ func TestOverlapGateFollowsDeviceLatency(t *testing.T) {
 	if st := s.Stats(); st.FanOuts != shut.FanOuts || st.DeviceLatency >= overlapThreshold {
 		t.Fatalf("%d fast accesses on: FanOuts %d → %d, DeviceLatency=%v, want the gate shut",
 			64*sampleEvery, shut.FanOuts, st.FanOuts, st.DeviceLatency)
+	}
+}
+
+// mediaOnceDisk answers its nth read of one offset, counted from when it is
+// armed, with a media error; every other access passes through.
+type mediaOnceDisk struct {
+	Disk
+	off   int64
+	nth   int32
+	armed atomic.Bool
+	seen  atomic.Int32
+}
+
+func (d *mediaOnceDisk) ReadUnit(off int64, p []byte) error {
+	if off == d.off && d.armed.Load() && d.seen.Add(1) == d.nth {
+		return fmt.Errorf("planted: %w", ErrMedia)
+	}
+	return d.Disk.ReadUnit(off, p)
+}
+
+// TestOverlapAbandonedReadBatchCountsDegradedReadsOnce: a span's read
+// batch that meets damage is abandoned for the healing sweep, which reads
+// the span again; a lost unit the batch had already reconstructed must not
+// be counted in Stats.DegradedReads a second time. The damaged read is the
+// span's second unit read directly — its read inside the first unit's
+// reconstruction, just before, is clean — and the batch is made to run in
+// index order (no idle helper) so that this is the order they happen in.
+func TestOverlapAbandonedReadBatchCountsDegradedReadsOnce(t *testing.T) {
+	forceOverlap(t)
+	lay := testLayout(t, 7, 4)
+	lost, flaky := layout.DataLoc(lay, 0), layout.DataLoc(lay, 1)
+	disks := make([]Disk, lay.Disks())
+	for i := range disks {
+		disks[i] = NewMemDisk(48, 512)
+	}
+	once := &mediaOnceDisk{Disk: disks[flaky.Disk], off: flaky.Offset, nth: 2}
+	disks[flaky.Disk] = once
+	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, IOWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillAll(t, s, 1)
+	if err := s.Fail(lost.Disk); err != nil {
+		t.Fatal(err)
+	}
+	defer s.pool.release(s.pool.tryAcquire(s.ioWorkers - 1))
+	once.armed.Store(true)
+
+	before := s.Stats()
+	got := make([]byte, 3*s.UnitSize())
+	if err := s.ReadRange(0, got); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, s.UnitSize())
+	for n := 0; n < 3; n++ {
+		fill(want, int64(n), 1)
+		if !bytes.Equal(got[n*s.UnitSize():(n+1)*s.UnitSize()], want) {
+			t.Fatalf("unit %d: range read does not match what was written", n)
+		}
+	}
+	after := s.Stats()
+	if after.MediaErrors != before.MediaErrors+1 {
+		t.Fatalf("MediaErrors %d -> %d: the planted error did not strike the batch", before.MediaErrors, after.MediaErrors)
+	}
+	if d := after.DegradedReads - before.DegradedReads; d != 1 {
+		t.Fatalf("DegradedReads rose by %d for a span with one lost unit", d)
+	}
+}
+
+// TestOverlapDamagedSpanCountsDegradedReadsOnce: the same count when the
+// damage is a latent sector error, which also fails the lost unit's own
+// reconstruction until the sweep's healing read absorbs it — P+Q, so that
+// a lost and a damaged unit in one stripe are still recoverable.
+func TestOverlapDamagedSpanCountsDegradedReadsOnce(t *testing.T) {
+	forceOverlap(t)
+	s, fds := faultStore(t, 7, 5, 48, 512,
+		func(int) FaultConfig { return FaultConfig{} },
+		Config{Layout: testPQLayout(t, 7, 5), IOWorkers: 4})
+	fillAll(t, s, 1)
+	lost, live := s.mapper.Loc(0), s.mapper.Loc(1)
+	if err := s.Fail(lost.Disk); err != nil {
+		t.Fatal(err)
+	}
+	fds[live.Disk].InjectLSE(live.Offset)
+	before := s.Stats().DegradedReads
+	if err := s.ReadRange(0, make([]byte, 3*s.UnitSize())); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Stats().DegradedReads - before; d != 1 {
+		t.Fatalf("DegradedReads rose by %d for a span with one lost unit", d)
+	}
+	if fds[live.Disk].Stats().LSEHealed != 1 {
+		t.Fatal("the range read did not heal the latent sector")
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"declust/internal/layout"
 )
@@ -106,13 +107,19 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 		// all. A batch cannot repair (its reads share the lock), so one
 		// that meets damage is abandoned for the unit-by-unit sweep below,
 		// which re-reads the span and heals as it goes.
+		var rebuilt atomic.Int64
 		s.locks.rlock(stripe)
 		err := s.fanOut(int(hi-lo), func(i int) error {
 			u := lo + int64(i)
-			return s.readLocked(stripe, s.mapper.Loc(u), dst[(u-start)*us:(u-start+1)*us])
+			ok, err := s.readLocked(stripe, s.mapper.Loc(u), dst[(u-start)*us:(u-start+1)*us])
+			if ok {
+				rebuilt.Add(1)
+			}
+			return err
 		})
 		s.locks.runlock(stripe)
 		if !needsHeal(err) {
+			s.degradedReads.Add(rebuilt.Load())
 			return err
 		}
 	}
@@ -123,7 +130,10 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 		s.locks.rlock(stripe)
 		for ; u < hi && err == nil; u++ {
 			loc := s.mapper.Loc(u)
-			err = s.readLocked(stripe, loc, dst[(u-start)*us:(u-start+1)*us])
+			var rebuilt bool
+			if rebuilt, err = s.readLocked(stripe, loc, dst[(u-start)*us:(u-start+1)*us]); rebuilt {
+				s.degradedReads.Add(1)
+			}
 			if needsHeal(err) {
 				healU, healLoc = u, loc
 			}

@@ -624,8 +624,11 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 	loc := s.mapper.Loc(n)
 	stripe, _ := s.lay.Locate(loc)
 	s.locks.rlock(stripe)
-	err := s.readLocked(stripe, loc, dst)
+	rebuilt, err := s.readLocked(stripe, loc, dst)
 	s.locks.runlock(stripe)
+	if rebuilt {
+		s.degradedReads.Add(1)
+	}
 	if needsHeal(err) {
 		// The unit is damaged. Reads share the stripe lock, so healing
 		// (which rewrites the unit) upgrades to the write lock.
@@ -639,23 +642,25 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 
 // readLocked reads one unit with (at least) the stripe's read lock held.
 // Damage is reported (needsHeal), not repaired — repairing requires the
-// write lock.
-func (s *Store) readLocked(stripe int64, loc layout.Loc, dst []byte) error {
+// write lock. rebuilt reports that the unit was lost and dst holds its
+// reconstruction: the caller counts it in Stats.DegradedReads once it
+// knows it is keeping what it read, so a batch abandoned for a re-read
+// does not count the unit twice.
+func (s *Store) readLocked(stripe int64, loc layout.Loc, dst []byte) (rebuilt bool, err error) {
 	st := s.st.Load()
 	if st.lost(loc) {
 		if err := s.reconstructLocked(st, loc, dst); err != nil {
-			return err
+			return false, err
 		}
-		s.degradedReads.Add(1)
-		return nil
+		return true, nil
 	}
 	phys := s.getBuf()
 	defer s.putBuf(phys)
 	if err := s.readPhys(st.disk(loc), loc.Disk, loc.Offset, *phys); err != nil {
-		return err
+		return false, err
 	}
 	copy(dst, (*phys)[:s.unitSize])
-	return nil
+	return false, nil
 }
 
 // healRead re-serves a read that found damage, under the stripe's write
