@@ -14,7 +14,7 @@ BENCH_PKGS ?= . ./internal/sim
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f bench-harness nightly vet fmt-check fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f bench-harness fuzz nightly vet fmt-check fault-smoke lint cover verify clean
 
 all: build
 
@@ -74,17 +74,27 @@ store-chaos-2f:
 bench-harness:
 	cd benchmark && $(GO) test -race ./...
 
+# The GF(2^8) slice kernels against the scalar field ops on generated
+# inputs (differential, linearity, inverse round trip). A failing input is
+# written to internal/gf256/testdata/fuzz/FuzzMulAddSlice/ and from then on
+# replayed by plain `go test`; check it in with the fix.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzMulAddSlice -fuzztime=$(FUZZTIME) ./internal/gf256
+
 # The nightly long-haul: property suites too slow to run on every push.
 # Every two-disk failure pair must recover on the P+Q store, a rebuild
 # must succeed from any mid-sweep failure point, the SIGKILL
-# crash-recovery test runs twenty kills at fresh timing offsets, and both
+# crash-recovery test runs twenty kills at fresh timing offsets, both
 # chaos invariants run repeatedly under fresh seeds (each run prints its
-# seed; failures replay with CHAOS_SEED=<seed>).
+# seed; failures replay with CHAOS_SEED=<seed>), and the kernel fuzzer
+# gets five minutes.
 nightly:
 	$(GO) test -race -run 'TestPQEveryTwoDisksRecover' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestCrashDuringWriteRecovers' -count=20 -v ./internal/store/
 	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
+	$(MAKE) fuzz FUZZTIME=5m
 
 vet:
 	$(GO) vet ./...
@@ -123,8 +133,8 @@ cover:
 # suite under the race detector (once), the fault-injection lifecycle
 # smoke, the storage chaos invariants (single- and double-failure, run
 # verbosely so the seed is printed), the benchmark harness's own tests,
-# and a benchmark smoke pass.
-verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f bench-harness bench-smoke
+# ten seconds of kernel fuzzing, and a benchmark smoke pass.
+verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f bench-harness fuzz bench-smoke
 	@echo "verify: OK"
 
 clean:

@@ -2,8 +2,10 @@
 // RAID-6 Q parity is computed in. The field is built on the polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d) with generator 2 — the conventional
 // RAID-6 field (Anvin, "The mathematics of RAID-6") — so every nonzero
-// element is a power of 2 and multiplication reduces to exp/log table
-// lookups.
+// element is a power of 2. The scalar ops (Mul, Div, Inv, Exp, Log) work
+// through exp/log tables; everything that multiplies a run of bytes by one
+// coefficient works through a 256 × 256 product table instead, one row per
+// coefficient, so a byte costs one branch-free lookup.
 //
 // For a stripe with data units d_0..d_{k-1}, the two parity units are
 //
@@ -12,9 +14,16 @@
 //
 // applied byte-wise. P and Q together correct any two erasures; the
 // package provides the scalar field ops, the byte-slice kernels the
-// storage engine's Q path is built from, and the coefficient solver for
-// the two-data-erasure case.
+// storage engine's Q path is built from (MulSlice, MulAddSlice and
+// XorMulAddSlice, which folds one unit into P and Q in a single pass), the
+// word kernel the simulator uses, and the coefficient solver for the
+// two-data-erasure case.
 package gf256
+
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Poly is the field's reduction polynomial (x^8+x^4+x^3+x^2+1) and
 // Generator its primitive element.
@@ -25,10 +34,12 @@ const (
 
 // exp holds g^i for i in [0, 510): doubling the table length lets Mul skip
 // the mod-255 reduction of the summed logs. log is its inverse (log[0] is
-// unused — zero has no logarithm).
+// unused — zero has no logarithm). mul[a][b] is a·b: 64 KiB, of which one
+// call touches the 256-byte row of its coefficient.
 var (
 	exp [510]byte
 	log [256]byte
+	mul [256][256]byte
 )
 
 func init() {
@@ -40,6 +51,11 @@ func init() {
 		x <<= 1
 		if x&0x100 != 0 {
 			x ^= Poly
+		}
+	}
+	for a := range mul {
+		for b := range mul[a] {
+			mul[a][b] = Mul(byte(a), byte(b))
 		}
 	}
 }
@@ -93,69 +109,100 @@ func Inv(x byte) byte {
 	return exp[255-int(log[x])]
 }
 
-// MulSlice multiplies every byte of src by c and stores the products in
-// dst (dst and src may alias). Lengths must match. c == 0 zeroes dst,
-// c == 1 copies.
-func MulSlice(dst, src []byte, c byte) {
-	_ = dst[len(src)-1]
-	switch c {
-	case 0:
-		for i := range src {
-			dst[i] = 0
-		}
-	case 1:
-		copy(dst, src)
-	default:
-		lc := int(log[c])
-		for i, b := range src {
-			if b == 0 {
-				dst[i] = 0
-			} else {
-				dst[i] = exp[lc+int(log[b])]
-			}
-		}
+// checkLen enforces the slice kernels' contract: every operand is exactly
+// as long as src.
+func checkLen(fn string, dst, src []byte) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("gf256: %s: len(dst) = %d, len(src) = %d", fn, len(dst), len(src)))
 	}
 }
 
-// MulAddSlice XORs c·src into dst byte-wise — the fused kernel the Q
-// computation Q = Σ g^i·d_i is folded with. Lengths must match.
+// The slice kernels below share one loop shape: eight source bytes become
+// one uint64 through eight lookups in c's row of mul — no branch on the
+// data — and meet dst in a single 64-bit load and store; a byte loop takes
+// the tail of a length that is not a multiple of 8. The eight-lookup
+// expression is spelled out in each loop because it is over the compiler's
+// inlining budget as a function, and a call per word costs 60 %.
+
+// MulSlice multiplies every byte of src by c and stores the products in
+// dst. dst and src must be equally long (it panics otherwise) and may be
+// the same slice. c == 0 zeroes dst, c == 1 copies.
+func MulSlice(dst, src []byte, c byte) {
+	checkLen("MulSlice", dst, src)
+	t := &mul[c]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		s := src[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(dst[i:i+8:i+8],
+			uint64(t[s[0]])|uint64(t[s[1]])<<8|uint64(t[s[2]])<<16|uint64(t[s[3]])<<24|
+				uint64(t[s[4]])<<32|uint64(t[s[5]])<<40|uint64(t[s[6]])<<48|uint64(t[s[7]])<<56)
+	}
+	for ; i < len(src); i++ {
+		dst[i] = t[src[i]]
+	}
+}
+
+// MulAddSlice XORs c·src into dst byte-wise — the multiply-accumulate the
+// Q sum Q = Σ g^i·d_i is folded with. dst and src must be equally long (it
+// panics otherwise). c == 0 leaves dst alone; c == 1, the coefficient of a
+// stripe's first data unit, is a plain word XOR.
 func MulAddSlice(dst, src []byte, c byte) {
-	_ = dst[len(src)-1]
-	switch c {
-	case 0:
-		// c·src is zero: nothing to fold.
-	case 1:
-		for i, b := range src {
-			dst[i] ^= b
+	checkLen("MulAddSlice", dst, src)
+	if c == 0 {
+		return
+	}
+	t := &mul[c]
+	i := 0
+	if c == 1 {
+		// Whole words here; the tail below goes through the identity row.
+		for ; i+8 <= len(src); i += 8 {
+			d := dst[i : i+8 : i+8]
+			binary.LittleEndian.PutUint64(d,
+				binary.LittleEndian.Uint64(d)^binary.LittleEndian.Uint64(src[i:i+8:i+8]))
 		}
-	default:
-		lc := int(log[c])
-		for i, b := range src {
-			if b != 0 {
-				dst[i] ^= exp[lc+int(log[b])]
-			}
-		}
+	}
+	for ; i+8 <= len(src); i += 8 {
+		s := src[i : i+8 : i+8]
+		d := dst[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)^
+			(uint64(t[s[0]])|uint64(t[s[1]])<<8|uint64(t[s[2]])<<16|uint64(t[s[3]])<<24|
+				uint64(t[s[4]])<<32|uint64(t[s[5]])<<40|uint64(t[s[6]])<<48|uint64(t[s[7]])<<56))
+	}
+	for ; i < len(src); i++ {
+		dst[i] ^= t[src[i]]
+	}
+}
+
+// XorMulAddSlice XORs src into p and c·src into q in one pass over src:
+// a data unit's contribution to both parity sums (P takes it bare, Q times
+// g^d) for one read of the unit. p, q and src must be equally long (it
+// panics otherwise); p and q must not overlap.
+func XorMulAddSlice(p, q, src []byte, c byte) {
+	checkLen("XorMulAddSlice", p, src)
+	checkLen("XorMulAddSlice", q, src)
+	t := &mul[c]
+	i := 0
+	for ; i+8 <= len(src); i += 8 {
+		s := src[i : i+8 : i+8]
+		pd := p[i : i+8 : i+8]
+		qd := q[i : i+8 : i+8]
+		binary.LittleEndian.PutUint64(pd, binary.LittleEndian.Uint64(pd)^binary.LittleEndian.Uint64(s))
+		binary.LittleEndian.PutUint64(qd, binary.LittleEndian.Uint64(qd)^
+			(uint64(t[s[0]])|uint64(t[s[1]])<<8|uint64(t[s[2]])<<16|uint64(t[s[3]])<<24|
+				uint64(t[s[4]])<<32|uint64(t[s[5]])<<40|uint64(t[s[6]])<<48|uint64(t[s[7]])<<56))
+	}
+	for ; i < len(src); i++ {
+		p[i] ^= src[i]
+		q[i] ^= t[src[i]]
 	}
 }
 
 // MulWord multiplies each of the 8 bytes of a 64-bit word by c — the
 // word-sized kernel for simulators that model one uint64 per unit.
 func MulWord(c byte, w uint64) uint64 {
-	if c == 0 || w == 0 {
-		return 0
-	}
-	if c == 1 {
-		return w
-	}
-	lc := int(log[c])
-	var out uint64
-	for i := 0; i < 64; i += 8 {
-		b := byte(w >> i)
-		if b != 0 {
-			out |= uint64(exp[lc+int(log[b])]) << i
-		}
-	}
-	return out
+	t := &mul[c]
+	return uint64(t[byte(w)]) | uint64(t[byte(w>>8)])<<8 | uint64(t[byte(w>>16)])<<16 | uint64(t[byte(w>>24)])<<24 |
+		uint64(t[byte(w>>32)])<<32 | uint64(t[byte(w>>40)])<<40 | uint64(t[byte(w>>48)])<<48 | uint64(t[w>>56])<<56
 }
 
 // TwoErasureCoeffs returns the decode coefficients for two erased data

@@ -1,7 +1,10 @@
 package gf256
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -57,13 +60,17 @@ func mulSlow(a, b byte) byte {
 	return p
 }
 
-// TestMulMatchesReference: table multiplication agrees with the bitwise
-// definition on all 65536 pairs.
+// TestMulMatchesReference: exp/log multiplication and the product table
+// both agree with the bitwise definition on all 65536 pairs.
 func TestMulMatchesReference(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
-			if got, want := Mul(byte(a), byte(b)), mulSlow(byte(a), byte(b)); got != want {
+			want := mulSlow(byte(a), byte(b))
+			if got := Mul(byte(a), byte(b)); got != want {
 				t.Fatalf("Mul(%#x,%#x) = %#x, want %#x", a, b, got, want)
+			}
+			if got := mul[a][b]; got != want {
+				t.Fatalf("mul[%#x][%#x] = %#x, want %#x", a, b, got, want)
 			}
 		}
 	}
@@ -105,70 +112,108 @@ func TestFieldAxioms(t *testing.T) {
 	}
 }
 
+// TestPanics: every contract violation panics, and a slice kernel's panic
+// names the function and both lengths.
 func TestPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"log-zero":      func() { Log(0) },
-		"div-zero":      func() { Div(3, 0) },
-		"inv-zero":      func() { Inv(0) },
-		"coeffs-order":  func() { TwoErasureCoeffs(2, 2) },
-		"coeffs-bounds": func() { TwoErasureCoeffs(-1, 3) },
+	b3, b4 := make([]byte, 3), make([]byte, 4)
+	for name, tc := range map[string]struct {
+		fn   func()
+		want string
+	}{
+		"log-zero":          {func() { Log(0) }, "log of zero"},
+		"div-zero":          {func() { Div(3, 0) }, "division by zero"},
+		"inv-zero":          {func() { Inv(0) }, "inverse of zero"},
+		"coeffs-order":      {func() { TwoErasureCoeffs(2, 2) }, "0 <= x < y"},
+		"coeffs-bounds":     {func() { TwoErasureCoeffs(-1, 3) }, "0 <= x < y"},
+		"mul-long-dst":      {func() { MulSlice(b4, b3, 2) }, "MulSlice: len(dst) = 4, len(src) = 3"},
+		"mul-short-dst":     {func() { MulSlice(b3, b4, 2) }, "MulSlice: len(dst) = 3, len(src) = 4"},
+		"mul-empty-src":     {func() { MulSlice(b3, nil, 2) }, "MulSlice: len(dst) = 3, len(src) = 0"},
+		"muladd-long-dst":   {func() { MulAddSlice(b4, b3, 2) }, "MulAddSlice: len(dst) = 4, len(src) = 3"},
+		"muladd-short-dst":  {func() { MulAddSlice(b3, b4, 0) }, "MulAddSlice: len(dst) = 3, len(src) = 4"},
+		"xormuladd-short-p": {func() { XorMulAddSlice(b3, b4, b4, 2) }, "XorMulAddSlice: len(dst) = 3, len(src) = 4"},
+		"xormuladd-long-q":  {func() { XorMulAddSlice(b3, b4, b3, 2) }, "XorMulAddSlice: len(dst) = 4, len(src) = 3"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				if r := recover(); r == nil {
 					t.Errorf("%s: no panic", name)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q does not mention %q", name, msg, tc.want)
 				}
 			}()
-			fn()
+			tc.fn()
 		}()
 	}
 }
 
-func TestMulSlice(t *testing.T) {
-	src := []byte{0, 1, 2, 0x80, 0xff, 0x53}
-	for _, c := range []byte{0, 1, 2, 0x1d, 0xca} {
-		dst := make([]byte, len(src))
-		MulSlice(dst, src, c)
-		for i := range src {
-			if want := Mul(src[i], c); dst[i] != want {
-				t.Fatalf("MulSlice c=%#x at %d: got %#x want %#x", c, i, dst[i], want)
-			}
-		}
-	}
-}
+// kernelLens straddles every boundary of the eight-bytes-a-step loop:
+// empty operands (legal: nothing to fold, no panic), a lone tail, one byte
+// either side of one word and of eight, the engine's 4 KiB unit, and a unit
+// with a tail.
+var kernelLens = []int{0, 1, 7, 8, 9, 63, 64, 4096, 4099}
 
-func TestMulAddSlice(t *testing.T) {
+// TestSliceKernels checks MulSlice, MulAddSlice and XorMulAddSlice against
+// the scalar Mul for every coefficient at every length in kernelLens, over
+// random destinations, and MulSlice in place — decode's MulSlice(qx, qx, c).
+func TestSliceKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	src := make([]byte, 64)
-	for _, c := range []byte{0, 1, 2, 0x1d, 0xca} {
-		dst := make([]byte, len(src))
-		want := make([]byte, len(src))
+	for _, n := range kernelLens {
+		src, p0, q0 := make([]byte, n), make([]byte, n), make([]byte, n)
 		rng.Read(src)
-		rng.Read(dst)
-		copy(want, dst)
-		for i := range src {
-			want[i] ^= Mul(src[i], c)
-		}
-		MulAddSlice(dst, src, c)
-		for i := range src {
-			if dst[i] != want[i] {
-				t.Fatalf("MulAddSlice c=%#x at %d: got %#x want %#x", c, i, dst[i], want[i])
+		rng.Read(p0)
+		rng.Read(q0)
+		prod, acc, psum := make([]byte, n), make([]byte, n), make([]byte, n)
+		got, gotP := make([]byte, n), make([]byte, n)
+		for c := 0; c < 256; c++ {
+			for i, b := range src {
+				prod[i] = Mul(b, byte(c))
+				acc[i] = q0[i] ^ prod[i]
+				psum[i] = p0[i] ^ b
+			}
+
+			copy(got, q0)
+			MulSlice(got, src, byte(c))
+			if !bytes.Equal(got, prod) {
+				t.Fatalf("MulSlice c=%#x n=%d: products differ from Mul", c, n)
+			}
+			copy(got, src)
+			MulSlice(got, got, byte(c))
+			if !bytes.Equal(got, prod) {
+				t.Fatalf("MulSlice in place c=%#x n=%d: products differ from Mul", c, n)
+			}
+
+			copy(got, q0)
+			MulAddSlice(got, src, byte(c))
+			if !bytes.Equal(got, acc) {
+				t.Fatalf("MulAddSlice c=%#x n=%d: sum differs from Mul", c, n)
+			}
+
+			copy(gotP, p0)
+			copy(got, q0)
+			XorMulAddSlice(gotP, got, src, byte(c))
+			if !bytes.Equal(gotP, psum) || !bytes.Equal(got, acc) {
+				t.Fatalf("XorMulAddSlice c=%#x n=%d: P ok=%v Q ok=%v",
+					c, n, bytes.Equal(gotP, psum), bytes.Equal(got, acc))
 			}
 		}
 	}
 }
 
+// TestMulWord: every coefficient against every byte value in every lane
+// (lane i holds b + 37·i, which runs through all 256 values as b does).
 func TestMulWord(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		c := byte(rng.Intn(256))
-		w := rng.Uint64()
-		got := MulWord(c, w)
-		for shift := 0; shift < 64; shift += 8 {
-			want := Mul(c, byte(w>>shift))
-			if byte(got>>shift) != want {
-				t.Fatalf("MulWord(%#x, %#x) byte %d: got %#x want %#x",
-					c, w, shift/8, byte(got>>shift), want)
+	for c := 0; c < 256; c++ {
+		for b := 0; b < 256; b++ {
+			var w uint64
+			for lane := 0; lane < 8; lane++ {
+				w |= uint64(byte(b+37*lane)) << (8 * lane)
+			}
+			got := MulWord(byte(c), w)
+			for shift := 0; shift < 64; shift += 8 {
+				if want := Mul(byte(c), byte(w>>shift)); byte(got>>shift) != want {
+					t.Fatalf("MulWord(%#x, %#x) byte %d: got %#x want %#x",
+						c, w, shift/8, byte(got>>shift), want)
+				}
 			}
 		}
 	}

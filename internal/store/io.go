@@ -162,10 +162,13 @@ type term struct {
 }
 
 func (t term) foldInto(q, data []byte) {
-	if t.p != nil {
+	switch {
+	case t.p != nil && t.coef != 0:
+		// Both sums in one pass: data is read once, not twice.
+		gf256.XorMulAddSlice(t.p, q, data, t.coef)
+	case t.p != nil:
 		xorInto(t.p, data)
-	}
-	if t.coef != 0 {
+	case t.coef != 0:
 		gf256.MulAddSlice(q, data, t.coef)
 	}
 }

@@ -359,3 +359,57 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
+
+// TestHotPathAllocations pins what the benchmark's --trace 1 pass reports
+// as store.write.healthy_allocs, store.pq.write.healthy_allocs and
+// store.read.lost_allocs, where `go test ./...` sees them: a fault-free
+// small write allocates nothing under either code, and reading a unit of a
+// failed disk allocates once. Serial store over MemDisks, so every buffer
+// comes from the pools and no fan-out closure is built.
+func TestHotPathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers at random under the race detector")
+	}
+	for _, tc := range []struct {
+		name   string
+		layout layout.Layout
+		fail   bool
+		op     func(s *Store, n int64, buf []byte) error
+		want   float64
+	}{
+		{"P healthy write", testLayout(t, 7, 3), false, (*Store).WriteUnit, 0},
+		{"P+Q healthy write", testPQLayout(t, 7, 4), false, (*Store).WriteUnit, 0},
+		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			fillAll(t, s, 1)
+			units := make([]int64, 0, s.DataUnits())
+			for n := int64(0); n < s.DataUnits(); n++ {
+				if !tc.fail || layout.DataLoc(tc.layout, n).Disk == 0 {
+					units = append(units, n)
+				}
+			}
+			if tc.fail {
+				if err := s.Fail(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf := make([]byte, s.UnitSize())
+			i := 0
+			got := testing.AllocsPerRun(200, func() {
+				if err := tc.op(s, units[i%len(units)], buf); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if got != tc.want {
+				t.Errorf("%v allocs per op, want %v", got, tc.want)
+			}
+		})
+	}
+}
