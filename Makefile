@@ -87,13 +87,16 @@ fuzz:
 # must succeed from any mid-sweep failure point, the SIGKILL
 # crash-recovery test runs twenty kills at fresh timing offsets, both
 # chaos invariants run repeatedly under fresh seeds (each run prints its
-# seed; failures replay with CHAOS_SEED=<seed>), and the kernel fuzzer
-# gets five minutes.
+# seed; failures replay with CHAOS_SEED=<seed>), the concurrency-shape
+# tests (TestOverlap*: rendezvous backends that hang unless a batch is
+# issued as wide as it should be) run twenty times to show they do not
+# flake, and the kernel fuzzer gets five minutes.
 nightly:
 	$(GO) test -race -run 'TestPQEveryTwoDisksRecover' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestCrashDuringWriteRecovers' -count=20 -v ./internal/store/
 	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
+	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 
 vet:

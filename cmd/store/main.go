@@ -471,7 +471,7 @@ func run(cfg config, out io.Writer) error {
 			st.Retries, st.HealedUnits, st.MediaErrors, st.ChecksumErrors, st.ScrubUnitRepairs, st.ScrubParityFixes)
 	}
 	if ioWorkers > 1 {
-		fmt.Fprintf(out, "overlap: %d batches fanned out, %d issued inline, device latency %v (moving average)\n",
+		fmt.Fprintf(out, "overlap: %d batches fanned out, %d turned down by the latency gate and issued inline, device latency %v (moving average)\n",
 			st.FanOuts, st.FanOutsInline, st.DeviceLatency)
 	}
 	fmt.Fprintf(out, "verify: OK — all %d units match their last write, parity consistent\n", total)

@@ -209,8 +209,8 @@ func BenchmarkStoreSmallWrite(b *testing.B) {
 }
 
 // BenchmarkFanOutHandOff measures what overlapThreshold is set against:
-// the cost of handing one item of a two-item batch to a pool helper and
-// joining it, over the same batch run inline.
+// the cost of handing one item of a two-item batch to a helper goroutine
+// and joining it, over the same batch run inline.
 func BenchmarkFanOutHandOff(b *testing.B) {
 	for _, v := range []struct {
 		name      string
@@ -304,7 +304,7 @@ func BenchmarkStoreRebuild(b *testing.B) {
 // BenchmarkStoreParallelClients measures 8 concurrent clients on a
 // degraded latency-injected store at the paper's 50/50 mix — the
 // continuous-operation scenario where user load and wide reconstruction
-// reads contend for the I/O pool.
+// reads contend for the disks.
 func BenchmarkStoreParallelClients(b *testing.B) {
 	workerVariants(b, 105, func(b *testing.B, s *Store, _ *atomic.Int64) {
 		if err := s.Fail(7); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,15 +20,19 @@ import (
 // test's watchdog turn that into a failure). The second pins the gate:
 // what a store observes of its backends decides whether it fans out.
 
+// setOverlapThreshold fixes the gate's threshold for every store built
+// for the rest of the test.
+func setOverlapThreshold(t testing.TB, d time.Duration) {
+	t.Helper()
+	old := overlapThreshold
+	overlapThreshold = d
+	t.Cleanup(func() { overlapThreshold = old })
+}
+
 // forceOverlap makes every store built for the rest of the test fan out
 // every batch it can, whatever its backends' speed, so the overlapped
 // paths run under -race on memory disks.
-func forceOverlap(t testing.TB) {
-	t.Helper()
-	old := overlapThreshold
-	overlapThreshold = 0
-	t.Cleanup(func() { overlapThreshold = old })
-}
+func forceOverlap(t testing.TB) { setOverlapThreshold(t, 0) }
 
 // errStuck is what a rendezvous backend answers when the accesses it was
 // promised never came. It wraps ErrDiskFailed so the engine does not
@@ -455,30 +460,66 @@ func TestOverlapGateFollowsDeviceLatency(t *testing.T) {
 	}
 }
 
-// mediaOnceDisk answers its nth read of one offset, counted from when it is
-// armed, with a media error; every other access passes through.
+// inGather reports whether the caller is running inside Store.gather — a
+// survivor read of a reconstruction or a pre-read, not a unit's direct
+// read. It is how a test disk tells apart two reads of one unit that the
+// Disk interface shows it identically. The match is by name: should gather
+// be renamed, mediaOnceDisk's direct read waits for a gather that never
+// shows and its test fails, loudly.
+func inGather() bool {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.Contains(f.Function, "(*Store).gather") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// mediaOnceDisk answers, once armed, the first direct read of one offset
+// with a media error — and holds that read until a gather's read of the
+// same offset has returned clean, so the order of the two is the disk's
+// doing, not the scheduler's. Every other access passes through.
 type mediaOnceDisk struct {
 	Disk
-	off   int64
-	nth   int32
-	armed atomic.Bool
-	seen  atomic.Int32
+	off      int64
+	armed    atomic.Bool
+	struck   atomic.Bool
+	once     sync.Once
+	gathered chan struct{} // closed when a gather has read off
 }
 
 func (d *mediaOnceDisk) ReadUnit(off int64, p []byte) error {
-	if off == d.off && d.armed.Load() && d.seen.Add(1) == d.nth {
-		return fmt.Errorf("planted: %w", ErrMedia)
+	if off != d.off || !d.armed.Load() {
+		return d.Disk.ReadUnit(off, p)
 	}
-	return d.Disk.ReadUnit(off, p)
+	if inGather() {
+		err := d.Disk.ReadUnit(off, p)
+		d.once.Do(func() { close(d.gathered) })
+		return err
+	}
+	if !d.struck.CompareAndSwap(false, true) {
+		return d.Disk.ReadUnit(off, p)
+	}
+	select {
+	case <-d.gathered:
+		return fmt.Errorf("planted: %w", ErrMedia)
+	case <-time.After(stuckAfter):
+		return errStuck
+	}
 }
 
 // TestOverlapAbandonedReadBatchCountsDegradedReadsOnce: a span's read
 // batch that meets damage is abandoned for the healing sweep, which reads
 // the span again; a lost unit the batch had already reconstructed must not
 // be counted in Stats.DegradedReads a second time. The damaged read is the
-// span's second unit read directly — its read inside the first unit's
-// reconstruction, just before, is clean — and the batch is made to run in
-// index order (no idle helper) so that this is the order they happen in.
+// span's second unit read directly; its read inside the first unit's
+// reconstruction is clean, and the disk makes it the earlier of the two
+// however the batch's items are scheduled.
 func TestOverlapAbandonedReadBatchCountsDegradedReadsOnce(t *testing.T) {
 	forceOverlap(t)
 	lay := testLayout(t, 7, 4)
@@ -487,7 +528,7 @@ func TestOverlapAbandonedReadBatchCountsDegradedReadsOnce(t *testing.T) {
 	for i := range disks {
 		disks[i] = NewMemDisk(48, 512)
 	}
-	once := &mediaOnceDisk{Disk: disks[flaky.Disk], off: flaky.Offset, nth: 2}
+	once := &mediaOnceDisk{Disk: disks[flaky.Disk], off: flaky.Offset, gathered: make(chan struct{})}
 	disks[flaky.Disk] = once
 	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, IOWorkers: 4})
 	if err != nil {
@@ -498,7 +539,6 @@ func TestOverlapAbandonedReadBatchCountsDegradedReadsOnce(t *testing.T) {
 	if err := s.Fail(lost.Disk); err != nil {
 		t.Fatal(err)
 	}
-	defer s.pool.release(s.pool.tryAcquire(s.ioWorkers - 1))
 	once.armed.Store(true)
 
 	before := s.Stats()

@@ -19,97 +19,95 @@ import (
 // that equivalence, the group-commit batching, and the error-aggregation
 // contracts of Sync and Close.
 
-// driveTwin applies the same seeded operation mix to both stores; any
-// divergence in results or errors fails the test.
-func driveTwin(t *testing.T, rng *rand.Rand, a, b *Store, ops int) {
+// driveTwin applies the same seeded operation mix to the serial store and
+// to every parallel one; any divergence in results or errors fails the
+// test.
+func driveTwin(t *testing.T, rng *rand.Rand, serial *Store, parallel []*Store, ops int) {
 	t.Helper()
-	us := a.UnitSize()
-	total := a.DataUnits()
-	bufA := make([]byte, 8*us)
-	bufB := make([]byte, 8*us)
+	us := int64(serial.UnitSize())
+	total := serial.DataUnits()
+	want := make([]byte, 8*us)
+	got := make([]byte, 8*us)
 	for i := 0; i < ops; i++ {
-		switch rng.Intn(4) {
-		case 0: // single-unit write
-			n := rng.Int63n(total)
-			fill(bufA[:us], n, uint64(i))
-			if err := a.WriteUnit(n, bufA[:us]); err != nil {
-				t.Fatalf("op %d: serial WriteUnit(%d): %v", i, n, err)
+		kind := rng.Intn(4)
+		units := int64(1)
+		if kind >= 2 {
+			units = 1 + rng.Int63n(8)
+		}
+		start := rng.Int63n(total - units + 1)
+		span := want[:units*us]
+		op := [...]string{"WriteUnit", "ReadUnit", "WriteRange", "ReadRange"}[kind]
+		do := func(s *Store, buf []byte) error {
+			switch kind {
+			case 0:
+				return s.WriteUnit(start, buf)
+			case 1:
+				return s.ReadUnit(start, buf)
+			case 2:
+				return s.WriteRange(start, buf)
 			}
-			if err := b.WriteUnit(n, bufA[:us]); err != nil {
-				t.Fatalf("op %d: parallel WriteUnit(%d): %v", i, n, err)
-			}
-		case 1: // single-unit read
-			n := rng.Int63n(total)
-			if err := a.ReadUnit(n, bufA[:us]); err != nil {
-				t.Fatalf("op %d: serial ReadUnit(%d): %v", i, n, err)
-			}
-			if err := b.ReadUnit(n, bufB[:us]); err != nil {
-				t.Fatalf("op %d: parallel ReadUnit(%d): %v", i, n, err)
-			}
-			if !bytes.Equal(bufA[:us], bufB[:us]) {
-				t.Fatalf("op %d: ReadUnit(%d) diverges between serial and parallel", i, n)
-			}
-		case 2: // range write
-			units := 1 + rng.Int63n(8)
-			start := rng.Int63n(total - units + 1)
-			span := bufA[:units*int64(us)]
+			return s.ReadRange(start, buf)
+		}
+		if kind%2 == 0 {
 			for u := int64(0); u < units; u++ {
-				fill(span[u*int64(us):(u+1)*int64(us)], start+u, uint64(i))
+				fill(span[u*us:(u+1)*us], start+u, uint64(i))
 			}
-			if err := a.WriteRange(start, span); err != nil {
-				t.Fatalf("op %d: serial WriteRange(%d, %d units): %v", i, start, units, err)
+		}
+		if err := do(serial, span); err != nil {
+			t.Fatalf("op %d: serial %s(%d, %d units): %v", i, op, start, units, err)
+		}
+		for _, p := range parallel {
+			buf := span
+			if kind%2 == 1 {
+				buf = got[:units*us]
 			}
-			if err := b.WriteRange(start, span); err != nil {
-				t.Fatalf("op %d: parallel WriteRange(%d, %d units): %v", i, start, units, err)
+			if err := do(p, buf); err != nil {
+				t.Fatalf("op %d: IOWorkers=%d %s(%d, %d units): %v", i, p.ioWorkers, op, start, units, err)
 			}
-		default: // range read
-			units := 1 + rng.Int63n(8)
-			start := rng.Int63n(total - units + 1)
-			if err := a.ReadRange(start, bufA[:units*int64(us)]); err != nil {
-				t.Fatalf("op %d: serial ReadRange(%d, %d units): %v", i, start, units, err)
-			}
-			if err := b.ReadRange(start, bufB[:units*int64(us)]); err != nil {
-				t.Fatalf("op %d: parallel ReadRange(%d, %d units): %v", i, start, units, err)
-			}
-			if !bytes.Equal(bufA[:units*int64(us)], bufB[:units*int64(us)]) {
-				t.Fatalf("op %d: ReadRange(%d, %d units) diverges", i, start, units)
+			if !bytes.Equal(buf, span) {
+				t.Fatalf("op %d: %s(%d, %d units) diverges between serial and IOWorkers=%d", i, op, start, units, p.ioWorkers)
 			}
 		}
 	}
 }
 
-// compareStores asserts both stores hold identical bytes in every data
-// unit and both pass CheckParity.
-func compareStores(t *testing.T, a, b *Store) {
+// compareStores asserts that every parallel store's disks hold, unit for
+// unit and trailer included, the bytes the serial store's do, and that all
+// of them pass CheckParity. Call it with no disk failed.
+func compareStores(t *testing.T, serial *Store, parallel []*Store) {
 	t.Helper()
-	us := a.UnitSize()
-	bufA := make([]byte, us)
-	bufB := make([]byte, us)
-	for n := int64(0); n < a.DataUnits(); n++ {
-		if err := a.ReadRange(n, bufA); err != nil {
-			t.Fatalf("serial read of unit %d: %v", n, err)
-		}
-		if err := b.ReadRange(n, bufB); err != nil {
-			t.Fatalf("parallel read of unit %d: %v", n, err)
-		}
-		if !bytes.Equal(bufA, bufB) {
-			t.Fatalf("unit %d differs between serial and parallel stores", n)
+	want := make([]byte, serial.physSize)
+	got := make([]byte, serial.physSize)
+	for _, p := range append([]*Store{serial}, parallel...) {
+		if err := p.CheckParity(); err != nil {
+			t.Fatalf("IOWorkers=%d CheckParity: %v", p.ioWorkers, err)
 		}
 	}
-	if err := a.CheckParity(); err != nil {
-		t.Fatalf("serial CheckParity: %v", err)
-	}
-	if err := b.CheckParity(); err != nil {
-		t.Fatalf("parallel CheckParity: %v", err)
+	for d, ref := range serial.st.Load().disks {
+		for off := int64(0); off < serial.unitsPerDisk; off++ {
+			if err := ref.ReadUnit(off, want); err != nil {
+				t.Fatalf("serial disk %d unit %d: %v", d, off, err)
+			}
+			for _, p := range parallel {
+				if err := p.st.Load().disks[d].ReadUnit(off, got); err != nil {
+					t.Fatalf("IOWorkers=%d disk %d unit %d: %v", p.ioWorkers, d, off, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("disk %d unit %d differs on disk between serial and IOWorkers=%d", d, off, p.ioWorkers)
+				}
+			}
+		}
 	}
 }
 
-// TestParallelMatchesSerial drives a serial (IOWorkers=1) and a parallel
-// (IOWorkers=8, every batch forced through the fan-out) store through the
-// same seeded lifecycle — healthy ops, as many failures as the code
-// corrects, degraded ops, the rebuilds, healed ops — under P and under
-// P+Q, and requires byte-identical unit contents and clean parity at
-// every phase boundary.
+// TestParallelMatchesSerial drives a serial store (IOWorkers=1) and three
+// parallel ones — IOWorkers 2, 8 and 64: one helper per batch, the usual
+// width, and wider than any batch or nest of batches there is, with every
+// batch forced through the fan-out — through the same seeded lifecycle:
+// healthy ops, as many failures as the code corrects, degraded ops, the
+// rebuilds, a scrub, healed ops, under P and under P+Q. Every read must
+// return the serial store's bytes and, wherever no disk is failed, the
+// on-disk images must be identical.
 func TestParallelMatchesSerial(t *testing.T) {
 	forceOverlap(t)
 	for _, code := range []struct {
@@ -134,33 +132,39 @@ func TestParallelMatchesSerial(t *testing.T) {
 					return s
 				}
 				serial := mk(1, 1)
-				parallel := mk(8, 4)
+				parallel := []*Store{mk(2, 2), mk(8, 4), mk(64, 4)}
+				all := append([]*Store{serial}, parallel...)
 				rng := rand.New(rand.NewSource(seed))
 
 				driveTwin(t, rng, serial, parallel, 200)
 				compareStores(t, serial, parallel)
 
 				for _, victim := range rng.Perm(lay.Disks())[:serial.Parities()] {
-					if err := serial.Fail(victim); err != nil {
-						t.Fatal(err)
-					}
-					if err := parallel.Fail(victim); err != nil {
-						t.Fatal(err)
+					for _, s := range all {
+						if err := s.Fail(victim); err != nil {
+							t.Fatalf("IOWorkers=%d Fail(%d): %v", s.ioWorkers, victim, err)
+						}
 					}
 					driveTwin(t, rng, serial, parallel, 200)
 				}
 				for range serial.FailedDisks() {
-					if err := serial.Rebuild(NewMemDisk(48, 512)); err != nil {
-						t.Fatalf("serial rebuild: %v", err)
-					}
-					if err := parallel.Rebuild(NewMemDisk(48, 512)); err != nil {
-						t.Fatalf("parallel rebuild: %v", err)
+					for _, s := range all {
+						if err := s.Rebuild(NewMemDisk(48, 512)); err != nil {
+							t.Fatalf("IOWorkers=%d rebuild: %v", s.ioWorkers, err)
+						}
 					}
 					driveTwin(t, rng, serial, parallel, 100)
 				}
+				for _, s := range all {
+					if res, err := s.Scrub(); err != nil || res.UnitRepairs+res.ParityRewrites != 0 {
+						t.Fatalf("IOWorkers=%d scrub after the rebuilds: %+v, %v", s.ioWorkers, res, err)
+					}
+				}
 				compareStores(t, serial, parallel)
-				if st := parallel.Stats(); st.FanOuts == 0 {
-					t.Fatalf("the parallel store never fanned out: %+v", st)
+				for _, p := range parallel {
+					if st := p.Stats(); st.FanOuts == 0 {
+						t.Fatalf("the IOWorkers=%d store never fanned out: %+v", p.ioWorkers, st)
+					}
 				}
 			})
 		}
@@ -400,13 +404,10 @@ func TestWorkerConfigValidation(t *testing.T) {
 		t.Fatalf("IOWorkers=6 gave (io=%d, rebuild=%d), want RebuildWorkers to default to IOWorkers",
 			s.ioWorkers, s.rebuildWorkers)
 	}
-	if got := s.pool.free.Load(); got != 5 {
-		t.Fatalf("pool holds %d helper tokens, want IOWorkers-1 = 5", got)
-	}
 }
 
-// TestFanOutSerialFallback pins that a store whose pool is exhausted (or
-// configured serial) runs batches in index order on the caller with
+// TestFanOutSerialFallback pins that a batch that is not overlapped (here:
+// a store configured serial) runs in index order on the caller with
 // first-error-wins, exactly the serial engine.
 func TestFanOutSerialFallback(t *testing.T) {
 	s, err := New(Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 1})

@@ -12,9 +12,8 @@ import (
 // and parity writes), the units of a range read, the per-stripe jobs of a
 // range operation, CheckParity's sweep — is a batch of accesses that can
 // be in flight simultaneously. fanOut is the single primitive all of them
-// use: it runs the items of one batch across a bounded set of helper
-// goroutines drawn from the store's I/O pool, with the submitting
-// goroutine always working too.
+// use: it runs the items of one batch on up to Config.IOWorkers goroutines,
+// the submitting one among them.
 //
 // Whether a batch is worth handing to helpers is decided in one place,
 // overlap, from what the store observes of its backends: handing an item
@@ -24,21 +23,20 @@ import (
 // order, on the submitting goroutine — the serial engine, with no closure
 // built — and a store over real devices overlaps them.
 //
-// The pool is deliberately opportunistic. Helpers are acquired with a
-// non-blocking try, so a saturated store (every client already keeping a
-// core and a disk busy) degrades to exactly the serial engine — no queue,
-// no handoff latency, no deadlock — while an idle store (one client
-// issuing a wide degraded read, a rebuild sweeping alone) gets the full
-// fan-out. Because acquisition never blocks, nested fan-outs (a range
-// operation's per-stripe job issuing a degraded read that itself gathers
-// survivors) are safe: the inner batch simply runs inline when the pool's
-// tokens are spent. The helper of a two-item batch comes from the same
-// pool as everyone else's: Config.IOWorkers stays the one bound on how
-// many accesses the store keeps in flight per submitting goroutine.
+// The bound is per batch — min(n, IOWorkers) goroutines, started
+// unconditionally once the gate says yes — and there is no store-wide one:
+// the gate already starts no helper on a store where it would not be asleep
+// on a device, and the work bounds the rest. Every goroutine of a batch
+// holds one of its items and the submitter is one of them, so an operation,
+// however its batches nest (a range operation's per-stripe job issuing a
+// degraded read that itself gathers survivors), never has more goroutines
+// than backend accesses; how many operations run at once is the callers'
+// choice (clients, RebuildWorkers). Helpers take no lock and starting one
+// never blocks, so nesting cannot deadlock.
 //
-// Config.IOWorkers=1 disables all of it — no gate, no sampling, no pool;
-// every batch runs in submission order on the submitting goroutine,
-// byte-identical to the parallel engine (pinned by
+// Config.IOWorkers=1 disables all of it — no gate, no sampling, no
+// helpers; every batch runs in submission order on the submitting
+// goroutine, byte-identical to the parallel engine (pinned by
 // TestParallelMatchesSerial).
 
 // overlapThreshold is the device wait a batch must be able to save before
@@ -99,50 +97,27 @@ func (g *overlapGate) end(start time.Time) {
 	g.ewma.Store(old + (d-old)/8)
 }
 
-// overlap reports whether a batch of n independent accesses should be
-// fanned out: only on a parallel store, and only when the device waits it
-// could save — n−1 of them, at the observed access time — outweigh the
-// hand-off. It is the one place the engine chooses between inline and
-// overlapped issue; a batch it turns down is counted in
-// Stats.FanOutsInline.
+// pays reports whether overlapping n independent accesses would save more
+// device wait — n−1 of them, at the observed access time — than the
+// hand-off costs. Never on a serial store.
+func (g *overlapGate) pays(n int) bool {
+	return g != nil && n >= 2 && int64(n-1)*g.ewma.Load() >= g.threshold
+}
+
+// overlap is pays asked for a batch that is about to be issued, and the
+// one place the engine chooses between inline and overlapped issue: a
+// batch it turns down is counted in Stats.FanOutsInline.
 func (s *Store) overlap(n int) bool {
 	g := s.gate
 	if g == nil || n < 2 {
 		return false
 	}
-	if int64(n-1)*g.ewma.Load() < g.threshold {
+	if !g.pays(n) {
 		g.inline.Add(1)
 		return false
 	}
 	return true
 }
-
-// ioPool bounds the helper goroutines a store may have in flight. Tokens
-// are taken with a lock-free try-acquire; holders run exactly one batch
-// and hand the token back.
-type ioPool struct {
-	free atomic.Int32
-}
-
-// tryAcquire claims up to want tokens without blocking and returns how
-// many it got (possibly zero).
-func (p *ioPool) tryAcquire(want int) int {
-	for {
-		f := p.free.Load()
-		if f <= 0 || want <= 0 {
-			return 0
-		}
-		n := int32(want)
-		if n > f {
-			n = f
-		}
-		if p.free.CompareAndSwap(f, f-n) {
-			return int(n)
-		}
-	}
-}
-
-func (p *ioPool) release(n int) { p.free.Add(int32(n)) }
 
 // fanBatch is one fan-out in flight: items are claimed by atomic counter
 // so helpers and the submitter load-balance; the first error (lowest item
@@ -176,26 +151,16 @@ func (b *fanBatch) run() {
 	}
 }
 
-// fanOut runs fn(0), …, fn(n−1), fanning the calls across idle I/O pool
-// helpers with the caller participating. When the gate is shut or no
-// helper is available the calls run in index order on the calling
-// goroutine with the first error aborting the rest — the serial engine's
-// exact behavior. With helpers, in-flight calls complete after an error
-// but unclaimed ones are cancelled, and the returned error is the
-// lowest-indexed one observed. Callers on a path that must not allocate
-// ask overlap themselves first and build fn only when it says yes.
+// fanOut runs fn(0), …, fn(n−1). When the gate is shut the calls run in
+// index order on the calling goroutine with the first error aborting the
+// rest — the serial engine's exact behavior. Otherwise they are spread
+// over min(n, IOWorkers) goroutines, the caller one of them: in-flight
+// calls complete after an error but unclaimed ones are cancelled, and the
+// returned error is the lowest-indexed one observed. Callers on a path
+// that must not allocate ask overlap themselves first and build fn only
+// when it says yes.
 func (s *Store) fanOut(n int, fn func(int) error) error {
-	helpers := 0
-	if s.overlap(n) {
-		want := n - 1
-		if want > s.ioWorkers-1 {
-			want = s.ioWorkers - 1
-		}
-		if helpers = s.pool.tryAcquire(want); helpers == 0 {
-			s.gate.inline.Add(1)
-		}
-	}
-	if helpers == 0 {
+	if !s.overlap(n) {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -204,14 +169,12 @@ func (s *Store) fanOut(n int, fn func(int) error) error {
 		return nil
 	}
 	s.gate.fanOuts.Add(1)
+	helpers := min(n, s.ioWorkers) - 1
 	b := fanBatch{fn: fn, n: int64(n)}
 	b.wg.Add(helpers)
 	for h := 0; h < helpers; h++ {
 		go func() {
-			defer func() {
-				s.pool.release(1)
-				b.wg.Done()
-			}()
+			defer b.wg.Done()
 			b.run()
 		}()
 	}

@@ -67,8 +67,8 @@ func (s *Store) span(stripe, start, n, perStripe int64) (lo, hi int64) {
 // ReadRange reads the logical data units [start, start+len(dst)/UnitSize)
 // into dst, taking each stripe's lock once for all of its units. Each
 // touched stripe is an independent job — its units land in a disjoint
-// window of dst — so multi-stripe ranges fan out across idle I/O workers,
-// with the first error (lowest stripe) cancelling unstarted jobs.
+// window of dst — so multi-stripe ranges fan out across I/O helpers, with
+// the first error (lowest stripe) cancelling unstarted jobs.
 func (s *Store) ReadRange(start int64, dst []byte) error {
 	n, err := s.checkRange(start, dst)
 	if err != nil {
@@ -158,7 +158,7 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 // uses the large-write optimization (parity from the new contents, no
 // pre-reads); partial segments read-modify-write. Stripe jobs are
 // independent — each takes only its own stripe's lock — so multi-stripe
-// ranges fan out across idle I/O workers.
+// ranges fan out across I/O helpers.
 func (s *Store) WriteRange(start int64, src []byte) error {
 	n, err := s.checkRange(start, src)
 	if err != nil {

@@ -145,7 +145,8 @@ type scrubShard struct {
 // damage in place, stripe by stripe under the stripe locks, while user
 // operations continue — the background patrol read. The sweep is split
 // into Config.RebuildWorkers contiguous shards scrubbed concurrently
-// (each stripe still verified under its own lock); Config.ScrubThrottle
+// (each stripe still verified under its own lock), so that many stripes —
+// at most G reads each — are in flight at once; Config.ScrubThrottle
 // paces the sweep in aggregate — each worker sleeps workers× the
 // configured pause, so the knob means the same wall-clock sweep rate at
 // any worker count. Stripes with a lost unit are skipped. Unrecoverable

@@ -31,26 +31,28 @@ type Config struct {
 	// Geometry are validated against the store's.
 	Disks []Disk
 	// IOWorkers is the upper bound on overlap: how many independent disk
-	// accesses of one operation (degraded-read survivor gathers, the
-	// pre-reads and then the writes of a parity update, range operations,
-	// CheckParity) the store may keep in flight at once, on up to
-	// IOWorkers−1 idle helper goroutines plus the submitting one. The
-	// store decides per batch whether to use them: it times a sample of
-	// its backend accesses and overlaps a batch only when the device
-	// waits saved outweigh the hand-off, so a memory- or page-cache-fast
-	// backend is served inline whatever this is set to (see
-	// Stats.DeviceLatency). Helpers are acquired with a non-blocking try,
-	// so a saturated store degrades to serial issue instead of queueing.
-	// 1 is the serial engine (no helpers, no timing, bit-identical
-	// results); 0 defaults to GOMAXPROCS.
+	// accesses of one batch (a degraded read's survivor gather, the
+	// pre-reads and then the writes of a parity update, the units of a
+	// stripe span, the stripes of a range operation, CheckParity) the store
+	// may keep in flight at once, on up to IOWorkers−1 helper goroutines
+	// plus the submitting one. The bound is per batch; nothing is shared
+	// between operations. The store decides per batch whether to use
+	// helpers at all: it times a sample of its backend accesses and
+	// overlaps a batch only when the device waits saved outweigh the
+	// hand-off, so a memory- or page-cache-fast backend is served inline
+	// whatever this is set to (see Stats.DeviceLatency). 1 is the serial
+	// engine (no helpers, no timing, bit-identical results); 0 defaults to
+	// GOMAXPROCS.
 	IOWorkers int
-	// RebuildWorkers is how many shards Rebuild and Scrub sweep
-	// concurrently; the declustered layout spreads each shard's
-	// reconstruction reads over all surviving disks, so the sweep scales
-	// until the survivors saturate. RebuildThrottle/ScrubThrottle pacing
-	// is aggregate: each worker sleeps workers× the configured throttle,
-	// so the knob means the same wall-clock sweep rate at any worker
-	// count. 0 defaults to IOWorkers.
+	// RebuildWorkers is how many units Rebuild, and stripes Scrub, keep in
+	// flight: the sweep runs as that many concurrent shards, each with one
+	// survivor gather (at most G−1 reads) and — on devices worth
+	// overlapping — one replacement write outstanding. The declustered
+	// layout spreads each shard's reconstruction reads over all surviving
+	// disks, so the sweep scales until the survivors saturate.
+	// RebuildThrottle/ScrubThrottle pacing is aggregate: each worker sleeps
+	// workers× the configured throttle, so the knob means the same
+	// wall-clock sweep rate at any worker count. 0 defaults to IOWorkers.
 	RebuildWorkers int
 	// RebuildThrottle pauses the rebuild sweep between units, trading
 	// rebuild time for user response — the paper's §9 throttling knob,
@@ -154,11 +156,12 @@ type Stats struct {
 	ResyncedStripes int64
 	ResyncRepairs   int64
 	// FanOuts counts batches of independent accesses issued overlapped,
-	// across I/O helpers; FanOutsInline the batches issued inline instead,
-	// because the backends answer too fast for a hand-off to pay or every
-	// helper was busy; DeviceLatency is the moving average of sampled
-	// backend access times that decides between the two. All three stay
-	// zero on a serial store (IOWorkers=1), which measures nothing.
+	// across I/O helpers; FanOutsInline the batches the latency gate turned
+	// down — issued inline because the backends answer too fast for a
+	// hand-off to pay — and nothing else; DeviceLatency is the moving
+	// average of sampled backend access times that decides between the
+	// two. All three stay zero on a serial store (IOWorkers=1), which
+	// measures nothing.
 	FanOuts       int64
 	FanOutsInline int64
 	DeviceLatency time.Duration
@@ -240,7 +243,6 @@ type Store struct {
 
 	ioWorkers      int
 	rebuildWorkers int
-	pool           ioPool
 	gate           *overlapGate // nil on a serial store (IOWorkers=1)
 
 	locks lockTable
@@ -372,7 +374,6 @@ func New(cfg Config) (*Store, error) {
 		rebuildWorkers: cfg.RebuildWorkers,
 		diskErrs:       make([]atomic.Int64, c),
 	}
-	s.pool.free.Store(int32(s.ioWorkers - 1))
 	if s.ioWorkers > 1 {
 		s.gate = &overlapGate{threshold: int64(overlapThreshold)}
 	}
@@ -892,9 +893,9 @@ func (s *Store) Rebuild(repl Disk) error {
 	// landed — the unit is not rebuilt, and its stripe not consistent with
 	// the rebuilt map, before that — and at most one is in flight per
 	// worker: the worker joins it once the next gather is done, before
-	// that gather's own write may start. It runs on a goroutine of the
-	// worker's own, not an I/O pool helper: RebuildWorkers already bounds
-	// it, and the sweep's gathers need every token the clients leave.
+	// that gather's own write may start. RebuildWorkers is therefore exactly
+	// the units in flight: at most RebuildWorkers × (G−1) survivor reads and
+	// RebuildWorkers replacement writes at once.
 	workers := s.rebuildWorkers
 	if int64(workers) > s.unitsPerDisk {
 		workers = int(s.unitsPerDisk)
@@ -959,7 +960,7 @@ func (s *Store) Rebuild(repl Disk) error {
 						s.locks.unlock(stripe)
 						return
 					}
-					if s.overlap(2) {
+					if s.gate.pays(2) {
 						behindAt, cur = off, cur^1
 						go func() { behind <- s.writeRebuilt(repl, f, stripe, loc, data) }()
 					} else if err := s.writeRebuilt(repl, f, stripe, loc, data); err != nil {
