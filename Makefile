@@ -4,8 +4,7 @@ GO ?= go
 # fault-free pair (allocations and events/req are part of the contract) and
 # the event-engine microbenches. The storage engine is gated by benchmark/
 # instead (parent against change on one machine, per layer, exact
-# allocation counts); its rows in bench/BENCH_<n>.json are history —
-# benchdiff ignores baseline rows that were not run.
+# allocation counts).
 BENCH_PATTERN ?= FaultFree|Schedule
 BENCH_PKGS ?= . ./internal/sim
 
@@ -14,7 +13,7 @@ BENCH_PKGS ?= . ./internal/sim
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos store-chaos-2f bench-harness fuzz nightly vet fmt-check fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench bench-save bench-diff store-chaos bench-harness fuzz nightly vet fmt-check fault-smoke lint cover verify clean
 
 all: build
 
@@ -50,23 +49,16 @@ bench-save:
 bench-diff:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem $(BENCH_PKGS) | $(GO) run ./cmd/benchdiff -diff
 
-# The chaos invariant under the race detector: 12 workers against
-# fault-injecting backends (transients, latent sector errors, torn writes,
-# read corruption) with a mid-run disk failure and rebuild; every
-# acknowledged write must read back byte-for-byte and parity must end
-# clean. The seed is always printed and, when STORE_CHAOS_DIR is set,
-# written there so CI can upload it as a failure artifact; rerun a failure
-# with CHAOS_SEED=<seed>.
+# The chaos invariants and the SIGKILL crash test under the race detector,
+# verbosely: 12 workers against fault-injecting backends (transients, latent
+# sector errors, torn writes, read corruption) while one disk (single
+# parity) or two (P+Q) fail and rebuild mid-run; every acknowledged write
+# must read back byte-for-byte and parity must end clean. `race` already
+# runs these once, so this target is for replaying a failure:
+# CHAOS_SEED=<seed> make store-chaos. Every run prints its seed; a failing
+# one appends it to $STORE_CHAOS_DIR/<test name>.seed, which CI uploads.
 store-chaos:
-	$(GO) test -race -run 'TestChaosAcknowledged|TestCrash' -count=1 -v ./internal/store/
-
-# The two-failure chaos invariant: the same 12-worker fault mix against the
-# P+Q dual-parity store, losing TWO disks mid-run — a singly-degraded
-# window, a doubly-degraded window with the code saturated, then both
-# rebuilds under load. Seed handling matches store-chaos (printed, written
-# to STORE_CHAOS_DIR, rerun with CHAOS_SEED=<seed>).
-store-chaos-2f:
-	$(GO) test -race -run 'TestChaos2F' -count=1 -v ./internal/store/
+	$(GO) test -race -run 'TestChaos|TestCrash' -count=1 -v ./internal/store/
 
 # The benchmark harness's own invariants (benchmark/ is its own module):
 # exact access counts per op, the recorder's attribution, the quiet-tail
@@ -133,11 +125,10 @@ cover:
 		{ echo "coverage $$total% fell below the $$floor% floor"; exit 1; }
 
 # The full pre-merge gate: formatting, static checks, build, the whole test
-# suite under the race detector (once), the fault-injection lifecycle
-# smoke, the storage chaos invariants (single- and double-failure, run
-# verbosely so the seed is printed), the benchmark harness's own tests,
-# ten seconds of kernel fuzzing, and a benchmark smoke pass.
-verify: fmt-check vet build race fault-smoke store-chaos store-chaos-2f bench-harness fuzz bench-smoke
+# suite under the race detector (once — the storage chaos and crash tests
+# included), the fault-injection lifecycle smoke, the benchmark harness's
+# own tests, ten seconds of kernel fuzzing, and a benchmark smoke pass.
+verify: fmt-check vet build race fault-smoke bench-harness fuzz bench-smoke
 	@echo "verify: OK"
 
 clean:

@@ -46,7 +46,6 @@ import (
 	"declust/internal/sim"
 	"declust/internal/store"
 	"declust/internal/telemetry"
-	"declust/internal/trace"
 	"io"
 )
 
@@ -72,10 +71,6 @@ const (
 	RedirectPiggyback = array.RedirectPiggyback
 )
 
-// Criteria reports a layout's standing against the paper's §4.1 goodness
-// criteria.
-type Criteria = layout.Criteria
-
 // Layout is a periodic mapping of parity stripes to disks.
 type Layout = layout.Layout
 
@@ -85,9 +80,6 @@ type Loc = layout.Loc
 // Design is a balanced (complete or incomplete) block design.
 type Design = blockdesign.Design
 
-// DesignParams are the five classic BIBD parameters.
-type DesignParams = blockdesign.Params
-
 // Geometry describes a disk drive model.
 type Geometry = disk.Geometry
 
@@ -95,26 +87,13 @@ type Geometry = disk.Geometry
 // SimConfig.SchedPolicy); the zero value is the paper's CVSCAN.
 type SchedPolicy = disk.Policy
 
-// The disk queue scheduling policies.
-const (
-	SchedCVSCAN = disk.CVSCAN
-	SchedFIFO   = disk.FIFO
-	SchedSSTF   = disk.SSTF
-	SchedCSCAN  = disk.CSCAN
-)
+// SchedCVSCAN is the paper's disk queue scheduling policy and the default;
+// ParseSchedPolicy names the others.
+const SchedCVSCAN = disk.CVSCAN
 
 // ParseSchedPolicy parses a policy name ("cvscan", "fifo", "sstf",
 // "cscan"; empty selects CVSCAN).
 func ParseSchedPolicy(s string) (SchedPolicy, error) { return disk.ParsePolicy(s) }
-
-// Trace is a recorded user-level I/O trace (see SimConfig.CaptureTrace).
-type Trace = trace.Log
-
-// TraceRecord is one completed access in a Trace.
-type TraceRecord = trace.Record
-
-// TraceReplayer replays a Trace's arrival process as a workload source.
-type TraceReplayer = trace.Replayer
 
 // AnalyticModel is the Muntz & Lui reconstruction-time model (§8.3).
 type AnalyticModel = analytic.Model
@@ -156,12 +135,6 @@ type LifecycleReport = core.LifecycleReport
 // failures and repairs (the paper's title scenario).
 func RunLifecycle(cfg LifecycleConfig) (LifecycleReport, error) { return core.RunLifecycle(cfg) }
 
-// NewSparedMapping selects a distributed-sparing layout (per-stripe spare
-// units over a G+1 design); use with SimConfig.DistributedSparing.
-func NewSparedMapping(c, g, maxTuples int) (*Mapping, error) {
-	return core.NewSparedMapping(c, g, maxTuples)
-}
-
 // NewPQMapping selects a layout as NewMapping does, then adds a second,
 // Reed–Solomon (Q) parity unit to every stripe: the RAID-6-style P+Q code
 // that survives any two concurrent disk failures. Use with
@@ -180,10 +153,6 @@ type MetricsRegistry = metrics.Registry
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// Tracer receives structured simulation events (user accesses, disk
-// requests, reconstruction milestones); assign one to SimConfig.Tracer.
-type Tracer = metrics.Tracer
-
 // NewJSONLTracer returns a Tracer writing one JSON event per line to w.
 // Call Flush when the run completes.
 func NewJSONLTracer(w io.Writer) *metrics.JSONL { return metrics.NewJSONL(w) }
@@ -195,26 +164,16 @@ type Progress = core.Progress
 // SpanTracer records request-lifecycle spans: one root span per user
 // access with phase children (lock wait, pre-reads, commits, on-the-fly
 // reconstruction) and per-disk service segments. Assign one to
-// SimConfig.Spans; export with WriteJSONL (compact, for tracestat) or
-// WriteChromeTrace (load in Perfetto / chrome://tracing), or feed the
-// spans to AttributeSpans for a latency decomposition.
+// SimConfig.Spans; export with WriteJSONL (compact; cmd/tracestat turns it
+// into a latency decomposition) or WriteChromeTrace (load in Perfetto /
+// chrome://tracing).
 type SpanTracer = telemetry.Tracer
 
 // NewSpanTracer returns an enabled span tracer.
 func NewSpanTracer() *SpanTracer { return telemetry.New() }
 
-// Span is one traced interval.
-type Span = telemetry.Span
-
 // SpanMeta labels a span export with its run's configuration.
 type SpanMeta = telemetry.Meta
-
-// SpanAttribution decomposes measured user response time by cause.
-type SpanAttribution = telemetry.Attribution
-
-// AttributeSpans computes the causal latency decomposition of a run's
-// spans (see SpanAttribution).
-func AttributeSpans(spans []Span) SpanAttribution { return telemetry.Attribute(spans) }
 
 // LiveStatus is the periodic run snapshot delivered to SimConfig.OnLive.
 type LiveStatus = core.LiveStatus
@@ -233,26 +192,12 @@ type LiveProgress = telemetry.Progress
 // the paper's "by parity stripe index" data mapping.
 func DataLoc(l Layout, n int64) Loc { return layout.DataLoc(l, n) }
 
-// ParityLoc returns the location of a parity stripe's parity unit.
-func ParityLoc(l Layout, stripe int64) Loc { return layout.ParityLoc(l, stripe) }
-
-// SurvivingUnits returns the other units of the parity stripe owning loc —
-// exactly the reads needed to reconstruct loc's contents.
-func SurvivingUnits(l Layout, loc Loc) []Loc { return layout.SurvivingUnits(l, loc) }
-
 // IBM0661 returns the paper's disk model (Table 5-1).
 func IBM0661() Geometry { return disk.IBM0661() }
 
 // PaperDesign returns one of the six block designs of the paper's appendix
 // (21 disks; g ∈ {3, 4, 5, 6, 10, 18}).
 func PaperDesign(g int) (*Design, error) { return blockdesign.PaperDesign(g) }
-
-// ReadTrace parses a trace written by Trace.WriteTo.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
-
-// NewTraceReplayer builds a workload source replaying a recorded trace;
-// assign it to SimConfig.Source.
-func NewTraceReplayer(t *Trace) (*TraceReplayer, error) { return trace.NewReplayer(t) }
 
 // SelectDesign finds the best available block design for C disks and
 // parity stripe size G, per the paper's §4.3 procedure.
@@ -268,22 +213,6 @@ func SelectDesign(c, g, maxTuples int) (*Design, bool, error) {
 // through the Run* functions, but fault experiments (SecondFail,
 // FailReplacement, StartScrub) operate on it directly.
 type Array = array.Array
-
-// DataLossEvent records one stripe losing more units than single-failure
-// redundancy can rebuild.
-type DataLossEvent = array.DataLossEvent
-
-// DoubleFailure summarizes a second whole-disk failure while degraded:
-// declustering loses only the fraction α of the at-risk stripes, RAID 5
-// loses them all.
-type DoubleFailure = array.DoubleFailure
-
-// FaultStats counts the array driver's fault handling (retries, media
-// errors, repairs, lost units).
-type FaultStats = array.FaultStats
-
-// ScrubStats counts background scrubber activity.
-type ScrubStats = array.ScrubStats
 
 // LifecycleReport fault fields and SimConfig fault fields (FaultSeed,
 // LSERatePerGBHour, TransientRate, ScrubIntervalMS) drive the injector in
@@ -304,20 +233,6 @@ type StoreConfig = store.Config
 // NewMemDisk, one file per disk via OpenFileDisk, or any user
 // implementation).
 type StoreDisk = store.Disk
-
-// StoreStats counts store engine activity (reads, writes, degraded
-// reads, folded/redirected writes, rebuilt units).
-type StoreStats = store.Stats
-
-// StoreMode is a Store's failure state.
-type StoreMode = store.Mode
-
-// The store failure states.
-const (
-	StoreHealthy    = store.Healthy
-	StoreDegraded   = store.Degraded
-	StoreRebuilding = store.Rebuilding
-)
 
 // OpenStore builds a storage engine over an array of c disks with parity
 // stripes of g units, selecting the layout exactly as NewMapping does.
@@ -368,9 +283,6 @@ func OpenFileDisks(dir string, c int, units int64, unitSize int) ([]StoreDisk, e
 // latent sector errors, read corruption, and injected latency.
 type StoreFaultConfig = store.FaultConfig
 
-// StoreFaultStats counts the faults a fault-injecting backend delivered.
-type StoreFaultStats = store.FaultStats
-
 // StoreFaultDisk wraps any store backend with seed-driven fault
 // injection; the engine's checksums, retries, self-healing reads, and
 // scrubber are expected to absorb everything it throws.
@@ -389,25 +301,6 @@ type StoreIntentLog = store.IntentLog
 // StoreConfig.Intent. A store reopened over a log with dirty regions
 // resynchronizes their stripes before serving.
 func OpenFileIntent(path string) StoreIntentLog { return store.OpenFileIntent(path) }
-
-// ScrubResult summarizes one Store.Scrub sweep: stripes verified and
-// skipped, damaged units repaired, stale parity rewritten, and stripes
-// beyond repair.
-type ScrubResult = store.ScrubResult
-
-// PhysUnitSize returns the on-backend size of a store unit: the data
-// plus its checksum trailer. Custom StoreDisk implementations size their
-// blocks with this.
-func PhysUnitSize(unitSize int) int { return store.PhysUnitSize(unitSize) }
-
-// Store backend error classes: transient errors are retried by the
-// engine, media errors trigger reconstruct-and-rewrite healing, and
-// ErrUnrecoverable reports damage beyond single parity.
-var (
-	ErrStoreTransient     = store.ErrTransient
-	ErrStoreMedia         = store.ErrMedia
-	ErrStoreUnrecoverable = store.ErrUnrecoverable
-)
 
 // NewIdleArray builds an array for enumeration-style analyses — no
 // workload runs and no simulated time passes. scale divides the IBM 0661

@@ -1,11 +1,124 @@
 package declust_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"declust"
 )
+
+// TestFacadeExportsHaveCallers keeps declust.go to the names something
+// uses: an exported function, constant or variable must be referenced as
+// declust.X by a file under cmd/ or examples/ or by a root test; an
+// exported type must be referenced so, or appear in declust.go outside its
+// own declaration (in the signature of a function that stays). A name
+// nothing calls goes, and comes back with its first caller.
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	callers, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+				callers = append(callers, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	called := map[string]bool{} // X of every declust.X selector
+	for _, path := range callers {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"declust"` {
+				pkg = "declust"
+				if imp.Name != nil {
+					pkg = imp.Name.Name
+				}
+			}
+		}
+		if pkg == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+					called[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+
+	facade, err := parser.ParseFile(fset, "declust.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The identifiers declust.go itself uses: not the name a type
+	// declaration introduces, and not the Name of an imported pkg.Name
+	// (type Loc = layout.Loc does not use Loc).
+	notAUse := map[*ast.Ident]bool{}
+	ast.Inspect(facade, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			notAUse[n.Sel] = true
+		case *ast.TypeSpec:
+			notAUse[n.Name] = true
+		}
+		return true
+	})
+	used := map[string]bool{}
+	ast.Inspect(facade, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !notAUse[id] {
+			used[id.Name] = true
+		}
+		return true
+	})
+
+	exported := 0
+	check := func(kind string, name *ast.Ident, live bool) {
+		if !name.IsExported() {
+			return
+		}
+		exported++
+		if !live {
+			t.Errorf("declust.%s: exported %s with no caller under cmd/, examples/ or the root tests; delete it, or add it with its first caller", name.Name, kind)
+		}
+	}
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				check("func", d.Name, called[d.Name.Name])
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						check(d.Tok.String(), name, called[name.Name])
+					}
+				case *ast.TypeSpec:
+					check("type", s.Name, called[s.Name.Name] || used[s.Name.Name])
+				}
+			}
+		}
+	}
+	t.Logf("declust.go exports %d names", exported)
+}
 
 func TestFacadeMapping(t *testing.T) {
 	m, err := declust.NewMapping(21, 5, 0)

@@ -27,9 +27,6 @@ type ScrubStats struct {
 // ScrubStats returns a copy of the scrubber counters.
 func (a *Array) ScrubStats() ScrubStats { return a.scrubStats }
 
-// Scrubbing reports whether the background scrubber is running.
-func (a *Array) Scrubbing() bool { return a.scrubOn }
-
 // StartScrub begins the background scrub: one parity stripe is read and
 // verified every spacingMS, lowest disk priority, looping over the array
 // forever (a full pass takes Stripes()×spacingMS plus service time). Any

@@ -17,10 +17,7 @@
 // array size C and parity stripe size G.
 package blockdesign
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Design is a block design on objects 0..V-1. Tuples hold K distinct
 // objects each. Construct designs through the package generators, which
@@ -147,21 +144,4 @@ func (d *Design) Clone() *Design {
 		t[i] = append([]int(nil), tup...)
 	}
 	return &Design{V: d.V, K: d.K, Tuples: t, Source: d.Source}
-}
-
-// sortTuples orders each tuple ascending and the tuple list
-// lexicographically; useful for stable output and tests.
-func (d *Design) sortTuples() {
-	for _, tup := range d.Tuples {
-		sort.Ints(tup)
-	}
-	sort.Slice(d.Tuples, func(i, j int) bool {
-		a, b := d.Tuples[i], d.Tuples[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
 }

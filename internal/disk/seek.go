@@ -90,6 +90,3 @@ func (s SeekCurve) Time(d int) float64 {
 	}
 	return s.a*math.Sqrt(float64(d)) + s.b*float64(d) + s.c
 }
-
-// Coefficients returns the calibrated (a, b, c) of t(d) = a*sqrt(d)+b*d+c.
-func (s SeekCurve) Coefficients() (a, b, c float64) { return s.a, s.b, s.c }

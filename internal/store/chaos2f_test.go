@@ -16,7 +16,7 @@ import (
 // loses TWO disks mid-run, serves a doubly-degraded window, rebuilds both
 // slots under load, and at the end must be parity-consistent on both
 // equations with every acknowledged write readable byte-for-byte.
-// make store-chaos-2f runs this under the race detector.
+// make store-chaos runs this under the race detector.
 //
 // Fault placement follows the same collision-free discipline as the
 // single-parity chaos run, tightened for the smaller margin of the

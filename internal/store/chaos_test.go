@@ -1,10 +1,12 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -41,15 +43,84 @@ func chaosSeed(t *testing.T) int64 {
 	return time.Now().UnixNano()
 }
 
-// recordChaosSeed makes the run reproducible: always logged, and written
-// where CI can pick it up as a failure artifact.
+// recordChaosSeed makes the run reproducible: the seed is always logged,
+// and a failing run leaves it under STORE_CHAOS_DIR, where CI picks it up
+// as a failure artifact.
 func recordChaosSeed(t *testing.T, seed int64) {
 	t.Logf("chaos seed: %d (rerun with CHAOS_SEED=%d)", seed, seed)
 	if dir := os.Getenv("STORE_CHAOS_DIR"); dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err == nil {
-			os.WriteFile(filepath.Join(dir, "chaos-seed.txt"),
-				[]byte(fmt.Sprintf("CHAOS_SEED=%d\n", seed)), 0o644)
-		}
+		t.Cleanup(func() {
+			if err := writeFailedSeed(dir, t.Name(), seed, t.Failed()); err != nil {
+				t.Logf("chaos seed not written: %v", err)
+			}
+		})
+	}
+}
+
+// writeFailedSeed appends a failed repetition's seed to dir/<name>.seed and
+// writes nothing for one that passed, so after -count=N the file holds the
+// seeds of exactly the repetitions that failed, one line each.
+func writeFailedSeed(dir, name string, seed int64, failed bool) error {
+	if !failed {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(filepath.Join(dir, name+".seed"), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(f, "CHAOS_SEED=%d\n", seed)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func TestWriteFailedSeed(t *testing.T) {
+	type run struct {
+		name   string
+		seed   int64
+		failed bool
+	}
+	const single, double = "TestChaosAcknowledgedWritesSurviveFaultsAndRebuild", "TestChaos2FDoubleFailureRebuild"
+	for _, tc := range []struct {
+		name string
+		runs []run
+		want map[string]string // file name → contents
+	}{
+		{"a pass writes nothing", []run{{single, 1, false}, {double, 2, false}}, map[string]string{}},
+		{"two failing repetitions leave two lines",
+			[]run{{single, 1, true}, {single, 2, false}, {single, 3, true}},
+			map[string]string{single + ".seed": "CHAOS_SEED=1\nCHAOS_SEED=3\n"}},
+		{"the two tests never share a file",
+			[]run{{single, 4, true}, {double, 5, true}, {single, 6, false}},
+			map[string]string{single + ".seed": "CHAOS_SEED=4\n", double + ".seed": "CHAOS_SEED=5\n"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "chaos-artifacts")
+			for _, r := range tc.runs {
+				if err := writeFailedSeed(dir, r.name, r.seed, r.failed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil && !errors.Is(err, os.ErrNotExist) {
+				t.Fatal(err)
+			}
+			got := map[string]string{}
+			for _, e := range entries {
+				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[e.Name()] = string(data)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("files under %s = %q, want %q", dir, got, tc.want)
+			}
+		})
 	}
 }
 

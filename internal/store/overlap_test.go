@@ -404,6 +404,28 @@ func TestOverlapGateShutOnMemory(t *testing.T) {
 	}
 }
 
+// slowDisk wraps a backend with a fixed per-access latency drawn from a
+// shared, switchable knob. The knob starts at zero so a pre-fill runs at
+// memory speed.
+type slowDisk struct {
+	Disk
+	lat *atomic.Int64 // nanoseconds per access, shared across the array
+}
+
+func (d slowDisk) ReadUnit(off int64, p []byte) error {
+	if l := d.lat.Load(); l > 0 {
+		time.Sleep(time.Duration(l))
+	}
+	return d.Disk.ReadUnit(off, p)
+}
+
+func (d slowDisk) WriteUnit(off int64, p []byte) error {
+	if l := d.lat.Load(); l > 0 {
+		time.Sleep(time.Duration(l))
+	}
+	return d.Disk.WriteUnit(off, p)
+}
+
 // TestOverlapGateFollowsDeviceLatency: the gate opens within two timed
 // accesses of the backends turning slow, and shuts again — within the
 // accesses the moving average needs to decay — once they are fast.
