@@ -82,13 +82,16 @@ fuzz:
 # seed; failures replay with CHAOS_SEED=<seed>), the concurrency-shape
 # tests (TestOverlap*: rendezvous backends that hang unless a batch is
 # issued as wide as it should be) run twenty times to show they do not
-# flake, and the kernel fuzzer gets five minutes.
+# flake, the poisoned-pool and narrow-stripe byte comparisons (a parity sum
+# is started by whichever term an overlapped gather lands first) run ten
+# times, and the kernel fuzzer gets five minutes.
 nightly:
 	$(GO) test -race -run 'TestPQEveryTwoDisksRecover' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestCrashDuringWriteRecovers' -count=20 -v ./internal/store/
 	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
+	$(GO) test -race -run 'TestPoisonedPool|TestNarrowStripeErasures' -count=10 ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 
 vet:

@@ -28,6 +28,15 @@ import (
 // back as its difference from the stored parity: zero for a consistent
 // stripe, the missing units' own share for a decode, the new parity for an
 // update.
+//
+// A sum starts from its first term, not from zeros. Its buffer comes out of
+// the pool holding whatever its last user left — no pooled buffer is ever
+// assumed clean — and is handed to the gather as it is: the first term to
+// reach it stores (a copy, or for a Q term a multiply), the rest
+// accumulate, and a sum that no term reached is cleared when the gather is
+// over (sums, io.go). The one sum that starts otherwise is the
+// coefficient-free commit's P, seeded from the new contents before any
+// read.
 
 // roleP and roleQ stand in for a data ordinal in erasure.role, chosen so
 // that roles sort P, data ascending, Q.
@@ -163,6 +172,18 @@ next:
 	return terms
 }
 
+// gatherSums gathers sumTerms into px and qx, which arrive dirty — out of
+// the pool, or a caller's buffer — and leave as the sums over every unit
+// that read clean: started by their first term, or cleared if every unit
+// that folds into them is erased or damaged. The damaged ones are returned
+// as gather returns them.
+func (s *Store) gatherSums(st *diskState, sc *stripeScratch, stripe int64, erased []erasure, px, qx []byte) ([]damagedUnit, error) {
+	sc.sums = startSums(px, qx)
+	damaged, err := s.gather(st, s.sumTerms(stripe, sc.terms[:0], erased, px, qx), &sc.sums)
+	sc.sums.settle()
+	return damaged, err
+}
+
 // decode turns the parity sums gathered around an erasure list — px and qx,
 // in the buffers sumOwners chose — into the erased units' contents, in
 // place. One erasure's sum is its contents already: P and Q recompute as
@@ -205,13 +226,11 @@ func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []era
 	po, qo := sumOwners(list)
 	if po != nil {
 		px = po.out
-		zeroBytes(px)
 	}
 	if qo != nil {
 		qx = qo.out
-		zeroBytes(qx)
 	}
-	damaged, err := s.gather(st, s.sumTerms(stripe, sc.terms[:0], list, px, qx), qx)
+	damaged, err := s.gatherSums(st, sc, stripe, list, px, qx)
 	if err != nil {
 		return damagedUnit{}, err
 	}
@@ -289,9 +308,10 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
 }
 
 // paritySums hands out stripe's parity sums: one pooled buffer per parity
-// unit that is live in st, queued on sc.par as that unit's next contents,
-// for the caller to zero or seed. px or qx is nil when that parity is lost
-// — or, for qx, when the code has no Q. Release with putParity.
+// unit that is live in st, queued on sc.par as that unit's next contents —
+// dirty, for the caller to seed or to start (sums). px or qx is nil when
+// that parity is lost — or, for qx, when the code has no Q. Release with
+// putParity.
 func (s *Store) paritySums(st *diskState, sc *stripeScratch, stripe int64) (px, qx []byte) {
 	var sum [2][]byte
 	sc.par = sc.par[:0]
@@ -322,9 +342,7 @@ func (s *Store) putParity(sc *stripeScratch) {
 // repairs from. The sums live on sc.par; release with putParity.
 func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, qx []byte, damaged []damagedUnit, err error) {
 	px, qx = s.paritySums(st, sc, stripe)
-	zeroBytes(px)
-	zeroBytes(qx)
-	damaged, err = s.gather(st, s.sumTerms(stripe, sc.terms[:0], nil, px, qx), qx)
+	damaged, err = s.gatherSums(st, sc, stripe, nil, px, qx)
 	return px, qx, damaged, err
 }
 
@@ -374,9 +392,12 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		for _, d := range sc.datas[1:] {
 			xorInto(px, d)
 		}
+		sc.sums = sums{p: px}
 	} else {
-		zeroBytes(px) // nil with P lost
-		zeroBytes(qx)
+		// Both sums start from whichever term reaches them first — under a
+		// delta the stored P and Q, copied — and every written unit folds
+		// into both, so neither can end the update unreached.
+		sc.sums = startSums(px, qx) // px is nil with P lost
 	}
 
 	// First round. The sums are order-independent, so whatever they need
@@ -429,19 +450,19 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 					s.putBuf(lBuf)
 					return err
 				}
-				t.foldInto(qx, lData)
+				t.foldInto(&sc.sums, lData)
 			}
 		}
 		s.putBuf(lBuf)
 	}
-	err := s.gatherHealing(st, need, qx)
+	err := s.gatherHealing(st, need, &sc.sums)
 	if err == nil && qx != nil {
 		for i, t := range wr {
 			contrib := sc.datas[i]
 			if len(delta) > 0 {
 				contrib = (*delta[i])[:s.unitSize]
 			}
-			t.foldInto(qx, contrib)
+			t.foldInto(&sc.sums, contrib)
 		}
 	}
 	for _, b := range delta {

@@ -30,6 +30,9 @@ import (
 // damaged but potentially reconstructable (media error or checksum
 // mismatch), as opposed to failed (transient storm, engine bug).
 func needsHeal(err error) bool {
+	if err == nil {
+		return false // before bs, which escapes: a clean read allocates nothing
+	}
 	var bs *badSumError
 	return errors.Is(err, ErrMedia) || errors.As(err, &bs)
 }
@@ -161,7 +164,56 @@ type term struct {
 	coef byte
 }
 
-func (t term) foldInto(q, data []byte) {
+// sums is the at most two parity sums a gather folds into — p is nil for a
+// P sum nobody keeps, q for a Q sum — and which of them no term has reached
+// yet. The buffers come from the pool holding whatever their last user
+// left, and nobody clears them: the first term to reach a sum stores over
+// it (start) and only the later ones accumulate, so a sum of n terms costs
+// n−1 passes that read it back, not a clear and n. It lives on the
+// stripe's scratch; an overlapped gather reads and writes it under the
+// mutex it folds under, so which term arrives first decides only which one
+// stores — the sum is the same bytes.
+type sums struct {
+	p, q           []byte
+	pStart, qStart bool // no term has reached the sum: its bytes are still the pool's
+}
+
+// startSums is the state of px and qx (either may be nil) before any term
+// has reached them.
+func startSums(px, qx []byte) sums {
+	return sums{p: px, q: qx, pStart: px != nil, qStart: qx != nil}
+}
+
+// settle clears a sum no term reached — every unit that folds into it is
+// erased or damaged — which is therefore the empty sum, zero. It is the
+// only clear a sum ever gets; call it before reading the sums of a gather
+// that may have left units out.
+func (sm *sums) settle() {
+	if sm.pStart {
+		zeroBytes(sm.p)
+	}
+	if sm.qStart {
+		zeroBytes(sm.q)
+	}
+	sm.pStart, sm.qStart = false, false
+}
+
+// foldInto folds data, the contents of t's unit, into t's accumulators.
+func (t term) foldInto(sm *sums, data []byte) {
+	if sm.pStart || sm.qStart {
+		t.start(sm, data)
+	} else {
+		t.accumulate(sm.q, data)
+	}
+}
+
+// accumulate is foldInto once both sums are under way — all that the
+// coefficient-free commit, which never has a sum waiting, ever runs. It is
+// a function apart from the choice above and from start because its XOR
+// loop is a quarter of a small write: compiled together with either, the
+// loop lands differently (padding inside it) and that write ran 3–5 %
+// slower.
+func (t term) accumulate(q, data []byte) {
 	switch {
 	case t.p != nil && t.coef != 0:
 		// Both sums in one pass: data is read once, not twice.
@@ -172,6 +224,34 @@ func (t term) foldInto(q, data []byte) {
 		gf256.MulAddSlice(q, data, t.coef)
 	}
 }
+
+// start is foldInto while a sum still waits for its first term: each half
+// of t stores if it is the first to reach its sum, and accumulates if not.
+func (t term) start(sm *sums, data []byte) {
+	if t.p != nil {
+		switch {
+		case sm.pStart && sameBuf(t.p, sm.p):
+			sm.pStart = false
+			copy(t.p, data)
+		case sm.qStart && sameBuf(t.p, sm.q): // the stored Q, closing the Q sum
+			sm.qStart = false
+			copy(t.p, data)
+		default:
+			xorInto(t.p, data)
+		}
+	}
+	if t.coef != 0 {
+		if sm.qStart {
+			sm.qStart = false
+			gf256.MulSlice(sm.q, data, t.coef)
+		} else {
+			gf256.MulAddSlice(sm.q, data, t.coef)
+		}
+	}
+}
+
+// sameBuf reports whether two non-empty slices start at the same byte.
+func sameBuf(a, b []byte) bool { return &a[0] == &b[0] }
 
 // damagedUnit records a unit a gather found damaged (media error or
 // checksum mismatch), in ascending item order.
@@ -190,16 +270,16 @@ func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) error {
 }
 
 // gather reads every listed unit and folds its data into its term's
-// accumulators (which the caller has prepared — the sums are order-
-// independent, so the result is bit-identical however the reads land). It
-// is the first round of every parity update and the whole of every
-// reconstruction, and it overlaps its reads when the gate says they are
-// worth overlapping. A lost unit or a hard read error aborts the gather;
+// accumulators (sm says which sums still wait for their first term — the
+// sums are order-independent, so the result is bit-identical however the
+// reads land). It is the first round of every parity update and the whole
+// of every reconstruction, and it overlaps its reads when the gate says
+// they are worth overlapping. A lost unit or a hard read error aborts it;
 // damaged units (needsHeal) are skipped and returned sorted by item index
 // so callers holding the stripe's write lock can heal them serially —
 // healing rewrites units, which must never race the batch's other reads.
 // Caller holds (at least) the stripe's read lock.
-func (s *Store) gather(st *diskState, terms []term, q []byte) ([]damagedUnit, error) {
+func (s *Store) gather(st *diskState, terms []term, sm *sums) ([]damagedUnit, error) {
 	if !s.overlap(len(terms)) {
 		// Inline: read in index order through one buffer, building no
 		// closure — the serial engine's zero-extra-alloc path.
@@ -208,7 +288,7 @@ func (s *Store) gather(st *diskState, terms []term, q []byte) ([]damagedUnit, er
 		defer s.putBuf(phys)
 		for i, t := range terms {
 			if err := s.readLive(st, t.loc, *phys); err == nil {
-				t.foldInto(q, (*phys)[:s.unitSize])
+				t.foldInto(sm, (*phys)[:s.unitSize])
 			} else if needsHeal(err) {
 				damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
 			} else {
@@ -232,7 +312,7 @@ func (s *Store) gather(st *diskState, terms []term, q []byte) ([]damagedUnit, er
 		if err != nil {
 			damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
 		} else {
-			t.foldInto(q, (*phys)[:s.unitSize])
+			t.foldInto(sm, (*phys)[:s.unitSize])
 		}
 		return nil
 	})
@@ -247,8 +327,8 @@ func (s *Store) gather(st *diskState, terms []term, q []byte) ([]damagedUnit, er
 // units the batch reports damaged are healed in place, serially, once the
 // batch's other reads are done, and folded in after all. No listed unit
 // may be lost.
-func (s *Store) gatherHealing(st *diskState, terms []term, q []byte) error {
-	damaged, err := s.gather(st, terms, q)
+func (s *Store) gatherHealing(st *diskState, terms []term, sm *sums) error {
+	damaged, err := s.gather(st, terms, sm)
 	if err != nil || len(damaged) == 0 {
 		return err
 	}
@@ -259,7 +339,7 @@ func (s *Store) gatherHealing(st *diskState, terms []term, q []byte) error {
 		if err := s.readUnitHealing(st, d.loc, odata); err != nil {
 			return err
 		}
-		terms[d.idx].foldInto(q, odata)
+		terms[d.idx].foldInto(sm, odata)
 	}
 	return nil
 }

@@ -108,7 +108,11 @@ func compareStores(t *testing.T, serial *Store, parallel []*Store) {
 // rebuilds, a scrub, healed ops, under P and under P+Q. Every read must
 // return the serial store's bytes and, wherever no disk is failed, the
 // on-disk images must be identical.
-func TestParallelMatchesSerial(t *testing.T) {
+func TestParallelMatchesSerial(t *testing.T) { parallelMatchesSerial(t, New) }
+
+// parallelMatchesSerial is the test over stores opened by open: New, or
+// newPoisoned (poison_test.go).
+func parallelMatchesSerial(t *testing.T, open func(Config) (*Store, error)) {
 	forceOverlap(t)
 	for _, code := range []struct {
 		name string
@@ -121,7 +125,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", code.name, seed), func(t *testing.T) {
 				lay := code.lay
 				mk := func(io, rw int) *Store {
-					s, err := New(Config{
+					s, err := open(Config{
 						Layout: lay, UnitsPerDisk: 48, UnitSize: 512,
 						IOWorkers: io, RebuildWorkers: rw,
 					})
@@ -171,15 +175,24 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// recordingIntent wraps memIntent, recording every MarkBatch and, when
-// gate is non-nil, blocking the first MarkBatch until the gate closes —
-// letting the test pile followers onto the group-commit queue.
+// recordingIntent wraps memIntent, recording every MarkBatch and
+// ClearBatch and, when gate is non-nil, blocking the first MarkBatch until
+// the gate closes — letting the test pile followers onto the group-commit
+// queue.
 type recordingIntent struct {
 	memIntent
 	mu      sync.Mutex
 	batches [][]int64
+	clears  [][]int64
 	gate    chan struct{}
 	blocked bool
+}
+
+func (ri *recordingIntent) ClearBatch(rs []int64) error {
+	ri.mu.Lock()
+	ri.clears = append(ri.clears, append([]int64(nil), rs...))
+	ri.mu.Unlock()
+	return ri.memIntent.ClearBatch(rs)
 }
 
 func (ri *recordingIntent) MarkBatch(rs []int64) error {

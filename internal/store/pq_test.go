@@ -474,7 +474,11 @@ func TestPQConcurrentDoubleFailureRebuild(t *testing.T) {
 // as the byte-at-a-time Σ g^d·D — and check every trailer. Whatever path
 // the engine took to each unit (RMW, fold, large write, decode, rebuild),
 // the array must end byte-identical to the definition of the code.
-func TestOnDiskImageMatchesReference(t *testing.T) {
+func TestOnDiskImageMatchesReference(t *testing.T) { onDiskImageMatchesReference(t, New) }
+
+// onDiskImageMatchesReference is the test over stores opened by open: New,
+// or newPoisoned (poison_test.go).
+func onDiskImageMatchesReference(t *testing.T, open func(Config) (*Store, error)) {
 	for _, tc := range []struct {
 		name  string
 		lay   layout.Layout
@@ -485,7 +489,7 @@ func TestOnDiskImageMatchesReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const us = 64
-			s, err := New(Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: us})
+			s, err := open(Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: us})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -529,45 +533,62 @@ func TestOnDiskImageMatchesReference(t *testing.T) {
 				}
 			}
 
-			logical := map[layout.Loc]int64{}
-			for n := int64(0); n < s.DataUnits(); n++ {
-				logical[s.mapper.Loc(n)] = n
-			}
-			disks := s.st.Load().disks
-			phys := make([]byte, s.physSize)
-			for stripe := int64(0); stripe < s.Stripes(); stripe++ {
-				want := make([][]byte, s.lay.G())
-				p, q := make([]byte, us), make([]byte, us)
-				for j := range want {
-					if layout.IsParityPos(s.lay, stripe, j) {
-						continue
-					}
-					n := logical[s.lay.Unit(stripe, j)]
-					want[j] = make([]byte, us)
-					fill(want[j], n, version[n])
-					c := gf256.Exp(layout.DataOrdinal(s.lay, stripe, j))
-					for i, b := range want[j] {
-						p[i] ^= b
-						q[i] ^= gf256.Mul(c, b)
-					}
-				}
-				want[layout.ParityPosOf(s.lay, stripe, 0)] = p
-				if s.Parities() == 2 {
-					want[layout.ParityPosOf(s.lay, stripe, 1)] = q
-				}
-				for j, w := range want {
-					u := s.lay.Unit(stripe, j)
-					if err := disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(phys[:us], w) {
-						t.Fatalf("stripe %d position %d (%v): bytes on disk differ from the reference", stripe, j, u)
-					}
-					if !verifyTrailer(phys, us, u.Offset) {
-						t.Fatalf("stripe %d position %d (%v): trailer does not verify", stripe, j, u)
-					}
-				}
-			}
+			compareWithReference(t, s, version, nil)
 		})
+	}
+}
+
+// compareWithReference checks every unit on s's backends against the
+// definition of the code, computed here a byte at a time: a data unit holds
+// fill(n, version[n]), P their XOR, Q Σ g^d·D, and every trailer verifies.
+// Units of a failed disk are skipped, and a unit listed in mayRot may still
+// fail its checksum — but if it verifies, its bytes must be right.
+func compareWithReference(t *testing.T, s *Store, version []uint64, mayRot []layout.Loc) {
+	t.Helper()
+	us := s.unitSize
+	logical := map[layout.Loc]int64{}
+	for n := int64(0); n < s.DataUnits(); n++ {
+		logical[s.mapper.Loc(n)] = n
+	}
+	st := s.st.Load()
+	phys := make([]byte, s.physSize)
+	for stripe := int64(0); stripe < s.Stripes(); stripe++ {
+		want := make([][]byte, s.lay.G())
+		p, q := make([]byte, us), make([]byte, us)
+		for j := range want {
+			if layout.IsParityPos(s.lay, stripe, j) {
+				continue
+			}
+			n := logical[s.lay.Unit(stripe, j)]
+			want[j] = make([]byte, us)
+			fill(want[j], n, version[n])
+			c := gf256.Exp(layout.DataOrdinal(s.lay, stripe, j))
+			for i, b := range want[j] {
+				p[i] ^= b
+				q[i] ^= gf256.Mul(c, b)
+			}
+		}
+		want[layout.ParityPosOf(s.lay, stripe, 0)] = p
+		if s.Parities() == 2 {
+			want[layout.ParityPosOf(s.lay, stripe, 1)] = q
+		}
+		for j, w := range want {
+			u := s.lay.Unit(stripe, j)
+			if st.slot(u.Disk) != nil {
+				continue
+			}
+			if err := st.disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
+				t.Fatal(err)
+			}
+			if !verifyTrailer(phys, us, u.Offset) {
+				if indexLoc(mayRot, u) >= 0 {
+					continue
+				}
+				t.Fatalf("stripe %d position %d (%v): trailer does not verify", stripe, j, u)
+			}
+			if !bytes.Equal(phys[:us], w) {
+				t.Fatalf("stripe %d position %d (%v): bytes on disk differ from the reference", stripe, j, u)
+			}
+		}
 	}
 }

@@ -25,7 +25,7 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 // a range write's per-stripe job, or WriteUnit's one-unit span — that is
 // the units written and their new contents, the pre-reads the update
 // needs, and the parity writes that finish it; a reconstruction uses terms
-// and eras, a verification terms and par.
+// and eras, a verification terms and par. All of them fold into sums.
 type stripeScratch struct {
 	locs  []layout.Loc
 	datas [][]byte
@@ -34,6 +34,7 @@ type stripeScratch struct {
 	delta []*[]byte     // one pooled buffer per written unit, new ⊕ old, when Q needs it
 	par   []parityWrite // the live parity sums: second round, beside locs
 	eras  []erasure     // a solve's erased positions
+	sums  sums          // the job's P and Q sums, and which still wait for a first term
 }
 
 // newStripeScratch sizes every list for a stripe of g units, m of them

@@ -151,9 +151,10 @@ type scrubShard struct {
 // configured pause, so the knob means the same wall-clock sweep rate at
 // any worker count. Stripes with a lost unit are skipped. Unrecoverable
 // stripes are counted, left untouched, and reported in the returned
-// error; all other stripes are still verified. A clean sweep (no
-// unrecoverable damage) clears the engine's parity-doubt latch, letting
-// Sync resume clearing intent-log regions after a mid-stripe write
+// error; all other stripes are still verified. A clean sweep of the whole
+// array — no unrecoverable damage, and no stripe skipped, since a skipped
+// one may be the one in doubt — clears the engine's parity-doubt latch,
+// letting Sync resume clearing intent-log regions after a mid-stripe write
 // failure. Only one Scrub runs at a time.
 func (s *Store) Scrub() (ScrubResult, error) {
 	if !s.scrubbing.CompareAndSwap(false, true) {
@@ -238,9 +239,10 @@ func (s *Store) Scrub() (ScrubResult, error) {
 		return res, hardErr
 	}
 	s.scrubs.Add(1)
-	if firstErr == nil {
-		// Every reachable stripe verified clean (or was repaired): any
-		// doubt left by an earlier failed write is resolved.
+	if firstErr == nil && res.Skipped == 0 {
+		// Every stripe verified clean (or was repaired): any doubt left by
+		// an earlier failed write is resolved. A sweep that passed over
+		// degraded stripes has not looked at all of them.
 		s.parityDoubt.Store(false)
 	}
 	return res, firstErr

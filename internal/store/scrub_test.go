@@ -154,6 +154,77 @@ func TestScrubSkipsDegradedStripes(t *testing.T) {
 	}
 }
 
+// TestParityDoubtOutlivesDegradedScrub pins the latch a failed commit sets:
+// from the write that could not finish its stripe until a Scrub has
+// verified every stripe, Sync clears no intent region. A sweep with a disk
+// failed skips the stripes that disk touches — the one in doubt among them
+// — and must leave the latch set; once the disk is rebuilt a clean sweep
+// of the whole array releases it and the next Sync clears.
+func TestParityDoubtOutlivesDegradedScrub(t *testing.T) {
+	lay := testLayout(t, 7, 4)
+	pLoc := layout.ParityLocOf(lay, 0, 0) // unit 0 is a data unit of stripe 0
+	planted := map[int64]bool{pLoc.Offset: true}
+	disks := make([]Disk, lay.Disks())
+	for i := range disks {
+		disks[i] = NewMemDisk(48, 512)
+	}
+	disks[pLoc.Disk] = failAtDisk{Disk: disks[pLoc.Disk], writes: planted}
+	ri := &recordingIntent{}
+	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, Intent: ri, IOWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	syncClears := func(when string, want int) {
+		t.Helper()
+		if err := s.Sync(); err != nil {
+			t.Fatalf("Sync %s: %v", when, err)
+		}
+		if got := len(ri.clears); got != want {
+			t.Fatalf("%d ClearBatch calls %s (%v), want %d", got, when, ri.clears, want)
+		}
+	}
+
+	buf := make([]byte, s.UnitSize())
+	fill(buf, 0, 1)
+	if err := s.WriteUnit(0, buf); !errors.Is(err, errPlanted) {
+		t.Fatalf("WriteUnit over a failing parity write = %v, want %v", err, errPlanted)
+	}
+	delete(planted, pLoc.Offset)
+	if !s.parityDoubt.Load() {
+		t.Fatal("a commit that failed mid-stripe did not latch parity doubt")
+	}
+	syncClears("after the failed write", 0)
+
+	// The parity unit that missed its write goes with its disk, so the
+	// rebuild recomputes it from the data that did land.
+	if err := s.Fail(pLoc.Disk); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Scrub()
+	if err != nil || res.Skipped == 0 || res.Unrecoverable != 0 {
+		t.Fatalf("degraded scrub: %+v, %v", res, err)
+	}
+	if !s.parityDoubt.Load() {
+		t.Fatal("a scrub that skipped the stripe in doubt released the latch")
+	}
+	syncClears("after a scrub that skipped stripes", 0)
+
+	if err := s.Rebuild(NewMemDisk(48, 512)); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Scrub(); err != nil || res.Skipped != 0 || res.ParityRewrites+res.UnitRepairs != 0 {
+		t.Fatalf("scrub after the rebuild: %+v, %v", res, err)
+	}
+	if s.parityDoubt.Load() {
+		t.Fatal("a clean scrub of every stripe left the latch set")
+	}
+	syncClears("after a clean scrub of the whole array", 1)
+	if err := s.CheckParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIntentRecoveryResyncsDirtyRegions simulates a crash by abandoning a
 // file-backed store (no Close, so its intent log still has the written
 // region marked) after dropping a parity commit, then reopens over the

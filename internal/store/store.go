@@ -1038,7 +1038,7 @@ func (s *Store) CheckParity() error {
 // intent-log regions that have no writer in flight. Call it at quiesce
 // (like CheckParity); regions with active writers are left marked, and
 // no region is cleared while a failed write has the stripe set in doubt
-// (a clean Scrub restores confidence).
+// (a clean Scrub that skipped no stripe restores confidence).
 func (s *Store) Sync() error {
 	st := s.st.Load()
 	var errs []error

@@ -361,11 +361,12 @@ func TestModeString(t *testing.T) {
 }
 
 // TestHotPathAllocations pins what the benchmark's --trace 1 pass reports
-// as store.write.healthy_allocs, store.pq.write.healthy_allocs and
-// store.read.lost_allocs, where `go test ./...` sees them: a fault-free
-// small write allocates nothing under either code, and reading a unit of a
-// failed disk allocates once. Serial store over MemDisks, so every buffer
-// comes from the pools and no fan-out closure is built.
+// as store.write.healthy_allocs, store.pq.write.healthy_allocs,
+// store.read.healthy_allocs and store.read.lost_allocs, where `go test
+// ./...` sees them: a fault-free small write, a fault-free read and the
+// read of a unit of a failed disk allocate nothing, under either code.
+// Serial store over MemDisks, so every buffer comes from the pools and no
+// fan-out closure is built.
 func TestHotPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
@@ -379,7 +380,9 @@ func TestHotPathAllocations(t *testing.T) {
 	}{
 		{"P healthy write", testLayout(t, 7, 3), false, (*Store).WriteUnit, 0},
 		{"P+Q healthy write", testPQLayout(t, 7, 4), false, (*Store).WriteUnit, 0},
-		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 1},
+		{"P healthy read", testLayout(t, 7, 3), false, (*Store).ReadUnit, 0},
+		{"P+Q healthy read", testPQLayout(t, 7, 4), false, (*Store).ReadUnit, 0},
+		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: 1})
