@@ -11,6 +11,7 @@
 package declust_test
 
 import (
+	"runtime"
 	"testing"
 
 	"declust"
@@ -236,11 +237,11 @@ func BenchmarkDesignGeneration(b *testing.B) {
 
 // --- Instrumentation overhead ---
 
-// benchFaultFree runs one 1/20-scale fault-free window, optionally with the
-// full metrics stack (registry, latency histograms, time-series sampling)
-// attached. The Off/On pair bounds the overhead of instrumentation; with it
-// disabled the hot path pays only nil checks.
-func benchFaultFree(b *testing.B, instrumented bool) {
+// runFaultFree runs one 1/20-scale fault-free window of measureMS simulated
+// milliseconds, optionally with the full metrics stack (registry, latency
+// histograms, time-series sampling) attached. The benchmark pair times it;
+// TestFaultFreeCounts asserts everything about it that is not time.
+func runFaultFree(instrumented bool, measureMS float64) (declust.Metrics, error) {
 	cfg := declust.SimConfig{
 		C: 21, G: 5,
 		ScaleNum: 1, ScaleDen: 20,
@@ -248,15 +249,23 @@ func benchFaultFree(b *testing.B, instrumented bool) {
 		ReadFraction: 0.5,
 		Seed:         11,
 		WarmupMS:     2_000,
-		MeasureMS:    20_000,
+		MeasureMS:    measureMS,
 	}
+	if instrumented {
+		cfg.Metrics = declust.NewMetricsRegistry()
+		cfg.SampleEveryMS = 1000
+	}
+	return declust.RunFaultFree(cfg)
+}
+
+// faultFreeWindowMS is the window the benchmark pair times.
+const faultFreeWindowMS = 20_000
+
+// benchFaultFree is the Off/On pair's body. The pair bounds the overhead of
+// instrumentation; with it disabled the hot path pays only nil checks.
+func benchFaultFree(b *testing.B, instrumented bool) {
 	for i := 0; i < b.N; i++ {
-		run := cfg
-		if instrumented {
-			run.Metrics = declust.NewMetricsRegistry()
-			run.SampleEveryMS = 1000
-		}
-		m, err := declust.RunFaultFree(run)
+		m, err := runFaultFree(instrumented, faultFreeWindowMS)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,3 +280,61 @@ func BenchmarkFaultFreeMetricsOff(b *testing.B) { benchFaultFree(b, false) }
 // histograms and per-disk sampling enabled; compare ns/op against
 // BenchmarkFaultFreeMetricsOff to measure instrumentation overhead.
 func BenchmarkFaultFreeMetricsOn(b *testing.B) { benchFaultFree(b, true) }
+
+// TestFaultFreeCounts is the simulator's performance gate for everything a
+// count can say, and it needs no baseline: the run is deterministic, so the
+// requests it completes and the engine events it fires are exact — one
+// event more per request is 4 053 more. Its allocations are a fixed cost
+// per run plus almost nothing per request, pinned as two ceilings because
+// the fixed part moves by a few with the Go release and, under the race
+// detector, with what sync.Pool drops: the window the benchmarks time may
+// cost a few per cent more than it does today (1 047 objects without the
+// registry, 2 345 with), and stretching the window fourfold may add 0.05
+// allocations per extra request (today 0.014 and 0.034: growth of the
+// response-sample, histogram and series slices) — one allocation per
+// request overshoots that twentyfold. Time is left to the benchmarks and
+// judged parent against change: DESIGN.md §6.
+func TestFaultFreeCounts(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other architectures may fuse multiply-adds, moving simulated
+		// times — and with them which requests finish inside the window.
+		t.Skip("counts were recorded on amd64")
+	}
+	const longWindowMS = 4 * faultFreeWindowMS
+	for _, tc := range []struct {
+		instrumented           bool
+		requests, events       int     // the benchmarks' window
+		longRequests, longEvts int     // four times the window
+		allocCeiling           float64 // allocations of one benchmark window
+	}{
+		{false, 4053, 15663, 16493, 59257, 1100},
+		{true, 4053, 15686, 16493, 59340, 2460},
+	} {
+		measure := func(ms float64, wantReq, wantEvents int) float64 {
+			t.Helper()
+			var m declust.Metrics
+			allocs := testing.AllocsPerRun(3, func() {
+				var err error
+				if m, err = runFaultFree(tc.instrumented, ms); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if m.Requests != wantReq || m.EngineEvents != uint64(wantEvents) {
+				t.Errorf("metrics %v, %.0f ms: %d requests and %d engine events, want exactly %d and %d",
+					tc.instrumented, ms, m.Requests, m.EngineEvents, wantReq, wantEvents)
+			}
+			return allocs
+		}
+		short := measure(faultFreeWindowMS, tc.requests, tc.events)
+		long := measure(longWindowMS, tc.longRequests, tc.longEvts)
+		if short > tc.allocCeiling {
+			t.Errorf("metrics %v: one %d ms window allocates %.0f objects, ceiling %.0f",
+				tc.instrumented, faultFreeWindowMS, short, tc.allocCeiling)
+		}
+		const perRequestCeiling = 0.05
+		if per := (long - short) / float64(tc.longRequests-tc.requests); per > perRequestCeiling {
+			t.Errorf("metrics %v: %.3f allocations per extra request (%.0f over %d ms, %.0f over %d), ceiling %.2f",
+				tc.instrumented, per, short, faultFreeWindowMS, long, longWindowMS, perRequestCeiling)
+		}
+	}
+}

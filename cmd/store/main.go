@@ -129,6 +129,15 @@ func run(cfg config, out io.Writer) error {
 	if cfg.failDisk < 0 || cfg.failDisk >= cfg.c {
 		return fmt.Errorf("-fail %d out of range [0,%d)", cfg.failDisk, cfg.c)
 	}
+	if cfg.clients < 1 {
+		return fmt.Errorf("-clients %d: need at least one client", cfg.clients)
+	}
+	if cfg.readFrac < 0 || cfg.readFrac > 1 {
+		return fmt.Errorf("-read %g outside [0,1]", cfg.readFrac)
+	}
+	if cfg.phaseSecs < 0 {
+		return fmt.Errorf("-secs %g is negative", cfg.phaseSecs)
+	}
 	if cfg.parities == 0 {
 		cfg.parities = 1
 	}
@@ -230,6 +239,10 @@ func run(cfg config, out io.Writer) error {
 		rebuildWorkers = ioWorkers
 	}
 	total := s.DataUnits()
+	if int64(cfg.clients) > total {
+		// Clients own disjoint unit ranges, so each needs a unit.
+		return fmt.Errorf("-clients %d: the array has only %d data units", cfg.clients, total)
+	}
 	fmt.Fprintf(out, "store: C=%d G=%d code %s, %d data units x %d B (%.1f MB usable), %d clients, %d io-workers, %d rebuild-workers\n",
 		cfg.c, cfg.g, codeName, total, cfg.unitSize, float64(total*int64(cfg.unitSize))/1e6, cfg.clients, ioWorkers, rebuildWorkers)
 

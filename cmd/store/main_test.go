@@ -162,14 +162,30 @@ func TestRunRejectsBadParities(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFailDisk checks argument validation.
+// TestRunRejectsBadFailDisk checks argument validation: each of these used
+// to reach the engine (or a divide by zero) instead of a flag error.
 func TestRunRejectsBadFailDisk(t *testing.T) {
-	var out strings.Builder
-	cfg := config{
+	base := config{
 		c: 7, g: 3, units: 64, unitSize: 512,
-		backend: "mem", clients: 1, phaseSecs: 0.01, failDisk: 7,
+		backend: "mem", clients: 1, phaseSecs: 0.01, readFrac: 0.5, failDisk: 2,
 	}
-	if err := run(cfg, &out); err == nil {
-		t.Fatal("expected error for out-of-range -fail")
+	for _, tc := range []struct {
+		flag string
+		set  func(*config)
+	}{
+		{"-fail", func(c *config) { c.failDisk = 7 }},
+		{"-clients", func(c *config) { c.clients = 0 }},
+		{"-clients", func(c *config) { c.clients = 100000 }}, // more than data units
+		{"-read", func(c *config) { c.readFrac = -0.1 }},
+		{"-read", func(c *config) { c.readFrac = 1.5 }},
+		{"-secs", func(c *config) { c.phaseSecs = -1 }},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		var out strings.Builder
+		err := run(cfg, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("run(%+v) = %v, want an error naming %s", cfg, err, tc.flag)
+		}
 	}
 }

@@ -400,6 +400,8 @@ func TestWorkerConfigValidation(t *testing.T) {
 		{"huge IOWorkers", func(c *Config) { c.IOWorkers = 2048 }},
 		{"negative RebuildWorkers", func(c *Config) { c.RebuildWorkers = -3 }},
 		{"huge RebuildWorkers", func(c *Config) { c.RebuildWorkers = 4096 }},
+		{"negative Retries", func(c *Config) { c.Retries = -1 }},
+		{"huge Retries", func(c *Config) { c.Retries = 17 }},
 	} {
 		cfg := base()
 		tc.mut(&cfg)

@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,5 +174,120 @@ func TestCrashDuringWriteRecovers(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Stats().ResyncedStripes; got != 0 {
 		t.Fatalf("clean reopen resynced %d stripes, want 0", got)
+	}
+}
+
+// callLog is the order in which a store reached its intent log and its
+// disks: what a crash at any point would find on them.
+type callLog struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (l *callLog) add(what string) {
+	l.mu.Lock()
+	l.calls = append(l.calls, what)
+	l.mu.Unlock()
+}
+
+// loggedDisk records every unit write.
+type loggedDisk struct {
+	Disk
+	log *callLog
+}
+
+func (d loggedDisk) WriteUnit(off int64, p []byte) error {
+	d.log.add("write")
+	return d.Disk.WriteUnit(off, p)
+}
+
+// slowClearIntent logs every mark and clear and, once armed, holds a
+// ClearBatch in its durability barrier until released.
+type slowClearIntent struct {
+	memIntent
+	log     *callLog
+	entered chan struct{} // closed when the held ClearBatch is inside
+	release chan struct{} // nil until armed
+}
+
+func (l *slowClearIntent) MarkBatch(rs []int64) error {
+	l.log.add("mark")
+	return l.memIntent.MarkBatch(rs)
+}
+
+func (l *slowClearIntent) ClearBatch(rs []int64) error {
+	l.log.add("clear")
+	if l.release != nil {
+		close(l.entered)
+		<-l.release
+	}
+	return l.memIntent.ClearBatch(rs)
+}
+
+// TestSyncClearNeverOutrunsAWriter pins the intent contract against a Sync
+// that runs beside a writer: no disk write may follow a durable "clean" for
+// its region without a durable mark in between. After one settled write,
+// Sync is held inside ClearBatch — region 0 idle when it looked — and a
+// writer into region 0 arrives. It must wait for the clear and mark again:
+// the log ends clear, mark, write, write and the region ends dirty. A store
+// that lowers its in-memory flag only after the clear lets the writer
+// through on the fast path: clear, write, write, and a crash between the
+// two writes is an inconsistent stripe the log calls clean.
+func TestSyncClearNeverOutrunsAWriter(t *testing.T) {
+	lay := testLayout(t, 7, 4)
+	log := &callLog{}
+	il := &slowClearIntent{log: log, entered: make(chan struct{})}
+	disks := make([]Disk, lay.Disks())
+	for i := range disks {
+		disks[i] = loggedDisk{Disk: NewMemDisk(48, 512), log: log}
+	}
+	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, Intent: il, IOWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	buf := make([]byte, s.UnitSize())
+	fill(buf, 0, 1)
+	if err := s.WriteUnit(0, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	il.release = release
+	letGo := sync.OnceFunc(func() { close(release) })
+	defer letGo() // before Close, whose Sync needs the mutex the held one has
+	syncErr := make(chan error, 1)
+	go func() { syncErr <- s.Sync() }()
+	<-il.entered
+
+	fill(buf, 0, 2)
+	writeErr := make(chan error, 1)
+	go func() { writeErr <- s.WriteUnit(0, buf) }()
+	waitFor(t, "the writer to count itself into region 0", func() bool {
+		return s.regionActive[0].Load() == 1 || len(writeErr) == 1
+	})
+	// A writer held back is parked on intentMu, which nothing outside the
+	// store can see; one let through finishes well inside this grace.
+	time.Sleep(50 * time.Millisecond)
+	finished := len(writeErr) == 1
+	letGo()
+	if err := <-syncErr; err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if err := <-writeErr; err != nil {
+		t.Fatalf("WriteUnit: %v", err)
+	}
+	il.release = nil // Close's own Sync clears unhindered
+
+	// Both goroutines are done: the log and the bits are this one's to read.
+	want := []string{"mark", "write", "write", "clear", "mark", "write", "write"}
+	if !slices.Equal(log.calls, want) {
+		t.Errorf("intent log and disks were reached in order %v, want %v", log.calls, want)
+	}
+	if finished {
+		t.Error("the write completed while its region's clear was still in flight")
+	}
+	if !il.dirty[0] {
+		t.Error("region 0 was written after its clear and the log says clean")
 	}
 }

@@ -306,7 +306,7 @@ func New(cfg Config) (*Store, error) {
 		cfg.Retries = 3
 	}
 	if cfg.Retries < 0 || cfg.Retries > 16 {
-		return nil, fmt.Errorf("store: %d retries outside [1,16]", cfg.Retries)
+		return nil, fmt.Errorf("store: %d retries outside [0,16]", cfg.Retries)
 	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 500 * time.Microsecond
@@ -1034,11 +1034,13 @@ func (s *Store) CheckParity() error {
 }
 
 // Sync is the store's durability point: it flushes every in-service
-// backend that supports Sync, then — with all data durable — clears
-// intent-log regions that have no writer in flight. Call it at quiesce
-// (like CheckParity); regions with active writers are left marked, and
-// no region is cleared while a failed write has the stripe set in doubt
-// (a clean Scrub that skipped no stripe restores confidence).
+// backend that supports Sync, then — with all data durable — clears the
+// intent-log regions that have no writer in flight. It may run beside
+// client traffic: a region with an active writer is left marked, a writer
+// that arrives while a region is being cleared waits for the clear and
+// marks it again before touching a disk, and no region is cleared while a
+// failed write has the stripe set in doubt (a clean Scrub that skipped no
+// stripe restores confidence).
 func (s *Store) Sync() error {
 	st := s.st.Load()
 	var errs []error
@@ -1062,20 +1064,29 @@ func (s *Store) Sync() error {
 	if len(errs) == 0 && !s.parityDoubt.Load() {
 		// Collect every clearable region and pay one durability barrier
 		// for the whole set, the flip side of MarkBatch's group commit.
+		// A writer counts itself into regionActive and then reads
+		// regionDirty; here the flag goes down first and the count is read
+		// again after, so either that writer finds the flag down — and
+		// waits on intentMu to mark the region again — or it is seen here
+		// and the region keeps its mark. The flag stays down if the clear
+		// fails: the log may still say dirty, which costs one spurious
+		// mark, never a write the log calls clean.
 		s.intentMu.Lock()
 		var clear []int64
 		for r := range s.regionDirty {
-			if s.regionDirty[r].Load() && s.regionActive[r].Load() == 0 {
-				clear = append(clear, int64(r))
+			if !s.regionDirty[r].Load() || s.regionActive[r].Load() != 0 {
+				continue
 			}
+			s.regionDirty[r].Store(false)
+			if s.regionActive[r].Load() != 0 {
+				s.regionDirty[r].Store(true)
+				continue
+			}
+			clear = append(clear, int64(r))
 		}
 		if len(clear) > 0 {
 			if err := s.intent.ClearBatch(clear); err != nil {
 				errs = append(errs, fmt.Errorf("store: intent log: %w", err))
-			} else {
-				for _, r := range clear {
-					s.regionDirty[r].Store(false)
-				}
 			}
 		}
 		s.intentMu.Unlock()
