@@ -81,7 +81,9 @@ fuzz:
 # issued as wide as it should be) run twenty times to show they do not
 # flake, the poisoned-pool and narrow-stripe byte comparisons (a parity sum
 # is started by whichever term an overlapped gather lands first) run ten
-# times, and every fuzz target gets five minutes.
+# times, so do the store's write-plan access counts and the generated range
+# ops against a flat reference (a fresh seed each repetition), and every
+# fuzz target gets five minutes.
 nightly:
 	$(GO) test -race -run 'TestPQEveryTwoDisksRecover' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
@@ -89,6 +91,7 @@ nightly:
 	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(GO) test -race -run 'TestPoisonedPool|TestNarrowStripeErasures' -count=10 ./internal/store/
+	$(GO) test -race -run 'TestWritePlanAccessCounts|TestGeneratedRangeOps' -count=10 -v ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 
 vet:

@@ -477,8 +477,8 @@ func run(cfg config, out io.Writer) error {
 		fmt.Fprintf(out, "  %-12s %8.1f MB/s  (%d ops in %.2fs)\n", p.name, p.mbps, p.ops, p.secs)
 	}
 	st := s.Stats()
-	fmt.Fprintf(out, "stats: %d reads (%d reconstructed on the fly), %d writes (%d folded, %d redirected), %d units rebuilt\n",
-		st.Reads, st.DegradedReads, st.Writes, st.FoldedWrites, st.RedirectedWrites, st.RebuiltUnits)
+	fmt.Fprintf(out, "stats: %d reads (%d reconstructed on the fly), %d writes (%d folded, %d redirected, %d reconstruct-writes), %d units rebuilt\n",
+		st.Reads, st.DegradedReads, st.Writes, st.FoldedWrites, st.RedirectedWrites, st.ReconstructWrites, st.RebuiltUnits)
 	if faultsOn || st.Retries > 0 || st.HealedUnits > 0 {
 		fmt.Fprintf(out, "robustness: %d retries, %d units healed (%d media, %d checksum), %d scrub repairs, %d stale parity rewrites\n",
 			st.Retries, st.HealedUnits, st.MediaErrors, st.ChecksumErrors, st.ScrubUnitRepairs, st.ScrubParityFixes)

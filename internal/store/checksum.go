@@ -63,15 +63,7 @@ func verifyTrailer(phys []byte, us int, off int64) bool {
 	if sum == c1 && c2 == c1^offMix(off) {
 		return true
 	}
-	if c1 != 0 || c2 != 0 {
-		return false
-	}
-	for _, b := range phys[:us] {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
+	return c1 == 0 && c2 == 0 && allZero(phys[:us])
 }
 
 // badSumError reports a unit whose trailer failed verification; the heal

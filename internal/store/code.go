@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"declust/internal/gf256"
@@ -354,14 +355,15 @@ func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, q
 // index order when they do not. Caller holds the stripe's write lock and
 // the region's intent mark.
 //
-//   - large write (all data units): parity from the new contents alone;
-//   - every written unit readable: delta read-modify-write — gather old
-//     data and old parities, fold old ⊕ new into P and g^d·(old ⊕ new) into
-//     Q: read D,P[,Q] then write D,P[,Q], the four-access small write
-//     under single parity and the six-access one under P+Q;
-//   - a written unit lost: fold forward — every data unit's new value
-//     (written new, surviving read, lost-unwritten decoded from the old
-//     parities) rebuilds the parities from scratch;
+//   - delta: gather old data and old parities, fold old ⊕ new into P and
+//     g^d·(old ⊕ new) into Q: read D,P[,Q] then write D,P[,Q], the
+//     four-access small write under single parity and the six-access one
+//     under P+Q;
+//   - from scratch: gather the data units the span does not write and
+//     build the parities from the stripe's new contents — nothing to gather
+//     for a large write, the minority of the stripe for a reconstruct-write,
+//     and the fold-forward when a written unit is lost (a lost unwritten
+//     one is decoded from the old parities first). fromScratch chooses;
 //   - a lost parity unit is simply not written (its rebuild recomputes
 //     it); with every parity lost the data writes go through alone (§7).
 func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
@@ -406,10 +408,7 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	// new ⊕ old — folds in after, once per unit.
 	need := sc.rest[:0]
 	delta := sc.delta[:0]
-	switch k := int(s.dataPerStripe); {
-	case len(sc.locs) == k:
-		// Large-write optimization: parity from the new contents alone.
-	case !writtenLost:
+	if !s.fromScratch(st, stripe, len(sc.locs), writtenLost) {
 		// Delta read-modify-write: P' = P ⊕ Σ(old ⊕ new) and Q' = Q ⊕
 		// Σ g^d·(old ⊕ new). With no coefficient to apply the old units
 		// XOR straight into the P sum beside the new ones. With one, each
@@ -428,32 +427,38 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		for _, p := range sc.par {
 			need = append(need, term{loc: p.loc, p: (*p.buf)[:s.unitSize]})
 		}
-	default:
-		// A lost unit is being written: its old contents are unreadable,
-		// so fold forward. Unwritten survivors are gathered; a lost
-		// unwritten unit (P+Q only: a second failure) contributes its
-		// decoded old value, before the gather — decoding may heal, and a
-		// heal rewrites.
-		lBuf := s.getBuf()
-		lData := (*lBuf)[:s.unitSize]
-		for d := 0; d < k; d++ {
+	} else {
+		// From scratch: what the new parities lack is the units the span
+		// leaves alone. Survivors are gathered; a lost one (P+Q only: a
+		// second failure, beside a lost written unit) contributes its decoded
+		// old value, before the gather — decoding may heal, a heal rewrites.
+		left := int(s.dataPerStripe) - len(sc.locs)
+		if left > 0 && !writtenLost {
+			s.reconstructWrites.Add(1)
+		}
+		for d := 0; left > 0; d++ {
 			t := term{loc: s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d)), p: px}
 			if qx != nil {
 				t.coef = gf256.Exp(d)
 			}
 			switch {
 			case indexLoc(sc.locs, t.loc) >= 0:
+				continue
 			case !st.lost(t.loc):
 				need = append(need, t)
 			default:
-				if err := s.recoverInto(st, t.loc, lData); err != nil {
-					s.putBuf(lBuf)
+				lBuf := s.getBuf()
+				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize])
+				if err == nil {
+					t.foldInto(&sc.sums, (*lBuf)[:s.unitSize])
+				}
+				s.putBuf(lBuf)
+				if err != nil {
 					return err
 				}
-				t.foldInto(&sc.sums, lData)
 			}
+			left--
 		}
-		s.putBuf(lBuf)
 	}
 	err := s.gatherHealing(st, need, &sc.sums)
 	if err == nil && qx != nil {
@@ -476,6 +481,32 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	return s.commitWrites(st, sc)
 }
 
+// fromScratch is the one rule that picks a stripe update's plan, from how
+// many of the stripe's data units are written and which are lost. A lost
+// written unit has no old contents to take a delta from; a one-unit write is
+// the paper's small write, always a delta; otherwise from scratch when the
+// data it reads, the unwritten units, is no more than the delta's, the
+// written ones, and all of it is readable — a lost unit would cost a decode,
+// G−2 more reads. The delta's parity reads stay out of the comparison: with
+// one parity that is the simulator's 2(k+m) > G, with two narrower (DESIGN.md).
+func (s *Store) fromScratch(st *diskState, stripe int64, written int, writtenLost bool) bool {
+	k := int(s.dataPerStripe)
+	switch {
+	case writtenLost || written == k:
+		return true
+	case written == 1 || k-written > written:
+		return false
+	case len(st.fails) == 0:
+		return true
+	}
+	for d := 0; d < k; d++ {
+		if st.lost(s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d))) {
+			return false // an unwritten one: no written unit is lost
+		}
+	}
+	return true
+}
+
 // indexLoc returns the index of u in locs, or −1.
 func indexLoc(locs []layout.Loc, u layout.Loc) int {
 	for i, loc := range locs {
@@ -486,8 +517,14 @@ func indexLoc(locs []layout.Loc, u layout.Loc) int {
 	return -1
 }
 
-// allZero reports whether every byte of b is zero (true for a nil sum).
+// allZero reports whether every byte of b is zero (true for a nil sum),
+// eight bytes at a step: units and their sums are multiples of 8.
 func allZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
 	for _, x := range b {
 		if x != 0 {
 			return false

@@ -11,11 +11,12 @@
 // erasures, be they failed disks (Fail accepts up to m), damaged units, or
 // a mix. Single parity is that code with no Q, not a second engine. Small
 // writes read-modify-write the data unit and each parity (four accesses
-// under P, six under P+Q); reads of lost units decode on the fly from the
-// stripe's survivors; writes to lost units fold into the parities; and a
-// background Rebuild sweep regenerates the oldest failed disk's contents
-// onto a replacement stripe by stripe while client goroutines keep issuing
-// requests.
+// under P, six under P+Q); a range write covering at least half a stripe
+// reads the units it leaves alone instead (none for a whole stripe); reads
+// of lost units decode on the fly from the stripe's survivors; writes to
+// lost units fold into the parities; and a background Rebuild sweep
+// regenerates the oldest failed disk's contents onto a replacement stripe
+// by stripe while client goroutines keep issuing requests.
 //
 // Concurrency model. Every operation runs under its parity stripe's lock
 // (a striped RWMutex table): reads share, parity updates and rebuild

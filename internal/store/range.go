@@ -157,7 +157,8 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 // WriteRange writes src over the logical data units starting at start,
 // one parity update per touched stripe. A segment covering a whole stripe
 // uses the large-write optimization (parity from the new contents, no
-// pre-reads); partial segments read-modify-write. Stripe jobs are
+// pre-reads); a partial one reads whichever is less, the units it leaves
+// alone or the ones it overwrites (fromScratch). Stripe jobs are
 // independent — each takes only its own stripe's lock — so multi-stripe
 // ranges fan out across I/O helpers.
 func (s *Store) WriteRange(start int64, src []byte) error {

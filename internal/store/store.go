@@ -123,6 +123,10 @@ type Stats struct {
 	// RedirectedWrites counts lost-unit writes also committed directly
 	// to the replacement (which counts as reconstruction).
 	RedirectedWrites int64
+	// ReconstructWrites counts stripe updates whose parities were built from
+	// the stripe's new contents after reading the units the span left
+	// alone — not large writes (nothing read), not folds.
+	ReconstructWrites int64
 	// RebuiltUnits counts units regenerated onto a replacement, by the
 	// sweep or by write redirection.
 	RebuiltUnits int64
@@ -273,6 +277,7 @@ type Store struct {
 	reads, writes, degradedReads   atomic.Int64
 	foldedWrites, redirectedWrites atomic.Int64
 	rebuiltUnits, rebuilds         atomic.Int64
+	reconstructWrites              atomic.Int64
 	rebuiltNow                     atomic.Int64 // progress within the current failure
 
 	retriesDone              atomic.Int64
@@ -570,24 +575,25 @@ func (s *Store) Parities() int { return s.parities }
 // Stats returns a snapshot of the engine counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Reads:            s.reads.Load(),
-		Writes:           s.writes.Load(),
-		DegradedReads:    s.degradedReads.Load(),
-		FoldedWrites:     s.foldedWrites.Load(),
-		RedirectedWrites: s.redirectedWrites.Load(),
-		RebuiltUnits:     s.rebuiltUnits.Load(),
-		Rebuilds:         s.rebuilds.Load(),
-		Retries:          s.retriesDone.Load(),
-		ChecksumErrors:   s.checksumErrs.Load(),
-		MediaErrors:      s.mediaErrs.Load(),
-		HealedUnits:      s.healedUnits.Load(),
-		AutoFails:        s.autoFails.Load(),
-		Scrubs:           s.scrubs.Load(),
-		ScrubbedStripes:  s.scrubbedStripes.Load(),
-		ScrubUnitRepairs: s.scrubRepairs.Load(),
-		ScrubParityFixes: s.scrubFixes.Load(),
-		ResyncedStripes:  s.resyncStripes.Load(),
-		ResyncRepairs:    s.resyncRepairs.Load(),
+		Reads:             s.reads.Load(),
+		Writes:            s.writes.Load(),
+		DegradedReads:     s.degradedReads.Load(),
+		FoldedWrites:      s.foldedWrites.Load(),
+		RedirectedWrites:  s.redirectedWrites.Load(),
+		ReconstructWrites: s.reconstructWrites.Load(),
+		RebuiltUnits:      s.rebuiltUnits.Load(),
+		Rebuilds:          s.rebuilds.Load(),
+		Retries:           s.retriesDone.Load(),
+		ChecksumErrors:    s.checksumErrs.Load(),
+		MediaErrors:       s.mediaErrs.Load(),
+		HealedUnits:       s.healedUnits.Load(),
+		AutoFails:         s.autoFails.Load(),
+		Scrubs:            s.scrubs.Load(),
+		ScrubbedStripes:   s.scrubbedStripes.Load(),
+		ScrubUnitRepairs:  s.scrubRepairs.Load(),
+		ScrubParityFixes:  s.scrubFixes.Load(),
+		ResyncedStripes:   s.resyncStripes.Load(),
+		ResyncRepairs:     s.resyncRepairs.Load(),
 	}
 	if g := s.gate; g != nil {
 		st.FanOuts = g.fanOuts.Load()
@@ -789,11 +795,12 @@ func (s *Store) markRebuilt(f *failSlot, off int64) {
 	}
 }
 
-// writeRebuilt lands a recovered unit on the replacement, records it
+// writeRebuilt lands a recovered unit — the data of phys, a physical buffer
+// the caller owns until this returns — on the replacement, records it
 // rebuilt, and releases its stripe's lock, which the caller took.
-func (s *Store) writeRebuilt(repl Disk, f *failSlot, stripe int64, loc layout.Loc, data []byte) error {
+func (s *Store) writeRebuilt(repl Disk, f *failSlot, stripe int64, loc layout.Loc, phys []byte) error {
 	defer s.locks.unlock(stripe)
-	if err := s.writeDataUnit(repl, loc.Disk, loc.Offset, data); err != nil {
+	if err := s.writeStamped(repl, loc.Disk, loc.Offset, phys); err != nil {
 		return err
 	}
 	s.markRebuilt(f, loc.Offset)
@@ -945,14 +952,14 @@ func (s *Store) Rebuild(repl Disk) error {
 			for off := lo; off < hi && !stop.Load(); off++ {
 				loc := layout.Loc{Disk: target, Offset: off}
 				stripe, _ := s.lay.Locate(loc)
-				data := (*bufs[cur])[:s.unitSize]
+				phys := *bufs[cur]
 				s.locks.lock(stripe)
 				stc := s.st.Load()
 				switch f := stc.slot(target); {
 				case f == nil || f.rebuilt[off]:
 					s.locks.unlock(stripe)
 				default:
-					err := s.recoverInto(stc, loc, data)
+					err := s.recoverInto(stc, loc, phys[:s.unitSize])
 					if err != nil {
 						fail(off, err)
 					}
@@ -962,8 +969,8 @@ func (s *Store) Rebuild(repl Disk) error {
 					}
 					if s.gate.pays(2) {
 						behindAt, cur = off, cur^1
-						go func() { behind <- s.writeRebuilt(repl, f, stripe, loc, data) }()
-					} else if err := s.writeRebuilt(repl, f, stripe, loc, data); err != nil {
+						go func() { behind <- s.writeRebuilt(repl, f, stripe, loc, phys) }()
+					} else if err := s.writeRebuilt(repl, f, stripe, loc, phys); err != nil {
 						fail(off, err)
 						return
 					}
