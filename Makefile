@@ -48,9 +48,18 @@ store-chaos:
 
 # The benchmark harness's own invariants (benchmark/ is its own module):
 # exact access counts per op, the recorder's attribution, the quiet-tail
-# estimator — on a tiny geometry, under the race detector.
+# estimator — on a tiny geometry, under the race detector. Then the ruler's
+# link check: the benchmark binary holds the engine and nothing of the
+# simulator. It imports internal/core for NewMapping only; a package-level
+# value there that reaches a Run* function links array, disk and sim in, and
+# that alone moved every mem-* metric by 3 % (results/pr23_one_run.md).
 bench-harness:
 	cd benchmark && $(GO) test -race ./...
+	cd benchmark && $(GO) build -o ../.bench_build/linkcheck .
+	@linked=$$($(GO) tool nm .bench_build/linkcheck | grep -E ' declust/internal/(array|disk|sim|telemetry|metrics|fault)\.' || true); \
+	if [ -n "$$linked" ]; then \
+		echo "the benchmark binary links simulator packages:"; echo "$$linked" | head; exit 1; \
+	fi
 
 # Every Fuzz target in the module, FUZZTIME each, found by asking the
 # packages for their lists — a new target needs no edit here. Today: the
@@ -82,8 +91,10 @@ fuzz:
 # flake, the poisoned-pool and narrow-stripe byte comparisons (a parity sum
 # is started by whichever term an overlapped gather lands first) run ten
 # times, so do the store's write-plan access counts and the generated range
-# ops against a flat reference (a fresh seed each repetition), and every
-# fuzz target gets five minutes.
+# ops against a flat reference (a fresh seed each repetition) and the
+# enumeration of a rebuild's failure points (which access comes k-th over
+# the forced-open store varies with scheduling), and every fuzz target gets
+# five minutes.
 nightly:
 	$(GO) test -race -run 'TestPQEveryTwoDisksRecover' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
@@ -92,6 +103,7 @@ nightly:
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(GO) test -race -run 'TestPoisonedPool|TestNarrowStripeErasures' -count=10 ./internal/store/
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestGeneratedRangeOps' -count=10 -v ./internal/store/
+	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded' -count=10 ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 
 vet:

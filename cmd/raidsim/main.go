@@ -77,10 +77,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	warm := fs.Float64("warmup", 10, "warmup seconds before measurement")
 	measure := fs.Float64("measure", 120, "measurement seconds (faultfree/degraded)")
 	throttle := fs.Float64("throttle", 0, "max reconstruction cycles/s per process (0 = off)")
-	lowprio := fs.Bool("lowprio", false, "schedule reconstruction below user accesses")
 	sched := fs.String("sched", "cvscan", "disk queue scheduler: cvscan | fifo | sstf | cscan")
 	readahead := fs.Int("readahead", 0, "disk track read-ahead buffer in tracks (0 = off)")
-	prio := fs.String("prio", "equal", "reconstruction scheduling class: equal | demote (same as -lowprio)")
+	prio := fs.String("prio", "equal", "reconstruction scheduling class: equal | demote (below user accesses)")
 	prioAge := fs.Float64("prio-age", 0, "promote starved low-class disk requests after this many simulated ms (0 = strict classes)")
 	seqFrac := fs.Float64("seq", 0, "fraction of user accesses that are sequential continuations (0 = pure random)")
 	size := fs.Int("size", 1, "access size in 4 KB stripe units")
@@ -130,11 +129,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch *prio {
-	case "equal":
-	case "demote":
-		*lowprio = true
-	default:
+	if *prio != "equal" && *prio != "demote" {
 		return fmt.Errorf("-prio %q: want equal or demote", *prio)
 	}
 
@@ -153,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ParallelDataMap:           *datamap == "parallel",
 		DistributedSparing:        *sparing,
 		ReconThrottleCyclesPerSec: *throttle,
-		ReconLowPriority:          *lowprio,
+		ReconLowPriority:          *prio == "demote",
 
 		SchedPolicy:        policy,
 		ReadAheadTracks:    *readahead,
@@ -239,24 +234,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		spans = declust.NewSpanTracer()
 		cfg.Spans = spans
 	}
+	// -listen and -progress are the two consumers of the run's one
+	// periodic status report.
+	var watchers []func(declust.LiveProgress)
 	if live != nil {
 		// The simulation thread publishes snapshots; HTTP handlers only ever
 		// read copies, so the run stays single-threaded and deterministic.
-		liveMode := *mode
-		cfg.OnLive = func(st declust.LiveStatus) {
+		watchers = append(watchers, func(p declust.LiveProgress) {
+			p.Mode = *mode
 			live.PublishMetrics(reg)
-			live.PublishProgress(declust.LiveProgress{
-				SimMS:          st.SimMS,
-				Mode:           liveMode,
-				Requests:       st.Requests,
-				MeanResponseMS: st.MeanResponseMS,
-				DiskUtil:       st.DiskUtil,
-				DiskQueue:      st.DiskQueue,
-				ReconDone:      st.ReconDone,
-				ReconTotal:     st.ReconTotal,
-				ReconETAMS:     st.ReconETAMS,
-			})
-		}
+			live.PublishProgress(p)
+		})
 	}
 	if *eventsOut != "" {
 		f, err := os.Create(*eventsOut)
@@ -273,19 +261,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *progress {
 		wallStart := time.Now()
 		lastPrint := time.Time{}
-		cfg.OnProgress = func(p declust.Progress) {
-			final := p.TotalUnits > 0 && p.DoneUnits == p.TotalUnits
-			if !final && time.Since(lastPrint) < 200*time.Millisecond {
+		watchers = append(watchers, func(p declust.LiveProgress) {
+			if p.ReconTotal == 0 {
+				return // no sweep yet (warm-up), or a mode that has none
+			}
+			if p.ReconDone < p.ReconTotal && time.Since(lastPrint) < 200*time.Millisecond {
 				return
 			}
 			lastPrint = time.Now()
-			pct := 0.0
-			if p.TotalUnits > 0 {
-				pct = 100 * float64(p.DoneUnits) / float64(p.TotalUnits)
-			}
-			rate := float64(p.EventsFired) / time.Since(wallStart).Seconds()
+			rate := float64(p.EngineEvents) / time.Since(wallStart).Seconds()
 			fmt.Fprintf(stderr, "recon %5.1f%% (%d/%d units)  sim %.1fs  ETA %.1fs  [%.2fM events/s]\n",
-				pct, p.DoneUnits, p.TotalUnits, p.SimMS/1000, p.ETAMS/1000, rate/1e6)
+				100*float64(p.ReconDone)/float64(p.ReconTotal), p.ReconDone, p.ReconTotal,
+				p.SimMS/1000, p.ReconETAMS/1000, rate/1e6)
+		})
+	}
+	if len(watchers) > 0 {
+		cfg.OnLive = func(p declust.LiveProgress) {
+			for _, w := range watchers {
+				w(p)
+			}
 		}
 	}
 
@@ -331,18 +325,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	wallStart := time.Now()
-	var res declust.Metrics
-	switch *mode {
-	case "faultfree":
-		res, err = declust.RunFaultFree(cfg)
-	case "degraded":
-		res, err = declust.RunDegraded(cfg)
-	case "recon":
+	if *mode == "recon" {
 		fmt.Fprintf(stdout, "recovery:  %s algorithm, %d process(es)\n", algorithm, *procs)
-		res, err = declust.RunReconstruction(cfg)
-	default:
-		err = fmt.Errorf("unknown mode %q", *mode)
 	}
+	res, err := declust.RunMode(*mode, cfg)
 	if err != nil {
 		return err
 	}
@@ -463,18 +449,7 @@ func runSweep(stdout io.Writer, base declust.SimConfig, mode string, gs []int, r
 		cfg := base
 		cfg.G = pts[i].g
 		cfg.RatePerSec = pts[i].rate
-		var res declust.Metrics
-		var err error
-		switch mode {
-		case "faultfree":
-			res, err = declust.RunFaultFree(cfg)
-		case "degraded":
-			res, err = declust.RunDegraded(cfg)
-		case "recon":
-			res, err = declust.RunReconstruction(cfg)
-		default:
-			err = fmt.Errorf("unknown mode %q", mode)
-		}
+		res, err := declust.RunMode(mode, cfg)
 		if err != nil {
 			return "", fmt.Errorf("sweep g=%d rate=%g: %w", pts[i].g, pts[i].rate, err)
 		}

@@ -124,6 +124,10 @@ func RunDegraded(cfg SimConfig) (Metrics, error) { return core.RunDegraded(cfg) 
 // recovery (paper §8).
 func RunReconstruction(cfg SimConfig) (Metrics, error) { return core.RunReconstruction(cfg) }
 
+// RunMode runs the simulation a mode name selects — "faultfree",
+// "degraded" or "recon" — and rejects any other.
+func RunMode(mode string, cfg SimConfig) (Metrics, error) { return core.RunMode(mode, cfg) }
+
 // LifecycleConfig drives a long-horizon continuous-operation simulation:
 // random disk failures, replacement, online reconstruction, repeat.
 type LifecycleConfig = core.LifecycleConfig
@@ -157,10 +161,6 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // Call Flush when the run completes.
 func NewJSONLTracer(w io.Writer) *metrics.JSONL { return metrics.NewJSONL(w) }
 
-// Progress is a reconstruction progress report delivered to
-// SimConfig.OnProgress (done units, total, ETA in simulated ms).
-type Progress = core.Progress
-
 // SpanTracer records request-lifecycle spans: one root span per user
 // access with phase children (lock wait, pre-reads, commits, on-the-fly
 // reconstruction) and per-disk service segments. Assign one to
@@ -175,9 +175,6 @@ func NewSpanTracer() *SpanTracer { return telemetry.New() }
 // SpanMeta labels a span export with its run's configuration.
 type SpanMeta = telemetry.Meta
 
-// LiveStatus is the periodic run snapshot delivered to SimConfig.OnLive.
-type LiveStatus = core.LiveStatus
-
 // LiveServer is the opt-in HTTP telemetry endpoint (/metrics, /progress,
 // /debug/pprof) fed by snapshots from the simulation thread.
 type LiveServer = telemetry.LiveServer
@@ -185,7 +182,8 @@ type LiveServer = telemetry.LiveServer
 // NewLiveServer returns a live telemetry server; Start brings it up.
 func NewLiveServer() *LiveServer { return telemetry.NewLiveServer() }
 
-// LiveProgress is the JSON document a LiveServer serves at /progress.
+// LiveProgress is a run's periodic status: what SimConfig.OnLive delivers
+// and the JSON document a LiveServer serves at /progress.
 type LiveProgress = telemetry.Progress
 
 // DataLoc resolves a logical data unit to its disk and unit offset under

@@ -86,9 +86,6 @@ type Config struct {
 	// ReconProcs is the number of parallel reconstruction processes
 	// started by Reconstruct (the paper uses 1 and 8).
 	ReconProcs int
-	// SmallWriteOpt enables the three-access write used when a parity
-	// stripe has exactly three units (the paper's α = 0.1 exception).
-	SmallWriteOpt bool
 	// ReconLowPriority runs reconstruction accesses in a lower disk
 	// scheduling class than user accesses (paper §9 future work).
 	ReconLowPriority bool
@@ -194,7 +191,7 @@ type Array struct {
 	// Instrumentation. The counters are nil (no-op) without a registry;
 	// tracer calls are guarded by nil checks.
 	tracer  metrics.Tracer
-	diskObs []func(slot int, e disk.Event)
+	diskObs func(slot int, e disk.Event)
 
 	// Span tracing (nil-safe no-ops when Config.Spans is nil). opSpan is
 	// the parent span handed over by the caller for the next synchronous
@@ -389,42 +386,23 @@ func (a *Array) Parities() int { return a.parities }
 // was failed and replaced).
 func (a *Array) Disk(i int) *disk.Disk { return a.disks[i] }
 
-// ObserveDisks replaces the observer chain of every drive with fn, tagged
-// with its slot index. The registration survives disk replacement: a
-// drive installed by Replace inherits it. Pass nil to stop observing.
+// ObserveDisks makes fn the observer of every drive's completions, tagged
+// with the slot index; it survives disk replacement (a drive installed by
+// Replace inherits it). Pass nil to stop observing.
 func (a *Array) ObserveDisks(fn func(slot int, e disk.Event)) {
-	a.diskObs = a.diskObs[:0]
-	if fn != nil {
-		a.diskObs = append(a.diskObs, fn)
-	}
+	a.diskObs = fn
 	for i := range a.disks {
-		a.applyDiskObservers(i)
+		a.observeDisk(i)
 	}
 }
 
-// AddDiskObserver appends fn to every drive's observer chain, keeping
-// existing observers: the span tracer and a metrics collector can watch
-// the drives side by side. Observers fire in registration order; the
-// registration survives disk replacement. A nil fn is ignored.
-func (a *Array) AddDiskObserver(fn func(slot int, e disk.Event)) {
-	if fn == nil {
+// observeDisk points the drive in slot at the array's observer.
+func (a *Array) observeDisk(slot int) {
+	if a.diskObs == nil {
+		a.disks[slot].SetObserver(nil)
 		return
 	}
-	a.diskObs = append(a.diskObs, fn)
-	for i := range a.disks {
-		a.applyDiskObservers(i)
-	}
-}
-
-// applyDiskObservers rebuilds one drive's observer chain from the array's
-// registration list, preserving order.
-func (a *Array) applyDiskObservers(slot int) {
-	d := a.disks[slot]
-	d.SetObserver(nil)
-	for _, fn := range a.diskObs {
-		fn := fn
-		d.AddObserver(func(e disk.Event) { fn(slot, e) })
-	}
+	a.disks[slot].SetObserver(func(e disk.Event) { a.diskObs(slot, e) })
 }
 
 // FailedDisk returns the failed slot index, or -1 when fault-free.
@@ -488,7 +466,7 @@ func (a *Array) Replace() error {
 func (a *Array) installDisk(slot int) {
 	a.disks[slot] = disk.NewWithConfig(a.eng, a.cfg.Geom, a.diskConfig())
 	a.disks[slot].SetSlot(slot)
-	a.applyDiskObservers(slot)
+	a.observeDisk(slot)
 	if a.cfg.Faults != nil {
 		a.disks[slot].SetFaultHook(a.cfg.Faults.Hook(slot), a.cfg.Faults.TimeoutMS())
 		a.cfg.Faults.ResetDisk(slot)

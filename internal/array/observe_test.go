@@ -6,49 +6,12 @@ import (
 	"declust/internal/disk"
 )
 
-// TestDiskObserverChain registers two observers side by side and checks
-// both see every completion, in registration order, tagged with the right
-// slot — the contract that lets the span tracer and a metrics collector
-// coexist.
-func TestDiskObserverChain(t *testing.T) {
-	eng, a := testArray(t, nil)
-	var first, second []int
-	a.AddDiskObserver(func(slot int, e disk.Event) { first = append(first, slot) })
-	a.AddDiskObserver(func(slot int, e disk.Event) {
-		second = append(second, slot)
-		if len(second) > len(first) {
-			t.Fatal("second observer fired before the first")
-		}
-	})
-	a.AddDiskObserver(nil) // ignored, not a chain reset
-
-	done := 0
-	for u := int64(0); u < 20; u++ {
-		a.Read(u, func(uint64) { done++ })
-	}
-	eng.Run()
-	if done != 20 {
-		t.Fatalf("%d reads completed, want 20", done)
-	}
-	if len(first) == 0 || len(first) != len(second) {
-		t.Fatalf("observer chain uneven: %d vs %d events", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("event %d slots disagree: %d vs %d", i, first[i], second[i])
-		}
-		if first[i] < 0 || first[i] >= 21 {
-			t.Fatalf("event %d on bad slot %d", i, first[i])
-		}
-	}
-}
-
-// TestObserveDisksReplacesChain pins the historical replace-semantics of
-// ObserveDisks against the new chain: it drops every prior registration.
+// TestObserveDisksReplacesChain: a second ObserveDisks drops the first
+// registration, and nil stops observation.
 func TestObserveDisksReplacesChain(t *testing.T) {
 	eng, a := testArray(t, nil)
 	old := 0
-	a.AddDiskObserver(func(int, disk.Event) { old++ })
+	a.ObserveDisks(func(int, disk.Event) { old++ })
 	current := 0
 	a.ObserveDisks(func(int, disk.Event) { current++ })
 
@@ -71,12 +34,11 @@ func TestObserveDisksReplacesChain(t *testing.T) {
 }
 
 // TestObserverChainSurvivesReplacement: a drive installed by Replace
-// inherits the full registration list.
+// inherits the observer, tagged with its slot.
 func TestObserverChainSurvivesReplacement(t *testing.T) {
 	eng, a := testArray(t, nil)
 	perSlot := map[int]int{}
-	a.AddDiskObserver(func(slot int, e disk.Event) { perSlot[slot]++ })
-	a.AddDiskObserver(func(int, disk.Event) {})
+	a.ObserveDisks(func(slot int, e disk.Event) { perSlot[slot]++ })
 
 	if err := a.Fail(3); err != nil {
 		t.Fatal(err)
@@ -85,8 +47,7 @@ func TestObserverChainSurvivesReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drive 3 is factory-fresh (user reads of its units are still served
-	// from survivors until rebuilt), so probe it directly: the installed
-	// drive must carry the full chain with the right slot tag.
+	// from survivors until rebuilt), so probe it directly.
 	a.Disk(3).Submit(&disk.Request{Start: 0, Count: 8})
 	eng.Run()
 	if perSlot[3] == 0 {

@@ -675,7 +675,7 @@ func (op *userOp) writeLocked() {
 // three-access write applies to it, nil otherwise.
 func (op *userOp) smallWriteCompanion() []layout.Loc {
 	a := op.a
-	if !a.cfg.SmallWriteOpt || a.lay.G() != 3 {
+	if a.lay.G() != 3 {
 		return nil
 	}
 	others := op.uncovered()

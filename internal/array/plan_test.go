@@ -85,8 +85,7 @@ func TestWritePlanAccessCounts(t *testing.T) {
 		lost     lostRole
 		replaced bool // a replacement is installed for the failed disk
 		alg      ReconAlgorithm
-		noSW     bool // small-write optimization off
-		k        int  // units written: one through Write, or k > 0 through WriteRange
+		k        int // units written: one through Write, or k > 0 through WriteRange
 		reads    int
 		writes   int
 	}{
@@ -97,7 +96,6 @@ func TestWritePlanAccessCounts(t *testing.T) {
 		{name: "P/fold-baseline-replaced", g: 5, m: 1, lost: lostData, replaced: true, reads: 3, writes: 1},
 		{name: "P/fold-redirected", g: 5, m: 1, lost: lostData, replaced: true, alg: UserWrites, reads: 3, writes: 2},
 		{name: "P/small-write", g: 3, m: 1, reads: 1, writes: 2},
-		{name: "P/small-write-off", g: 3, m: 1, noSW: true, reads: 2, writes: 2},
 		{name: "P/mirror", g: 2, m: 1, reads: 0, writes: 2},
 		{name: "P/mirror-twin-lost", g: 2, m: 1, lost: lostP, reads: 0, writes: 1},
 		{name: "P/mirror-fold", g: 2, m: 1, lost: lostData, reads: 0, writes: 1},
@@ -128,7 +126,6 @@ func TestWritePlanAccessCounts(t *testing.T) {
 		t.Run(r.name, func(t *testing.T) {
 			eng, a := arrayOf(t, r.g, r.m, func(c *Config) {
 				c.Algorithm = r.alg
-				c.SmallWriteOpt = !r.noSW
 			})
 			first, count := int64(17), 1
 			if r.k > 0 {

@@ -178,13 +178,23 @@ func TestRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestReconCyclePhases(t *testing.T) {
-	rm, rs, wm, ws, err := ReconCyclePhases(smallCfg(5), 300)
+// TestReconTailPhases: a reconstruction run reports Table 8-1's figures —
+// the cycle phases over the sweep's last 300 cycles — beside the
+// whole-sweep ones, and the two differ once the sweep is longer than that.
+func TestReconTailPhases(t *testing.T) {
+	m, err := RunReconstruction(smallCfg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rm <= 0 || wm <= 0 {
-		t.Fatalf("phases not measured: read %v(%v) write %v(%v)", rm, rs, wm, ws)
+	if m.ReadTailMeanMS <= 0 || m.WriteTailMeanMS <= 0 {
+		t.Fatalf("tail phases not measured: read %v(%v) write %v(%v)",
+			m.ReadTailMeanMS, m.ReadTailStdMS, m.WriteTailMeanMS, m.WriteTailStdMS)
+	}
+	if m.ReconCycles <= 300 {
+		t.Fatalf("sweep of %d cycles cannot tell a tail from the whole", m.ReconCycles)
+	}
+	if m.ReadTailMeanMS == m.ReadPhaseMeanMS && m.WriteTailMeanMS == m.WritePhaseMeanMS {
+		t.Error("tail figures equal the whole-sweep ones")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"declust/internal/metrics"
+	"declust/internal/telemetry"
 )
 
 // instrumentedCfg returns a fast reconstruction configuration with every
@@ -38,8 +39,8 @@ func TestInstrumentationDeterminism(t *testing.T) {
 		var ev bytes.Buffer
 		cfg, reg := instrumentedCfg(&ev)
 		reports := 0
-		cfg.ProgressEveryMS = 500
-		cfg.OnProgress = func(p Progress) { reports++ }
+		cfg.LiveEveryMS = 500
+		cfg.OnLive = func(telemetry.Progress) { reports++ }
 		m, err := RunReconstruction(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"declust/internal/array"
 	"declust/internal/disk"
@@ -29,7 +30,6 @@ type SimConfig struct {
 	ScaleNum, ScaleDen int
 	UnitSectors        int     // stripe unit size in sectors; 0 = 8 (4 KB)
 	CvscanBias         float64 // V(R) bias; 0 = 0.2
-	MaxTuples          int     // block design table cap; 0 = default
 
 	// SchedPolicy selects the per-disk queue scheduler; the zero value is
 	// disk.CVSCAN, the original behaviour.
@@ -127,47 +127,21 @@ type SimConfig struct {
 	// (utilization, queue depth, mean seek distance) on this sim-time
 	// cadence; 0 disables sampling.
 	SampleEveryMS float64
-	// OnProgress, during reconstruction runs, is called every
-	// ProgressEveryMS of simulated time (default 1000) with sweep
-	// progress and an ETA.
-	OnProgress      func(Progress)
-	ProgressEveryMS float64
 	// Spans, when non-nil, records request-lifecycle spans: a root span
 	// per user access with phase children from the array and per-disk
 	// service segments from the drives. Export with WriteJSONL or
 	// WriteChromeTrace, or feed Attribute for a latency breakdown.
 	Spans *telemetry.Tracer
 	// OnLive, when non-nil, is called every LiveEveryMS of simulated time
-	// (default 1000) with a read-only status snapshot — the bridge to the
-	// live telemetry server. The callback reads state only; enabling it
-	// never changes simulation results.
-	OnLive      func(LiveStatus)
+	// (default 1000) with the run's status — response so far, per-disk
+	// activity, sweep progress with an ETA, the engine's event count —
+	// for as long as arrivals run or a sweep does, and once more when both
+	// are over. It is the one periodic report: progress lines and the live
+	// telemetry server both consume it. Slices are freshly allocated per
+	// call, so a receiver may hand them to another goroutine. The callback
+	// reads state only; enabling it changes nothing but the event count.
+	OnLive      func(telemetry.Progress)
 	LiveEveryMS float64
-}
-
-// LiveStatus is a point-in-time view of a running simulation, built for
-// the live telemetry server. Slices are freshly allocated per callback so
-// receivers may retain them across goroutines.
-type LiveStatus struct {
-	SimMS          float64
-	Requests       int
-	MeanResponseMS float64
-	DiskUtil       []float64 // busy fraction of the last interval, per slot
-	DiskQueue      []int     // instantaneous queue depth, per slot
-	ReconDone      int64
-	ReconTotal     int64
-	ReconETAMS     float64
-}
-
-// Progress is a reconstruction progress report (see SimConfig.OnProgress).
-type Progress struct {
-	SimMS      float64 // current simulated time
-	DoneUnits  int64   // lost units live again
-	TotalUnits int64
-	ETAMS      float64 // estimated simulated ms until completion (0 until measurable)
-	// EventsFired is the engine's cumulative event count; divided by
-	// wall-clock time it gives the simulator's throughput.
-	EventsFired uint64
 }
 
 func (c SimConfig) withDefaults() SimConfig {
@@ -213,13 +187,19 @@ type Metrics struct {
 	CacheHits       int64
 	CacheHitSectors int64
 
-	// Reconstruction-specific (zero for fault-free/degraded runs).
+	// Reconstruction-specific (zero for fault-free/degraded runs): the
+	// cycle's read and write phases over the whole sweep, and over its
+	// last 300 cycles as the paper's Table 8-1 reports them.
 	ReconTimeMS      float64
 	ReconCycles      int64
 	ReadPhaseMeanMS  float64
 	ReadPhaseStdMS   float64
 	WritePhaseMeanMS float64
 	WritePhaseStdMS  float64
+	ReadTailMeanMS   float64
+	ReadTailStdMS    float64
+	WriteTailMeanMS  float64
+	WriteTailStdMS   float64
 
 	// Alpha is the achieved declustering ratio of the layout used.
 	Alpha float64
@@ -274,7 +254,7 @@ type runner struct {
 	mRequests *metrics.Counter
 	sampleMS  float64
 	spans     *telemetry.Tracer
-	onLive    func(LiveStatus)
+	onLive    func(telemetry.Progress)
 	liveMS    float64
 
 	// Arrival fast path: arriveFn is bound once; nextOp carries the one
@@ -356,11 +336,11 @@ func newRunner(cfg SimConfig) (*runner, error) {
 	case cfg.Parities == 2 && cfg.DistributedSparing:
 		return nil, fmt.Errorf("core: distributed sparing is single-parity only")
 	case cfg.DistributedSparing:
-		m, err = NewSparedMapping(cfg.C, cfg.G, cfg.MaxTuples)
+		m, err = NewSparedMapping(cfg.C, cfg.G, 0)
 	case cfg.Parities == 2:
-		m, err = NewPQMapping(cfg.C, cfg.G, cfg.MaxTuples)
+		m, err = NewPQMapping(cfg.C, cfg.G, 0)
 	default:
-		m, err = NewMapping(cfg.C, cfg.G, cfg.MaxTuples)
+		m, err = NewMapping(cfg.C, cfg.G, 0)
 	}
 	if err != nil {
 		return nil, err
@@ -393,7 +373,6 @@ func newRunner(cfg SimConfig) (*runner, error) {
 		PrioAgeMS:                 cfg.PrioAgeMS,
 		Algorithm:                 cfg.Algorithm,
 		ReconProcs:                cfg.ReconProcs,
-		SmallWriteOpt:             true,
 		ReconLowPriority:          cfg.ReconLowPriority,
 		ReconThrottleCyclesPerSec: cfg.ReconThrottleCyclesPerSec,
 		DataMapper:                mapper,
@@ -472,120 +451,113 @@ func (r *runner) stopFaults() {
 	r.arr.StopScrub()
 }
 
+// every calls fn each ms of simulated time for as long as it returns true.
+// Both periodic reporters are built on it; they read state only, so neither
+// changes a result (only the engine's event count and, by at most one
+// period, the clock the drain stops at).
+func (r *runner) every(ms float64, fn func() bool) {
+	var tick func()
+	tick = func() {
+		if fn() {
+			r.eng.Schedule(ms, tick)
+		}
+	}
+	r.eng.Schedule(ms, tick)
+}
+
+// diskActivity returns what slot i's drive did since the reading kept in
+// prev, and advances prev. A drive replaced in between restarted its
+// counters from zero: all it has done is the interval's work.
+func (r *runner) diskActivity(i int, prev []disk.Stats) disk.Stats {
+	st := r.arr.Disk(i).Stats()
+	d := st
+	if st.BusyMS >= prev[i].BusyMS && st.Completed >= prev[i].Completed {
+		d.BusyMS -= prev[i].BusyMS
+		d.SeekCyls -= prev[i].SeekCyls
+		d.Completed -= prev[i].Completed
+		d.CacheHits -= prev[i].CacheHits
+	}
+	prev[i] = st
+	return d
+}
+
 // startSampling begins the per-disk time-series sampler: every sampleMS
-// of simulated time it appends utilization (busy fraction of the
-// interval), instantaneous queue depth, and mean seek distance per
-// completed request to the registry's series. The sampler reads state
-// only, so enabling it never changes simulation results; it stops
-// rescheduling once the runner is stopped and the engine drains.
+// of simulated time, until arrivals stop, it appends utilization (busy
+// fraction of the interval), instantaneous queue depth, and mean seek
+// distance per completed request to the registry's series.
 func (r *runner) startSampling() {
 	if r.reg == nil || r.sampleMS <= 0 {
 		return
 	}
 	n := r.arr.Layout().Disks()
-	util := make([]*metrics.Series, n)
-	depth := make([]*metrics.Series, n)
-	seek := make([]*metrics.Series, n)
-	var hits []*metrics.Series
-	prev := make([]disk.Stats, n)
-	for i := 0; i < n; i++ {
-		util[i] = r.reg.Series(fmt.Sprintf(`disk_util{disk="%d"}`, i))
-		depth[i] = r.reg.Series(fmt.Sprintf(`disk_queue_depth{disk="%d"}`, i))
-		seek[i] = r.reg.Series(fmt.Sprintf(`disk_seek_cyls_avg{disk="%d"}`, i))
+	series := func(name string) []*metrics.Series {
+		out := make([]*metrics.Series, n)
+		for i := range out {
+			out[i] = r.reg.Series(name + `{disk="` + strconv.Itoa(i) + `"}`)
+		}
+		return out
 	}
+	util, depth, seek := series("disk_util"), series("disk_queue_depth"), series("disk_seek_cyls_avg")
+	var hits []*metrics.Series
 	if r.raOn {
 		// Registered only with read-ahead enabled so default exports stay
 		// byte-identical to builds without the cache.
-		hits = make([]*metrics.Series, n)
-		for i := 0; i < n; i++ {
-			hits[i] = r.reg.Series(fmt.Sprintf(`disk_cache_hit_rate{disk="%d"}`, i))
-		}
+		hits = series("disk_cache_hit_rate")
 	}
-	var tick func()
-	tick = func() {
+	prev := make([]disk.Stats, n)
+	r.every(r.sampleMS, func() bool {
 		if r.stopped {
-			return
+			return false
 		}
 		now := r.eng.Now()
-		for i := 0; i < n; i++ {
-			d := r.arr.Disk(i)
-			st := d.Stats()
-			busy := st.BusyMS - prev[i].BusyMS
-			moved := st.SeekCyls - prev[i].SeekCyls
-			completed := st.Completed - prev[i].Completed
-			if busy < 0 || completed < 0 {
-				// The slot's drive was replaced mid-interval; its
-				// counters restarted from zero.
-				busy, moved, completed = st.BusyMS, st.SeekCyls, st.Completed
+		for i := range prev {
+			d := r.diskActivity(i, prev)
+			perReq := func(x int64) float64 {
+				if d.Completed == 0 {
+					return 0
+				}
+				return float64(x) / float64(d.Completed)
 			}
-			util[i].Observe(now, busy/r.sampleMS)
-			depth[i].Observe(now, float64(d.QueueLen()))
-			avg := 0.0
-			if completed > 0 {
-				avg = float64(moved) / float64(completed)
-			}
-			seek[i].Observe(now, avg)
+			util[i].Observe(now, d.BusyMS/r.sampleMS)
+			depth[i].Observe(now, float64(r.arr.Disk(i).QueueLen()))
+			seek[i].Observe(now, perReq(d.SeekCyls))
 			if hits != nil {
-				cached := st.CacheHits - prev[i].CacheHits
-				if cached < 0 {
-					cached = st.CacheHits
-				}
-				rate := 0.0
-				if completed > 0 {
-					rate = float64(cached) / float64(completed)
-				}
-				hits[i].Observe(now, rate)
+				hits[i].Observe(now, perReq(d.CacheHits))
 			}
-			prev[i] = st
 		}
-		r.eng.Schedule(r.sampleMS, tick)
-	}
-	r.eng.Schedule(r.sampleMS, tick)
+		return true
+	})
 }
 
-// startLive begins the live-status ticker: every liveMS of simulated time
-// it hands OnLive a fresh snapshot of response stats, per-disk activity
-// and reconstruction progress. Like the sampler it reads state only and
-// stops rescheduling once the runner stops, so enabling it never changes
-// simulation results (beyond the engine's event count).
+// startLive begins the status clock behind SimConfig.OnLive: a report every
+// liveMS of simulated time while arrivals run or a sweep does, and a last
+// one from the drain when both are over.
 func (r *runner) startLive() {
 	if r.onLive == nil {
 		return
 	}
 	n := r.arr.Layout().Disks()
-	prevBusy := make([]float64, n)
-	var tick func()
-	tick = func() {
-		if r.stopped {
-			return
-		}
-		st := LiveStatus{
+	prev := make([]disk.Stats, n)
+	r.every(r.liveMS, func() bool {
+		p := telemetry.Progress{
 			SimMS:          r.eng.Now(),
 			Requests:       r.resp.N(),
 			MeanResponseMS: r.resp.Mean(),
 			DiskUtil:       make([]float64, n),
 			DiskQueue:      make([]int, n),
+			EngineEvents:   r.eng.Fired(),
 		}
-		for i := 0; i < n; i++ {
-			d := r.arr.Disk(i)
-			busy := d.Stats().BusyMS - prevBusy[i]
-			if busy < 0 {
-				busy = d.Stats().BusyMS // drive replaced mid-interval
-			}
-			st.DiskUtil[i] = busy / r.liveMS
-			st.DiskQueue[i] = d.QueueLen()
-			prevBusy[i] = d.Stats().BusyMS
+		for i := range prev {
+			p.DiskUtil[i] = r.diskActivity(i, prev).BusyMS / r.liveMS
+			p.DiskQueue[i] = r.arr.Disk(i).QueueLen()
 		}
-		if done, total := r.arr.ReconProgress(); total > 0 {
-			st.ReconDone, st.ReconTotal = done, total
-			if elapsed := r.eng.Now() - r.arr.ReconStartMS(); done > 0 && elapsed > 0 && r.arr.Reconstructing() {
-				st.ReconETAMS = elapsed / float64(done) * float64(total-done)
-			}
+		p.ReconDone, p.ReconTotal = r.arr.ReconProgress()
+		if elapsed := r.eng.Now() - r.arr.ReconStartMS(); p.ReconDone > 0 && elapsed > 0 {
+			p.ReconETAMS = elapsed / float64(p.ReconDone) * float64(p.ReconTotal-p.ReconDone)
 		}
-		r.onLive(st)
-		r.eng.Schedule(r.liveMS, tick)
-	}
-	r.eng.Schedule(r.liveMS, tick)
+		r.onLive(p)
+		return !r.stopped || r.arr.Reconstructing()
+	})
 }
 
 // exportFinal freezes end-of-run aggregates into the registry: per-disk
@@ -729,63 +701,52 @@ func (r *runner) metrics() Metrics {
 
 // RunFaultFree measures steady-state user response time with no failure
 // (paper §6).
-func RunFaultFree(cfg SimConfig) (Metrics, error) {
-	cfg = cfg.withDefaults()
-	r, err := newRunner(cfg)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return r.timedWindow(cfg)
-}
+func RunFaultFree(cfg SimConfig) (Metrics, error) { return run(cfg, false, false) }
 
 // RunDegraded measures steady-state user response time with one disk
 // failed and no replacement installed (paper §7). The failed disk is 0;
 // layouts balance load so the choice is immaterial.
-func RunDegraded(cfg SimConfig) (Metrics, error) {
-	cfg = cfg.withDefaults()
-	r, err := newRunner(cfg)
-	if err != nil {
-		return Metrics{}, err
-	}
-	if err := r.arr.Fail(0); err != nil {
-		return Metrics{}, err
-	}
-	return r.timedWindow(cfg)
-}
-
-func (r *runner) timedWindow(cfg SimConfig) (Metrics, error) {
-	r.from = cfg.WarmupMS
-	r.to = cfg.WarmupMS + cfg.MeasureMS
-	r.startSampling()
-	r.startLive()
-	r.startFaults()
-	r.pump()
-	r.eng.RunUntil(r.to)
-	r.stopped = true
-	r.stopFaults()
-	r.eng.Run() // drain in-flight operations so their responses count
-	if err := r.arr.CheckConsistency(); err != nil {
-		return Metrics{}, fmt.Errorf("core: post-run consistency check: %w", err)
-	}
-	r.exportFinal()
-	return r.metrics(), nil
-}
+func RunDegraded(cfg SimConfig) (Metrics, error) { return run(cfg, true, false) }
 
 // RunReconstruction fails disk 0, installs a replacement, reconstructs it
 // under user load, and reports both reconstruction time and the response
 // time of user accesses arriving during reconstruction (paper §8). The
 // warmup runs in degraded mode so queues reflect the failed state when the
 // sweep begins.
-func RunReconstruction(cfg SimConfig) (Metrics, error) {
+func RunReconstruction(cfg SimConfig) (Metrics, error) { return run(cfg, true, true) }
+
+// RunMode runs the simulation a mode name selects: "faultfree", "degraded"
+// or "recon". A function and not a table of the three: a package-level
+// value naming them would link the whole simulator into every program that
+// imports this package for NewMapping alone.
+func RunMode(mode string, cfg SimConfig) (Metrics, error) {
+	switch mode {
+	case "faultfree":
+		return RunFaultFree(cfg)
+	case "degraded":
+		return RunDegraded(cfg)
+	case "recon":
+		return RunReconstruction(cfg)
+	}
+	return Metrics{}, fmt.Errorf("unknown mode %q", mode)
+}
+
+// run is the one simulation script: build the array (fail disk 0, recon
+// also installs its replacement), warm up, measure, drain, check, export.
+// The measurement window is MeasureMS long, or with recon lasts from the
+// end of warm-up until the sweep started there has rebuilt the disk.
+func run(cfg SimConfig, fail, recon bool) (Metrics, error) {
 	cfg = cfg.withDefaults()
 	r, err := newRunner(cfg)
 	if err != nil {
 		return Metrics{}, err
 	}
-	if err := r.arr.Fail(0); err != nil {
-		return Metrics{}, err
+	if fail {
+		if err := r.arr.Fail(0); err != nil {
+			return Metrics{}, err
+		}
 	}
-	if !cfg.DistributedSparing {
+	if recon && !cfg.DistributedSparing {
 		if err := r.arr.Replace(); err != nil {
 			return Metrics{}, err
 		}
@@ -795,98 +756,43 @@ func RunReconstruction(cfg SimConfig) (Metrics, error) {
 	r.startLive()
 	r.startFaults()
 	r.pump()
-	r.eng.RunUntil(cfg.WarmupMS)
-
-	err = r.arr.Reconstruct(func() {
-		r.to = r.eng.Now()
-		r.stopped = true
-		r.stopFaults()
-	})
-	if err != nil {
-		return Metrics{}, err
+	if recon {
+		r.eng.RunUntil(cfg.WarmupMS)
+		if err := r.arr.Reconstruct(r.stop); err != nil {
+			return Metrics{}, err
+		}
+	} else {
+		r.to = cfg.WarmupMS + cfg.MeasureMS
+		r.eng.RunUntil(r.to)
+		r.stop()
 	}
-	r.startProgress(cfg)
-	r.eng.Run()
-	if r.arr.Degraded() && !r.arr.Spared() {
+	r.eng.Run() // drain in-flight operations so their responses count
+	if recon && r.arr.Degraded() && !r.arr.Spared() {
 		return Metrics{}, fmt.Errorf("core: reconstruction did not complete")
 	}
 	if err := r.arr.CheckConsistency(); err != nil {
-		return Metrics{}, fmt.Errorf("core: post-reconstruction consistency check: %w", err)
+		return Metrics{}, fmt.Errorf("core: post-run consistency check: %w", err)
 	}
 	r.exportFinal()
 	m := r.metrics()
-	m.ReconTimeMS = r.arr.ReconTimeMS()
-	m.ReconCycles = r.arr.ReconCycles()
-	m.ReadPhaseMeanMS = r.arr.ReadPhase().Mean()
-	m.ReadPhaseStdMS = r.arr.ReadPhase().Std()
-	m.WritePhaseMeanMS = r.arr.WritePhase().Mean()
-	m.WritePhaseStdMS = r.arr.WritePhase().Std()
+	if recon {
+		const tail = 300 // cycles, Table 8-1's
+		rp, wp := r.arr.ReadPhase(), r.arr.WritePhase()
+		rt, wt := rp.Tail(tail), wp.Tail(tail)
+		m.ReconTimeMS = r.arr.ReconTimeMS()
+		m.ReconCycles = r.arr.ReconCycles()
+		m.ReadPhaseMeanMS, m.ReadPhaseStdMS = rp.Mean(), rp.Std()
+		m.WritePhaseMeanMS, m.WritePhaseStdMS = wp.Mean(), wp.Std()
+		m.ReadTailMeanMS, m.ReadTailStdMS = rt.Mean(), rt.Std()
+		m.WriteTailMeanMS, m.WriteTailStdMS = wt.Mean(), wt.Std()
+	}
 	return m, nil
 }
 
-// startProgress schedules periodic reconstruction progress reports on a
-// sim-time cadence. The ticker reads state only and stops itself once
-// reconstruction completes, so enabling it never changes results. The
-// final report (DoneUnits == TotalUnits) is delivered from the engine's
-// drain phase.
-func (r *runner) startProgress(cfg SimConfig) {
-	if cfg.OnProgress == nil {
-		return
-	}
-	every := cfg.ProgressEveryMS
-	if every <= 0 {
-		every = 1000
-	}
-	report := func() {
-		done, total := r.arr.ReconProgress()
-		elapsed := r.eng.Now() - r.arr.ReconStartMS()
-		eta := 0.0
-		if done > 0 && elapsed > 0 {
-			eta = elapsed / float64(done) * float64(total-done)
-		}
-		cfg.OnProgress(Progress{
-			SimMS: r.eng.Now(), DoneUnits: done, TotalUnits: total,
-			ETAMS: eta, EventsFired: r.eng.Fired(),
-		})
-	}
-	var tick func()
-	tick = func() {
-		if !r.arr.Reconstructing() {
-			report() // final 100% report
-			return
-		}
-		report()
-		r.eng.Schedule(every, tick)
-	}
-	r.eng.Schedule(every, tick)
-}
-
-// ReconCyclePhases reruns a reconstruction like RunReconstruction but
-// reports the mean and deviation of the read and write phases over only
-// the last `tail` cycles, as the paper's Table 8-1 does (tail = 300).
-func ReconCyclePhases(cfg SimConfig, tail int) (readMean, readStd, writeMean, writeStd float64, err error) {
-	cfg = cfg.withDefaults()
-	r, err := newRunner(cfg)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if err := r.arr.Fail(0); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if !cfg.DistributedSparing {
-		if err := r.arr.Replace(); err != nil {
-			return 0, 0, 0, 0, err
-		}
-	}
-	r.from = cfg.WarmupMS
-	r.startFaults()
-	r.pump()
-	r.eng.RunUntil(cfg.WarmupMS)
-	if err := r.arr.Reconstruct(func() { r.stopped = true; r.stopFaults() }); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	r.eng.Run()
-	rw := r.arr.ReadPhase().Tail(tail)
-	ww := r.arr.WritePhase().Tail(tail)
-	return rw.Mean(), rw.Std(), ww.Mean(), ww.Std(), nil
+// stop closes the measurement window at the present: no further arrivals,
+// and the self-rescheduling fault processes cancelled so the engine drains.
+func (r *runner) stop() {
+	r.to = r.eng.Now()
+	r.stopped = true
+	r.stopFaults()
 }

@@ -139,11 +139,11 @@ func TestSpanDeterminism(t *testing.T) {
 // reconstruction run and checks the periodic snapshots are sane and
 // deterministic.
 func TestOnLiveSnapshots(t *testing.T) {
-	do := func() []LiveStatus {
+	do := func() []telemetry.Progress {
 		cfg := smallCfg(5)
-		var snaps []LiveStatus
+		var snaps []telemetry.Progress
 		cfg.LiveEveryMS = 500
-		cfg.OnLive = func(st LiveStatus) { snaps = append(snaps, st) }
+		cfg.OnLive = func(st telemetry.Progress) { snaps = append(snaps, st) }
 		if _, err := RunReconstruction(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -100,12 +100,12 @@ type Disk struct {
 	seek  SeekCurve
 	sched *schedQueue
 
-	busy      bool
-	headCyl   int
-	seq       uint64
-	slot      int // array slot for telemetry segments; -1 when standalone
-	stats     Stats
-	observers []func(Event)
+	busy     bool
+	headCyl  int
+	seq      uint64
+	slot     int // array slot for telemetry segments; -1 when standalone
+	stats    Stats
+	observer func(Event)
 
 	// Track read-ahead buffer: [raLo, raHi) is the LBA window currently
 	// held in drive RAM; empty when raLo >= raHi. hitFree pools hit
@@ -341,16 +341,13 @@ func (d *Disk) complete() {
 			}
 		}
 	}
-	if len(d.observers) > 0 {
-		ev := Event{
+	if d.observer != nil {
+		d.observer(Event{
 			QueuedAt: r.queuedAt, Start: start, Finish: finish,
 			Cyl: cyl, SeekDist: dist,
 			Sectors: r.Count, Write: r.Write, Priority: r.Priority,
 			Status: st,
-		}
-		for _, fn := range d.observers {
-			fn(ev)
-		}
+		})
 	}
 	// Start the next transfer before delivering the completion, so the
 	// arm never idles waiting on upper-layer work.

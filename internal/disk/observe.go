@@ -1,12 +1,6 @@
 package disk
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Event describes one completed disk request, for observers.
+// Event describes one completed disk request, for the observer.
 type Event struct {
 	QueuedAt float64 // when the request entered the queue
 	Start    float64 // when service began
@@ -20,81 +14,7 @@ type Event struct {
 	CacheHit bool   // served from the track read-ahead buffer
 }
 
-// SetObserver replaces the observer chain with the single callback fn,
-// invoked at every request completion. Pass nil to remove all observers.
-// Observation is off the timing path: it cannot perturb the simulation.
-func (d *Disk) SetObserver(fn func(Event)) {
-	d.observers = d.observers[:0]
-	if fn != nil {
-		d.observers = append(d.observers, fn)
-	}
-}
-
-// AddObserver appends fn to the observer chain, leaving existing
-// observers in place: the tracer and a metrics collector can watch the
-// same drive without sharing one hook. Observers run in registration
-// order at every completion; a nil fn is ignored.
-func (d *Disk) AddObserver(fn func(Event)) {
-	if fn != nil {
-		d.observers = append(d.observers, fn)
-	}
-}
-
-// Summary aggregates observed events into the quantities disk papers
-// report: utilization, queue delay, and the seek-distance distribution
-// (the evidence behind "reconstruction writes are sequential").
-type Summary struct {
-	Events     int
-	Reads      int
-	Writes     int
-	MeanSvcMS  float64
-	MeanWaitMS float64
-	// SeekZero is the fraction of requests needing no arm movement.
-	SeekZero float64
-	// SeekP50/P90 are percentiles of the nonzero seek distances.
-	SeekP50, SeekP90 int
-}
-
-// Summarize folds a set of events.
-func Summarize(events []Event) Summary {
-	s := Summary{Events: len(events)}
-	if len(events) == 0 {
-		return s
-	}
-	var svc, wait float64
-	var seeks []int
-	zero := 0
-	for _, e := range events {
-		if e.Write {
-			s.Writes++
-		} else {
-			s.Reads++
-		}
-		svc += e.Finish - e.Start
-		wait += e.Start - e.QueuedAt
-		if e.SeekDist == 0 {
-			zero++
-		} else {
-			seeks = append(seeks, e.SeekDist)
-		}
-	}
-	n := float64(len(events))
-	s.MeanSvcMS = svc / n
-	s.MeanWaitMS = wait / n
-	s.SeekZero = float64(zero) / n
-	if len(seeks) > 0 {
-		sort.Ints(seeks)
-		s.SeekP50 = seeks[len(seeks)/2]
-		s.SeekP90 = seeks[len(seeks)*9/10]
-	}
-	return s
-}
-
-func (s Summary) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d events (%d R / %d W), service %.1f ms, queue %.1f ms, ",
-		s.Events, s.Reads, s.Writes, s.MeanSvcMS, s.MeanWaitMS)
-	fmt.Fprintf(&b, "seeks: %.0f%% zero, P50 %d cyl, P90 %d cyl",
-		100*s.SeekZero, s.SeekP50, s.SeekP90)
-	return b.String()
-}
+// SetObserver makes fn the drive's observer, invoked at every request
+// completion; nil removes it. Observation is off the timing path: it cannot
+// perturb the simulation.
+func (d *Disk) SetObserver(fn func(Event)) { d.observer = fn }

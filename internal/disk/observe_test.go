@@ -2,7 +2,6 @@ package disk
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"declust/internal/sim"
@@ -50,52 +49,23 @@ func TestObserverRemovable(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	events := []Event{
-		{QueuedAt: 0, Start: 1, Finish: 3, SeekDist: 0, Write: false},
-		{QueuedAt: 0, Start: 2, Finish: 6, SeekDist: 10, Write: true},
-		{QueuedAt: 1, Start: 4, Finish: 7, SeekDist: 100, Write: true},
-		{QueuedAt: 2, Start: 6, Finish: 9, SeekDist: 20, Write: false},
-	}
-	s := Summarize(events)
-	if s.Events != 4 || s.Reads != 2 || s.Writes != 2 {
-		t.Fatalf("counts wrong: %+v", s)
-	}
-	if s.SeekZero != 0.25 {
-		t.Fatalf("seek zero %v, want 0.25", s.SeekZero)
-	}
-	if s.SeekP50 != 20 || s.SeekP90 != 100 {
-		t.Fatalf("seek percentiles %d/%d, want 20/100", s.SeekP50, s.SeekP90)
-	}
-	// service: (2+4+3+3)/4 = 3; wait: (1+2+3+4)/4 = 2.5.
-	if s.MeanSvcMS != 3 || s.MeanWaitMS != 2.5 {
-		t.Fatalf("svc/wait %v/%v, want 3/2.5", s.MeanSvcMS, s.MeanWaitMS)
-	}
-	if !strings.Contains(s.String(), "4 events") {
-		t.Fatalf("summary string: %s", s)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Events != 0 || s.MeanSvcMS != 0 {
-		t.Fatalf("empty summary %+v", s)
-	}
-}
-
 func TestSequentialStreamShowsZeroSeeks(t *testing.T) {
 	// The observer exposes the effect Table 8-1 hinges on: sequential
 	// transfers barely move the arm.
 	eng := sim.New()
 	d := New(eng, IBM0661(), 0.2)
-	var events []Event
-	d.SetObserver(func(e Event) { events = append(events, e) })
-	for i := 0; i < 300; i++ {
+	const n = 300
+	zero := 0
+	d.SetObserver(func(e Event) {
+		if e.SeekDist == 0 {
+			zero++
+		}
+	})
+	for i := 0; i < n; i++ {
 		d.Submit(&Request{Start: int64(i) * 8, Count: 8, Write: true})
 	}
 	eng.Run()
-	s := Summarize(events)
-	if s.SeekZero < 0.95 {
-		t.Fatalf("sequential stream only %.0f%% zero seeks", 100*s.SeekZero)
+	if zero < n*95/100 {
+		t.Fatalf("sequential stream only %d of %d zero seeks", zero, n)
 	}
 }

@@ -90,16 +90,13 @@ func (h *raHit) fire() {
 		// segment marks the transfer as mechanically free.
 		sp.Segment(telemetry.SegCacheHit, d.slot, now, now)
 	}
-	if len(d.observers) > 0 {
-		ev := Event{
+	if d.observer != nil {
+		d.observer(Event{
 			QueuedAt: r.queuedAt, Start: now, Finish: now,
 			Cyl: d.headCyl, SeekDist: 0,
 			Sectors: r.Count, Write: false, Priority: r.Priority,
 			Status: OK, CacheHit: true,
-		}
-		for _, fn := range d.observers {
-			fn(ev)
-		}
+		})
 	}
 	if r.OnDone != nil {
 		r.OnDone(now, now, OK)

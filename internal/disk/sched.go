@@ -9,7 +9,8 @@ type Policy int
 
 const (
 	// CVSCAN is the V(R) continuum [Geist87] with a configurable reversal
-	// bias r: r = 0 degenerates to SSTF, r = 1 to SCAN (see cvscan.go).
+	// bias r: r = 0 degenerates to SSTF, r = 1 to SCAN. It is the paper's
+	// raidSim scheduler.
 	CVSCAN Policy = iota
 	// FIFO serves requests strictly in arrival order within a priority
 	// class: no seek optimization at all, the baseline real controllers
@@ -64,11 +65,12 @@ func (p Policy) String() string {
 // lower class that has waited at least ageMS is promoted into the top
 // class present — the starvation-avoidance bound that keeps demoted
 // reconstruction and scrub traffic from waiting forever behind user I/O.
-// Ties always break by arrival order (seq), so every policy is
-// deterministic.
+// Every policy is one scan — the eligible request of least cost, ties to
+// arrival order (seq), so each is deterministic — and differs only in the
+// cost (see cost).
 type schedQueue struct {
 	policy  Policy
-	bias    float64 // CVSCAN reversal penalty, as a fraction of the stroke
+	bias    float64 // reversal penalty, as a fraction of the stroke; 0 under SSTF
 	cyls    int
 	ageMS   float64 // 0 = never promote
 	pending []*Request
@@ -78,6 +80,9 @@ type schedQueue struct {
 }
 
 func newSchedQueue(p Policy, bias float64, cylinders int, ageMS float64) *schedQueue {
+	if p == SSTF {
+		bias = 0 // shortest seek first is V(R) with no reversal penalty
+	}
 	return &schedQueue{policy: p, bias: bias, cyls: cylinders, ageMS: ageMS}
 }
 
@@ -108,16 +113,16 @@ func (s *schedQueue) pop(now float64, headCyl int) *Request {
 			maxPrio = r.Priority
 		}
 	}
-	var best int
-	switch s.policy {
-	case FIFO:
-		best = s.pickFIFO(maxPrio, now)
-	case SSTF:
-		best = s.pickSSTF(maxPrio, now, headCyl)
-	case CSCAN:
-		best = s.pickCSCAN(maxPrio, now, headCyl)
-	default:
-		best = s.pickCVSCAN(maxPrio, now, headCyl)
+	best, bestCost := -1, 0.0
+	for i, r := range s.pending {
+		if !s.eligible(r, maxPrio, now) {
+			continue
+		}
+		cost := s.cost(r.cyl - headCyl)
+		if best == -1 || cost < bestCost ||
+			(cost == bestCost && r.seq < s.pending[best].seq) {
+			best, bestCost = i, cost
+		}
 	}
 	r := s.pending[best]
 	s.pending = append(s.pending[:best], s.pending[best+1:]...)
@@ -129,64 +134,28 @@ func (s *schedQueue) pop(now float64, headCyl int) *Request {
 	return r
 }
 
-// pickFIFO selects the oldest eligible request.
-func (s *schedQueue) pickFIFO(maxPrio int, now float64) int {
-	best := -1
-	for i, r := range s.pending {
-		if !s.eligible(r, maxPrio, now) {
-			continue
-		}
-		if best == -1 || r.seq < s.pending[best].seq {
-			best = i
-		}
-	}
-	return best
-}
-
-// pickSSTF selects the eligible request with the shortest seek distance.
-func (s *schedQueue) pickSSTF(maxPrio int, now float64, headCyl int) int {
-	best := -1
-	bestDist := 0
-	for i, r := range s.pending {
-		if !s.eligible(r, maxPrio, now) {
-			continue
-		}
-		dist := r.cyl - headCyl
+// cost is what serving a request dist cylinders above the head (negative:
+// below it) costs under the queue's policy. FIFO charges nothing, so age
+// alone decides. CSCAN charges the distance as its upward-only sweep
+// travels it: a request below the head lies a whole stroke further on.
+// CVSCAN charges the seek, plus bias × the stroke when serving the request
+// would reverse the current sweep; SSTF is that with no bias.
+func (s *schedQueue) cost(dist int) float64 {
+	switch s.policy {
+	case FIFO:
+		return 0
+	case CSCAN:
 		if dist < 0 {
-			dist = -dist
+			dist += s.cyls
 		}
-		if best == -1 || dist < bestDist ||
-			(dist == bestDist && r.seq < s.pending[best].seq) {
-			best = i
-			bestDist = dist
-		}
+		return float64(dist)
 	}
-	return best
-}
-
-// pickCSCAN selects the eligible request with the lowest cylinder at or
-// ahead of the head (the upward sweep), wrapping to the lowest pending
-// cylinder when nothing remains ahead.
-func (s *schedQueue) pickCSCAN(maxPrio int, now float64, headCyl int) int {
-	best, wrap := -1, -1
-	for i, r := range s.pending {
-		if !s.eligible(r, maxPrio, now) {
-			continue
-		}
-		if r.cyl >= headCyl {
-			if best == -1 || r.cyl < s.pending[best].cyl ||
-				(r.cyl == s.pending[best].cyl && r.seq < s.pending[best].seq) {
-				best = i
-			}
-		} else {
-			if wrap == -1 || r.cyl < s.pending[wrap].cyl ||
-				(r.cyl == s.pending[wrap].cyl && r.seq < s.pending[wrap].seq) {
-				wrap = i
-			}
-		}
+	reverse := dist < 0 && s.dir > 0 || dist > 0 && s.dir < 0
+	if dist < 0 {
+		dist = -dist
 	}
-	if best != -1 {
-		return best
+	if reverse {
+		return float64(dist) + s.bias*float64(s.cyls)
 	}
-	return wrap
+	return float64(dist)
 }

@@ -324,12 +324,14 @@ func Table81(o Options) ([]CycleRow, Table, error) {
 		cfg := o.simConfig(j.g, 210, 0.5)
 		cfg.Algorithm = j.alg
 		cfg.ReconProcs = j.procs
-		rm, rs, wm, ws, err := core.ReconCyclePhases(cfg, 300)
+		m, err := core.RunReconstruction(cfg)
 		if err != nil {
 			return CycleRow{}, fmt.Errorf("table8-1 G=%d alg=%v procs=%d: %w", j.g, j.alg, j.procs, err)
 		}
 		return CycleRow{G: j.g, Alpha: alphaOf(j.g), Procs: j.procs, Algorithm: j.alg,
-			ReadMean: rm, ReadStd: rs, WriteMean: wm, WriteStd: ws, CycleTotal: rm + wm}, nil
+			ReadMean: m.ReadTailMeanMS, ReadStd: m.ReadTailStdMS,
+			WriteMean: m.WriteTailMeanMS, WriteStd: m.WriteTailStdMS,
+			CycleTotal: m.ReadTailMeanMS + m.WriteTailMeanMS}, nil
 	})
 	if err != nil {
 		return nil, t, err

@@ -56,16 +56,11 @@ func ExtPhases(o Options, gs []int, spansDir string) ([]PhasePoint, Table, error
 		cfg := o.simConfig(j.g, 210, 0.5)
 		tr := telemetry.New()
 		cfg.Spans = tr
-		var err error
-		switch j.mode {
-		case "faultfree":
-			_, err = core.RunFaultFree(cfg)
-		case "degraded":
-			_, err = core.RunDegraded(cfg)
-		default:
-			_, err = core.RunReconstruction(cfg)
+		mode := j.mode
+		if mode == "rebuild" { // this table's spelling of recon, kept in its file names
+			mode = "recon"
 		}
-		if err != nil {
+		if _, err := core.RunMode(mode, cfg); err != nil {
 			return PhasePoint{}, fmt.Errorf("ext-phases G=%d %s: %w", j.g, j.mode, err)
 		}
 		if spansDir != "" {

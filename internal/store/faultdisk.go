@@ -158,7 +158,8 @@ func (d *FaultDisk) Stats() FaultStats {
 	return d.stats
 }
 
-// Geometry forwards the underlying backend's geometry when it has one.
+// Geometry forwards the underlying backend's geometry when it has one;
+// (0, 0) says it reports none, which New and Rebuild take as unknown.
 func (d *FaultDisk) Geometry() (int64, int) {
 	if sd, ok := d.under.(sizedDisk); ok {
 		return sd.Geometry()

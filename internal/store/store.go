@@ -417,6 +417,9 @@ func checkGeometry(d Disk, usable int64, unitSize int) error {
 		return nil
 	}
 	units, us := sd.Geometry()
+	if us == 0 {
+		return nil // a wrapper over a backend that reports none: unknown, not zero
+	}
 	if us != unitSize {
 		return fmt.Errorf("backend has %d-byte units, store uses %d-byte units", us, unitSize)
 	}
@@ -846,7 +849,9 @@ func (s *Store) Fail(d int) error {
 // under P+Q a doubly-failed store goes Rebuilding → Degraded after the
 // first Rebuild and back to Healthy after the second. repl must hold at
 // least the usable unit count and should be blank; its prior contents are
-// overwritten.
+// overwritten. A Rebuild that returns an error leaves the store as it found
+// it — Degraded, no replacement installed; a repl whose sweep failed is
+// kept only to be closed with the store.
 func (s *Store) Rebuild(repl Disk) error {
 	if repl == nil {
 		return fmt.Errorf("store: nil replacement disk")
@@ -983,6 +988,7 @@ func (s *Store) Rebuild(repl Disk) error {
 	}
 	wg.Wait()
 	if swErr != nil {
+		s.dropReplacement(target, repl)
 		return swErr
 	}
 
@@ -1004,6 +1010,26 @@ func (s *Store) Rebuild(repl Disk) error {
 	s.admin.Unlock()
 	s.rebuilds.Add(1)
 	return nil
+}
+
+// dropReplacement undoes Rebuild's install after a failed sweep: the store
+// is as Rebuild found it — Degraded, no replacement — so a later Rebuild
+// onto a good disk can start over. The slot gets a fresh rebuilt map: an
+// operation still on the old snapshot may yet mark a redirected unit
+// there, and must not mark it here. Nothing is lost with the replacement,
+// since every write to a lost unit folded into parity whether or not it
+// was also redirected; repl joins the detached disks, to be closed with
+// the store.
+func (s *Store) dropReplacement(target int, repl Disk) {
+	s.admin.Lock()
+	defer s.admin.Unlock()
+	st := s.st.Load()
+	fails := make([]failSlot, len(st.fails))
+	copy(fails, st.fails)
+	fails[st.slotIndex(target)] = failSlot{disk: target, rebuilt: make([]bool, s.unitsPerDisk)}
+	s.rebuiltNow.Store(0)
+	s.detached = append(s.detached, repl)
+	s.st.Store(&diskState{disks: st.disks, fails: fails})
 }
 
 // CheckParity verifies, at quiesce (no operations in flight), that every

@@ -12,7 +12,8 @@ import (
 	"declust/internal/metrics"
 )
 
-// Progress is the live run status served at /progress.
+// Progress is a run's status at one simulated instant: what core's
+// SimConfig.OnLive delivers and the document served at /progress.
 type Progress struct {
 	SimMS          float64   `json:"sim_ms"`
 	Mode           string    `json:"mode,omitempty"`
@@ -22,7 +23,8 @@ type Progress struct {
 	DiskQueue      []int     `json:"disk_queue,omitempty"` // instantaneous queue depths
 	ReconDone      int64     `json:"recon_done_units"`
 	ReconTotal     int64     `json:"recon_total_units"`
-	ReconETAMS     float64   `json:"recon_eta_ms"`
+	ReconETAMS     float64   `json:"recon_eta_ms"`         // simulated ms to go; 0 until measurable
+	EngineEvents   uint64    `json:"engine_events"`        // fired so far; per wall-clock second, the simulator's speed
 	SweepDone      int       `json:"sweep_done,omitempty"` // completed sweep points
 	SweepTotal     int       `json:"sweep_total,omitempty"`
 }
