@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench store-chaos bench-harness fuzz nightly vet fmt-check fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench store-chaos bench-harness fuzz nightly vet fmt-check portable fault-smoke lint cover verify clean
 
 all: build
 
@@ -63,7 +63,8 @@ bench-harness:
 
 # Every Fuzz target in the module, FUZZTIME each, found by asking the
 # packages for their lists — a new target needs no edit here. Today: the
-# GF(2^8) slice kernels against the scalar field ops, and the store's three
+# GF(2^8) slice kernels against the scalar field ops and each dispatching
+# kernel against its portable loop, and the store's three
 # on-disk parsers (superblock, intent log, checksum trailer) against oracles
 # the tests compute. A failing input is written to testdata/fuzz/<target>/
 # beside the test and from then on replayed by plain `go test`; check it
@@ -109,6 +110,17 @@ nightly:
 vet:
 	$(GO) vet ./...
 
+# internal/gf256 has two bodies per slice kernel: AVX2 assembly where the
+# CPU has it, the pure-Go table loops everywhere else. A host with AVX2
+# never runs the second unasked, so run it — the purego tag leaves the
+# assembly out, and the store's suite on top shows the engine's bytes do
+# not depend on which body made them — and vet the package for a platform
+# that has no assembly at all: that is exactly what fails when a fast-path
+# function lacks its portable twin. Both work offline.
+portable:
+	$(GO) test -tags purego ./internal/gf256 ./internal/store
+	GOARCH=arm64 $(GO) vet ./internal/gf256 ./internal/store
+
 fmt-check:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -141,10 +153,11 @@ cover:
 
 # The full pre-merge gate: formatting, static checks, build, the whole test
 # suite under the race detector (once — the storage chaos and crash tests
-# included), the fault-injection lifecycle smoke, the benchmark harness's
-# own tests, ten seconds of each fuzz target (four of them: 40 s), and a
-# benchmark smoke pass.
-verify: fmt-check vet build race fault-smoke bench-harness fuzz bench-smoke
+# included), the portable GF(2^8) kernels under the store's suite, the
+# fault-injection lifecycle smoke, the benchmark harness's own tests, ten
+# seconds of each fuzz target (four of them: 40 s), and a benchmark smoke
+# pass.
+verify: fmt-check vet build race portable fault-smoke bench-harness fuzz bench-smoke
 	@echo "verify: OK"
 
 clean:

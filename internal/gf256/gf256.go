@@ -5,7 +5,11 @@
 // element is a power of 2. The scalar ops (Mul, Div, Inv, Exp, Log) work
 // through exp/log tables; everything that multiplies a run of bytes by one
 // coefficient works through a 256 × 256 product table instead, one row per
-// coefficient, so a byte costs one branch-free lookup.
+// coefficient, so a byte costs one branch-free lookup — or, where the CPU
+// has AVX2, through the coefficient's two 16-entry nibble tables, 32 bytes
+// to a shuffle (kernels_amd64.s). The table loops are the reference: the
+// tests hold the assembly to them byte for byte, and they are the whole
+// kernel on every other platform and under the purego build tag.
 //
 // For a stripe with data units d_0..d_{k-1}, the two parity units are
 //
@@ -35,11 +39,15 @@ const (
 // exp holds g^i for i in [0, 510): doubling the table length lets Mul skip
 // the mod-255 reduction of the summed logs. log is its inverse (log[0] is
 // unused — zero has no logarithm). mul[a][b] is a·b: 64 KiB, of which one
-// call touches the 256-byte row of its coefficient.
+// call touches the 256-byte row of its coefficient. nib[a] is the same row
+// split by nibble for a byte shuffle: a·i in its first 16 bytes and a·(i<<4)
+// in its last 16, so a·b = nib[a][b&15] ^ nib[a][16+b>>4] — 8 KiB, of which
+// one call loads 32 bytes.
 var (
 	exp [510]byte
 	log [256]byte
 	mul [256][256]byte
+	nib [256][32]byte
 )
 
 func init() {
@@ -56,6 +64,10 @@ func init() {
 	for a := range mul {
 		for b := range mul[a] {
 			mul[a][b] = Mul(byte(a), byte(b))
+		}
+		for i := 0; i < 16; i++ {
+			nib[a][i] = Mul(byte(a), byte(i))
+			nib[a][16+i] = Mul(byte(a), byte(i<<4))
 		}
 	}
 }
@@ -117,18 +129,29 @@ func checkLen(fn string, dst, src []byte) {
 	}
 }
 
-// The slice kernels below share one loop shape: eight source bytes become
-// one uint64 through eight lookups in c's row of mul — no branch on the
-// data — and meet dst in a single 64-bit load and store; a byte loop takes
-// the tail of a length that is not a multiple of 8. The eight-lookup
-// expression is spelled out in each loop because it is over the compiler's
-// inlining budget as a function, and a call per word costs 60 %.
+// Each slice kernel below is one dispatch: the vector body (mulVec,
+// mulAddVec, xorMulAddVec — kernels_amd64.go, or the stubs in
+// kernels_portable.go that take nothing) does a whole number of 32-byte
+// steps from the front and says how many bytes that was, and the portable
+// loop does the rest — the tail of at most 31 bytes, or all of it.
+//
+// The portable loops share one shape: eight source bytes become one uint64
+// through eight lookups in c's row of mul — no branch on the data — and
+// meet dst in a single 64-bit load and store; a byte loop takes the tail of
+// a length that is not a multiple of 8. The eight-lookup expression is
+// spelled out in each loop because it is over the compiler's inlining
+// budget as a function, and a call per word costs 60 %.
 
 // MulSlice multiplies every byte of src by c and stores the products in
 // dst. dst and src must be equally long (it panics otherwise) and may be
 // the same slice. c == 0 zeroes dst, c == 1 copies.
 func MulSlice(dst, src []byte, c byte) {
 	checkLen("MulSlice", dst, src)
+	n := mulVec(dst, src, c)
+	mulSlicePortable(dst[n:], src[n:], c)
+}
+
+func mulSlicePortable(dst, src []byte, c byte) {
 	t := &mul[c]
 	i := 0
 	for ; i+8 <= len(src); i += 8 {
@@ -151,6 +174,11 @@ func MulAddSlice(dst, src []byte, c byte) {
 	if c == 0 {
 		return
 	}
+	n := mulAddVec(dst, src, c)
+	mulAddSlicePortable(dst[n:], src[n:], c)
+}
+
+func mulAddSlicePortable(dst, src []byte, c byte) {
 	t := &mul[c]
 	i := 0
 	if c == 1 {
@@ -180,6 +208,11 @@ func MulAddSlice(dst, src []byte, c byte) {
 func XorMulAddSlice(p, q, src []byte, c byte) {
 	checkLen("XorMulAddSlice", p, src)
 	checkLen("XorMulAddSlice", q, src)
+	n := xorMulAddVec(p, q, src, c)
+	xorMulAddSlicePortable(p[n:], q[n:], src[n:], c)
+}
+
+func xorMulAddSlicePortable(p, q, src []byte, c byte) {
 	t := &mul[c]
 	i := 0
 	for ; i+8 <= len(src); i += 8 {

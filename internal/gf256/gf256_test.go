@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestGeneratorSanity: the generator's powers must enumerate every nonzero
@@ -60,8 +61,9 @@ func mulSlow(a, b byte) byte {
 	return p
 }
 
-// TestMulMatchesReference: exp/log multiplication and the product table
-// both agree with the bitwise definition on all 65536 pairs.
+// TestMulMatchesReference: exp/log multiplication, the product table and
+// the nibble tables all agree with the bitwise definition on all 65536
+// pairs.
 func TestMulMatchesReference(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
@@ -71,6 +73,9 @@ func TestMulMatchesReference(t *testing.T) {
 			}
 			if got := mul[a][b]; got != want {
 				t.Fatalf("mul[%#x][%#x] = %#x, want %#x", a, b, got, want)
+			}
+			if got := nib[a][b&15] ^ nib[a][16+b>>4]; got != want {
+				t.Fatalf("nib[%#x] gives %#x·%#x = %#x, want %#x", a, a, b, got, want)
 			}
 		}
 	}
@@ -146,11 +151,12 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-// kernelLens straddles every boundary of the eight-bytes-a-step loop:
-// empty operands (legal: nothing to fold, no panic), a lone tail, one byte
-// either side of one word and of eight, the engine's 4 KiB unit, and a unit
-// with a tail.
-var kernelLens = []int{0, 1, 7, 8, 9, 63, 64, 4096, 4099}
+// kernelLens straddles every boundary of both bodies — the portable loop's
+// eight bytes a step, the vector body's 32: empty operands (legal: nothing
+// to fold, no panic), a lone tail, one byte either side of one word, of one
+// vector step and of two, the engine's 4 KiB unit, and a unit with a byte
+// tail and with a one-word tail.
+var kernelLens = []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 4096, 4099, 4104}
 
 // TestSliceKernels checks MulSlice, MulAddSlice and XorMulAddSlice against
 // the scalar Mul for every coefficient at every length in kernelLens, over
@@ -253,13 +259,131 @@ func TestTwoErasureDecode(t *testing.T) {
 	}
 }
 
-func BenchmarkMulAddSlice(b *testing.B) {
+// againstPortable runs each kernel through its dispatching entry point and
+// through the portable loop on the same operands and fails on the first
+// kernel whose bytes differ. p and q are the destinations the dispatching
+// calls write (the caller chooses where they sit in memory), p0 and q0 the
+// contents they start from; MulSlice runs twice, the second time in place.
+func againstPortable(t testing.TB, p, q, src, p0, q0 []byte, c byte) {
+	t.Helper()
+	n := len(src)
+	wantP, wantQ := make([]byte, n), make([]byte, n)
+
+	mulSlicePortable(wantQ, src, c)
+	copy(q, q0)
+	MulSlice(q, src, c)
+	if !bytes.Equal(q, wantQ) {
+		t.Fatalf("MulSlice c=%#x n=%d differs from the portable loop", c, n)
+	}
+	copy(q, src)
+	MulSlice(q, q, c)
+	if !bytes.Equal(q, wantQ) {
+		t.Fatalf("MulSlice in place c=%#x n=%d differs from the portable loop", c, n)
+	}
+
+	copy(wantQ, q0)
+	mulAddSlicePortable(wantQ, src, c)
+	copy(q, q0)
+	MulAddSlice(q, src, c)
+	if !bytes.Equal(q, wantQ) {
+		t.Fatalf("MulAddSlice c=%#x n=%d differs from the portable loop", c, n)
+	}
+
+	copy(wantP, p0)
+	copy(wantQ, q0)
+	xorMulAddSlicePortable(wantP, wantQ, src, c)
+	copy(p, p0)
+	copy(q, q0)
+	XorMulAddSlice(p, q, src, c)
+	if !bytes.Equal(p, wantP) || !bytes.Equal(q, wantQ) {
+		t.Fatalf("XorMulAddSlice c=%#x n=%d differs from the portable loop: P ok=%v Q ok=%v",
+			c, n, bytes.Equal(p, wantP), bytes.Equal(q, wantQ))
+	}
+}
+
+// guarded is an n-byte operand off bytes past a 32-aligned address, with
+// 0xA5 on either side of it for intact to find again.
+type guarded struct {
+	buf []byte
+	off int
+	op  []byte
+}
+
+func newGuarded(n, off int) guarded {
+	buf := make([]byte, n+128)
+	base := (32 - int(uintptr(unsafe.Pointer(&buf[0]))&31)) & 31
+	buf = buf[base : base+32+n+32]
+	for i := range buf {
+		buf[i] = 0xA5
+	}
+	return guarded{buf: buf, off: off, op: buf[off : off+n : off+n]}
+}
+
+func (g guarded) intact() bool {
+	for i, b := range g.buf {
+		if (i < g.off || i >= g.off+len(g.op)) && b != 0xA5 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVectorMatchesPortable holds the vector body to the portable loops:
+// every length in kernelLens, source and destination each at every
+// misalignment 0…31 from a 32-aligned base (pooled unit buffers are not
+// 32-aligned), the coefficients with a special case or a full table (0, 1,
+// the generator, the polynomial's low byte, 0xff), and no byte written
+// outside an operand. Where there is no vector body it compares the
+// portable loops with themselves and passes.
+func TestVectorMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range kernelLens {
+		p0, q0 := make([]byte, n), make([]byte, n)
+		rng.Read(p0)
+		rng.Read(q0)
+		for so := 0; so < 32; so++ {
+			src := newGuarded(n, so)
+			rng.Read(src.op)
+			for do := 0; do < 32; do++ {
+				p, q := newGuarded(n, 31-do), newGuarded(n, do)
+				for _, c := range []byte{0, 1, 2, 0x1d, 0xff} {
+					againstPortable(t, p.op, q.op, src.op, p0, q0, c)
+				}
+				if !p.intact() || !q.intact() || !src.intact() {
+					t.Fatalf("n=%d src+%d dst+%d: a kernel wrote outside its operands", n, so, do)
+				}
+			}
+		}
+	}
+}
+
+// benchKernel times one kernel on the engine's 4 KiB unit, through the
+// dispatching entry point and through the portable loop alone: a
+// regression in either shows in its own row.
+func benchKernel(b *testing.B, dispatch, portable func(dst, src []byte, c byte)) {
 	src := make([]byte, 4096)
 	dst := make([]byte, 4096)
 	rand.New(rand.NewSource(5)).Read(src)
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulAddSlice(dst, src, byte(i%255+1))
+	for _, k := range []struct {
+		name string
+		fn   func(dst, src []byte, c byte)
+	}{{"dispatch", dispatch}, {"portable", portable}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(4096)
+			for i := 0; i < b.N; i++ {
+				k.fn(dst, src, byte(i%255+1))
+			}
+		})
 	}
+}
+
+func BenchmarkMulSlice(b *testing.B) { benchKernel(b, MulSlice, mulSlicePortable) }
+
+func BenchmarkMulAddSlice(b *testing.B) { benchKernel(b, MulAddSlice, mulAddSlicePortable) }
+
+func BenchmarkXorMulAddSlice(b *testing.B) {
+	p := make([]byte, 4096)
+	benchKernel(b,
+		func(q, src []byte, c byte) { XorMulAddSlice(p, q, src, c) },
+		func(q, src []byte, c byte) { xorMulAddSlicePortable(p, q, src, c) })
 }
