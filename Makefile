@@ -114,9 +114,11 @@ vet:
 # CPU has it, the pure-Go table loops everywhere else. A host with AVX2
 # never runs the second unasked, so run it — the purego tag leaves the
 # assembly out, and the store's suite on top shows the engine's bytes do
-# not depend on which body made them — and vet the package for a platform
-# that has no assembly at all: that is exactly what fails when a fast-path
-# function lacks its portable twin. Both work offline.
+# not depend on which body made them; the same tag gives the store's large
+# writes the standard library's generic crypto/subtle.XORBytes loop in
+# place of its vector body — and vet the package for a platform that has
+# no assembly at all: that is exactly what fails when a fast-path function
+# lacks its portable twin. Both work offline.
 portable:
 	$(GO) test -tags purego ./internal/gf256 ./internal/store
 	GOARCH=arm64 $(GO) vet ./internal/gf256 ./internal/store

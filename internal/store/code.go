@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 
@@ -388,11 +389,16 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	if qx == nil {
 		// Nothing to multiply, so what the written units contribute is
 		// known before any read: the P sum starts as the XOR of their new
-		// contents — a copy where the fold after the gather would cost a
-		// pass over a zeroed sum.
-		copy(px, sc.datas[0])
-		for _, d := range sc.datas[1:] {
-			xorInto(px, d)
+		// contents — one unit copied, two or more summed out of place by
+		// the standard library's vector XOR (px is pooled, so it overlaps
+		// no unit of the caller's).
+		if d := sc.datas; len(d) == 1 {
+			copy(px, d[0])
+		} else {
+			subtle.XORBytes(px, d[0], d[1])
+			for _, x := range d[2:] {
+				subtle.XORBytes(px, px, x)
+			}
 		}
 		sc.sums = sums{p: px}
 	} else {

@@ -280,6 +280,9 @@ func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) error {
 // healing rewrites units, which must never race the batch's other reads.
 // Caller holds (at least) the stripe's read lock.
 func (s *Store) gather(st *diskState, terms []term, sm *sums) ([]damagedUnit, error) {
+	if len(terms) == 0 {
+		return nil, nil // a large write's first round: no buffer to take
+	}
 	if !s.overlap(len(terms)) {
 		// Inline: read in index order through one buffer, building no
 		// closure — the serial engine's zero-extra-alloc path.

@@ -36,12 +36,10 @@ func (d countedDisk) WriteUnit(off int64, p []byte) error {
 	return d.Disk.WriteUnit(off, p)
 }
 
-// planUnits and planUnitSize size every store in this file: small enough
-// that comparing the whole array after each step costs nothing.
-const (
-	planUnits    = 20
-	planUnitSize = 64
-)
+// planUnits sizes every store in this file, with units of 64 bytes or
+// fewer: small enough that comparing the whole array after each step costs
+// nothing.
+const planUnits = 20
 
 // flatStore is a store beside the flat byte array it must read as.
 type flatStore struct {
@@ -54,22 +52,28 @@ type flatStore struct {
 	reconWrites int64
 }
 
-func openFlat(t *testing.T, lay layout.Layout, ioWorkers int) *flatStore {
+func openFlat(t *testing.T, lay layout.Layout, ioWorkers, unitSize int) *flatStore {
 	t.Helper()
 	f := &flatStore{n: new(accessCount)}
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = f.blank()
+	f.cfg = Config{Layout: lay, UnitsPerDisk: planUnits, UnitSize: unitSize, IOWorkers: ioWorkers}
+	f.cfg.Disks = make([]Disk, lay.Disks())
+	for i := range f.cfg.Disks {
+		f.cfg.Disks[i] = f.blank()
 	}
-	f.cfg = Config{Layout: lay, UnitsPerDisk: planUnits, UnitSize: planUnitSize, Disks: disks, IOWorkers: ioWorkers}
 	f.open(t)
-	f.ref = make([]byte, f.DataUnits()*planUnitSize)
+	f.ref = make([]byte, f.DataUnits()*int64(unitSize))
 	t.Cleanup(func() { f.Close() })
 	return f
 }
 
 func (f *flatStore) blank() Disk {
-	return countedDisk{Disk: NewMemDisk(planUnits, planUnitSize), n: f.n}
+	return countedDisk{Disk: NewMemDisk(planUnits, f.cfg.UnitSize), n: f.n}
+}
+
+// units is the window of ref that holds units [start, start+n).
+func (f *flatStore) units(start, n int64) []byte {
+	us := int64(f.cfg.UnitSize)
+	return f.ref[start*us : (start+n)*us]
 }
 
 func (f *flatStore) open(t *testing.T) {
@@ -97,7 +101,7 @@ func (f *flatStore) reopen(t *testing.T) {
 // — WriteRange, or WriteUnit when n is 1 — and into ref.
 func (f *flatStore) write(t *testing.T, rng *rand.Rand, put func(int64, []byte) error, start, n int64) {
 	t.Helper()
-	span := f.ref[start*planUnitSize : (start+n)*planUnitSize]
+	span := f.units(start, n)
 	rng.Read(span)
 	if err := put(start, span); err != nil {
 		t.Fatalf("write of units [%d,%d): %v", start, start+n, err)
@@ -109,12 +113,12 @@ func (f *flatStore) write(t *testing.T, rng *rand.Rand, put func(int64, []byte) 
 // unit read back is decoded from it.
 func (f *flatStore) check(t *testing.T, when string) {
 	t.Helper()
-	got := make([]byte, planUnitSize)
+	got := make([]byte, f.cfg.UnitSize)
 	for u := int64(0); u < f.DataUnits(); u++ {
 		if err := f.ReadUnit(u, got); err != nil {
 			t.Fatalf("%s: ReadUnit(%d): %v", when, u, err)
 		}
-		if !bytes.Equal(got, f.ref[u*planUnitSize:(u+1)*planUnitSize]) {
+		if !bytes.Equal(got, f.units(u, 1)) {
 			t.Fatalf("%s: unit %d (stripe %d) differs from the flat reference", when, u, u/f.dataPerStripe)
 		}
 	}
@@ -197,7 +201,7 @@ func TestWritePlanAccessCounts(t *testing.T) {
 			t.Run(fmt.Sprintf("io%d/%s-G%d/j%d/lost%v", ioWorkers, code, r.g, r.j, r.lose), func(t *testing.T) {
 				forceOverlap(t)
 				rng := rand.New(rand.NewSource(int64(r.g*100 + r.j)))
-				f := openFlat(t, lay, ioWorkers)
+				f := openFlat(t, lay, ioWorkers, 64)
 				f.write(t, rng, f.WriteRange, 0, f.DataUnits())
 				const stripe = 3
 				start := stripe * f.dataPerStripe
@@ -282,7 +286,9 @@ func TestOverlapReconstructWriteIsTwoRounds(t *testing.T) {
 // stripes — so every head and tail the rule distinguishes — through
 // failures (two under P+Q), rebuilds, scrubs and reopens, serially and with
 // every batch overlapped, and compares the whole array with a flat
-// reference after every step. The seed is printed; CHAOS_SEED replays it.
+// reference after every step. Units are 64 bytes, and 40: one 32-byte step
+// of a vector kernel and an 8-byte tail. The seed is printed; CHAOS_SEED
+// replays it.
 func TestGeneratedRangeOps(t *testing.T) {
 	seed := chaosSeed(t)
 	recordChaosSeed(t, seed)
@@ -295,73 +301,83 @@ func TestGeneratedRangeOps(t *testing.T) {
 	} {
 		for _, ioWorkers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/io%d", code.name, ioWorkers), func(t *testing.T) {
-				forceOverlap(t)
-				rng := rand.New(rand.NewSource(seed))
-				f := openFlat(t, code.lay, ioWorkers)
-				f.write(t, rng, f.WriteRange, 0, f.DataUnits())
-				got := make([]byte, 3*f.dataPerStripe*planUnitSize)
-				for step := 0; step < 200; step++ {
-					n := 1 + rng.Int63n(3*f.dataPerStripe)
-					start := rng.Int63n(f.DataUnits() - n + 1)
-					what := fmt.Sprintf("step %d: ", step)
-					switch p := rng.Intn(100); {
-					case p < 45:
-						what += fmt.Sprintf("WriteRange(%d, %d units)", start, n)
-						f.write(t, rng, f.WriteRange, start, n)
-					case p < 55:
-						what += fmt.Sprintf("WriteUnit(%d)", start)
-						f.write(t, rng, f.WriteUnit, start, 1)
-					case p < 75:
-						what += fmt.Sprintf("ReadRange(%d, %d units)", start, n)
-						if err := f.ReadRange(start, got[:n*planUnitSize]); err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						if !bytes.Equal(got[:n*planUnitSize], f.ref[start*planUnitSize:(start+n)*planUnitSize]) {
-							t.Fatalf("%s differs from the flat reference", what)
-						}
-					case p < 85:
-						// As many failures as the code corrects, on disks
-						// still in service.
-						failed := f.FailedDisks()
-						if len(failed) == f.Parities() {
-							continue
-						}
-						d := rng.Intn(f.Disks())
-						if len(failed) == 1 && d == failed[0] {
-							continue
-						}
-						what += fmt.Sprintf("Fail(%d)", d)
-						if err := f.Fail(d); err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-					case p < 92:
-						if f.Mode() == Healthy {
-							continue
-						}
-						what += "Rebuild"
-						if err := f.Rebuild(f.blank()); err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-					case p < 96:
-						what += "Scrub"
-						if res, err := f.Scrub(); err != nil || res.UnitRepairs+res.ParityRewrites > 0 {
-							t.Fatalf("%s found work on a store no fault was injected into: %+v, %v", what, res, err)
-						}
-					default:
-						if f.Mode() != Healthy {
-							continue
-						}
-						what += "reopen"
-						f.reopen(t)
-					}
-					f.check(t, what)
-				}
-				f.heal(t)
-				f.check(t, "healed at the end")
-				if f.reconWrites+f.Stats().ReconstructWrites == 0 {
-					t.Error("200 generated steps took no reconstruct-write")
+				for _, us := range []int{64, 40} {
+					t.Run(fmt.Sprintf("unit=%d", us), func(t *testing.T) {
+						generatedRangeOps(t, code.lay, ioWorkers, us, seed)
+					})
 				}
 			})
 		}
+	}
+}
+
+// generatedRangeOps is one configuration of TestGeneratedRangeOps.
+func generatedRangeOps(t *testing.T, lay layout.Layout, ioWorkers, unitSize int, seed int64) {
+	forceOverlap(t)
+	rng := rand.New(rand.NewSource(seed))
+	f := openFlat(t, lay, ioWorkers, unitSize)
+	f.write(t, rng, f.WriteRange, 0, f.DataUnits())
+	got := make([]byte, 3*f.dataPerStripe*int64(unitSize))
+	for step := 0; step < 200; step++ {
+		n := 1 + rng.Int63n(3*f.dataPerStripe)
+		start := rng.Int63n(f.DataUnits() - n + 1)
+		what := fmt.Sprintf("step %d: ", step)
+		switch p := rng.Intn(100); {
+		case p < 45:
+			what += fmt.Sprintf("WriteRange(%d, %d units)", start, n)
+			f.write(t, rng, f.WriteRange, start, n)
+		case p < 55:
+			what += fmt.Sprintf("WriteUnit(%d)", start)
+			f.write(t, rng, f.WriteUnit, start, 1)
+		case p < 75:
+			what += fmt.Sprintf("ReadRange(%d, %d units)", start, n)
+			span := got[:n*int64(unitSize)]
+			if err := f.ReadRange(start, span); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if !bytes.Equal(span, f.units(start, n)) {
+				t.Fatalf("%s differs from the flat reference", what)
+			}
+		case p < 85:
+			// As many failures as the code corrects, on disks
+			// still in service.
+			failed := f.FailedDisks()
+			if len(failed) == f.Parities() {
+				continue
+			}
+			d := rng.Intn(f.Disks())
+			if len(failed) == 1 && d == failed[0] {
+				continue
+			}
+			what += fmt.Sprintf("Fail(%d)", d)
+			if err := f.Fail(d); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case p < 92:
+			if f.Mode() == Healthy {
+				continue
+			}
+			what += "Rebuild"
+			if err := f.Rebuild(f.blank()); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case p < 96:
+			what += "Scrub"
+			if res, err := f.Scrub(); err != nil || res.UnitRepairs+res.ParityRewrites > 0 {
+				t.Fatalf("%s found work on a store no fault was injected into: %+v, %v", what, res, err)
+			}
+		default:
+			if f.Mode() != Healthy {
+				continue
+			}
+			what += "reopen"
+			f.reopen(t)
+		}
+		f.check(t, what)
+	}
+	f.heal(t)
+	f.check(t, "healed at the end")
+	if f.reconWrites+f.Stats().ReconstructWrites == 0 {
+		t.Error("200 generated steps took no reconstruct-write")
 	}
 }

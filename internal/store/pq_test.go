@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -466,74 +467,91 @@ func TestPQConcurrentDoubleFailureRebuild(t *testing.T) {
 }
 
 // TestOnDiskImageMatchesReference pins the bytes on disk, for both codes,
-// against an image the test computes itself: fill every unit, fail as many
-// disks as the code has parities, overwrite a sample while degraded (unit
-// writes and a range spanning whole and partial stripes), rebuild each
-// failure, then compare every unit of every backend with the reference —
-// data units from the logical contents, P as their byte-at-a-time XOR, Q
-// as the byte-at-a-time Σ g^d·D — and check every trailer. Whatever path
-// the engine took to each unit (RMW, fold, large write, decode, rebuild),
-// the array must end byte-identical to the definition of the code.
+// against an image the test computes itself: fill every unit, overwrite
+// spans of 4, 3, 2 and 1 units from the start of a stripe while healthy
+// (under single parity at G = 5 a large write, two reconstruct-writes and a
+// delta) and compare, then fail as many disks as the code has parities,
+// overwrite a sample while degraded (unit writes and a range spanning whole
+// and partial stripes), rebuild each failure, and compare every unit of
+// every backend with the reference — data units from the logical contents,
+// P as their byte-at-a-time XOR, Q as the byte-at-a-time Σ g^d·D — and
+// check every trailer. Whatever path the engine took to each unit (RMW,
+// fold, large write, reconstruct-write, decode, rebuild), the array must
+// end byte-identical to the definition of the code. It runs at unit sizes
+// 64 and 40: 40 bytes is one 32-byte step of a vector kernel and an 8-byte
+// tail.
 func TestOnDiskImageMatchesReference(t *testing.T) { onDiskImageMatchesReference(t, New) }
 
 // onDiskImageMatchesReference is the test over stores opened by open: New,
 // or newPoisoned (poison_test.go).
 func onDiskImageMatchesReference(t *testing.T, open func(Config) (*Store, error)) {
 	for _, tc := range []struct {
-		name  string
-		lay   layout.Layout
-		fails []int
+		name        string
+		lay         layout.Layout
+		fails       []int
+		reconstruct int64 // reconstruct-writes among the healthy spans
 	}{
-		{"P", testLayout(t, 7, 4), []int{2}},
-		{"P+Q", testPQLayout(t, 7, 4), []int{2, 5}},
+		{"P", testLayout(t, 7, 5), []int{2}, 2},
+		{"P+Q", testPQLayout(t, 7, 4), []int{2, 5}, 0}, // two data units a stripe
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const us = 64
-			s, err := open(Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: us})
-			if err != nil {
-				t.Fatal(err)
+			for _, us := range []int{64, 40} {
+				t.Run(fmt.Sprintf("unit=%d", us), func(t *testing.T) {
+					s, err := open(Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: us})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					if len(tc.fails) != s.Parities() {
+						t.Fatalf("case fails %d disks, code has %d parities", len(tc.fails), s.Parities())
+					}
+					version := make([]uint64, s.DataUnits())
+					write := func(n int64, v uint64) {
+						buf := make([]byte, us)
+						fill(buf, n, v)
+						if err := s.WriteUnit(n, buf); err != nil {
+							t.Fatal(err)
+						}
+						version[n] = v
+					}
+					writeRange := func(start, units int64, v uint64) {
+						span := make([]byte, units*int64(us))
+						for i := int64(0); i < units; i++ {
+							fill(span[i*int64(us):(i+1)*int64(us)], start+i, v)
+							version[start+i] = v
+						}
+						if err := s.WriteRange(start, span); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for n := range version {
+						write(int64(n), 1)
+					}
+					per := s.dataPerStripe
+					for i, units := range []int64{4, 3, 2, 1} {
+						writeRange(int64(i)*per, units, 4)
+					}
+					if got := s.Stats().ReconstructWrites; got != tc.reconstruct {
+						t.Fatalf("healthy spans took %d reconstruct-writes, want %d", got, tc.reconstruct)
+					}
+					compareWithReference(t, s, version, nil)
+					for _, d := range tc.fails {
+						if err := s.Fail(d); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for n := int64(0); n < s.DataUnits(); n += 3 {
+						write(n, 2)
+					}
+					writeRange(5*per-1, 2*per+1, 3) // a stripe's tail, a whole stripe, most of the next
+					for range tc.fails {
+						if err := s.Rebuild(NewMemDisk(s.unitsPerDisk, us)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					compareWithReference(t, s, version, nil)
+				})
 			}
-			defer s.Close()
-			if len(tc.fails) != s.Parities() {
-				t.Fatalf("case fails %d disks, code has %d parities", len(tc.fails), s.Parities())
-			}
-			version := make([]uint64, s.DataUnits())
-			write := func(n int64, v uint64) {
-				buf := make([]byte, us)
-				fill(buf, n, v)
-				if err := s.WriteUnit(n, buf); err != nil {
-					t.Fatal(err)
-				}
-				version[n] = v
-			}
-			for n := range version {
-				write(int64(n), 1)
-			}
-			for _, d := range tc.fails {
-				if err := s.Fail(d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for n := int64(0); n < s.DataUnits(); n += 3 {
-				write(n, 2)
-			}
-			per := s.dataPerStripe
-			span := make([]byte, (2*per+1)*us)
-			for i := int64(0); i < 2*per+1; i++ {
-				n := 5*per - 1 + i // a stripe's tail, a whole stripe, most of the next
-				fill(span[i*us:(i+1)*us], n, 3)
-				version[n] = 3
-			}
-			if err := s.WriteRange(5*per-1, span); err != nil {
-				t.Fatal(err)
-			}
-			for range tc.fails {
-				if err := s.Rebuild(NewMemDisk(s.unitsPerDisk, us)); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			compareWithReference(t, s, version, nil)
 		})
 	}
 }

@@ -66,35 +66,45 @@ func (s *Store) span(stripe, start, n, perStripe int64) (lo, hi int64) {
 }
 
 // ReadRange reads the logical data units [start, start+len(dst)/UnitSize)
-// into dst, taking each stripe's lock once for all of its units. Each
-// touched stripe is an independent job — its units land in a disjoint
-// window of dst — so multi-stripe ranges fan out across I/O helpers, with
-// the first error (lowest stripe) cancelling unstarted jobs.
+// into dst, taking each stripe's lock once for all of its units; the
+// stripes are independent jobs (stripeJobs).
 func (s *Store) ReadRange(start int64, dst []byte) error {
-	n, err := s.checkRange(start, dst)
-	if err != nil {
-		return err
-	}
-	perStripe := s.dataPerStripe
-	first := start / perStripe
-	segs := int((start+n-1)/perStripe - first + 1)
-	if segs == 1 {
-		if err := s.readStripeSpan(first, start, start, start+n, dst); err != nil {
-			return err
-		}
+	n, err := s.stripeJobs(start, dst, (*Store).readStripeSpan)
+	if err == nil {
 		s.reads.Add(n)
-		return nil
 	}
-	err = s.fanOut(segs, func(i int) error {
-		stripe := first + int64(i)
-		lo, hi := s.span(stripe, start, n, perStripe)
-		return s.readStripeSpan(stripe, start, lo, hi, dst)
-	})
+	return err
+}
+
+// stripeJobs validates a range request over buf and runs job once for each
+// stripe it touches, on that stripe's units [lo, hi); it returns the
+// request's unit count. The jobs are independent — each takes only its own
+// stripe's lock and owns a disjoint window of buf — so a multi-stripe range
+// fans out across I/O helpers, the first error (lowest stripe) cancelling
+// unstarted jobs. Kept inline, the jobs run in stripe order and no closure
+// is built: a serial range op allocates nothing.
+func (s *Store) stripeJobs(start int64, buf []byte, job func(s *Store, stripe, start, lo, hi int64, buf []byte) error) (int64, error) {
+	n, err := s.checkRange(start, buf)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	s.reads.Add(n)
-	return nil
+	per := s.dataPerStripe
+	first := start / per
+	segs := int((start+n-1)/per - first + 1)
+	if s.overlap(segs) {
+		return n, s.fanOut(segs, func(i int) error {
+			stripe := first + int64(i)
+			lo, hi := s.span(stripe, start, n, per)
+			return job(s, stripe, start, lo, hi, buf)
+		})
+	}
+	for stripe := first; stripe < first+int64(segs); stripe++ {
+		lo, hi := s.span(stripe, start, n, per)
+		if err := job(s, stripe, start, lo, hi, buf); err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe —
@@ -158,34 +168,14 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 // one parity update per touched stripe. A segment covering a whole stripe
 // uses the large-write optimization (parity from the new contents, no
 // pre-reads); a partial one reads whichever is less, the units it leaves
-// alone or the ones it overwrites (fromScratch). Stripe jobs are
-// independent — each takes only its own stripe's lock — so multi-stripe
-// ranges fan out across I/O helpers.
+// alone or the ones it overwrites (fromScratch). The stripes are
+// independent jobs (stripeJobs).
 func (s *Store) WriteRange(start int64, src []byte) error {
-	n, err := s.checkRange(start, src)
-	if err != nil {
-		return err
-	}
-	perStripe := s.dataPerStripe
-	first := start / perStripe
-	segs := int((start+n-1)/perStripe - first + 1)
-	if segs == 1 {
-		if err := s.writeStripeSpan(first, start, start, start+n, src); err != nil {
-			return err
-		}
+	n, err := s.stripeJobs(start, src, (*Store).writeStripeSpan)
+	if err == nil {
 		s.writes.Add(n)
-		return nil
 	}
-	err = s.fanOut(segs, func(i int) error {
-		stripe := first + int64(i)
-		lo, hi := s.span(stripe, start, n, perStripe)
-		return s.writeStripeSpan(stripe, start, lo, hi, src)
-	})
-	if err != nil {
-		return err
-	}
-	s.writes.Add(n)
-	return nil
+	return err
 }
 
 // writeStripeSpan commits the units [lo, hi) — all belonging to stripe —

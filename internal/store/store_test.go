@@ -364,25 +364,29 @@ func TestModeString(t *testing.T) {
 // as store.write.healthy_allocs, store.pq.write.healthy_allocs,
 // store.read.healthy_allocs and store.read.lost_allocs, where `go test
 // ./...` sees them: a fault-free small write, a fault-free read and the
-// read of a unit of a failed disk allocate nothing, under either code.
-// Serial store over MemDisks, so every buffer comes from the pools and no
-// fan-out closure is built.
+// read of a unit of a failed disk allocate nothing, under either code — nor
+// does a range read or write across three stripes: the tail of one, a whole
+// one (a large write) and the head of the next. Serial store over MemDisks,
+// so every buffer comes from the pools and no fan-out closure is built.
 func TestHotPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
 	}
 	for _, tc := range []struct {
-		name   string
-		layout layout.Layout
-		fail   bool
-		op     func(s *Store, n int64, buf []byte) error
-		want   float64
+		name    string
+		layout  layout.Layout
+		fail    bool
+		op      func(s *Store, n int64, buf []byte) error
+		stripes int64 // touched per op; a range op starts at the last unit of the first
+		want    float64
 	}{
-		{"P healthy write", testLayout(t, 7, 3), false, (*Store).WriteUnit, 0},
-		{"P+Q healthy write", testPQLayout(t, 7, 4), false, (*Store).WriteUnit, 0},
-		{"P healthy read", testLayout(t, 7, 3), false, (*Store).ReadUnit, 0},
-		{"P+Q healthy read", testPQLayout(t, 7, 4), false, (*Store).ReadUnit, 0},
-		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 0},
+		{"P healthy write", testLayout(t, 7, 3), false, (*Store).WriteUnit, 1, 0},
+		{"P+Q healthy write", testPQLayout(t, 7, 4), false, (*Store).WriteUnit, 1, 0},
+		{"P healthy read", testLayout(t, 7, 3), false, (*Store).ReadUnit, 1, 0},
+		{"P+Q healthy read", testPQLayout(t, 7, 4), false, (*Store).ReadUnit, 1, 0},
+		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 1, 0},
+		{"P range read", testLayout(t, 7, 3), false, (*Store).ReadRange, 3, 0},
+		{"P range write", testLayout(t, 7, 3), false, (*Store).WriteRange, 3, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: 1})
@@ -391,8 +395,15 @@ func TestHotPathAllocations(t *testing.T) {
 			}
 			defer s.Close()
 			fillAll(t, s, 1)
+			per, size := s.dataPerStripe, int64(1)
+			if tc.stripes > 1 {
+				size = (tc.stripes - 1) * per
+			}
 			units := make([]int64, 0, s.DataUnits())
-			for n := int64(0); n < s.DataUnits(); n++ {
+			for n := int64(0); n+size <= s.DataUnits(); n++ {
+				if tc.stripes > 1 && n%per != per-1 {
+					continue
+				}
 				if !tc.fail || layout.DataLoc(tc.layout, n).Disk == 0 {
 					units = append(units, n)
 				}
@@ -402,7 +413,7 @@ func TestHotPathAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			buf := make([]byte, s.UnitSize())
+			buf := make([]byte, size*int64(s.UnitSize()))
 			i := 0
 			got := testing.AllocsPerRun(200, func() {
 				if err := tc.op(s, units[i%len(units)], buf); err != nil {
