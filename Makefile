@@ -114,7 +114,9 @@ vet:
 # CPU has it, the pure-Go table loops everywhere else. A host with AVX2
 # never runs the second unasked, so run it — the purego tag leaves the
 # assembly out, and the store's suite on top shows the engine's bytes do
-# not depend on which body made them; the same tag gives the store's large
+# not depend on which body made them (a P+Q small write then runs two
+# portable fused passes, XorMulAddSlice, per written unit: its old
+# contents and its new); the same tag gives the store's large
 # writes the standard library's generic crypto/subtle.XORBytes loop in
 # place of its vector body — and vet the package for a platform that has
 # no assembly at all: that is exactly what fails when a fast-path function

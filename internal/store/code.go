@@ -356,10 +356,10 @@ func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, q
 // index order when they do not. Caller holds the stripe's write lock and
 // the region's intent mark.
 //
-//   - delta: gather old data and old parities, fold old ⊕ new into P and
-//     g^d·(old ⊕ new) into Q: read D,P[,Q] then write D,P[,Q], the
-//     four-access small write under single parity and the six-access one
-//     under P+Q;
+//   - delta: gather the old parities and old data, fold old and new data
+//     into P bare and into Q times g^d: read P[,Q],D then write D,P[,Q],
+//     the four-access small write under single parity and the six-access
+//     one under P+Q;
 //   - from scratch: gather the data units the span does not write and
 //     build the parities from the stripe's new contents — nothing to gather
 //     for a large write, the minority of the stripe for a reconstruct-write,
@@ -375,7 +375,8 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		return s.commitWrites(st, sc)
 	}
 
-	// How each written unit folds into the new parities.
+	// How each written unit folds into the new parities — its new contents,
+	// and under a delta its old ones too.
 	wr := sc.terms[:len(sc.locs)]
 	writtenLost := false
 	for i, loc := range sc.locs {
@@ -409,30 +410,20 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	}
 
 	// First round. The sums are order-independent, so whatever they need
-	// from the disks folds in as the reads land; with a Q sum to keep, what
-	// each written unit contributes — its new contents, or under a delta
-	// new ⊕ old — folds in after, once per unit.
+	// from the disks folds in as the reads land; with a Q sum to keep, each
+	// written unit's new contents fold in after, once per unit.
 	need := sc.rest[:0]
-	delta := sc.delta[:0]
 	if !s.fromScratch(st, stripe, len(sc.locs), writtenLost) {
-		// Delta read-modify-write: P' = P ⊕ Σ(old ⊕ new) and Q' = Q ⊕
-		// Σ g^d·(old ⊕ new). With no coefficient to apply the old units
-		// XOR straight into the P sum beside the new ones. With one, each
-		// gathers into a buffer holding its unit's new contents, so Q pays
-		// one GF multiply per written unit, on new ⊕ old. Lost unwritten
-		// units don't disturb the deltas.
-		for i, t := range wr {
-			if t.coef != 0 {
-				b := s.getBuf()
-				delta = append(delta, b)
-				copy(*b, sc.datas[i])
-				t = term{loc: t.loc, p: (*b)[:s.unitSize]}
-			}
-			need = append(need, t)
-		}
+		// Delta read-modify-write: P' = P ⊕ Σold ⊕ Σnew and Q' = Q ⊕
+		// Σ g^d·old ⊕ Σ g^d·new — linear, so old and new contents fold in
+		// as separate terms, each in one pass into both sums. The stored
+		// parities are listed first, so an inline gather, which folds in
+		// list order, starts each sum with a copy of its parity. Lost
+		// unwritten units don't disturb the delta.
 		for _, p := range sc.par {
 			need = append(need, term{loc: p.loc, p: (*p.buf)[:s.unitSize]})
 		}
+		need = append(need, wr...)
 	} else {
 		// From scratch: what the new parities lack is the units the span
 		// leaves alone. Survivors are gathered; a lost one (P+Q only: a
@@ -466,21 +457,13 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 			left--
 		}
 	}
-	err := s.gatherHealing(st, need, &sc.sums)
-	if err == nil && qx != nil {
-		for i, t := range wr {
-			contrib := sc.datas[i]
-			if len(delta) > 0 {
-				contrib = (*delta[i])[:s.unitSize]
-			}
-			t.foldInto(&sc.sums, contrib)
-		}
-	}
-	for _, b := range delta {
-		s.putBuf(b)
-	}
-	if err != nil {
+	if err := s.gatherHealing(st, need, &sc.sums); err != nil {
 		return err
+	}
+	if qx != nil {
+		for i, t := range wr {
+			t.foldInto(&sc.sums, sc.datas[i])
+		}
 	}
 	// Second round: data writes (redirected to a replacement or folded
 	// when lost) and the live parities, one batch.

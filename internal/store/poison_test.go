@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"declust/internal/core"
+	"declust/internal/gf256"
 	"declust/internal/layout"
 )
 
@@ -118,6 +119,163 @@ func TestPoisonedPool(t *testing.T) {
 			compareWithReference(t, s, version, nil)
 		})
 	}
+}
+
+// TestDeltaFoldsInAnyOrder: a delta's first round — the live stored
+// parities, then each written unit's old contents — folds in whatever order
+// an overlapped gather's reads land, so an old data unit may be the term
+// that starts a sum (a copy into P, a multiply into Q) and the parities
+// accumulate after it. Each case commits one unit over a poisoned pool and
+// holds the bytes on disk to the reference, which fails if the new contents
+// are never folded; then it takes the first round the commit gathered from
+// its scratch, folds it again in every order into sums that start at 0xA5,
+// folds the new contents after, and compares with the byte-at-a-time parity
+// of the new stripe. Cases: P+Q writing data ordinal 0 (coefficient 1) and
+// 1, P+Q with P lost (the Q sum alone), and single parity.
+func TestDeltaFoldsInAnyOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		lay     layout.Layout
+		ordinal int  // of the written unit; its Q coefficient is g^ordinal
+		loseP   bool // fail the stripe's P disk before the write
+	}{
+		{"P+Q/ordinal=0", testPQLayout(t, 7, 4), 0, false},
+		{"P+Q/ordinal=1", testPQLayout(t, 7, 4), 1, false},
+		{"P+Q/P-lost", testPQLayout(t, 7, 4), 1, true},
+		{"P", testLayout(t, 7, 4), 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newPoisoned(Config{Layout: tc.lay, UnitsPerDisk: 24, UnitSize: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			const stripe = 2
+			us := s.UnitSize()
+			version := make([]uint64, s.DataUnits())
+			fillAll(t, s, 1)
+			for n := range version {
+				version[n] = 1
+			}
+			var parities []layout.Loc // the live ones, P first
+			for k := 0; k < s.Parities(); k++ {
+				loc := layout.ParityLocOf(s.lay, stripe, k)
+				if k == 0 && tc.loseP {
+					if err := s.Fail(loc.Disk); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				parities = append(parities, loc)
+			}
+
+			// The stripe as it stands, straight off the disks.
+			st := s.st.Load()
+			old := map[layout.Loc][]byte{}
+			for j := 0; j < s.lay.G(); j++ {
+				u := s.lay.Unit(stripe, j)
+				if st.lost(u) {
+					continue
+				}
+				phys := make([]byte, s.physSize)
+				if err := st.disk(u).ReadUnit(u.Offset, phys); err != nil {
+					t.Fatal(err)
+				}
+				old[u] = phys[:us]
+			}
+
+			// The write, as writeStripeSpan issues it but on a scratch kept here.
+			n := stripe*s.dataPerStripe + int64(tc.ordinal)
+			u := s.mapper.Loc(n)
+			data := make([]byte, us)
+			fill(data, n, 2)
+			version[n] = 2
+			sc := newStripeScratch(s.lay.G(), s.Parities())
+			sc.locs, sc.datas = append(sc.locs, u), append(sc.datas, data)
+			s.locks.lock(stripe)
+			err = s.writeStripeLocked(stripe, sc)
+			s.locks.unlock(stripe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareWithReference(t, s, version, nil)
+
+			// What the new stripe's parities must be, a byte at a time.
+			wantP, wantQ := make([]byte, us), make([]byte, us)
+			for d := 0; d < int(s.dataPerStripe); d++ {
+				src := old[s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d))]
+				if d == tc.ordinal {
+					src = data
+				}
+				for i, b := range src {
+					wantP[i] ^= b
+					wantQ[i] ^= gf256.Mul(gf256.Exp(d), b)
+				}
+			}
+
+			// The commit's first round and its written unit's term are still
+			// in the scratch's backing arrays. Their sums went back to the
+			// pool with the commit; point them at this test's.
+			round := sc.rest[:len(parities)+1]
+			for i, tm := range round {
+				want := u
+				if i < len(parities) {
+					want = parities[i]
+				}
+				if tm.loc != want {
+					t.Fatalf("first round reads %v at %d, want %v: the live parities first, then the old data", tm.loc, i, want)
+				}
+			}
+			var p, q []byte
+			if !tc.loseP {
+				p = make([]byte, us)
+			}
+			if s.Parities() == 2 {
+				q = make([]byte, us)
+			}
+			ours := func(tm term) term {
+				switch {
+				case tm.p == nil:
+				case s.Parities() == 2 && tm.loc == layout.ParityLocOf(s.lay, stripe, 1):
+					tm.p = q
+				default:
+					tm.p = p
+				}
+				return tm
+			}
+			dirt := bytes.Repeat([]byte{0xA5}, us)
+			for _, order := range permutations(len(round)) {
+				copy(p, dirt)
+				copy(q, dirt)
+				sm := startSums(p, q)
+				for _, i := range order {
+					ours(round[i]).foldInto(&sm, old[round[i].loc])
+				}
+				ours(sc.terms[:1][0]).foldInto(&sm, data)
+				if p != nil && !bytes.Equal(p, wantP) {
+					t.Errorf("first round folded in order %v: P differs from the new stripe's", order)
+				}
+				if q != nil && !bytes.Equal(q, wantQ) {
+					t.Errorf("first round folded in order %v: Q differs from the new stripe's", order)
+				}
+			}
+		})
+	}
+}
+
+// permutations lists every order of 0, …, n−1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{nil}
+	}
+	var out [][]int
+	for _, rest := range permutations(n - 1) {
+		for at := 0; at <= len(rest); at++ {
+			order := append(append(append([]int{}, rest[:at]...), n-1), rest[at:]...)
+			out = append(out, order)
+		}
+	}
+	return out
 }
 
 // TestNarrowStripeErasures walks the stripes narrow enough that a parity sum

@@ -31,7 +31,6 @@ type stripeScratch struct {
 	datas [][]byte
 	terms []term        // how written units fold; or the reads of a solve or a verify
 	rest  []term        // first round: what the new parities must gather
-	delta []*[]byte     // one pooled buffer per written unit, new ⊕ old, when Q needs it
 	par   []parityWrite // the live parity sums: second round, beside locs
 	eras  []erasure     // a solve's erased positions
 	sums  sums          // the job's P and Q sums, and which still wait for a first term
@@ -45,7 +44,6 @@ func newStripeScratch(g, m int) *stripeScratch {
 		datas: make([][]byte, 0, g),
 		terms: make([]term, 0, g),
 		rest:  make([]term, 0, g),
-		delta: make([]*[]byte, 0, g),
 		par:   make([]parityWrite, 0, m),
 		eras:  make([]erasure, 0, m),
 	}

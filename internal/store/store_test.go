@@ -363,11 +363,12 @@ func TestModeString(t *testing.T) {
 // TestHotPathAllocations pins what the benchmark's --trace 1 pass reports
 // as store.write.healthy_allocs, store.pq.write.healthy_allocs,
 // store.read.healthy_allocs and store.read.lost_allocs, where `go test
-// ./...` sees them: a fault-free small write, a fault-free read and the
-// read of a unit of a failed disk allocate nothing, under either code — nor
-// does a range read or write across three stripes: the tail of one, a whole
-// one (a large write) and the head of the next. Serial store over MemDisks,
-// so every buffer comes from the pools and no fan-out closure is built.
+// ./...` sees them: a fault-free small write, a fault-free read, and the
+// read of a unit of a failed disk and the write folded into its parities
+// allocate nothing, under either code — nor does a range read or write
+// across three stripes: the tail of one, a whole one (a large write) and
+// the head of the next. Serial store over MemDisks, so every buffer comes
+// from the pools and no fan-out closure is built.
 func TestHotPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
@@ -385,8 +386,13 @@ func TestHotPathAllocations(t *testing.T) {
 		{"P healthy read", testLayout(t, 7, 3), false, (*Store).ReadUnit, 1, 0},
 		{"P+Q healthy read", testPQLayout(t, 7, 4), false, (*Store).ReadUnit, 1, 0},
 		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 1, 0},
+		{"P+Q lost-unit read", testPQLayout(t, 7, 4), true, (*Store).ReadUnit, 1, 0},
+		{"P lost-unit write", testLayout(t, 7, 3), true, (*Store).WriteUnit, 1, 0},
+		{"P+Q lost-unit write", testPQLayout(t, 7, 4), true, (*Store).WriteUnit, 1, 0},
 		{"P range read", testLayout(t, 7, 3), false, (*Store).ReadRange, 3, 0},
+		{"P+Q range read", testPQLayout(t, 7, 4), false, (*Store).ReadRange, 3, 0},
 		{"P range write", testLayout(t, 7, 3), false, (*Store).WriteRange, 3, 0},
+		{"P+Q range write", testPQLayout(t, 7, 4), false, (*Store).WriteRange, 3, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: 1})
