@@ -50,8 +50,8 @@ func goldenMatrix() []goldenCase {
 
 // TestGoldenOutputs compares each run of the matrix with the output the
 // code produced when the golden was checked in: stdout (minus its
-// wall-clock line) verbatim, and the event trace, span trace and metrics
-// export by SHA-256. Unlike TestGoldenDeterminism, which compares a run
+// wall-clock line) verbatim, and the span trace and metrics export by
+// SHA-256. Unlike TestGoldenDeterminism, which compares a run
 // with itself, this fails when a change reorders, adds or drops a single
 // simulated event. Regenerate with `go test ./cmd/raidsim -run
 // TestGoldenOutputs -update` only for a change that means to alter the
@@ -67,7 +67,7 @@ func TestGoldenOutputs(t *testing.T) {
 		t.Run(c.name(), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			exports := []string{"events", "spans", "metrics"}
+			exports := []string{"spans", "metrics"}
 			args := []string{
 				"-mode", "recon", "-scale", "50", "-procs", "4", "-warmup", "2",
 				"-fault-seed", "7", "-lse-rate", "100000",

@@ -25,13 +25,14 @@
 //
 // Observability:
 //
-//	raidsim -mode recon -metrics out.txt -series out.csv -events ev.jsonl -progress
+//	raidsim -mode recon -metrics out.txt -series out.csv -progress
 //	raidsim -mode recon -spans run.spans.jsonl -chrome-trace run.trace.json
 //	raidsim -mode recon -listen :6060     # live /metrics, /progress, /debug/pprof
 //	raidsim -mode recon -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -spans output feeds cmd/tracestat; -chrome-trace output loads in Perfetto
-// (ui.perfetto.dev) or chrome://tracing.
+// (ui.perfetto.dev) or chrome://tracing. Every output file is created before
+// the simulation starts, so a bad path fails at once.
 package main
 
 import (
@@ -98,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	replayIn := fs.String("replay", "", "replay a trace file instead of the synthetic workload")
 	metricsOut := fs.String("metrics", "", "write Prometheus-style metrics to this file")
 	seriesOut := fs.String("series", "", "write per-disk time-series CSV to this file")
-	eventsOut := fs.String("events", "", "write a JSONL event trace (accesses, disk requests, recon cycles, faults) to this file")
 	sampleMS := fs.Float64("sample", 1000, "time-series cadence in simulated ms (with -series)")
 	spansOut := fs.String("spans", "", "write request-lifecycle spans (JSONL, for tracestat) to this file")
 	chromeOut := fs.String("chrome-trace", "", "write a Chrome trace-event JSON (Perfetto-viewable) to this file")
@@ -186,9 +186,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *sweepG != "" || *sweepRate != "" {
 		if *traceOut != "" || *replayIn != "" || *metricsOut != "" || *seriesOut != "" ||
-			*eventsOut != "" || *spansOut != "" || *chromeOut != "" ||
+			*spansOut != "" || *chromeOut != "" ||
 			*cpuprofile != "" || *memprofile != "" || *progress {
-			return fmt.Errorf("sweep mode does not combine with per-run outputs (-trace, -replay, -metrics, -series, -events, -spans, -chrome-trace, -progress, profiles)")
+			return fmt.Errorf("sweep mode does not combine with per-run outputs (-trace, -replay, -metrics, -series, -spans, -chrome-trace, -progress, profiles)")
 		}
 		gs, err := parseIntList(*sweepG, *g)
 		if err != nil {
@@ -207,18 +207,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				policy, *readahead, *prioAge, *seqFrac*100)
 		}
 		return runSweep(stdout, cfg, *mode, gs, rates, w, live)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
 	}
 
 	var reg *declust.MetricsRegistry
@@ -245,18 +233,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			live.PublishMetrics(reg)
 			live.PublishProgress(p)
 		})
-	}
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			return err
-		}
-		jl := declust.NewJSONLTracer(f)
-		cfg.Tracer = jl
-		defer func() {
-			jl.Flush()
-			f.Close()
-		}()
 	}
 	if *progress {
 		wallStart := time.Now()
@@ -303,6 +279,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		cfg.Source = rep
 		fmt.Fprintf(stdout, "replaying %d recorded accesses from %s\n", log.Len(), *replayIn)
+	}
+
+	// Every output is created before the run, so a mistyped path fails now
+	// rather than after a full-scale simulation (and after -replay is read,
+	// so -trace may name the same file). The deferred close releases
+	// whatever an early return leaves open.
+	files, err := createAll(*cpuprofile, *metricsOut, *seriesOut, *spansOut, *chromeOut, *traceOut, *memprofile)
+	if err != nil {
+		return err
+	}
+	defer closeAll(files)
+	cpuF, metricsF, seriesF, spansF, chromeF, traceF, memF := files[0], files[1], files[2], files[3], files[4], files[5], files[6]
+	if cpuF != nil {
+		if err := pprof.StartCPUProfile(cpuF); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	newMap := declust.NewMapping
@@ -357,63 +350,53 @@ func run(args []string, stdout, stderr io.Writer) error {
 		res.EngineEvents, res.SimEndMS/1000, wall.Seconds(),
 		float64(res.EngineEvents)/wall.Seconds()/1e6)
 
-	if *metricsOut != "" {
-		if err := writeFile(*metricsOut, reg.WritePrometheus); err != nil {
+	if metricsF != nil {
+		if err := writeFile(metricsF, reg.WritePrometheus); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "metrics:        written to %s\n", *metricsOut)
 	}
-	if *seriesOut != "" {
-		if err := writeFile(*seriesOut, reg.WriteCSV); err != nil {
+	if seriesF != nil {
+		if err := writeFile(seriesF, reg.WriteCSV); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "series:         written to %s\n", *seriesOut)
 	}
-	if *eventsOut != "" {
-		fmt.Fprintf(stdout, "events:         written to %s\n", *eventsOut)
-	}
-	if *spansOut != "" {
+	if spansF != nil {
 		meta := &declust.SpanMeta{C: *c, G: *g, Alpha: m.Alpha(), Mode: *mode, Seed: *seed}
-		if err := writeFile(*spansOut, func(w io.Writer) error {
+		if err := writeFile(spansF, func(w io.Writer) error {
 			return spans.WriteJSONL(w, meta)
 		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "spans:          %d spans written to %s\n", spans.Len(), *spansOut)
 	}
-	if *chromeOut != "" {
-		if err := writeFile(*chromeOut, spans.WriteChromeTrace); err != nil {
+	if chromeF != nil {
+		if err := writeFile(chromeF, spans.WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "chrome trace:   written to %s (load in Perfetto or chrome://tracing)\n", *chromeOut)
 	}
 
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
+	if traceF != nil {
+		if err := writeFile(traceF, func(w io.Writer) error {
+			_, err := captured.WriteTo(w)
 			return err
-		}
-		if _, err := captured.WriteTo(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
+		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "trace:          %d accesses written to %s\n", captured.Len(), *traceOut)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return err
-		}
+	if memF != nil {
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
+		if err := writeFile(memF, pprof.WriteHeapProfile); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
+	}
+	if cpuF != nil {
+		pprof.StopCPUProfile() // the deferred stop is then a no-op
+		return cpuF.Close()
 	}
 	return nil
 }
@@ -552,14 +535,40 @@ func reportSecondFailure(stdout io.Writer, c, g, scale, parities int) error {
 	return nil
 }
 
-// writeFile writes one export to path via the given emitter.
-func writeFile(path string, emit func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// createAll creates one file per path, in order; entry i is nil where
+// paths[i] is empty. On an error it closes the files it already made.
+func createAll(paths ...string) ([]*os.File, error) {
+	files := make([]*os.File, len(paths))
+	for i, p := range paths {
+		if p == "" {
+			continue
+		}
+		f, err := os.Create(p)
+		if err != nil {
+			closeAll(files)
+			return nil, err
+		}
+		files[i] = f
 	}
-	if err := emit(f); err != nil {
-		return err
+	return files, nil
+}
+
+// closeAll closes every non-nil file; closing one writeFile already closed
+// is a harmless error, ignored.
+func closeAll(files []*os.File) {
+	for _, f := range files {
+		if f != nil {
+			f.Close()
+		}
 	}
-	return f.Close()
+}
+
+// writeFile writes one export to f via the given emitter and closes f,
+// returning the first write or close error.
+func writeFile(f *os.File, emit func(w io.Writer) error) error {
+	err := emit(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -38,19 +42,19 @@ func goldenDir(t *testing.T) string {
 
 // TestGoldenDeterminism runs the full command twice with every fault
 // process enabled and requires byte-identical results: same stdout (modulo
-// the wall-clock line), same Prometheus export, same JSONL event trace.
+// the wall-clock line), same Prometheus export, same span trace.
 func TestGoldenDeterminism(t *testing.T) {
 	dir := goldenDir(t)
 	invoke := func(tag string) (string, []byte, []byte) {
 		metrics := filepath.Join(dir, tag+".prom")
-		events := filepath.Join(dir, tag+".jsonl")
+		spans := filepath.Join(dir, tag+".jsonl")
 		args := []string{
 			"-mode", "recon", "-c", "21", "-g", "5", "-scale", "50",
 			"-rate", "105", "-reads", "0.5", "-procs", "4",
 			"-warmup", "2", "-measure", "10",
 			"-fault-seed", "7", "-lse-rate", "100000",
 			"-transient-rate", "0.02", "-scrub-interval", "20",
-			"-metrics", metrics, "-events", events,
+			"-metrics", metrics, "-spans", spans,
 		}
 		var out, errb bytes.Buffer
 		if err := run(args, &out, &errb); err != nil {
@@ -60,28 +64,28 @@ func TestGoldenDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev, err := os.ReadFile(events)
+		sp, err := os.ReadFile(spans)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The export lines name their output files; normalize the paths.
 		stdout := strings.ReplaceAll(out.String(), tag+".prom", "OUT.prom")
 		stdout = strings.ReplaceAll(stdout, tag+".jsonl", "OUT.jsonl")
-		return stripWallClock(stdout), prom, ev
+		return stripWallClock(stdout), prom, sp
 	}
-	out1, prom1, ev1 := invoke("a")
-	out2, prom2, ev2 := invoke("b")
+	out1, prom1, sp1 := invoke("a")
+	out2, prom2, sp2 := invoke("b")
 	if out1 != out2 {
 		t.Errorf("stdout differs between identical runs:\n--- a ---\n%s\n--- b ---\n%s", out1, out2)
 	}
 	if !bytes.Equal(prom1, prom2) {
 		t.Error("Prometheus exports differ between identical runs")
 	}
-	if !bytes.Equal(ev1, ev2) {
-		t.Error("JSONL event traces differ between identical runs")
+	if !bytes.Equal(sp1, sp2) {
+		t.Error("span traces differ between identical runs")
 	}
-	if len(ev1) == 0 {
-		t.Error("event trace empty despite tracer enabled")
+	if len(sp1) == 0 {
+		t.Error("span trace empty despite -spans")
 	}
 	for _, want := range []string{"faults:", "repairs:", "LSEs injected"} {
 		if !strings.Contains(out1, want) {
@@ -92,41 +96,41 @@ func TestGoldenDeterminism(t *testing.T) {
 
 // TestGoldenDeterminismPerScheduler repeats the golden check for every
 // scheduling policy with read-ahead, demotion and age promotion all
-// active: same seed and flags must reproduce stdout and the JSONL event
-// trace byte for byte under each policy.
+// active: same seed and flags must reproduce stdout and the span trace
+// byte for byte under each policy.
 func TestGoldenDeterminismPerScheduler(t *testing.T) {
 	for _, sched := range []string{"cvscan", "fifo", "sstf", "cscan"} {
 		t.Run(sched, func(t *testing.T) {
 			dir := goldenDir(t)
 			invoke := func(tag string) (string, []byte) {
-				events := filepath.Join(dir, tag+".jsonl")
+				spans := filepath.Join(dir, tag+".jsonl")
 				args := []string{
 					"-mode", "recon", "-c", "21", "-g", "5", "-scale", "50",
 					"-rate", "105", "-reads", "0.5", "-procs", "4",
 					"-warmup", "2", "-measure", "10",
 					"-sched", sched, "-readahead", "2",
 					"-prio", "demote", "-prio-age", "40", "-seq", "0.3",
-					"-events", events,
+					"-spans", spans,
 				}
 				var out, errb bytes.Buffer
 				if err := run(args, &out, &errb); err != nil {
 					t.Fatalf("run %s: %v\nstderr: %s", tag, err, errb.String())
 				}
-				ev, err := os.ReadFile(events)
+				sp, err := os.ReadFile(spans)
 				if err != nil {
 					t.Fatal(err)
 				}
 				stdout := strings.ReplaceAll(out.String(), tag+".jsonl", "OUT.jsonl")
-				return stripWallClock(stdout), ev
+				return stripWallClock(stdout), sp
 			}
-			out1, ev1 := invoke("a")
-			out2, ev2 := invoke("b")
+			out1, sp1 := invoke("a")
+			out2, sp2 := invoke("b")
 			if out1 != out2 {
 				t.Errorf("stdout differs between identical -sched %s runs:\n--- a ---\n%s\n--- b ---\n%s",
 					sched, out1, out2)
 			}
-			if !bytes.Equal(ev1, ev2) {
-				t.Errorf("-sched %s JSONL event traces differ between identical runs", sched)
+			if !bytes.Equal(sp1, sp2) {
+				t.Errorf("-sched %s span traces differ between identical runs", sched)
 			}
 			if !strings.Contains(out1, "sched:     "+sched) {
 				t.Errorf("missing sched description line in output:\n%s", out1)
@@ -224,9 +228,57 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 // mode, where several simulations would race on one output file.
 func TestSweepRejectsPerRunOutputs(t *testing.T) {
 	var out, errb bytes.Buffer
-	err := run([]string{"-sweep-g", "3,5", "-events", "x.jsonl"}, &out, &errb)
+	err := run([]string{"-sweep-g", "3,5", "-metrics", "x.txt"}, &out, &errb)
 	if err == nil || !strings.Contains(err.Error(), "sweep mode") {
 		t.Fatalf("got %v, want sweep-mode rejection", err)
+	}
+}
+
+// fastRun is a sub-second simulation for tests about raidsim's own plumbing.
+var fastRun = []string{"-mode", "faultfree", "-scale", "50", "-warmup", "0.5", "-measure", "0.5"}
+
+// TestBadOutputPathFailsBeforeRun: an output file that cannot be created
+// fails the command before the simulation starts, not after it.
+func TestBadOutputPathFailsBeforeRun(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing", "m.txt")
+	var out, errb bytes.Buffer
+	err := run(append([]string{"-metrics", missing}, fastRun...), &out, &errb)
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("got %v, want the open error for %s", err, missing)
+	}
+	if strings.Contains(out.String(), "user response") {
+		t.Errorf("simulation ran before the bad path failed:\n%s", out.String())
+	}
+}
+
+// TestFailedExportClosesItsFile: a write error on an export (ENOSPC from
+// /dev/full) is returned, and the file is closed rather than leaked.
+func TestFailedExportClosesItsFile(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors in /proc/self/fd")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	args := append([]string{"-metrics", "/dev/full"}, fastRun...)
+	invoke := func() error {
+		var out, errb bytes.Buffer
+		return run(args, &out, &errb)
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	invoke() // the runtime opens its poller's descriptors on first use
+	before := openFDs()
+	if err := invoke(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("got %v, want ENOSPC", err)
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("%d descriptors open after the failed export, %d before", after, before)
 	}
 }
 

@@ -46,7 +46,6 @@ import (
 	"declust/internal/sim"
 	"declust/internal/store"
 	"declust/internal/telemetry"
-	"io"
 )
 
 // Mapping bundles a chosen parity layout with its provenance; see
@@ -156,10 +155,6 @@ type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// NewJSONLTracer returns a Tracer writing one JSON event per line to w.
-// Call Flush when the run completes.
-func NewJSONLTracer(w io.Writer) *metrics.JSONL { return metrics.NewJSONL(w) }
 
 // SpanTracer records request-lifecycle spans: one root span per user
 // access with phase children (lock wait, pre-reads, commits, on-the-fly

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,9 @@ import (
 // (a pattern, to at least one), every `make <target>` inside backticks
 // or a code fence to a target of the Makefile, and every `pkg.Name` inside
 // them whose pkg is a directory under internal/ to an exported name that
-// package declares (a function, type, constant, variable or method).
+// package declares (a function, type, constant, variable or method). Every
+// `go run ./cmd/raidsim` inside them, with its `\` continuation lines and up
+// to the first `&`, `|`, `;` or `#`, may pass only flags cmd/raidsim defines.
 // CHANGES.md, ROADMAP.md and results/ are history and say what was true when
 // written; benchmark/ is outside this module's gate.
 func TestDocsNameThingsThatExist(t *testing.T) {
@@ -31,6 +34,9 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	codeRE := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
 	makeRE := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	nameRE := regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+	raidsimRE := regexp.MustCompile("go run \\./cmd/raidsim([ \t][^&|;#`\n]*)?")
+	flagRE := regexp.MustCompile(`(?:^|\s)--?([A-Za-z][A-Za-z0-9-]*)`)
+	flags := raidsimFlags(t)
 
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -70,8 +76,52 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 					t.Errorf("%s names `%s.%s`, which internal/%s does not declare", doc, pkg, name, pkg)
 				}
 			}
+			joined := strings.ReplaceAll(string(code), "\\\n", " ")
+			for _, m := range raidsimRE.FindAllStringSubmatch(joined, -1) {
+				for _, f := range flagRE.FindAllStringSubmatch(m[1], -1) {
+					if !flags[f[1]] {
+						t.Errorf("%s runs raidsim with -%s, which cmd/raidsim/main.go does not define", doc, f[1])
+					}
+				}
+			}
 		}
 	}
+}
+
+// raidsimFlags returns the flag names cmd/raidsim/main.go defines: the first
+// argument of each fs.String, fs.Bool, fs.Int, fs.Int64 or fs.Float64 call.
+func raidsimFlags(t *testing.T) map[string]bool {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "raidsim", "main.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "fs" {
+			return true
+		}
+		switch sel.Sel.Name {
+		case "String", "Bool", "Int", "Int64", "Float64":
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+			}
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		t.Fatal("found no flag definitions in cmd/raidsim/main.go")
+	}
+	return flags
 }
 
 // exportedNames returns the exported names internal/<pkg> declares outside

@@ -110,8 +110,6 @@ type Config struct {
 	// reads/writes, on-the-fly reconstructions, reconstruction cycles).
 	// Nil disables them at zero cost on the I/O paths.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, receives reconstruction lifecycle events.
-	Tracer metrics.Tracer
 	// Spans, when non-nil, records request-lifecycle spans: array phases
 	// (lock wait, pre-reads, commits, on-the-fly reconstruction) and
 	// reconstruction cycles, with per-disk segments beneath them. Nil —
@@ -189,8 +187,7 @@ type Array struct {
 	opFree    []*userOp
 
 	// Instrumentation. The counters are nil (no-op) without a registry;
-	// tracer calls are guarded by nil checks.
-	tracer  metrics.Tracer
+	// diskObs is the ObserveDisks callback, nil when nothing observes.
 	diskObs func(slot int, e disk.Event)
 
 	// Span tracing (nil-safe no-ops when Config.Spans is nil). opSpan is
@@ -261,7 +258,6 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 		dataUnits:    layout.DataUnits(cfg.Layout, rawUnits),
 		failed:       -1,
 		spareLay:     spareLay,
-		tracer:       cfg.Tracer,
 		spans:        cfg.Spans,
 	}
 	if reg := cfg.Metrics; reg != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"declust/internal/layout"
-	"declust/internal/metrics"
 )
 
 // FaultStats counts the array driver's fault handling.
@@ -53,12 +52,6 @@ func (a *Array) recordLoss(stripe int64, units []layout.Loc) {
 	})
 	a.fstats.LostUnits += int64(len(units))
 	a.mLostUnits.Add(int64(len(units)))
-	if a.tracer != nil {
-		a.tracer.Fault(metrics.FaultEvent{
-			Ev: metrics.EvDataLoss, TMS: a.eng.Now(),
-			Stripe: stripe, LostUnits: len(units),
-		})
-	}
 }
 
 // repairThen continues an operation whose read phase may have surfaced
@@ -106,14 +99,6 @@ func (a *Array) repairLocked(stripe int64, fails []xfer, prio int, cont func()) 
 	if len(recov) > 0 {
 		a.fstats.LatentRepairs += int64(len(recov))
 		a.mRepairs.Add(int64(len(recov)))
-		if a.tracer != nil {
-			for _, b := range recov {
-				a.tracer.Fault(metrics.FaultEvent{
-					Ev: metrics.EvRepair, TMS: a.eng.Now(),
-					Disk: b.Disk, Stripe: stripe,
-				})
-			}
-		}
 	}
 	if len(lost) > 0 {
 		a.recordLoss(stripe, lost)
@@ -221,12 +206,6 @@ func (a *Array) SecondFail(d int) (DoubleFailure, error) {
 	a.doubleFailures = append(a.doubleFailures, df)
 	a.fstats.LostUnits += df.UnitsLost
 	a.mLostUnits.Add(df.UnitsLost)
-	if a.tracer != nil {
-		a.tracer.Fault(metrics.FaultEvent{
-			Ev: metrics.EvDataLoss, TMS: df.TMS, Disk: d,
-			Stripe: -1, LostUnits: int(df.UnitsLost),
-		})
-	}
 	if a.cfg.Faults != nil {
 		a.cfg.Faults.ResetDisk(d)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"declust/internal/layout"
-	"declust/internal/metrics"
 	"declust/internal/stats"
 	"declust/internal/telemetry"
 )
@@ -39,11 +38,6 @@ func (a *Array) Reconstruct(done func()) error {
 	a.reconTotal = a.reconRemaining
 	for i := range a.reconReads {
 		a.reconReads[i] = 0
-	}
-	if a.tracer != nil {
-		a.tracer.Recon(metrics.ReconEvent{
-			Ev: metrics.EvReconStart, TMS: a.eng.Now(), TotalUnits: a.reconTotal,
-		})
 	}
 	if a.reconRemaining == 0 {
 		a.finishRecon()
@@ -179,13 +173,6 @@ func (a *Array) reconStep() {
 				a.reconCycles++
 				a.mReconCyc.Inc()
 				a.markReconstructed(off)
-				if a.tracer != nil {
-					a.tracer.Recon(metrics.ReconEvent{
-						Ev: metrics.EvReconCycle, TMS: a.eng.Now(), Offset: off,
-						DoneUnits: a.reconTotal - a.reconRemaining, TotalUnits: a.reconTotal,
-						ReadMS: writeStart - readStart, WriteMS: a.eng.Now() - writeStart,
-					})
-				}
 				a.locks.release(stripe)
 				a.scheduleNextCycle(cycleStart)
 			})
@@ -263,12 +250,6 @@ func (a *Array) finishRecon() {
 	// Bump the epoch so throttled/deferred sweep callbacks from this run
 	// die instead of outliving it into a future reconstruction.
 	a.reconEpoch++
-	if a.tracer != nil {
-		a.tracer.Recon(metrics.ReconEvent{
-			Ev: metrics.EvReconDone, TMS: a.eng.Now(),
-			DoneUnits: a.reconTotal, TotalUnits: a.reconTotal,
-		})
-	}
 	if a.spareLay != nil && a.failed >= 0 {
 		a.spared = true
 	} else {

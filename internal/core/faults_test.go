@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"declust/internal/metrics"
+	"declust/internal/telemetry"
 )
 
 // faultyCfg returns smallCfg with every fault process turned on at
@@ -54,26 +55,25 @@ func TestDormantFaultConfigDoesNotPerturb(t *testing.T) {
 
 // TestFaultRunsAreDeterministic checks the determinism contract with every
 // fault process active: identical config and seeds produce byte-identical
-// metric exports and event traces.
+// metric exports and span traces.
 func TestFaultRunsAreDeterministic(t *testing.T) {
 	run := func() (Metrics, string, string) {
-		var ev bytes.Buffer
 		cfg := faultyCfg(5)
 		reg := metrics.NewRegistry()
 		cfg.Metrics = reg
-		cfg.Tracer = metrics.NewJSONL(&ev)
+		cfg.Spans = telemetry.New()
 		m, err := RunDegraded(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Tracer.(*metrics.JSONL).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var prom bytes.Buffer
+		var prom, spans bytes.Buffer
 		if err := reg.WritePrometheus(&prom); err != nil {
 			t.Fatal(err)
 		}
-		return m, prom.String(), ev.String()
+		if err := cfg.Spans.WriteJSONL(&spans, nil); err != nil {
+			t.Fatal(err)
+		}
+		return m, prom.String(), spans.String()
 	}
 	m1, p1, e1 := run()
 	m2, p2, e2 := run()
@@ -84,7 +84,7 @@ func TestFaultRunsAreDeterministic(t *testing.T) {
 		t.Error("Prometheus exports differ between identical fault runs")
 	}
 	if e1 != e2 {
-		t.Error("JSONL event streams differ between identical fault runs")
+		t.Error("span exports differ between identical fault runs")
 	}
 	if m1.LSEArrivals == 0 {
 		t.Error("accelerated LSE rate injected nothing")

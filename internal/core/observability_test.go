@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -11,33 +10,32 @@ import (
 )
 
 // instrumentedCfg returns a fast reconstruction configuration with every
-// instrumentation surface enabled: registry, time-series sampling, JSONL
-// tracing, and progress callbacks.
-func instrumentedCfg(events *bytes.Buffer) (SimConfig, *metrics.Registry) {
+// instrumentation surface enabled: registry, time-series sampling and span
+// tracing (cfg.Spans). Tests add progress callbacks themselves.
+func instrumentedCfg() (SimConfig, *metrics.Registry) {
 	cfg := smallCfg(5)
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
 	cfg.SampleEveryMS = 500
-	cfg.Tracer = metrics.NewJSONL(events)
+	cfg.Spans = telemetry.New()
 	return cfg, reg
 }
 
 // TestInstrumentationDeterminism runs the same reconstruction twice with
 // full instrumentation and demands byte-identical exports: same Prometheus
-// text, same CSV time series, same JSONL event stream, same final clock and
+// text, same CSV time series, same span export, same final clock and
 // engine event count. This is the repo's determinism contract extended to
 // the observability layer — instrumentation may only read simulation state,
 // never perturb it.
 func TestInstrumentationDeterminism(t *testing.T) {
 	type run struct {
-		prom, csv, events string
-		simEnd            float64
-		engineEvents      uint64
-		progressReports   int
+		prom, csv, spans string
+		simEnd           float64
+		engineEvents     uint64
+		progressReports  int
 	}
 	do := func() run {
-		var ev bytes.Buffer
-		cfg, reg := instrumentedCfg(&ev)
+		cfg, reg := instrumentedCfg()
 		reports := 0
 		cfg.LiveEveryMS = 500
 		cfg.OnLive = func(telemetry.Progress) { reports++ }
@@ -45,18 +43,18 @@ func TestInstrumentationDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Tracer.(*metrics.JSONL).Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var prom, csv bytes.Buffer
+		var prom, csv, spans bytes.Buffer
 		if err := reg.WritePrometheus(&prom); err != nil {
 			t.Fatal(err)
 		}
 		if err := reg.WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
+		if err := cfg.Spans.WriteJSONL(&spans, nil); err != nil {
+			t.Fatal(err)
+		}
 		return run{
-			prom: prom.String(), csv: csv.String(), events: ev.String(),
+			prom: prom.String(), csv: csv.String(), spans: spans.String(),
 			simEnd: m.SimEndMS, engineEvents: m.EngineEvents,
 			progressReports: reports,
 		}
@@ -69,8 +67,8 @@ func TestInstrumentationDeterminism(t *testing.T) {
 	if a.csv != b.csv {
 		t.Error("CSV time-series exports differ between identical runs")
 	}
-	if a.events != b.events {
-		t.Error("JSONL event streams differ between identical runs")
+	if a.spans != b.spans {
+		t.Error("span exports differ between identical runs")
 	}
 	if a.simEnd != b.simEnd || a.engineEvents != b.engineEvents {
 		t.Errorf("final state differs: sim end %v/%v ms, events %d/%d",
@@ -94,15 +92,14 @@ func TestInstrumentationDeterminism(t *testing.T) {
 
 // TestInstrumentationDoesNotPerturb verifies that enabling the full
 // instrumentation stack leaves the simulation's results untouched: the
-// same seed with and without a registry/tracer must report identical user
-// response times and reconstruction time.
+// same seed with and without a registry and span tracer must report
+// identical user response times and reconstruction time.
 func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	bare, err := RunReconstruction(smallCfg(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ev bytes.Buffer
-	cfg, _ := instrumentedCfg(&ev)
+	cfg, _ := instrumentedCfg()
 	inst, err := RunReconstruction(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,46 +120,62 @@ func TestInstrumentationDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestJSONLEventStream checks the traced reconstruction lifecycle: exactly
-// one recon_start and one recon_done, cycle events with sane phases, and
-// access events whose completion never precedes arrival.
-func TestJSONLEventStream(t *testing.T) {
-	var ev bytes.Buffer
-	cfg, _ := instrumentedCfg(&ev)
-	if _, err := RunReconstruction(cfg); err != nil {
+// TestSpanStream checks the fully instrumented reconstruction's spans with
+// exact counts: one measured read or write root per scored request, one
+// recon-cycle root per completed cycle, each with exactly one
+// read-survivors and one write-back child of positive duration inside it,
+// and no span ending before it starts.
+func TestSpanStream(t *testing.T) {
+	cfg, _ := instrumentedCfg()
+	m, err := RunReconstruction(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Tracer.(*metrics.JSONL).Flush(); err != nil {
-		t.Fatal(err)
-	}
-	starts, dones, cycles, accesses := 0, 0, 0, 0
-	for _, line := range strings.Split(strings.TrimSpace(ev.String()), "\n") {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
+	spans := cfg.Spans.Spans()
+	measured := 0
+	cycles := map[uint64]telemetry.Span{}
+	for _, sp := range spans {
+		if sp.EndMS < sp.StartMS {
+			t.Fatalf("span ends before it starts: %+v", sp)
 		}
-		switch rec["ev"] {
-		case metrics.EvReconStart:
-			starts++
-		case metrics.EvReconDone:
-			dones++
-		case metrics.EvReconCycle:
-			cycles++
-			if rec["read_ms"].(float64) <= 0 || rec["write_ms"].(float64) <= 0 {
-				t.Fatalf("recon cycle with non-positive phase: %q", line)
-			}
-		case metrics.EvAccess:
-			accesses++
-			if rec["done_ms"].(float64) < rec["arrive_ms"].(float64) {
-				t.Fatalf("access completes before arrival: %q", line)
-			}
+		if sp.Parent != 0 {
+			continue
+		}
+		switch {
+		case sp.Measured && (sp.Kind == telemetry.KindRead || sp.Kind == telemetry.KindWrite):
+			measured++
+		case sp.Name == telemetry.SpanReconCycle:
+			cycles[sp.ID] = sp
 		}
 	}
-	if starts != 1 || dones != 1 {
-		t.Errorf("recon start/done events = %d/%d, want 1/1", starts, dones)
+	if measured != m.Requests {
+		t.Errorf("%d measured read/write roots, want %d requests", measured, m.Requests)
 	}
-	if cycles == 0 || accesses == 0 {
-		t.Errorf("cycles=%d accesses=%d, want both nonzero", cycles, accesses)
+	if int64(len(cycles)) != m.ReconCycles {
+		t.Errorf("%d recon-cycle roots, want %d cycles", len(cycles), m.ReconCycles)
+	}
+	type phase struct {
+		cycle uint64
+		name  string
+	}
+	phases := map[phase]int{}
+	for _, sp := range spans {
+		root, ok := cycles[sp.Parent]
+		if !ok || (sp.Name != telemetry.PhaseReconRead && sp.Name != telemetry.PhaseReconWrit) {
+			continue
+		}
+		if sp.EndMS <= sp.StartMS || sp.StartMS < root.StartMS || sp.EndMS > root.EndMS {
+			t.Fatalf("%s [%v, %v] not a positive interval inside its cycle [%v, %v]",
+				sp.Name, sp.StartMS, sp.EndMS, root.StartMS, root.EndMS)
+		}
+		phases[phase{sp.Parent, sp.Name}]++
+	}
+	for id := range cycles {
+		r, w := phases[phase{id, telemetry.PhaseReconRead}], phases[phase{id, telemetry.PhaseReconWrit}]
+		if r != 1 || w != 1 {
+			t.Fatalf("cycle %d has %d %s and %d %s children, want one of each",
+				id, r, telemetry.PhaseReconRead, w, telemetry.PhaseReconWrit)
+		}
 	}
 }
 
@@ -170,8 +183,7 @@ func TestJSONLEventStream(t *testing.T) {
 // show the declustered layout's even rebuild load: every surviving disk
 // reads the same number of units and the failed disk reads none.
 func TestReconReadLoadBalance(t *testing.T) {
-	var ev bytes.Buffer
-	cfg, reg := instrumentedCfg(&ev)
+	cfg, reg := instrumentedCfg()
 	if _, err := RunReconstruction(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -120,9 +120,6 @@ type SimConfig struct {
 	// WriteCSV. Everything is keyed on simulated time, so exports are
 	// byte-identical across runs of the same seed and configuration.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, receives structured events: every measured
-	// user access, every disk request, and reconstruction milestones.
-	Tracer metrics.Tracer
 	// SampleEveryMS, with Metrics set, samples per-disk time series
 	// (utilization, queue depth, mean seek distance) on this sim-time
 	// cadence; 0 disables sampling.
@@ -247,7 +244,6 @@ type runner struct {
 
 	// Instrumentation (nil-safe no-ops when disabled).
 	reg       *metrics.Registry
-	tracer    metrics.Tracer
 	respHist  *metrics.Histogram
 	readHist  *metrics.Histogram
 	writeHist *metrics.Histogram
@@ -311,12 +307,6 @@ func (p *pendingReq) record() {
 		} else {
 			r.writeHist.Observe(lat)
 		}
-		if r.tracer != nil {
-			r.tracer.Access(metrics.AccessEvent{
-				ArriveMS: start, DoneMS: r.eng.Now(),
-				Read: op.Read, Unit: op.Unit, Count: op.Count,
-			})
-		}
 		if r.capture != nil {
 			r.capture.Add(trace.Record{ArriveMS: start, DoneMS: r.eng.Now(), Op: op})
 		}
@@ -357,7 +347,6 @@ func newRunner(cfg SimConfig) (*runner, error) {
 			LSERatePerGBHour: cfg.LSERatePerGBHour,
 			TransientRate:    cfg.TransientRate,
 			TimeoutMS:        cfg.FaultTimeoutMS,
-			Tracer:           cfg.Tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -379,7 +368,6 @@ func newRunner(cfg SimConfig) (*runner, error) {
 		DistributedSparing:        cfg.DistributedSparing,
 		Faults:                    inj,
 		Metrics:                   cfg.Metrics,
-		Tracer:                    cfg.Tracer,
 		Spans:                     cfg.Spans,
 	})
 	if err != nil {
@@ -404,7 +392,7 @@ func newRunner(cfg SimConfig) (*runner, error) {
 	r := &runner{
 		eng: eng, arr: arr, gen: src, capture: cfg.CaptureTrace, to: -1,
 		faults: inj, scrubMS: cfg.ScrubIntervalMS, raOn: cfg.ReadAheadTracks > 0,
-		reg: cfg.Metrics, tracer: cfg.Tracer, sampleMS: cfg.SampleEveryMS,
+		reg: cfg.Metrics, sampleMS: cfg.SampleEveryMS,
 		spans: cfg.Spans, onLive: cfg.OnLive, liveMS: cfg.LiveEveryMS,
 	}
 	if r.onLive != nil && r.liveMS <= 0 {
@@ -415,15 +403,6 @@ func newRunner(cfg SimConfig) (*runner, error) {
 		r.readHist = r.reg.Histogram(`user_response_ms_by_op{op="read"}`)
 		r.writeHist = r.reg.Histogram(`user_response_ms_by_op{op="write"}`)
 		r.mRequests = r.reg.Counter("user_requests")
-	}
-	if r.tracer != nil {
-		tr := r.tracer
-		arr.ObserveDisks(func(slot int, e disk.Event) {
-			tr.Disk(metrics.DiskEvent{
-				Disk: slot, QueuedMS: e.QueuedAt, StartMS: e.Start, DoneMS: e.Finish,
-				Write: e.Write, Sectors: e.Sectors, SeekCyls: e.SeekDist, Priority: e.Priority,
-			})
-		})
 	}
 	return r, nil
 }

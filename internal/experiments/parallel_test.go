@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"declust/internal/core"
-	"declust/internal/metrics"
+	"declust/internal/telemetry"
 )
 
 func TestRunPointsPreservesOrder(t *testing.T) {
@@ -94,11 +94,11 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelJSONLTracesByteIdentical gives each point its own JSONL
-// tracer and checks the per-point event streams are byte-identical whether
-// the points run serially or concurrently: nothing about a neighbouring
-// simulation may leak into a point's event order or timestamps.
-func TestParallelJSONLTracesByteIdentical(t *testing.T) {
+// TestParallelSpanTracesByteIdentical gives each point its own span tracer
+// and checks the per-point span exports are byte-identical whether the
+// points run serially or concurrently: nothing about a neighbouring
+// simulation may leak into a point's span order or timestamps.
+func TestParallelSpanTracesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several simulations")
 	}
@@ -109,11 +109,11 @@ func TestParallelJSONLTracesByteIdentical(t *testing.T) {
 		_, err := RunPoints(workers, len(gs), func(i int) (struct{}, error) {
 			cfg := o.simConfig(gs[i], 105, 0.5)
 			cfg.ReconProcs = 4
-			cfg.Tracer = metrics.NewJSONL(&bufs[i])
+			cfg.Spans = telemetry.New()
 			if _, err := core.RunReconstruction(cfg); err != nil {
 				return struct{}{}, err
 			}
-			return struct{}{}, cfg.Tracer.(*metrics.JSONL).Flush()
+			return struct{}{}, cfg.Spans.WriteJSONL(&bufs[i], nil)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,7 @@ func TestParallelJSONLTracesByteIdentical(t *testing.T) {
 			t.Errorf("G=%d: empty serial trace", gs[i])
 		}
 		if !bytes.Equal(serial[i], parallel[i]) {
-			t.Errorf("G=%d: JSONL trace differs between serial and parallel sweeps", gs[i])
+			t.Errorf("G=%d: span trace differs between serial and parallel sweeps", gs[i])
 		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"math/rand"
 
 	"declust/internal/disk"
-	"declust/internal/metrics"
 	"declust/internal/sim"
 )
 
@@ -43,8 +42,6 @@ type Config struct {
 	TransientRate float64
 	// TimeoutMS is the stall a timed-out request costs; 0 selects 50 ms.
 	TimeoutMS float64
-	// Tracer, when non-nil, receives an EvLSE event per arrival.
-	Tracer metrics.Tracer
 }
 
 // Stats counts injector activity.
@@ -158,11 +155,6 @@ func (in *Injector) scheduleLSE(slot int) {
 			in.bad[slot][sector] = true
 			in.stats.LSEArrivals++
 			in.stats.BadSectors++
-			if in.cfg.Tracer != nil {
-				in.cfg.Tracer.Fault(metrics.FaultEvent{
-					Ev: metrics.EvLSE, TMS: in.eng.Now(), Disk: slot, Sector: sector,
-				})
-			}
 		}
 		in.scheduleLSE(slot)
 	})

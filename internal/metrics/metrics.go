@@ -1,7 +1,7 @@
-// Package metrics is the simulator's unified instrumentation layer: a
-// registry of named counters, gauges, log-bucketed latency histograms and
-// sim-time series, a structured event tracer (JSONL), and deterministic
-// exporters (Prometheus-style text, CSV).
+// Package metrics is the simulator's counting layer: a registry of named
+// counters, gauges, log-bucketed latency histograms and sim-time series,
+// and deterministic exporters (Prometheus-style text, CSV). Per-request
+// traces are internal/telemetry's spans.
 //
 // Everything is keyed on simulated time, so a run with the same seed and
 // configuration produces byte-identical exports. The simulator is

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -166,37 +165,6 @@ func TestCSVExport(t *testing.T) {
 	if tm, v := s.Last(); tm != 2000 || v != 4 {
 		t.Fatalf("last = %v,%v", tm, v)
 	}
-}
-
-func TestJSONLTracer(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJSONL(&buf)
-	j.Access(AccessEvent{ArriveMS: 1, DoneMS: 3, Read: true, Unit: 7, Count: 1})
-	j.Disk(DiskEvent{Disk: 2, QueuedMS: 1, StartMS: 1.5, DoneMS: 3, Sectors: 8})
-	j.Recon(ReconEvent{Ev: EvReconCycle, TMS: 9, Offset: 4, DoneUnits: 1, TotalUnits: 10, ReadMS: 2, WriteMS: 3})
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines: %q", len(lines), buf.String())
-	}
-	var ev map[string]any
-	for i, kind := range []string{EvAccess, EvDisk, EvReconCycle} {
-		if err := json.Unmarshal([]byte(lines[i]), &ev); err != nil {
-			t.Fatalf("line %d: %v", i, err)
-		}
-		if ev["ev"] != kind {
-			t.Fatalf("line %d kind %v, want %s", i, ev["ev"], kind)
-		}
-	}
-}
-
-func TestNopTracer(t *testing.T) {
-	var tr Tracer = Nop{}
-	tr.Access(AccessEvent{})
-	tr.Disk(DiskEvent{})
-	tr.Recon(ReconEvent{})
 }
 
 func TestSplitName(t *testing.T) {
