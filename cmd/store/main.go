@@ -126,6 +126,9 @@ func run(cfg config, out io.Writer) error {
 		IOWorkers:       cfg.ioWorkers,
 		RebuildWorkers:  cfg.rebuildWork,
 	}
+	if cfg.units < 1 {
+		return fmt.Errorf("-units %d: need at least one unit per disk", cfg.units)
+	}
 	if cfg.failDisk < 0 || cfg.failDisk >= cfg.c {
 		return fmt.Errorf("-fail %d out of range [0,%d)", cfg.failDisk, cfg.c)
 	}

@@ -179,6 +179,8 @@ func TestRunRejectsBadFailDisk(t *testing.T) {
 		{"-read", func(c *config) { c.readFrac = -0.1 }},
 		{"-read", func(c *config) { c.readFrac = 1.5 }},
 		{"-secs", func(c *config) { c.phaseSecs = -1 }},
+		{"-units", func(c *config) { c.units = 0 }},                      // the store's default, a 0-unit replacement
+		{"-units", func(c *config) { c.units = -1000; c.faults = true }}, // NewMemDisk panicked
 	} {
 		cfg := base
 		tc.set(&cfg)

@@ -10,10 +10,10 @@ import (
 // every multi-unit operation — the G−1 survivor reads of a degraded or
 // healing read, the two rounds of a parity update (pre-reads, then data
 // and parity writes), the units of a range read, the per-stripe jobs of a
-// range operation, CheckParity's sweep — is a batch of accesses that can
-// be in flight simultaneously. fanOut is the single primitive all of them
-// use: it runs the items of one batch on up to Config.IOWorkers goroutines,
-// the submitting one among them.
+// range operation — is a batch of accesses that can be in flight
+// simultaneously. fanOut is the single primitive all of them use: it runs
+// the items of one batch on up to Config.IOWorkers goroutines, the
+// submitting one among them.
 //
 // Whether a batch is worth handing to helpers is decided in one place,
 // overlap, from what the store observes of its backends: handing an item

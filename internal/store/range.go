@@ -108,7 +108,7 @@ func (s *Store) stripeJobs(start int64, buf []byte, job func(s *Store, stripe, s
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe —
 // into dst, whose first byte corresponds to logical unit start. Units are
 // read under the stripe's read lock; a damaged unit is repaired under the
-// write lock and the sweep resumes after it.
+// write lock and the sweep resumes after it. ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	us := int64(s.unitSize)
 	if s.overlap(int(hi - lo)) {

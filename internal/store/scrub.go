@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // The scrubber is the engine's background integrity sweep: it walks every
@@ -133,107 +131,68 @@ type ScrubResult struct {
 	Unrecoverable int64
 }
 
-// scrubShard is one worker's slice of a Scrub sweep.
-type scrubShard struct {
-	res     ScrubResult
-	unrec   error // first unrecoverable-stripe error in this shard
-	hardErr error // hard error that stopped the sweep, nil if none
-	hardAt  int64 // stripe the hard error struck
-}
-
 // Scrub sweeps every stripe, verifying checksums and parity and repairing
 // damage in place, stripe by stripe under the stripe locks, while user
-// operations continue — the background patrol read. The sweep is split
-// into Config.RebuildWorkers contiguous shards scrubbed concurrently
-// (each stripe still verified under its own lock), so that many stripes —
-// at most G reads each — are in flight at once; Config.ScrubThrottle
-// paces the sweep in aggregate — each worker sleeps workers× the
-// configured pause, so the knob means the same wall-clock sweep rate at
-// any worker count. Stripes with a lost unit are skipped. Unrecoverable
-// stripes are counted, left untouched, and reported in the returned
-// error; all other stripes are still verified. A clean sweep of the whole
-// array — no unrecoverable damage, and no stripe skipped, since a skipped
-// one may be the one in doubt — clears the engine's parity-doubt latch,
-// letting Sync resume clearing intent-log regions after a mid-stripe write
-// failure. Only one Scrub runs at a time.
+// operations continue — the background patrol read. It is one of the
+// store's sweeps (Config.RebuildWorkers shards, so that many stripes — at
+// most G reads each — are in flight at once), paced by
+// Config.ScrubThrottle. Stripes with a lost unit are skipped, and paused
+// after like the rest. Unrecoverable stripes are counted, left untouched,
+// and reported in the returned error (the lowest such stripe's); all other
+// stripes are still verified. A hard error (failed backend, exhausted
+// retries) stops the sweep, and the stripes verified before it still
+// count. A clean sweep of the whole array — no unrecoverable damage, and
+// no stripe skipped, since a skipped one may be the one in doubt — clears
+// the engine's parity-doubt latch, letting Sync resume clearing intent-log
+// regions after a mid-stripe write failure. Only one Scrub runs at a time.
 func (s *Store) Scrub() (ScrubResult, error) {
 	if !s.scrubbing.CompareAndSwap(false, true) {
 		return ScrubResult{}, fmt.Errorf("store: scrub already in progress")
 	}
 	defer s.scrubbing.Store(false)
 
-	workers := s.rebuildWorkers
-	if int64(workers) > s.numStripes {
-		workers = int(s.numStripes)
-	}
-	shards := make([]scrubShard, workers)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := s.numStripes * int64(w) / int64(workers)
-		hi := s.numStripes * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(o *scrubShard, lo, hi int64) {
-			defer wg.Done()
-			for stripe := lo; stripe < hi && !stop.Load(); stripe++ {
-				s.locks.lock(stripe)
-				st := s.st.Load()
-				if s.stripeHasLost(st, stripe) {
-					o.res.Skipped++
-					s.locks.unlock(stripe)
-					continue
-				}
-				fix, err := s.resyncStripe(st, stripe)
-				s.locks.unlock(stripe)
-				switch {
-				case err == nil:
-					o.res.Stripes++
-					switch fix {
-					case fixUnit:
-						o.res.UnitRepairs++
-						s.scrubRepairs.Add(1)
-					case fixParity:
-						o.res.ParityRewrites++
-						s.scrubFixes.Add(1)
-					}
-				case isUnrecoverable(err):
-					o.res.Unrecoverable++
-					if o.unrec == nil {
-						o.unrec = err
-					}
-				default:
-					// A hard error (failed backend, exhausted retries)
-					// stops the whole sweep; verified counts still report.
-					o.hardErr = fmt.Errorf("store: scrub of stripe %d: %w", stripe, err)
-					o.hardAt = stripe
-					stop.Store(true)
-					return
-				}
-				if s.scrubThrottle > 0 {
-					time.Sleep(s.scrubThrottle * time.Duration(workers))
-				}
+	var (
+		mu       sync.Mutex // guards the three below
+		res      ScrubResult
+		firstErr error // the lowest unrecoverable stripe's
+		firstAt  int64
+	)
+	scrub := func(stripe int64) error {
+		s.locks.lock(stripe)
+		st := s.st.Load()
+		lost := s.stripeHasLost(st, stripe)
+		fix, err := fixNone, error(nil)
+		if !lost {
+			fix, err = s.resyncStripe(st, stripe)
+		}
+		s.locks.unlock(stripe)
+		if err != nil && !isUnrecoverable(err) {
+			return fmt.Errorf("store: scrub of stripe %d: %w", stripe, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case lost:
+			res.Skipped++
+		case err != nil:
+			res.Unrecoverable++
+			if firstErr == nil || stripe < firstAt {
+				firstErr, firstAt = err, stripe
 			}
-		}(&shards[w], lo, hi)
-	}
-	wg.Wait()
-
-	var res ScrubResult
-	var firstErr, hardErr error
-	hardAt := int64(-1)
-	for w := range shards {
-		o := &shards[w]
-		res.Stripes += o.res.Stripes
-		res.Skipped += o.res.Skipped
-		res.UnitRepairs += o.res.UnitRepairs
-		res.ParityRewrites += o.res.ParityRewrites
-		res.Unrecoverable += o.res.Unrecoverable
-		if o.unrec != nil && firstErr == nil {
-			firstErr = o.unrec // shards ascend, so this is the lowest shard's first
+		default:
+			res.Stripes++
+			switch fix {
+			case fixUnit:
+				res.UnitRepairs++
+				s.scrubRepairs.Add(1)
+			case fixParity:
+				res.ParityRewrites++
+				s.scrubFixes.Add(1)
+			}
 		}
-		if o.hardErr != nil && (hardAt < 0 || o.hardAt < hardAt) {
-			hardErr, hardAt = o.hardErr, o.hardAt
-		}
+		return nil
 	}
+	hardErr := s.sweep(s.numStripes, s.scrubThrottle, func() (func(int64) error, func() error) { return scrub, nil })
 	s.scrubbedStripes.Add(res.Stripes)
 	if hardErr != nil {
 		return res, hardErr

@@ -33,9 +33,9 @@ type Config struct {
 	// IOWorkers is the upper bound on overlap: how many independent disk
 	// accesses of one batch (a degraded read's survivor gather, the
 	// pre-reads and then the writes of a parity update, the units of a
-	// stripe span, the stripes of a range operation, CheckParity) the store
-	// may keep in flight at once, on up to IOWorkers−1 helper goroutines
-	// plus the submitting one. The bound is per batch; nothing is shared
+	// stripe span, the stripes of a range operation) the store may keep in
+	// flight at once, on up to IOWorkers−1 helper goroutines plus the
+	// submitting one. The bound is per batch; nothing is shared
 	// between operations. The store decides per batch whether to use
 	// helpers at all: it times a sample of its backend accesses and
 	// overlaps a batch only when the device waits saved outweigh the
@@ -44,15 +44,16 @@ type Config struct {
 	// engine (no helpers, no timing, bit-identical results); 0 defaults to
 	// GOMAXPROCS.
 	IOWorkers int
-	// RebuildWorkers is how many units Rebuild, and stripes Scrub, keep in
-	// flight: the sweep runs as that many concurrent shards, each with one
-	// survivor gather (at most G−1 reads) and — on devices worth
-	// overlapping — one replacement write outstanding. The declustered
-	// layout spreads each shard's reconstruction reads over all surviving
-	// disks, so the sweep scales until the survivors saturate.
-	// RebuildThrottle/ScrubThrottle pacing is aggregate: each worker sleeps
-	// workers× the configured throttle, so the knob means the same
-	// wall-clock sweep rate at any worker count. 0 defaults to IOWorkers.
+	// RebuildWorkers is how many units Rebuild, and stripes Scrub and
+	// CheckParity, keep in flight: each of the three sweeps runs as that many
+	// concurrent shards. A rebuild shard has one survivor gather (at most G−1
+	// reads) and — on devices worth overlapping — one replacement write
+	// outstanding. The declustered layout spreads each shard's reconstruction
+	// reads over all surviving disks, so the sweep scales until the
+	// survivors saturate. RebuildThrottle/ScrubThrottle pacing is aggregate:
+	// each worker sleeps workers× the configured throttle after every unit or
+	// stripe, skipped ones included, so the knob fixes the same wall-clock
+	// sweep rate at any worker count. 0 defaults to IOWorkers.
 	RebuildWorkers int
 	// RebuildThrottle pauses the rebuild sweep between units, trading
 	// rebuild time for user response — the paper's §9 throttling knob,
@@ -307,6 +308,9 @@ func New(cfg Config) (*Store, error) {
 	if cfg.UnitsPerDisk == 0 {
 		cfg.UnitsPerDisk = 1024
 	}
+	if cfg.UnitsPerDisk < 0 {
+		return nil, fmt.Errorf("store: negative units per disk %d", cfg.UnitsPerDisk)
+	}
 	if cfg.Retries == 0 {
 		cfg.Retries = 3
 	}
@@ -553,15 +557,6 @@ func (s *Store) Mode() Mode {
 	return Degraded
 }
 
-// FailedDisk returns the oldest failed disk number, or -1 when healthy.
-func (s *Store) FailedDisk() int {
-	st := s.st.Load()
-	if len(st.fails) == 0 {
-		return -1
-	}
-	return st.fails[0].disk
-}
-
 // FailedDisks returns every failed disk number, oldest failure first.
 func (s *Store) FailedDisks() []int {
 	st := s.st.Load()
@@ -626,28 +621,17 @@ func (s *Store) checkUnit(n int64, buf []byte) error {
 // ReadUnit reads logical data unit n into dst (exactly one unit). Lost
 // units are reconstructed on the fly from the stripe's survivors; damaged
 // units (media errors, checksum mismatches) are reconstructed the same way
-// and rewritten in place — the self-healing read.
+// and rewritten in place — the self-healing read. It is the one-unit span
+// of ReadRange.
 func (s *Store) ReadUnit(n int64, dst []byte) error {
 	if err := s.checkUnit(n, dst); err != nil {
 		return err
 	}
-	loc := s.mapper.Loc(n)
-	stripe, _ := s.lay.Locate(loc)
-	s.locks.rlock(stripe)
-	rebuilt, err := s.readLocked(stripe, loc, dst)
-	s.locks.runlock(stripe)
-	if rebuilt {
-		s.degradedReads.Add(1)
+	if err := s.readStripeSpan(n/s.dataPerStripe, n, n, n+1, dst); err != nil {
+		return err
 	}
-	if needsHeal(err) {
-		// The unit is damaged. Reads share the stripe lock, so healing
-		// (which rewrites the unit) upgrades to the write lock.
-		err = s.healRead(stripe, loc, dst)
-	}
-	if err == nil {
-		s.reads.Add(1)
-	}
-	return err
+	s.reads.Add(1)
+	return nil
 }
 
 // readLocked reads one unit with (at least) the stripe's read lock held.
@@ -886,110 +870,79 @@ func (s *Store) Rebuild(repl Disk) error {
 	s.st.Store(&diskState{disks: st.disks, fails: fails})
 	s.admin.Unlock()
 
-	// Sweep the failed disk's offsets in RebuildWorkers contiguous shards.
-	// Two offsets of one disk always belong to different stripes (the
-	// layout places at most one unit of a stripe per disk), so shards
-	// never contend on a stripe's own lock, and the declustered layout
-	// spreads each shard's survivor reads over the whole array. Throttle
-	// pacing is aggregate: each worker sleeps workers× the configured
-	// pause, so the knob means the same sweep rate — and holds the rebuild
-	// window open just as long — at any worker count. Each unit reloads
-	// the failure snapshot under its stripe lock, so a second disk failing
-	// mid-sweep is picked up as another erasure (P+Q decodes through it)
-	// instead of being read as a live survivor.
+	// Sweep the failed disk's offsets. Two offsets of one disk always belong
+	// to different stripes (the layout places at most one unit of a stripe
+	// per disk), so shards never contend on a stripe's own lock, and the
+	// declustered layout spreads each shard's survivor reads over the whole
+	// array. Each unit reloads the failure snapshot under its stripe lock,
+	// so a second disk failing mid-sweep is picked up as another erasure
+	// (P+Q decodes through it) instead of being read as a live survivor.
 	//
 	// When device waits are worth overlapping a shard is double-buffered:
 	// the replacement write of one unit is left behind to land while the
-	// worker gathers the next unit's survivors, so a unit costs one device
+	// shard gathers the next unit's survivors, so a unit costs one device
 	// wait instead of two. The write owns its stripe's lock until it has
 	// landed — the unit is not rebuilt, and its stripe not consistent with
 	// the rebuilt map, before that — and at most one is in flight per
-	// worker: the worker joins it once the next gather is done, before
-	// that gather's own write may start. RebuildWorkers is therefore exactly
-	// the units in flight: at most RebuildWorkers × (G−1) survivor reads and
+	// shard: the shard joins it once the next gather is done, before that
+	// gather's own write may start. RebuildWorkers is therefore exactly the
+	// units in flight: at most RebuildWorkers × (G−1) survivor reads and
 	// RebuildWorkers replacement writes at once.
-	workers := s.rebuildWorkers
-	if int64(workers) > s.unitsPerDisk {
-		workers = int(s.unitsPerDisk)
-	}
-	var (
-		wg      sync.WaitGroup
-		stop    atomic.Bool
-		errMu   sync.Mutex
-		swErr   error
-		swErrAt int64
-	)
-	fail := func(off int64, err error) {
-		errMu.Lock()
-		if swErr == nil || off < swErrAt {
-			swErr = fmt.Errorf("store: rebuild of %v: %w", layout.Loc{Disk: target, Offset: off}, err)
-			swErrAt = off
+	failed := func(off int64, err error) error {
+		if err == nil {
+			return nil
 		}
-		errMu.Unlock()
-		stop.Store(true)
+		return fmt.Errorf("store: rebuild of %v: %w", layout.Loc{Disk: target, Offset: off}, err)
 	}
-	for w := 0; w < workers; w++ {
-		lo := s.unitsPerDisk * int64(w) / int64(workers)
-		hi := s.unitsPerDisk * int64(w+1) / int64(workers)
-		wg.Add(1)
-		go func(lo, hi int64) {
-			defer wg.Done()
-			var bufs [2]*[]byte
-			for i := range bufs {
-				bufs[i] = s.getBuf()
-				defer s.putBuf(bufs[i])
+	err := s.sweep(s.unitsPerDisk, s.throttle, func() (func(int64) error, func() error) {
+		bufs := [2]*[]byte{s.getBuf(), s.getBuf()}
+		cur := 0                      // the buffer no write in flight is using
+		behind := make(chan error, 1) // outcome of the write in flight
+		pending := false              // a write is in flight
+		join := func() error {
+			if !pending {
+				return nil
 			}
-			cur := 0                      // the buffer no write in flight is using
-			behind := make(chan error, 1) // outcome of the write in flight
-			behindAt := int64(-1)         // its offset; −1: none in flight
-			join := func() bool {
-				if behindAt < 0 {
-					return true
-				}
-				err, at := <-behind, behindAt
-				behindAt = -1
-				if err != nil {
-					fail(at, err)
-				}
-				return err == nil
+			pending = false
+			return <-behind
+		}
+		step := func(off int64) error {
+			loc := layout.Loc{Disk: target, Offset: off}
+			stripe, _ := s.lay.Locate(loc)
+			phys := *bufs[cur]
+			s.locks.lock(stripe)
+			stc := s.st.Load()
+			f := stc.slot(target)
+			if f == nil || f.rebuilt[off] {
+				s.locks.unlock(stripe)
+				return nil
 			}
-			defer join()
-			for off := lo; off < hi && !stop.Load(); off++ {
-				loc := layout.Loc{Disk: target, Offset: off}
-				stripe, _ := s.lay.Locate(loc)
-				phys := *bufs[cur]
-				s.locks.lock(stripe)
-				stc := s.st.Load()
-				switch f := stc.slot(target); {
-				case f == nil || f.rebuilt[off]:
-					s.locks.unlock(stripe)
-				default:
-					err := s.recoverInto(stc, loc, phys[:s.unitSize])
-					if err != nil {
-						fail(off, err)
-					}
-					if !join() || err != nil {
-						s.locks.unlock(stripe)
-						return
-					}
-					if s.gate.pays(2) {
-						behindAt, cur = off, cur^1
-						go func() { behind <- s.writeRebuilt(repl, f, stripe, loc, phys) }()
-					} else if err := s.writeRebuilt(repl, f, stripe, loc, phys); err != nil {
-						fail(off, err)
-						return
-					}
-				}
-				if s.throttle > 0 {
-					time.Sleep(s.throttle * time.Duration(workers))
-				}
+			err := failed(off, s.recoverInto(stc, loc, phys[:s.unitSize]))
+			if jerr := join(); jerr != nil {
+				err = jerr // the write behind is at a lower offset
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if swErr != nil {
+			if err != nil {
+				s.locks.unlock(stripe)
+				return err
+			}
+			if s.gate.pays(2) {
+				pending, cur = true, cur^1
+				go func() { behind <- failed(off, s.writeRebuilt(repl, f, stripe, loc, phys)) }()
+				return nil
+			}
+			return failed(off, s.writeRebuilt(repl, f, stripe, loc, phys))
+		}
+		done := func() error {
+			err := join()
+			s.putBuf(bufs[0])
+			s.putBuf(bufs[1])
+			return err
+		}
+		return step, done
+	})
+	if err != nil {
 		s.dropReplacement(target, repl)
-		return swErr
+		return err
 	}
 
 	// Heal: swap the replacement into the slot and retire the failure.
@@ -1032,6 +985,60 @@ func (s *Store) dropReplacement(target int, repl Disk) {
 	s.st.Store(&diskState{disks: st.disks, fails: fails})
 }
 
+// sweep is the one walk over the array that Rebuild, Scrub and CheckParity
+// share: it visits the indices [0, n) — failed-disk offsets or stripes — as
+// Config.RebuildWorkers contiguous shards, one goroutine each. shard runs
+// once on each shard's goroutine (its setup) and returns the step, run on
+// the shard's indices in ascending order, and done (nil: none), run once
+// the shard stops, whatever stopped it (its teardown). After every index
+// the shard sleeps pause × workers, so a throttle paces the sweep in
+// aggregate: the same wall-clock sweep rate at any worker count, whether
+// the step did work at that index or passed it over. The first error stops
+// every shard before its next index, and sweep returns the error at the
+// lowest index observed (a done's error counts at its shard's first index:
+// shards are contiguous, so that orders it correctly against the others).
+func (s *Store) sweep(n int64, pause time.Duration, shard func() (step func(int64) error, done func() error)) error {
+	workers := min(int64(s.rebuildWorkers), n)
+	var (
+		wg    sync.WaitGroup
+		stop  atomic.Bool
+		mu    sync.Mutex
+		err   error
+		errAt int64
+	)
+	fail := func(at int64, e error) {
+		mu.Lock()
+		if err == nil || at < errAt {
+			err, errAt = e, at
+		}
+		mu.Unlock()
+		stop.Store(true)
+	}
+	wg.Add(int(workers))
+	for w := int64(0); w < workers; w++ {
+		go func(lo, hi int64) {
+			defer wg.Done()
+			step, done := shard()
+			for i := lo; i < hi && !stop.Load(); i++ {
+				if e := step(i); e != nil {
+					fail(i, e)
+					break
+				}
+				if pause > 0 {
+					time.Sleep(pause * time.Duration(workers))
+				}
+			}
+			if done != nil {
+				if e := done(); e != nil {
+					fail(lo, e)
+				}
+			}
+		}(n*w/workers, n*(w+1)/workers)
+	}
+	wg.Wait()
+	return err
+}
+
 // CheckParity verifies, at quiesce (no operations in flight), that every
 // stripe's checksums hold and its parity equations balance: the XOR over
 // the data units equals the stored P and — under P+Q — their Reed–Solomon
@@ -1039,8 +1046,7 @@ func (s *Store) dropReplacement(target int, repl Disk) {
 // consistency is exactly what degraded reads exercise. CheckParity reports
 // damage; Scrub repairs it.
 func (s *Store) CheckParity() error {
-	return s.fanOut(int(s.numStripes), func(i int) error {
-		stripe := int64(i)
+	check := func(stripe int64) error {
 		sc := s.scratch.Get().(*stripeScratch)
 		defer s.scratch.Put(sc)
 		s.locks.rlock(stripe)
@@ -1063,7 +1069,8 @@ func (s *Store) CheckParity() error {
 			return fmt.Errorf("store: stripe %d Q parity inconsistent", stripe)
 		}
 		return nil
-	})
+	}
+	return s.sweep(s.numStripes, 0, func() (func(int64) error, func() error) { return check, nil })
 }
 
 // Sync is the store's durability point: it flushes every in-service

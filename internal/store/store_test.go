@@ -314,8 +314,12 @@ func TestConfigAndStateErrors(t *testing.T) {
 	if _, err := New(Config{Layout: lay, UnitSize: 12}); err == nil {
 		t.Fatal("New with non-multiple-of-8 unit size succeeded")
 	}
-	if _, err := New(Config{Layout: lay, UnitsPerDisk: 1}); err == nil {
-		t.Fatal("New with sub-period capacity succeeded")
+	// A sub-period capacity, and negative ones: −100 is below minus one
+	// period, where the usable count itself goes negative.
+	for _, units := range []int64{1, -1, -100} {
+		if _, err := New(Config{Layout: lay, UnitsPerDisk: units}); err == nil {
+			t.Fatalf("New with %d units per disk succeeded", units)
+		}
 	}
 	if _, err := New(Config{Layout: lay, Disks: make([]Disk, 2)}); err == nil {
 		t.Fatal("New with wrong disk count succeeded")
