@@ -89,21 +89,18 @@ fuzz:
 # seed; failures replay with CHAOS_SEED=<seed>), the concurrency-shape
 # tests (TestOverlap*: rendezvous backends that hang unless a batch is
 # issued as wide as it should be) run twenty times to show they do not
-# flake, the poisoned-pool and narrow-stripe byte comparisons (a parity sum
-# is started by whichever term an overlapped gather lands first) run ten
-# times, so do the store's write-plan access counts and the generated range
-# ops against a flat reference (a fresh seed each repetition), the
-# enumeration of a rebuild's failure points (which access comes k-th over
-# the forced-open store varies with scheduling) and the Scrub suite with
-# the sweep pacing test (a scrub's counts are state its shards share, under
-# one mutex); every fuzz target gets five minutes.
+# flake, the store's write-plan access counts and the generated range ops
+# against a flat reference (a fresh seed each repetition) run ten times, so
+# do the enumeration of a rebuild's failure points (which access comes k-th
+# over the forced-open store varies with scheduling) and the Scrub suite
+# with the sweep pacing test (a scrub's counts are state its shards share,
+# under one mutex); every fuzz target gets five minutes.
 nightly:
 	$(GO) test -race -run 'TestPQEveryTwoDisksRecover' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestCrashDuringWriteRecovers' -count=20 -v ./internal/store/
 	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
-	$(GO) test -race -run 'TestPoisonedPool|TestNarrowStripeErasures' -count=10 ./internal/store/
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestGeneratedRangeOps' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded' -count=10 ./internal/store/
 	$(GO) test -race -run 'TestScrub|TestPQScrubHealsTwoDamagedUnits|TestParityDoubtOutlivesDegradedScrub|TestSweepPacing' -count=10 ./internal/store/

@@ -27,7 +27,7 @@ func BenchmarkFanOutHandOff(b *testing.B) {
 			item := func(i int) error { sink.Add(int64(i)); return nil }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.fanOut(2, item); err != nil {
+				if err := s.fanOutFunc(2, item); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -54,13 +54,13 @@ func TestChaos2FDoubleFailureRebuild(t *testing.T) {
 		fds[i] = NewFaultDisk(NewMemDisk(usable, 512), mk(i))
 		disks[i] = fds[i]
 	}
+	setRetryBackoff(t, 100*time.Microsecond)
 	s, err := New(Config{
 		Layout:       lay,
 		UnitsPerDisk: 64,
 		UnitSize:     512,
 		Disks:        disks,
 		Retries:      6,
-		RetryBackoff: 100 * time.Microsecond,
 		// The parallel fast path: fanned two-erasure decodes and commits
 		// racing 12 clients plus two sharded rebuilds, all under -race.
 		IOWorkers:      8,

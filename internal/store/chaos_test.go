@@ -124,6 +124,14 @@ func TestWriteFailedSeed(t *testing.T) {
 	}
 }
 
+// setRetryBackoff fixes the first retry's sleep for every store built for
+// the rest of the test: the chaos runs retry thousands of transients.
+func setRetryBackoff(t *testing.T, d time.Duration) {
+	old := retryBackoff
+	retryBackoff = d
+	t.Cleanup(func() { retryBackoff = old })
+}
+
 func chaosRates(disk int) FaultConfig {
 	cfg := FaultConfig{
 		TransientRate: 0.02,
@@ -151,9 +159,9 @@ func TestChaosAcknowledgedWritesSurviveFaultsAndRebuild(t *testing.T) {
 		cfg.Seed = seed + int64(disk)
 		return cfg
 	}
+	setRetryBackoff(t, 100*time.Microsecond)
 	s, fds := faultStore(t, c, g, 64, 512, mk, Config{
-		Retries:      6,
-		RetryBackoff: 100 * time.Microsecond,
+		Retries: 6,
 		// Run the chaos mix through the parallel fast path: fanned
 		// survivor gathers and commits racing 12 clients, a sharded
 		// rebuild, and group-committed intent marks, all under -race.

@@ -181,7 +181,7 @@ next:
 // as gather returns them.
 func (s *Store) gatherSums(st *diskState, sc *stripeScratch, stripe int64, erased []erasure, px, qx []byte) ([]damagedUnit, error) {
 	sc.sums = startSums(px, qx)
-	damaged, err := s.gather(st, s.sumTerms(stripe, sc.terms[:0], erased, px, qx), &sc.sums)
+	damaged, err := s.gather(st, sc, s.sumTerms(stripe, sc.terms[:0], erased, px, qx))
 	sc.sums.settle()
 	return damaged, err
 }
@@ -218,9 +218,8 @@ func decode(list []erasure, px, qx []byte) {
 // solve computes every listed erasure's contents into its out buffer from
 // the rest of the stripe, in one gather of only the units the pattern
 // needs; the out buffers double as the accumulators. Reads are plain (no
-// healing): a damaged survivor is returned (its err set) — the lowest one,
-// so absorb-and-retry callers heal the same unit whatever order the reads
-// completed in — for the caller to absorb or escalate. The list must hold
+// healing): a damaged survivor is returned (its err set) — the first in
+// list order — for the caller to absorb or escalate. The list must hold
 // every lost unit of the stripe. Caller holds at least the stripe's read
 // lock.
 func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []erasure) (damagedUnit, error) {
@@ -403,23 +402,24 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		}
 		sc.sums = sums{p: px}
 	} else {
-		// Both sums start from whichever term reaches them first — under a
-		// delta the stored P and Q, copied — and every written unit folds
-		// into both, so neither can end the update unreached.
+		// Both sums start from the first term in list order that reaches
+		// them — under a delta the stored P and Q, copied — and every
+		// written unit folds into both, so neither can end the update
+		// unreached.
 		sc.sums = startSums(px, qx) // px is nil with P lost
 	}
 
-	// First round. The sums are order-independent, so whatever they need
-	// from the disks folds in as the reads land; with a Q sum to keep, each
-	// written unit's new contents fold in after, once per unit.
+	// First round: whatever the sums need from the disks, gathered and
+	// folded in list order; with a Q sum to keep, each written unit's new
+	// contents fold in after, once per unit.
 	need := sc.rest[:0]
 	if !s.fromScratch(st, stripe, len(sc.locs), writtenLost) {
 		// Delta read-modify-write: P' = P ⊕ Σold ⊕ Σnew and Q' = Q ⊕
 		// Σ g^d·old ⊕ Σ g^d·new — linear, so old and new contents fold in
 		// as separate terms, each in one pass into both sums. The stored
-		// parities are listed first, so an inline gather, which folds in
-		// list order, starts each sum with a copy of its parity. Lost
-		// unwritten units don't disturb the delta.
+		// parities are listed first, so the gather, which folds in list
+		// order, starts each sum with a copy of its parity. Lost unwritten
+		// units don't disturb the delta.
 		for _, p := range sc.par {
 			need = append(need, term{loc: p.loc, p: (*p.buf)[:s.unitSize]})
 		}
@@ -457,7 +457,7 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 			left--
 		}
 	}
-	if err := s.gatherHealing(st, need, &sc.sums); err != nil {
+	if err := s.gatherHealing(st, sc, need); err != nil {
 		return err
 	}
 	if qx != nil {

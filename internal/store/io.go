@@ -3,8 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"declust/internal/gf256"
@@ -36,6 +34,11 @@ func needsHeal(err error) bool {
 	var bs *badSumError
 	return errors.Is(err, ErrMedia) || errors.As(err, &bs)
 }
+
+// retryBackoff is the sleep before a transient error's first retry,
+// doubling each attempt. It is fixed at New; tests lower it before New to
+// keep fault-heavy runs short.
+var retryBackoff = 500 * time.Microsecond
 
 // retryDelay returns the backoff before retry attempt n (0-based).
 func (s *Store) retryDelay(n int) time.Duration {
@@ -170,9 +173,9 @@ type term struct {
 // left, and nobody clears them: the first term to reach a sum stores over
 // it (start) and only the later ones accumulate, so a sum of n terms costs
 // n−1 passes that read it back, not a clear and n. It lives on the
-// stripe's scratch; an overlapped gather reads and writes it under the
-// mutex it folds under, so which term arrives first decides only which one
-// stores — the sum is the same bytes.
+// stripe's scratch, and gather folds into it once its batch is over, in
+// list order: the term that stores is the list's first, however the reads
+// were issued.
 type sums struct {
 	p, q           []byte
 	pStart, qStart bool // no term has reached the sum: its bytes are still the pool's
@@ -269,80 +272,62 @@ func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) error {
 	return s.readPhys(st.disk(u), u.Disk, u.Offset, phys)
 }
 
-// gather reads every listed unit and folds its data into its term's
-// accumulators (sm says which sums still wait for their first term — the
-// sums are order-independent, so the result is bit-identical however the
-// reads land). It is the first round of every parity update and the whole
-// of every reconstruction, and it overlaps its reads when the gate says
-// they are worth overlapping. A lost unit or a hard read error aborts it;
-// damaged units (needsHeal) are skipped and returned sorted by item index
-// so callers holding the stripe's write lock can heal them serially —
-// healing rewrites units, which must never race the batch's other reads.
-// Caller holds (at least) the stripe's read lock.
-func (s *Store) gather(st *diskState, terms []term, sm *sums) ([]damagedUnit, error) {
-	if len(terms) == 0 {
-		return nil, nil // a large write's first round: no buffer to take
-	}
-	if !s.overlap(len(terms)) {
-		// Inline: read in index order through one buffer, building no
-		// closure — the serial engine's zero-extra-alloc path.
-		var damaged []damagedUnit
-		phys := s.getBuf()
-		defer s.putBuf(phys)
-		for i, t := range terms {
-			if err := s.readLive(st, t.loc, *phys); err == nil {
-				t.foldInto(sm, (*phys)[:s.unitSize])
-			} else if needsHeal(err) {
-				damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
-			} else {
-				return nil, err
-			}
-		}
-		return damaged, nil
-	}
-	var mu sync.Mutex
-	var damaged []damagedUnit
-	err := s.fanOut(len(terms), func(i int) error {
-		t := terms[i]
-		phys := s.getBuf()
-		defer s.putBuf(phys)
-		err := s.readLive(st, t.loc, *phys)
+// gatherJob is what the items of one gather share: item i reads terms[i]
+// into the scratch's unit buffer i and leaves damage in its error slot i.
+type gatherJob struct {
+	s     *Store
+	st    *diskState
+	sc    *stripeScratch
+	terms []term
+}
+
+// gather reads every listed unit as one batch, then folds each clean one
+// into its term's accumulators in sc.sums, in list order — so the term that
+// starts a sum is the same whether the batch ran inline or overlapped. It
+// is the first round of every parity update and the whole of every
+// reconstruction. A lost unit or a hard read error aborts it; damaged units
+// (needsHeal) are left out and returned in list order so callers holding
+// the stripe's write lock can heal them serially — healing rewrites units,
+// which must never race the batch's other reads. Caller holds (at least)
+// the stripe's read lock.
+func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term) ([]damagedUnit, error) {
+	err := fanOut(s, len(terms), gatherJob{s, st, sc, terms}, func(j gatherJob, i int) error {
+		err := j.s.readLive(j.st, j.terms[i].loc, j.sc.phys[i])
 		if err != nil && !needsHeal(err) {
 			return err
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
-		} else {
-			t.foldInto(sm, (*phys)[:s.unitSize])
-		}
+		j.sc.errs[i] = err
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(damaged, func(a, b int) bool { return damaged[a].idx < damaged[b].idx })
+	var damaged []damagedUnit
+	for i, t := range terms {
+		if err := sc.errs[i]; err != nil {
+			damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
+		} else {
+			t.foldInto(&sc.sums, sc.phys[i][:s.unitSize])
+		}
+	}
 	return damaged, nil
 }
 
 // gatherHealing is gather for callers holding the stripe's WRITE lock:
 // units the batch reports damaged are healed in place, serially, once the
-// batch's other reads are done, and folded in after all. No listed unit
-// may be lost.
-func (s *Store) gatherHealing(st *diskState, terms []term, sm *sums) error {
-	damaged, err := s.gather(st, terms, sm)
-	if err != nil || len(damaged) == 0 {
+// batch's other reads are done, and folded in after all — each through the
+// unit buffer its damaged read left free. No listed unit may be lost.
+func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) error {
+	damaged, err := s.gather(st, sc, terms)
+	if err != nil {
 		return err
 	}
-	obuf := s.getBuf()
-	defer s.putBuf(obuf)
-	odata := (*obuf)[:s.unitSize]
 	for _, d := range damaged {
-		if err := s.readUnitHealing(st, d.loc, odata); err != nil {
+		data := sc.phys[d.idx][:s.unitSize]
+		if err := s.readUnitHealing(st, d.loc, data); err != nil {
 			return err
 		}
-		terms[d.idx].foldInto(sm, odata)
+		terms[d.idx].foldInto(&sc.sums, data)
 	}
 	return nil
 }

@@ -355,7 +355,7 @@ func TestOverlapLeavesNoGoroutines(t *testing.T) {
 	if err := s.CheckParity(); err != nil {
 		t.Fatal(err)
 	}
-	err = s.fanOut(64, func(i int) error {
+	err = s.fanOutFunc(64, func(i int) error {
 		if i == 5 {
 			return errPlanted
 		}

@@ -34,6 +34,12 @@ func setOverlapThreshold(t testing.TB, d time.Duration) {
 // paths run under -race on memory disks.
 func forceOverlap(t testing.TB) { setOverlapThreshold(t, 0) }
 
+// fanOutFunc issues a batch whose items are calls of fn, for tests that
+// drive fanOut directly.
+func (s *Store) fanOutFunc(n int, fn func(int) error) error {
+	return fanOut(s, n, fn, func(fn func(int) error, i int) error { return fn(i) })
+}
+
 // errStuck is what a rendezvous backend answers when the accesses it was
 // promised never came. It wraps ErrDiskFailed so the engine does not
 // retry it.
@@ -485,9 +491,11 @@ func TestOverlapGateFollowsDeviceLatency(t *testing.T) {
 // inGather reports whether the caller is running inside Store.gather — a
 // survivor read of a reconstruction or a pre-read, not a unit's direct
 // read. It is how a test disk tells apart two reads of one unit that the
-// Disk interface shows it identically. The match is by name: should gather
-// be renamed, mediaOnceDisk's direct read waits for a gather that never
-// shows and its test fails, loudly.
+// Disk interface shows it identically. The match is by name, and it covers
+// gather's item function, a literal inside gather whose frame name starts
+// with gather's: an overlapped item runs on a helper, with no gather frame
+// under it. Should gather be renamed, mediaOnceDisk's direct read waits for
+// a gather that never shows and its test fails, loudly.
 func inGather() bool {
 	pcs := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
@@ -535,14 +543,14 @@ func (d *mediaOnceDisk) ReadUnit(off int64, p []byte) error {
 	}
 }
 
-// TestOverlapAbandonedReadBatchCountsDegradedReadsOnce: a span's read
-// batch that meets damage is abandoned for the healing sweep, which reads
-// the span again; a lost unit the batch had already reconstructed must not
-// be counted in Stats.DegradedReads a second time. The damaged read is the
-// span's second unit read directly; its read inside the first unit's
-// reconstruction is clean, and the disk makes it the earlier of the two
-// however the batch's items are scheduled.
-func TestOverlapAbandonedReadBatchCountsDegradedReadsOnce(t *testing.T) {
+// TestOverlapHealedSpanCountsDegradedReadsOnce: a span's read batch that
+// meets damage keeps what it read and heals the damaged unit after the
+// batch; a lost unit the batch reconstructed is counted in
+// Stats.DegradedReads once. The damaged read is the span's second unit
+// read directly; its read inside the first unit's reconstruction is clean,
+// and the disk makes it the earlier of the two however the batch's items
+// are scheduled.
+func TestOverlapHealedSpanCountsDegradedReadsOnce(t *testing.T) {
 	forceOverlap(t)
 	lay := testLayout(t, 7, 4)
 	lost, flaky := layout.DataLoc(lay, 0), layout.DataLoc(lay, 1)

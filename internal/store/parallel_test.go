@@ -432,7 +432,7 @@ func TestFanOutSerialFallback(t *testing.T) {
 	defer s.Close()
 	var order []int
 	sentinel := errors.New("item 3 failed")
-	err = s.fanOut(6, func(i int) error {
+	err = s.fanOutFunc(6, func(i int) error {
 		order = append(order, i) // no mutex: serial fallback must not spawn helpers
 		if i == 3 {
 			return sentinel
@@ -465,7 +465,7 @@ func TestFanOutParallelFirstErrorWins(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for round := 0; round < 50; round++ {
-		err := s.fanOut(8, func(i int) error {
+		err := s.fanOutFunc(8, func(i int) error {
 			switch i {
 			case 2:
 				return errLow

@@ -122,16 +122,17 @@ func TestPoisonedPool(t *testing.T) {
 }
 
 // TestDeltaFoldsInAnyOrder: a delta's first round — the live stored
-// parities, then each written unit's old contents — folds in whatever order
-// an overlapped gather's reads land, so an old data unit may be the term
-// that starts a sum (a copy into P, a multiply into Q) and the parities
-// accumulate after it. Each case commits one unit over a poisoned pool and
-// holds the bytes on disk to the reference, which fails if the new contents
-// are never folded; then it takes the first round the commit gathered from
-// its scratch, folds it again in every order into sums that start at 0xA5,
-// folds the new contents after, and compares with the byte-at-a-time parity
-// of the new stripe. Cases: P+Q writing data ordinal 0 (coefficient 1) and
-// 1, P+Q with P lost (the Q sum alone), and single parity.
+// parities, then each written unit's old contents — folds in list order,
+// but its sums are linear and must not depend on it: in any order an old
+// data unit may be the term that starts a sum (a copy into P, a multiply
+// into Q) and the parities accumulate after it. Each case commits one unit
+// over a poisoned pool and holds the bytes on disk to the reference, which
+// fails if the new contents are never folded; then it takes the first round
+// the commit gathered from its scratch, folds it again in every order into
+// sums that start at 0xA5, folds the new contents after, and compares with
+// the byte-at-a-time parity of the new stripe. Cases: P+Q writing data
+// ordinal 0 (coefficient 1) and 1, P+Q with P lost (the Q sum alone), and
+// single parity.
 func TestDeltaFoldsInAnyOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -190,7 +191,7 @@ func TestDeltaFoldsInAnyOrder(t *testing.T) {
 			data := make([]byte, us)
 			fill(data, n, 2)
 			version[n] = 2
-			sc := newStripeScratch(s.lay.G(), s.Parities())
+			sc := newStripeScratch(s.lay.G(), s.Parities(), s.physSize)
 			sc.locs, sc.datas = append(sc.locs, u), append(sc.datas, data)
 			s.locks.lock(stripe)
 			err = s.writeStripeLocked(stripe, sc)

@@ -11,17 +11,19 @@ import (
 // healing read, the two rounds of a parity update (pre-reads, then data
 // and parity writes), the units of a range read, the per-stripe jobs of a
 // range operation — is a batch of accesses that can be in flight
-// simultaneously. fanOut is the single primitive all of them use: it runs
-// the items of one batch on up to Config.IOWorkers goroutines, the
-// submitting one among them.
+// simultaneously. fanOut is the single place a batch is issued: each caller
+// hands it the batch's shared state by value and one item function, the
+// only body the batch has, which it runs inline or on up to
+// Config.IOWorkers goroutines, the submitting one among them.
 //
 // Whether a batch is worth handing to helpers is decided in one place,
-// overlap, from what the store observes of its backends: handing an item
-// to another goroutine costs a microsecond or two, so it pays only when
-// the device waits it overlaps are much longer than that. A store over memory or
-// page-cache-resident files therefore issues every batch inline, in index
-// order, on the submitting goroutine — the serial engine, with no closure
-// built — and a store over real devices overlaps them.
+// overlap, which only fanOut asks, from what the store observes of its
+// backends: handing an item to another goroutine costs a microsecond or
+// two, so it pays only when the device waits it overlaps are much longer
+// than that. A store over memory or page-cache-resident files therefore
+// issues every batch inline, in index order, on the submitting goroutine —
+// the serial engine, with no closure at all and no allocation — and a store
+// over real devices overlaps them.
 //
 // The bound is per batch — min(n, IOWorkers) goroutines, started
 // unconditionally once the gate says yes — and there is no store-wide one:
@@ -104,9 +106,9 @@ func (g *overlapGate) pays(n int) bool {
 	return g != nil && n >= 2 && int64(n-1)*g.ewma.Load() >= g.threshold
 }
 
-// overlap is pays asked for a batch that is about to be issued, and the
-// one place the engine chooses between inline and overlapped issue: a
-// batch it turns down is counted in Stats.FanOutsInline.
+// overlap is pays asked by fanOut for a batch that is about to be issued,
+// and the one place the engine chooses between inline and overlapped
+// issue: a batch it turns down is counted in Stats.FanOutsInline.
 func (s *Store) overlap(n int) bool {
 	g := s.gate
 	if g == nil || n < 2 {
@@ -122,8 +124,9 @@ func (s *Store) overlap(n int) bool {
 // fanBatch is one fan-out in flight: items are claimed by atomic counter
 // so helpers and the submitter load-balance; the first error (lowest item
 // index among those observed) wins and cancels the items not yet claimed.
-type fanBatch struct {
-	fn   func(int) error
+type fanBatch[J any] struct {
+	job  J
+	item func(J, int) error
 	n    int64
 	next atomic.Int64
 	stop atomic.Bool
@@ -133,13 +136,13 @@ type fanBatch struct {
 	wg   sync.WaitGroup
 }
 
-func (b *fanBatch) run() {
+func (b *fanBatch[J]) run() {
 	for !b.stop.Load() {
 		i := b.next.Add(1) - 1
 		if i >= b.n {
 			return
 		}
-		if err := b.fn(int(i)); err != nil {
+		if err := b.item(b.job, int(i)); err != nil {
 			b.mu.Lock()
 			if b.err == nil || i < b.errI {
 				b.err, b.errI = err, i
@@ -151,18 +154,18 @@ func (b *fanBatch) run() {
 	}
 }
 
-// fanOut runs fn(0), …, fn(n−1). When the gate is shut the calls run in
-// index order on the calling goroutine with the first error aborting the
-// rest — the serial engine's exact behavior. Otherwise they are spread
-// over min(n, IOWorkers) goroutines, the caller one of them: in-flight
-// calls complete after an error but unclaimed ones are cancelled, and the
-// returned error is the lowest-indexed one observed. Callers on a path
-// that must not allocate ask overlap themselves first and build fn only
-// when it says yes.
-func (s *Store) fanOut(n int, fn func(int) error) error {
+// fanOut runs item(job, 0), …, item(job, n−1). When the gate is shut the
+// calls run in index order on the calling goroutine with the first error
+// aborting the rest — the serial engine's exact behavior. Otherwise they
+// are spread over min(n, IOWorkers) goroutines, the caller one of them:
+// in-flight calls complete after an error but unclaimed ones are
+// cancelled, and the returned error is the lowest-indexed one observed.
+// The job is taken by value and item should capture nothing, so the inline
+// branch allocates nothing; only an overlapped batch builds its fanBatch.
+func fanOut[J any](s *Store, n int, job J, item func(J, int) error) error {
 	if !s.overlap(n) {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := item(job, i); err != nil {
 				return err
 			}
 		}
@@ -170,7 +173,7 @@ func (s *Store) fanOut(n int, fn func(int) error) error {
 	}
 	s.gate.fanOuts.Add(1)
 	helpers := min(n, s.ioWorkers) - 1
-	b := fanBatch{fn: fn, n: int64(n)}
+	b := fanBatch[J]{job: job, item: item, n: int64(n)}
 	b.wg.Add(helpers)
 	for h := 0; h < helpers; h++ {
 		go func() {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"declust/internal/layout"
 )
@@ -14,8 +13,8 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 			len(buf), s.unitSize)
 	}
 	n := int64(len(buf) / s.unitSize)
-	if start < 0 || start+n > s.dataUnits {
-		return 0, fmt.Errorf("store: units [%d,%d) out of range [0,%d)", start, start+n, s.dataUnits)
+	if start < 0 || n > s.dataUnits || start > s.dataUnits-n {
+		return 0, fmt.Errorf("store: %d units at %d out of range [0,%d)", n, start, s.dataUnits)
 	}
 	return n, nil
 }
@@ -25,7 +24,8 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 // a range write's per-stripe job, or WriteUnit's one-unit span — that is
 // the units written and their new contents, the pre-reads the update
 // needs, and the parity writes that finish it; a reconstruction uses terms
-// and eras, a verification terms and par. All of them fold into sums.
+// and eras, a verification terms and par. All of them fold into sums,
+// through the unit buffers a gather reads into.
 type stripeScratch struct {
 	locs  []layout.Loc
 	datas [][]byte
@@ -34,33 +34,38 @@ type stripeScratch struct {
 	par   []parityWrite // the live parity sums: second round, beside locs
 	eras  []erasure     // a solve's erased positions
 	sums  sums          // the job's P and Q sums, and which still wait for a first term
+	phys  [][]byte      // a gather's physical unit buffers, one per term
+	errs  []error       // the damage each item of a gather or a span read found
 }
 
 // newStripeScratch sizes every list for a stripe of g units, m of them
-// parity, so a job only ever reslices them.
-func newStripeScratch(g, m int) *stripeScratch {
-	return &stripeScratch{
+// parity, so a job only ever reslices them, and gives it g physical unit
+// buffers of physSize bytes.
+func newStripeScratch(g, m, physSize int) *stripeScratch {
+	sc := &stripeScratch{
 		locs:  make([]layout.Loc, 0, g),
 		datas: make([][]byte, 0, g),
 		terms: make([]term, 0, g),
 		rest:  make([]term, 0, g),
 		par:   make([]parityWrite, 0, m),
 		eras:  make([]erasure, 0, m),
+		phys:  make([][]byte, g),
+		errs:  make([]error, g),
 	}
+	// Each buffer starts on a 64-byte boundary, as a pooled one does: folds
+	// from buffers that straddle cache lines made a small write ~5 % slower.
+	stride := (physSize + 63) &^ 63
+	slab := make([]byte, g*stride)
+	for i := range sc.phys {
+		sc.phys[i] = slab[i*stride : i*stride+physSize : i*stride+physSize]
+	}
+	return sc
 }
 
 // span returns the intersection of stripe's data units with the request
 // [start, start+n), as a logical-unit interval [lo, hi).
-func (s *Store) span(stripe, start, n, perStripe int64) (lo, hi int64) {
-	lo = stripe * perStripe
-	if lo < start {
-		lo = start
-	}
-	hi = (stripe + 1) * perStripe
-	if hi > start+n {
-		hi = start + n
-	}
-	return lo, hi
+func (s *Store) span(stripe, start, n int64) (lo, hi int64) {
+	return max(stripe*s.dataPerStripe, start), min((stripe+1)*s.dataPerStripe, start+n)
 }
 
 // ReadRange reads the logical data units [start, start+len(dst)/UnitSize)
@@ -74,92 +79,84 @@ func (s *Store) ReadRange(start int64, dst []byte) error {
 	return err
 }
 
+// rangeJob is what the per-stripe jobs of one range operation share.
+type rangeJob struct {
+	s        *Store
+	start, n int64
+	buf      []byte
+	job      func(s *Store, stripe, start, lo, hi int64, buf []byte) error
+}
+
 // stripeJobs validates a range request over buf and runs job once for each
 // stripe it touches, on that stripe's units [lo, hi); it returns the
 // request's unit count. The jobs are independent — each takes only its own
-// stripe's lock and owns a disjoint window of buf — so a multi-stripe range
-// fans out across I/O helpers, the first error (lowest stripe) cancelling
-// unstarted jobs. Kept inline, the jobs run in stripe order and no closure
-// is built: a serial range op allocates nothing.
+// stripe's lock and owns a disjoint window of buf — so they are one batch:
+// a multi-stripe range fans out across I/O helpers, the first error (lowest
+// stripe) cancelling unstarted jobs.
 func (s *Store) stripeJobs(start int64, buf []byte, job func(s *Store, stripe, start, lo, hi int64, buf []byte) error) (int64, error) {
 	n, err := s.checkRange(start, buf)
 	if err != nil {
 		return 0, err
 	}
-	per := s.dataPerStripe
-	first := start / per
-	segs := int((start+n-1)/per - first + 1)
-	if s.overlap(segs) {
-		return n, s.fanOut(segs, func(i int) error {
-			stripe := first + int64(i)
-			lo, hi := s.span(stripe, start, n, per)
-			return job(s, stripe, start, lo, hi, buf)
-		})
-	}
-	for stripe := first; stripe < first+int64(segs); stripe++ {
-		lo, hi := s.span(stripe, start, n, per)
-		if err := job(s, stripe, start, lo, hi, buf); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	segs := int((start+n-1)/s.dataPerStripe - start/s.dataPerStripe + 1)
+	return n, fanOut(s, segs, rangeJob{s, start, n, buf, job}, func(j rangeJob, i int) error {
+		stripe := j.start/j.s.dataPerStripe + int64(i)
+		lo, hi := j.s.span(stripe, j.start, j.n)
+		return j.job(j.s, stripe, j.start, lo, hi, j.buf)
+	})
 }
 
-// readStripeSpan reads the units [lo, hi) — all belonging to stripe —
-// into dst, whose first byte corresponds to logical unit start. Units are
-// read under the stripe's read lock; a damaged unit is repaired under the
-// write lock and the sweep resumes after it. ReadUnit is its one-unit span.
+// spanJob is what the items of a span read share: item i reads unit lo+i
+// into the i-th unit of dst and leaves damage in the scratch's error slot i.
+type spanJob struct {
+	s   *Store
+	st  *diskState
+	sc  *stripeScratch
+	lo  int64
+	dst []byte
+}
+
+// readStripeSpan reads the units [lo, hi) — all belonging to stripe — into
+// dst, whose first byte corresponds to logical unit start, as one batch
+// under the stripe's read lock: a live unit is read, a lost one
+// reconstructed. A batch cannot repair (its reads share the lock), so the
+// damaged units it finds are collected and, once the read lock is
+// released, re-served one by one under the write lock (healRead), as a
+// gather's are. ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
-	us := int64(s.unitSize)
-	if s.overlap(int(hi - lo)) {
-		// The span's units sit on distinct disks: one batch reads them
-		// all. A batch cannot repair (its reads share the lock), so one
-		// that meets damage is abandoned for the unit-by-unit sweep below,
-		// which re-reads the span and heals as it goes.
-		var rebuilt atomic.Int64
-		s.locks.rlock(stripe)
-		err := s.fanOut(int(hi-lo), func(i int) error {
-			u := lo + int64(i)
-			ok, err := s.readLocked(stripe, s.mapper.Loc(u), dst[(u-start)*us:(u-start+1)*us])
-			if ok {
-				rebuilt.Add(1)
-			}
-			return err
-		})
-		s.locks.runlock(stripe)
-		if !needsHeal(err) {
-			s.degradedReads.Add(rebuilt.Load())
-			return err
-		}
-	}
-	for u := lo; u < hi; {
-		healU := int64(-1)
-		var healLoc layout.Loc
+	sc := s.scratch.Get().(*stripeScratch)
+	defer s.scratch.Put(sc)
+	us := s.unitSize
+	dst = dst[int(lo-start)*us : int(hi-start)*us]
+	s.locks.rlock(stripe)
+	err := fanOut(s, int(hi-lo), spanJob{s, s.st.Load(), sc, lo, dst}, func(j spanJob, i int) error {
+		loc := j.s.mapper.Loc(j.lo + int64(i))
+		out := j.dst[i*j.s.unitSize : (i+1)*j.s.unitSize]
 		var err error
-		s.locks.rlock(stripe)
-		for ; u < hi && err == nil; u++ {
-			loc := s.mapper.Loc(u)
-			var rebuilt bool
-			if rebuilt, err = s.readLocked(stripe, loc, dst[(u-start)*us:(u-start+1)*us]); rebuilt {
-				s.degradedReads.Add(1)
+		if j.st.lost(loc) {
+			if err = j.s.reconstructLocked(j.st, loc, out); err == nil {
+				j.s.degradedReads.Add(1)
 			}
-			if needsHeal(err) {
-				healU, healLoc = u, loc
+		} else {
+			phys := j.s.getBuf()
+			if err = j.s.readPhys(j.st.disk(loc), loc.Disk, loc.Offset, *phys); err == nil {
+				copy(out, (*phys)[:j.s.unitSize])
 			}
+			j.s.putBuf(phys)
 		}
-		s.locks.runlock(stripe)
-		if healU >= 0 {
-			if err = s.healRead(stripe, healLoc, dst[(healU-start)*us:(healU-start+1)*us]); err != nil {
-				return err
-			}
-			u = healU + 1
-			continue
-		}
-		if err != nil {
+		if err != nil && !needsHeal(err) {
 			return err
 		}
+		j.sc.errs[i] = err
+		return nil
+	})
+	s.locks.runlock(stripe)
+	for i := 0; err == nil && i < int(hi-lo); i++ {
+		if sc.errs[i] != nil {
+			err = s.healRead(stripe, s.mapper.Loc(lo+int64(i)), dst[i*us:(i+1)*us])
+		}
 	}
-	return nil
+	return err
 }
 
 // WriteRange writes src over the logical data units starting at start,

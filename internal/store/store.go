@@ -64,11 +64,9 @@ type Config struct {
 	// knob as RebuildThrottle, applied to scrubbing).
 	ScrubThrottle time.Duration
 	// Retries is how many times a transiently failing backend operation
-	// is retried before the error is treated as persistent (default 3).
+	// is retried before the error is treated as persistent (default 3),
+	// after a 500µs sleep that doubles each attempt.
 	Retries int
-	// RetryBackoff is the sleep before the first retry, doubling each
-	// attempt (default 500µs).
-	RetryBackoff time.Duration
 	// FailThreshold, when positive, auto-fails a disk once its
 	// persistent-error score (exhausted retries, unknown errors,
 	// confirmed media/checksum damage) reaches it, instead of letting a
@@ -317,12 +315,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Retries < 0 || cfg.Retries > 16 {
 		return nil, fmt.Errorf("store: %d retries outside [0,16]", cfg.Retries)
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 500 * time.Microsecond
-	}
-	if cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("store: negative retry backoff %v", cfg.RetryBackoff)
-	}
 	if cfg.FailThreshold < 0 {
 		return nil, fmt.Errorf("store: negative fail threshold %d", cfg.FailThreshold)
 	}
@@ -376,7 +368,7 @@ func New(cfg Config) (*Store, error) {
 		dataUnits:      layout.DataUnits(l, cfg.UnitsPerDisk),
 		throttle:       cfg.RebuildThrottle,
 		retries:        cfg.Retries,
-		retryBackoff:   cfg.RetryBackoff,
+		retryBackoff:   retryBackoff,
 		failThreshold:  cfg.FailThreshold,
 		scrubThrottle:  cfg.ScrubThrottle,
 		ioWorkers:      cfg.IOWorkers,
@@ -391,7 +383,7 @@ func New(cfg Config) (*Store, error) {
 		b := make([]byte, s.physSize)
 		return &b
 	}
-	s.scratch.New = func() any { return newStripeScratch(l.G(), parities) }
+	s.scratch.New = func() any { return newStripeScratch(l.G(), parities, s.physSize) }
 	s.st.Store(&diskState{disks: disks})
 
 	s.intent = cfg.Intent
@@ -634,29 +626,6 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 	return nil
 }
 
-// readLocked reads one unit with (at least) the stripe's read lock held.
-// Damage is reported (needsHeal), not repaired — repairing requires the
-// write lock. rebuilt reports that the unit was lost and dst holds its
-// reconstruction: the caller counts it in Stats.DegradedReads once it
-// knows it is keeping what it read, so a batch abandoned for a re-read
-// does not count the unit twice.
-func (s *Store) readLocked(stripe int64, loc layout.Loc, dst []byte) (rebuilt bool, err error) {
-	st := s.st.Load()
-	if st.lost(loc) {
-		if err := s.reconstructLocked(st, loc, dst); err != nil {
-			return false, err
-		}
-		return true, nil
-	}
-	phys := s.getBuf()
-	defer s.putBuf(phys)
-	if err := s.readPhys(st.disk(loc), loc.Disk, loc.Offset, *phys); err != nil {
-		return false, err
-	}
-	copy(dst, (*phys)[:s.unitSize])
-	return false, nil
-}
-
 // healRead re-serves a read that found damage, under the stripe's write
 // lock so it may repair: re-read (transient corruption clears), else
 // reconstruct from survivors and rewrite the damaged unit.
@@ -723,31 +692,26 @@ type parityWrite struct {
 	buf *[]byte
 }
 
+// commitJob is what the items of a commit's write batch share.
+type commitJob struct {
+	s  *Store
+	st *diskState
+	sc *stripeScratch
+}
+
 // commitWrites is the second round of a parity update: every written data
 // unit and every parity unit in sc.par, as one batch — they sit on
 // distinct disks. Ordering among them carries no crash-consistency weight:
 // the region's durable intent mark covers any interleaving, and recovery
 // resyncs the stripe. Inline, data goes first and parity last.
 func (s *Store) commitWrites(st *diskState, sc *stripeScratch) error {
-	n := len(sc.locs) + len(sc.par)
-	if !s.overlap(n) {
-		for i := 0; i < n; i++ {
-			if err := s.commitWrite(st, sc, i); err != nil {
-				return err
-			}
+	return fanOut(s, len(sc.locs)+len(sc.par), commitJob{s, st, sc}, func(j commitJob, i int) error {
+		if i < len(j.sc.locs) {
+			return j.s.commitOneLocked(j.st, j.sc.locs[i], j.sc.datas[i])
 		}
-		return nil
-	}
-	return s.fanOut(n, func(i int) error { return s.commitWrite(st, sc, i) })
-}
-
-// commitWrite issues item i of a commit's write batch.
-func (s *Store) commitWrite(st *diskState, sc *stripeScratch, i int) error {
-	if i < len(sc.locs) {
-		return s.commitOneLocked(st, sc.locs[i], sc.datas[i])
-	}
-	p := sc.par[i-len(sc.locs)]
-	return s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
+		p := j.sc.par[i-len(j.sc.locs)]
+		return j.s.writeStamped(j.st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
+	})
 }
 
 // commitOneLocked commits one data unit's new contents: to its home slot

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -339,6 +340,17 @@ func TestConfigAndStateErrors(t *testing.T) {
 	if err := s.ReadRange(0, buf[:100]); err == nil {
 		t.Fatal("misaligned range succeeded")
 	}
+	// Two units from near the top of int64, where start+n wraps negative,
+	// and two from the last unit, one past the end.
+	two := make([]byte, 2*512)
+	for _, start := range []int64{math.MaxInt64 - 1, s.DataUnits() - 1} {
+		if err := s.ReadRange(start, two); err == nil {
+			t.Fatalf("two-unit range read at %d succeeded", start)
+		}
+		if err := s.WriteRange(start, two); err == nil {
+			t.Fatalf("two-unit range write at %d succeeded", start)
+		}
+	}
 	if err := s.Rebuild(NewMemDisk(64, 512)); err == nil {
 		t.Fatal("rebuild of healthy store succeeded")
 	}
@@ -371,13 +383,16 @@ func TestModeString(t *testing.T) {
 // read of a unit of a failed disk and the write folded into its parities
 // allocate nothing, under either code — nor does a range read or write
 // across three stripes: the tail of one, a whole one (a large write) and
-// the head of the next. Serial store over MemDisks, so every buffer comes
-// from the pools and no fan-out closure is built.
+// the head of the next. Over MemDisks every buffer comes from the pools.
+// Each row runs twice: on a serial store (IOWorkers 1, no gate at all), and
+// gated (IOWorkers 8, as file-p runs), where the gate stays shut over
+// memory and every batch goes through fanOut's inline branch — which must
+// allocate nothing either, and must have been taken.
 func TestHotPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
 	}
-	for _, tc := range []struct {
+	rows := []struct {
 		name    string
 		layout  layout.Layout
 		fail    bool
@@ -397,43 +412,54 @@ func TestHotPathAllocations(t *testing.T) {
 		{"P+Q range read", testPQLayout(t, 7, 4), false, (*Store).ReadRange, 3, 0},
 		{"P range write", testLayout(t, 7, 3), false, (*Store).WriteRange, 3, 0},
 		{"P+Q range write", testPQLayout(t, 7, 4), false, (*Store).WriteRange, 3, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: 1})
-			if err != nil {
-				t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		for _, tc := range rows {
+			name := tc.name
+			if workers > 1 {
+				name += " gated"
 			}
-			defer s.Close()
-			fillAll(t, s, 1)
-			per, size := s.dataPerStripe, int64(1)
-			if tc.stripes > 1 {
-				size = (tc.stripes - 1) * per
-			}
-			units := make([]int64, 0, s.DataUnits())
-			for n := int64(0); n+size <= s.DataUnits(); n++ {
-				if tc.stripes > 1 && n%per != per-1 {
-					continue
-				}
-				if !tc.fail || layout.DataLoc(tc.layout, n).Disk == 0 {
-					units = append(units, n)
-				}
-			}
-			if tc.fail {
-				if err := s.Fail(0); err != nil {
+			t.Run(name, func(t *testing.T) {
+				s, err := New(Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: workers})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			buf := make([]byte, size*int64(s.UnitSize()))
-			i := 0
-			got := testing.AllocsPerRun(200, func() {
-				if err := tc.op(s, units[i%len(units)], buf); err != nil {
-					t.Fatal(err)
+				defer s.Close()
+				fillAll(t, s, 1)
+				per, size := s.dataPerStripe, int64(1)
+				if tc.stripes > 1 {
+					size = (tc.stripes - 1) * per
 				}
-				i++
+				units := make([]int64, 0, s.DataUnits())
+				for n := int64(0); n+size <= s.DataUnits(); n++ {
+					if tc.stripes > 1 && n%per != per-1 {
+						continue
+					}
+					if !tc.fail || layout.DataLoc(tc.layout, n).Disk == 0 {
+						units = append(units, n)
+					}
+				}
+				if tc.fail {
+					if err := s.Fail(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				buf := make([]byte, size*int64(s.UnitSize()))
+				i := 0
+				got := testing.AllocsPerRun(200, func() {
+					if err := tc.op(s, units[i%len(units)], buf); err != nil {
+						t.Fatal(err)
+					}
+					i++
+				})
+				if got != tc.want {
+					t.Errorf("%v allocs per op, want %v", got, tc.want)
+				}
+				if st := s.Stats(); workers > 1 && (st.FanOuts != 0 || st.FanOutsInline == 0) {
+					t.Errorf("FanOuts %d, FanOutsInline %d: want every batch issued inline through the shut gate",
+						st.FanOuts, st.FanOutsInline)
+				}
 			})
-			if got != tc.want {
-				t.Errorf("%v allocs per op, want %v", got, tc.want)
-			}
-		})
+		}
 	}
 }
