@@ -503,20 +503,13 @@ func reportSecondFailure(stdout io.Writer, c, g, scale, parities int) error {
 	if err != nil {
 		return err
 	}
-	arr, err := declust.NewIdleArray(m, scale)
+	geom := declust.IBM0661()
+	if scale > 1 {
+		geom = geom.Scaled(1, scale)
+	}
+	df, frac, err := experiments.WorstSecondFailure(m, geom)
 	if err != nil {
 		return err
-	}
-	if err := arr.Fail(0); err != nil {
-		return err
-	}
-	df, err := arr.SecondFail(1)
-	if err != nil {
-		return err
-	}
-	frac := 0.0
-	if df.StripesAtRisk > 0 {
-		frac = float64(df.StripesLost) / float64(df.StripesAtRisk)
 	}
 	fmt.Fprintln(stdout, "array:    ", m.Describe())
 	fmt.Fprintf(stdout, "second failure (disk 1 dies with disk 0 unrecovered):\n")

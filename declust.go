@@ -43,7 +43,6 @@ import (
 	"declust/internal/disk"
 	"declust/internal/layout"
 	"declust/internal/metrics"
-	"declust/internal/sim"
 	"declust/internal/store"
 	"declust/internal/telemetry"
 )
@@ -202,11 +201,6 @@ func SelectDesign(c, g, maxTuples int) (*Design, bool, error) {
 	return sel.Design, sel.Exact, nil
 }
 
-// Array is the simulated redundant disk array itself; most users drive it
-// through the Run* functions, but fault experiments (SecondFail,
-// FailReplacement, StartScrub) operate on it directly.
-type Array = array.Array
-
 // LifecycleReport fault fields and SimConfig fault fields (FaultSeed,
 // LSERatePerGBHour, TransientRate, ScrubIntervalMS) drive the injector in
 // internal/fault; see also cmd/raidsim's -lse-rate family of flags.
@@ -294,19 +288,3 @@ type StoreIntentLog = store.IntentLog
 // StoreConfig.Intent. A store reopened over a log with dirty regions
 // resynchronizes their stripes before serving.
 func OpenFileIntent(path string) StoreIntentLog { return store.OpenFileIntent(path) }
-
-// NewIdleArray builds an array for enumeration-style analyses — no
-// workload runs and no simulated time passes. scale divides the IBM 0661
-// capacity (1 = full size).
-func NewIdleArray(m *Mapping, scale int) (*Array, error) {
-	geom := disk.IBM0661()
-	if scale > 1 {
-		geom = geom.Scaled(1, scale)
-	}
-	return array.New(sim.New(), array.Config{
-		Layout:      m.Layout,
-		Geom:        geom,
-		UnitSectors: 8,
-		CvscanBias:  0.2,
-	})
-}

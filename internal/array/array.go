@@ -186,10 +186,6 @@ type Array struct {
 	phaseFree []*ioPhase
 	opFree    []*userOp
 
-	// Instrumentation. The counters are nil (no-op) without a registry;
-	// diskObs is the ObserveDisks callback, nil when nothing observes.
-	diskObs func(slot int, e disk.Event)
-
 	// Span tracing (nil-safe no-ops when Config.Spans is nil). opSpan is
 	// the parent span handed over by the caller for the next synchronous
 	// Read/Write/ReadRange/WriteRange; phaseSpan is the phase the next io
@@ -199,6 +195,7 @@ type Array struct {
 	opSpan    *telemetry.Span
 	phaseSpan *telemetry.Span
 
+	// Instrumentation counters: nil (no-op) without a registry.
 	mUserReads  *metrics.Counter
 	mUserWrites *metrics.Counter
 	mOTFRecons  *metrics.Counter
@@ -232,7 +229,7 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 	if mapper == nil {
 		mapper = layout.StripeIndexMapper{L: cfg.Layout}
 	}
-	parities := layout.NumParities(cfg.Layout)
+	parities := cfg.Layout.Parities()
 	if parities < 1 || parities > 2 {
 		return nil, fmt.Errorf("array: layout has %d parity units per stripe; 1 (P) or 2 (P+Q) supported", parities)
 	}
@@ -359,7 +356,7 @@ func (a *Array) initContents() {
 // of the stripe's parity units, P first.
 func (a *Array) parityPositions(stripe int64, pp []int) {
 	for k := range pp {
-		pp[k] = layout.ParityPosOf(a.lay, stripe, k)
+		pp[k] = a.lay.ParityPos(stripe, k)
 	}
 }
 
@@ -381,25 +378,6 @@ func (a *Array) Parities() int { return a.parities }
 // Disk returns the drive currently in slot i (the replacement, if slot i
 // was failed and replaced).
 func (a *Array) Disk(i int) *disk.Disk { return a.disks[i] }
-
-// ObserveDisks makes fn the observer of every drive's completions, tagged
-// with the slot index; it survives disk replacement (a drive installed by
-// Replace inherits it). Pass nil to stop observing.
-func (a *Array) ObserveDisks(fn func(slot int, e disk.Event)) {
-	a.diskObs = fn
-	for i := range a.disks {
-		a.observeDisk(i)
-	}
-}
-
-// observeDisk points the drive in slot at the array's observer.
-func (a *Array) observeDisk(slot int) {
-	if a.diskObs == nil {
-		a.disks[slot].SetObserver(nil)
-		return
-	}
-	a.disks[slot].SetObserver(func(e disk.Event) { a.diskObs(slot, e) })
-}
 
 // FailedDisk returns the failed slot index, or -1 when fault-free.
 func (a *Array) FailedDisk() int { return a.failed }
@@ -456,13 +434,12 @@ func (a *Array) Replace() error {
 	return nil
 }
 
-// installDisk puts a factory-fresh drive in a slot, re-applying the
-// observer and fault hook and clearing the modeled contents and any latent
-// sector errors the old platters carried.
+// installDisk puts a factory-fresh drive in a slot, re-applying the fault
+// hook and clearing the modeled contents and any latent sector errors the
+// old platters carried.
 func (a *Array) installDisk(slot int) {
 	a.disks[slot] = disk.NewWithConfig(a.eng, a.cfg.Geom, a.diskConfig())
 	a.disks[slot].SetSlot(slot)
-	a.observeDisk(slot)
 	if a.cfg.Faults != nil {
 		a.disks[slot].SetFaultHook(a.cfg.Faults.Hook(slot), a.cfg.Faults.TimeoutMS())
 		a.cfg.Faults.ResetDisk(slot)

@@ -263,7 +263,7 @@ func (a *Array) paritySum(k int, stripe int64, locs []layout.Loc) uint64 {
 // (0 for P, 1 for Q), or -1 for a data position.
 func (a *Array) parityIndex(stripe int64, j int) int {
 	for k := 0; k < a.parities; k++ {
-		if j == layout.ParityPosOf(a.lay, stripe, k) {
+		if j == a.lay.ParityPos(stripe, k) {
 			return k
 		}
 	}
@@ -283,7 +283,7 @@ func (a *Array) decodeParity(stripe int64, j int) int {
 // units under P+Q, which skips the parity it does not need.
 func (a *Array) reconSources(loc layout.Loc) []layout.Loc {
 	stripe, jLost := a.lay.Locate(loc)
-	via := layout.ParityPosOf(a.lay, stripe, a.decodeParity(stripe, jLost))
+	via := a.lay.ParityPos(stripe, a.decodeParity(stripe, jLost))
 	g := a.lay.G()
 	out := make([]layout.Loc, 0, g-1)
 	for j := 0; j < g; j++ {
@@ -403,10 +403,16 @@ func (a *Array) putOp(op *userOp) {
 // under the Redirect algorithms, reads of already-reconstructed units go
 // to the replacement disk.
 func (a *Array) Read(unit int64, done func(value uint64)) {
+	a.mUserReads.Inc()
+	a.read(unit, done)
+}
+
+// read is Read without the user-operation count: a range read passes its
+// lost units on through it.
+func (a *Array) read(unit int64, done func(value uint64)) {
 	if unit < 0 || unit >= a.dataUnits {
 		panic(fmt.Sprintf("array: data unit %d out of range [0,%d)", unit, a.dataUnits))
 	}
-	a.mUserReads.Inc()
 	sp := a.takeOpSpan()
 	loc := a.mapper.Loc(unit)
 	if loc.Disk != a.failed || a.redirectableRead(loc) {
@@ -513,10 +519,16 @@ func (a *Array) redirectableRead(loc layout.Loc) bool {
 // array has committed data and parity. All writes serialize on their
 // stripe's lock because they read-modify-write the shared parity unit.
 func (a *Array) Write(unit int64, done func()) {
+	a.mUserWrites.Inc()
+	a.write(unit, done)
+}
+
+// write is Write without the user-operation count: a range write passes
+// the units of a degraded stripe on through it.
+func (a *Array) write(unit int64, done func()) {
 	if unit < 0 || unit >= a.dataUnits {
 		panic(fmt.Sprintf("array: data unit %d out of range [0,%d)", unit, a.dataUnits))
 	}
-	a.mUserWrites.Inc()
 	op := a.getOp()
 	loc := a.mapper.Loc(unit)
 	op.stripe, _ = a.lay.Locate(loc)

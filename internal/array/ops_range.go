@@ -61,6 +61,7 @@ func join(n int, done func()) func() {
 // single-unit reads do.
 func (a *Array) ReadRange(unit int64, count int, done func()) {
 	a.checkRange(unit, count)
+	a.mUserReads.Inc()
 	sp := a.takeOpSpan()
 	groups := a.groupByStripe(unit, count)
 	part := join(len(groups), done)
@@ -104,7 +105,7 @@ func (a *Array) ReadRange(unit int64, count int, done func()) {
 			// piggybacking included). Its phases nest under this
 			// range's root span.
 			a.SetOpSpan(sp)
-			a.Read(lost, func(uint64) { grpDone() })
+			a.read(lost, func(uint64) { grpDone() })
 		}
 	}
 }
@@ -131,6 +132,7 @@ func (a *Array) posOf(loc layout.Loc, s int64) int {
 //     parity) fall back to the single-unit degraded paths per unit.
 func (a *Array) WriteRange(unit int64, count int, done func()) {
 	a.checkRange(unit, count)
+	a.mUserWrites.Inc()
 	sp := a.takeOpSpan()
 	groups := a.groupByStripe(unit, count)
 	part := join(len(groups), done)
@@ -147,7 +149,7 @@ func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
 		part := join(len(grp.units), done)
 		for _, n := range grp.units {
 			a.SetOpSpan(sp)
-			a.Write(n, part)
+			a.write(n, part)
 		}
 	}
 	if !a.groupWritable(grp) {

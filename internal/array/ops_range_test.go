@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"declust/internal/layout"
+	"declust/internal/metrics"
 )
 
 func TestRangeWriteSpanningStripes(t *testing.T) {
@@ -168,6 +169,31 @@ func TestParallelMapperReconstructionCorrect(t *testing.T) {
 	}
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUserOpCountersCountRangesOnce: array_user_reads and
+// array_user_writes count each user operation once — a range as one, and
+// not again for the units it hands to the single-unit paths (a degraded
+// stripe's lost read, a degraded stripe's per-unit writes).
+func TestUserOpCountersCountRangesOnce(t *testing.T) {
+	for _, failed := range []int{-1, 3} {
+		reg := metrics.NewRegistry()
+		eng, a := testArray(t, func(c *Config) { c.Metrics = reg })
+		if failed >= 0 {
+			if err := a.Fail(failed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.ReadRange(0, 40, func() {})
+		a.WriteRange(40, 40, func() {})
+		a.Read(100, func(uint64) {})
+		a.Write(101, func() {})
+		eng.Run()
+		reads, writes := reg.Counter("array_user_reads").Value(), reg.Counter("array_user_writes").Value()
+		if reads != 2 || writes != 2 {
+			t.Errorf("failed disk %d: counted %d reads and %d writes, want 2 and 2", failed, reads, writes)
+		}
 	}
 }
 

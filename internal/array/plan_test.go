@@ -143,21 +143,27 @@ func TestWritePlanAccessCounts(t *testing.T) {
 				}
 				first = unitWithLost(t, a, failed, r.lost)
 			}
+			// Count the write's transfers through a fault hook that never
+			// fails one: it sees every transfer that reaches the arm, and
+			// these drives have no read-ahead buffer to serve any other way.
 			var reads, writes int
-			a.ObserveDisks(func(_ int, e disk.Event) {
-				if e.Write {
+			probe := func(_ int64, _ int, write bool) disk.Status {
+				if write {
 					writes++
 				} else {
 					reads++
 				}
-			})
+				return disk.OK
+			}
+			for i := 0; i < a.lay.Disks(); i++ {
+				a.Disk(i).SetFaultHook(probe, 1)
+			}
 			if r.k > 0 {
 				a.WriteRange(first, count, func() {})
 			} else {
 				a.Write(first, func() {})
 			}
 			eng.Run()
-			a.ObserveDisks(nil)
 			if reads != r.reads || writes != r.writes {
 				t.Errorf("write used %d reads + %d writes, want %d + %d", reads, writes, r.reads, r.writes)
 			}

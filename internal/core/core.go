@@ -74,7 +74,7 @@ func NewPQMapping(c, g, maxTuples int) (*Mapping, error) {
 func (m *Mapping) Alpha() float64 { return m.Layout.Alpha() }
 
 // Parities returns the layout's parity units per stripe: 1 (P) or 2 (P+Q).
-func (m *Mapping) Parities() int { return layout.NumParities(m.Layout) }
+func (m *Mapping) Parities() int { return m.Layout.Parities() }
 
 // ParityOverhead returns the fraction of array capacity spent on
 // redundancy: 1/G, or (parity + spare) 2/(G+1) for distributed-sparing
@@ -83,7 +83,7 @@ func (m *Mapping) ParityOverhead() float64 {
 	if _, ok := m.Layout.(layout.SpareLayout); ok {
 		return 2 / float64(m.G+1)
 	}
-	return float64(layout.NumParities(m.Layout)) / float64(m.G)
+	return float64(m.Parities()) / float64(m.G)
 }
 
 // Describe returns a one-line human-readable summary.

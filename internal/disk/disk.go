@@ -100,12 +100,11 @@ type Disk struct {
 	seek  SeekCurve
 	sched *schedQueue
 
-	busy     bool
-	headCyl  int
-	seq      uint64
-	slot     int // array slot for telemetry segments; -1 when standalone
-	stats    Stats
-	observer func(Event)
+	busy    bool
+	headCyl int
+	seq     uint64
+	slot    int // array slot for telemetry segments; -1 when standalone
+	stats   Stats
 
 	// Track read-ahead buffer: [raLo, raHi) is the LBA window currently
 	// held in drive RAM; empty when raLo >= raHi. hitFree pools hit
@@ -122,8 +121,6 @@ type Disk struct {
 	doneStart  float64
 	doneFinish float64
 	doneStatus Status
-	doneCyl    int
-	doneDist   int
 	doneBr     serviceBreakdown
 	completeFn func()
 
@@ -271,7 +268,7 @@ func (d *Disk) startNext() {
 		d.stats.BusyMS += d.timeoutMS
 		d.stats.Timeouts++
 		d.doneReq, d.doneStart, d.doneFinish = r, start, finish
-		d.doneStatus, d.doneCyl, d.doneDist = Timeout, d.headCyl, 0
+		d.doneStatus = Timeout
 		d.doneBr = serviceBreakdown{}
 		d.eng.At(finish, d.completeFn)
 		return
@@ -292,7 +289,7 @@ func (d *Disk) startNext() {
 	d.stats.SeekCyls += int64(dist)
 
 	d.doneReq, d.doneStart, d.doneFinish = r, start, finish
-	d.doneStatus, d.doneCyl, d.doneDist = st, tgt.Cyl, dist
+	d.doneStatus = st
 	d.doneBr = br
 	d.eng.At(finish, d.completeFn)
 }
@@ -303,7 +300,6 @@ func (d *Disk) startNext() {
 func (d *Disk) complete() {
 	r := d.doneReq
 	start, finish, st := d.doneStart, d.doneFinish, d.doneStatus
-	cyl, dist := d.doneCyl, d.doneDist
 	br := d.doneBr
 	d.doneReq = nil
 	d.busy = false
@@ -340,14 +336,6 @@ func (d *Disk) complete() {
 				sp.Segment(telemetry.SegTransfer, d.slot, t, finish)
 			}
 		}
-	}
-	if d.observer != nil {
-		d.observer(Event{
-			QueuedAt: r.queuedAt, Start: start, Finish: finish,
-			Cyl: cyl, SeekDist: dist,
-			Sectors: r.Count, Write: r.Write, Priority: r.Priority,
-			Status: st,
-		})
 	}
 	// Start the next transfer before delivering the completion, so the
 	// arm never idles waiting on upper-layer work.

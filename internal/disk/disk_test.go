@@ -342,3 +342,20 @@ func TestFaultHookTimeoutKeepsArmStill(t *testing.T) {
 	}
 	d.SetFaultHook(nil, 0)
 }
+
+// TestSequentialStreamShowsZeroSeeks: the effect Table 8-1 hinges on —
+// sequential transfers barely move the arm. Every request that seeks moves
+// at least one cylinder, so a total under 5 % of the requests bounds the
+// seeking ones too.
+func TestSequentialStreamShowsZeroSeeks(t *testing.T) {
+	eng, d := newTestDisk(t)
+	const n = 300
+	for i := 0; i < n; i++ {
+		d.Submit(&Request{Start: int64(i) * 8, Count: 8, Write: true})
+	}
+	eng.Run()
+	if st := d.Stats(); st.Completed != n || st.SeekCyls > n*5/100 {
+		t.Fatalf("sequential stream: %d requests moved the arm %d cylinders, want %d requests and at most %d",
+			st.Completed, st.SeekCyls, n, n*5/100)
+	}
+}

@@ -90,14 +90,6 @@ func (h *raHit) fire() {
 		// segment marks the transfer as mechanically free.
 		sp.Segment(telemetry.SegCacheHit, d.slot, now, now)
 	}
-	if d.observer != nil {
-		d.observer(Event{
-			QueuedAt: r.queuedAt, Start: now, Finish: now,
-			Cyl: d.headCyl, SeekDist: 0,
-			Sectors: r.Count, Write: false, Priority: r.Priority,
-			Status: OK, CacheHit: true,
-		})
-	}
 	if r.OnDone != nil {
 		r.OnDone(now, now, OK)
 	}

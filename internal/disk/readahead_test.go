@@ -150,22 +150,30 @@ func TestMediaErrorDoesNotFillBuffer(t *testing.T) {
 	}
 }
 
-func TestReadAheadObserverMarksHits(t *testing.T) {
+// TestReadAheadCountsHits: a buffered read counts as a cache hit and
+// completes with no service time and no arm movement.
+func TestReadAheadCountsHits(t *testing.T) {
 	eng, d := newRADisk(1)
-	var events []Event
-	d.SetObserver(func(e Event) { events = append(events, e) })
-	d.Submit(&Request{Start: 0, Count: 8})
+	var svc []float64
+	onDone := func(s, f float64, _ Status) { svc = append(svc, f-s) }
+	d.Submit(&Request{Start: 0, Count: 8, OnDone: onDone})
 	eng.Run()
-	d.Submit(&Request{Start: 8, Count: 8})
+	if st := d.Stats(); st.CacheHits != 0 {
+		t.Fatalf("mechanical read counted %d cache hits", st.CacheHits)
+	}
+	before := d.Stats()
+	d.Submit(&Request{Start: 8, Count: 8, OnDone: onDone})
 	eng.Run()
-	if len(events) != 2 {
-		t.Fatalf("observed %d events, want 2", len(events))
+	st := d.Stats()
+	if len(svc) != 2 || st.Completed != 2 {
+		t.Fatalf("%d completions delivered, %d counted, want 2", len(svc), st.Completed)
 	}
-	if events[0].CacheHit || !events[1].CacheHit {
-		t.Fatalf("cache-hit flags %v/%v, want false/true", events[0].CacheHit, events[1].CacheHit)
+	if st.CacheHits != 1 || st.CacheHitSectors != 8 {
+		t.Fatalf("%d cache hits of %d sectors, want 1 of 8", st.CacheHits, st.CacheHitSectors)
 	}
-	if e := events[1]; e.Start != e.Finish || e.SeekDist != 0 {
-		t.Fatalf("hit event has service time %v and seek %d, want 0/0", e.Finish-e.Start, e.SeekDist)
+	if svc[1] != 0 || st.SeekCyls != before.SeekCyls || st.BusyMS != before.BusyMS {
+		t.Fatalf("hit took %v ms of service, %d cylinders and %v busy ms, want 0/0/0",
+			svc[1], st.SeekCyls-before.SeekCyls, st.BusyMS-before.BusyMS)
 	}
 }
 

@@ -433,20 +433,9 @@ func ExtPQ(o Options, gs []int) ([]PQRow, Table, error) {
 		if err != nil {
 			return PQRow{}, fmt.Errorf("ext-pq %s G=%d mapping: %w", code, j.g, err)
 		}
-		arr, err := newIdleArray(m, geom)
+		_, lost, err := WorstSecondFailure(m, geom)
 		if err != nil {
-			return PQRow{}, fmt.Errorf("ext-pq %s G=%d array: %w", code, j.g, err)
-		}
-		if err := arr.Fail(0); err != nil {
-			return PQRow{}, err
-		}
-		df, err := arr.SecondFail(1)
-		if err != nil {
-			return PQRow{}, err
-		}
-		lost := 0.0
-		if df.StripesAtRisk > 0 {
-			lost = float64(df.StripesLost) / float64(df.StripesAtRisk)
+			return PQRow{}, fmt.Errorf("ext-pq %s G=%d second failure: %w", code, j.g, err)
 		}
 		return PQRow{Code: code, G: j.g, Overhead: float64(j.parities) / float64(j.g),
 			FaultFree: ff.MeanResponseMS, Recovering: rc.MeanResponseMS,

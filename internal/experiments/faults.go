@@ -47,25 +47,16 @@ func DoubleFailureLoss(o Options) ([]DoubleFailurePoint, Table, error) {
 		if err != nil {
 			return DoubleFailurePoint{}, fmt.Errorf("double-failure G=%d: %w", g, err)
 		}
-		arr, err := newIdleArray(m, geom)
+		df, lost, err := WorstSecondFailure(m, geom)
 		if err != nil {
-			return DoubleFailurePoint{}, fmt.Errorf("double-failure G=%d array: %w", g, err)
-		}
-		if err := arr.Fail(0); err != nil {
-			return DoubleFailurePoint{}, err
-		}
-		df, err := arr.SecondFail(1)
-		if err != nil {
-			return DoubleFailurePoint{}, err
+			return DoubleFailurePoint{}, fmt.Errorf("double-failure G=%d: %w", g, err)
 		}
 		p := DoubleFailurePoint{
 			G: g, Alpha: m.Alpha(),
 			StripesAtRisk: df.StripesAtRisk,
 			StripesLost:   df.StripesLost,
 			UnitsLost:     df.UnitsLost,
-		}
-		if df.StripesAtRisk > 0 {
-			p.LostFraction = float64(df.StripesLost) / float64(df.StripesAtRisk)
+			LostFraction:  lost,
 		}
 		return p, nil
 	})
@@ -82,13 +73,31 @@ func DoubleFailureLoss(o Options) ([]DoubleFailurePoint, Table, error) {
 	return pts, t, nil
 }
 
-// newIdleArray builds an array for enumeration-only experiments (no
-// workload, no simulated time passes).
-func newIdleArray(m *core.Mapping, geom disk.Geometry) (*array.Array, error) {
-	return array.New(sim.New(), array.Config{
+// WorstSecondFailure enumerates the damage of a second whole-disk failure
+// at the worst moment for mapping m: disk 0 fails, and disk 1 dies before
+// any of disk 0's units are recovered. No workload runs and no simulated
+// time passes. It returns the damage and the fraction of the stripes at
+// risk that were lost (0 when none was at risk).
+func WorstSecondFailure(m *core.Mapping, geom disk.Geometry) (array.DoubleFailure, float64, error) {
+	arr, err := array.New(sim.New(), array.Config{
 		Layout:      m.Layout,
 		Geom:        geom,
 		UnitSectors: 8,
 		CvscanBias:  0.2,
 	})
+	if err != nil {
+		return array.DoubleFailure{}, 0, err
+	}
+	if err := arr.Fail(0); err != nil {
+		return array.DoubleFailure{}, 0, err
+	}
+	df, err := arr.SecondFail(1)
+	if err != nil {
+		return array.DoubleFailure{}, 0, err
+	}
+	lost := 0.0
+	if df.StripesAtRisk > 0 {
+		lost = float64(df.StripesLost) / float64(df.StripesAtRisk)
+	}
+	return df, lost, nil
 }

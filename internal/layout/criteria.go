@@ -83,9 +83,8 @@ func CheckWithMapper(m DataMapper) (Criteria, error) {
 	// (counting every parity unit of the stripe — P and Q both, for
 	// dual-parity layouts).
 	parity := make([]int, disks)
-	nPar := NumParities(l)
 	for s := int64(0); s < full; s++ {
-		for k := 0; k < nPar; k++ {
+		for k := 0; k < l.Parities(); k++ {
 			parity[ParityLocOf(l, s, k).Disk]++
 		}
 	}

@@ -22,7 +22,7 @@ func TestParallelMapperRoundTrip(t *testing.T) {
 			n := rng.Int63n(DataUnits(l, 5*l.UnitsPerDiskPerPeriod()*int64(l.G())))
 			loc := m.Loc(n)
 			s, j := l.Locate(loc)
-			if j == l.ParityPos(s) {
+			if j == l.ParityPos(s, 0) {
 				return false
 			}
 			return m.Index(s, j) == n
@@ -49,7 +49,7 @@ func TestParallelMapperNeverHitsParity(t *testing.T) {
 	for n := int64(0); n < span; n++ {
 		loc := m.Loc(n)
 		s, j := l.Locate(loc)
-		if j == l.ParityPos(s) {
+		if j == l.ParityPos(s, 0) {
 			t.Fatalf("unit %d mapped onto parity at %v", n, loc)
 		}
 	}
@@ -134,7 +134,7 @@ func TestParallelMapperPanicsOnParityIndex(t *testing.T) {
 			t.Fatal("no panic for Index of parity position")
 		}
 	}()
-	m.Index(0, m.Layout().ParityPos(0))
+	m.Index(0, m.Layout().ParityPos(0, 0))
 }
 
 func TestStripeIndexMapperDelegates(t *testing.T) {

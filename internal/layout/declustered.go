@@ -71,10 +71,12 @@ func (l *Declustered) copyOf(stripe int64) int64 {
 	return (stripe / int64(l.params.B)) % int64(l.params.K)
 }
 
+func (l *Declustered) Parities() int { return 1 }
+
 // ParityPos rotates parity through the tuple positions across the copies of
 // the table: copy m places parity at position G−1−m, so the first table
 // matches the paper's Figure 4-2 (parity in the tuple's last slot).
-func (l *Declustered) ParityPos(stripe int64) int {
+func (l *Declustered) ParityPos(stripe int64, _ int) int {
 	if stripe < 0 {
 		panic(fmt.Sprintf("layout: negative stripe %d", stripe))
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // Format renders a layout as the paper's figures do: one row per unit
-// offset, one column per disk, cells like D12.2 (stripe 12's data unit 2)
-// or P12 (stripe 12's parity unit). rows <= 0 renders one full
-// parity-rotation cycle.
+// offset, one column per disk, cells like D12.2 (stripe 12's data unit 2),
+// P12 (stripe 12's parity unit) or, for a dual-parity layout, Q12 (its
+// second parity unit). rows <= 0 renders one full parity-rotation cycle.
 func Format(l Layout, rows int64) string {
 	if rows <= 0 {
 		rows = l.UnitsPerDiskPerPeriod() * int64(l.G())
@@ -23,12 +23,14 @@ func Format(l Layout, rows int64) string {
 		fmt.Fprintf(&b, "%-7d", off)
 		for d := 0; d < l.Disks(); d++ {
 			s, j := l.Locate(Loc{Disk: d, Offset: off})
-			if j == l.ParityPos(s) {
-				fmt.Fprintf(&b, "%-9s", fmt.Sprintf("P%d", s))
-			} else {
-				idx := DataIndex(l, s, j) % int64(l.G()-1)
-				fmt.Fprintf(&b, "%-9s", fmt.Sprintf("D%d.%d", s, idx))
+			cell := fmt.Sprintf("P%d", s)
+			switch {
+			case !IsParityPos(l, s, j):
+				cell = fmt.Sprintf("D%d.%d", s, DataOrdinal(l, s, j))
+			case j != l.ParityPos(s, 0):
+				cell = fmt.Sprintf("Q%d", s)
 			}
+			fmt.Fprintf(&b, "%-9s", cell)
 		}
 		b.WriteByte('\n')
 	}

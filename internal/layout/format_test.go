@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -61,6 +62,41 @@ func checkCells(t *testing.T, got string, want [][]string) {
 			if fields[j+1] != cell {
 				t.Errorf("offset %d disk %d: got %s, want %s", i, j, fields[j+1], cell)
 			}
+		}
+	}
+}
+
+// TestFormatDualParityShowsPAndQ: every stripe of a dual-parity layout's
+// full cycle renders one P cell on its P unit, one Q cell on its Q unit and
+// its data units D.0 … D.(G−3) once each.
+func TestFormatDualParityShowsPAndQ(t *testing.T) {
+	for name, l := range dualLayouts(t) {
+		lines := strings.Split(strings.TrimRight(Format(l, 0), "\n"), "\n")[1:]
+		cells := map[string]Loc{}
+		for off, line := range lines {
+			for d, cell := range strings.Fields(line)[1:] {
+				if prev, dup := cells[cell]; dup {
+					t.Fatalf("%s: %s at %v and %v", name, cell, prev, Loc{Disk: d, Offset: int64(off)})
+				}
+				cells[cell] = Loc{Disk: d, Offset: int64(off)}
+			}
+		}
+		for s := int64(0); s < fullCycle(l); s++ {
+			want := map[string]Loc{
+				fmt.Sprintf("P%d", s): ParityLocOf(l, s, 0),
+				fmt.Sprintf("Q%d", s): ParityLocOf(l, s, 1),
+			}
+			for d := 0; d < DataPerStripe(l); d++ {
+				want[fmt.Sprintf("D%d.%d", s, d)] = l.Unit(s, DataPos(l, s, d))
+			}
+			for cell, loc := range want {
+				if got, ok := cells[cell]; !ok || got != loc {
+					t.Fatalf("%s: %s at %v (shown %v), want %v", name, cell, got, ok, loc)
+				}
+			}
+		}
+		if n := fullCycle(l) * int64(l.G()); int64(len(cells)) != n {
+			t.Fatalf("%s: %d cells, want %d", name, len(cells), n)
 		}
 	}
 }

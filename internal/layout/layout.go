@@ -7,6 +7,12 @@
 // allocation granule; a parity stripe is the set of G stripe units (G−1
 // data + 1 parity) bound to one parity equation; disks are numbered
 // 0..C−1; each disk is an array of stripe units addressed by offset.
+//
+// Beyond the paper, a stripe may carry two parity units (DualParity), the
+// multi-failure generalization of its layouts (Dau et al. extend
+// declustering to t failures via t-designs; this package provides the
+// t = 2 RAID-6-style P+Q code). Parity unit 0 is P (plain XOR) and unit 1
+// is Q (the GF(2^8) Reed–Solomon sum; see internal/gf256).
 package layout
 
 import "fmt"
@@ -22,9 +28,9 @@ func (l Loc) String() string { return fmt.Sprintf("d%d:%d", l.Disk, l.Offset) }
 // Layout is a periodic mapping of parity stripes to stripe units.
 //
 // Parity stripes are numbered from zero; position j within stripe s ranges
-// over 0..G−1, one of which is the parity unit (ParityPos). The layout is
-// periodic: stripe s+StripesPerPeriod() maps exactly as stripe s with all
-// offsets shifted by UnitsPerDiskPerPeriod().
+// over 0..G−1, Parities() of which hold parity units (ParityPos). The
+// layout is periodic: stripe s+StripesPerPeriod() maps exactly as stripe s
+// with all offsets shifted by UnitsPerDiskPerPeriod().
 type Layout interface {
 	// Disks returns C, the number of disks in the array.
 	Disks() int
@@ -32,10 +38,14 @@ type Layout interface {
 	G() int
 	// Unit returns the location of position j of parity stripe s.
 	Unit(stripe int64, j int) Loc
-	// ParityPos returns which position of stripe s holds parity. Parity
-	// placement may rotate with a super-period of G allocation periods
-	// (the paper's "full block design table").
-	ParityPos(stripe int64) int
+	// Parities returns how many parity units each stripe carries: 1 (P)
+	// or 2 (P and Q).
+	Parities() int
+	// ParityPos returns which position of stripe s holds parity unit k
+	// (k = 0 is P, 1 is Q; k < Parities()). Parity placement may rotate
+	// with a super-period of G allocation periods (the paper's "full block
+	// design table").
+	ParityPos(stripe int64, k int) int
 	// Locate inverts Unit: which stripe and position owns a unit.
 	Locate(loc Loc) (stripe int64, j int)
 	// StripesPerPeriod returns the allocation period in parity stripes
@@ -87,9 +97,9 @@ func DataIndex(l Layout, stripe int64, j int) int64 {
 	return stripe*int64(DataPerStripe(l)) + int64(DataOrdinal(l, stripe, j))
 }
 
-// ParityLoc returns the location of stripe s's parity unit.
+// ParityLoc returns the location of stripe s's parity unit P.
 func ParityLoc(l Layout, stripe int64) Loc {
-	return l.Unit(stripe, l.ParityPos(stripe))
+	return l.Unit(stripe, l.ParityPos(stripe, 0))
 }
 
 // StripeUnits returns the locations of every unit of stripe s, indexed by

@@ -165,13 +165,13 @@ func TestDeclusteredMatchesFigure2_3(t *testing.T) {
 	// First table places parity at position G−1 (disk column of the
 	// tuple's last element), as in the figure.
 	for s := int64(0); s < 5; s++ {
-		if l.ParityPos(s) != 3 {
-			t.Errorf("stripe %d parity position %d, want 3", s, l.ParityPos(s))
+		if l.ParityPos(s, 0) != 3 {
+			t.Errorf("stripe %d parity position %d, want 3", s, l.ParityPos(s, 0))
 		}
 	}
 	// Second table copy (stripes 5..9) rotates parity to position 2.
-	if l.ParityPos(5) != 2 {
-		t.Errorf("stripe 5 parity position %d, want 2", l.ParityPos(5))
+	if l.ParityPos(5, 0) != 2 {
+		t.Errorf("stripe 5 parity position %d, want 2", l.ParityPos(5, 0))
 	}
 }
 
@@ -226,7 +226,7 @@ func TestDataLocRoundTrip(t *testing.T) {
 			n := rng.Int63n(DataUnits(l, 5*l.UnitsPerDiskPerPeriod()*int64(l.G())))
 			loc := DataLoc(l, n)
 			s, j := l.Locate(loc)
-			if j == l.ParityPos(s) {
+			if j == l.ParityPos(s, 0) {
 				return false // data mapped onto parity
 			}
 			return DataIndex(l, s, j) == n
@@ -244,7 +244,7 @@ func TestDataIndexPanicsOnParity(t *testing.T) {
 			t.Fatal("no panic for DataIndex of parity position")
 		}
 	}()
-	DataIndex(l, 0, l.ParityPos(0))
+	DataIndex(l, 0, l.ParityPos(0, 0))
 }
 
 func TestSurvivingUnits(t *testing.T) {
@@ -328,7 +328,7 @@ func TestParityRotationCoversAllPositions(t *testing.T) {
 	seen := map[int]bool{}
 	b := l.StripesPerPeriod()
 	for m := int64(0); m < int64(l.G()); m++ {
-		seen[l.ParityPos(m*b)] = true
+		seen[l.ParityPos(m*b, 0)] = true
 	}
 	if len(seen) != l.G() {
 		t.Fatalf("parity rotation covers %d positions, want %d", len(seen), l.G())

@@ -1,70 +1,40 @@
 package layout
 
-import "fmt"
-
-// MultiParity is implemented by layouts whose stripes carry more than one
-// parity unit — the multi-failure generalization of the paper's layouts
-// (Dau et al. extend declustering to t failures via t-designs; this
-// package provides the t = 2 RAID-6-style P+Q code). Parity unit 0 is P
-// (plain XOR) and unit 1 is Q (the GF(2^8) Reed–Solomon sum); see
-// internal/gf256 for the code itself.
-//
-// Layouts that do not implement MultiParity carry exactly one parity unit
-// per stripe (the paper's original model); every helper in this package
-// treats them so.
-type MultiParity interface {
-	Layout
-	// Parities returns the number of parity units per stripe (>= 1).
-	Parities() int
-	// ParityPosK returns the position of parity unit k of stripe s.
-	// ParityPosK(s, 0) equals ParityPos(s).
-	ParityPosK(stripe int64, k int) int
-}
-
-// NumParities returns how many parity units each stripe of l carries:
-// Parities() for MultiParity layouts, 1 otherwise.
-func NumParities(l Layout) int {
-	if mp, ok := l.(MultiParity); ok {
-		return mp.Parities()
-	}
-	return 1
-}
+import (
+	"fmt"
+	"math"
+)
 
 // DataPerStripe returns how many data units each stripe of l carries:
 // G minus the stripe's parity units.
-func DataPerStripe(l Layout) int { return l.G() - NumParities(l) }
-
-// ParityPosOf returns the position of parity unit k of stripe s (k = 0 is
-// P; k = 1 is Q for dual-parity layouts).
-func ParityPosOf(l Layout, stripe int64, k int) int {
-	if mp, ok := l.(MultiParity); ok {
-		return mp.ParityPosK(stripe, k)
-	}
-	if k != 0 {
-		panic(fmt.Sprintf("layout: parity unit %d of a single-parity layout", k))
-	}
-	return l.ParityPos(stripe)
-}
+func DataPerStripe(l Layout) int { return l.G() - l.Parities() }
 
 // ParityLocOf returns the location of parity unit k of stripe s.
 func ParityLocOf(l Layout, stripe int64, k int) Loc {
-	return l.Unit(stripe, ParityPosOf(l, stripe, k))
+	return l.Unit(stripe, l.ParityPos(stripe, k))
+}
+
+// noQ stands in for the Q position of a stripe without one: past every
+// position, so no position equals it or lies beyond it.
+const noQ = math.MaxInt
+
+// parityPositions returns stripe s's parity positions in ascending order,
+// hi = noQ when the stripe carries P alone. It asks for Q only when there
+// is one.
+func parityPositions(l Layout, stripe int64) (lo, hi int) {
+	lo, hi = l.ParityPos(stripe, 0), noQ
+	if l.Parities() == 2 {
+		if hi = l.ParityPos(stripe, 1); hi < lo {
+			lo, hi = hi, lo
+		}
+	}
+	return lo, hi
 }
 
 // IsParityPos reports whether position j of stripe s holds a parity unit.
 func IsParityPos(l Layout, stripe int64, j int) bool {
-	pp := l.ParityPos(stripe)
-	if j == pp {
-		return true
-	}
-	if mp, ok := l.(MultiParity); ok {
-		for k := 1; k < mp.Parities(); k++ {
-			if j == mp.ParityPosK(stripe, k) {
-				return true
-			}
-		}
-	}
-	return false
+	lo, hi := parityPositions(l, stripe)
+	return j == lo || j == hi
 }
 
 // DataPos returns the position within stripe s of the stripe's d-th data
@@ -72,21 +42,7 @@ func IsParityPos(l Layout, stripe int64, j int) bool {
 // the parity positions. The ordinal d is also the unit's Reed–Solomon
 // coefficient index — Q = Σ g^d · data_d.
 func DataPos(l Layout, stripe int64, d int) int {
-	mp, ok := l.(MultiParity)
-	if !ok || mp.Parities() == 1 {
-		j := d
-		if j >= l.ParityPos(stripe) {
-			j++
-		}
-		return j
-	}
-	if mp.Parities() != 2 {
-		panic(fmt.Sprintf("layout: %d parities unsupported", mp.Parities()))
-	}
-	lo, hi := mp.ParityPosK(stripe, 0), mp.ParityPosK(stripe, 1)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
+	lo, hi := parityPositions(l, stripe)
 	j := d
 	if j >= lo {
 		j++
@@ -100,22 +56,7 @@ func DataPos(l Layout, stripe int64, d int) int {
 // DataOrdinal inverts DataPos: the data ordinal of position j within
 // stripe s. It panics if j holds parity.
 func DataOrdinal(l Layout, stripe int64, j int) int {
-	mp, ok := l.(MultiParity)
-	if !ok || mp.Parities() == 1 {
-		pp := l.ParityPos(stripe)
-		if j == pp {
-			panic(fmt.Sprintf("layout: position %d of stripe %d is parity, not data", j, stripe))
-		}
-		d := j
-		if j > pp {
-			d--
-		}
-		return d
-	}
-	lo, hi := mp.ParityPosK(stripe, 0), mp.ParityPosK(stripe, 1)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
+	lo, hi := parityPositions(l, stripe)
 	if j == lo || j == hi {
 		panic(fmt.Sprintf("layout: position %d of stripe %d is parity, not data", j, stripe))
 	}
@@ -150,7 +91,7 @@ func NewDualParity(inner Layout) (*DualParity, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("layout: nil inner layout")
 	}
-	if NumParities(inner) != 1 {
+	if inner.Parities() != 1 {
 		return nil, fmt.Errorf("layout: dual parity wraps single-parity layouts only")
 	}
 	if inner.G() < 3 {
@@ -170,9 +111,6 @@ func (l *DualParity) Locate(loc Loc) (int64, int)  { return l.inner.Locate(loc) 
 func (l *DualParity) StripesPerPeriod() int64      { return l.inner.StripesPerPeriod() }
 func (l *DualParity) UnitsPerDiskPerPeriod() int64 { return l.inner.UnitsPerDiskPerPeriod() }
 
-// ParityPos returns the P position (parity unit 0).
-func (l *DualParity) ParityPos(stripe int64) int { return l.inner.ParityPos(stripe) }
-
 // FullCycleStripes forwards the inner layout's full parity-rotation cycle
 // (the span criteria checks cover), defaulting to G allocation periods.
 func (l *DualParity) FullCycleStripes() int64 {
@@ -185,10 +123,10 @@ func (l *DualParity) FullCycleStripes() int64 {
 // Parities returns 2.
 func (l *DualParity) Parities() int { return 2 }
 
-// ParityPosK places P at the inner parity position and Q one position
-// before it, wrapping around the stripe.
-func (l *DualParity) ParityPosK(stripe int64, k int) int {
-	pp := l.inner.ParityPos(stripe)
+// ParityPos places P (k = 0) at the inner parity position and Q (k = 1)
+// one position before it, wrapping around the stripe.
+func (l *DualParity) ParityPos(stripe int64, k int) int {
+	pp := l.inner.ParityPos(stripe, 0)
 	switch k {
 	case 0:
 		return pp

@@ -55,14 +55,14 @@ func TestNewDualParityValidation(t *testing.T) {
 func TestDualParityPositions(t *testing.T) {
 	for name, l := range dualLayouts(t) {
 		g := l.G()
-		if l.Parities() != 2 || NumParities(l) != 2 {
+		if l.Parities() != 2 {
 			t.Fatalf("%s: Parities() != 2", name)
 		}
 		for s := int64(0); s < fullCycle(l); s++ {
-			p := l.ParityPosK(s, 0)
-			q := l.ParityPosK(s, 1)
-			if p != l.Inner().ParityPos(s) || p != l.ParityPos(s) {
-				t.Fatalf("%s stripe %d: P position %d != inner %d", name, s, p, l.Inner().ParityPos(s))
+			p := l.ParityPos(s, 0)
+			q := l.ParityPos(s, 1)
+			if p != l.Inner().ParityPos(s, 0) {
+				t.Fatalf("%s stripe %d: P position %d != inner %d", name, s, p, l.Inner().ParityPos(s, 0))
 			}
 			if q == p {
 				t.Fatalf("%s stripe %d: Q collides with P at %d", name, s, p)
@@ -136,7 +136,7 @@ func TestDataOrdinalPanicsOnParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range []int{l.ParityPosK(0, 0), l.ParityPosK(0, 1)} {
+	for _, j := range []int{l.ParityPos(0, 0), l.ParityPos(0, 1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -171,7 +171,7 @@ func TestDualDataLocIndexRoundTrip(t *testing.T) {
 // generalized helpers reduce to the original formulas byte-for-byte.
 func TestSingleParityHelpersUnchanged(t *testing.T) {
 	for name, l := range allLayouts(t) {
-		if NumParities(l) != 1 || DataPerStripe(l) != l.G()-1 {
+		if l.Parities() != 1 || DataPerStripe(l) != l.G()-1 {
 			t.Fatalf("%s: single-parity layout misreported", name)
 		}
 		g := int64(l.G())
@@ -181,7 +181,7 @@ func TestSingleParityHelpersUnchanged(t *testing.T) {
 			stripe := n / (g - 1)
 			d := int(n % (g - 1))
 			j := d
-			if j >= l.ParityPos(stripe) {
+			if j >= l.ParityPos(stripe, 0) {
 				j++
 			}
 			want := l.Unit(stripe, j)
@@ -191,9 +191,6 @@ func TestSingleParityHelpersUnchanged(t *testing.T) {
 			if got := DataIndex(l, stripe, j); got != n {
 				t.Fatalf("%s: DataIndex(%d,%d) = %d, want %d", name, stripe, j, got, n)
 			}
-		}
-		if ParityPosOf(l, 3, 0) != l.ParityPos(3) {
-			t.Fatalf("%s: ParityPosOf k=0 differs from ParityPos", name)
 		}
 	}
 }
@@ -294,8 +291,8 @@ func TestDualParityForwarding(t *testing.T) {
 	}
 }
 
-// TestDualParityParityPosKPanics: parity unit indices beyond Q are a
-// programming error, not a recoverable condition.
+// TestDualParityParityPosKPanics: ParityPos with a parity unit index k
+// beyond Q is a programming error, not a recoverable condition.
 func TestDualParityParityPosKPanics(t *testing.T) {
 	r5, err := NewRaid5(5)
 	if err != nil {
@@ -307,8 +304,8 @@ func TestDualParityParityPosKPanics(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ParityPosK(stripe, 2) did not panic")
+			t.Fatal("ParityPos(stripe, 2) did not panic")
 		}
 	}()
-	dp.ParityPosK(0, 2)
+	dp.ParityPos(0, 2)
 }

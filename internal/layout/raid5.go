@@ -37,7 +37,9 @@ func (r *Raid5) Unit(stripe int64, j int) Loc {
 	return Loc{Disk: int(disk), Offset: stripe}
 }
 
-func (r *Raid5) ParityPos(stripe int64) int { return r.c - 1 }
+func (r *Raid5) Parities() int { return 1 }
+
+func (r *Raid5) ParityPos(stripe int64, _ int) int { return r.c - 1 }
 
 func (r *Raid5) Locate(loc Loc) (int64, int) {
 	if loc.Disk < 0 || loc.Disk >= r.c || loc.Offset < 0 {

@@ -104,7 +104,9 @@ func (s *Spared) Unit(stripe int64, j int) Loc {
 	return s.inner.Unit(stripe, s.slotOf(stripe, j))
 }
 
-func (s *Spared) ParityPos(stripe int64) int {
+func (s *Spared) Parities() int { return 1 }
+
+func (s *Spared) ParityPos(stripe int64, _ int) int {
 	spare, parity := s.roles(stripe)
 	if parity > spare {
 		return parity - 1

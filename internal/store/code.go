@@ -62,7 +62,7 @@ type erasure struct {
 func (s *Store) parityPos(stripe int64) (pp [2]int) {
 	pp = [2]int{-1, -1}
 	for k := 0; k < s.parities; k++ {
-		pp[k] = layout.ParityPosOf(s.lay, stripe, k)
+		pp[k] = s.lay.ParityPos(stripe, k)
 	}
 	return pp
 }

@@ -197,7 +197,7 @@ func TestWritePlanAccessCounts(t *testing.T) {
 	for _, ioWorkers := range []int{1, 4} {
 		for _, r := range rows {
 			lay := r.lay(t, r.c, r.g)
-			code := [...]string{1: "P", 2: "P+Q"}[layout.NumParities(lay)]
+			code := [...]string{1: "P", 2: "P+Q"}[lay.Parities()]
 			t.Run(fmt.Sprintf("io%d/%s-G%d/j%d/lost%v", ioWorkers, code, r.g, r.j, r.lose), func(t *testing.T) {
 				forceOverlap(t)
 				rng := rand.New(rand.NewSource(int64(r.g*100 + r.j)))

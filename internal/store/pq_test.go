@@ -586,9 +586,9 @@ func compareWithReference(t *testing.T, s *Store, version []uint64, mayRot []lay
 				q[i] ^= gf256.Mul(c, b)
 			}
 		}
-		want[layout.ParityPosOf(s.lay, stripe, 0)] = p
+		want[s.lay.ParityPos(stripe, 0)] = p
 		if s.Parities() == 2 {
-			want[layout.ParityPosOf(s.lay, stripe, 1)] = q
+			want[s.lay.ParityPos(stripe, 1)] = q
 		}
 		for j, w := range want {
 			u := s.lay.Unit(stripe, j)

@@ -331,7 +331,7 @@ func New(cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("store: %d rebuild workers outside [1,1024]", cfg.RebuildWorkers)
 	}
 	l := cfg.Layout
-	parities := layout.NumParities(l)
+	parities := l.Parities()
 	if parities < 1 || parities > 2 {
 		return nil, fmt.Errorf("store: layout has %d parity units per stripe; 1 (P) or 2 (P+Q) supported", parities)
 	}
