@@ -135,7 +135,7 @@ func TestDegradedSurvivorMediaErrorIsDataLoss(t *testing.T) {
 	eng, a := testArray(t, nil)
 	a.Fail(2)
 	unit, loc := dataUnitOn(t, a, 2)
-	surv := layout.SurvivingUnits(a.Layout(), loc)
+	surv := layout.RebuildSources(a.Layout(), loc)
 	r := markBadUnit(a, surv[0])
 	var got uint64
 	a.Read(unit, func(v uint64) { got = v })
@@ -167,7 +167,7 @@ func TestReconSurvivesUnreadableSurvivor(t *testing.T) {
 	eng, a := testArray(t, nil)
 	a.Fail(2)
 	_, loc := dataUnitOn(t, a, 2)
-	surv := layout.SurvivingUnits(a.Layout(), loc)
+	surv := layout.RebuildSources(a.Layout(), loc)
 	r := markBadUnit(a, surv[0])
 	a.Replace()
 	if err := a.Reconstruct(nil); err != nil {

@@ -259,48 +259,13 @@ func (a *Array) paritySum(k int, stripe int64, locs []layout.Loc) uint64 {
 	return v
 }
 
-// parityIndex returns which parity unit position j of the stripe holds
-// (0 for P, 1 for Q), or -1 for a data position.
-func (a *Array) parityIndex(stripe int64, j int) int {
-	for k := 0; k < a.parities; k++ {
-		if j == a.lay.ParityPos(stripe, k) {
-			return k
-		}
-	}
-	return -1
-}
-
-// decodeParity returns the parity whose single equation rebuilds position
-// j alone: a lost parity unit is recomputed through its own equation, a
-// lost data unit is solved through P.
-func (a *Array) decodeParity(stripe int64, j int) int {
-	return max(a.parityIndex(stripe, j), 0)
-}
-
-// reconSources returns the units to read to reconstruct loc's contents:
-// the stripe's other data units plus the one parity unit of the decoding
-// equation (see decodeParity) — every other unit under single parity, G−2
-// units under P+Q, which skips the parity it does not need.
-func (a *Array) reconSources(loc layout.Loc) []layout.Loc {
-	stripe, jLost := a.lay.Locate(loc)
-	via := a.lay.ParityPos(stripe, a.decodeParity(stripe, jLost))
-	g := a.lay.G()
-	out := make([]layout.Loc, 0, g-1)
-	for j := 0; j < g; j++ {
-		if j == jLost || (j != via && layout.IsParityPos(a.lay, stripe, j)) {
-			continue
-		}
-		out = append(out, a.lay.Unit(stripe, j))
-	}
-	return out
-}
-
-// reconValue computes loc's contents from its reconSources. A parity unit
-// is its equation's sum over the data; a data unit is the XOR of the other
-// data and P, which is the P sum taken over all the sources.
+// reconValue computes loc's contents from its layout.RebuildSources, the
+// sum of its layout.DecodeParity equation over them. A parity unit is its
+// equation's sum over the data; a data unit is the XOR of the other data
+// and P, which is the P sum taken over all the sources.
 func (a *Array) reconValue(loc layout.Loc, srcs []layout.Loc) uint64 {
 	stripe, j := a.lay.Locate(loc)
-	return a.paritySum(a.decodeParity(stripe, j), stripe, srcs)
+	return a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, srcs)
 }
 
 // allAvailable reports whether every unit of locs can be accessed directly.
@@ -442,7 +407,7 @@ func (a *Array) read(unit int64, done func(value uint64)) {
 			})
 			return
 		}
-		surv := a.reconSources(loc)
+		surv := layout.RebuildSources(a.lay, loc)
 		a.mOTFRecons.Inc()
 		otf := sp.Child(telemetry.PhaseOTF, a.eng.Now())
 		a.phaseSpan = otf

@@ -89,8 +89,9 @@ func (a *Array) deferRecon(delay float64) {
 }
 
 // reconStep runs one reconstruction cycle of one process: claim the next
-// unit, lock its stripe, read the G−1 survivors, XOR, write the result to
-// the replacement, then schedule the next cycle.
+// unit, lock its stripe, read the survivors its decode needs
+// (layout.RebuildSources: G−1 under P, G−2 under P+Q), sum them, write the
+// result to the replacement, then schedule the next cycle.
 func (a *Array) reconStep() {
 	if !a.reconActive {
 		a.reconProcsLive--
@@ -127,7 +128,7 @@ func (a *Array) reconStep() {
 			a.deferRecon(0)
 			return
 		}
-		surv := a.reconSources(loc)
+		surv := layout.RebuildSources(a.lay, loc)
 		for _, u := range surv {
 			a.reconReads[u.Disk]++
 		}
@@ -277,9 +278,11 @@ func (a *Array) ReconProgress() (done, total int64) {
 }
 
 // ReconReadLoad returns, per disk slot, how many survivor units the
-// reconstruction sweep read — the direct observable behind the paper's
-// claim that declustering spreads rebuild load evenly at fraction α over
-// the survivors (the failed slot reads nothing).
+// reconstruction sweep read (the failed slot reads nothing) — the direct
+// observable behind the paper's claim that declustering spreads rebuild
+// load over the survivors. Under single parity the load is even, α of
+// each survivor; under P+Q it is not, since a lone erasure never reads the
+// parity its decode skips (layout.DecodeParity).
 func (a *Array) ReconReadLoad() []int64 {
 	out := make([]int64, len(a.reconReads))
 	copy(out, a.reconReads)

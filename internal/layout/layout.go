@@ -113,16 +113,35 @@ func StripeUnits(l Layout, stripe int64) []Loc {
 	return out
 }
 
-// SurvivingUnits returns the units of the stripe owning loc, excluding loc
-// itself: exactly the reads needed to reconstruct loc's contents.
-func SurvivingUnits(l Layout, loc Loc) []Loc {
-	stripe, j := l.Locate(loc)
+// DecodeParity returns the parity equation (k = 0 is P, 1 is Q) that
+// rebuilds position j of stripe s when j is the stripe's only lost unit: a
+// parity unit is recomputed through its own equation, and a data unit is
+// solved through P. This is the one home of the lone-erasure rule; the
+// simulator decodes through it, and the store's rebuild reads are pinned to
+// it by test.
+func DecodeParity(l Layout, stripe int64, j int) int {
+	for k := l.Parities() - 1; k > 0; k-- {
+		if j == l.ParityPos(stripe, k) {
+			return k
+		}
+	}
+	return 0
+}
+
+// RebuildSources returns the units a decode of loc reads when loc is its
+// stripe's only lost unit: the stripe's other data units and the parity
+// unit of its DecodeParity equation — G−1 units under P, G−2 under P+Q,
+// where the equation it does not use is skipped.
+func RebuildSources(l Layout, loc Loc) []Loc {
+	stripe, lost := l.Locate(loc)
+	via := l.ParityPos(stripe, DecodeParity(l, stripe, lost))
 	g := l.G()
 	out := make([]Loc, 0, g-1)
-	for p := 0; p < g; p++ {
-		if p != j {
-			out = append(out, l.Unit(stripe, p))
+	for j := 0; j < g; j++ {
+		if j == lost || (j != via && IsParityPos(l, stripe, j)) {
+			continue
 		}
+		out = append(out, l.Unit(stripe, j))
 	}
 	return out
 }

@@ -329,7 +329,7 @@ func TestOverlapRebuildWriteBehindFailure(t *testing.T) {
 	forceOverlap(t)
 	lay := testLayout(t, 7, 4)
 	const target, k = 2, 10
-	next := layout.SurvivingUnits(lay, layout.Loc{Disk: target, Offset: k + 1})[0]
+	next := layout.RebuildSources(lay, layout.Loc{Disk: target, Offset: k + 1})[0]
 	disks := make([]Disk, lay.Disks())
 	for i := range disks {
 		disks[i] = NewMemDisk(48, 512)
