@@ -62,11 +62,13 @@ bench-harness:
 	fi
 
 # Every Fuzz target in the module, FUZZTIME each, found by asking the
-# packages for their lists — a new target needs no edit here. Today: the
-# GF(2^8) slice kernels against the scalar field ops and each dispatching
-# kernel against its portable loop, and the store's three
-# on-disk parsers (superblock, intent log, checksum trailer) against oracles
-# the tests compute. A failing input is written to testdata/fuzz/<target>/
+# packages for their lists — a new target needs no edit here. Today five:
+# the GF(2^8) slice kernels against the scalar field ops and each
+# dispatching kernel against its portable loop, the layout's helpers that
+# place data around parity (FuzzParityPositions) against a brute-force scan
+# of one stripe, and
+# the store's three on-disk parsers (superblock, intent log, checksum
+# trailer) against oracles the tests compute. A failing input is written to testdata/fuzz/<target>/
 # beside the test and from then on replayed by plain `go test`; check it
 # in with the fix. Minimizing an input is capped at a second: the default
 # minute, spent on an input whose "new coverage" was a file-system retry
@@ -161,7 +163,7 @@ cover:
 # suite under the race detector (once — the storage chaos and crash tests
 # included), the portable GF(2^8) kernels under the store's suite, the
 # fault-injection lifecycle smoke, the benchmark harness's own tests, ten
-# seconds of each fuzz target (four of them: 40 s), and a benchmark smoke
+# seconds of each fuzz target (five of them: 50 s), and a benchmark smoke
 # pass.
 verify: fmt-check vet build race portable fault-smoke bench-harness fuzz bench-smoke
 	@echo "verify: OK"

@@ -238,12 +238,13 @@ func BenchmarkDesignGeneration(b *testing.B) {
 // --- Instrumentation overhead ---
 
 // runFaultFree runs one 1/20-scale fault-free window of measureMS simulated
-// milliseconds, optionally with the full metrics stack (registry, latency
-// histograms, time-series sampling) attached. The benchmark pair times it;
+// milliseconds over stripes with parities parity units (1: P; 2: P+Q),
+// optionally with the full metrics stack (registry, latency histograms,
+// time-series sampling) attached. The benchmark pair times it under P;
 // TestFaultFreeCounts asserts everything about it that is not time.
-func runFaultFree(instrumented bool, measureMS float64) (declust.Metrics, error) {
+func runFaultFree(parities int, instrumented bool, measureMS float64) (declust.Metrics, error) {
 	cfg := declust.SimConfig{
-		C: 21, G: 5,
+		C: 21, G: 5, Parities: parities,
 		ScaleNum: 1, ScaleDen: 20,
 		RatePerSec:   210,
 		ReadFraction: 0.5,
@@ -265,7 +266,7 @@ const faultFreeWindowMS = 20_000
 // instrumentation; with it disabled the hot path pays only nil checks.
 func benchFaultFree(b *testing.B, instrumented bool) {
 	for i := 0; i < b.N; i++ {
-		m, err := runFaultFree(instrumented, faultFreeWindowMS)
+		m, err := runFaultFree(1, instrumented, faultFreeWindowMS)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,11 +290,13 @@ func BenchmarkFaultFreeMetricsOn(b *testing.B) { benchFaultFree(b, true) }
 // the fixed part moves by a few with the Go release and, under the race
 // detector, with what sync.Pool drops: the window the benchmarks time may
 // cost a few per cent more than it does today (1 047 objects without the
-// registry, 2 345 with), and stretching the window fourfold may add 0.05
-// allocations per extra request (today 0.014 and 0.034: growth of the
-// response-sample, histogram and series slices) — one allocation per
-// request overshoots that twentyfold. Time is left to the benchmarks and
-// judged parent against change: DESIGN.md §6.
+// registry, 2 345 with, 1 456 under P+Q), and stretching the window
+// fourfold may add 0.05 allocations per extra request (today 0.014, 0.034
+// and 0.014: growth of the response-sample, histogram and series slices) —
+// one allocation per request overshoots that twentyfold. The P+Q row plays
+// the same workload through the write planner's P+Q paths, which outside it
+// only the golden hashes guard. Time is left to the benchmarks and judged
+// parent against change: DESIGN.md §6.
 func TestFaultFreeCounts(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Other architectures may fuse multiply-adds, moving simulated
@@ -302,39 +305,41 @@ func TestFaultFreeCounts(t *testing.T) {
 	}
 	const longWindowMS = 4 * faultFreeWindowMS
 	for _, tc := range []struct {
+		parities               int
 		instrumented           bool
 		requests, events       int     // the benchmarks' window
 		longRequests, longEvts int     // four times the window
 		allocCeiling           float64 // allocations of one benchmark window
 	}{
-		{false, 4053, 15663, 16493, 59257, 1100},
-		{true, 4053, 15686, 16493, 59340, 2460},
+		{1, false, 4053, 15663, 16493, 59257, 1100},
+		{1, true, 4053, 15686, 16493, 59340, 2460},
+		{2, false, 4053, 20143, 16493, 76213, 1530},
 	} {
 		measure := func(ms float64, wantReq, wantEvents int) float64 {
 			t.Helper()
 			var m declust.Metrics
 			allocs := testing.AllocsPerRun(3, func() {
 				var err error
-				if m, err = runFaultFree(tc.instrumented, ms); err != nil {
+				if m, err = runFaultFree(tc.parities, tc.instrumented, ms); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if m.Requests != wantReq || m.EngineEvents != uint64(wantEvents) {
-				t.Errorf("metrics %v, %.0f ms: %d requests and %d engine events, want exactly %d and %d",
-					tc.instrumented, ms, m.Requests, m.EngineEvents, wantReq, wantEvents)
+				t.Errorf("parities %d, metrics %v, %.0f ms: %d requests and %d engine events, want exactly %d and %d",
+					tc.parities, tc.instrumented, ms, m.Requests, m.EngineEvents, wantReq, wantEvents)
 			}
 			return allocs
 		}
 		short := measure(faultFreeWindowMS, tc.requests, tc.events)
 		long := measure(longWindowMS, tc.longRequests, tc.longEvts)
 		if short > tc.allocCeiling {
-			t.Errorf("metrics %v: one %d ms window allocates %.0f objects, ceiling %.0f",
-				tc.instrumented, faultFreeWindowMS, short, tc.allocCeiling)
+			t.Errorf("parities %d, metrics %v: one %d ms window allocates %.0f objects, ceiling %.0f",
+				tc.parities, tc.instrumented, faultFreeWindowMS, short, tc.allocCeiling)
 		}
 		const perRequestCeiling = 0.05
 		if per := (long - short) / float64(tc.longRequests-tc.requests); per > perRequestCeiling {
-			t.Errorf("metrics %v: %.3f allocations per extra request (%.0f over %d ms, %.0f over %d), ceiling %.2f",
-				tc.instrumented, per, short, faultFreeWindowMS, long, longWindowMS, perRequestCeiling)
+			t.Errorf("parities %d, metrics %v: %.3f allocations per extra request (%.0f over %d ms, %.0f over %d), ceiling %.2f",
+				tc.parities, tc.instrumented, per, short, faultFreeWindowMS, long, longWindowMS, perRequestCeiling)
 		}
 	}
 }

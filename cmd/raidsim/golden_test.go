@@ -20,8 +20,9 @@ var updateGolden = flag.Bool("update", false, "regenerate testdata/golden instea
 // a running sweep: read-modify-write over one and two live parities, the
 // no-live-parity single write, fold with and without the redirected data
 // write, mirror (G = 2), the small-write optimization and P+Q's
-// one-data-unit stripes (G = 3), and the large / RMW / reconstruct range
-// writes (-size 4; G = 10 is where a P+Q group is small enough to RMW).
+// one-data-unit stripes (G = 3, every write a large write), and the large /
+// RMW / reconstruct range writes (-size 4; under P+Q a one-unit group is
+// the RMW at G = 5, and groups of up to three units are at G = 10).
 type goldenCase struct {
 	g, parities, size int
 	alg               string

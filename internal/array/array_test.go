@@ -104,7 +104,7 @@ func TestFaultFreeReadIsOneAccess(t *testing.T) {
 
 func TestWriteThenReadBack(t *testing.T) {
 	eng, a := testArray(t, nil)
-	a.Write(100, func() {
+	a.WriteRange(100, 1, func() {
 		a.Read(100, func(v uint64) {
 			if v != a.ExpectedValue(100) {
 				t.Errorf("read back %#x, want %#x", v, a.ExpectedValue(100))
@@ -130,7 +130,7 @@ func TestConcurrentWritesSameStripeSerialize(t *testing.T) {
 	// Units 0..3 share parity stripe 0 under the stripe-index mapping.
 	done := 0
 	for u := int64(0); u < 4; u++ {
-		a.Write(u, func() { done++ })
+		a.WriteRange(u, 1, func() { done++ })
 	}
 	eng.Run()
 	if done != 4 {
@@ -266,7 +266,7 @@ func TestReadValueDuringDegradedMatchesLatestWrite(t *testing.T) {
 		}
 	}
 	// Write (folds into parity), then read back on the fly.
-	a.Write(unit, func() {
+	a.WriteRange(unit, 1, func() {
 		a.Read(unit, func(v uint64) {
 			if v != a.ExpectedValue(unit) {
 				t.Errorf("read %#x after degraded write, want %#x", v, a.ExpectedValue(unit))

@@ -416,7 +416,7 @@ func TestTransientTimeoutsRetryToCompletion(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			eng.At(when, func() { a.Read(unit, func(uint64) { completed++ }) })
 		} else {
-			eng.At(when, func() { a.Write(unit, func() { completed++ }) })
+			eng.At(when, func() { a.WriteRange(unit, 1, func() { completed++ }) })
 		}
 	}
 	eng.Run()

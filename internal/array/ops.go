@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"slices"
 
 	"declust/internal/disk"
 	"declust/internal/gf256"
@@ -10,7 +11,7 @@ import (
 )
 
 // SetOpSpan hands the array the parent span for the next synchronous
-// Read/Write/ReadRange/WriteRange call, which consumes it. The array opens
+// Read/ReadRange/WriteRange call, which consumes it. The array opens
 // lifecycle-phase children under it (lock wait, pre-reads, commits,
 // on-the-fly reconstruction) and tags every disk transfer so the drives
 // attach queue/seek/rotate/transfer segments. All of it is nil-safe: with
@@ -268,16 +269,6 @@ func (a *Array) reconValue(loc layout.Loc, srcs []layout.Loc) uint64 {
 	return a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, srcs)
 }
 
-// allAvailable reports whether every unit of locs can be accessed directly.
-func (a *Array) allAvailable(locs []layout.Loc) bool {
-	for _, u := range locs {
-		if !a.available(u) {
-			return false
-		}
-	}
-	return true
-}
-
 // target is one logical data unit a write covers: where it lives and the
 // value it is given.
 type target struct {
@@ -293,14 +284,14 @@ type parityUnit struct {
 }
 
 // userOp tracks one user operation through its rounds of transfers: a
-// direct read (one round of one transfer), or a write — Write's single
-// unit or one stripe's share of a WriteRange — which, once its stripe lock
-// is held, is a plan: at most two rounds, the units of the second usually
-// being the ones the first pre-read. A planner (writeLocked for Write,
-// planGroup for WriteRange) fills the plan from what the stripe has — which
-// of its parity units are live, whether the data unit is — and run plays
-// it: round 1, repair of its failed reads, round 2, finish. Every write
-// transfer carries the value its unit takes when its round completes.
+// direct read (one round of one transfer), or a write — one stripe's share
+// of a WriteRange — which, once its stripe lock is held, is a plan: at most
+// two rounds, the units of the second usually being the ones the first
+// pre-read. The one planner, plan, fills it from what the stripe has — which
+// of its parity units are live, whether the written units are — and how
+// many of its data units the write covers; run plays it: round 1, repair of
+// its failed reads, round 2, finish. Every write transfer carries the value
+// its unit takes when its round completes.
 //
 // All of those values are computed while planning, i.e. when the first
 // round is submitted, not when it completes: the stripe lock guarantees no
@@ -311,8 +302,8 @@ type parityUnit struct {
 //
 // Nodes are pooled on the Array with the stage continuations pre-bound and
 // the plan's buffers kept, so unit reads and writes allocate nothing in
-// steady state, whatever the stripe's condition (a fold's list of
-// surviving data units excepted).
+// steady state, whatever the stripe's condition (the list of data units a
+// from-scratch plan reads excepted).
 type userOp struct {
 	a         *Array
 	stripe    int64
@@ -327,11 +318,11 @@ type userOp struct {
 	phase     *telemetry.Span // open lifecycle-phase child, ended by the stage that retires it
 
 	// Stage continuations, bound once per node.
-	readPlainFn   func([]xfer)
-	writeLockedFn func()
-	repairFn      func([]xfer)
-	commitFn      func()
-	commitDoneFn  func([]xfer)
+	readPlainFn  func([]xfer)
+	planFn       func()
+	repairFn     func([]xfer)
+	commitFn     func()
+	commitDoneFn func([]xfer)
 }
 
 func (a *Array) getOp() *userOp {
@@ -342,7 +333,7 @@ func (a *Array) getOp() *userOp {
 	}
 	op := &userOp{a: a}
 	op.readPlainFn = op.readPlain
-	op.writeLockedFn = op.writeLocked
+	op.planFn = op.plan
 	op.repairFn = op.repair
 	op.commitFn = op.commit
 	op.commitDoneFn = op.commitDone
@@ -480,30 +471,6 @@ func (a *Array) redirectableRead(loc layout.Loc) bool {
 		(a.cfg.Algorithm == Redirect || a.cfg.Algorithm == RedirectPiggyback)
 }
 
-// Write performs a user write of one data unit, invoking done when the
-// array has committed data and parity. All writes serialize on their
-// stripe's lock because they read-modify-write the shared parity unit.
-func (a *Array) Write(unit int64, done func()) {
-	a.mUserWrites.Inc()
-	a.write(unit, done)
-}
-
-// write is Write without the user-operation count: a range write passes
-// the units of a degraded stripe on through it.
-func (a *Array) write(unit int64, done func()) {
-	if unit < 0 || unit >= a.dataUnits {
-		panic(fmt.Sprintf("array: data unit %d out of range [0,%d)", unit, a.dataUnits))
-	}
-	op := a.getOp()
-	loc := a.mapper.Loc(unit)
-	op.stripe, _ = a.lay.Locate(loc)
-	op.data = append(op.data, target{unit: unit, loc: loc, value: a.newValue()})
-	op.writeDone = done
-	op.span = a.takeOpSpan()
-	op.phase = op.span.Child(telemetry.PhaseLockWait, a.eng.Now())
-	a.locks.acquire(op.stripe, op.writeLockedFn)
-}
-
 // read adds reads of locs to the first round.
 func (op *userOp) read(locs ...layout.Loc) {
 	for _, loc := range locs {
@@ -511,16 +478,16 @@ func (op *userOp) read(locs ...layout.Loc) {
 	}
 }
 
-// write adds to round r a write of loc, which takes the value v when the
+// writeAt adds to round r a write of loc, which takes the value v when the
 // round completes.
-func (op *userOp) write(r int, loc layout.Loc, v uint64) {
+func (op *userOp) writeAt(r int, loc layout.Loc, v uint64) {
 	op.rounds[r] = append(op.rounds[r], xfer{loc: loc, write: true, val: v})
 }
 
 // writeData adds the covered data units' writes to round r.
 func (op *userOp) writeData(r int) {
 	for _, t := range op.data {
-		op.write(r, t.loc, t.value)
+		op.writeAt(r, t.loc, t.value)
 	}
 }
 
@@ -535,7 +502,7 @@ func (op *userOp) writeParities(others []layout.Loc) {
 		for _, t := range op.data {
 			v ^= a.term(p.k, op.stripe, t.loc, t.value)
 		}
-		op.write(1, p.loc, v)
+		op.writeAt(1, p.loc, v)
 	}
 }
 
@@ -556,8 +523,54 @@ func (op *userOp) planRMW() {
 			v ^= a.term(p.k, op.stripe, t.loc, a.unitVal(t.loc)^t.value)
 		}
 		op.read(p.loc)
-		op.write(1, p.loc, v)
+		op.writeAt(1, p.loc, v)
 	}
+}
+
+// planFromScratch plans a write that builds every live parity from the
+// stripe's new contents: read the data units the write leaves alone, then
+// write the data, in round dataRound, and the parities. What it reads names
+// the plan:
+//
+//   - nothing: the large write; at G = 2 mirroring, the parity unit a copy
+//     of the data unit (Copeland & Keller's interleaved declustering, §3);
+//   - some units: the reconstruct-write, or, with dataRound 0, the small
+//     write, its one read overlapping the data write;
+//   - with the written unit lost, whatever it reads: the fold. The parities
+//     carry the new value until the sweep rebuilds it; once a replacement
+//     is installed, every algorithm but Baseline also writes it there,
+//     which counts as reconstruction.
+//
+// A lost unit among the ones it would read would cost a decode, so the
+// read-modify-write runs instead, which never needs one.
+func (op *userOp) planFromScratch(lost bool, dataRound int) {
+	a := op.a
+	others := op.uncovered()
+	if !lost && slices.ContainsFunc(others, func(u layout.Loc) bool { return !a.available(u) }) {
+		op.planRMW()
+		return
+	}
+	op.read(others...)
+	switch {
+	case lost:
+		op.names[0] = telemetry.PhaseFold
+		op.redirect = (a.replacement || a.spareLay != nil) && a.cfg.Algorithm != Baseline
+		op.writeParities(others)
+		if op.redirect {
+			op.writeData(1)
+		}
+		return
+	case dataRound == 0:
+		op.names = [2]string{telemetry.PhaseSWPreread, telemetry.PhaseSWCommit}
+	case a.lay.G() == 2:
+		op.names[0] = telemetry.PhaseMirror
+	case len(others) == 0:
+		op.names[0] = telemetry.PhaseCommit
+	default:
+		op.names = [2]string{telemetry.PhasePreread, telemetry.PhaseCommit}
+	}
+	op.writeData(dataRound)
+	op.writeParities(others)
 }
 
 // findLive lists the stripe's available parity units.
@@ -570,96 +583,88 @@ func (op *userOp) findLive() {
 	}
 }
 
-// uncovered returns the stripe's data units the write does not cover.
+// uncovered returns the stripe's data units the write does not cover, in
+// position order: nil, allocating nothing, when it covers them all.
 func (op *userOp) uncovered() []layout.Loc {
 	a := op.a
-	g := a.lay.G()
-	out := make([]layout.Loc, 0, g-1)
-	for j := 0; j < g; j++ {
-		if layout.IsParityPos(a.lay, op.stripe, j) {
-			continue
-		}
-		if u := a.lay.Unit(op.stripe, j); !op.covers(u) {
+	var out []layout.Loc
+	for d := 0; d < layout.DataPerStripe(a.lay); d++ {
+		u := a.lay.Unit(op.stripe, layout.DataPos(a.lay, op.stripe, d))
+		if !slices.ContainsFunc(op.data, func(t target) bool { return t.loc == u }) {
 			out = append(out, u)
 		}
 	}
 	return out
 }
 
-func (op *userOp) covers(u layout.Loc) bool {
-	for _, t := range op.data {
-		if t.loc == u {
-			return true
+// writable reports whether every parity unit of the write's stripe and
+// every unit the write covers is available.
+func (op *userOp) writable() bool {
+	a := op.a
+	for k := 0; k < a.parities; k++ {
+		if !a.available(layout.ParityLocOf(a.lay, op.stripe, k)) {
+			return false
 		}
 	}
-	return false
+	return !slices.ContainsFunc(op.data, func(t target) bool { return !a.available(t.loc) })
 }
 
-// writeLocked plans a unit write with the stripe lock held, so the failure
-// state it sees cannot change under it, and starts it. The plan depends
-// only on what the stripe has:
+// split recycles a multi-unit write and writes its units one at a time, as
+// separate one-unit writes sharing its span and completion: the write of a
+// stripe that has lost a unit or a parity is planned unit by unit.
+func (op *userOp) split() {
+	a, sp, part := op.a, op.span, join(len(op.data), op.writeDone)
+	units := make([]int64, len(op.data))
+	for i, t := range op.data {
+		units[i] = t.unit
+	}
+	a.putOp(op)
+	for _, n := range units {
+		a.writeUnits(sp, part, n)
+	}
+}
+
+// plan is the array's one write planner. It runs with the stripe lock
+// held, so the failure state it sees cannot change under it, and starts
+// the plan it makes. The plan depends only on what the stripe has and on
+// how many of its data units the write covers, weighed by the rule the
+// store plans by, layout.FromScratch:
 //
-//   - data unit lost: fold — read the surviving data, write each live
-//     parity so that a later sweep reconstructs the new value. Under
-//     Baseline (or with no replacement installed) that is all; the other
-//     algorithms also send the new data to the replacement, which counts
-//     as reconstruction. With no surviving data (G = 2, or G = 3 under
-//     P+Q) the parities encode the new value directly and nothing is read.
-//   - no live parity: there is nothing to pre-read for, so the write is a
-//     single data access (§7); the parity unit is recomputed from data
-//     when its turn in the sweep comes.
-//   - G = 2: the parity unit is a copy of the data unit, so the write is
-//     two plain writes with no pre-reads — the G = 2 declustered layout
-//     behaves as declustered mirroring (Copeland & Keller's interleaved
-//     declustering, §3).
-//   - three-unit stripe with the small-write optimization on: overlap the
-//     read of the one other data unit with the data write, then write
-//     parity computed from the two new values — three accesses.
+//   - no live parity: there is nothing to keep, so the write is the data
+//     alone (§7); the parity is recomputed from data when its turn in the
+//     sweep comes.
+//   - single parity, G = 3, one unit written: the small write (§6's
+//     α = 0.1 exception) — overlap the read of the other data unit with the
+//     data write, then write parity from the two new values, three
+//     accesses; the store takes the four-access delta here.
+//   - the written unit lost, or layout.FromScratch: build every live parity
+//     from the stripe's new contents (planFromScratch).
 //   - otherwise: read-modify-write over the live parities (planRMW).
-func (op *userOp) writeLocked() {
+//
+// A multi-unit write whose stripe lost a unit or a parity while it waited
+// for the lock is split, as WriteRange splits it before the lock.
+func (op *userOp) plan() {
 	a := op.a
-	op.phase.End(a.eng.Now()) // lock wait is over
-	op.phase = nil
+	op.phase.End(a.eng.Now()) // lock wait is over; run opens the next phase
+	if len(op.data) > 1 && !op.writable() {
+		a.locks.release(op.stripe)
+		op.split()
+		return
+	}
 	op.findLive()
-	if loc := op.data[0].loc; !a.available(loc) {
-		others := op.uncovered()
-		op.redirect = (a.replacement || a.spareLay != nil) && a.cfg.Algorithm != Baseline
-		op.names[0] = telemetry.PhaseFold
-		op.read(others...)
-		op.writeParities(others)
-		if op.redirect {
-			op.writeData(1)
-		}
-	} else if len(op.live) == 0 {
+	g, k, lost := a.lay.G(), len(op.data), !a.available(op.data[0].loc)
+	switch {
+	case len(op.live) == 0:
 		op.names[0] = telemetry.PhaseDataWrite
 		op.writeData(1)
-	} else if a.lay.G() == 2 {
-		op.names[0] = telemetry.PhaseMirror
-		op.writeData(1)
-		op.writeParities(nil)
-	} else if others := op.smallWriteCompanion(); others != nil {
-		op.names = [2]string{telemetry.PhaseSWPreread, telemetry.PhaseSWCommit}
-		op.read(others...)
-		op.writeData(0)
-		op.writeParities(others)
-	} else {
+	case a.parities == 1 && g == 3 && k == 1 && !lost:
+		op.planFromScratch(false, 0)
+	case lost || layout.FromScratch(g-a.parities, k):
+		op.planFromScratch(lost, 1)
+	default:
 		op.planRMW()
 	}
 	op.run()
-}
-
-// smallWriteCompanion returns the stripe's one other data unit when the
-// three-access write applies to it, nil otherwise.
-func (op *userOp) smallWriteCompanion() []layout.Loc {
-	a := op.a
-	if a.lay.G() != 3 {
-		return nil
-	}
-	others := op.uncovered()
-	if len(others) != 1 || !a.available(others[0]) {
-		return nil
-	}
-	return others
 }
 
 // run plays the plan: the first round if it has one, then commit.

@@ -119,104 +119,44 @@ func (a *Array) posOf(loc layout.Loc, s int64) int {
 	return j
 }
 
-// WriteRange writes count consecutive logical data units starting at unit.
-// Per stripe touched, the driver picks the cheapest correct path:
-//
-//   - large write: the group covers all G−1 data units and every unit
-//     (including parity) is writable — write all G units, no pre-reads;
-//   - read-modify-write: pre-read the k old data units and parity, write
-//     k+1 (2k+2 accesses);
-//   - reconstruct-write: read the G−1−k untouched data units, write k+1
-//     (G accesses) — cheaper than RMW when k+2 > G−k;
-//   - degraded stripes (a lost, unreconstructed unit among data or
-//     parity) fall back to the single-unit degraded paths per unit.
+// WriteRange writes count consecutive logical data units starting at unit,
+// invoking done when the array has committed data and parity. It is the
+// array's one way to write: each stripe's share of the range is one write,
+// planned once its stripe lock is held (userOp.plan) by the rule the store
+// plans by — large write, reconstruct-write or read-modify-write, with the
+// fold and the small write among them. The share of a stripe that has lost
+// a unit or a parity is written unit by unit.
 func (a *Array) WriteRange(unit int64, count int, done func()) {
 	a.checkRange(unit, count)
 	a.mUserWrites.Inc()
 	sp := a.takeOpSpan()
+	if count == 1 {
+		a.writeUnits(sp, done, unit) // nothing to group, nothing allocated
+		return
+	}
 	groups := a.groupByStripe(unit, count)
 	part := join(len(groups), done)
 	for _, grp := range groups {
-		a.writeGroup(grp, sp, part)
+		a.writeUnits(sp, part, grp.units...)
 	}
 }
 
-func (a *Array) writeGroup(grp stripeGroup, sp *telemetry.Span, done func()) {
-	// Degraded stripes use the single-unit paths, which handle folding,
-	// redirection and reconstruction marking; the group degenerates to
-	// per-unit writes.
-	perUnit := func() {
-		part := join(len(grp.units), done)
-		for _, n := range grp.units {
-			a.SetOpSpan(sp)
-			a.write(n, part)
-		}
-	}
-	if !a.groupWritable(grp) {
-		perUnit()
-		return
-	}
+// writeUnits writes units, which share one stripe, as one write under the
+// stripe's lock, then calls done; sp is the user operation's root span.
+func (a *Array) writeUnits(sp *telemetry.Span, done func(), units ...int64) {
 	op := a.getOp()
-	op.stripe = grp.stripe
-	for i, n := range grp.units {
-		op.data = append(op.data, target{unit: n, loc: grp.locs[i], value: a.newValue()})
+	for _, n := range units {
+		op.data = append(op.data, target{unit: n, loc: a.mapper.Loc(n), value: a.newValue()})
 	}
+	op.stripe, _ = a.lay.Locate(op.data[0].loc)
 	op.writeDone = done
 	op.span = sp
+	if len(units) > 1 && !op.writable() {
+		op.split()
+		return
+	}
 	op.phase = sp.Child(telemetry.PhaseLockWait, a.eng.Now())
-	a.locks.acquire(grp.stripe, func() {
-		op.phase.End(a.eng.Now())
-		op.phase = nil
-		// State may have changed while waiting; bail to per-unit writes
-		// if the stripe degraded (writeLocked handles every case, but
-		// we must not hold the lock across its own acquire).
-		if !a.groupWritable(grp) {
-			a.locks.release(grp.stripe)
-			a.putOp(op)
-			perUnit()
-			return
-		}
-		op.planGroup()
-		op.run()
-	})
-}
-
-// groupWritable reports whether a stripe group can be written as a whole:
-// every parity unit and every unit the group covers is available.
-func (a *Array) groupWritable(grp stripeGroup) bool {
-	for k := 0; k < a.parities; k++ {
-		if !a.available(layout.ParityLocOf(a.lay, grp.stripe, k)) {
-			return false
-		}
-	}
-	return a.allAvailable(grp.locs)
-}
-
-// planGroup plans a whole-group write (see WriteRange) of k data units,
-// its stripe locked and groupWritable.
-func (op *userOp) planGroup() {
-	a := op.a
-	op.findLive()
-	others := op.uncovered()
-	switch k := len(op.data); {
-	case len(others) == 0:
-		// Large write: parity from the new data alone.
-		op.names[0] = telemetry.PhaseCommit
-		op.writeData(1)
-		op.writeParities(nil)
-	case 2*(k+a.parities) <= a.lay.G() || !a.allAvailable(others):
-		// Reconstruct-write would pre-read the stripe's untouched data
-		// units, so it is only eligible when they are all readable (they
-		// may include a lost, unreconstructed unit even though everything
-		// the group writes is available).
-		op.planRMW()
-	default:
-		// Reconstruct-write: read the untouched data units.
-		op.names = [2]string{telemetry.PhasePreread, telemetry.PhaseCommit}
-		op.read(others...)
-		op.writeData(1)
-		op.writeParities(others)
-	}
+	a.locks.acquire(op.stripe, op.planFn)
 }
 
 func (a *Array) checkRange(unit int64, count int) {

@@ -188,7 +188,7 @@ func TestUserOpCountersCountRangesOnce(t *testing.T) {
 		a.ReadRange(0, 40, func() {})
 		a.WriteRange(40, 40, func() {})
 		a.Read(100, func(uint64) {})
-		a.Write(101, func() {})
+		a.WriteRange(101, 1, func() {})
 		eng.Run()
 		reads, writes := reg.Counter("array_user_reads").Value(), reg.Counter("array_user_writes").Value()
 		if reads != 2 || writes != 2 {

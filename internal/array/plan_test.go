@@ -122,12 +122,11 @@ func writePlans(t *testing.T, plane string) []planRow {
 }
 
 // TestWritePlanAccessCounts pins the write-plan table (DESIGN.md §2): for
-// each stripe condition the planners distinguish, how many reads and writes
+// each stripe condition the planner distinguishes, how many reads and writes
 // one user write costs — the counts behind every response-time figure of the
-// paper's §6–§8. The range writes are the rows of the table the store's test
-// of the same name reads too; the unit writes below them are the simulator's
-// own. Each row then checks the array stayed consistent and that the written
-// units read back.
+// paper's §6–§8. The first rows are the table the store's test of the same
+// name reads too; the ones below them are the simulator's own. Each row then
+// checks the array stayed consistent and that the written units read back.
 func TestWritePlanAccessCounts(t *testing.T) {
 	code := [...]string{1: "P", 2: "PQ"}
 	for _, r := range writePlans(t, "array") {
@@ -164,16 +163,14 @@ func TestWritePlanAccessCounts(t *testing.T) {
 		reads    int
 		writes   int
 	}{
-		// One unit through Write, whose planner has no range rule: the
-		// paper's small write (§6), and a stripe of three units (§6's α = 0.1
-		// exception) or of two (mirroring).
+		// One unit on 21 disks: the paper's small write (§6), and a stripe of
+		// three units (§6's α = 0.1 exception) or of two (mirroring).
 		{name: "P/rmw", g: 5, m: 1, reads: 2, writes: 2},
 		{name: "P/small-write", g: 3, m: 1, reads: 1, writes: 2},
 		{name: "P/mirror", g: 2, m: 1, reads: 0, writes: 2},
 		{name: "P/mirror-twin-lost", g: 2, m: 1, lost: lostP, reads: 0, writes: 1},
 		{name: "P/mirror-fold", g: 2, m: 1, lost: lostData, reads: 0, writes: 1},
 		{name: "PQ/rmw", g: 5, m: 2, reads: 3, writes: 3},
-		{name: "PQ/one-data-unit-rmw", g: 3, m: 2, reads: 3, writes: 3},
 		// The reconstruction algorithms (§8): with a replacement installed,
 		// all but Baseline also send a folded write to it.
 		{name: "P/fold-baseline-replaced", g: 5, m: 1, lost: lostData, replaced: true, reads: 3, writes: 1},
@@ -198,7 +195,7 @@ func TestWritePlanAccessCounts(t *testing.T) {
 				}
 				first = unitWithLost(t, a, failed, r.lost)
 			}
-			checkWrite(t, eng, a, first, 1, r.reads, r.writes, func() { a.Write(first, func() {}) })
+			checkWrite(t, eng, a, first, 1, r.reads, r.writes, func() { a.WriteRange(first, 1, func() {}) })
 		})
 	}
 }

@@ -34,7 +34,7 @@ func pumpWorkload(eng *sim.Engine, a *Array, n int, spanMS float64, seed int64) 
 		if rng.Intn(2) == 0 {
 			eng.At(when, func() { a.Read(unit, func(uint64) {}) })
 		} else {
-			eng.At(when, func() { a.Write(unit, func() {}) })
+			eng.At(when, func() { a.WriteRange(unit, 1, func() {}) })
 		}
 	}
 }
@@ -260,7 +260,7 @@ func TestUserWritesReconstructsWrittenUnits(t *testing.T) {
 			break
 		}
 	}
-	a.Write(unit, func() {
+	a.WriteRange(unit, 1, func() {
 		if !a.Reconstructed(off) {
 			t.Error("user-writes did not mark written unit reconstructed")
 		}
@@ -284,7 +284,7 @@ func TestBaselineFoldDoesNotMarkReconstructed(t *testing.T) {
 			break
 		}
 	}
-	a.Write(unit, func() {
+	a.WriteRange(unit, 1, func() {
 		if a.Reconstructed(off) {
 			t.Error("baseline fold marked unit reconstructed")
 		}
@@ -393,7 +393,7 @@ func TestMidFlightFailureDuringRMW(t *testing.T) {
 	eng, a := testArray(t, func(c *Config) { c.ReconProcs = 8 })
 	unit, _ := earliestDataUnitOnDisk(t, a, 5)
 	committed := false
-	a.Write(unit, func() { committed = true })
+	a.WriteRange(unit, 1, func() { committed = true })
 	// Fail the disk 1 ms in — mid pre-read — and hot-replace it.
 	eng.Schedule(1, func() {
 		if err := a.Fail(5); err != nil {

@@ -124,7 +124,7 @@ func TestSparingWritesAfterCompletion(t *testing.T) {
 	a.Reconstruct(nil)
 	eng.Run()
 	unit, _ := earliestDataUnitOnDisk(t, a, 3)
-	a.Write(unit, func() {})
+	a.WriteRange(unit, 1, func() {})
 	eng.Run()
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)

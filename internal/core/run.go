@@ -640,8 +640,6 @@ func (r *runner) arrive() {
 		r.arr.Read(op.Unit, p.recordVFn)
 	case op.Read:
 		r.arr.ReadRange(op.Unit, op.Count, p.recordFn)
-	case op.Count == 1:
-		r.arr.Write(op.Unit, p.recordFn)
 	default:
 		r.arr.WriteRange(op.Unit, op.Count, p.recordFn)
 	}

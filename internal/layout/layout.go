@@ -128,6 +128,22 @@ func DecodeParity(l Layout, stripe int64, j int) int {
 	return 0
 }
 
+// FromScratch reports whether a write of written of a stripe's dataUnits
+// data units builds the stripe's parities from its new contents — reading
+// the data units it leaves alone — rather than from a delta against the
+// old contents of the ones it overwrites. That is when it covers every data
+// unit (the large write), or at least two and it leaves no more unwritten
+// than it writes (the reconstruct-write). The delta's parity reads stay out
+// of the comparison, since from scratch costs more in bytes (DESIGN.md,
+// "The simulator's write plans"), and a one-unit write of a wider stripe is
+// the paper's small write, always a delta. This is the one home of the
+// rule; each engine adds its own failure-state checks — a lost written unit
+// has no old contents, so from scratch, and a lost unwritten one would cost
+// a decode, so the delta.
+func FromScratch(dataUnits, written int) bool {
+	return written == dataUnits || written >= 2 && dataUnits-written <= written
+}
+
 // RebuildSources returns the units a decode of loc reads when loc is its
 // stripe's only lost unit: the stripe's other data units and the parity
 // unit of its DecodeParity equation — G−1 units under P, G−2 under P+Q,

@@ -470,20 +470,16 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	return s.commitWrites(st, sc)
 }
 
-// fromScratch is the one rule that picks a stripe update's plan, from how
-// many of the stripe's data units are written and which are lost. A lost
-// written unit has no old contents to take a delta from; a one-unit write is
-// the paper's small write, always a delta; otherwise from scratch when the
-// data it reads, the unwritten units, is no more than the delta's, the
-// written ones, and all of it is readable — a lost unit would cost a decode,
-// G−2 more reads. The delta's parity reads stay out of the comparison: with
-// one parity that is the simulator's 2(k+m) > G, with two narrower (DESIGN.md).
+// fromScratch picks a stripe update's plan by layout.FromScratch, the rule
+// the simulator plans by too, and the stripe's failure state: a lost written
+// unit has no old contents to take a delta from, so from scratch; a lost
+// unwritten one would cost a decode, G−2 more reads, so the delta.
 func (s *Store) fromScratch(st *diskState, stripe int64, written int, writtenLost bool) bool {
 	k := int(s.dataPerStripe)
 	switch {
-	case writtenLost || written == k:
+	case writtenLost:
 		return true
-	case written == 1 || k-written > written:
+	case !layout.FromScratch(k, written):
 		return false
 	case len(st.fails) == 0:
 		return true

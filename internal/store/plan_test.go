@@ -226,8 +226,9 @@ func writePlans(t *testing.T, plane string) []planRow {
 
 // TestWritePlanAccessCounts: one WriteRange of k units from the start of a
 // stripe, per row; backend reads and writes counted exactly, and whether
-// Stats.ReconstructWrites moved. The rows for k = 1 are the paper's small
-// write and hold at any commit: four accesses, six under P+Q.
+// Stats.ReconstructWrites moved. The rows for k = 1 of a stripe with two or
+// more data units are the paper's small write and hold at any commit: four
+// accesses, six under P+Q.
 func TestWritePlanAccessCounts(t *testing.T) {
 	rows := append(writePlans(t, "store"),
 		// Rows the simulator plays another way: a multi-unit write to a
