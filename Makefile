@@ -91,8 +91,8 @@ fuzz:
 # seed; failures replay with CHAOS_SEED=<seed>), the concurrency-shape
 # tests (TestOverlap*: rendezvous backends that hang unless a batch is
 # issued as wide as it should be) run twenty times to show they do not
-# flake, the store's write-plan access counts (the rows of the one table
-# both engines read, internal/testdata/write_plans.txt), a rebuild's reads
+# flake, the store's write and read access counts (the rows of the one table
+# both engines read, internal/testdata/costs.txt), a rebuild's reads
 # against the layout's decode rule (its shards interleave differently each
 # run) and the generated range ops against a flat reference (a fresh seed
 # each repetition, in memory and on files) run ten times, so
@@ -106,7 +106,7 @@ nightly:
 	$(GO) test -race -run 'TestCrashDuringWriteRecovers' -count=20 -v ./internal/store/
 	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
-	$(GO) test -race -run 'TestWritePlanAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
+	$(GO) test -race -run 'TestWritePlanAccessCounts|TestReadAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded' -count=10 ./internal/store/
 	$(GO) test -race -run 'TestScrub|TestPQScrubHealsTwoDamagedUnits|TestParityDoubtOutlivesDegradedScrub|TestSweepPacing' -count=10 ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m

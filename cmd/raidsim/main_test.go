@@ -382,3 +382,25 @@ func TestDormantFaultFlagsPrintNoFaultSummary(t *testing.T) {
 		t.Errorf("fault summary printed without fault flags:\n%s", out.String())
 	}
 }
+
+// TestReplayOutsideDataSpaceIsAnError: a replayed access past the array's
+// data units — beyond it, or so far that unit + count wraps past
+// math.MaxInt64 — fails the command with the record named, instead of
+// panicking inside the simulation.
+func TestReplayOutsideDataSpaceIsAnError(t *testing.T) {
+	for _, line := range []string{
+		"1.000000 2.000000 R 999999999 1",
+		"1.000000 2.000000 R 9223372036854775806 4",
+		"1.000000 2.000000 W 25367 2", // the last unit and one past it, at -scale 50
+	} {
+		path := filepath.Join(t.TempDir(), "bad.trace")
+		if err := os.WriteFile(path, []byte("0.500000 1.000000 R 0 1\n"+line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		err := run(append([]string{"-replay", path}, fastRun...), &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("replay of %q: got %v, want an error naming the record", line, err)
+		}
+	}
+}

@@ -188,7 +188,7 @@ type Array struct {
 
 	// Span tracing (nil-safe no-ops when Config.Spans is nil). opSpan is
 	// the parent span handed over by the caller for the next synchronous
-	// Read/Write/ReadRange/WriteRange; phaseSpan is the phase the next io
+	// ReadRange or WriteRange; phaseSpan is the phase the next io
 	// call's transfers belong to. Both are consumed (cleared) by the
 	// callee, so stale spans cannot leak across operations.
 	spans     *telemetry.Tracer

@@ -84,30 +84,35 @@ func TestInitialStateConsistent(t *testing.T) {
 func TestFaultFreeReadReturnsData(t *testing.T) {
 	eng, a := testArray(t, nil)
 	for _, unit := range []int64{0, 1, a.DataUnits() / 2, a.DataUnits() - 1} {
-		var got uint64
-		a.Read(unit, func(v uint64) { got = v })
+		got := make([]uint64, 1)
+		a.ReadRange(unit, got, func() {})
 		eng.Run()
-		if got != a.ExpectedValue(unit) {
-			t.Fatalf("unit %d read %#x, want %#x", unit, got, a.ExpectedValue(unit))
+		if got[0] != a.ExpectedValue(unit) {
+			t.Fatalf("unit %d read %#x, want %#x", unit, got[0], a.ExpectedValue(unit))
 		}
 	}
 }
 
 func TestFaultFreeReadIsOneAccess(t *testing.T) {
 	eng, a := testArray(t, nil)
-	a.Read(17, func(uint64) {})
+	got := make([]uint64, 1)
+	a.ReadRange(17, got, func() {})
 	eng.Run()
 	if n := totalCompleted(a); n != 1 {
 		t.Fatalf("read used %d disk accesses, want 1", n)
+	}
+	if got[0] != a.ExpectedValue(17) {
+		t.Fatalf("read %#x, want %#x", got[0], a.ExpectedValue(17))
 	}
 }
 
 func TestWriteThenReadBack(t *testing.T) {
 	eng, a := testArray(t, nil)
+	got := make([]uint64, 1)
 	a.WriteRange(100, 1, func() {
-		a.Read(100, func(v uint64) {
-			if v != a.ExpectedValue(100) {
-				t.Errorf("read back %#x, want %#x", v, a.ExpectedValue(100))
+		a.ReadRange(100, got, func() {
+			if got[0] != a.ExpectedValue(100) {
+				t.Errorf("read back %#x, want %#x", got[0], a.ExpectedValue(100))
 			}
 		})
 	})
@@ -185,11 +190,11 @@ func TestDegradedReadReconstructsOnTheFly(t *testing.T) {
 	if unit < 0 {
 		t.Fatal("no data unit on failed disk")
 	}
-	var got uint64
-	a.Read(unit, func(v uint64) { got = v })
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
-	if got != a.ExpectedValue(unit) {
-		t.Fatalf("degraded read %#x, want %#x", got, a.ExpectedValue(unit))
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("degraded read %#x, want %#x", got[0], a.ExpectedValue(unit))
 	}
 	// G-1 = 4 disk accesses.
 	if n := totalCompleted(a); n != 4 {
@@ -240,8 +245,12 @@ func TestRaid5DegradedReadTouchesAllSurvivors(t *testing.T) {
 			break
 		}
 	}
-	a.Read(unit, func(uint64) {})
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("degraded read %#x, want %#x", got[0], a.ExpectedValue(unit))
+	}
 	// C-1 = 4 accesses, one on each survivor.
 	for i := 0; i < 5; i++ {
 		n := a.Disk(i).Stats().Completed
@@ -266,10 +275,11 @@ func TestReadValueDuringDegradedMatchesLatestWrite(t *testing.T) {
 		}
 	}
 	// Write (folds into parity), then read back on the fly.
+	got := make([]uint64, 1)
 	a.WriteRange(unit, 1, func() {
-		a.Read(unit, func(v uint64) {
-			if v != a.ExpectedValue(unit) {
-				t.Errorf("read %#x after degraded write, want %#x", v, a.ExpectedValue(unit))
+		a.ReadRange(unit, got, func() {
+			if got[0] != a.ExpectedValue(unit) {
+				t.Errorf("read %#x after degraded write, want %#x", got[0], a.ExpectedValue(unit))
 			}
 		})
 	})

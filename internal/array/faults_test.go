@@ -106,11 +106,11 @@ func TestReadMediaErrorRepairsFromParity(t *testing.T) {
 	eng, a := testArray(t, nil)
 	unit, loc := dataUnitOn(t, a, 5)
 	r := markBadUnit(a, loc)
-	var got uint64
-	a.Read(unit, func(v uint64) { got = v })
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
-	if got != a.ExpectedValue(unit) {
-		t.Fatalf("read through media error got %#x, want %#x", got, a.ExpectedValue(unit))
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("read through media error got %#x, want %#x", got[0], a.ExpectedValue(unit))
 	}
 	if !r.healed {
 		t.Fatal("repair did not rewrite the bad region")
@@ -137,11 +137,11 @@ func TestDegradedSurvivorMediaErrorIsDataLoss(t *testing.T) {
 	unit, loc := dataUnitOn(t, a, 2)
 	surv := layout.RebuildSources(a.Layout(), loc)
 	r := markBadUnit(a, surv[0])
-	var got uint64
-	a.Read(unit, func(v uint64) { got = v })
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
-	if got != a.ExpectedValue(unit) {
-		t.Fatalf("degraded read got %#x, want %#x (out-of-band restore)", got, a.ExpectedValue(unit))
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("degraded read got %#x, want %#x (out-of-band restore)", got[0], a.ExpectedValue(unit))
 	}
 	fs := a.FaultStats()
 	if fs.LostUnits != 1 || fs.LatentRepairs != 0 {
@@ -414,7 +414,7 @@ func TestTransientTimeoutsRetryToCompletion(t *testing.T) {
 		unit := rng.Int63n(a.DataUnits())
 		when := rng.Float64() * 5000
 		if rng.Intn(2) == 0 {
-			eng.At(when, func() { a.Read(unit, func(uint64) { completed++ }) })
+			eng.At(when, func() { a.ReadRange(unit, make([]uint64, 1), func() { completed++ }) })
 		} else {
 			eng.At(when, func() { a.WriteRange(unit, 1, func() { completed++ }) })
 		}

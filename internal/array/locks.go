@@ -3,8 +3,9 @@ package array
 // lockTable serializes operations on a parity stripe. Any operation that
 // updates parity, touches the replacement disk, or performs a multi-unit
 // consistent read (on-the-fly reconstruction) must hold its stripe's lock;
-// plain single-unit reads of healthy disks need not. Each operation holds
-// at most one lock, so the system cannot deadlock.
+// direct reads of units a disk can serve need not, unless one fails and
+// must be repaired. Each operation holds at most one lock, so the system
+// cannot deadlock.
 //
 // The simulation is single-threaded, so this is a queue, not a mutex: if
 // the stripe is free the acquiring operation runs immediately; otherwise

@@ -11,7 +11,7 @@ import (
 )
 
 // SetOpSpan hands the array the parent span for the next synchronous
-// Read/ReadRange/WriteRange call, which consumes it. The array opens
+// ReadRange or WriteRange call, which consumes it. The array opens
 // lifecycle-phase children under it (lock wait, pre-reads, commits,
 // on-the-fly reconstruction) and tags every disk transfer so the drives
 // attach queue/seek/rotate/transfer segments. All of it is nil-safe: with
@@ -283,15 +283,16 @@ type parityUnit struct {
 	loc layout.Loc
 }
 
-// userOp tracks one user operation through its rounds of transfers: a
-// direct read (one round of one transfer), or a write — one stripe's share
-// of a WriteRange — which, once its stripe lock is held, is a plan: at most
-// two rounds, the units of the second usually being the ones the first
-// pre-read. The one planner, plan, fills it from what the stripe has — which
-// of its parity units are live, whether the written units are — and how
-// many of its data units the write covers; run plays it: round 1, repair of
-// its failed reads, round 2, finish. Every write transfer carries the value
-// its unit takes when its round completes.
+// userOp tracks one stripe's share of a user operation through its rounds
+// of transfers. A read's share is one round: the direct reads of the units
+// its disks still hold, whose values land in dst when the round completes
+// (fetched). A write's share — of a WriteRange — is, once its stripe lock
+// is held, a plan: at most two rounds, the units of the second usually
+// being the ones the first pre-read. The one planner, plan, fills it from
+// what the stripe has — which of its parity units are live, whether the
+// written units are — and how many of its data units the write covers;
+// run plays it: round 1, repair of its failed reads, round 2, finish. Every
+// write transfer carries the value its unit takes when its round completes.
 //
 // All of those values are computed while planning, i.e. when the first
 // round is submitted, not when it completes: the stripe lock guarantees no
@@ -305,20 +306,21 @@ type parityUnit struct {
 // steady state, whatever the stripe's condition (the list of data units a
 // from-scratch plan reads excepted).
 type userOp struct {
-	a         *Array
-	stripe    int64
-	data      []target     // what a write covers
-	live      []parityUnit // the stripe's available parity units, P first
-	rounds    [2][]xfer
-	names     [2]string // span of round 1 (or of a lone round 2), and of round 2 ("" stays in it)
-	redirect  bool      // the plan writes a lost data unit to its replacement, reconstructing it
-	readDone  func(value uint64)
-	writeDone func()
-	span      *telemetry.Span // root span handed over by the caller; nil when off
-	phase     *telemetry.Span // open lifecycle-phase child, ended by the stage that retires it
+	a        *Array
+	stripe   int64
+	data     []target     // the units read, or what a write covers
+	live     []parityUnit // the stripe's available parity units, P first
+	rounds   [2][]xfer
+	names    [2]string // span of round 1 (or of a lone round 2), and of round 2 ("" stays in it)
+	redirect bool      // the plan writes a lost data unit to its replacement, reconstructing it
+	first    int64     // a read's first unit: unit n lands in dst[n-first]
+	dst      []uint64
+	done     func()
+	span     *telemetry.Span // root span handed over by the caller; nil when off
+	phase    *telemetry.Span // open lifecycle-phase child, ended by the stage that retires it
 
 	// Stage continuations, bound once per node.
-	readPlainFn  func([]xfer)
+	fetchedFn    func([]xfer)
 	planFn       func()
 	repairFn     func([]xfer)
 	commitFn     func()
@@ -332,7 +334,7 @@ func (a *Array) getOp() *userOp {
 		return op
 	}
 	op := &userOp{a: a}
-	op.readPlainFn = op.readPlain
+	op.fetchedFn = op.fetched
 	op.planFn = op.plan
 	op.repairFn = op.repair
 	op.commitFn = op.commit
@@ -347,41 +349,50 @@ func (a *Array) putOp(op *userOp) {
 	op.rounds[1] = op.rounds[1][:0]
 	op.names = [2]string{}
 	op.redirect = false
-	op.readDone = nil
-	op.writeDone = nil
+	op.dst = nil
+	op.done = nil
 	op.span = nil
 	op.phase = nil
 	a.opFree = append(a.opFree, op)
 }
 
-// Read performs a user read of one data unit, invoking done with the value
-// read. In degraded mode, reads of lost units reconstruct on the fly;
-// under the Redirect algorithms, reads of already-reconstructed units go
-// to the replacement disk.
-func (a *Array) Read(unit int64, done func(value uint64)) {
-	a.mUserReads.Inc()
-	a.read(unit, done)
-}
-
-// read is Read without the user-operation count: a range read passes its
-// lost units on through it.
-func (a *Array) read(unit int64, done func(value uint64)) {
-	if unit < 0 || unit >= a.dataUnits {
-		panic(fmt.Sprintf("array: data unit %d out of range [0,%d)", unit, a.dataUnits))
-	}
-	sp := a.takeOpSpan()
-	loc := a.mapper.Loc(unit)
-	if loc.Disk != a.failed || a.redirectableRead(loc) {
-		op := a.getOp()
-		op.readDone = done
-		op.span = sp
-		op.read(loc)
-		a.phaseSpan = sp // segments attach to the root: one phase only
-		a.io(op.rounds[0], userPriority, op.readPlainFn)
+// fetched completes a stripe's direct reads. The clean case hands every
+// value over and recycles the node before answering; a latent sector error
+// is first recovered under the stripe lock (the repair updates the
+// platter, racing parity writers), so the user's latency includes the
+// recovery.
+func (op *userOp) fetched(fails []xfer) {
+	a := op.a
+	if len(fails) == 0 {
+		op.deliver()
 		return
 	}
-	// On-the-fly reconstruction under the stripe lock: a consistent
-	// multi-unit read that must not interleave with parity updates.
+	a.locks.acquire(op.stripe, func() {
+		a.repairLocked(op.stripe, fails, userPriority, func() {
+			a.locks.release(op.stripe)
+			op.deliver()
+		})
+	})
+}
+
+// deliver puts the value of every unit read in dst, recycles the node and
+// calls done.
+func (op *userOp) deliver() {
+	a, done := op.a, op.done
+	for _, t := range op.data {
+		op.dst[t.unit-op.first] = a.unitVal(t.loc)
+	}
+	a.putOp(op)
+	done()
+}
+
+// readLost reads a lost data unit into *v, then calls done: on-the-fly
+// reconstruction from its stripe's survivors, under the stripe lock — a
+// consistent multi-unit read that must not interleave with parity updates.
+// Under RedirectPiggyback with a replacement installed, the value is also
+// written there once the user has it.
+func (a *Array) readLost(sp *telemetry.Span, unit int64, v *uint64, done func()) {
+	loc := a.mapper.Loc(unit)
 	stripe, _ := a.lay.Locate(loc)
 	lockSp := sp.Child(telemetry.PhaseLockWait, a.eng.Now())
 	a.locks.acquire(stripe, func() {
@@ -393,7 +404,8 @@ func (a *Array) read(unit int64, done func(value uint64)) {
 			a.io([]xfer{{loc: loc}}, userPriority, func(fails []xfer) {
 				a.repairThen(stripe, fails, userPriority, func() {
 					a.locks.release(stripe)
-					done(a.unitVal(loc))
+					*v = a.unitVal(loc)
+					done()
 				})
 			})
 			return
@@ -415,7 +427,8 @@ func (a *Array) read(unit int64, done func(value uint64)) {
 					// write to the replacement continues under the
 					// stripe lock. Its span is a fresh root: the user's
 					// response does not include it.
-					done(value)
+					*v = value
+					done()
 					pg := a.spans.Root(telemetry.PhasePiggyback, telemetry.KindRecon, unit, a.eng.Now())
 					a.phaseSpan = pg
 					a.io([]xfer{{loc: loc, write: true}}, userPriority, func(_ []xfer) {
@@ -427,30 +440,9 @@ func (a *Array) read(unit int64, done func(value uint64)) {
 					return
 				}
 				a.locks.release(stripe)
-				done(value)
+				*v = value
+				done()
 			})
-		})
-	})
-}
-
-// readPlain completes the direct-read path. The clean case recycles the
-// node before answering; the media-error case falls back to closures for
-// the repair (rare, and its latency is dominated by disk accesses anyway).
-func (op *userOp) readPlain(fails []xfer) {
-	a, loc, done := op.a, op.rounds[0][0].loc, op.readDone
-	a.putOp(op)
-	if len(fails) == 0 {
-		done(a.unitVal(loc))
-		return
-	}
-	// Latent sector error: recover under the stripe lock (the repair
-	// updates the platter, racing parity writers), then answer — the
-	// user's latency includes the recovery.
-	stripe, _ := a.lay.Locate(loc)
-	a.locks.acquire(stripe, func() {
-		a.repairLocked(stripe, fails, userPriority, func() {
-			a.locks.release(stripe)
-			done(a.unitVal(loc))
 		})
 	})
 }
@@ -613,7 +605,7 @@ func (op *userOp) writable() bool {
 // separate one-unit writes sharing its span and completion: the write of a
 // stripe that has lost a unit or a parity is planned unit by unit.
 func (op *userOp) split() {
-	a, sp, part := op.a, op.span, join(len(op.data), op.writeDone)
+	a, sp, part := op.a, op.span, join(len(op.data), op.done)
 	units := make([]int64, len(op.data))
 	for i, t := range op.data {
 		units[i] = t.unit
@@ -713,7 +705,7 @@ func (a *Array) land(xs []xfer) {
 // It closes whatever lifecycle phase was still open, releases the stripe
 // lock, recycles the node and delivers the completion.
 func (op *userOp) commitDone(_ []xfer) {
-	a, done := op.a, op.writeDone
+	a, done := op.a, op.done
 	a.land(op.rounds[1])
 	for _, t := range op.data {
 		a.expected[t.unit] = t.value

@@ -3,7 +3,6 @@ package array
 import (
 	"fmt"
 
-	"declust/internal/layout"
 	"declust/internal/telemetry"
 )
 
@@ -14,30 +13,20 @@ import (
 // wants C distinct disks (maximal parallelism). These paths make both
 // effects measurable.
 
-// stripeGroup collects the portion of a range that falls in one parity
-// stripe.
-type stripeGroup struct {
-	stripe int64
-	units  []int64      // logical data units
-	locs   []layout.Loc // their stripe units, parallel to units
-}
-
 // groupByStripe splits [unit, unit+count) by owning parity stripe,
-// preserving encounter order.
-func (a *Array) groupByStripe(unit int64, count int) []stripeGroup {
+// preserving encounter order: the units of each stripe the range touches.
+func (a *Array) groupByStripe(unit int64, count int) [][]int64 {
 	order := make(map[int64]int)
-	var groups []stripeGroup
+	var groups [][]int64
 	for n := unit; n < unit+int64(count); n++ {
-		loc := a.mapper.Loc(n)
-		s, _ := a.lay.Locate(loc)
+		s, _ := a.lay.Locate(a.mapper.Loc(n))
 		i, ok := order[s]
 		if !ok {
 			i = len(groups)
 			order[s] = i
-			groups = append(groups, stripeGroup{stripe: s})
+			groups = append(groups, nil)
 		}
-		groups[i].units = append(groups[i].units, n)
-		groups[i].locs = append(groups[i].locs, loc)
+		groups[i] = append(groups[i], n)
 	}
 	return groups
 }
@@ -55,68 +44,59 @@ func join(n int, done func()) func() {
 	}
 }
 
-// ReadRange reads count consecutive logical data units starting at unit,
-// invoking done when all are available. Healthy units are read directly
-// (in parallel across disks); lost units reconstruct on the fly exactly as
-// single-unit reads do.
-func (a *Array) ReadRange(unit int64, count int, done func()) {
-	a.checkRange(unit, count)
+// ReadRange reads len(dst) consecutive logical data units starting at unit
+// into dst, invoking done once every value has landed. It is the array's
+// one way to read, as WriteRange is its one way to write: each stripe's
+// share of the range is one read (readUnits). Healthy units are read
+// directly, in parallel across disks; a lost unit is reconstructed on the
+// fly or, under the Redirect algorithms once rebuilt, read from the
+// replacement.
+func (a *Array) ReadRange(unit int64, dst []uint64, done func()) {
+	a.checkRange(unit, len(dst))
 	a.mUserReads.Inc()
 	sp := a.takeOpSpan()
-	groups := a.groupByStripe(unit, count)
+	if len(dst) == 1 {
+		a.readUnits(sp, unit, dst, done, unit) // nothing to group, nothing allocated
+		return
+	}
+	groups := a.groupByStripe(unit, len(dst))
 	part := join(len(groups), done)
-	for _, grp := range groups {
-		grp := grp
-		var direct []layout.Loc
-		lost := int64(-1)
-		for _, loc := range grp.locs {
-			if loc.Disk != a.failed || a.redirectableRead(loc) {
-				direct = append(direct, loc)
-			} else {
-				lost = a.mapper.Index(grp.stripe, a.posOf(loc, grp.stripe))
-			}
-		}
-		sub := 0
-		if len(direct) > 0 {
-			sub++
-		}
-		if lost >= 0 {
-			sub++
-		}
-		grpDone := join(sub, part)
-		if len(direct) > 0 {
-			a.phaseSpan = sp
-			a.io(reads(direct), userPriority, func(fails []xfer) {
-				if len(fails) == 0 {
-					grpDone()
-					return
-				}
-				a.locks.acquire(grp.stripe, func() {
-					a.repairLocked(grp.stripe, fails, userPriority, func() {
-						a.locks.release(grp.stripe)
-						grpDone()
-					})
-				})
-			})
-		}
-		if lost >= 0 {
-			// At most one unit per stripe can be lost; reuse the
-			// single-unit degraded read path (locking, redirection,
-			// piggybacking included). Its phases nest under this
-			// range's root span.
-			a.SetOpSpan(sp)
-			a.read(lost, func(uint64) { grpDone() })
-		}
+	for _, units := range groups {
+		a.readUnits(sp, unit, dst, part, units...)
 	}
 }
 
-// posOf returns loc's position within stripe s.
-func (a *Array) posOf(loc layout.Loc, s int64) int {
-	s2, j := a.lay.Locate(loc)
-	if s2 != s {
-		panic(fmt.Sprintf("array: location %v not in stripe %d", loc, s))
+// readUnits reads units, which share one stripe, into dst — unit n lands in
+// dst[n-first] — then calls done; sp is the user operation's root span. The
+// units a disk can serve (redirectableRead counts a rebuilt one) are one
+// round of direct reads; the stripe's lost unit, if the range holds it, is
+// read by readLost.
+func (a *Array) readUnits(sp *telemetry.Span, first int64, dst []uint64, done func(), units ...int64) {
+	op := a.getOp()
+	lost := int64(-1)
+	for _, n := range units {
+		if loc := a.mapper.Loc(n); loc.Disk != a.failed || a.redirectableRead(loc) {
+			op.data = append(op.data, target{unit: n, loc: loc})
+			op.read(loc)
+		} else {
+			lost = n
+		}
 	}
-	return j
+	if len(op.data) == 0 {
+		a.putOp(op)
+		a.readLost(sp, lost, &dst[lost-first], done)
+		return
+	}
+	if lost >= 0 {
+		done = join(2, done)
+	}
+	op.stripe, _ = a.lay.Locate(op.data[0].loc)
+	op.first, op.dst, op.done = first, dst, done
+	a.phaseSpan = sp // segments attach to the root: one phase only
+	a.io(op.rounds[0], userPriority, op.fetchedFn)
+	if lost >= 0 {
+		a.readLost(sp, lost, &dst[lost-first], done)
+	}
 }
 
 // WriteRange writes count consecutive logical data units starting at unit,
@@ -136,8 +116,8 @@ func (a *Array) WriteRange(unit int64, count int, done func()) {
 	}
 	groups := a.groupByStripe(unit, count)
 	part := join(len(groups), done)
-	for _, grp := range groups {
-		a.writeUnits(sp, part, grp.units...)
+	for _, units := range groups {
+		a.writeUnits(sp, part, units...)
 	}
 }
 
@@ -149,7 +129,7 @@ func (a *Array) writeUnits(sp *telemetry.Span, done func(), units ...int64) {
 		op.data = append(op.data, target{unit: n, loc: a.mapper.Loc(n), value: a.newValue()})
 	}
 	op.stripe, _ = a.lay.Locate(op.data[0].loc)
-	op.writeDone = done
+	op.done = done
 	op.span = sp
 	if len(units) > 1 && !op.writable() {
 		op.split()
@@ -163,8 +143,7 @@ func (a *Array) checkRange(unit int64, count int) {
 	if count <= 0 {
 		panic(fmt.Sprintf("array: range of %d units", count))
 	}
-	if unit < 0 || unit+int64(count) > a.dataUnits {
-		panic(fmt.Sprintf("array: range [%d,%d) outside data space [0,%d)",
-			unit, unit+int64(count), a.dataUnits))
+	if unit < 0 || unit > a.dataUnits-int64(count) {
+		panic(fmt.Sprintf("array: %d units at %d outside data space [0,%d)", count, unit, a.dataUnits))
 	}
 }

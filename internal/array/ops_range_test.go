@@ -1,7 +1,9 @@
 package array
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"declust/internal/layout"
@@ -51,8 +53,10 @@ func TestRangeReadParallelism(t *testing.T) {
 	}
 
 	a, run := mkArray(true)
-	a.ReadRange(0, 21, func() {})
+	got := make([]uint64, 21)
+	a.ReadRange(0, got, func() {})
 	run()
+	checkValues(t, a, 0, got)
 	busy := 0
 	for i := 0; i < 21; i++ {
 		if a.Disk(i).Stats().Completed > 0 {
@@ -64,8 +68,9 @@ func TestRangeReadParallelism(t *testing.T) {
 	}
 
 	b, run2 := mkArray(false)
-	b.ReadRange(0, 21, func() {})
+	b.ReadRange(0, got, func() {})
 	run2()
+	checkValues(t, b, 0, got)
 	busy = 0
 	for i := 0; i < 21; i++ {
 		if b.Disk(i).Stats().Completed > 0 {
@@ -82,11 +87,13 @@ func TestRangeReadDegraded(t *testing.T) {
 	a.Fail(3)
 	// Read a span crossing units on the failed disk.
 	done := false
-	a.ReadRange(0, 40, func() { done = true })
+	got := make([]uint64, 40)
+	a.ReadRange(0, got, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("degraded range read never completed")
 	}
+	checkValues(t, a, 0, got)
 }
 
 func TestRangeWriteDegradedFallsBackPerUnit(t *testing.T) {
@@ -115,7 +122,7 @@ func TestRangeOpsDuringReconstructionStayConsistent(t *testing.T) {
 				count := 1 + rng.Intn(12)
 				when := rng.Float64() * 20000
 				if rng.Intn(2) == 0 {
-					eng.At(when, func() { a.ReadRange(start, count, func() {}) })
+					eng.At(when, func() { a.ReadRange(start, make([]uint64, count), func() {}) })
 				} else {
 					eng.At(when, func() { a.WriteRange(start, count, func() {}) })
 				}
@@ -142,7 +149,7 @@ func TestRangeOpsWithParallelMapperConsistent(t *testing.T) {
 		count := 1 + rng.Intn(21)
 		when := rng.Float64() * 20000
 		if rng.Intn(2) == 0 {
-			eng.At(when, func() { a.ReadRange(start, count, func() {}) })
+			eng.At(when, func() { a.ReadRange(start, make([]uint64, count), func() {}) })
 		} else {
 			eng.At(when, func() { a.WriteRange(start, count, func() {}) })
 		}
@@ -185,9 +192,9 @@ func TestUserOpCountersCountRangesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		a.ReadRange(0, 40, func() {})
+		a.ReadRange(0, make([]uint64, 40), func() {})
 		a.WriteRange(40, 40, func() {})
-		a.Read(100, func(uint64) {})
+		a.ReadRange(100, make([]uint64, 1), func() {})
 		a.WriteRange(101, 1, func() {})
 		eng.Run()
 		reads, writes := reg.Counter("array_user_reads").Value(), reg.Counter("array_user_writes").Value()
@@ -197,35 +204,49 @@ func TestUserOpCountersCountRangesOnce(t *testing.T) {
 	}
 }
 
+// TestRangePanics: a range that is empty or leaves the data space is a
+// driver bug, and panics with the range named — also where unit + count
+// wraps past math.MaxInt64.
 func TestRangePanics(t *testing.T) {
 	_, a := testArray(t, nil)
-	for _, f := range []func(){
-		func() { a.ReadRange(0, 0, func() {}) },
-		func() { a.WriteRange(-1, 5, func() {}) },
-		func() { a.ReadRange(a.DataUnits()-1, 5, func() {}) },
+	const outside = "outside data space"
+	for _, c := range []struct {
+		want string
+		f    func()
+	}{
+		{"range of 0 units", func() { a.ReadRange(0, nil, func() {}) }},
+		{outside, func() { a.WriteRange(-1, 5, func() {}) }},
+		{outside, func() { a.ReadRange(a.DataUnits()-1, make([]uint64, 5), func() {}) }},
+		{outside, func() { a.ReadRange(math.MaxInt64-1, make([]uint64, 4), func() {}) }},
+		{outside, func() { a.WriteRange(math.MaxInt64-1, 4, func() {}) }},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("no panic on invalid range")
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("panicked with %q, want %q", msg, c.want)
 				}
 			}()
-			f()
+			c.f()
 		}()
 	}
 }
 
 func TestRangeWriteValuesReadBack(t *testing.T) {
 	eng, a := testArray(t, nil)
+	got := make([]uint64, 7)
 	a.WriteRange(10, 7, func() {
-		for n := int64(10); n < 17; n++ {
-			n := n
-			a.Read(n, func(v uint64) {
-				if v != a.ExpectedValue(n) {
-					t.Errorf("unit %d read %#x, want %#x", n, v, a.ExpectedValue(n))
-				}
-			})
-		}
+		a.ReadRange(10, got, func() { checkValues(t, a, 10, got) })
 	})
 	eng.Run()
+}
+
+// checkValues reports every unit of got, read from first on, whose value is
+// not the one last written to it.
+func checkValues(t *testing.T, a *Array, first int64, got []uint64) {
+	t.Helper()
+	for i, v := range got {
+		if n := first + int64(i); v != a.ExpectedValue(n) {
+			t.Errorf("unit %d read %#x, want %#x", n, v, a.ExpectedValue(n))
+		}
+	}
 }

@@ -82,44 +82,77 @@ func unitWithLost(t *testing.T, a *Array, d int, role lostRole) int64 {
 	return -1
 }
 
-// planRow is one row of internal/testdata/write_plans.txt; its header says
-// what the columns mean.
-type planRow struct {
-	plane, lost, reconstruct, name string
-	c, g, m, k, reads, writes      int
+// costRow is one row of internal/testdata/costs.txt; its header says what
+// the columns mean.
+type costRow struct {
+	op, plane, lost, reconstruct, name string
+	c, g, m, k, reads, writes          int
 }
 
-// writePlans returns the table's rows for plane and for both. A key (C G m
-// lost k) must have one both row, or one array row and then one store row.
-func writePlans(t *testing.T, plane string) []planRow {
+// costRows returns the table's rows of op (R or W) for plane and for both.
+// A key (op C G m lost k) must have one both row, or one array row and then
+// one store row.
+func costRows(t *testing.T, op, plane string) []costRow {
 	t.Helper()
-	text, err := os.ReadFile(filepath.Join("..", "testdata", "write_plans.txt"))
+	text, err := os.ReadFile(filepath.Join("..", "testdata", "costs.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []planRow
+	var rows []costRow
 	planes := map[string]string{}
 	for _, line := range strings.Split(string(text), "\n") {
 		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
-		var r planRow
-		if _, err := fmt.Sscan(line, &r.plane, &r.c, &r.g, &r.m, &r.lost, &r.k, &r.reads, &r.writes, &r.reconstruct, &r.name); err != nil {
-			t.Fatalf("write_plans.txt: %q: %v", line, err)
+		var r costRow
+		if _, err := fmt.Sscan(line, &r.op, &r.plane, &r.c, &r.g, &r.m, &r.lost, &r.k, &r.reads, &r.writes, &r.reconstruct, &r.name); err != nil {
+			t.Fatalf("costs.txt: %q: %v", line, err)
 		}
-		key := fmt.Sprint(r.c, r.g, r.m, r.lost, r.k)
+		if r.op != "R" && r.op != "W" {
+			t.Fatalf("costs.txt: %q: op %q, want R or W", line, r.op)
+		}
+		key := fmt.Sprint(r.op, r.c, r.g, r.m, r.lost, r.k)
 		planes[key] += " " + r.plane
-		if r.plane == plane || r.plane == "both" {
+		if r.op == op && (r.plane == plane || r.plane == "both") {
 			rows = append(rows, r)
 		}
 	}
 	for key, p := range planes {
 		if p != " both" && p != " array store" {
-			t.Errorf("write_plans.txt: key %s has rows%s; want both, or array then store", key, p)
+			t.Errorf("costs.txt: key %s has rows%s; want both, or array then store", key, p)
 		}
 	}
 	return rows
 }
+
+// tableArray builds row r's array and fails the disk that holds the unit r
+// says is lost, of the stripe the row's access starts; first is the
+// stripe's first data unit.
+func tableArray(t *testing.T, r costRow) (eng *sim.Engine, a *Array, first int64) {
+	t.Helper()
+	eng, a = arrayOn(t, r.c, r.g, r.m, nil)
+	const stripe = 3
+	// Stripe-index mapping: a stripe's data units are consecutive.
+	first = stripe * int64(layout.DataPerStripe(a.lay))
+	lost := layout.Loc{Disk: -1}
+	switch r.lost {
+	case "written", "read":
+		lost = a.mapper.Loc(first)
+	case "unwritten", "unread":
+		lost = a.mapper.Loc(first + int64(r.k))
+	case "P", "Q":
+		lost = layout.ParityLocOf(a.lay, stripe, strings.Index("PQ", r.lost))
+	}
+	if lost.Disk >= 0 {
+		if err := a.Fail(lost.Disk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return eng, a, first
+}
+
+// code names a row's parity code in its subtest.
+var code = [...]string{1: "P", 2: "PQ"}
 
 // TestWritePlanAccessCounts pins the write-plan table (DESIGN.md §2): for
 // each stripe condition the planner distinguishes, how many reads and writes
@@ -128,29 +161,12 @@ func writePlans(t *testing.T, plane string) []planRow {
 // name reads too; the ones below them are the simulator's own. Each row then
 // checks the array stayed consistent and that the written units read back.
 func TestWritePlanAccessCounts(t *testing.T) {
-	code := [...]string{1: "P", 2: "PQ"}
-	for _, r := range writePlans(t, "array") {
+	for _, r := range costRows(t, "W", "array") {
 		r := r
 		t.Run(code[r.m]+"/"+r.name, func(t *testing.T) {
-			eng, a := arrayOn(t, r.c, r.g, r.m, nil)
-			const stripe = 3
-			// Stripe-index mapping: a stripe's data units are consecutive.
-			first := stripe * int64(layout.DataPerStripe(a.lay))
-			lost := layout.Loc{Disk: -1}
-			switch r.lost {
-			case "written":
-				lost = a.mapper.Loc(first)
-			case "unwritten":
-				lost = a.mapper.Loc(first + int64(r.k))
-			case "P", "Q":
-				lost = layout.ParityLocOf(a.lay, stripe, strings.Index("PQ", r.lost))
-			}
-			if lost.Disk >= 0 {
-				if err := a.Fail(lost.Disk); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkWrite(t, eng, a, first, r.k, r.reads, r.writes, func() { a.WriteRange(first, r.k, func() {}) })
+			eng, a, first := tableArray(t, r)
+			checkAccess(t, eng, a, r.reads, r.writes, func() { a.WriteRange(first, r.k, func() {}) })
+			checkReadBack(t, eng, a, first, r.k)
 		})
 	}
 	const failed = 2
@@ -195,17 +211,74 @@ func TestWritePlanAccessCounts(t *testing.T) {
 				}
 				first = unitWithLost(t, a, failed, r.lost)
 			}
-			checkWrite(t, eng, a, first, 1, r.reads, r.writes, func() { a.WriteRange(first, 1, func() {}) })
+			checkAccess(t, eng, a, r.reads, r.writes, func() { a.WriteRange(first, 1, func() {}) })
+			checkReadBack(t, eng, a, first, 1)
 		})
 	}
 }
 
-// checkWrite plays one user write, issued by write, of units [first,
-// first+count) and checks its reads and writes, the array's consistency
-// after it, and that the units read back.
-func checkWrite(t *testing.T, eng *sim.Engine, a *Array, first int64, count, wantReads, wantWrites int, write func()) {
+// TestReadAccessCounts pins the read half of the table: a read of k units
+// costs k accesses unless it covers its stripe's lost unit, which it decodes
+// on the fly from the survivors (§7). The first rows are the table the
+// store's test of the same name reads too; the ones below them are the
+// simulator's own, a lost unit read with a replacement installed under
+// each kind of algorithm (§8). Every row checks the values read.
+func TestReadAccessCounts(t *testing.T) {
+	for _, r := range costRows(t, "R", "array") {
+		r := r
+		t.Run(code[r.m]+"/"+r.name, func(t *testing.T) {
+			eng, a, first := tableArray(t, r)
+			got := make([]uint64, r.k)
+			checkAccess(t, eng, a, r.reads, r.writes, func() { a.ReadRange(first, got, func() {}) })
+			checkValues(t, a, first, got)
+		})
+	}
+	const failed = 2
+	for _, r := range []struct {
+		name    string
+		m       int
+		alg     ReconAlgorithm
+		rebuilt bool // a redirected write has rebuilt the unit on the replacement first
+		reads   int
+		writes  int
+	}{
+		// Baseline decodes the lost unit, and so does every algorithm
+		// before the unit is rebuilt; the piggyback also writes the value
+		// it decoded to the replacement, after the user has it.
+		{name: "P/otf-baseline-replaced", m: 1, reads: 4},
+		{name: "P/otf-piggyback", m: 1, alg: RedirectPiggyback, reads: 4, writes: 1},
+		{name: "PQ/otf-piggyback", m: 2, alg: RedirectPiggyback, reads: 3, writes: 1},
+		// A rebuilt unit is read from the replacement under the Redirect
+		// algorithms, and decoded still under the others.
+		{name: "P/redirected", m: 1, alg: Redirect, rebuilt: true, reads: 1},
+		{name: "P/otf-rebuilt-user-writes", m: 1, alg: UserWrites, rebuilt: true, reads: 4},
+	} {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			eng, a := arrayOf(t, 5, r.m, func(c *Config) { c.Algorithm = r.alg })
+			if err := a.Fail(failed); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Replace(); err != nil {
+				t.Fatal(err)
+			}
+			unit := unitWithLost(t, a, failed, lostData)
+			if r.rebuilt {
+				a.WriteRange(unit, 1, func() {})
+				eng.Run()
+			}
+			got := make([]uint64, 1)
+			checkAccess(t, eng, a, r.reads, r.writes, func() { a.ReadRange(unit, got, func() {}) })
+			checkValues(t, a, unit, got)
+		})
+	}
+}
+
+// checkAccess plays one user access, issued by access, and checks its
+// reads and writes, then the array's consistency after it.
+func checkAccess(t *testing.T, eng *sim.Engine, a *Array, wantReads, wantWrites int, access func()) {
 	t.Helper()
-	// Count the write's transfers through a fault hook that never fails
+	// Count the access's transfers through a fault hook that never fails
 	// one: it sees every transfer that reaches the arm, and these drives
 	// have no read-ahead buffer to serve any other way.
 	var reads, writes int
@@ -220,23 +293,24 @@ func checkWrite(t *testing.T, eng *sim.Engine, a *Array, first int64, count, wan
 	for i := 0; i < a.lay.Disks(); i++ {
 		a.Disk(i).SetFaultHook(probe, 1)
 	}
-	write()
+	access()
 	eng.Run()
 	if reads != wantReads || writes != wantWrites {
-		t.Errorf("write used %d reads + %d writes, want %d + %d", reads, writes, wantReads, wantWrites)
+		t.Errorf("access used %d reads + %d writes, want %d + %d", reads, writes, wantReads, wantWrites)
 	}
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	for n := first; n < first+int64(count); n++ {
-		n := n
-		a.Read(n, func(v uint64) {
-			if v != a.ExpectedValue(n) {
-				t.Errorf("unit %d reads back %#x, want %#x", n, v, a.ExpectedValue(n))
-			}
-		})
-	}
+}
+
+// checkReadBack reads units [first, first+count) back and checks each
+// holds the value last written to it.
+func checkReadBack(t *testing.T, eng *sim.Engine, a *Array, first int64, count int) {
+	t.Helper()
+	got := make([]uint64, count)
+	a.ReadRange(first, got, func() {})
 	eng.Run()
+	checkValues(t, a, first, got)
 }
 
 // bothCodes runs a test body once per code: single parity and P+Q.

@@ -32,7 +32,7 @@ func pumpWorkload(eng *sim.Engine, a *Array, n int, spanMS float64, seed int64) 
 		unit := rng.Int63n(a.DataUnits())
 		when := rng.Float64() * spanMS
 		if rng.Intn(2) == 0 {
-			eng.At(when, func() { a.Read(unit, func(uint64) {}) })
+			eng.At(when, func() { a.ReadRange(unit, make([]uint64, 1), func() {}) })
 		} else {
 			eng.At(when, func() { a.WriteRange(unit, 1, func() {}) })
 		}
@@ -192,9 +192,13 @@ func TestRedirectServesReconstructedReadsFromReplacement(t *testing.T) {
 				return
 			}
 			before := a2.Disk(2).Stats().Completed
-			a2.Read(unit, func(uint64) {
+			v := make([]uint64, 1)
+			a2.ReadRange(unit, v, func() {
 				if got := a2.Disk(2).Stats().Completed; got != before+1 {
 					t.Errorf("redirected read did not hit replacement (completed %d -> %d)", before, got)
+				}
+				if v[0] != a2.ExpectedValue(unit) {
+					t.Errorf("redirected read %#x, want %#x", v[0], a2.ExpectedValue(unit))
 				}
 				probed = true
 			})
@@ -231,10 +235,14 @@ func TestBaselineDoesNotRedirectReads(t *testing.T) {
 				return
 			}
 			before := a.Disk(2).Stats().Completed
-			a.Read(unit, func(uint64) {
+			v := make([]uint64, 1)
+			a.ReadRange(unit, v, func() {
 				// On-the-fly reconstruction: no replacement access.
 				if got := a.Disk(2).Stats().Completed; got != before {
 					t.Errorf("baseline read hit the replacement")
+				}
+				if v[0] != a.ExpectedValue(unit) {
+					t.Errorf("baseline read %#x, want %#x", v[0], a.ExpectedValue(unit))
 				}
 				probed = true
 			})
@@ -305,10 +313,14 @@ func TestPiggybackMarksReadUnitsReconstructed(t *testing.T) {
 			break
 		}
 	}
-	a.Read(unit, func(uint64) {})
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
 	if !a.Reconstructed(off) {
 		t.Fatal("piggyback did not write back the on-the-fly reconstruction")
+	}
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("piggybacked read %#x, want %#x", got[0], a.ExpectedValue(unit))
 	}
 	if got, want := a.UnitContent(layout.Loc{Disk: 2, Offset: off}), a.ExpectedValue(unit); got != want {
 		t.Fatalf("piggybacked content %#x, want %#x", got, want)
@@ -418,11 +430,11 @@ func TestMidFlightFailureDuringRMW(t *testing.T) {
 	}
 	// The written value must have survived the failure, whichever path
 	// physically carried it.
-	var got uint64
-	a.Read(unit, func(v uint64) { got = v })
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
-	if got != a.ExpectedValue(unit) {
-		t.Fatalf("unit %d reads %#x after mid-flight failure, want %#x", unit, got, a.ExpectedValue(unit))
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("unit %d reads %#x after mid-flight failure, want %#x", unit, got[0], a.ExpectedValue(unit))
 	}
 }
 

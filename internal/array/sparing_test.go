@@ -107,11 +107,11 @@ func TestSparingReadsAfterCompletion(t *testing.T) {
 	// access, on a surviving disk.
 	unit, _ := earliestDataUnitOnDisk(t, a, 3)
 	before := totalCompleted(a)
-	var got uint64
-	a.Read(unit, func(v uint64) { got = v })
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
-	if got != a.ExpectedValue(unit) {
-		t.Fatalf("spared read %#x, want %#x", got, a.ExpectedValue(unit))
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("spared read %#x, want %#x", got[0], a.ExpectedValue(unit))
 	}
 	if n := totalCompleted(a) - before; n != 1 {
 		t.Fatalf("spared read used %d accesses, want 1", n)
@@ -129,11 +129,11 @@ func TestSparingWritesAfterCompletion(t *testing.T) {
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	var got uint64
-	a.Read(unit, func(v uint64) { got = v })
+	got := make([]uint64, 1)
+	a.ReadRange(unit, got, func() {})
 	eng.Run()
-	if got != a.ExpectedValue(unit) {
-		t.Fatalf("spared unit reads %#x after write, want %#x", got, a.ExpectedValue(unit))
+	if got[0] != a.ExpectedValue(unit) {
+		t.Fatalf("spared unit reads %#x after write, want %#x", got[0], a.ExpectedValue(unit))
 	}
 }
 
@@ -240,7 +240,7 @@ func TestSparingRangeOps(t *testing.T) {
 		count := 1 + i%10
 		when := float64(i) * 50
 		if i%2 == 0 {
-			eng.At(when, func() { a.ReadRange(start, count, func() {}) })
+			eng.At(when, func() { a.ReadRange(start, make([]uint64, count), func() {}) })
 		} else {
 			eng.At(when, func() { a.WriteRange(start, count, func() {}) })
 		}

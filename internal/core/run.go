@@ -266,12 +266,12 @@ type runner struct {
 // pooled on the runner with their callbacks pre-bound, so steady-state
 // requests allocate nothing.
 type pendingReq struct {
-	r         *runner
-	start     float64
-	op        workload.Op
-	span      *telemetry.Span // root span; nil when tracing is off
-	recordFn  func()
-	recordVFn func(uint64)
+	r        *runner
+	start    float64
+	op       workload.Op
+	span     *telemetry.Span // root span; nil when tracing is off
+	dst      []uint64        // where a read's values land; the run does not look at them
+	recordFn func()
 }
 
 func (r *runner) getPend() *pendingReq {
@@ -282,11 +282,8 @@ func (r *runner) getPend() *pendingReq {
 	}
 	p := &pendingReq{r: r}
 	p.recordFn = p.record
-	p.recordVFn = p.recordV
 	return p
 }
-
-func (p *pendingReq) recordV(uint64) { p.record() }
 
 // record runs at request completion: copy the node's state to locals and
 // recycle it, then score the response if the arrival fell inside the
@@ -372,6 +369,14 @@ func newRunner(cfg SimConfig) (*runner, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	// A replayed trace is checked against the array before the run: an
+	// access past its data space is an error naming the record, not a
+	// panic in the middle of the simulation.
+	if rep, ok := cfg.Source.(*trace.Replayer); ok {
+		if err := rep.Fits(arr.DataUnits()); err != nil {
+			return nil, err
+		}
 	}
 	var src workload.Source = cfg.Source
 	if src == nil {
@@ -635,12 +640,12 @@ func (r *runner) arrive() {
 		p.span = r.spans.Root(name, kind, op.Unit, p.start)
 		r.arr.SetOpSpan(p.span)
 	}
-	switch {
-	case op.Read && op.Count == 1:
-		r.arr.Read(op.Unit, p.recordVFn)
-	case op.Read:
-		r.arr.ReadRange(op.Unit, op.Count, p.recordFn)
-	default:
+	if op.Read {
+		if cap(p.dst) < op.Count {
+			p.dst = make([]uint64, op.Count)
+		}
+		r.arr.ReadRange(op.Unit, p.dst[:op.Count], p.recordFn)
+	} else {
 		r.arr.WriteRange(op.Unit, op.Count, p.recordFn)
 	}
 	r.pump()

@@ -20,11 +20,11 @@ import (
 // runs is visible from outside as accesses: the delta reads what it
 // overwrites and the parities, from scratch reads what the span leaves
 // alone. TestWritePlanAccessCounts pins the count of every row of the rule,
-// from the table the simulator's test of the same name in internal/array
-// reads too; TestRebuildReadsMatchLayout pins a rebuild's reads to the
-// layout's decode rule, which the simulator follows; and
-// TestGeneratedRangeOps pins that, whichever plan ran, the bytes are those
-// of a flat array.
+// and TestReadAccessCounts of every read, from the table the simulator's
+// tests of the same names in internal/array read too;
+// TestRebuildReadsMatchLayout pins a rebuild's reads to the layout's decode
+// rule, which the simulator follows; and TestGeneratedRangeOps pins that,
+// whichever plan ran, the bytes are those of a flat array.
 
 // accessCount is shared by the disks of an array, replacements included.
 type accessCount struct{ reads, writes atomic.Int64 }
@@ -184,66 +184,57 @@ func (f *flatStore) heal(t *testing.T) {
 	}
 }
 
-// planRow is one row of internal/testdata/write_plans.txt; its header says
-// what the columns mean.
-type planRow struct {
-	plane, lost, reconstruct, name string
-	c, g, m, k                     int
-	reads, writes                  int64
+// costRow is one row of internal/testdata/costs.txt; its header says what
+// the columns mean.
+type costRow struct {
+	op, plane, lost, reconstruct, name string
+	c, g, m, k                         int
+	reads, writes                      int64
 }
 
-// writePlans returns the table's rows for plane and for both. A key (C G m
-// lost k) must have one both row, or one array row and then one store row.
-func writePlans(t *testing.T, plane string) []planRow {
+// costRows returns the table's rows of op (R or W) for plane and for both.
+// A key (op C G m lost k) must have one both row, or one array row and then
+// one store row.
+func costRows(t *testing.T, op, plane string) []costRow {
 	t.Helper()
-	text, err := os.ReadFile(filepath.Join("..", "testdata", "write_plans.txt"))
+	text, err := os.ReadFile(filepath.Join("..", "testdata", "costs.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []planRow
+	var rows []costRow
 	planes := map[string]string{}
 	for _, line := range strings.Split(string(text), "\n") {
 		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
-		var r planRow
-		if _, err := fmt.Sscan(line, &r.plane, &r.c, &r.g, &r.m, &r.lost, &r.k, &r.reads, &r.writes, &r.reconstruct, &r.name); err != nil {
-			t.Fatalf("write_plans.txt: %q: %v", line, err)
+		var r costRow
+		if _, err := fmt.Sscan(line, &r.op, &r.plane, &r.c, &r.g, &r.m, &r.lost, &r.k, &r.reads, &r.writes, &r.reconstruct, &r.name); err != nil {
+			t.Fatalf("costs.txt: %q: %v", line, err)
 		}
-		key := fmt.Sprint(r.c, r.g, r.m, r.lost, r.k)
+		if r.op != "R" && r.op != "W" {
+			t.Fatalf("costs.txt: %q: op %q, want R or W", line, r.op)
+		}
+		key := fmt.Sprint(r.op, r.c, r.g, r.m, r.lost, r.k)
 		planes[key] += " " + r.plane
-		if r.plane == plane || r.plane == "both" {
+		if r.op == op && (r.plane == plane || r.plane == "both") {
 			rows = append(rows, r)
 		}
 	}
 	for key, p := range planes {
 		if p != " both" && p != " array store" {
-			t.Errorf("write_plans.txt: key %s has rows%s; want both, or array then store", key, p)
+			t.Errorf("costs.txt: key %s has rows%s; want both, or array then store", key, p)
 		}
 	}
 	return rows
 }
 
-// TestWritePlanAccessCounts: one WriteRange of k units from the start of a
-// stripe, per row; backend reads and writes counted exactly, and whether
-// Stats.ReconstructWrites moved. The rows for k = 1 of a stripe with two or
-// more data units are the paper's small write and hold at any commit: four
-// accesses, six under P+Q.
-func TestWritePlanAccessCounts(t *testing.T) {
-	rows := append(writePlans(t, "store"),
-		// Rows the simulator plays another way: a multi-unit write to a
-		// stripe that has lost a written unit or a parity, which it writes
-		// unit by unit — a written unit lost is the fold-forward, reading
-		// the survivors the span leaves alone and writing nothing for the
-		// lost unit; a parity lost has no say in the rule — and two units
-		// lost at once, past its single-failure model: the unwritten one
-		// decoded first, one survivor gathered, then the decode's own
-		// three reads.
-		planRow{c: 11, g: 5, m: 1, lost: "written", k: 2, reads: 2, writes: 2, reconstruct: "no"},
-		planRow{c: 11, g: 5, m: 2, lost: "P", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
-		planRow{c: 11, g: 5, m: 2, lost: "Q", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
-		planRow{c: 11, g: 5, m: 2, lost: "written unwritten", k: 1, reads: 4, writes: 2, reconstruct: "no"},
-	)
+// playCosts plays each row at 1 and 4 I/O workers on a flat store written
+// in full: it fails the disks holding the units the row's lost column names
+// in stripe 3, then counts the backend reads and writes of access, the
+// row's one access of k units from the stripe's first data unit, and checks
+// whether Stats.ReconstructWrites moved. It ends with the whole array
+// against the flat reference, before and after a rebuild.
+func playCosts(t *testing.T, rows []costRow, access func(t *testing.T, f *flatStore, rng *rand.Rand, start int64, k int)) {
 	for _, ioWorkers := range []int{1, 4} {
 		for _, r := range rows {
 			lay := testLayout(t, r.c, r.g)
@@ -265,9 +256,9 @@ func TestWritePlanAccessCounts(t *testing.T) {
 				for _, what := range lose {
 					var loc layout.Loc
 					switch what {
-					case "written":
+					case "written", "read":
 						loc = f.mapper.Loc(start)
-					case "unwritten":
+					case "unwritten", "unread":
 						loc = f.mapper.Loc(start + int64(r.k))
 					case "P", "Q":
 						loc = layout.ParityLocOf(f.lay, stripe, strings.Index("PQ", what))
@@ -279,10 +270,10 @@ func TestWritePlanAccessCounts(t *testing.T) {
 				before := f.Stats().ReconstructWrites
 				f.n.reads.Store(0)
 				f.n.writes.Store(0)
-				f.write(t, rng, f.WriteRange, start, int64(r.k))
+				access(t, f, rng, start, r.k)
 				reads, writes := f.n.reads.Load(), f.n.writes.Load()
 				if reads != r.reads || writes != r.writes {
-					t.Errorf("%d of %d data units written: %d reads and %d writes, want %d and %d",
+					t.Errorf("%d of %d data units: %d reads and %d writes, want %d and %d",
 						r.k, f.dataPerStripe, reads, writes, r.reads, r.writes)
 				}
 				want := int64(0)
@@ -292,12 +283,58 @@ func TestWritePlanAccessCounts(t *testing.T) {
 				if got := f.Stats().ReconstructWrites - before; got != want {
 					t.Errorf("Stats.ReconstructWrites grew by %d, want %d", got, want)
 				}
-				f.check(t, "after the write")
+				f.check(t, "after the access")
 				f.heal(t)
 				f.check(t, "rebuilt")
 			})
 		}
 	}
+}
+
+// TestWritePlanAccessCounts: one WriteRange of k units from the start of a
+// stripe, per row; backend reads and writes counted exactly, and whether
+// Stats.ReconstructWrites moved. The rows for k = 1 of a stripe with two or
+// more data units are the paper's small write and hold at any commit: four
+// accesses, six under P+Q.
+func TestWritePlanAccessCounts(t *testing.T) {
+	rows := append(costRows(t, "W", "store"),
+		// Rows the simulator plays another way: a multi-unit write to a
+		// stripe that has lost a written unit or a parity, which it writes
+		// unit by unit — a written unit lost is the fold-forward, reading
+		// the survivors the span leaves alone and writing nothing for the
+		// lost unit; a parity lost has no say in the rule — and two units
+		// lost at once, past its single-failure model: the unwritten one
+		// decoded first, one survivor gathered, then the decode's own
+		// three reads.
+		costRow{c: 11, g: 5, m: 1, lost: "written", k: 2, reads: 2, writes: 2, reconstruct: "no"},
+		costRow{c: 11, g: 5, m: 2, lost: "P", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
+		costRow{c: 11, g: 5, m: 2, lost: "Q", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
+		costRow{c: 11, g: 5, m: 2, lost: "written unwritten", k: 1, reads: 4, writes: 2, reconstruct: "no"},
+	)
+	playCosts(t, rows, func(t *testing.T, f *flatStore, rng *rand.Rand, start int64, k int) {
+		f.write(t, rng, f.WriteRange, start, int64(k))
+	})
+}
+
+// TestReadAccessCounts: one ReadRange of k units from the start of a
+// stripe, per row, checked against the flat reference; backend reads and
+// writes counted exactly. A read of the stripe's lost unit decodes it from
+// the survivors layout.RebuildSources names, beside the span's other units.
+func TestReadAccessCounts(t *testing.T) {
+	rows := append(costRows(t, "R", "store"),
+		// Two units lost at once, past the simulator's single-failure
+		// model: the lost unit read decodes from the three survivors.
+		costRow{c: 11, g: 5, m: 2, lost: "read unread", k: 1, reads: 3, writes: 0, reconstruct: "no"},
+	)
+	playCosts(t, rows, func(t *testing.T, f *flatStore, _ *rand.Rand, start int64, k int) {
+		got := make([]byte, k*f.cfg.UnitSize)
+		if err := f.ReadRange(start, got); err != nil {
+			t.Fatalf("ReadRange(%d, %d units): %v", start, k, err)
+		}
+		if !bytes.Equal(got, f.units(start, int64(k))) {
+			t.Errorf("ReadRange(%d, %d units) differs from the flat reference", start, k)
+		}
+	})
 }
 
 // readLog records every unit the disks of a store are asked to read.

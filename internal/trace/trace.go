@@ -22,6 +22,15 @@ type Record struct {
 	Op       workload.Op
 }
 
+// String is the record's line in the text form WriteTo emits.
+func (r Record) String() string {
+	dir := "R"
+	if !r.Op.Read {
+		dir = "W"
+	}
+	return fmt.Sprintf("%.6f %.6f %s %d %d", r.ArriveMS, r.DoneMS, dir, r.Op.Unit, r.Op.Count)
+}
+
 // Latency returns the access's response time in milliseconds.
 func (r Record) Latency() float64 { return r.DoneMS - r.ArriveMS }
 
@@ -52,11 +61,7 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
 	for _, r := range l.Records() {
-		dir := "R"
-		if !r.Op.Read {
-			dir = "W"
-		}
-		k, err := fmt.Fprintf(bw, "%.6f %.6f %s %d %d\n", r.ArriveMS, r.DoneMS, dir, r.Op.Unit, r.Op.Count)
+		k, err := fmt.Fprintf(bw, "%s\n", r)
 		n += int64(k)
 		if err != nil {
 			return n, err
@@ -130,6 +135,18 @@ func NewReplayer(l *Log) (*Replayer, error) {
 		return nil, fmt.Errorf("trace: empty trace")
 	}
 	return &Replayer{records: l.Records()}, nil
+}
+
+// Fits returns an error naming the first record, in arrival order, that
+// addresses a unit outside [0, dataUnits): a trace recorded on a larger
+// array, or written by hand, that the array it is replayed on cannot serve.
+func (r *Replayer) Fits(dataUnits int64) error {
+	for _, rec := range r.records {
+		if op := rec.Op; op.Unit < 0 || op.Count <= 0 || op.Unit > dataUnits-int64(op.Count) {
+			return fmt.Errorf("trace: record %q addresses units outside the array's data space [0,%d)", rec, dataUnits)
+		}
+	}
+	return nil
 }
 
 // Len returns the number of accesses in one pass of the trace.
