@@ -62,11 +62,12 @@ bench-harness:
 	fi
 
 # Every Fuzz target in the module, FUZZTIME each, found by asking the
-# packages for their lists — a new target needs no edit here. Today five:
+# packages for their lists — a new target needs no edit here. Today six:
 # the GF(2^8) slice kernels against the scalar field ops and each
 # dispatching kernel against its portable loop, the layout's helpers that
 # place data around parity (FuzzParityPositions) against a brute-force scan
-# of one stripe, and
+# of one stripe, the store's two-erasure decode (FuzzDecode) against a
+# byte-at-a-time solution, and
 # the store's three on-disk parsers (superblock, intent log, checksum
 # trailer) against oracles the tests compute. A failing input is written to testdata/fuzz/<target>/
 # beside the test and from then on replayed by plain `go test`; check it
@@ -120,8 +121,8 @@ vet:
 # assembly out, and the store's suite on top shows the engine's bytes do
 # not depend on which body made them (a P+Q small write then runs two
 # portable fused passes, XorMulAddSlice, per written unit: its old
-# contents and its new); the same tag gives the store's large
-# writes the standard library's generic crypto/subtle.XORBytes loop in
+# contents and its new); the same tag gives every XOR pass in the
+# store the standard library's generic crypto/subtle.XORBytes loop in
 # place of its vector body — and vet the package for a platform that has
 # no assembly at all: that is exactly what fails when a fast-path function
 # lacks its portable twin. Both work offline.
@@ -163,7 +164,7 @@ cover:
 # suite under the race detector (once — the storage chaos and crash tests
 # included), the portable GF(2^8) kernels under the store's suite, the
 # fault-injection lifecycle smoke, the benchmark harness's own tests, ten
-# seconds of each fuzz target (five of them: 50 s), and a benchmark smoke
+# seconds of each fuzz target (six of them: 60 s), and a benchmark smoke
 # pass.
 verify: fmt-check vet build race portable fault-smoke bench-harness fuzz bench-smoke
 	@echo "verify: OK"

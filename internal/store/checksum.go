@@ -24,8 +24,10 @@ import (
 // convention is unambiguous — any legitimately written unit, including an
 // all-zero one, carries a nonzero trailer.
 
-// trailerLen is the per-unit checksum trailer size in bytes. It is a
-// multiple of 8 so physical units preserve the engine's XOR alignment.
+// trailerLen is the per-unit checksum trailer size in bytes: two 32-bit
+// words. With the unit size a multiple of 8 (New's rule), a physical unit
+// is a multiple of 8 too, so units laid back to back on a backend each
+// start on an 8-byte boundary.
 const trailerLen = 8
 
 // PhysUnitSize returns the on-backend size of one unit for a store with

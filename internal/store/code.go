@@ -204,14 +204,14 @@ func decode(list []erasure, px, qx []byte) {
 	case x == roleP && y == roleQ:
 	case x == roleP:
 		gf256.MulSlice(qx, qx, gf256.Exp(-y))
-		xorInto(px, qx)
+		subtle.XORBytes(px, px, qx)
 	case y == roleQ:
 		gf256.MulAddSlice(qx, px, gf256.Exp(x))
 	default:
 		a, b := gf256.TwoErasureCoeffs(x, y)
 		gf256.MulSlice(qx, qx, b)
 		gf256.MulAddSlice(qx, px, a)
-		xorInto(px, qx)
+		subtle.XORBytes(px, px, qx)
 	}
 }
 

@@ -8,13 +8,15 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+
+	"declust/internal/gf256"
 )
 
 // The three parsers that read bytes this process did not write — a disk
-// file's superblock, the intent-log file, a unit's checksum trailer — each
-// against an oracle the test computes for itself. `make fuzz` finds and
-// runs every Fuzz target in the module; seeds are the cases of the table
-// tests in backend_test.go.
+// file's superblock, the intent-log file, a unit's checksum trailer — and
+// the two-erasure decode, each against an oracle the test computes for
+// itself. `make fuzz` finds and runs every Fuzz target in the module; the
+// parsers' seeds are the cases of the table tests in backend_test.go.
 
 // fold maps any int64 into [1, n], leaving values already there alone (so
 // the seeds mean what they say): geometries and region counts come from the
@@ -178,6 +180,74 @@ func FuzzTrailer(f *testing.F) {
 		stamped[bit/8] ^= 1 << (bit % 8)
 		if !zero(stamped) && verifyTrailer(stamped, us, off) {
 			t.Fatalf("bit %d flipped and the unit still verifies: %x at %d", bit, stamped, off)
+		}
+	})
+}
+
+// FuzzDecode: decode turns the two parity sums a gather leaves around any
+// two erasures into what a byte-at-a-time solution of the same equations
+// gives, solved with nothing but gf256.Mul and ⊕ (a GF product is undone by
+// a table of all 256 products). px and qx are the input's two halves, cut to a
+// whole number of 8-byte words, zero allowed; branch picks one of decode's
+// four patterns and x, y the data ordinals it erases (0 ≤ x < y ≤ 254).
+func FuzzDecode(f *testing.F) {
+	for _, n := range []int{0, 8, 4096, 4104} {
+		sums := make([]byte, 2*n)
+		fill(sums, int64(n), 3)
+		for branch := range 4 {
+			f.Add(sums, uint8(branch), uint8(2), uint8(5))
+		}
+	}
+	f.Fuzz(func(t *testing.T, sums []byte, branch, x, y uint8) {
+		n := len(sums) / 2 &^ 7
+		px, qx := bytes.Clone(sums[:n]), bytes.Clone(sums[n:2*n])
+		dx := int(x) % 254
+		dy := dx + 1 + int(y)%(254-dx)
+		gx, gy := gf256.Exp(dx), gf256.Exp(dy)
+		// over(c) divides by c: over(c)[gf256.Mul(c, v)] == v.
+		over := func(c byte) (t [256]byte) {
+			for v := range 256 {
+				t[gf256.Mul(c, byte(v))] = byte(v)
+			}
+			return t
+		}
+		// solve is one byte of the pattern's answer: the P sum a (the
+		// surviving data, and the stored P unless erased) and the Q sum b
+		// give the first and the second erased unit, in role order.
+		var roles [2]int
+		var solve func(a, b byte) (byte, byte)
+		switch branch % 4 {
+		case 0: // P and Q: both sums are the answers
+			roles = [2]int{roleP, roleQ}
+			solve = func(a, b byte) (byte, byte) { return a, b }
+		case 1: // P and x: b = g^x·d_x, and a = P ⊕ d_x
+			roles = [2]int{roleP, dx}
+			byX := over(gx)
+			solve = func(a, b byte) (byte, byte) {
+				d := byX[b]
+				return a ^ d, d
+			}
+		case 2: // x and Q: a = d_x, and b = Q ⊕ g^x·d_x
+			roles = [2]int{dx, roleQ}
+			solve = func(a, b byte) (byte, byte) { return a, b ^ gf256.Mul(gx, a) }
+		case 3: // x < y: a = d_x ⊕ d_y and b = g^x·d_x ⊕ g^y·d_y
+			roles = [2]int{dx, dy}
+			byXY := over(gx ^ gy)
+			solve = func(a, b byte) (byte, byte) {
+				d := byXY[b^gf256.Mul(gx, a)]
+				return a ^ d, d
+			}
+		}
+		want0, want1 := make([]byte, n), make([]byte, n)
+		for i := range n {
+			want0[i], want1[i] = solve(px[i], qx[i])
+		}
+		decode([]erasure{{role: roles[0]}, {role: roles[1]}}, px, qx)
+		for i := range n {
+			if px[i] != want0[i] || qx[i] != want1[i] {
+				t.Fatalf("decode of roles %v over %d-byte sums: byte %d is (%#02x, %#02x), want (%#02x, %#02x)",
+					roles, n, i, px[i], qx[i], want0[i], want1[i])
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"time"
@@ -212,17 +213,16 @@ func (t term) foldInto(sm *sums, data []byte) {
 
 // accumulate is foldInto once both sums are under way — all that the
 // coefficient-free commit, which never has a sum waiting, ever runs. It is
-// a function apart from the choice above and from start because its XOR
-// loop is a quarter of a small write: compiled together with either, the
-// loop lands differently (padding inside it) and that write ran 3–5 %
-// slower.
+// a function apart from start because it is the common case, every term
+// after each sum's first: it takes neither the sums' start flags nor a
+// buffer comparison, only the term and the Q sum.
 func (t term) accumulate(q, data []byte) {
 	switch {
 	case t.p != nil && t.coef != 0:
 		// Both sums in one pass: data is read once, not twice.
 		gf256.XorMulAddSlice(t.p, q, data, t.coef)
 	case t.p != nil:
-		xorInto(t.p, data)
+		subtle.XORBytes(t.p, t.p, data)
 	case t.coef != 0:
 		gf256.MulAddSlice(q, data, t.coef)
 	}
@@ -240,7 +240,7 @@ func (t term) start(sm *sums, data []byte) {
 			sm.qStart = false
 			copy(t.p, data)
 		default:
-			xorInto(t.p, data)
+			subtle.XORBytes(t.p, t.p, data)
 		}
 	}
 	if t.coef != 0 {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -81,7 +82,7 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 			phys := s.getBuf()
 			err := s.readPhys(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *phys)
 			if err == nil {
-				xorInto(sum, (*phys)[:s.unitSize])
+				subtle.XORBytes(sum, sum, (*phys)[:s.unitSize])
 				err = s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
 			}
 			s.putBuf(phys)

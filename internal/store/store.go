@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -1141,14 +1140,5 @@ func (s *Store) Close() error {
 func zeroBytes(b []byte) {
 	for i := range b {
 		b[i] = 0
-	}
-}
-
-// xorInto XORs src into dst in place; lengths are equal unit sizes,
-// which New constrains to multiples of 8.
-func xorInto(dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		binary.LittleEndian.PutUint64(dst[i:],
-			binary.LittleEndian.Uint64(dst[i:])^binary.LittleEndian.Uint64(src[i:]))
 	}
 }

@@ -376,6 +376,20 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// lostBeside returns the disk that holds, in data unit n's stripe, what
+// role names: "P" the stripe's P, "data" the first other data unit.
+func lostBeside(l layout.Layout, n int64, role string) int {
+	dps := int64(layout.DataPerStripe(l))
+	stripe, own := n/dps, layout.DataPos(l, n/dps, int(n%dps))
+	for j := 0; j < l.G(); j++ {
+		if role == "P" && j == l.ParityPos(stripe, 0) ||
+			role == "data" && j != own && !layout.IsParityPos(l, stripe, j) {
+			return l.Unit(stripe, j).Disk
+		}
+	}
+	panic("no " + role + " unit beside the one read")
+}
+
 // TestHotPathAllocations pins what the benchmark's --trace 1 pass reports
 // as store.write.healthy_allocs, store.pq.write.healthy_allocs,
 // store.read.healthy_allocs and store.read.lost_allocs, where `go test
@@ -384,6 +398,9 @@ func TestModeString(t *testing.T) {
 // allocate nothing, under either code — nor does a range read or write
 // across three stripes: the tail of one, a whole one (a large write) and
 // the head of the next. Over MemDisks every buffer comes from the pools.
+// Two P+Q rows read a unit whose stripe has lost a second unit as well,
+// its P or another data unit: the two-erasure decode's P-and-data and
+// data-and-data branches.
 // Each row runs twice: on a serial store (IOWorkers 1, no gate at all), and
 // gated (IOWorkers 8, as file-p runs), where the gate stays shut over
 // memory and every batch goes through fanOut's inline branch — which must
@@ -399,19 +416,22 @@ func TestHotPathAllocations(t *testing.T) {
 		op      func(s *Store, n int64, buf []byte) error
 		stripes int64 // touched per op; a range op starts at the last unit of the first
 		want    float64
+		also    string // with fail: a second disk is lost too, holding the stripe's "P" or another "data" unit
 	}{
-		{"P healthy write", testLayout(t, 7, 3), false, (*Store).WriteUnit, 1, 0},
-		{"P+Q healthy write", testPQLayout(t, 7, 4), false, (*Store).WriteUnit, 1, 0},
-		{"P healthy read", testLayout(t, 7, 3), false, (*Store).ReadUnit, 1, 0},
-		{"P+Q healthy read", testPQLayout(t, 7, 4), false, (*Store).ReadUnit, 1, 0},
-		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 1, 0},
-		{"P+Q lost-unit read", testPQLayout(t, 7, 4), true, (*Store).ReadUnit, 1, 0},
-		{"P lost-unit write", testLayout(t, 7, 3), true, (*Store).WriteUnit, 1, 0},
-		{"P+Q lost-unit write", testPQLayout(t, 7, 4), true, (*Store).WriteUnit, 1, 0},
-		{"P range read", testLayout(t, 7, 3), false, (*Store).ReadRange, 3, 0},
-		{"P+Q range read", testPQLayout(t, 7, 4), false, (*Store).ReadRange, 3, 0},
-		{"P range write", testLayout(t, 7, 3), false, (*Store).WriteRange, 3, 0},
-		{"P+Q range write", testPQLayout(t, 7, 4), false, (*Store).WriteRange, 3, 0},
+		{"P healthy write", testLayout(t, 7, 3), false, (*Store).WriteUnit, 1, 0, ""},
+		{"P+Q healthy write", testPQLayout(t, 7, 4), false, (*Store).WriteUnit, 1, 0, ""},
+		{"P healthy read", testLayout(t, 7, 3), false, (*Store).ReadUnit, 1, 0, ""},
+		{"P+Q healthy read", testPQLayout(t, 7, 4), false, (*Store).ReadUnit, 1, 0, ""},
+		{"P lost-unit read", testLayout(t, 7, 3), true, (*Store).ReadUnit, 1, 0, ""},
+		{"P+Q lost-unit read", testPQLayout(t, 7, 4), true, (*Store).ReadUnit, 1, 0, ""},
+		{"P lost-unit write", testLayout(t, 7, 3), true, (*Store).WriteUnit, 1, 0, ""},
+		{"P+Q lost-unit write", testPQLayout(t, 7, 4), true, (*Store).WriteUnit, 1, 0, ""},
+		{"P range read", testLayout(t, 7, 3), false, (*Store).ReadRange, 3, 0, ""},
+		{"P+Q range read", testPQLayout(t, 7, 4), false, (*Store).ReadRange, 3, 0, ""},
+		{"P range write", testLayout(t, 7, 3), false, (*Store).WriteRange, 3, 0, ""},
+		{"P+Q range write", testPQLayout(t, 7, 4), false, (*Store).WriteRange, 3, 0, ""},
+		{"P+Q P-and-unit-lost read", testPQLayout(t, 7, 4), true, (*Store).ReadUnit, 1, 0, "P"},
+		{"P+Q two-data-lost read", testPQLayout(t, 7, 4), true, (*Store).ReadUnit, 1, 0, "data"},
 	}
 	for _, workers := range []int{1, 8} {
 		for _, tc := range rows {
@@ -431,17 +451,31 @@ func TestHotPathAllocations(t *testing.T) {
 					size = (tc.stripes - 1) * per
 				}
 				units := make([]int64, 0, s.DataUnits())
+				second := -1 // the disk lost beside disk 0, set by the first unit played
 				for n := int64(0); n+size <= s.DataUnits(); n++ {
 					if tc.stripes > 1 && n%per != per-1 {
 						continue
 					}
-					if !tc.fail || layout.DataLoc(tc.layout, n).Disk == 0 {
-						units = append(units, n)
+					if tc.fail && layout.DataLoc(tc.layout, n).Disk != 0 {
+						continue
 					}
+					if tc.also != "" {
+						if d := lostBeside(tc.layout, n, tc.also); second < 0 {
+							second = d
+						} else if d != second {
+							continue
+						}
+					}
+					units = append(units, n)
 				}
 				if tc.fail {
 					if err := s.Fail(0); err != nil {
 						t.Fatal(err)
+					}
+					if second >= 0 {
+						if err := s.Fail(second); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				buf := make([]byte, size*int64(s.UnitSize()))
