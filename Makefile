@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= v0.6.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race bench-smoke bench store-chaos bench-harness fuzz nightly vet fmt-check portable fault-smoke lint cover verify clean
+.PHONY: all build test race bench-smoke bench bench-layers store-chaos bench-harness fuzz nightly vet fmt-check portable fault-smoke lint cover verify clean
 
 all: build
 
@@ -35,6 +35,16 @@ bench-smoke:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
+# The store's layer probes, five counts each: what a 4 KiB unit operation
+# is made of — the trailer's crc32c (stamp, verify), one XOR pass, the
+# stripe lock with the intent mark's fast path, the whole ReadUnit and
+# WriteUnit under P and P+Q at C = 21, G = 5 (the in-package twin of the
+# benchmark module's store.*.healthy_ns) — and the GF(2^8) kernels under
+# them. Compare parent and change on one host, as for every time here.
+bench-layers:
+	$(GO) test -run='^$$' -bench='^Benchmark(Trailer|XORBytes|StripeLockIntent|UnitOp)$$' -benchmem -count 5 ./internal/store
+	$(GO) test -run='^$$' -bench=. -benchmem -count 5 ./internal/gf256
+
 # The chaos invariants and the SIGKILL crash test under the race detector,
 # verbosely: 12 workers against fault-injecting backends (transients, latent
 # sector errors, torn writes, read corruption) while one disk (single
@@ -62,12 +72,13 @@ bench-harness:
 	fi
 
 # Every Fuzz target in the module, FUZZTIME each, found by asking the
-# packages for their lists — a new target needs no edit here. Today six:
+# packages for their lists — a new target needs no edit here. Today seven:
 # the GF(2^8) slice kernels against the scalar field ops and each
 # dispatching kernel against its portable loop, the layout's helpers that
 # place data around parity (FuzzParityPositions) against a brute-force scan
 # of one stripe, the store's two-erasure decode (FuzzDecode) against a
-# byte-at-a-time solution, and
+# byte-at-a-time solution, the crc32c a parity's trailer is derived from
+# (FuzzTrailerSum) against crc32.Checksum of the units' XOR, and
 # the store's three on-disk parsers (superblock, intent log, checksum
 # trailer) against oracles the tests compute. A failing input is written to testdata/fuzz/<target>/
 # beside the test and from then on replayed by plain `go test`; check it
@@ -119,9 +130,9 @@ vet:
 # CPU has it, the pure-Go table loops everywhere else. A host with AVX2
 # never runs the second unasked, so run it — the purego tag leaves the
 # assembly out, and the store's suite on top shows the engine's bytes do
-# not depend on which body made them (a P+Q small write then runs two
-# portable fused passes, XorMulAddSlice, per written unit: its old
-# contents and its new); the same tag gives every XOR pass in the
+# not depend on which body made them (a P+Q small write then runs one
+# portable fused pass, XorMulAddSlice, per written unit, over its old
+# contents XOR its new); the same tag gives every XOR pass in the
 # store the standard library's generic crypto/subtle.XORBytes loop in
 # place of its vector body — and vet the package for a platform that has
 # no assembly at all: that is exactly what fails when a fast-path function
@@ -164,7 +175,7 @@ cover:
 # suite under the race detector (once — the storage chaos and crash tests
 # included), the portable GF(2^8) kernels under the store's suite, the
 # fault-injection lifecycle smoke, the benchmark harness's own tests, ten
-# seconds of each fuzz target (six of them: 60 s), and a benchmark smoke
+# seconds of each fuzz target (seven of them: 70 s), and a benchmark smoke
 # pass.
 verify: fmt-check vet build race portable fault-smoke bench-harness fuzz bench-smoke
 	@echo "verify: OK"

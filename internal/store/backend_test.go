@@ -14,22 +14,22 @@ func TestChecksumTrailerRoundTrip(t *testing.T) {
 	phys := make([]byte, PhysUnitSize(us))
 	fill(phys[:us], 9, 1)
 	stampTrailer(phys, us, 17)
-	if !verifyTrailer(phys, us, 17) {
+	if _, ok := verifyTrailer(phys, us, 17); !ok {
 		t.Fatal("freshly stamped unit fails verification")
 	}
 	phys[3] ^= 0x40
-	if verifyTrailer(phys, us, 17) {
+	if _, ok := verifyTrailer(phys, us, 17); ok {
 		t.Fatal("bit flip in data not detected")
 	}
 	phys[3] ^= 0x40
-	if !verifyTrailer(phys, us, 17) {
+	if _, ok := verifyTrailer(phys, us, 17); !ok {
 		t.Fatal("restored unit fails verification")
 	}
-	if verifyTrailer(phys, us, 18) {
+	if _, ok := verifyTrailer(phys, us, 18); ok {
 		t.Fatal("misdirected unit (wrong offset) not detected")
 	}
 	phys[us] ^= 1 // trailer corruption
-	if verifyTrailer(phys, us, 17) {
+	if _, ok := verifyTrailer(phys, us, 17); ok {
 		t.Fatal("trailer corruption not detected")
 	}
 }
@@ -37,7 +37,7 @@ func TestChecksumTrailerRoundTrip(t *testing.T) {
 func TestChecksumZeroUnitReadsAsValid(t *testing.T) {
 	const us = 64
 	phys := make([]byte, PhysUnitSize(us))
-	if !verifyTrailer(phys, us, 5) {
+	if _, ok := verifyTrailer(phys, us, 5); !ok {
 		t.Fatal("all-zero physical unit (fresh backend) must verify as zeroes")
 	}
 }

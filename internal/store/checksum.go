@@ -47,25 +47,51 @@ func offMix(off int64) uint32 {
 	return uint32(x)
 }
 
+// dataSum is the crc32c of one unit's data: the trailer's first word.
+func dataSum(data []byte) uint32 { return crc32.Checksum(data, crcTab) }
+
 // stampTrailer computes and writes the trailer for phys[:us] stored at
 // offset off. phys has length us+trailerLen.
 func stampTrailer(phys []byte, us int, off int64) {
-	sum := crc32.Checksum(phys[:us], crcTab)
+	putTrailer(phys, us, off, dataSum(phys[:us]))
+}
+
+// putTrailer writes the trailer for phys[:us] stored at offset off from
+// sum, the data's crc32c, known already: the new contents' of a written
+// unit, computed once, or P's, derived by xorSum.
+func putTrailer(phys []byte, us int, off int64, sum uint32) {
 	binary.LittleEndian.PutUint32(phys[us:], sum)
 	binary.LittleEndian.PutUint32(phys[us+4:], sum^offMix(off))
 }
 
 // verifyTrailer reports whether phys is a valid unit for offset off:
 // either the trailer matches the data, or the whole physical unit is zero
-// (a never-written unit, which reads as zero data).
-func verifyTrailer(phys []byte, us int, off int64) bool {
-	sum := crc32.Checksum(phys[:us], crcTab)
+// (a never-written unit, which reads as zero data). It returns the crc32c
+// of phys[:us] it computed to decide, which is the data's whatever the
+// trailer says — for a never-written unit the zero unit's, not the zero
+// trailer word.
+func verifyTrailer(phys []byte, us int, off int64) (uint32, bool) {
+	sum := dataSum(phys[:us])
 	c1 := binary.LittleEndian.Uint32(phys[us:])
 	c2 := binary.LittleEndian.Uint32(phys[us+4:])
 	if sum == c1 && c2 == c1^offMix(off) {
-		return true
+		return sum, true
 	}
-	return c1 == 0 && c2 == 0 && allZero(phys[:us])
+	return sum, c1 == 0 && c2 == 0 && allZero(phys[:us])
+}
+
+// xorSum derives the crc32c of the XOR of n units of one length from x, the
+// XOR of the units' own crc32c's, and zero, the crc32c of the zero unit of
+// that length. crc32c is affine over XOR: crc(a ⊕ b) = crc(a) ⊕ crc(b) ⊕
+// crc(0), its pre- and post-conditioning being the part that does not
+// depend on the data. Over n units that part cancels in pairs, so the
+// zero unit's crc32c remains in the sum exactly when n is even — n = 0
+// included, the XOR of no units being the zero unit.
+func xorSum(x uint32, n int, zero uint32) uint32 {
+	if n%2 == 0 {
+		x ^= zero
+	}
+	return x
 }
 
 // badSumError reports a unit whose trailer failed verification; the heal

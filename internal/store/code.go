@@ -34,11 +34,11 @@ import (
 // A sum starts from its first term, not from zeros. Its buffer comes out of
 // the pool holding whatever its last user left — no pooled buffer is ever
 // assumed clean — and is handed to the gather as it is: the first term to
-// reach it stores (a copy, or for a Q term a multiply), the rest
-// accumulate, and a sum that no term reached is cleared when the gather is
-// over (sums, io.go). The one sum that starts otherwise is the
-// coefficient-free commit's P, seeded from the new contents before any
-// read.
+// reach it stores (a copy, or for a Q term a multiply; nothing for a stored
+// parity a small write reads in place), the rest accumulate, and a sum that
+// no term reached is cleared when the gather is over (sums, io.go). The one
+// sum that starts otherwise is the coefficient-free from-scratch commit's
+// P, seeded from the new contents before any read.
 
 // roleP and roleQ stand in for a data ordinal in erasure.role, chosen so
 // that roles sort P, data ascending, Q.
@@ -355,10 +355,10 @@ func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, q
 // index order when they do not. Caller holds the stripe's write lock and
 // the region's intent mark.
 //
-//   - delta: gather the old parities and old data, fold old and new data
-//     into P bare and into Q times g^d: read P[,Q],D then write D,P[,Q],
-//     the four-access small write under single parity and the six-access
-//     one under P+Q;
+//   - delta: gather the old parities and old data, and fold each written
+//     unit's difference old ⊕ new into P bare and into Q times g^d: read
+//     P[,Q],D then write D,P[,Q], the four-access small write under single
+//     parity and the six-access one under P+Q;
 //   - from scratch: gather the data units the span does not write and
 //     build the parities from the stripe's new contents — nothing to gather
 //     for a large write, the minority of the stripe for a reconstruct-write,
@@ -366,16 +366,23 @@ func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, q
 //     one is decoded from the old parities first). fromScratch chooses;
 //   - a lost parity unit is simply not written (its rebuild recomputes
 //     it); with every parity lost the data writes go through alone (§7).
+//
+// Each written unit's crc32c is computed once, up front: it stamps the
+// unit, and P's trailer is derived from it and the crc32c's the first
+// round's reads verified (sums.pSum), not computed over P.
 func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	st := s.st.Load()
+	sc.newSums = sc.newSums[:0]
+	for _, d := range sc.datas {
+		sc.newSums = append(sc.newSums, dataSum(d))
+	}
 	px, qx := s.paritySums(st, sc, stripe)
 	defer s.putParity(sc)
 	if len(sc.par) == 0 {
 		return s.commitWrites(st, sc)
 	}
 
-	// How each written unit folds into the new parities — its new contents,
-	// and under a delta its old ones too.
+	// How each written unit folds into the new parities.
 	wr := sc.terms[:len(sc.locs)]
 	writtenLost := false
 	for i, loc := range sc.locs {
@@ -386,12 +393,35 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		}
 		writtenLost = writtenLost || st.lost(loc)
 	}
-	if qx == nil {
-		// Nothing to multiply, so what the written units contribute is
-		// known before any read: the P sum starts as the XOR of their new
-		// contents — one unit copied, two or more summed out of place by
-		// the standard library's vector XOR (px is pooled, so it overlaps
-		// no unit of the caller's).
+
+	// First round: whatever the sums need from the disks, gathered and
+	// folded in list order.
+	need := sc.rest[:0]
+	scratch := s.fromScratch(st, stripe, len(sc.locs), writtenLost)
+	switch {
+	case !scratch:
+		// Delta read-modify-write: P' = P ⊕ Σ(old ⊕ new) and Q' = Q ⊕
+		// Σ g^d·(old ⊕ new). The stored parities are listed first and read
+		// in place, into the buffers they are written back from, so each
+		// starts its sum with no pass; each written unit's term carries its
+		// new contents, and its fold forms old ⊕ new where the old contents
+		// were read and folds it once, in one pass into both sums. Every
+		// written unit reaches every live sum, so none ends unreached. Lost
+		// unwritten units don't disturb the delta.
+		sc.sums = startSums(px, qx) // px is nil with P lost
+		for _, p := range sc.par {
+			need = append(need, term{loc: p.loc, p: (*p.buf)[:s.unitSize], in: *p.buf})
+		}
+		for i, t := range wr {
+			t.new, t.newSum = sc.datas[i], sc.newSums[i]
+			need = append(need, t)
+		}
+	case qx == nil:
+		// From scratch with nothing to multiply: what the written units
+		// contribute is known before any read, so the P sum starts as the
+		// XOR of their new contents — one unit copied, two or more summed
+		// out of place by the standard library's vector XOR (px is pooled,
+		// so it overlaps no unit of the caller's).
 		if d := sc.datas; len(d) == 1 {
 			copy(px, d[0])
 		} else {
@@ -400,35 +430,20 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 				subtle.XORBytes(px, px, x)
 			}
 		}
-		sc.sums = sums{p: px}
-	} else {
-		// Both sums start from the first term in list order that reaches
-		// them — under a delta the stored P and Q, copied — and every
-		// written unit folds into both, so neither can end the update
-		// unreached.
-		sc.sums = startSums(px, qx) // px is nil with P lost
-	}
-
-	// First round: whatever the sums need from the disks, gathered and
-	// folded in list order; with a Q sum to keep, each written unit's new
-	// contents fold in after, once per unit.
-	need := sc.rest[:0]
-	if !s.fromScratch(st, stripe, len(sc.locs), writtenLost) {
-		// Delta read-modify-write: P' = P ⊕ Σold ⊕ Σnew and Q' = Q ⊕
-		// Σ g^d·old ⊕ Σ g^d·new — linear, so old and new contents fold in
-		// as separate terms, each in one pass into both sums. The stored
-		// parities are listed first, so the gather, which folds in list
-		// order, starts each sum with a copy of its parity. Lost unwritten
-		// units don't disturb the delta.
-		for _, p := range sc.par {
-			need = append(need, term{loc: p.loc, p: (*p.buf)[:s.unitSize]})
+		sc.sums = sums{p: px, n: len(sc.datas)}
+		for _, sum := range sc.newSums {
+			sc.sums.crc ^= sum
 		}
-		need = append(need, wr...)
-	} else {
-		// From scratch: what the new parities lack is the units the span
-		// leaves alone. Survivors are gathered; a lost one (P+Q only: a
-		// second failure, beside a lost written unit) contributes its decoded
-		// old value, before the gather — decoding may heal, a heal rewrites.
+	default:
+		// From scratch under P+Q: both sums start from the first term to
+		// reach them, and the new contents fold in after the gather.
+		sc.sums = startSums(px, qx)
+	}
+	if scratch {
+		// What the new parities lack is the units the span leaves alone.
+		// Survivors are gathered; a lost one (P+Q only: a second failure,
+		// beside a lost written unit) contributes its decoded old value,
+		// before the gather — decoding may heal, a heal rewrites.
 		left := int(s.dataPerStripe) - len(sc.locs)
 		if left > 0 && !writtenLost {
 			s.reconstructWrites.Add(1)
@@ -447,7 +462,8 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 				lBuf := s.getBuf()
 				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize])
 				if err == nil {
-					t.foldInto(&sc.sums, (*lBuf)[:s.unitSize])
+					sc.sums.forgetSum()
+					t.foldInto(&sc.sums, (*lBuf)[:s.unitSize], 0)
 				}
 				s.putBuf(lBuf)
 				if err != nil {
@@ -460,10 +476,13 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	if err := s.gatherHealing(st, sc, need); err != nil {
 		return err
 	}
-	if qx != nil {
+	if scratch && qx != nil {
 		for i, t := range wr {
-			t.foldInto(&sc.sums, sc.datas[i])
+			t.foldInto(&sc.sums, sc.datas[i], sc.newSums[i])
 		}
+	}
+	if px != nil {
+		sc.par[0].sum, sc.par[0].derived = sc.sums.pSum(s.zeroSum)
 	}
 	// Second round: data writes (redirected to a replacement or folded
 	// when lost) and the live parities, one batch.

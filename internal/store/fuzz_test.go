@@ -13,9 +13,9 @@ import (
 )
 
 // The three parsers that read bytes this process did not write — a disk
-// file's superblock, the intent-log file, a unit's checksum trailer — and
-// the two-erasure decode, each against an oracle the test computes for
-// itself. `make fuzz` finds and runs every Fuzz target in the module; the
+// file's superblock, the intent-log file, a unit's checksum trailer — the
+// derivation of a parity's trailer from its terms', and the two-erasure
+// decode, each against an oracle the test computes for itself. `make fuzz` finds and runs every Fuzz target in the module; the
 // parsers' seeds are the cases of the table tests in backend_test.go.
 
 // fold maps any int64 into [1, n], leaving values already there alone (so
@@ -166,20 +166,72 @@ func FuzzTrailer(f *testing.F) {
 		// a word at a time and is on trial here too, at every length.
 		zero := func(b []byte) bool { return bytes.Equal(b, make([]byte, len(b))) }
 		want := bytes.Equal(phys, stamped) || zero(phys)
-		if got := verifyTrailer(phys, us, off); got != want {
+		if _, got := verifyTrailer(phys, us, off); got != want {
 			t.Fatalf("verifyTrailer(%x, off %d) = %v, want %v", phys, off, got, want)
 		}
 
-		if !verifyTrailer(stamped, us, off) {
+		if _, ok := verifyTrailer(stamped, us, off); !ok {
 			t.Fatalf("a freshly stamped unit is refused: %x at %d", stamped, off)
 		}
-		if offMix(other) != offMix(off) && verifyTrailer(stamped, us, other) {
+		if _, ok := verifyTrailer(stamped, us, other); ok && offMix(other) != offMix(off) {
 			t.Fatalf("a unit stamped for offset %d is accepted at %d", off, other)
 		}
 		bit %= uint(len(stamped)) * 8
 		stamped[bit/8] ^= 1 << (bit % 8)
-		if !zero(stamped) && verifyTrailer(stamped, us, off) {
+		if _, ok := verifyTrailer(stamped, us, off); ok && !zero(stamped) {
 			t.Fatalf("bit %d flipped and the unit still verifies: %x at %d", bit, stamped, off)
+		}
+	})
+}
+
+// FuzzTrailerSum: the crc32c of the XOR of 1–5 units of one length, derived
+// by xorSum from the crc32c verifyTrailer computes of each unit, is the
+// crc32c of that XOR computed outright, and a unit stamped with it
+// verifies. The units are cut from the input; the bits of zeros force some
+// of them all-zero and never written — a zero trailer, for which
+// verifyTrailer returns the zero unit's crc32c, not the trailer's word. The
+// seeds cover unit sizes 40, 64 and 4096 with odd and even counts: an even
+// count is where the zero unit's crc32c joins the sum.
+func FuzzTrailerSum(f *testing.F) {
+	for _, us := range []int{40, 64, 4096} {
+		for n := 1; n <= 5; n++ {
+			in := make([]byte, n*us)
+			fill(in, int64(us), uint64(n))
+			f.Add(in, uint8(n-1), uint8(0))
+			f.Add(in, uint8(n-1), uint8(0b10))
+		}
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, in []byte, count, zeros uint8) {
+		n := 1 + int(count)%5
+		us := len(in) / n
+		if us == 0 {
+			return
+		}
+		xor := make([]byte, us+trailerLen)
+		var x uint32
+		for i := 0; i < n; i++ {
+			phys := make([]byte, PhysUnitSize(us))
+			if zeros&(1<<i) == 0 {
+				copy(phys, in[i*us:(i+1)*us])
+				stampTrailer(phys, us, int64(i))
+			}
+			sum, ok := verifyTrailer(phys, us, int64(i))
+			if !ok {
+				t.Fatalf("unit %d of %d (%d B, zeros %b) fails verification", i, n, us, zeros)
+			}
+			x ^= sum
+			for j := range xor[:us] {
+				xor[j] ^= phys[j]
+			}
+		}
+		got := xorSum(x, n, dataSum(make([]byte, us)))
+		if want := crc32.Checksum(xor[:us], castagnoli); got != want {
+			t.Fatalf("%d units of %d B (zeros %b): derived crc32c %08x, computed %08x", n, us, zeros, got, want)
+		}
+		putTrailer(xor, us, 99, got)
+		if _, ok := verifyTrailer(xor, us, 99); !ok {
+			t.Fatalf("%d units of %d B (zeros %b): a unit stamped with the derived crc32c fails verification", n, us, zeros)
 		}
 	})
 }

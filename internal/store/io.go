@@ -73,40 +73,41 @@ func (s *Store) DiskErrors() []int64 {
 	return out
 }
 
-// readPhys reads physical unit off of disk dn (backend d) into phys and
-// verifies its trailer. Transient errors retry with backoff; a checksum
-// mismatch re-reads up to the same retry budget (transfer corruption
-// clears on a fresh transfer, medium rot never does). The error is a
-// *badSumError or wraps ErrMedia when the unit needs healing.
-func (s *Store) readPhys(d Disk, dn int, off int64, phys []byte) error {
+// readPhys reads physical unit off of disk dn (backend d) into phys,
+// verifies its trailer and returns the data's crc32c that verification
+// computed. Transient errors retry with backoff; a checksum mismatch
+// re-reads up to the same retry budget (transfer corruption clears on a
+// fresh transfer, medium rot never does). The error is a *badSumError or
+// wraps ErrMedia when the unit needs healing.
+func (s *Store) readPhys(d Disk, dn int, off int64, phys []byte) (uint32, error) {
 	var err error
 	for attempt := 0; ; attempt++ {
 		t := s.gate.begin()
 		err = d.ReadUnit(off, phys)
 		s.gate.end(t)
 		if err == nil {
-			if verifyTrailer(phys, s.unitSize, off) {
-				return nil
+			if sum, ok := verifyTrailer(phys, s.unitSize, off); ok {
+				return sum, nil
 			}
 			err = &badSumError{disk: dn, off: off}
 			if attempt < s.retries {
 				continue
 			}
-			return err
+			return 0, err
 		}
 		if errors.Is(err, ErrMedia) {
 			s.mediaErrs.Add(1)
-			return err
+			return 0, err
 		}
 		if !errors.Is(err, ErrTransient) {
 			if !errors.Is(err, ErrDiskFailed) {
 				s.scoreDiskError(dn)
 			}
-			return err
+			return 0, err
 		}
 		if attempt >= s.retries {
 			s.scoreDiskError(dn)
-			return fmt.Errorf("store: disk %d unit %d: retries exhausted: %w", dn, off, err)
+			return 0, fmt.Errorf("store: disk %d unit %d: retries exhausted: %w", dn, off, err)
 		}
 		s.retriesDone.Add(1)
 		time.Sleep(s.retryDelay(attempt))
@@ -137,13 +138,13 @@ func (s *Store) writePhysRaw(d Disk, dn int, off int64, phys []byte) error {
 	}
 }
 
-// writeDataUnit stamps data (one logical unit) into a pooled physical
-// buffer and writes it to disk dn at off.
-func (s *Store) writeDataUnit(d Disk, dn int, off int64, data []byte) error {
+// writeDataUnit copies data (one logical unit), whose crc32c is sum, into
+// a pooled physical buffer, stamps it and writes it to disk dn at off.
+func (s *Store) writeDataUnit(d Disk, dn int, off int64, data []byte, sum uint32) error {
 	phys := s.getBuf()
 	defer s.putBuf(phys)
 	copy((*phys)[:s.unitSize], data)
-	stampTrailer(*phys, s.unitSize, off)
+	putTrailer(*phys, s.unitSize, off, sum)
 	return s.writePhysRaw(d, dn, off, *phys)
 }
 
@@ -162,10 +163,21 @@ func (s *Store) writeStamped(d Disk, dn int, off int64, phys []byte) error {
 // XOR into the sums they close, which turns a sum over data into that
 // sum's difference from the stored parity, exactly what the delta update,
 // the erasure decode and the verify pass want (code.go).
+//
+// Three fields serve the delta update alone. A stored parity is read in
+// place — into in, the physical buffer backing the sum it starts, which is
+// written back from — so starting the sum is no pass at all; such a term
+// must be the first in its list to reach its sum, and in must be a pooled
+// buffer, never a caller's. A written unit's term carries new, the unit's
+// new contents, and newSum, their crc32c: its fold XORs them into the
+// buffer its old contents were read into and folds the difference once.
 type term struct {
-	loc  layout.Loc
-	p    []byte
-	coef byte
+	loc    layout.Loc
+	p      []byte
+	coef   byte
+	in     []byte // read into this physical buffer, not the gather's own
+	new    []byte // the unit's new contents: fold old ⊕ new
+	newSum uint32 // crc32c of new
 }
 
 // sums is the at most two parity sums a gather folds into — p is nil for a
@@ -177,9 +189,18 @@ type term struct {
 // stripe's scratch, and gather folds into it once its batch is over, in
 // list order: the term that stores is the list's first, however the reads
 // were issued.
+//
+// Beside P's bytes it keeps their crc32c, derived rather than computed
+// (xorSum): crc is the XOR of the crc32c of every unit folded into p, n
+// how many there were. A unit's comes from the read that verified it, or
+// for new contents from the one computation that also stamps them; a
+// healed or decoded unit has none, and once one is folded n is −1 and P
+// is stamped by computing.
 type sums struct {
 	p, q           []byte
 	pStart, qStart bool // no term has reached the sum: its bytes are still the pool's
+	crc            uint32
+	n              int
 }
 
 // startSums is the state of px and qx (either may be nil) before any term
@@ -202,8 +223,34 @@ func (sm *sums) settle() {
 	sm.pStart, sm.qStart = false, false
 }
 
-// foldInto folds data, the contents of t's unit, into t's accumulators.
-func (t term) foldInto(sm *sums, data []byte) {
+// pSum returns the crc32c of the P sum derived from its units' (zero is the
+// zero unit's), and false when one of them had none to give.
+func (sm *sums) pSum(zero uint32) (uint32, bool) {
+	if sm.n < 0 {
+		return 0, false
+	}
+	return xorSum(sm.crc, sm.n, zero), true
+}
+
+// forgetSum marks the P sum's crc32c unknown: a healed or decoded unit,
+// whose crc32c no read verified, has been folded in.
+func (sm *sums) forgetSum() { sm.n = -1 }
+
+// foldInto folds data, the contents of t's unit, into t's accumulators, and
+// sum, data's crc32c, into the P sum's when t reaches it. A written unit's
+// term (new set) first turns data into old ⊕ new, in place.
+func (t term) foldInto(sm *sums, data []byte, sum uint32) {
+	if t.p != nil && sm.n >= 0 && sm.p != nil && sameBuf(t.p, sm.p) {
+		sm.crc ^= sum
+		sm.n++
+		if t.new != nil {
+			sm.crc ^= t.newSum
+			sm.n++
+		}
+	}
+	if t.new != nil {
+		subtle.XORBytes(data, data, t.new)
+	}
 	if sm.pStart || sm.qStart {
 		t.start(sm, data)
 	} else {
@@ -211,11 +258,10 @@ func (t term) foldInto(sm *sums, data []byte) {
 	}
 }
 
-// accumulate is foldInto once both sums are under way — all that the
-// coefficient-free commit, which never has a sum waiting, ever runs. It is
-// a function apart from start because it is the common case, every term
-// after each sum's first: it takes neither the sums' start flags nor a
-// buffer comparison, only the term and the Q sum.
+// accumulate is foldInto once both sums are under way — every term after
+// each sum's first. It is a function apart from start because it is the
+// common case: it takes neither the sums' start flags nor a buffer
+// comparison, only the term and the Q sum.
 func (t term) accumulate(q, data []byte) {
 	switch {
 	case t.p != nil && t.coef != 0:
@@ -235,10 +281,10 @@ func (t term) start(sm *sums, data []byte) {
 		switch {
 		case sm.pStart && sameBuf(t.p, sm.p):
 			sm.pStart = false
-			copy(t.p, data)
+			store(t.p, data)
 		case sm.qStart && sameBuf(t.p, sm.q): // the stored Q, closing the Q sum
 			sm.qStart = false
-			copy(t.p, data)
+			store(t.p, data)
 		default:
 			subtle.XORBytes(t.p, t.p, data)
 		}
@@ -253,6 +299,14 @@ func (t term) start(sm *sums, data []byte) {
 	}
 }
 
+// store starts sum with data: a copy, or nothing at all when data was read
+// into the sum's own buffer (a stored parity, read in place).
+func store(sum, data []byte) {
+	if !sameBuf(sum, data) {
+		copy(sum, data)
+	}
+}
+
 // sameBuf reports whether two non-empty slices start at the same byte.
 func sameBuf(a, b []byte) bool { return &a[0] == &b[0] }
 
@@ -264,16 +318,17 @@ type damagedUnit struct {
 	err error
 }
 
-// readLive reads unit u, which must not be lost, into phys.
-func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) error {
+// readLive reads unit u, which must not be lost, into phys, as readPhys.
+func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) (uint32, error) {
 	if st.lost(u) {
-		return fmt.Errorf("store: unit %v is lost", u)
+		return 0, fmt.Errorf("store: unit %v is lost", u)
 	}
 	return s.readPhys(st.disk(u), u.Disk, u.Offset, phys)
 }
 
 // gatherJob is what the items of one gather share: item i reads terms[i]
-// into the scratch's unit buffer i and leaves damage in its error slot i.
+// into the scratch's unit buffer i, or in place (term.in), and leaves its
+// damage and its crc32c in the scratch's slots i.
 type gatherJob struct {
 	s     *Store
 	st    *diskState
@@ -292,11 +347,11 @@ type gatherJob struct {
 // the stripe's read lock.
 func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term) ([]damagedUnit, error) {
 	err := fanOut(s, len(terms), gatherJob{s, st, sc, terms}, func(j gatherJob, i int) error {
-		err := j.s.readLive(j.st, j.terms[i].loc, j.sc.phys[i])
+		sum, err := j.s.readLive(j.st, j.terms[i].loc, j.sc.readBuf(j.terms, i))
 		if err != nil && !needsHeal(err) {
 			return err
 		}
-		j.sc.errs[i] = err
+		j.sc.errs[i], j.sc.crcs[i] = err, sum
 		return nil
 	})
 	if err != nil {
@@ -307,16 +362,28 @@ func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term) ([]damage
 		if err := sc.errs[i]; err != nil {
 			damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
 		} else {
-			t.foldInto(&sc.sums, sc.phys[i][:s.unitSize])
+			t.foldInto(&sc.sums, sc.readBuf(terms, i)[:s.unitSize], sc.crcs[i])
 		}
 	}
 	return damaged, nil
 }
 
+// readBuf is the physical buffer item i of a gather over terms reads into:
+// the scratch's unit buffer i, or the term's own (term.in).
+func (sc *stripeScratch) readBuf(terms []term, i int) []byte {
+	if terms[i].in != nil {
+		return terms[i].in
+	}
+	return sc.phys[i]
+}
+
 // gatherHealing is gather for callers holding the stripe's WRITE lock:
 // units the batch reports damaged are healed in place, serially, once the
 // batch's other reads are done, and folded in after all — each through the
-// unit buffer its damaged read left free. No listed unit may be lost.
+// scratch's unit buffer of its index, which a damaged read left free or,
+// for a term read in place, never used: its sum was started by the next
+// term to reach it, over the damaged bytes. A healed unit's crc32c is not
+// known, so P is then stamped by computing. No listed unit may be lost.
 func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) error {
 	damaged, err := s.gather(st, sc, terms)
 	if err != nil {
@@ -327,7 +394,8 @@ func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) er
 		if err := s.readUnitHealing(st, d.loc, data); err != nil {
 			return err
 		}
-		terms[d.idx].foldInto(&sc.sums, data)
+		sc.sums.forgetSum()
+		terms[d.idx].foldInto(&sc.sums, data, 0)
 	}
 	return nil
 }
@@ -347,7 +415,7 @@ func (s *Store) countHeal(cause error) {
 // survivors and a rewrite of the damaged unit. u must not be lost.
 func (s *Store) readUnitHealing(st *diskState, u layout.Loc, out []byte) error {
 	phys := s.getBuf()
-	err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys)
+	_, err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys)
 	if err == nil {
 		copy(out, (*phys)[:s.unitSize])
 		s.putBuf(phys)
@@ -370,7 +438,7 @@ func (s *Store) readUnitHealing(st *diskState, u layout.Loc, out []byte) error {
 // latent sector error, replaces rotted bytes). A failed rewrite is charged
 // to the disk, but the operation that needed the contents has them.
 func (s *Store) healUnit(st *diskState, u layout.Loc, data []byte) {
-	if err := s.writeDataUnit(st.disk(u), u.Disk, u.Offset, data); err == nil {
+	if err := s.writeDataUnit(st.disk(u), u.Disk, u.Offset, data, dataSum(data)); err == nil {
 		s.healedUnits.Add(1)
 	} else {
 		s.scoreDiskError(u.Disk)

@@ -122,15 +122,17 @@ func TestPoisonedPool(t *testing.T) {
 }
 
 // TestDeltaFoldsInAnyOrder: a delta's first round — the live stored
-// parities, then each written unit's old contents — folds in list order,
-// but its sums are linear and must not depend on it: in any order an old
-// data unit may be the term that starts a sum (a copy into P, a multiply
-// into Q) and the parities accumulate after it. Each case commits one unit
-// over a poisoned pool and holds the bytes on disk to the reference, which
-// fails if the new contents are never folded; then it takes the first round
-// the commit gathered from its scratch, folds it again in every order into
-// sums that start at 0xA5, folds the new contents after, and compares with
-// the byte-at-a-time parity of the new stripe. Cases: P+Q writing data
+// parities, then each written unit's old contents, its term carrying the
+// new — folds in list order, but its sums are linear and must not depend on
+// it: in any order a written unit's difference old ⊕ new may be the term
+// that starts a sum (a copy into P, a multiply into Q) and the parities
+// accumulate after it. Each case commits one unit over a poisoned pool and
+// holds the bytes and trailers on disk to the reference, which fails if the
+// new contents are never folded or folded twice; then it takes the first
+// round the commit gathered from its scratch, folds it again in every order
+// into sums that start at 0xA5 — nothing folds after it — and compares with
+// the byte-at-a-time parity of the new stripe, and P's crc32c as the folds
+// derive it with the one computed over that parity. Cases: P+Q writing data
 // ordinal 0 (coefficient 1) and 1, P+Q with P lost (the Q sum alone), and
 // single parity.
 func TestDeltaFoldsInAnyOrder(t *testing.T) {
@@ -227,6 +229,9 @@ func TestDeltaFoldsInAnyOrder(t *testing.T) {
 					t.Fatalf("first round reads %v at %d, want %v: the live parities first, then the old data", tm.loc, i, want)
 				}
 			}
+			if w := round[len(parities)]; !bytes.Equal(w.new, data) || w.newSum != dataSum(data) {
+				t.Fatal("the written unit's term does not carry its new contents and their crc32c")
+			}
 			var p, q []byte
 			if !tc.loseP {
 				p = make([]byte, us)
@@ -250,17 +255,74 @@ func TestDeltaFoldsInAnyOrder(t *testing.T) {
 				copy(q, dirt)
 				sm := startSums(p, q)
 				for _, i := range order {
-					ours(round[i]).foldInto(&sm, old[round[i].loc])
+					unit := bytes.Clone(old[round[i].loc]) // a written unit's fold turns it into old ⊕ new
+					ours(round[i]).foldInto(&sm, unit, dataSum(unit))
 				}
-				ours(sc.terms[:1][0]).foldInto(&sm, data)
 				if p != nil && !bytes.Equal(p, wantP) {
 					t.Errorf("first round folded in order %v: P differs from the new stripe's", order)
+				}
+				if sum, ok := sm.pSum(s.zeroSum); p != nil && (!ok || sum != dataSum(wantP)) {
+					t.Errorf("first round folded in order %v: P's derived crc32c is %08x (%v), want %08x", order, sum, ok, dataSum(wantP))
 				}
 				if q != nil && !bytes.Equal(q, wantQ) {
 					t.Errorf("first round folded in order %v: Q differs from the new stripe's", order)
 				}
 			}
 		})
+	}
+}
+
+// TestDeltaWriteHealsFirstRound: a one-unit delta write whose first round
+// meets damage — in the stored P or Q, each read in place into the buffer it
+// is written back from, or in the written unit's old contents — heals that
+// one unit and still leaves the reference image, every trailer included:
+// the healed unit's crc32c is not known, so P is stamped by computing.
+// Each case writes a nonzero bad image over one unit the write reads, at
+// C = 7 with G = 3 (P) and G = 4 (P+Q), over a poisoned pool.
+func TestDeltaWriteHealsFirstRound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lay  layout.Layout
+	}{{"P", testLayout(t, 7, 3)}, {"P+Q", testPQLayout(t, 7, 4)}} {
+		m := tc.lay.Parities()
+		for victim := 0; victim <= m; victim++ { // parity k < m, then the old data
+			name := tc.name + "/" + [...]string{"P", "Q"}[min(victim, 1)]
+			if victim == m {
+				name = tc.name + "/old-data"
+			}
+			t.Run(name, func(t *testing.T) {
+				s, err := newPoisoned(Config{Layout: tc.lay, UnitsPerDisk: 24, UnitSize: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				version := make([]uint64, s.DataUnits())
+				fillAll(t, s, 1)
+				for n := range version {
+					version[n] = 1
+				}
+				const stripe = 2
+				n := stripe*s.dataPerStripe + 1 // data ordinal 1: a Q coefficient other than 1
+				bad := s.mapper.Loc(n)
+				if victim < m {
+					bad = layout.ParityLocOf(s.lay, stripe, victim)
+				}
+				if err := s.st.Load().disks[bad.Disk].WriteUnit(bad.Offset, bytes.Repeat([]byte{0xBD}, s.physSize)); err != nil {
+					t.Fatal(err)
+				}
+				healed := s.Stats().HealedUnits
+				data := make([]byte, s.UnitSize())
+				fill(data, n, 2)
+				version[n] = 2
+				if err := s.WriteUnit(n, data); err != nil {
+					t.Fatal(err)
+				}
+				compareWithReference(t, s, version, nil)
+				if got := s.Stats().HealedUnits - healed; got != 1 {
+					t.Fatalf("the write healed %d units, want 1 (%v)", got, bad)
+				}
+			})
+		}
 	}
 }
 

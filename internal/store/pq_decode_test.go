@@ -57,7 +57,8 @@ func rotted(t *testing.T, s *Store, u layout.Loc) bool {
 	if err := s.st.Load().disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
 		t.Fatal(err)
 	}
-	return !verifyTrailer(phys, s.unitSize, u.Offset)
+	_, ok := verifyTrailer(phys, s.unitSize, u.Offset)
+	return !ok
 }
 
 // TestErasureBudget drives the decode up to and past its budget of one

@@ -598,7 +598,7 @@ func compareWithReference(t *testing.T, s *Store, version []uint64, mayRot []lay
 			if err := st.disks[u.Disk].ReadUnit(u.Offset, phys); err != nil {
 				t.Fatal(err)
 			}
-			if !verifyTrailer(phys, us, u.Offset) {
+			if _, ok := verifyTrailer(phys, us, u.Offset); !ok {
 				if indexLoc(mayRot, u) >= 0 {
 					continue
 				}

@@ -22,20 +22,23 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 // stripeScratch is the working set of one stripe job, recycled through
 // Store.scratch so the unit paths allocate nothing. For a parity update —
 // a range write's per-stripe job, or WriteUnit's one-unit span — that is
-// the units written and their new contents, the pre-reads the update
-// needs, and the parity writes that finish it; a reconstruction uses terms
-// and eras, a verification terms and par. All of them fold into sums,
-// through the unit buffers a gather reads into.
+// the units written, their new contents and those contents' crc32c, the
+// pre-reads the update needs, and the parity writes that finish it; a
+// reconstruction uses terms and eras, a verification terms and par. All of
+// them fold into sums, through the unit buffers a gather reads into; a span
+// read reads its live units into the same buffers.
 type stripeScratch struct {
-	locs  []layout.Loc
-	datas [][]byte
-	terms []term        // how written units fold; or the reads of a solve or a verify
-	rest  []term        // first round: what the new parities must gather
-	par   []parityWrite // the live parity sums: second round, beside locs
-	eras  []erasure     // a solve's erased positions
-	sums  sums          // the job's P and Q sums, and which still wait for a first term
-	phys  [][]byte      // a gather's physical unit buffers, one per term
-	errs  []error       // the damage each item of a gather or a span read found
+	locs    []layout.Loc
+	datas   [][]byte
+	newSums []uint32      // crc32c of each of datas, computed once: stamps the unit, derives P's
+	terms   []term        // how written units fold; or the reads of a solve or a verify
+	rest    []term        // first round: what the new parities must gather
+	par     []parityWrite // the live parity sums: second round, beside locs
+	eras    []erasure     // a solve's erased positions
+	sums    sums          // the job's P and Q sums, and which still wait for a first term
+	phys    [][]byte      // a gather's or a span read's physical unit buffers, one per item
+	errs    []error       // the damage each item of a gather or a span read found
+	crcs    []uint32      // the crc32c each clean item of a gather verified
 }
 
 // newStripeScratch sizes every list for a stripe of g units, m of them
@@ -43,14 +46,16 @@ type stripeScratch struct {
 // buffers of physSize bytes.
 func newStripeScratch(g, m, physSize int) *stripeScratch {
 	sc := &stripeScratch{
-		locs:  make([]layout.Loc, 0, g),
-		datas: make([][]byte, 0, g),
-		terms: make([]term, 0, g),
-		rest:  make([]term, 0, g),
-		par:   make([]parityWrite, 0, m),
-		eras:  make([]erasure, 0, m),
-		phys:  make([][]byte, g),
-		errs:  make([]error, g),
+		locs:    make([]layout.Loc, 0, g),
+		datas:   make([][]byte, 0, g),
+		newSums: make([]uint32, 0, g),
+		terms:   make([]term, 0, g),
+		rest:    make([]term, 0, g),
+		par:     make([]parityWrite, 0, m),
+		eras:    make([]erasure, 0, m),
+		phys:    make([][]byte, g),
+		errs:    make([]error, g),
+		crcs:    make([]uint32, g),
 	}
 	// Each buffer starts on a 64-byte boundary, as a pooled one does: folds
 	// from buffers that straddle cache lines made a small write ~5 % slower.
@@ -107,7 +112,8 @@ func (s *Store) stripeJobs(start int64, buf []byte, job func(s *Store, stripe, s
 }
 
 // spanJob is what the items of a span read share: item i reads unit lo+i
-// into the i-th unit of dst and leaves damage in the scratch's error slot i.
+// into the i-th unit of dst — a live one through the scratch's unit buffer
+// i — and leaves damage in the scratch's error slot i.
 type spanJob struct {
 	s   *Store
 	st  *diskState
@@ -118,11 +124,13 @@ type spanJob struct {
 
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe — into
 // dst, whose first byte corresponds to logical unit start, as one batch
-// under the stripe's read lock: a live unit is read, a lost one
-// reconstructed. A batch cannot repair (its reads share the lock), so the
-// damaged units it finds are collected and, once the read lock is
-// released, re-served one by one under the write lock (healRead), as a
-// gather's are. ReadUnit is its one-unit span.
+// under the stripe's read lock: a live unit is read — into the scratch's
+// unit buffer of its index, then copied out, a copy the Disk contract
+// forces (a physical unit is its data and trailer, contiguous) — and a
+// lost one reconstructed. A batch cannot repair (its reads share the
+// lock), so the damaged units it finds are collected and, once the read
+// lock is released, re-served one by one under the write lock (healRead),
+// as a gather's are. ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
@@ -137,12 +145,8 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 			if err = j.s.reconstructLocked(j.st, loc, out); err == nil {
 				j.s.degradedReads.Add(1)
 			}
-		} else {
-			phys := j.s.getBuf()
-			if err = j.s.readPhys(j.st.disk(loc), loc.Disk, loc.Offset, *phys); err == nil {
-				copy(out, (*phys)[:j.s.unitSize])
-			}
-			j.s.putBuf(phys)
+		} else if _, err = j.s.readPhys(j.st.disk(loc), loc.Disk, loc.Offset, j.sc.phys[i]); err == nil {
+			copy(out, j.sc.phys[i][:j.s.unitSize])
 		}
 		if err != nil && !needsHeal(err) {
 			return err

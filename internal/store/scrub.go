@@ -64,7 +64,7 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 		for _, e := range list {
 			s.countHeal(e.cause)
 			s.scoreDiskError(e.loc.Disk)
-			if err := s.writeDataUnit(st.disk(e.loc), e.loc.Disk, e.loc.Offset, e.out); err != nil {
+			if err := s.writeDataUnit(st.disk(e.loc), e.loc.Disk, e.loc.Offset, e.out, dataSum(e.out)); err != nil {
 				return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", e.loc, err)
 			}
 			s.healedUnits.Add(1)
@@ -80,7 +80,7 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	for _, p := range sc.par {
 		if sum := (*p.buf)[:s.unitSize]; !allZero(sum) {
 			phys := s.getBuf()
-			err := s.readPhys(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *phys)
+			_, err := s.readPhys(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *phys)
 			if err == nil {
 				subtle.XORBytes(sum, sum, (*phys)[:s.unitSize])
 				err = s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)

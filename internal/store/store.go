@@ -233,7 +233,8 @@ type Store struct {
 	dataPerStripe int64 // data units per stripe: G − parities
 	unitSize      int
 	physSize      int
-	unitsPerDisk  int64 // usable units per disk (whole periods)
+	zeroSum       uint32 // crc32c of a zero unit (xorSum)
+	unitsPerDisk  int64  // usable units per disk (whole periods)
 	numStripes    int64
 	dataUnits     int64
 	throttle      time.Duration
@@ -362,6 +363,7 @@ func New(cfg Config) (*Store, error) {
 		dataPerStripe:  int64(layout.DataPerStripe(l)),
 		unitSize:       cfg.UnitSize,
 		physSize:       PhysUnitSize(cfg.UnitSize),
+		zeroSum:        dataSum(make([]byte, cfg.UnitSize)),
 		unitsPerDisk:   usable,
 		numStripes:     layout.UsableStripes(l, cfg.UnitsPerDisk),
 		dataUnits:      layout.DataUnits(l, cfg.UnitsPerDisk),
@@ -685,10 +687,13 @@ func (s *Store) writeStripeLocked(stripe int64, sc *stripeScratch) error {
 }
 
 // parityWrite is one parity unit's new contents in a pooled physical
-// buffer, waiting for the commit's second round.
+// buffer, waiting for the commit's second round — with their crc32c when
+// it was derived (a P sum's; sums.pSum), or to be stamped by computing.
 type parityWrite struct {
-	loc layout.Loc
-	buf *[]byte
+	loc     layout.Loc
+	buf     *[]byte
+	sum     uint32
+	derived bool
 }
 
 // commitJob is what the items of a commit's write batch share.
@@ -706,28 +711,32 @@ type commitJob struct {
 func (s *Store) commitWrites(st *diskState, sc *stripeScratch) error {
 	return fanOut(s, len(sc.locs)+len(sc.par), commitJob{s, st, sc}, func(j commitJob, i int) error {
 		if i < len(j.sc.locs) {
-			return j.s.commitOneLocked(j.st, j.sc.locs[i], j.sc.datas[i])
+			return j.s.commitOneLocked(j.st, j.sc.locs[i], j.sc.datas[i], j.sc.newSums[i])
 		}
 		p := j.sc.par[i-len(j.sc.locs)]
-		return j.s.writeStamped(j.st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
+		if !p.derived {
+			return j.s.writeStamped(j.st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
+		}
+		putTrailer(*p.buf, j.s.unitSize, p.loc.Offset, p.sum)
+		return j.s.writePhysRaw(j.st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
 	})
 }
 
-// commitOneLocked commits one data unit's new contents: to its home slot
-// normally, to the replacement when the unit is lost and one is installed
-// (write redirection, which counts as reconstruction), or to parity alone
-// when it is lost with no replacement (the fold — no write at all: parity
-// now encodes it).
-func (s *Store) commitOneLocked(st *diskState, loc layout.Loc, data []byte) error {
+// commitOneLocked commits one data unit's new contents, whose crc32c is
+// sum: to its home slot normally, to the replacement when the unit is lost
+// and one is installed (write redirection, which counts as
+// reconstruction), or to parity alone when it is lost with no replacement
+// (the fold — no write at all: parity now encodes it).
+func (s *Store) commitOneLocked(st *diskState, loc layout.Loc, data []byte, sum uint32) error {
 	if !st.lost(loc) {
-		return s.writeDataUnit(st.disk(loc), loc.Disk, loc.Offset, data)
+		return s.writeDataUnit(st.disk(loc), loc.Disk, loc.Offset, data, sum)
 	}
 	f := st.slot(loc.Disk)
 	if f.repl == nil {
 		s.foldedWrites.Add(1)
 		return nil
 	}
-	if err := s.writeDataUnit(f.repl, loc.Disk, loc.Offset, data); err != nil {
+	if err := s.writeDataUnit(f.repl, loc.Disk, loc.Offset, data, sum); err != nil {
 		return err
 	}
 	s.markRebuilt(f, loc.Offset)
