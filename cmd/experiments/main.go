@@ -10,7 +10,7 @@
 //	experiments -j 8            # fan sweep points over 8 workers
 //
 // Experiments: fig4-3, fig6-1, fig6-2, fig8 (8-1..8-4), table8-1, fig8-6,
-// ext-throttle, ext-priority, ext-mttdl, ext-datamap, ext-mirror,
+// ext-throttle, ext-priority, ext-mttdl, ext-lse, ext-datamap, ext-mirror,
 // ext-sparing, ext-unitsize, ext-skew, ext-sched, ext-readahead,
 // ext-phases, ext-pq, double-failure.
 package main
@@ -104,6 +104,11 @@ func main() {
 	}
 	if selected("ext-mttdl") {
 		_, t, err := experiments.ExtReliability(o, 8)
+		check(err)
+		emit(t)
+	}
+	if selected("ext-lse") {
+		t, err := experiments.ExtLatent(o)
 		check(err)
 		emit(t)
 	}

@@ -19,8 +19,10 @@ import (
 // or a code fence to a target of the Makefile, and every `pkg.Name` inside
 // them whose pkg is a directory under internal/ to an exported name that
 // package declares (a function, type, constant, variable or method). Every
-// `go run ./cmd/raidsim` inside them, with its `\` continuation lines and up
-// to the first `&`, `|`, `;` or `#`, may pass only flags cmd/raidsim defines.
+// `go run ./cmd/raidsim` or `go run ./cmd/experiments` inside them, with its
+// `\` continuation lines and up to the first `&`, `|`, `;` or `#`, may pass
+// only flags that command defines, and every comma-separated -run id of
+// cmd/experiments must be "all" or an id its main.go selects.
 // CHANGES.md, ROADMAP.md and results/ are history and say what was true when
 // written; benchmark/ is outside this module's gate.
 func TestDocsNameThingsThatExist(t *testing.T) {
@@ -34,9 +36,13 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	codeRE := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
 	makeRE := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	nameRE := regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
-	raidsimRE := regexp.MustCompile("go run \\./cmd/raidsim([ \t][^&|;#`\n]*)?")
+	runRE := regexp.MustCompile("go run \\./cmd/(raidsim|experiments)([ \t][^&|;#`\n]*)?")
 	flagRE := regexp.MustCompile(`(?:^|\s)--?([A-Za-z][A-Za-z0-9-]*)`)
-	flags := raidsimFlags(t)
+	idsRE := regexp.MustCompile(`(?:^|\s)--?run[ \t=]+(\S+)`)
+	flags, ids := map[string]map[string]bool{}, map[string]map[string]bool{}
+	for _, cmd := range []string{"raidsim", "experiments"} {
+		flags[cmd], ids[cmd] = commandNames(t, cmd)
+	}
 
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -77,10 +83,18 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 				}
 			}
 			joined := strings.ReplaceAll(string(code), "\\\n", " ")
-			for _, m := range raidsimRE.FindAllStringSubmatch(joined, -1) {
-				for _, f := range flagRE.FindAllStringSubmatch(m[1], -1) {
-					if !flags[f[1]] {
-						t.Errorf("%s runs raidsim with -%s, which cmd/raidsim/main.go does not define", doc, f[1])
+			for _, m := range runRE.FindAllStringSubmatch(joined, -1) {
+				cmd, args := m[1], m[2]
+				for _, f := range flagRE.FindAllStringSubmatch(args, -1) {
+					if !flags[cmd][f[1]] {
+						t.Errorf("%s runs %s with -%s, which cmd/%s/main.go does not define", doc, cmd, f[1], cmd)
+					}
+				}
+				for _, r := range idsRE.FindAllStringSubmatch(args, -1) {
+					for _, id := range strings.Split(r[1], ",") {
+						if id != "all" && !ids[cmd][id] {
+							t.Errorf("%s runs %s -run %s, which cmd/%s/main.go does not select", doc, cmd, id, cmd)
+						}
 					}
 				}
 			}
@@ -88,40 +102,51 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	}
 }
 
-// raidsimFlags returns the flag names cmd/raidsim/main.go defines: the first
-// argument of each fs.String, fs.Bool, fs.Int, fs.Int64 or fs.Float64 call.
-func raidsimFlags(t *testing.T) map[string]bool {
-	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", "raidsim", "main.go"), nil, parser.SkipObjectResolution)
+// commandNames returns what cmd/<cmd>/main.go defines: its flag names (the
+// first argument of each String, Bool, Int, Int64 or Float64 call on fs or
+// on package flag) and the experiment ids it selects (the argument of each
+// selected call).
+func commandNames(t *testing.T, cmd string) (flags, ids map[string]bool) {
+	path := filepath.Join("cmd", cmd, "main.go")
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flags := map[string]bool{}
+	flags, ids = map[string]bool{}, map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
 			return true
 		}
-		if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "fs" {
+		name, err := strconv.Unquote(lit.Value)
+		if err != nil {
 			return true
 		}
-		switch sel.Sel.Name {
-		case "String", "Bool", "Int", "Int64", "Float64":
-			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				if name, err := strconv.Unquote(lit.Value); err == nil {
-					flags[name] = true
-				}
+		switch fun := call.Fun.(type) {
+		case *ast.Ident:
+			if fun.Name == "selected" {
+				ids[name] = true
+			}
+		case *ast.SelectorExpr:
+			recv, ok := fun.X.(*ast.Ident)
+			if !ok || (recv.Name != "fs" && recv.Name != "flag") {
+				return true
+			}
+			switch fun.Sel.Name {
+			case "String", "Bool", "Int", "Int64", "Float64":
+				flags[name] = true
 			}
 		}
 		return true
 	})
 	if len(flags) == 0 {
-		t.Fatal("found no flag definitions in cmd/raidsim/main.go")
+		t.Fatalf("found no flag definitions in %s", path)
 	}
-	return flags
+	return flags, ids
 }
 
 // exportedNames returns the exported names internal/<pkg> declares outside

@@ -196,7 +196,15 @@ func TestMTTDL(t *testing.T) {
 	if p <= 0 || p >= 1 {
 		t.Fatalf("ten-year loss probability %v out of (0,1)", p)
 	}
-	if _, err := (Reliability{C: 1, MTTFHours: 1, MTTRHours: 1}).MTTDLHours(); err == nil {
-		t.Fatal("invalid reliability accepted")
+	for _, bad := range []Reliability{
+		{C: 1, MTTFHours: 1, MTTRHours: 1},
+		{C: 5, MTTFHours: math.NaN(), MTTRHours: 1},
+		{C: 5, MTTFHours: math.Inf(1), MTTRHours: 1},
+		{C: 5, MTTFHours: 1, MTTRHours: math.NaN()},
+		{C: 5, MTTFHours: 1, MTTRHours: math.Inf(1)},
+	} {
+		if _, err := bad.MTTDLHours(); err == nil {
+			t.Fatalf("invalid reliability %+v accepted", bad)
+		}
 	}
 }

@@ -19,7 +19,9 @@ type Reliability struct {
 // standard independent-exponential-failures approximation
 // MTTF² / (C·(C−1)·MTTR) [Patterson88].
 func (r Reliability) MTTDLHours() (float64, error) {
-	if r.C < 2 || r.MTTFHours <= 0 || r.MTTRHours <= 0 {
+	// Negated, the comparisons reject NaN too.
+	if r.C < 2 || !(r.MTTFHours > 0) || !(r.MTTRHours > 0) ||
+		math.IsInf(r.MTTFHours, 1) || math.IsInf(r.MTTRHours, 1) {
 		return 0, fmt.Errorf("analytic: invalid reliability parameters %+v", r)
 	}
 	return r.MTTFHours * r.MTTFHours / (float64(r.C) * float64(r.C-1) * r.MTTRHours), nil

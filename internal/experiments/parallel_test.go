@@ -71,6 +71,7 @@ func TestParallelSweepByteIdentical(t *testing.T) {
 		{"fig8", func(o Options) (Table, error) { _, tab, _, err := Fig8(o, 4); return tab, err }},
 		{"ext-sparing", func(o Options) (Table, error) { _, tab, err := ExtSparing(o, 5); return tab, err }},
 		{"double-failure", func(o Options) (Table, error) { _, tab, err := DoubleFailureLoss(o); return tab, err }},
+		{"ext-lse", ExtLatent},
 	}
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) {

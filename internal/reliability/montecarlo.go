@@ -3,22 +3,21 @@
 // assumptions of) the closed-form MTTDL model in internal/analytic.
 //
 // The lifecycle: disks fail independently with exponential lifetimes; a
-// failed disk is replaced and reconstructed over a repair window; if any
-// other disk fails inside that window, the array loses data (it is
-// single-failure-correcting). The paper's §2 point — that larger C hurts
-// reliability while shorter reconstruction helps — falls straight out.
-//
-// With Params.Parities = 2 the array carries the P+Q dual-parity code
-// instead: data loss needs a THIRD failure while two repairs overlap (or
-// a latent sector error surfacing under a two-erasure rebuild), which
-// adds a factor of roughly MTTF/((C−2)·MTTR) to the MTTDL — the 2-fault
-// term of the classical RAID-6 closed form.
+// failed disk is replaced and reconstructed over a repair window. An array
+// with m parities (Params.Parities: 1 for the paper's P, 2 for P+Q) loses
+// data when failure m+1 strikes while m repairs overlap, or when a latent
+// sector error surfaces under a rebuild with m disks down. The paper's §2
+// point — that larger C hurts reliability while shorter reconstruction
+// helps — falls straight out. The second parity adds a factor of roughly
+// MTTF/((C−2)·MTTR) to the MTTDL — the 2-fault term of the classical
+// RAID-6 closed form.
 package reliability
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // RepairDist selects the repair-time distribution.
@@ -63,6 +62,9 @@ type Params struct {
 	Parities int
 }
 
+// maxParities is the most parities a lifetime models: P+Q.
+const maxParities = 2
+
 // parities normalizes the Parities field (0 means single parity).
 func (p Params) parities() int {
 	if p.Parities == 0 {
@@ -72,23 +74,19 @@ func (p Params) parities() int {
 }
 
 func (p Params) validate() error {
-	if p.C < 2 || p.MTTFHours <= 0 || p.MTTRHours <= 0 {
-		return fmt.Errorf("reliability: invalid parameters %+v", p)
+	if m := p.parities(); m < 1 || m > maxParities || p.C <= m {
+		return fmt.Errorf("reliability: %d disks, %d parities; need 1 (P) or 2 (P+Q) parities and more disks than parities", p.C, p.Parities)
 	}
 	if p.RepairDist != DeterministicRepair && p.RepairDist != ExponentialRepair {
 		return fmt.Errorf("reliability: unknown repair distribution %d", p.RepairDist)
 	}
-	if p.LSERatePerDiskHour < 0 || p.ScrubIntervalHours < 0 {
-		return fmt.Errorf("reliability: negative LSE rate or scrub interval %+v", p)
-	}
-	switch p.parities() {
-	case 1:
-	case 2:
-		if p.C < 3 {
-			return fmt.Errorf("reliability: P+Q needs at least 3 disks, have %d", p.C)
+	for _, x := range []float64{p.MTTFHours, p.MTTRHours, p.LSERatePerDiskHour, p.ScrubIntervalHours} {
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("reliability: negative or non-finite time or rate in %+v", p)
 		}
-	default:
-		return fmt.Errorf("reliability: %d parities; 1 (P) or 2 (P+Q) supported", p.Parities)
+	}
+	if p.MTTFHours == 0 || p.MTTRHours == 0 {
+		return fmt.Errorf("reliability: MTTF and MTTR must be positive, have %+v", p)
 	}
 	return nil
 }
@@ -129,53 +127,75 @@ func SimulateMTTDL(p Params, trials int) (Result, error) {
 	return Result{MTTDLHours: mean, Trials: trials, StdErrHours: stderr}, nil
 }
 
-// lifetime simulates one array from new until data loss, returning hours.
-// Loss happens two ways: a second whole-disk failure inside the repair
-// window, or a latent sector error on a surviving disk discovered by the
-// rebuild's full read of the survivors (the stripe then has two dead
-// units). Scrubbing shrinks the second pathway by bounding how long an
+// lifetime simulates one array with m parities from new until data loss,
+// returning hours. The state is the set of disks down, each with the repair
+// time it has left. Data is lost two ways: failure m+1 arrives before a
+// repair completes, or a latent sector error surfaces while m disks are
+// down — the rebuild then reads every survivor in full, and a bad sector
+// gives some stripe one dead unit more than the code corrects. With fewer
+// than m disks down the spare parity corrects a latent error, so that state
+// is loss-free. Scrubbing shrinks the LSE pathway by bounding how long an
 // error can lie latent.
 func lifetime(p Params, rng *rand.Rand) float64 {
-	if p.parities() == 2 {
-		return lifetime2(p, rng)
-	}
+	m := p.parities()
+	c := float64(p.C)
+	var rem [maxParities]float64 // repair time left on each disk down
+	down := 0
 	t := 0.0
 	tClean := 0.0 // when every disk's surface was last fully verified
-	c := float64(p.C)
 	for {
-		// Time to the first failure among C healthy disks.
-		t += rng.ExpFloat64() * p.MTTFHours / c
-
-		repair := p.repairWindow(rng)
-
-		// During the repair window, C−1 disks remain; by memorylessness
-		// the time to the next failure is exponential with rate
-		// (C−1)/MTTF.
-		next := rng.ExpFloat64() * p.MTTFHours / (c - 1)
-
-		// The rebuild reads every survivor in full; any latent error it
-		// hits is beyond parity's reach. P(all C−1 survivors clean)
-		// depends on how long errors could accumulate: a scrubbed
-		// sector's unverified age is Uniform(0, S) (so a survivor is
-		// clean with probability E[e^{−λA}] = (1−e^{−λS})/(λS)); without
-		// scrubbing errors persist since the last full verification.
-		if p.LSERatePerDiskHour > 0 && rng.Float64() > pAllClean(p, p.C-1, t-tClean) {
-			// The sweep reads the survivors throughout the window, so a
-			// bad sector surfaces mid-rebuild on average.
-			lse := repair / 2
-			if next < lse {
+		if down == 0 {
+			// Time to the first failure among C healthy disks.
+			t += rng.ExpFloat64() * p.MTTFHours / c
+			rem[0], down = p.repairWindow(rng), 1
+		}
+		// The exposure ends when the earliest rebuild completes. By
+		// memorylessness the next failure among the C−down survivors is
+		// exponential with rate (C−down)/MTTF.
+		danger := slices.Min(rem[:down])
+		next := rng.ExpFloat64() * p.MTTFHours / (c - float64(down))
+		if down == m {
+			// The code is saturated. P(all C−m survivors clean) depends on
+			// how long errors could accumulate: a scrubbed sector's
+			// unverified age is Uniform(0, S), so a survivor is clean with
+			// probability E[e^{−λA}] = (1−e^{−λS})/(λS); without scrubbing
+			// errors persist since the last full verification. The
+			// rebuild reads the survivors throughout the window, so a bad
+			// sector surfaces mid-rebuild on average.
+			if p.LSERatePerDiskHour > 0 && rng.Float64() > pAllClean(p, p.C-m, t-tClean) {
+				next = min(next, danger/2)
+			}
+			if next < danger {
 				return t + next
 			}
-			return t + lse
+		} else if next < danger {
+			// Another disk fails while the code has a parity to spare.
+			t += next
+			for i := range rem[:down] {
+				rem[i] -= next
+			}
+			rem[down] = p.repairWindow(rng)
+			down++
+			continue
 		}
-
-		if next < repair {
-			return t + next // second failure inside the window: data loss
+		// The earliest rebuild completes (with deterministic windows,
+		// several may complete together).
+		t += danger
+		left := 0
+		for _, r := range rem[:down] {
+			if r -= danger; r > 0 {
+				rem[left] = r
+				left++
+			}
 		}
-		// Repaired. The rebuild verified every survivor and wrote the
-		// replacement afresh, so the whole array is clean again.
-		t += repair
-		tClean = t
+		down = left
+		if down == 0 {
+			// The rebuilds verified every survivor and wrote the
+			// replacements afresh, so the whole array is clean again. A
+			// rebuild that completes while another replacement is still
+			// filling conservatively keeps the old tClean.
+			tClean = t
+		}
 	}
 }
 
@@ -185,63 +205,6 @@ func (p Params) repairWindow(rng *rand.Rand) float64 {
 		return rng.ExpFloat64() * p.MTTRHours
 	}
 	return p.MTTRHours
-}
-
-// lifetime2 simulates one P+Q array until data loss. With two-failure
-// correction, a second whole-disk death inside a repair window is
-// survivable: the array runs both rebuilds and only loses data if a THIRD
-// disk dies — or a latent sector error surfaces under the two-erasure
-// rebuild, giving some stripe a third dead unit — before either rebuild
-// completes. Latent errors met while only one disk is down are corrected
-// by the spare parity, so the single-degraded state is loss-free.
-func lifetime2(p Params, rng *rand.Rand) float64 {
-	t := 0.0
-	tClean := 0.0
-	c := float64(p.C)
-	for {
-		// Fault-free: time to the first failure among C healthy disks.
-		t += rng.ExpFloat64() * p.MTTFHours / c
-		rem := p.repairWindow(rng) // remaining repair of the oldest failure
-		for {
-			// One disk down. A latent error on a survivor is within the
-			// code's power here, so only a second death matters.
-			next := rng.ExpFloat64() * p.MTTFHours / (c - 1)
-			if next >= rem {
-				// Repaired first: the rebuild verified every survivor and
-				// rewrote the replacement, so the array is clean again.
-				t += rem
-				tClean = t
-				break
-			}
-			t += next
-			rem -= next
-			r2 := p.repairWindow(rng)
-			// Two disks down: the code is saturated until one rebuild
-			// completes. The exposure window ends at the earlier finish.
-			danger := math.Min(rem, r2)
-			loss := rng.ExpFloat64() * p.MTTFHours / (c - 2)
-			if p.LSERatePerDiskHour > 0 && rng.Float64() > pAllClean(p, p.C-2, t-tClean) {
-				// The two-erasure rebuild reads the survivors throughout
-				// the window; a bad sector surfaces mid-rebuild on average.
-				if lse := danger / 2; lse < loss {
-					loss = lse
-				}
-			}
-			if loss < danger {
-				return t + loss
-			}
-			t += danger
-			rem = math.Max(rem, r2) - danger
-			if rem <= 0 {
-				// Both rebuilds finished together (deterministic windows).
-				tClean = t
-				break
-			}
-			// Back to one down, rem left on the younger rebuild. The
-			// completed rebuild verified the survivors, but the remaining
-			// replacement is still filling; conservatively keep tClean.
-		}
-	}
 }
 
 // pAllClean returns the probability that none of the n surviving disks
@@ -263,23 +226,4 @@ func pAllClean(p Params, n int, sinceClean float64) float64 {
 		perDisk = math.Exp(-lam * sinceClean)
 	}
 	return math.Pow(perDisk, float64(n))
-}
-
-// DataLossProbability estimates the probability of data loss within
-// `missionHours`, by Monte Carlo over `trials` lifetimes.
-func DataLossProbability(p Params, missionHours float64, trials int) (float64, error) {
-	if err := p.validate(); err != nil {
-		return 0, err
-	}
-	if missionHours <= 0 || trials < 1 {
-		return 0, fmt.Errorf("reliability: bad mission %v h / trials %d", missionHours, trials)
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	losses := 0
-	for i := 0; i < trials; i++ {
-		if lifetime(p, rng) <= missionHours {
-			losses++
-		}
-	}
-	return float64(losses) / float64(trials), nil
 }

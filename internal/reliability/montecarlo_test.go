@@ -2,6 +2,8 @@ package reliability
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"declust/internal/analytic"
@@ -206,21 +208,6 @@ func TestDualParityAbsorbsLatentErrors(t *testing.T) {
 	}
 }
 
-func TestDataLossProbability(t *testing.T) {
-	p := Params{C: 21, MTTFHours: 150_000, MTTRHours: 2, Seed: 4}
-	const mission = 10 * 365.25 * 24
-	got, err := DataLossProbability(p, mission, 4000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exponential approximation: 1 − exp(−mission/MTTDL).
-	mttdl := 150_000.0 * 150_000 / (21 * 20 * 2)
-	want := 1 - math.Exp(-mission/mttdl)
-	if math.Abs(got-want) > 0.03 {
-		t.Fatalf("loss probability %.3f, want ~%.3f", got, want)
-	}
-}
-
 func TestDeterministicForSeed(t *testing.T) {
 	p := Params{C: 21, MTTFHours: 150_000, MTTRHours: 2, Seed: 9}
 	a, _ := SimulateMTTDL(p, 200)
@@ -242,6 +229,14 @@ func TestValidation(t *testing.T) {
 		Params{C: 5, MTTFHours: 1, MTTRHours: 1, RepairDist: RepairDist(9)},
 		Params{C: 5, MTTFHours: 1, MTTRHours: 1, Parities: 3},
 		Params{C: 2, MTTFHours: 1, MTTRHours: 1, Parities: 2},
+		Params{C: 5, MTTFHours: math.NaN(), MTTRHours: 1},
+		Params{C: 5, MTTFHours: math.Inf(1), MTTRHours: 1},
+		Params{C: 5, MTTFHours: 1, MTTRHours: math.NaN()},
+		Params{C: 5, MTTFHours: 1, MTTRHours: math.Inf(1)},
+		Params{C: 5, MTTFHours: 1, MTTRHours: 1, LSERatePerDiskHour: math.NaN()},
+		Params{C: 5, MTTFHours: 1, MTTRHours: 1, LSERatePerDiskHour: math.Inf(1)},
+		Params{C: 5, MTTFHours: 1, MTTRHours: 1, ScrubIntervalHours: math.NaN()},
+		Params{C: 5, MTTFHours: 1, MTTRHours: 1, ScrubIntervalHours: math.Inf(1)},
 	)
 	for i, p := range bad {
 		if _, err := SimulateMTTDL(p, 10); err == nil {
@@ -251,7 +246,98 @@ func TestValidation(t *testing.T) {
 	if _, err := SimulateMTTDL(Params{C: 5, MTTFHours: 1, MTTRHours: 1}, 0); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := DataLossProbability(Params{C: 5, MTTFHours: 1, MTTRHours: 1}, 0, 10); err == nil {
-		t.Error("zero mission accepted")
+}
+
+// TestLifetimeGolden pins the lifecycle's draw sequence: every cell of a
+// small grid (P and P+Q, both repair distributions, LSEs off and on, scrub
+// off and daily, C = 5 and 21) must give the MTTDL and standard error, to
+// the bit, that the lifecycle gave when they were recorded. A change that
+// reorders, adds or drops one draw fails it, so EXPERIMENTS.md's numbers
+// stay reproducible.
+func TestLifetimeGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other architectures may fuse multiply-adds, moving a sum in
+		// the last bit.
+		t.Skip("golden bits were recorded on amd64")
+	}
+	golden := [][2]uint64{ // math.Float64bits of MTTDLHours, StdErrHours
+		{0x40b6fd5e735cdab2, 0x407c0b8822f52148},
+		{0x4075a86438c60ddd, 0x40395815a2df61d6},
+		{0x40b3fd2f47aefabf, 0x40761d2525b7059b},
+		{0x4073a43ebe9b27a9, 0x4033de52cdf9fb96},
+		{0x407a082238f36adb, 0x4033dbd0cd313c7e},
+		{0x4056d0102df429ee, 0x401120a4cceb1665},
+		{0x40a545ae20cd594f, 0x406713ef060065e7},
+		{0x4064fb7adc149528, 0x40273717fa682fee},
+		{0x40b70bbbaa02aa14, 0x407b4c69af9f384a},
+		{0x40748925609f23e8, 0x403650b8290e733d},
+		{0x40b65d4cd264ed3a, 0x4078e05df5db4fc6},
+		{0x4076b884e6676201, 0x403688185b13a3d5},
+		{0x407b11473bb28121, 0x40365feaf4cc1668},
+		{0x405884d872de18ca, 0x4013c04202b7b329},
+		{0x40a3a8f3ef703768, 0x4063891d8b56c84d},
+		{0x4066cd687a7e0bc5, 0x4029fc8ebb8f8be8},
+		{0x411626741c08be53, 0x40dbfd312eb732ed},
+		{0x40a8181db35c6f2f, 0x406ce82b8a952dd3},
+		{0x411880f847c12831, 0x40dce7c4bf3af5ad},
+		{0x40ad5236c7737dc3, 0x406ee818af17ff14},
+		{0x40caf2a183ce30ed, 0x408bf5441d05b123},
+		{0x40804f2327b9dac8, 0x4040e34f56efd8cb},
+		{0x40fa8ca1db8739b2, 0x40bebcb4d3e25e65},
+		{0x4093b1b337532a4e, 0x405622ae6df5ab43},
+		{0x411645185bcc233b, 0x40d960d2d0555390},
+		{0x40ab384c5a68b832, 0x406ab86171a7ae82},
+		{0x41164e226846f39f, 0x40d80650bda28651},
+		{0x40ab7906fc8dd634, 0x40729744785b4a79},
+		{0x40c7ef9a1fb13e58, 0x40895dc835f4a01a},
+		{0x40812161e7985039, 0x4041baed5336e0f5},
+		{0x40fb6f68c8bdf33d, 0x40beca59f107ce6d},
+		{0x4092ac4c7e02e7f5, 0x405486f4ef0453e2},
+	}
+	i := 0
+	for _, m := range []int{1, 2} {
+		for _, dist := range []RepairDist{DeterministicRepair, ExponentialRepair} {
+			for _, lse := range []float64{0, 1e-3} {
+				for _, scrub := range []float64{0, 24} {
+					for _, c := range []int{5, 21} {
+						p := Params{C: c, MTTFHours: 1000, MTTRHours: 10, Seed: int64(i + 1), RepairDist: dist,
+							LSERatePerDiskHour: lse, ScrubIntervalHours: scrub, Parities: m}
+						res, err := SimulateMTTDL(p, 200)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := [2]uint64{math.Float64bits(res.MTTDLHours), math.Float64bits(res.StdErrHours)}
+						if got != golden[i] {
+							t.Errorf("%+v: got bits %#x (MTTDL %g h), want %#x", p, got, res.MTTDLHours, golden[i])
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+}
+
+// lifetimeSink keeps BenchmarkLifetime's calls from being optimized away.
+var lifetimeSink float64
+
+// BenchmarkLifetime times one lifetime to data loss: the P row is the
+// paper's array, the P+Q row weaker disks under dual parity. Each lifetime
+// is some thousands of failures, nearly all of them repaired.
+func BenchmarkLifetime(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		p    Params
+	}{
+		{"P", Params{C: 21, MTTFHours: 150_000, MTTRHours: 2}},
+		{"PQ", Params{C: 21, MTTFHours: 10_000, MTTRHours: 10, Parities: 2}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lifetimeSink = lifetime(bc.p, rng)
+			}
+		})
 	}
 }
