@@ -266,8 +266,8 @@ func OpenFileDisks(dir string, c int, units int64, unitSize int) ([]StoreDisk, e
 }
 
 // StoreFaultConfig parameterizes a fault-injecting store backend: seeded
-// per-operation probabilities for transient errors, torn and lost writes,
-// latent sector errors, read corruption, and injected latency.
+// per-operation probabilities for transient errors, torn writes, latent
+// sector errors and read corruption.
 type StoreFaultConfig = store.FaultConfig
 
 // StoreFaultDisk wraps any store backend with seed-driven fault

@@ -16,31 +16,20 @@ import (
 // concurrent use at distinct offsets; the engine serializes same-stripe
 // (and therefore same-offset) access through its stripe locks.
 //
-// Implementations may additionally provide:
-//
-//	Geometry() (units int64, unitSize int)  // capacity and DATA unit size
-//	Sync() error                            // flush to stable storage
-//
-// The engine validates Geometry against its own configuration when
-// present, and Store.Sync fans out to backends implementing Sync.
+// Every method is part of the contract, so a wrapper that embeds a Disk
+// forwards all of them: New and Rebuild size each disk by its Geometry
+// before using it, and Store.Sync reaches every disk in service.
 type Disk interface {
 	// ReadUnit fills dst (exactly one physical unit) with the unit at off.
 	ReadUnit(off int64, dst []byte) error
 	// WriteUnit stores src (exactly one physical unit) at off.
 	WriteUnit(off int64, src []byte) error
+	// Geometry reports the capacity in units and the DATA unit size.
+	Geometry() (units int64, unitSize int)
+	// Sync flushes buffered writes to stable storage.
+	Sync() error
 	// Close releases the backend's resources.
 	Close() error
-}
-
-// sizedDisk is the optional geometry interface New and Rebuild validate
-// supplied backends against.
-type sizedDisk interface {
-	Geometry() (units int64, unitSize int)
-}
-
-// syncDisk is the optional durability interface Store.Sync fans out to.
-type syncDisk interface {
-	Sync() error
 }
 
 // ErrDiskFailed is returned by I/O addressed to a disk slot that has been
@@ -63,11 +52,29 @@ var ErrMedia = errors.New("store: unrecoverable media error")
 // three under P+Q), which the code cannot reconstruct.
 var ErrUnrecoverable = errors.New("store: unrecoverable stripe (multiple damaged units)")
 
+// geometry is a backend's capacity and data unit size. It answers
+// Geometry and checks every access against both.
+type geometry struct {
+	units    int64
+	unitSize int // data unit size; physical units add trailerLen
+}
+
+func (g geometry) Geometry() (int64, int) { return g.units, g.unitSize }
+
+func (g geometry) bounds(off int64, n int) error {
+	if off < 0 || off >= g.units {
+		return fmt.Errorf("store: unit offset %d out of range [0,%d)", off, g.units)
+	}
+	if n != PhysUnitSize(g.unitSize) {
+		return fmt.Errorf("store: buffer is %d bytes, physical unit size is %d", n, PhysUnitSize(g.unitSize))
+	}
+	return nil
+}
+
 // memDisk is an in-memory backend: one contiguous byte slice.
 type memDisk struct {
-	unitSize int // data unit size; physical units add trailerLen
-	units    int64
-	data     []byte
+	geometry
+	data []byte
 }
 
 // NewMemDisk returns an in-memory Disk sized for a store with the given
@@ -75,22 +82,9 @@ type memDisk struct {
 // zero-filled (so every unit reads as valid zeroes).
 func NewMemDisk(units int64, unitSize int) Disk {
 	return &memDisk{
-		unitSize: unitSize,
-		units:    units,
+		geometry: geometry{units: units, unitSize: unitSize},
 		data:     make([]byte, units*int64(PhysUnitSize(unitSize))),
 	}
-}
-
-func (d *memDisk) Geometry() (int64, int) { return d.units, d.unitSize }
-
-func (d *memDisk) bounds(off int64, n int) error {
-	if off < 0 || off >= d.units {
-		return fmt.Errorf("store: unit offset %d out of range [0,%d)", off, d.units)
-	}
-	if n != PhysUnitSize(d.unitSize) {
-		return fmt.Errorf("store: buffer is %d bytes, physical unit size is %d", n, PhysUnitSize(d.unitSize))
-	}
-	return nil
 }
 
 func (d *memDisk) ReadUnit(off int64, dst []byte) error {
@@ -109,6 +103,7 @@ func (d *memDisk) WriteUnit(off int64, src []byte) error {
 	return nil
 }
 
+func (d *memDisk) Sync() error  { return nil }
 func (d *memDisk) Close() error { return nil }
 
 // File-backed disks start with a fixed-size superblock recording the
@@ -134,9 +129,8 @@ var fileMagic = [8]byte{'D', 'C', 'L', 'S', 'T', 'O', 'R', 2}
 // through the OS page cache (no per-write fsync); call Sync for
 // durability points.
 type fileDisk struct {
-	unitSize int // data unit size; physical units add trailerLen
-	units    int64
-	f        *os.File
+	geometry
+	f *os.File
 }
 
 func encodeSuperblock(units int64, unitSize int) []byte {
@@ -222,7 +216,7 @@ func OpenFileDisk(path string, units int64, unitSize int) (Disk, error) {
 			return nil, err
 		}
 	}
-	return &fileDisk{unitSize: unitSize, units: units, f: f}, nil
+	return &fileDisk{geometry: geometry{units: units, unitSize: unitSize}, f: f}, nil
 }
 
 // OpenFileDisks opens C file-backed disks under dir, named disk0000.dat
@@ -243,18 +237,6 @@ func OpenFileDisks(dir string, c int, units int64, unitSize int) ([]Disk, error)
 		disks = append(disks, d)
 	}
 	return disks, nil
-}
-
-func (d *fileDisk) Geometry() (int64, int) { return d.units, d.unitSize }
-
-func (d *fileDisk) bounds(off int64, n int) error {
-	if off < 0 || off >= d.units {
-		return fmt.Errorf("store: unit offset %d out of range [0,%d)", off, d.units)
-	}
-	if n != PhysUnitSize(d.unitSize) {
-		return fmt.Errorf("store: buffer is %d bytes, physical unit size is %d", n, PhysUnitSize(d.unitSize))
-	}
-	return nil
 }
 
 func (d *fileDisk) byteOff(off int64) int64 {
@@ -288,4 +270,6 @@ type deadDisk struct{}
 
 func (deadDisk) ReadUnit(int64, []byte) error  { return ErrDiskFailed }
 func (deadDisk) WriteUnit(int64, []byte) error { return ErrDiskFailed }
+func (deadDisk) Geometry() (int64, int)        { return 0, 0 }
+func (deadDisk) Sync() error                   { return nil }
 func (deadDisk) Close() error                  { return nil }

@@ -42,14 +42,26 @@ func TestChecksumZeroUnitReadsAsValid(t *testing.T) {
 	}
 }
 
+// TestMemDiskBoundsMessages pins the one bounds check both backends
+// share: the same message for an offset out of range and a buffer that is
+// not one physical unit.
 func TestMemDiskBoundsMessages(t *testing.T) {
-	d := NewMemDisk(4, 64)
-	buf := make([]byte, PhysUnitSize(64))
-	if err := d.ReadUnit(4, buf); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("out-of-range read: %v", err)
+	fd, err := OpenFileDisk(filepath.Join(t.TempDir(), "d.dat"), 4, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := d.WriteUnit(0, buf[:64]); err == nil || !strings.Contains(err.Error(), "physical unit size") {
-		t.Fatalf("short-buffer write: %v", err)
+	defer fd.Close()
+	for _, tc := range []struct {
+		name string
+		d    Disk
+	}{{"mem", NewMemDisk(4, 64)}, {"file", fd}} {
+		buf := make([]byte, PhysUnitSize(64))
+		if err := tc.d.ReadUnit(4, buf); err == nil || err.Error() != "store: unit offset 4 out of range [0,4)" {
+			t.Errorf("%s: out-of-range read: %v", tc.name, err)
+		}
+		if err := tc.d.WriteUnit(0, buf[:64]); err == nil || err.Error() != "store: buffer is 64 bytes, physical unit size is 72" {
+			t.Errorf("%s: short-buffer write: %v", tc.name, err)
+		}
 	}
 }
 
@@ -204,6 +216,10 @@ func countFDs(t *testing.T) int {
 	return len(ents)
 }
 
+// embedded is a wrapper that only embeds a Disk, as every fault or
+// recording wrapper does: each method it has comes from the Disk inside.
+type embedded struct{ Disk }
+
 func TestNewValidatesSuppliedGeometry(t *testing.T) {
 	lay := testLayout(t, 7, 3)
 	disks := make([]Disk, 7)
@@ -219,6 +235,11 @@ func TestNewValidatesSuppliedGeometry(t *testing.T) {
 	if _, err := New(Config{Layout: lay, UnitsPerDisk: 64, UnitSize: 512, Disks: disks}); err == nil ||
 		!strings.Contains(err.Error(), "disk 4") {
 		t.Fatalf("undersized disk accepted: %v", err)
+	}
+	disks[4] = embedded{NewMemDisk(2, 512)} // too small, behind a wrapper
+	if _, err := New(Config{Layout: lay, UnitsPerDisk: 64, UnitSize: 512, Disks: disks}); err == nil ||
+		!strings.Contains(err.Error(), "disk 4") {
+		t.Fatalf("undersized disk behind a wrapper accepted: %v", err)
 	}
 	// Rebuild validates replacements the same way.
 	s := newTestStore(t, 7, 3, 64, 512)

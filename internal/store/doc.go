@@ -32,9 +32,12 @@
 // disk) and OpenFileDisk (one flat file per disk) are provided; anything
 // addressable by (unit offset → fixed-size block) can slot in, which is
 // what keeps mirrored/hybrid organizations implementable later without
-// touching the engine. NewFaultDisk wraps any backend with seed-driven
-// fault injection (transients, latent sector errors, torn and lost
-// writes, corruption, latency) for chaos testing.
+// touching the engine. Geometry and Sync belong to the interface, so a
+// wrapper that embeds a Disk keeps both: New and Rebuild size every disk
+// before using it, and Store.Sync reaches every member. NewFaultDisk
+// wraps any backend with seed-driven fault injection (transients, latent
+// sector errors, torn writes, corruption, and a lost write on demand) for
+// chaos testing.
 //
 // Failure and durability contract. Every unit carries an 8-byte checksum
 // trailer (PhysUnitSize bytes on the backend); every read verifies it, so

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // FaultConfig parameterizes a FaultDisk. All rates are per-operation
@@ -39,13 +38,6 @@ type FaultConfig struct {
 	// while the stored bytes stay intact (a transient transfer/firmware
 	// corruption). Only the checksum trailer can catch it.
 	CorruptRate float64
-	// LostWriteRate is the probability a write is acknowledged but never
-	// persisted. Unit-local checksums cannot detect a lost write (the old
-	// unit is self-consistent); only a parity scrub surfaces it.
-	LostWriteRate float64
-	// LatencyMax, when positive, sleeps a uniform [0, LatencyMax) per
-	// operation, modeling a slow or congested device.
-	LatencyMax time.Duration
 }
 
 func (c FaultConfig) validate() error {
@@ -57,14 +49,10 @@ func (c FaultConfig) validate() error {
 		{"TornWriteRate", c.TornWriteRate},
 		{"LSERate", c.LSERate},
 		{"CorruptRate", c.CorruptRate},
-		{"LostWriteRate", c.LostWriteRate},
 	} {
 		if r.v < 0 || r.v >= 1 {
 			return fmt.Errorf("store: fault %s %v outside [0, 1)", r.name, r.v)
 		}
-	}
-	if c.LatencyMax < 0 {
-		return fmt.Errorf("store: negative fault LatencyMax %v", c.LatencyMax)
 	}
 	return nil
 }
@@ -82,10 +70,10 @@ type FaultStats struct {
 }
 
 // FaultDisk wraps a Disk with seed-driven fault injection: transient
-// errors, latent sector errors, torn and lost writes, read corruption,
-// and injected latency. It is the storage plane's port of the simulator's
-// internal/fault injector, and is what make store-chaos drives the engine
-// with. Safe for concurrent use.
+// errors, latent sector errors, torn writes, read corruption, and a lost
+// write on demand (LoseNextWrite). It is the storage plane's port of the
+// simulator's internal/fault injector, and is what make store-chaos
+// drives the engine with. Safe for concurrent use.
 type FaultDisk struct {
 	under Disk
 
@@ -143,8 +131,9 @@ func (d *FaultDisk) InjectLSE(off int64) {
 }
 
 // LoseNextWrite drops exactly the next write (acknowledged, not
-// persisted), regardless of LostWriteRate. Deterministic scrub tests use
-// it to plant a stale unit.
+// persisted). Unit-local checksums cannot detect a lost write (the old
+// unit is self-consistent); only a parity scrub surfaces it, and
+// deterministic scrub tests use this to plant a stale unit.
 func (d *FaultDisk) LoseNextWrite() {
 	d.mu.Lock()
 	d.loseNext = true
@@ -158,37 +147,9 @@ func (d *FaultDisk) Stats() FaultStats {
 	return d.stats
 }
 
-// Geometry forwards the underlying backend's geometry when it has one;
-// (0, 0) says it reports none, which New and Rebuild take as unknown.
-func (d *FaultDisk) Geometry() (int64, int) {
-	if sd, ok := d.under.(sizedDisk); ok {
-		return sd.Geometry()
-	}
-	return 0, 0
-}
-
-// Sync forwards to the underlying backend when it supports durability.
-func (d *FaultDisk) Sync() error {
-	if sd, ok := d.under.(syncDisk); ok {
-		return sd.Sync()
-	}
-	return nil
-}
-
-func (d *FaultDisk) Close() error { return d.under.Close() }
-
-// draw runs f under the RNG lock and applies any decided latency outside
-// it, so injected stalls never serialize the whole disk.
-func (d *FaultDisk) draw(f func()) time.Duration {
-	d.mu.Lock()
-	var lat time.Duration
-	if d.cfg.LatencyMax > 0 {
-		lat = time.Duration(d.rng.Int63n(int64(d.cfg.LatencyMax)))
-	}
-	f()
-	d.mu.Unlock()
-	return lat
-}
+func (d *FaultDisk) Geometry() (int64, int) { return d.under.Geometry() }
+func (d *FaultDisk) Sync() error            { return d.under.Sync() }
+func (d *FaultDisk) Close() error           { return d.under.Close() }
 
 func (d *FaultDisk) ReadUnit(off int64, dst []byte) error {
 	var (
@@ -197,29 +158,26 @@ func (d *FaultDisk) ReadUnit(off int64, dst []byte) error {
 		flipByte int
 		flipBits byte
 	)
-	lat := d.draw(func() {
-		d.stats.Reads++
-		switch {
-		case d.bad[off]:
-			outcome = fmt.Errorf("faultdisk: latent sector error at unit %d: %w", off, ErrMedia)
-		case d.cfg.TransientRate > 0 && d.rng.Float64() < d.cfg.TransientRate:
-			d.stats.Transients++
-			outcome = fmt.Errorf("faultdisk: injected read timeout at unit %d: %w", off, ErrTransient)
-		case d.cfg.LSERate > 0 && d.rng.Float64() < d.cfg.LSERate:
-			d.bad[off] = true
-			d.stats.LSEInjected++
-			d.stats.Latent++
-			outcome = fmt.Errorf("faultdisk: latent sector error at unit %d: %w", off, ErrMedia)
-		case d.cfg.CorruptRate > 0 && d.rng.Float64() < d.cfg.CorruptRate:
-			corrupt = true
-			flipByte = d.rng.Intn(len(dst))
-			flipBits = byte(1 + d.rng.Intn(255))
-			d.stats.CorruptReads++
-		}
-	})
-	if lat > 0 {
-		time.Sleep(lat)
+	d.mu.Lock()
+	d.stats.Reads++
+	switch {
+	case d.bad[off]:
+		outcome = fmt.Errorf("faultdisk: latent sector error at unit %d: %w", off, ErrMedia)
+	case d.cfg.TransientRate > 0 && d.rng.Float64() < d.cfg.TransientRate:
+		d.stats.Transients++
+		outcome = fmt.Errorf("faultdisk: injected read timeout at unit %d: %w", off, ErrTransient)
+	case d.cfg.LSERate > 0 && d.rng.Float64() < d.cfg.LSERate:
+		d.bad[off] = true
+		d.stats.LSEInjected++
+		d.stats.Latent++
+		outcome = fmt.Errorf("faultdisk: latent sector error at unit %d: %w", off, ErrMedia)
+	case d.cfg.CorruptRate > 0 && d.rng.Float64() < d.cfg.CorruptRate:
+		corrupt = true
+		flipByte = d.rng.Intn(len(dst))
+		flipBits = byte(1 + d.rng.Intn(255))
+		d.stats.CorruptReads++
 	}
+	d.mu.Unlock()
 	if outcome != nil {
 		return outcome
 	}
@@ -238,32 +196,29 @@ func (d *FaultDisk) WriteUnit(off int64, src []byte) error {
 		lost    bool
 		tearAt  int
 	)
-	lat := d.draw(func() {
-		d.stats.Writes++
-		switch {
-		case d.cfg.TransientRate > 0 && d.rng.Float64() < d.cfg.TransientRate:
-			d.stats.Transients++
-			outcome = fmt.Errorf("faultdisk: injected write timeout at unit %d: %w", off, ErrTransient)
-		case d.loseNext || (d.cfg.LostWriteRate > 0 && d.rng.Float64() < d.cfg.LostWriteRate):
-			d.loseNext = false
-			lost = true
-			d.stats.LostWrites++
-		case d.cfg.TornWriteRate > 0 && d.rng.Float64() < d.cfg.TornWriteRate:
-			// Tear somewhere strictly inside the unit: a zero-length tear
-			// is a lost write and a full-length tear is a clean write.
-			tearAt = 1 + d.rng.Intn(len(src)-1)
-			d.stats.TornWrites++
-		}
-		if outcome == nil && !lost && d.bad[off] {
-			// The write (even a torn one) remaps the latent sector.
-			delete(d.bad, off)
-			d.stats.LSEHealed++
-			d.stats.Latent--
-		}
-	})
-	if lat > 0 {
-		time.Sleep(lat)
+	d.mu.Lock()
+	d.stats.Writes++
+	switch {
+	case d.cfg.TransientRate > 0 && d.rng.Float64() < d.cfg.TransientRate:
+		d.stats.Transients++
+		outcome = fmt.Errorf("faultdisk: injected write timeout at unit %d: %w", off, ErrTransient)
+	case d.loseNext:
+		d.loseNext = false
+		lost = true
+		d.stats.LostWrites++
+	case d.cfg.TornWriteRate > 0 && d.rng.Float64() < d.cfg.TornWriteRate:
+		// Tear somewhere strictly inside the unit: a zero-length tear
+		// is a lost write and a full-length tear is a clean write.
+		tearAt = 1 + d.rng.Intn(len(src)-1)
+		d.stats.TornWrites++
 	}
+	if outcome == nil && !lost && d.bad[off] {
+		// The write (even a torn one) remaps the latent sector.
+		delete(d.bad, off)
+		d.stats.LSEHealed++
+		d.stats.Latent--
+	}
+	d.mu.Unlock()
 	if outcome != nil {
 		return outcome
 	}

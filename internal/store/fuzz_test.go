@@ -63,7 +63,7 @@ func FuzzSuperblock(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if u, us := d.(sizedDisk).Geometry(); u != units || us != unitSize {
+		if u, us := d.Geometry(); u != units || us != unitSize {
 			t.Fatalf("opened as %d x %d, asked for %d x %d", u, us, units, unitSize)
 		}
 		// Whatever followed the header, every unit is addressable.

@@ -350,7 +350,7 @@ func TestSyncAggregatesBackendErrors(t *testing.T) {
 		disks[i] = NewMemDisk(48, 512)
 	}
 	disks[2] = brokenDisk{Disk: disks[2], syncErr: e2}
-	disks[5] = brokenDisk{Disk: disks[5], syncErr: e5}
+	disks[5] = embedded{brokenDisk{Disk: disks[5], syncErr: e5}} // reached behind a wrapper too
 	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks})
 	if err != nil {
 		t.Fatal(err)

@@ -44,9 +44,6 @@ func (d countedDisk) WriteUnit(off int64, p []byte) error {
 	return d.Disk.WriteUnit(off, p)
 }
 
-// Geometry lets New check the backend underneath.
-func (d countedDisk) Geometry() (int64, int) { return d.Disk.(sizedDisk).Geometry() }
-
 // planUnits sizes every flat store (one allocation period of its layout,
 // where that is longer), with units of 64 bytes or fewer: small enough that
 // comparing the whole array after each step costs nothing.

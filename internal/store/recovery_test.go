@@ -21,7 +21,8 @@ import (
 // every unit at version 1, syncs, then rewrites units to version 2 in a
 // loop — and the parent SIGKILLs it mid-stream. The reopened store must
 // come back parity-consistent with every unit reading as exactly version
-// 1 or version 2.
+// 1 or version 2. The child says when its first version-2 write has
+// returned, so the kill never lands before the overwrite begins.
 
 const crashChildEnv = "STORE_CRASH_CHILD_DIR"
 
@@ -71,11 +72,19 @@ func TestCrashChildProcess(t *testing.T) {
 	fmt.Println("CRASH_CHILD_READY")
 	os.Stdout.Sync()
 	buf := make([]byte, s.UnitSize())
+	writing := false
 	for {
 		for n := int64(0); n < s.DataUnits(); n++ {
 			fill(buf, n, 2)
 			if err := s.WriteUnit(n, buf); err != nil {
 				t.Fatalf("child WriteUnit(%d): %v", n, err)
+			}
+			if !writing {
+				// A version-2 write has returned, so its intent region is
+				// marked on disk: the kill now lands mid-stream.
+				fmt.Println("CRASH_CHILD_WRITING")
+				os.Stdout.Sync()
+				writing = true
 			}
 		}
 	}
@@ -102,30 +111,34 @@ func TestCrashDuringWriteRecovers(t *testing.T) {
 		cmd.Wait()
 	}()
 
-	// Wait for the child to settle version 1 and start overwriting.
-	ready := make(chan error, 1)
+	// Wait for the child to settle version 1 and return from its first
+	// version-2 write.
+	writing := make(chan error, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
+		ready := false
 		for sc.Scan() {
-			if sc.Text() == "CRASH_CHILD_READY" {
-				ready <- nil
+			switch sc.Text() {
+			case "CRASH_CHILD_READY":
+				ready = true
+			case "CRASH_CHILD_WRITING":
+				writing <- nil
 				go io.Copy(io.Discard, stdout) // keep the pipe drained
 				return
 			}
 		}
-		ready <- fmt.Errorf("child exited before READY: %v", sc.Err())
+		writing <- fmt.Errorf("child exited before WRITING (READY seen: %v): %v", ready, sc.Err())
 	}()
 	select {
-	case err := <-ready:
+	case err := <-writing:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("child never came up")
+		t.Fatal("child never started writing")
 	}
 
-	// Let it get some version-2 writes in flight, then kill it cold.
-	time.Sleep(50 * time.Millisecond)
+	// Kill it cold among its version-2 writes.
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,8 @@ type Config struct {
 	// checksum trailer.
 	UnitSize int
 	// Disks optionally supplies the C backends (index = disk number);
-	// nil builds in-memory disks. Each must hold at least the usable
-	// unit count at the physical unit size; backends reporting a
-	// Geometry are validated against the store's.
+	// nil builds in-memory disks. Each must report, by its Geometry, the
+	// store's unit size and at least the usable unit count.
 	Disks []Disk
 	// IOWorkers is the upper bound on overlap: how many independent disk
 	// accesses of one batch (a degraded read's survivor gather, the
@@ -406,17 +405,9 @@ func New(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// checkGeometry validates a supplied backend against the store's needs
-// when the backend reports its geometry.
+// checkGeometry validates a supplied backend against the store's needs.
 func checkGeometry(d Disk, usable int64, unitSize int) error {
-	sd, ok := d.(sizedDisk)
-	if !ok {
-		return nil
-	}
-	units, us := sd.Geometry()
-	if us == 0 {
-		return nil // a wrapper over a backend that reports none: unknown, not zero
-	}
+	units, us := d.Geometry()
 	if us != unitSize {
 		return fmt.Errorf("backend has %d-byte units, store uses %d-byte units", us, unitSize)
 	}
@@ -1046,31 +1037,27 @@ func (s *Store) CheckParity() error {
 }
 
 // Sync is the store's durability point: it flushes every in-service
-// backend that supports Sync, then — with all data durable — clears the
-// intent-log regions that have no writer in flight. It may run beside
-// client traffic: a region with an active writer is left marked, a writer
-// that arrives while a region is being cleared waits for the clear and
-// marks it again before touching a disk, and no region is cleared while a
-// failed write has the stripe set in doubt (a clean Scrub that skipped no
-// stripe restores confidence).
+// backend and every installed replacement, then — with all data durable —
+// clears the intent-log regions that have no writer in flight. It may run
+// beside client traffic: a region with an active writer is left marked, a
+// writer that arrives while a region is being cleared waits for the clear
+// and marks it again before touching a disk, and no region is cleared
+// while a failed write has the stripe set in doubt (a clean Scrub that
+// skipped no stripe restores confidence).
 func (s *Store) Sync() error {
 	st := s.st.Load()
 	var errs []error
 	for i, d := range st.disks {
-		if sd, ok := d.(syncDisk); ok {
-			if err := sd.Sync(); err != nil {
-				errs = append(errs, fmt.Errorf("store: sync disk %d: %w", i, err))
-			}
+		if err := d.Sync(); err != nil {
+			errs = append(errs, fmt.Errorf("store: sync disk %d: %w", i, err))
 		}
 	}
-	for i := range st.fails {
-		if st.fails[i].repl == nil {
+	for _, f := range st.fails {
+		if f.repl == nil {
 			continue
 		}
-		if sd, ok := st.fails[i].repl.(syncDisk); ok {
-			if err := sd.Sync(); err != nil {
-				errs = append(errs, fmt.Errorf("store: sync replacement: %w", err))
-			}
+		if err := f.repl.Sync(); err != nil {
+			errs = append(errs, fmt.Errorf("store: sync replacement: %w", err))
 		}
 	}
 	if len(errs) == 0 && !s.parityDoubt.Load() {

@@ -2,13 +2,36 @@ package store
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// parseSource parses the package's non-test source.
+func parseSource(t *testing.T, fset *token.FileSet) []*ast.File {
+	t.Helper()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
 
 // TestOneBatchDecisionPoint reads the package's non-test source and pins
 // where a batch's inline-or-overlapped choice can be made: overlap is
@@ -19,21 +42,9 @@ import (
 // statement each. A call site that asks the gate itself, to keep a serial
 // twin of its batch beside fanOut, fails it.
 func TestOneBatchDecisionPoint(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	refs := map[string]map[string]int{"overlap": {}, "pays": {}} // name → enclosing function → count
 	gos := map[string]int{}                                      // enclosing function → go statements
-	fset := token.NewFileSet()
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, f := range parseSource(t, token.NewFileSet()) {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -60,5 +71,42 @@ func TestOneBatchDecisionPoint(t *testing.T) {
 	}
 	if want := (map[string]int{"fanOut": 1, "sweep": 1, "Rebuild": 1}); !reflect.DeepEqual(gos, want) {
 		t.Errorf("go statements in %v, want %v", gos, want)
+	}
+}
+
+// TestNoInterfaceAssertions keeps the Disk contract closed: no non-test
+// file type-asserts to an interface type, so no method of a backend is
+// found by discovery, where a wrapper that embeds a Disk would silently
+// drop it. Assertions to a concrete type (the pools' *[]byte and
+// *stripeScratch) are allowed.
+func TestNoInterfaceAssertions(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseSource(t, fset)
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	if _, err := conf.Check("declust/internal/store", fset, files, info); err != nil {
+		t.Fatal(err)
+	}
+	assertsInterface := func(e ast.Expr) {
+		if types.IsInterface(info.Types[e].Type) {
+			t.Errorf("%s: type assertion to interface %s", fset.Position(e.Pos()), types.ExprString(e))
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				if n.Type != nil { // nil in a type switch, whose cases follow
+					assertsInterface(n.Type)
+				}
+			case *ast.TypeSwitchStmt:
+				for _, c := range n.Body.List {
+					for _, e := range c.(*ast.CaseClause).List {
+						assertsInterface(e)
+					}
+				}
+			}
+			return true
+		})
 	}
 }
