@@ -109,7 +109,9 @@ fuzz:
 # run) and the generated range ops against a flat reference (a fresh seed
 # each repetition, in memory and on files) run ten times, so
 # do the enumeration of a rebuild's failure points (which access comes k-th
-# over the forced-open store varies with scheduling) and the Scrub suite
+# over the forced-open store varies with scheduling), the backend-ownership
+# table and a second failure racing a running rebuild's sweep (its progress
+# must survive), and the Scrub suite
 # with the sweep pacing test (a scrub's counts are state its shards share,
 # under one mutex); every fuzz target gets five minutes.
 nightly:
@@ -119,7 +121,7 @@ nightly:
 	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestReadAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
-	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded' -count=10 ./internal/store/
+	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded|TestSecondFailureKeepsRebuildProgress' -count=10 ./internal/store/
 	$(GO) test -race -run 'TestScrub|TestPQScrubHealsTwoDamagedUnits|TestParityDoubtOutlivesDegradedScrub|TestSweepPacing' -count=10 ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 

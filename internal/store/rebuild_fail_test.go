@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"declust/internal/layout"
 )
@@ -200,40 +201,108 @@ func (d closeCounter) Close() error {
 	return d.Disk.Close()
 }
 
-// TestFailedRebuildLeavesStoreDegraded: a replacement that dies mid-sweep
-// fails the Rebuild and is discarded — the store is Degraded again, takes a
-// fresh replacement, and still closes the dead one exactly once.
+// TestFailedRebuildLeavesStoreDegraded pins who owns a backend: Close
+// closes every member New took over, failed or not, and every replacement
+// Rebuild installed — healed or discarded — exactly once, and never one
+// Rebuild refused before installing it. Its discarded row is the failed
+// rebuild itself: a replacement that dies mid-sweep fails the Rebuild, and
+// the store is Degraded again and takes a fresh replacement.
 func TestFailedRebuildLeavesStoreDegraded(t *testing.T) {
-	s := newTestStore(t, 7, 4, 48, 512)
-	fillAll(t, s, 1)
-	if err := s.Fail(2); err != nil {
+	const units, unitSize = 48, 512
+	for _, row := range []struct {
+		name   string
+		pq     bool
+		closes int // Close calls each counted replacement must see
+		steps  func(t *testing.T, s *Store, counted func(Disk) Disk)
+	}{
+		{"failed member", false, 1, func(t *testing.T, s *Store, counted func(Disk) Disk) {
+			mustFail(t, s, 2)
+		}},
+		{"healed replacement", false, 1, func(t *testing.T, s *Store, counted func(Disk) Disk) {
+			mustFail(t, s, 2)
+			if err := s.Rebuild(counted(NewMemDisk(units, unitSize))); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"discarded replacement", false, 1, func(t *testing.T, s *Store, counted func(Disk) Disk) {
+			mustFail(t, s, 2)
+			dying := failAtDisk{Disk: NewMemDisk(units, unitSize), writes: map[int64]bool{10: true}}
+			if err := s.Rebuild(counted(dying)); !errors.Is(err, errPlanted) {
+				t.Fatalf("Rebuild onto a dying replacement = %v, want the planted failure", err)
+			}
+			if m := s.Mode(); m != Degraded {
+				t.Fatalf("mode %v after the failed rebuild, want %v", m, Degraded)
+			}
+			if err := s.Rebuild(counted(NewMemDisk(units, unitSize))); err != nil {
+				t.Fatalf("Rebuild onto a fresh disk: %v", err)
+			}
+			for n := int64(0); n < s.DataUnits(); n++ {
+				verifyUnit(t, s, n, 1)
+			}
+			if err := s.CheckParity(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"P+Q one healed one pending", true, 1, func(t *testing.T, s *Store, counted func(Disk) Disk) {
+			mustFail(t, s, 1)
+			mustFail(t, s, 4)
+			if err := s.Rebuild(counted(NewMemDisk(units, unitSize))); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"refused for its geometry", false, 0, func(t *testing.T, s *Store, counted func(Disk) Disk) {
+			mustFail(t, s, 2)
+			if err := s.Rebuild(counted(NewMemDisk(units, unitSize/2))); err == nil {
+				t.Fatal("Rebuild accepted a replacement with half-size units")
+			}
+		}},
+		{"refused with nothing to rebuild", false, 0, func(t *testing.T, s *Store, counted func(Disk) Disk) {
+			if err := s.Rebuild(counted(NewMemDisk(units, unitSize))); err == nil {
+				t.Fatal("Rebuild accepted a replacement with no disk failed")
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			lay := testLayout(t, 7, 4)
+			if row.pq {
+				lay = testPQLayout(t, 7, 4)
+			}
+			members := make([]int, lay.Disks())
+			disks := make([]Disk, lay.Disks())
+			for i := range disks {
+				disks[i] = closeCounter{Disk: NewMemDisk(units, unitSize), closed: &members[i]}
+			}
+			s, err := New(Config{Layout: lay, UnitsPerDisk: units, UnitSize: unitSize, Disks: disks})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillAll(t, s, 1)
+			var repls []*int
+			row.steps(t, s, func(d Disk) Disk {
+				repls = append(repls, new(int))
+				return closeCounter{Disk: d, closed: repls[len(repls)-1]}
+			})
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range members {
+				if n != 1 {
+					t.Errorf("member %d closed %d times, want 1", i, n)
+				}
+			}
+			for i, n := range repls {
+				if *n != row.closes {
+					t.Errorf("replacement %d closed %d times, want %d", i, *n, row.closes)
+				}
+			}
+		})
+	}
+}
+
+func mustFail(t *testing.T, s *Store, d int) {
+	t.Helper()
+	if err := s.Fail(d); err != nil {
 		t.Fatal(err)
-	}
-	closed := 0
-	dying := closeCounter{
-		Disk:   failAtDisk{Disk: NewMemDisk(48, 512), writes: map[int64]bool{10: true}},
-		closed: &closed,
-	}
-	if err := s.Rebuild(dying); !errors.Is(err, errPlanted) {
-		t.Fatalf("Rebuild onto a dying replacement = %v, want the planted failure", err)
-	}
-	if m := s.Mode(); m != Degraded {
-		t.Fatalf("mode %v after the failed rebuild, want %v", m, Degraded)
-	}
-	if err := s.Rebuild(NewMemDisk(48, 512)); err != nil {
-		t.Fatalf("Rebuild onto a fresh disk: %v", err)
-	}
-	for n := int64(0); n < s.DataUnits(); n++ {
-		verifyUnit(t, s, n, 1)
-	}
-	if err := s.CheckParity(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if closed != 1 {
-		t.Fatalf("the discarded replacement was closed %d times, want 1", closed)
 	}
 }
 
@@ -271,5 +340,41 @@ func TestFaultDiskOverBareBackend(t *testing.T) {
 	// A backend that does report a geometry is still held to it.
 	if err := checkGeometry(NewFaultDisk(NewMemDisk(24, 256), FaultConfig{}), 24, 512); err == nil {
 		t.Error("a FaultDisk over 256-byte units accepted by a 512-byte store")
+	}
+}
+
+// TestSecondFailureKeepsRebuildProgress: under P+Q a disk that fails while
+// another is being rebuilt joins the sweep as a second erasure, and the
+// running rebuild keeps its count — after Rebuild returns, every unit of the
+// restored disk counts as done.
+func TestSecondFailureKeepsRebuildProgress(t *testing.T) {
+	const units, unitSize = 48, 512
+	s, err := New(Config{Layout: testPQLayout(t, 7, 4), UnitsPerDisk: units, UnitSize: unitSize,
+		RebuildWorkers: 1, RebuildThrottle: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fillAll(t, s, 1)
+	if err := s.Fail(1); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := make(chan error, 1)
+	go func() { rebuilt <- s.Rebuild(NewMemDisk(units, unitSize)) }()
+	waitFor(t, "10 rebuilt units", func() bool { done, _ := s.RebuildProgress(); return done >= 10 })
+	if err := s.Fail(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-rebuilt; err != nil {
+		t.Fatal(err)
+	}
+	if done, total := s.RebuildProgress(); done != total {
+		t.Fatalf("rebuild progress %d/%d after the rebuild beside a second failure", done, total)
+	}
+	if got := s.FailedDisks(); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("failed disks %v after disk 1's rebuild, want [4]", got)
+	}
+	for n := int64(0); n < s.DataUnits(); n++ {
+		verifyUnit(t, s, n, 1)
 	}
 }

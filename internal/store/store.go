@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,7 +180,7 @@ type failSlot struct {
 
 // diskState is an immutable failure-state snapshot, published through an
 // atomic pointer. disks and fails are never mutated after publication
-// (Fail/Rebuild publish fresh snapshots); each slot's rebuilt is
+// (transition publishes fresh snapshots); each slot's rebuilt is
 // element-mutable under the owning stripe's lock. fails is ordered oldest
 // failure first and holds at most the layout's parity count: a P+Q store
 // tolerates two concurrent failures, a single-parity store one.
@@ -198,14 +199,14 @@ func (st *diskState) slot(d int) *failSlot {
 	return nil
 }
 
-// slotIndex returns the index in fails of disk d's slot, or -1.
-func (st *diskState) slotIndex(d int) int {
+// installed returns the slot with a replacement installed, or nil.
+func (st *diskState) installed() *failSlot {
 	for i := range st.fails {
-		if st.fails[i].disk == d {
-			return i
+		if st.fails[i].repl != nil {
+			return &st.fails[i]
 		}
 	}
-	return -1
+	return nil
 }
 
 // lost reports whether loc's contents are unreadable at its home slot and
@@ -250,10 +251,10 @@ type Store struct {
 	locks lockTable
 	st    atomic.Pointer[diskState]
 
-	admin      sync.Mutex // serializes Fail / Rebuild install / heal
+	admin      sync.Mutex // serializes transition and Close
 	rebuilding atomic.Bool
 	scrubbing  atomic.Bool
-	detached   []Disk // failed backends, closed with the store
+	adopted    []Disk // closed with the store: New's members in disk order, then each replacement Rebuild installed
 	closed     bool
 
 	intent         IntentLog
@@ -374,6 +375,7 @@ func New(cfg Config) (*Store, error) {
 		ioWorkers:      cfg.IOWorkers,
 		rebuildWorkers: cfg.RebuildWorkers,
 		diskErrs:       make([]atomic.Int64, c),
+		adopted:        slices.Clone(disks),
 	}
 	if s.ioWorkers > 1 {
 		s.gate = &overlapGate{threshold: int64(overlapThreshold)}
@@ -533,10 +535,8 @@ func (s *Store) Mode() Mode {
 	if len(st.fails) == 0 {
 		return Healthy
 	}
-	for i := range st.fails {
-		if st.fails[i].repl != nil {
-			return Rebuilding
-		}
+	if st.installed() != nil {
+		return Rebuilding
 	}
 	return Degraded
 }
@@ -585,9 +585,10 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// RebuildProgress reports units restored within the current failure (by
-// sweep or write redirection) out of the failed disk's usable units. With
-// no failure in progress it reports the last failure's final state.
+// RebuildProgress reports units restored by the running rebuild (by sweep
+// or write redirection) out of the failed disk's usable units. With no
+// rebuild running it reports the last one's final state, or zero once a
+// disk fails or a rebuild fails.
 func (s *Store) RebuildProgress() (done, total int64) {
 	return s.rebuiltNow.Load(), s.unitsPerDisk
 }
@@ -757,35 +758,50 @@ func (s *Store) writeRebuilt(repl Disk, f *failSlot, stripe int64, loc layout.Lo
 	return nil
 }
 
-// Fail takes disk d out of service: its backend is detached (to be closed
-// with the store) and the slot reads as lost until rebuilt. The store
-// tolerates as many concurrent failures as the layout has parity units —
-// one under single parity, two under P+Q — so failing beyond that is an
-// error.
-func (s *Store) Fail(d int) error {
+// transition makes every change of the failure state — Fail, Rebuild's
+// install and heal, and a failed rebuild's undo. Under s.admin it copies
+// the published snapshot, applies edit to the copy and publishes the
+// result; an edit that returns an error publishes nothing. It owns the
+// progress rule too: the count belongs to the running rebuild, and starts
+// over unless the edit leaves that rebuild's replacement installed (a
+// second failure beside it) or heals it. So a failure with no rebuild
+// running, an install and a failed rebuild's undo all start from zero.
+func (s *Store) transition(edit func(st *diskState) error) error {
 	s.admin.Lock()
 	defer s.admin.Unlock()
-	st := s.st.Load()
-	if len(st.fails) >= s.parities {
-		return fmt.Errorf("store: disks %v already failed; %d parity units per stripe correct no more",
-			s.FailedDisks(), s.parities)
+	old := s.st.Load()
+	st := &diskState{disks: slices.Clone(old.disks), fails: slices.Clone(old.fails)}
+	if err := edit(st); err != nil {
+		return err
 	}
-	if d < 0 || d >= len(st.disks) {
-		return fmt.Errorf("store: disk %d out of range [0,%d)", d, len(st.disks))
+	if r := old.installed(); r == nil || st.slot(r.disk) != nil && st.slot(r.disk).repl == nil {
+		s.rebuiltNow.Store(0)
 	}
-	if st.slot(d) != nil {
-		return fmt.Errorf("store: disk %d already failed", d)
-	}
-	disks := make([]Disk, len(st.disks))
-	copy(disks, st.disks)
-	s.detached = append(s.detached, disks[d])
-	disks[d] = deadDisk{}
-	s.rebuiltNow.Store(0)
-	fails := make([]failSlot, len(st.fails), len(st.fails)+1)
-	copy(fails, st.fails)
-	fails = append(fails, failSlot{disk: d, rebuilt: make([]bool, s.unitsPerDisk)})
-	s.st.Store(&diskState{disks: disks, fails: fails})
+	s.st.Store(st)
 	return nil
+}
+
+// Fail takes disk d out of service: its backend stays adopted (to be
+// closed with the store) and the slot reads as lost until rebuilt. The
+// store tolerates as many concurrent failures as the layout has parity
+// units — one under single parity, two under P+Q — so failing beyond that
+// is an error.
+func (s *Store) Fail(d int) error {
+	return s.transition(func(st *diskState) error {
+		if len(st.fails) >= s.parities {
+			return fmt.Errorf("store: disks %v already failed; %d parity units per stripe correct no more",
+				s.FailedDisks(), s.parities)
+		}
+		if d < 0 || d >= len(st.disks) {
+			return fmt.Errorf("store: disk %d out of range [0,%d)", d, len(st.disks))
+		}
+		if st.slot(d) != nil {
+			return fmt.Errorf("store: disk %d already failed", d)
+		}
+		st.disks[d] = deadDisk{}
+		st.fails = append(st.fails, failSlot{disk: d, rebuilt: make([]bool, s.unitsPerDisk)})
+		return nil
+	})
 }
 
 // Rebuild installs repl as the replacement for the oldest failed disk
@@ -798,7 +814,8 @@ func (s *Store) Fail(d int) error {
 // least the usable unit count and should be blank; its prior contents are
 // overwritten. A Rebuild that returns an error leaves the store as it found
 // it — Degraded, no replacement installed; a repl whose sweep failed is
-// kept only to be closed with the store.
+// kept only to be closed with the store, and one refused before its
+// install is not the store's to close.
 func (s *Store) Rebuild(repl Disk) error {
 	if repl == nil {
 		return fmt.Errorf("store: nil replacement disk")
@@ -811,27 +828,19 @@ func (s *Store) Rebuild(repl Disk) error {
 	}
 	defer s.rebuilding.Store(false)
 
-	s.admin.Lock()
-	st := s.st.Load()
 	target := -1
-	for i := range st.fails {
-		if st.fails[i].repl == nil {
-			target = st.fails[i].disk
-			break
+	if err := s.transition(func(st *diskState) error {
+		for i := range st.fails {
+			if st.fails[i].repl == nil {
+				st.fails[i].repl, target = repl, st.fails[i].disk
+				s.adopted = append(s.adopted, repl)
+				return nil
+			}
 		}
-	}
-	if target == -1 {
-		s.admin.Unlock()
 		return fmt.Errorf("store: no failed disk to rebuild")
+	}); err != nil {
+		return err
 	}
-	fails := make([]failSlot, len(st.fails))
-	copy(fails, st.fails)
-	fails[st.slotIndex(target)].repl = repl
-	// Progress is per failure: with two failures pending (P+Q) the second
-	// Rebuild starts its own count instead of continuing the first's.
-	s.rebuiltNow.Store(0)
-	s.st.Store(&diskState{disks: st.disks, fails: fails})
-	s.admin.Unlock()
 
 	// Sweep the failed disk's offsets. Two offsets of one disk always belong
 	// to different stripes (the layout places at most one unit of a stripe
@@ -904,48 +913,30 @@ func (s *Store) Rebuild(repl Disk) error {
 		return step, done
 	})
 	if err != nil {
-		s.dropReplacement(target, repl)
+		// Undo the install: the store is as Rebuild found it — Degraded, no
+		// replacement — so a later Rebuild onto a good disk can start over.
+		// The slot gets a fresh rebuilt map: an operation still on the old
+		// snapshot may yet mark a redirected unit there, and must not mark
+		// it here. Nothing is lost with the replacement, since every write
+		// to a lost unit folded into parity whether or not it was also
+		// redirected; repl stays adopted, to be closed with the store.
+		s.transition(func(st *diskState) error {
+			*st.slot(target) = failSlot{disk: target, rebuilt: make([]bool, s.unitsPerDisk)}
+			return nil
+		})
 		return err
 	}
 
 	// Heal: swap the replacement into the slot and retire the failure.
 	// The slot's persistent-error score resets — it is a new device.
-	s.admin.Lock()
-	st2 := s.st.Load()
-	disks := make([]Disk, len(st2.disks))
-	copy(disks, st2.disks)
-	disks[target] = repl
-	s.diskErrs[target].Store(0)
-	fails2 := make([]failSlot, 0, len(st2.fails)-1)
-	for i := range st2.fails {
-		if st2.fails[i].disk != target {
-			fails2 = append(fails2, st2.fails[i])
-		}
-	}
-	s.st.Store(&diskState{disks: disks, fails: fails2})
-	s.admin.Unlock()
+	s.transition(func(st *diskState) error {
+		st.disks[target] = repl
+		s.diskErrs[target].Store(0)
+		st.fails = slices.DeleteFunc(st.fails, func(f failSlot) bool { return f.disk == target })
+		return nil
+	})
 	s.rebuilds.Add(1)
 	return nil
-}
-
-// dropReplacement undoes Rebuild's install after a failed sweep: the store
-// is as Rebuild found it — Degraded, no replacement — so a later Rebuild
-// onto a good disk can start over. The slot gets a fresh rebuilt map: an
-// operation still on the old snapshot may yet mark a redirected unit
-// there, and must not mark it here. Nothing is lost with the replacement,
-// since every write to a lost unit folded into parity whether or not it
-// was also redirected; repl joins the detached disks, to be closed with
-// the store.
-func (s *Store) dropReplacement(target int, repl Disk) {
-	s.admin.Lock()
-	defer s.admin.Unlock()
-	st := s.st.Load()
-	fails := make([]failSlot, len(st.fails))
-	copy(fails, st.fails)
-	fails[st.slotIndex(target)] = failSlot{disk: target, rebuilt: make([]bool, s.unitsPerDisk)}
-	s.rebuiltNow.Store(0)
-	s.detached = append(s.detached, repl)
-	s.st.Store(&diskState{disks: st.disks, fails: fails})
 }
 
 // sweep is the one walk over the array that Rebuild, Scrub and CheckParity
@@ -1093,8 +1084,9 @@ func (s *Store) Sync() error {
 	return errors.Join(errs...)
 }
 
-// Close releases every backend, including detached failed disks, and the
-// intent log. The store must be quiesced; a clean Close syncs backends
+// Close releases every adopted backend — the members New took over, failed
+// ones included, and every replacement Rebuild installed — and the intent
+// log. The store must be quiesced; a clean Close syncs backends
 // and clears the intent log first (so the next open skips recovery), and
 // operations after Close have undefined results. Every failure along the
 // way is reported, joined — a disk that will not close does not hide the
@@ -1107,23 +1099,9 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	errs := []error{s.Sync()}
-	st := s.st.Load()
-	for i, d := range st.disks {
+	for i, d := range s.adopted {
 		if err := d.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("store: close disk %d: %w", i, err))
-		}
-	}
-	for i := range st.fails {
-		if st.fails[i].repl == nil {
-			continue
-		}
-		if err := st.fails[i].repl.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("store: close replacement: %w", err))
-		}
-	}
-	for _, d := range s.detached {
-		if err := d.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("store: close detached disk: %w", err))
+			errs = append(errs, fmt.Errorf("store: close backend %d: %w", i, err))
 		}
 	}
 	if err := s.intent.Close(); err != nil {

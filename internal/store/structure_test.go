@@ -33,6 +33,22 @@ func parseSource(t *testing.T, fset *token.FileSet) []*ast.File {
 	return files
 }
 
+// inspectFuncs walks the body of every non-test function, calling visit on
+// each node with the name of the function that encloses it.
+func inspectFuncs(t *testing.T, visit func(fn string, n ast.Node)) {
+	t.Helper()
+	for _, f := range parseSource(t, token.NewFileSet()) {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					visit(fn.Name.Name, n)
+					return true
+				})
+			}
+		}
+	}
+}
+
 // TestOneBatchDecisionPoint reads the package's non-test source and pins
 // where a batch's inline-or-overlapped choice can be made: overlap is
 // referenced only by fanOut, the one place a batch is issued; the gate's
@@ -44,25 +60,16 @@ func parseSource(t *testing.T, fset *token.FileSet) []*ast.File {
 func TestOneBatchDecisionPoint(t *testing.T) {
 	refs := map[string]map[string]int{"overlap": {}, "pays": {}} // name → enclosing function → count
 	gos := map[string]int{}                                      // enclosing function → go statements
-	for _, f := range parseSource(t, token.NewFileSet()) {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+	inspectFuncs(t, func(fn string, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			gos[fn]++
+		case *ast.SelectorExpr:
+			if by, ok := refs[n.Sel.Name]; ok {
+				by[fn]++
 			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.GoStmt:
-					gos[fn.Name.Name]++
-				case *ast.SelectorExpr:
-					if by, ok := refs[n.Sel.Name]; ok {
-						by[fn.Name.Name]++
-					}
-				}
-				return true
-			})
 		}
-	}
+	})
 	if want := (map[string]map[string]int{
 		"overlap": {"fanOut": 1},
 		"pays":    {"overlap": 1, "Rebuild": 1},
@@ -108,5 +115,27 @@ func TestNoInterfaceAssertions(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestOneFailureTransition keeps the failure state's changes in one place:
+// no non-test function but New, which publishes the first snapshot, and
+// transition stores the snapshot pointer. Fail, Rebuild's install and heal,
+// and a failed rebuild's undo are edits passed to transition, so a
+// hand-written publish beside it — with its own copy and its own progress
+// reset — fails it.
+func TestOneFailureTransition(t *testing.T) {
+	stores := map[string]int{} // enclosing function → stores to .st
+	inspectFuncs(t, func(fn string, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Store" {
+				if x, ok := sel.X.(*ast.SelectorExpr); ok && x.Sel.Name == "st" {
+					stores[fn]++
+				}
+			}
+		}
+	})
+	if want := (map[string]int{"New": 1, "transition": 1}); !reflect.DeepEqual(stores, want) {
+		t.Errorf("failure snapshot stored from %v, want %v", stores, want)
 	}
 }
