@@ -18,7 +18,8 @@ test:
 # The whole suite under the race detector, once: the parallel sweep driver
 # and the -j commands, the observability stack (live telemetry server, span
 # exporters, tracestat), the fault-injection stack, and the storage engine
-# — concurrent clients through failure and rebuild, serial-vs-parallel
+# — the lifecycle suite's concurrent clients through failure and rebuild
+# under P and P+Q (TestLifecycle), serial-vs-parallel
 # byte equivalence, intent-log group commit, fan-out and overlap tests.
 race:
 	$(GO) test -race ./...
@@ -45,16 +46,18 @@ bench-layers:
 	$(GO) test -run='^$$' -bench='^Benchmark(Trailer|XORBytes|StripeLockIntent|UnitOp)$$' -benchmem -count 5 ./internal/store
 	$(GO) test -run='^$$' -bench=. -benchmem -count 5 ./internal/gf256
 
-# The chaos invariants and the SIGKILL crash test under the race detector,
-# verbosely: 12 workers against fault-injecting backends (transients, latent
-# sector errors, torn writes, read corruption) while one disk (single
-# parity) or two (P+Q) fail and rebuild mid-run; every acknowledged write
-# must read back byte-for-byte and parity must end clean. `race` already
-# runs these once, so this target is for replaying a failure:
-# CHAOS_SEED=<seed> make store-chaos. Every run prints its seed; a failing
-# one appends it to $STORE_CHAOS_DIR/<test name>.seed, which CI uploads.
+# The chaos rows of the lifecycle suite and the SIGKILL crash test under the
+# race detector, verbosely: 12 workers against fault-injecting backends
+# (transients, latent sector errors, torn writes, read corruption) while one
+# disk (TestLifecycle/chaos/P) or two (TestLifecycle/chaos/P+Q) fail and
+# rebuild mid-run; every acknowledged write must read back byte-for-byte
+# and parity must end clean. `race` already runs these once, so this target
+# is for replaying a failure: CHAOS_SEED=<seed> make store-chaos. Every run
+# prints its seed; a failing one appends it to $STORE_CHAOS_DIR/<test
+# name>.seed, the subtest's slashes turned into underscores
+# (TestLifecycle_chaos_P+Q.seed), which CI uploads.
 store-chaos:
-	$(GO) test -race -run 'TestChaos|TestCrash' -count=1 -v ./internal/store/
+	$(GO) test -race -run 'TestLifecycle/chaos|TestCrash' -count=1 -v ./internal/store/
 
 # The benchmark harness's own invariants (benchmark/ is its own module):
 # exact access counts per op, the recorder's attribution, the quiet-tail
@@ -96,29 +99,29 @@ fuzz:
 	done
 
 # The nightly long-haul: property suites too slow to run on every push.
-# Every two-disk failure pair must recover on the P+Q store, a rebuild
-# must succeed from any mid-sweep failure point, the SIGKILL
-# crash-recovery test runs twenty kills at fresh timing offsets, both
-# chaos invariants run repeatedly under fresh seeds (each run prints its
-# seed; failures replay with CHAOS_SEED=<seed>), the concurrency-shape
-# tests (TestOverlap*: rendezvous backends that hang unless a batch is
-# issued as wide as it should be) run twenty times to show they do not
-# flake, the store's write and read access counts (the rows of the one table
-# both engines read, internal/testdata/costs.txt), a rebuild's reads
+# Every failure set the code corrects must recover — each disk under P,
+# each pair under P+Q (TestEveryFailureSetRecovers) — and a rebuild must
+# succeed from any mid-sweep failure point; the SIGKILL crash-recovery test
+# runs twenty kills at fresh timing offsets; both chaos rows of the
+# lifecycle suite run ten times under fresh seeds (each run prints its
+# seed; failures replay with CHAOS_SEED=<seed>); the concurrency-shape tests
+# (TestOverlap*: rendezvous backends that hang unless a batch is issued as
+# wide as it should be) run twenty times to show they do not flake; ten
+# times each: the store's write and read access counts (the rows of the one
+# table both engines read, internal/testdata/costs.txt), a rebuild's reads
 # against the layout's decode rule (its shards interleave differently each
 # run) and the generated range ops against a flat reference (a fresh seed
-# each repetition, in memory and on files) run ten times, so
-# do the enumeration of a rebuild's failure points (which access comes k-th
-# over the forced-open store varies with scheduling), the backend-ownership
-# table and a second failure racing a running rebuild's sweep (its progress
-# must survive), and the Scrub suite
-# with the sweep pacing test (a scrub's counts are state its shards share,
-# under one mutex); every fuzz target gets five minutes.
+# each repetition, in memory and on files); the enumeration of a rebuild's
+# failure points (which access comes k-th over the forced-open store varies
+# with scheduling), the backend-ownership table and a second failure racing
+# a running rebuild's sweep (its progress must survive); and the Scrub
+# suite with the sweep pacing test (a scrub's counts are state its shards
+# share, under one mutex). Every fuzz target gets five minutes.
 nightly:
-	$(GO) test -race -run 'TestPQEveryTwoDisksRecover' -count=5 -v ./internal/store/
+	$(GO) test -race -run 'TestEveryFailureSetRecovers' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestCrashDuringWriteRecovers' -count=20 -v ./internal/store/
-	$(GO) test -race -run 'TestChaosAcknowledged|TestChaos2F' -count=10 -v ./internal/store/
+	$(GO) test -race -run 'TestLifecycle/chaos' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestReadAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded|TestSecondFailureKeepsRebuildProgress' -count=10 ./internal/store/

@@ -4,9 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"regexp/syntax"
 	"strconv"
 	"strings"
 	"testing"
@@ -185,4 +187,201 @@ func exportedNames(t *testing.T, pkg string) map[string]bool {
 		}
 	}
 	return names
+}
+
+// TestMakefileRunPatternsSelectTests keeps a `go test` line of the Makefile
+// from running nothing without a word after a rename: every alternative of
+// every -run or -bench pattern must select something in the packages the
+// line names. An alternative is what go test splits a pattern into at an
+// unbracketed |, and each branch of an alternation inside it counts alone.
+// Its first /-separated element must match a function the packages' test
+// files declare (found with go/parser) — a Test, Fuzz or Example for -run,
+// a Benchmark for -bench — and each deeper element a /-separated part of a
+// string literal in those files, as a subtest's name. '^$', which selects
+// nothing on purpose, is exempt.
+func TestMakefileRunPatternsSelectTests(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineRE := regexp.MustCompile(`\$\(GO\) test\b.*`)
+	patRE := regexp.MustCompile(`\s-(run|bench)[= ]('[^']*'|\S+)`)
+	pkgRE := regexp.MustCompile(`\s(\.(?:/\S*)?)`)
+	checked := 0
+	for _, line := range lineRE.FindAllString(strings.ReplaceAll(string(makefile), "$$", "$"), -1) {
+		var pkgs []string
+		for _, m := range pkgRE.FindAllStringSubmatch(line, -1) {
+			pkgs = append(pkgs, m[1])
+		}
+		for _, m := range patRE.FindAllStringSubmatch(line, -1) {
+			flag, pat := m[1], strings.Trim(m[2], "'")
+			if pat == "^$" {
+				continue
+			}
+			if len(pkgs) == 0 {
+				t.Errorf("Makefile: %q names no package for -%s %s", line, flag, pat)
+				continue
+			}
+			funcs, literals := testNames(t, pkgs, flag)
+			for _, alt := range goTestAlternatives(pat) {
+				for level, elem := range alt {
+					names := funcs
+					if level > 0 {
+						names = literals
+					}
+					for _, re := range branches(t, elem) {
+						if !anyMatch(re, names) {
+							t.Errorf("Makefile: -%s %s: %q (in %s) selects nothing in %v", flag, pat, re, strings.Join(alt, "/"), pkgs)
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run or -bench pattern in the Makefile")
+	}
+}
+
+// goTestAlternatives splits pat as go test does: at each | outside brackets
+// and parentheses into alternatives, and each alternative at each / there
+// into one element per level of subtest.
+func goTestAlternatives(pat string) [][]string {
+	var alts [][]string
+	var elems []string
+	brackets, parens, start := 0, 0, 0
+	for i := 0; i < len(pat); i++ {
+		switch c := pat[i]; {
+		case c == '\\':
+			i++
+		case c == '[':
+			brackets++
+		case c == ']' && brackets > 0:
+			brackets--
+		case brackets > 0:
+		case c == '(':
+			parens++
+		case c == ')':
+			parens--
+		case parens == 0 && (c == '/' || c == '|'):
+			elems = append(elems, pat[start:i])
+			start = i + 1
+			if c == '|' {
+				alts, elems = append(alts, elems), nil
+			}
+		}
+	}
+	return append(alts, append(elems, pat[start:]))
+}
+
+// branches returns elem once for every way of taking one branch at each
+// alternation in it.
+func branches(t *testing.T, elem string) []*regexp.Regexp {
+	re, err := syntax.Parse(elem, syntax.Perl)
+	if err != nil {
+		t.Fatalf("Makefile pattern %q: %v", elem, err)
+	}
+	var out []*regexp.Regexp
+	for _, b := range expand(re) {
+		out = append(out, regexp.MustCompile(b.String()))
+	}
+	return out
+}
+
+func expand(re *syntax.Regexp) []*syntax.Regexp {
+	if re.Op == syntax.OpAlternate {
+		var out []*syntax.Regexp
+		for _, sub := range re.Sub {
+			out = append(out, expand(sub)...)
+		}
+		return out
+	}
+	out := []*syntax.Regexp{re}
+	for i, sub := range re.Sub {
+		var next []*syntax.Regexp
+		for _, b := range expand(sub) {
+			for _, o := range out {
+				c := *o
+				c.Sub = append([]*syntax.Regexp(nil), o.Sub...)
+				c.Sub[i] = b
+				next = append(next, &c)
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+func anyMatch(re *regexp.Regexp, names []string) bool {
+	for _, n := range names {
+		if re.MatchString(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// testNames returns what the test files of pkgs (".", "./dir" or "./...",
+// the last without nested modules) declare that flag -run or -bench selects
+// at the top level, and the /-separated parts of their string literals,
+// spaces turned into underscores as in a subtest's name.
+func testNames(t *testing.T, pkgs []string, flag string) (funcs, literals []string) {
+	prefixes := []string{"Test", "Fuzz", "Example"}
+	if flag == "bench" {
+		prefixes = []string{"Benchmark"}
+	}
+	var files []string
+	for _, pkg := range pkgs {
+		if dir, ok := strings.CutSuffix(pkg, "/..."); ok {
+			err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if d.IsDir() && path != dir {
+					name := d.Name()
+					if _, mod := os.Stat(filepath.Join(path, "go.mod")); mod == nil || name == "testdata" || strings.HasPrefix(name, ".") {
+						return filepath.SkipDir
+					}
+				}
+				if strings.HasSuffix(path, "_test.go") {
+					files = append(files, path)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		hits, _ := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+		if len(hits) == 0 {
+			t.Errorf("Makefile names package %s, which has no test files", pkg)
+		}
+		files = append(files, hits...)
+	}
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				for _, p := range prefixes {
+					if strings.HasPrefix(fn.Name.Name, p) {
+						funcs = append(funcs, fn.Name.Name)
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil {
+					literals = append(literals, strings.Split(strings.ReplaceAll(s, " ", "_"), "/")...)
+				}
+			}
+			return true
+		})
+	}
+	return funcs, literals
 }

@@ -417,13 +417,3 @@ func (d *Disk) rotationalDelay(t float64, phys int) float64 {
 	}
 	return delta / spt * g.RevolutionMS
 }
-
-// AvgRandomAccessMS returns the model's expected service time for one
-// random transfer of `sectors` sectors: average seek + half rotation +
-// transfer. For the IBM 0661 and 8-sector (4 KB) transfers this is about
-// 21.8 ms, i.e. ~46 accesses/second, matching the paper.
-func (d *Disk) AvgRandomAccessMS(sectors int) float64 {
-	g := d.geom
-	return g.AvgSeekMS + g.RevolutionMS/2 +
-		float64(sectors)/float64(g.SectorsPerTrack)*g.RevolutionMS
-}

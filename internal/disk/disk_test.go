@@ -116,7 +116,7 @@ func TestRandomThroughputNearDatasheet(t *testing.T) {
 		t.Fatalf("random 4 KB rate = %.1f/s, want roughly datasheet 46+/s", rate)
 	}
 	// Sanity: the naive model matches the paper's 46/s claim.
-	if m := 1000 / d.AvgRandomAccessMS(8); m < 44 || m > 48 {
+	if m := 1000 / d.Geometry().AvgRandomAccessMS(8); m < 44 || m > 48 {
 		t.Fatalf("model rate = %.1f/s, want ~46", m)
 	}
 }

@@ -55,6 +55,15 @@ func (g Geometry) Scaled(num, den int) Geometry {
 	return s
 }
 
+// AvgRandomAccessMS returns the model's expected service time for one
+// random transfer of `sectors` sectors: average seek + half rotation +
+// transfer. For the IBM 0661 and 8-sector (4 KB) transfers this is about
+// 21.8 ms, i.e. ~46 accesses/second, matching the paper.
+func (g Geometry) AvgRandomAccessMS(sectors int) float64 {
+	return g.AvgSeekMS + g.RevolutionMS/2 +
+		float64(sectors)/float64(g.SectorsPerTrack)*g.RevolutionMS
+}
+
 // Validate reports whether the geometry is internally consistent.
 func (g Geometry) Validate() error {
 	switch {

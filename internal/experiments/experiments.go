@@ -371,8 +371,7 @@ func Fig86(o Options) ([]ModelPoint, Table, error) {
 		Title:  "Muntz & Lui model vs 8-way simulation: reconstruction time (min), rate 210, 50% reads",
 		Header: []string{"alpha", "G", "algorithm", "model (min)", "simulated (min)", "model/sim"}}
 	// Model disk rate: 1 / average random 4 KB access time.
-	avgMS := geom.AvgSeekMS + geom.RevolutionMS/2 + 8.0/float64(geom.SectorsPerTrack)*geom.RevolutionMS
-	diskRate := 1000 / avgMS
+	diskRate := 1000 / geom.AvgRandomAccessMS(8)
 	type job struct {
 		g   int
 		alg array.ReconAlgorithm

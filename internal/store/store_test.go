@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -72,31 +73,67 @@ func fillAll(t *testing.T, s *Store, version uint64) {
 	}
 }
 
-func TestReadWriteRoundTrip(t *testing.T) {
-	s := newTestStore(t, 7, 3, 64, 512)
-	if s.DataUnits() == 0 {
-		t.Fatal("no data units")
-	}
-	fillAll(t, s, 1)
-	for n := int64(0); n < s.DataUnits(); n++ {
-		verifyUnit(t, s, n, 1)
-	}
-	if err := s.CheckParity(); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrites exercise the read-modify-write path; parity must follow.
-	for n := int64(0); n < s.DataUnits(); n += 3 {
-		buf := make([]byte, s.UnitSize())
-		fill(buf, n, 2)
-		if err := s.WriteUnit(n, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.CheckParity(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Mode(); got != Healthy {
-		t.Fatalf("mode %v, want healthy", got)
+// TestRoundTrip writes every unit, overwrites a share of them one unit at a
+// time (the delta: a read-modify-write of one parity or two), then the
+// whole array as one range (large writes: parity from the new contents
+// alone); after each pass every unit reads back its last write and every
+// parity equation balances.
+func TestRoundTrip(t *testing.T) {
+	for _, code := range []struct {
+		name   string
+		m      int
+		stride int64 // every stride-th unit is overwritten
+	}{{"P", 1, 3}, {"P+Q", 2, 2}} {
+		t.Run(code.name, func(t *testing.T) {
+			s, err := New(Config{Layout: codeLayout(t, code.m), UnitsPerDisk: 64, UnitSize: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if got := s.Parities(); got != code.m {
+				t.Fatalf("Parities() = %d, want %d", got, code.m)
+			}
+			if s.DataUnits() == 0 {
+				t.Fatal("no data units")
+			}
+			version := make([]uint64, s.DataUnits())
+			check := func(pass string) {
+				t.Helper()
+				for n, v := range version {
+					verifyUnit(t, s, int64(n), v)
+				}
+				if err := s.CheckParity(); err != nil {
+					t.Fatalf("after the %s: %v", pass, err)
+				}
+			}
+			fillAll(t, s, 1)
+			for n := range version {
+				version[n] = 1
+			}
+			check("fill")
+			buf := make([]byte, s.UnitSize())
+			for n := int64(0); n < s.DataUnits(); n += code.stride {
+				fill(buf, n, 2)
+				if err := s.WriteUnit(n, buf); err != nil {
+					t.Fatal(err)
+				}
+				version[n] = 2
+			}
+			check("overwrites")
+			us := int64(s.UnitSize())
+			span := make([]byte, s.DataUnits()*us)
+			for n := range version {
+				fill(span[int64(n)*us:int64(n+1)*us], int64(n), 3)
+				version[n] = 3
+			}
+			if err := s.WriteRange(0, span); err != nil {
+				t.Fatal(err)
+			}
+			check("range write")
+			if got := s.Mode(); got != Healthy {
+				t.Fatalf("mode %v, want healthy", got)
+			}
+		})
 	}
 }
 
@@ -177,42 +214,71 @@ func TestDegradedWritesFoldIntoParity(t *testing.T) {
 	}
 }
 
-// TestEveryDiskRecovers fails each disk in turn on a fresh store, writes
-// through the degraded window, rebuilds, and verifies every unit — the
-// single-failure property over all failure positions.
-func TestEveryDiskRecovers(t *testing.T) {
-	lay := testLayout(t, 7, 3)
-	for d := 0; d < lay.Disks(); d++ {
-		s, err := New(Config{Layout: lay, UnitsPerDisk: 64, UnitSize: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillAll(t, s, 1)
-		if err := s.Fail(d); err != nil {
-			t.Fatal(err)
-		}
-		// Overwrite a third of the units while degraded.
-		buf := make([]byte, s.UnitSize())
-		for n := int64(0); n < s.DataUnits(); n += 3 {
-			fill(buf, n, 2)
-			if err := s.WriteUnit(n, buf); err != nil {
-				t.Fatal(err)
+// TestEveryFailureSetRecovers fails, on a fresh store each time, every set
+// of disks the code can lose — each disk under P, each pair under P+Q — and
+// after the i-th failure overwrites every third unit from i (so each
+// window's writes fold over the failures before it); it then reads every
+// unit back degraded, rebuilds each failure oldest first, and reads
+// everything back and checks parity once healed.
+func TestEveryFailureSetRecovers(t *testing.T) {
+	for _, code := range []struct {
+		name         string
+		m            int
+		unitsPerDisk int64
+	}{{"P", 1, 64}, {"P+Q", 2, 32}} {
+		t.Run(code.name, func(t *testing.T) {
+			lay := codeLayout(t, code.m)
+			var sets [][]int
+			for d1 := 0; d1 < lay.Disks(); d1++ {
+				if code.m == 1 {
+					sets = append(sets, []int{d1})
+					continue
+				}
+				for d2 := d1 + 1; d2 < lay.Disks(); d2++ {
+					sets = append(sets, []int{d1, d2})
+				}
 			}
-		}
-		if err := s.Rebuild(NewMemDisk(s.unitsPerDisk, s.UnitSize())); err != nil {
-			t.Fatal(err)
-		}
-		for n := int64(0); n < s.DataUnits(); n++ {
-			v := uint64(1)
-			if n%3 == 0 {
-				v = 2
+			for _, set := range sets {
+				t.Run(fmt.Sprint(set), func(t *testing.T) {
+					s, err := New(Config{Layout: lay, UnitsPerDisk: code.unitsPerDisk, UnitSize: 512})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					version := func(n int64) uint64 {
+						if i := int(n % 3); i < len(set) {
+							return uint64(2 + i)
+						}
+						return 1
+					}
+					verifyAll := func() {
+						t.Helper()
+						for n := int64(0); n < s.DataUnits(); n++ {
+							verifyUnit(t, s, n, version(n))
+						}
+					}
+					fillAll(t, s, 1)
+					buf := make([]byte, s.UnitSize())
+					for i, d := range set {
+						if err := s.Fail(d); err != nil {
+							t.Fatal(err)
+						}
+						for n := int64(i); n < s.DataUnits(); n += 3 {
+							fill(buf, n, version(n))
+							if err := s.WriteUnit(n, buf); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					verifyAll()
+					rebuildEach(t, s, len(set), func(int) Disk { return NewMemDisk(s.unitsPerDisk, s.UnitSize()) })
+					verifyAll()
+					if err := s.CheckParity(); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
-			verifyUnit(t, s, n, v)
-		}
-		if err := s.CheckParity(); err != nil {
-			t.Fatalf("disk %d: %v", d, err)
-		}
-		s.Close()
+		})
 	}
 }
 
