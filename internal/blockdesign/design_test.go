@@ -171,26 +171,6 @@ func TestDerivedBlockIndexOutOfRange(t *testing.T) {
 	}
 }
 
-func TestResidualOfSymmetric(t *testing.T) {
-	// Residual of PG(2,p) is the affine plane AG(2,p):
-	// (b,v,k,r,λ) = (p²+p, p², p, p+1, 1).
-	for _, p := range []int{2, 3, 5} {
-		pg, err := ProjectivePlane(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Residual(pg, 0)
-		if err != nil {
-			t.Fatalf("residual PG(2,%d): %v", p, err)
-		}
-		rp := mustParams(t, res)
-		want := Params{B: p*p + p, V: p * p, K: p, R: p + 1, Lambda: 1}
-		if rp != want {
-			t.Fatalf("residual PG(2,%d) params %+v, want %+v", p, rp, want)
-		}
-	}
-}
-
 func TestComplementParams(t *testing.T) {
 	// Complement of (b,v,k,r,λ) is (b, v, v−k, b−r, b−2r+λ).
 	d, err := PaperDesign(5)
@@ -212,22 +192,6 @@ func TestComplementRejectsNearFull(t *testing.T) {
 	d, _ := Complete(5, 4, 0)
 	if _, err := Complement(d); err == nil {
 		t.Fatal("complement with k' < 2 accepted")
-	}
-}
-
-func TestMultiply(t *testing.T) {
-	d, _ := PaperDesign(5)
-	m, err := Multiply(d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mustParams(t, m)
-	want := Params{B: 63, V: 21, K: 5, R: 15, Lambda: 3}
-	if p != want {
-		t.Fatalf("multiplied params %+v, want %+v", p, want)
-	}
-	if _, err := Multiply(d, 0); err == nil {
-		t.Fatal("multiply by 0 accepted")
 	}
 }
 

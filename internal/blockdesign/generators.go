@@ -149,59 +149,6 @@ func Derived(sym *Design, block int) (*Design, error) {
 	return d, nil
 }
 
-// Residual builds the residual design of a symmetric design: pick tuple
-// `block` as B0; for every other tuple Bi, the new tuple is Bi \ B0,
-// relabeled over the v−k objects outside B0. The result has b' = b−1,
-// v' = v−k, k' = k−λ, r' = r, λ' = λ.
-func Residual(sym *Design, block int) (*Design, error) {
-	p, err := sym.Params()
-	if err != nil {
-		return nil, err
-	}
-	if !sym.IsSymmetric() {
-		return nil, fmt.Errorf("blockdesign: residual design requires a symmetric design")
-	}
-	if block < 0 || block >= len(sym.Tuples) {
-		return nil, fmt.Errorf("blockdesign: block index %d out of range", block)
-	}
-	in := make([]bool, p.V)
-	for _, x := range sym.Tuples[block] {
-		in[x] = true
-	}
-	relabel := make([]int, p.V)
-	next := 0
-	for x := 0; x < p.V; x++ {
-		if !in[x] {
-			relabel[x] = next
-			next++
-		}
-	}
-	d := &Design{
-		V:      p.V - p.K,
-		K:      p.K - p.Lambda,
-		Source: fmt.Sprintf("residual(%s, block %d)", sym.Source, block),
-	}
-	for i, tup := range sym.Tuples {
-		if i == block {
-			continue
-		}
-		var out []int
-		for _, x := range tup {
-			if !in[x] {
-				out = append(out, relabel[x])
-			}
-		}
-		if len(out) != p.K-p.Lambda {
-			return nil, fmt.Errorf("blockdesign: residual block %d has %d elements, want %d", i, len(out), p.K-p.Lambda)
-		}
-		d.Tuples = append(d.Tuples, out)
-	}
-	if err := d.Verify(); err != nil {
-		return nil, fmt.Errorf("residual design: %w", err)
-	}
-	return d, nil
-}
-
 // Complement replaces each tuple with its complement in the object set,
 // turning a (b, v, k, r, λ) design into a (b, v, v−k, b−r, b−2r+λ) design.
 // Useful for reaching high declustering ratios (large G) from small designs.
@@ -231,20 +178,4 @@ func Complement(d *Design) (*Design, error) {
 		return nil, fmt.Errorf("complement design: %w", err)
 	}
 	return c, nil
-}
-
-// Multiply concatenates m copies of the design, multiplying b, r and λ by m
-// while leaving v, k unchanged. Occasionally useful to reach a layout table
-// with a particular size.
-func Multiply(d *Design, m int) (*Design, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("blockdesign: multiply by %d", m)
-	}
-	out := &Design{V: d.V, K: d.K, Source: fmt.Sprintf("%d x (%s)", m, d.Source)}
-	for i := 0; i < m; i++ {
-		for _, tup := range d.Tuples {
-			out.Tuples = append(out.Tuples, append([]int(nil), tup...))
-		}
-	}
-	return out, nil
 }

@@ -216,8 +216,8 @@ func countFDs(t *testing.T) int {
 	return len(ents)
 }
 
-// embedded is a wrapper that only embeds a Disk, as every fault or
-// recording wrapper does: each method it has comes from the Disk inside.
+// embedded is a wrapper that only embeds a Disk: each method it has comes
+// from the Disk inside.
 type embedded struct{ Disk }
 
 func TestNewValidatesSuppliedGeometry(t *testing.T) {
@@ -240,6 +240,11 @@ func TestNewValidatesSuppliedGeometry(t *testing.T) {
 	if _, err := New(Config{Layout: lay, UnitsPerDisk: 64, UnitSize: 512, Disks: disks}); err == nil ||
 		!strings.Contains(err.Error(), "disk 4") {
 		t.Fatalf("undersized disk behind a wrapper accepted: %v", err)
+	}
+	disks[4] = &scriptedDisk{under: NewMemDisk(2, 512), slot: 4} // too small, behind the test double
+	if _, err := New(Config{Layout: lay, UnitsPerDisk: 64, UnitSize: 512, Disks: disks}); err == nil ||
+		!strings.Contains(err.Error(), "disk 4") {
+		t.Fatalf("undersized disk behind a pass-through hook accepted: %v", err)
 	}
 	// Rebuild validates replacements the same way.
 	s := newTestStore(t, 7, 3, 64, 512)

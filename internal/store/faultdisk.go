@@ -62,7 +62,6 @@ type FaultStats struct {
 	Reads, Writes int64 // operations seen (including retried attempts)
 	Transients    int64 // operations failed with a transient error
 	TornWrites    int64 // writes that persisted only a prefix
-	LostWrites    int64 // writes acknowledged but dropped
 	LSEInjected   int64 // units gone latent
 	LSEHealed     int64 // latent units healed by a write
 	CorruptReads  int64 // reads returned with flipped bits
@@ -70,19 +69,18 @@ type FaultStats struct {
 }
 
 // FaultDisk wraps a Disk with seed-driven fault injection: transient
-// errors, latent sector errors, torn writes, read corruption, and a lost
-// write on demand (LoseNextWrite). It is the storage plane's port of the
-// simulator's internal/fault injector, and is what make store-chaos
-// drives the engine with. Safe for concurrent use.
+// errors, latent sector errors, torn writes and read corruption, each at
+// its configured rate. It is the storage plane's port of the simulator's
+// internal/fault injector, and is what make store-chaos drives the engine
+// with. Safe for concurrent use.
 type FaultDisk struct {
 	under Disk
 
-	mu       sync.Mutex
-	cfg      FaultConfig
-	rng      *rand.Rand
-	bad      map[int64]bool // latent units: reads fail until next write
-	loseNext bool           // drop exactly the next write (LoseNextWrite)
-	stats    FaultStats
+	mu    sync.Mutex
+	cfg   FaultConfig
+	rng   *rand.Rand
+	bad   map[int64]bool // latent units: reads fail until next write
+	stats FaultStats
 }
 
 // NewFaultDisk wraps d with fault injection per cfg. It panics on an
@@ -117,28 +115,6 @@ func (d *FaultDisk) SetConfig(cfg FaultConfig) {
 // already injected persist until healed by a write — quiescing ends the
 // storm, it does not repair the damage.
 func (d *FaultDisk) Quiesce() { d.SetConfig(FaultConfig{}) }
-
-// InjectLSE marks the unit at off latent: reads fail with ErrMedia until
-// the unit is next written.
-func (d *FaultDisk) InjectLSE(off int64) {
-	d.mu.Lock()
-	if !d.bad[off] {
-		d.bad[off] = true
-		d.stats.LSEInjected++
-		d.stats.Latent++
-	}
-	d.mu.Unlock()
-}
-
-// LoseNextWrite drops exactly the next write (acknowledged, not
-// persisted). Unit-local checksums cannot detect a lost write (the old
-// unit is self-consistent); only a parity scrub surfaces it, and
-// deterministic scrub tests use this to plant a stale unit.
-func (d *FaultDisk) LoseNextWrite() {
-	d.mu.Lock()
-	d.loseNext = true
-	d.mu.Unlock()
-}
 
 // Stats returns a snapshot of the injection counters.
 func (d *FaultDisk) Stats() FaultStats {
@@ -193,7 +169,6 @@ func (d *FaultDisk) ReadUnit(off int64, dst []byte) error {
 func (d *FaultDisk) WriteUnit(off int64, src []byte) error {
 	var (
 		outcome error
-		lost    bool
 		tearAt  int
 	)
 	d.mu.Lock()
@@ -202,17 +177,13 @@ func (d *FaultDisk) WriteUnit(off int64, src []byte) error {
 	case d.cfg.TransientRate > 0 && d.rng.Float64() < d.cfg.TransientRate:
 		d.stats.Transients++
 		outcome = fmt.Errorf("faultdisk: injected write timeout at unit %d: %w", off, ErrTransient)
-	case d.loseNext:
-		d.loseNext = false
-		lost = true
-		d.stats.LostWrites++
 	case d.cfg.TornWriteRate > 0 && d.rng.Float64() < d.cfg.TornWriteRate:
 		// Tear somewhere strictly inside the unit: a zero-length tear
 		// is a lost write and a full-length tear is a clean write.
 		tearAt = 1 + d.rng.Intn(len(src)-1)
 		d.stats.TornWrites++
 	}
-	if outcome == nil && !lost && d.bad[off] {
+	if outcome == nil && d.bad[off] {
 		// The write (even a torn one) remaps the latent sector.
 		delete(d.bad, off)
 		d.stats.LSEHealed++
@@ -221,9 +192,6 @@ func (d *FaultDisk) WriteUnit(off int64, src []byte) error {
 	d.mu.Unlock()
 	if outcome != nil {
 		return outcome
-	}
-	if lost {
-		return nil // acknowledged, dropped
 	}
 	if tearAt > 0 {
 		// Persist new prefix over old suffix, then report failure with the

@@ -3,6 +3,11 @@ package store
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"declust/internal/layout"
@@ -27,12 +32,7 @@ func faultStore(t *testing.T, c, g int, unitsPerDisk int64, unitSize int, mk fun
 		disks[i] = fds[i]
 	}
 	cfg.Disks = disks
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s, fds
+	return openStore(t, cfg), fds
 }
 
 func TestFaultConfigValidation(t *testing.T) {
@@ -42,6 +42,64 @@ func TestFaultConfigValidation(t *testing.T) {
 		}
 	}()
 	NewFaultDisk(NewMemDisk(4, 64), FaultConfig{TransientRate: 1.0})
+}
+
+var updateStream = flag.Bool("update", false, "rewrite testdata/faultdisk_stream.txt instead of comparing against it")
+
+// TestFaultDiskSeededStream pins the outcome stream a seed draws, so that
+// CHAOS_SEED replays the regime it names: one goroutine runs a fixed script
+// of writes and reads under each fault rate alone, and every access that
+// does not come back clean — failed, torn and where, gone latent, corrupted
+// and where — must match testdata/faultdisk_stream.txt.
+func TestFaultDiskSeededStream(t *testing.T) {
+	const units, us = 16, 64
+	var out strings.Builder
+	for _, cfg := range []FaultConfig{{TransientRate: 0.2}, {TornWriteRate: 0.2}, {LSERate: 0.1}, {CorruptRate: 0.2}} {
+		cfg.Seed = 45
+		under := NewMemDisk(units, us)
+		fd := NewFaultDisk(under, cfg)
+		fmt.Fprintf(&out, "%+v\n", cfg)
+		p, medium := make([]byte, PhysUnitSize(us)), make([]byte, PhysUnitSize(us))
+		for i := 0; i < 300; i++ {
+			off, what, err := int64(i*5)%units, "read", error(nil)
+			if i%3 == 0 {
+				what = "write"
+				copy(p, bytes.Repeat([]byte{byte(i%250 + 1)}, len(p))) // never what the unit held before
+				err = fd.WriteUnit(off, p)
+			} else {
+				err = fd.ReadUnit(off, p)
+			}
+			if err := under.ReadUnit(off, medium); err != nil {
+				t.Fatal(err)
+			}
+			diff := 0 // the first byte where the medium is not p
+			for diff < len(p) && p[diff] == medium[diff] {
+				diff++
+			}
+			switch {
+			case errors.Is(err, ErrMedia):
+				fmt.Fprintf(&out, "%d %s %d: latent\n", i, what, off)
+			case err != nil && what == "write" && diff > 0:
+				fmt.Fprintf(&out, "%d %s %d: torn at %d\n", i, what, off, diff)
+			case err != nil:
+				fmt.Fprintf(&out, "%d %s %d: transient\n", i, what, off)
+			case diff < len(p):
+				fmt.Fprintf(&out, "%d %s %d: corrupt byte %d ^%#02x\n", i, what, off, diff, p[diff]^medium[diff])
+			}
+		}
+		st := fd.Stats()
+		fmt.Fprintf(&out, "reads %d writes %d transients %d torn %d latent %d/%d healed %d corrupt %d\n",
+			st.Reads, st.Writes, st.Transients, st.TornWrites, st.Latent, st.LSEInjected, st.LSEHealed, st.CorruptReads)
+	}
+	golden := filepath.Join("testdata", "faultdisk_stream.txt")
+	if *updateStream {
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(golden); err != nil || out.String() != string(want) {
+		t.Errorf("seeded outcome stream moved (%v):\n%s\nwant:\n%s", err, out.String(), want)
+	}
 }
 
 func TestFaultDiskTornWriteLeavesMixedImage(t *testing.T) {
@@ -73,31 +131,6 @@ func TestFaultDiskTornWriteLeavesMixedImage(t *testing.T) {
 	}
 }
 
-func TestFaultDiskLoseNextWrite(t *testing.T) {
-	const us = 64
-	under := NewMemDisk(4, us)
-	phys := PhysUnitSize(us)
-	old := bytes.Repeat([]byte{0xAA}, phys)
-	if err := under.WriteUnit(1, old); err != nil {
-		t.Fatal(err)
-	}
-	fd := NewFaultDisk(under, FaultConfig{})
-	fd.LoseNextWrite()
-	if err := fd.WriteUnit(1, bytes.Repeat([]byte{0x55}, phys)); err != nil {
-		t.Fatalf("lost write must be acknowledged, got %v", err)
-	}
-	got := make([]byte, phys)
-	if err := under.ReadUnit(1, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, old) {
-		t.Fatal("lost write reached the medium")
-	}
-	if fd.Stats().LostWrites != 1 {
-		t.Fatalf("LostWrites = %d, want 1", fd.Stats().LostWrites)
-	}
-}
-
 func TestTransientErrorsAreRetried(t *testing.T) {
 	s, fds := faultStore(t, 7, 3, 64, 512,
 		func(int) FaultConfig { return FaultConfig{Seed: 42, TransientRate: 0.2} },
@@ -119,17 +152,16 @@ func TestTransientErrorsAreRetried(t *testing.T) {
 }
 
 func TestLatentSectorErrorSelfHeals(t *testing.T) {
-	s, fds := faultStore(t, 7, 3, 64, 512,
-		func(int) FaultConfig { return FaultConfig{} }, Config{})
+	latent := new(latentUnits)
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 64, UnitSize: 512}, latent.hook)
 	fillAll(t, s, 3)
-	loc := s.mapper.Loc(5)
-	fds[loc.Disk].InjectLSE(loc.Offset)
+	latent.add(s.mapper.Loc(5))
 	verifyUnit(t, s, 5, 3) // discovery read reconstructs and rewrites
 	st := s.Stats()
 	if st.MediaErrors == 0 || st.HealedUnits == 0 {
 		t.Fatalf("MediaErrors=%d HealedUnits=%d, want both > 0", st.MediaErrors, st.HealedUnits)
 	}
-	if fds[loc.Disk].Stats().LSEHealed != 1 {
+	if latent.healed.Load() != 1 {
 		t.Fatal("healing rewrite did not clear the latent sector")
 	}
 	verifyUnit(t, s, 5, 3) // now served straight from the medium
@@ -199,9 +231,8 @@ func TestRangeReadHealsDamage(t *testing.T) {
 }
 
 func TestAutoFailThreshold(t *testing.T) {
-	s, fds := faultStore(t, 7, 3, 64, 512,
-		func(int) FaultConfig { return FaultConfig{} },
-		Config{FailThreshold: 2})
+	latent := new(latentUnits)
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 64, UnitSize: 512, FailThreshold: 2}, latent.hook)
 	fillAll(t, s, 5)
 	// Two latent sectors on one disk: each discovery is a persistent
 	// error, and the second crosses the threshold.
@@ -215,7 +246,7 @@ func TestAutoFailThreshold(t *testing.T) {
 		t.Fatal("disk 4 holds fewer than two data units")
 	}
 	for _, n := range units {
-		fds[4].InjectLSE(s.mapper.Loc(n).Offset)
+		latent.add(s.mapper.Loc(n))
 		verifyUnit(t, s, n, 5)
 	}
 	if got := s.Mode(); got != Degraded {

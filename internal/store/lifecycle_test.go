@@ -366,11 +366,7 @@ func runLifecycle(t *testing.T, row lifecycleRow) {
 		}
 	} else {
 		cfg.UnitsPerDisk, cfg.UnitSize = 64, 512
-		var err error
-		if s, err = New(cfg); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
+		s = openStore(t, cfg)
 	}
 
 	per := s.DataUnits() / int64(row.workers)

@@ -42,7 +42,12 @@ func (sm *stripeMeet) arm(reads, writes int) {
 	sm.mu.Unlock()
 }
 
-func (sm *stripeMeet) join(disk int, off int64, write bool) error {
+// hook holds every unit access at its stripe's meeting.
+func (sm *stripeMeet) hook(c call, pass func() error) error {
+	if !c.access() {
+		return pass()
+	}
+	write := c.op == opWrite
 	sm.mu.Lock()
 	n := sm.reads
 	if write {
@@ -50,9 +55,9 @@ func (sm *stripeMeet) join(disk int, off int64, write bool) error {
 	}
 	if n == 0 {
 		sm.mu.Unlock()
-		return nil
+		return pass()
 	}
-	stripe, _ := sm.lay.Locate(layout.Loc{Disk: disk, Offset: off})
+	stripe, _ := sm.lay.Locate(layout.Loc{Disk: c.disk, Offset: c.off})
 	k := stripeAccess{stripe, write}
 	m := sm.held[k]
 	if m == nil {
@@ -61,7 +66,10 @@ func (sm *stripeMeet) join(disk int, off int64, write bool) error {
 		sm.held[k] = m
 	}
 	sm.mu.Unlock()
-	return m.join()
+	if err := m.join(); err != nil {
+		return err
+	}
+	return pass()
 }
 
 // met returns the meetings held since arm; call it at quiesce.
@@ -73,40 +81,12 @@ func (sm *stripeMeet) met() int {
 	return total
 }
 
-type stripeMeetDisk struct {
-	Disk
-	n  int
-	sm *stripeMeet
-}
-
-func (d stripeMeetDisk) ReadUnit(off int64, p []byte) error {
-	if err := d.sm.join(d.n, off, false); err != nil {
-		return err
-	}
-	return d.Disk.ReadUnit(off, p)
-}
-
-func (d stripeMeetDisk) WriteUnit(off int64, p []byte) error {
-	if err := d.sm.join(d.n, off, true); err != nil {
-		return err
-	}
-	return d.Disk.WriteUnit(off, p)
-}
-
 func stripeMeetStore(t *testing.T, lay layout.Layout, units int64, cfg Config) (*Store, *stripeMeet) {
 	t.Helper()
 	forceOverlap(t)
 	sm := &stripeMeet{lay: lay}
-	cfg.Disks = make([]Disk, lay.Disks())
-	for i := range cfg.Disks {
-		cfg.Disks[i] = stripeMeetDisk{Disk: NewMemDisk(units, 512), n: i, sm: sm}
-	}
 	cfg.Layout, cfg.UnitsPerDisk, cfg.UnitSize = lay, units, 512
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s := scriptedStore(t, cfg, sm.hook)
 	fillAll(t, s, 1)
 	return s, sm
 }
@@ -227,29 +207,24 @@ func (fc *flightCount) leave(stripe int64, gather bool) {
 	}
 }
 
-type flightDisk struct {
-	Disk
-	n  int
-	fc *flightCount
-}
-
-func (d flightDisk) ReadUnit(off int64, p []byte) error {
-	if d.fc.first == 0 {
-		return d.Disk.ReadUnit(off, p)
+// hook counts every unit read once first is set.
+func (fc *flightCount) hook(c call, pass func() error) error {
+	if c.op != opRead || fc.first == 0 {
+		return pass()
 	}
-	stripe, _ := d.fc.lay.Locate(layout.Loc{Disk: d.n, Offset: off})
+	stripe, _ := fc.lay.Locate(layout.Loc{Disk: c.disk, Offset: c.off})
 	gather := inGather()
-	held := d.fc.enter(stripe, gather)
-	defer d.fc.leave(stripe, gather)
+	held := fc.enter(stripe, gather)
+	defer fc.leave(stripe, gather)
 	if held {
 		select {
-		case <-d.fc.arrived:
+		case <-fc.arrived:
 		case <-time.After(stuckAfter):
 			return errStuck
 		}
 	}
 	time.Sleep(50 * time.Microsecond) // lets the batch's other helpers get here too
-	return d.Disk.ReadUnit(off, p)
+	return pass()
 }
 
 // TestOverlapNestedBatchesAreBoundedEach: a degraded eight-stripe range
@@ -265,15 +240,7 @@ func TestOverlapNestedBatchesAreBoundedEach(t *testing.T) {
 			forceOverlap(t)
 			lay := testLayout(t, 11, 5)
 			fc := &flightCount{lay: lay}
-			disks := make([]Disk, lay.Disks())
-			for i := range disks {
-				disks[i] = flightDisk{Disk: NewMemDisk(40, 512), n: i, fc: fc}
-			}
-			s, err := New(Config{Layout: lay, UnitsPerDisk: 40, UnitSize: 512, Disks: disks, IOWorkers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 40, UnitSize: 512, IOWorkers: workers}, fc.hook)
 			fillAll(t, s, 1)
 			const stripes, victim = 8, 3
 			if err := s.Fail(victim); err != nil {
@@ -332,11 +299,7 @@ func TestOverlapNestedBatchesAreBoundedEach(t *testing.T) {
 // long as the call that started them, on the failure path too.
 func TestOverlapLeavesNoGoroutines(t *testing.T) {
 	forceOverlap(t)
-	s, err := New(Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4, RebuildWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openStore(t, Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4, RebuildWorkers: 4})
 	fillAll(t, s, 1)
 	base := runtime.NumGoroutine()
 
@@ -355,7 +318,7 @@ func TestOverlapLeavesNoGoroutines(t *testing.T) {
 	if err := s.CheckParity(); err != nil {
 		t.Fatal(err)
 	}
-	err = s.fanOutFunc(64, func(i int) error {
+	err := s.fanOutFunc(64, func(i int) error {
 		if i == 5 {
 			return errPlanted
 		}
@@ -381,11 +344,7 @@ func TestOverlapCountsEachBatchOnce(t *testing.T) {
 	}{{"gate open", 0}, {"gate shut", time.Hour}} {
 		t.Run(tc.name, func(t *testing.T) {
 			setOverlapThreshold(t, tc.threshold)
-			s, err := New(Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4, RebuildWorkers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := openStore(t, Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4, RebuildWorkers: 2})
 			batches := func() int64 {
 				st := s.Stats()
 				if open := tc.threshold == 0; open != (st.FanOutsInline == 0) || open != (st.FanOuts != 0) {

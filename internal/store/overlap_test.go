@@ -88,38 +88,21 @@ func (m *meeting) join() error {
 	}
 }
 
-type meetDisk struct {
-	Disk
-	m *meeting
-}
-
-func (d meetDisk) ReadUnit(off int64, p []byte) error {
-	if err := d.m.join(); err != nil {
-		return err
+// hook holds every unit access at the meeting.
+func (m *meeting) hook(c call, pass func() error) error {
+	if c.access() {
+		if err := m.join(); err != nil {
+			return err
+		}
 	}
-	return d.Disk.ReadUnit(off, p)
-}
-
-func (d meetDisk) WriteUnit(off int64, p []byte) error {
-	if err := d.m.join(); err != nil {
-		return err
-	}
-	return d.Disk.WriteUnit(off, p)
+	return pass()
 }
 
 func meetStore(t *testing.T, lay layout.Layout) (*Store, *meeting) {
 	t.Helper()
 	forceOverlap(t)
 	m := new(meeting)
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = meetDisk{Disk: NewMemDisk(48, 512), m: m}
-	}
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, IOWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
+	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4}, m.hook)
 	fillAll(t, s, 1)
 	return s, m
 }
@@ -236,50 +219,19 @@ func (w *sweepWatch) waitReads(n int) error {
 	return nil
 }
 
-type watchedDisk struct {
-	Disk
-	w *sweepWatch
-}
-
-func (d watchedDisk) ReadUnit(off int64, p []byte) error {
-	d.w.noteRead()
-	return d.Disk.ReadUnit(off, p)
-}
-
-// behindDisk is the replacement of a one-worker sweep over a quiet array,
-// where unit k's write follows exactly (k+1)·gather reads: every write but
-// the last returns only once the sweep has gone on to read for unit k+1.
-type behindDisk struct {
-	Disk
-	w      *sweepWatch
-	gather int // reads per rebuilt unit
-	last   int64
-}
-
-func (d behindDisk) WriteUnit(off int64, p []byte) error {
-	if off < d.last {
-		if err := d.w.waitReads(int(off+1)*d.gather + 1); err != nil {
-			return err
-		}
-	}
-	return d.Disk.WriteUnit(off, p)
-}
-
 // TestOverlapRebuildWriteBehind: the sweep gathers unit k+1's survivors
 // while unit k's replacement write is still in flight.
 func TestOverlapRebuildWriteBehind(t *testing.T) {
 	forceOverlap(t)
 	lay := testLayout(t, 7, 4)
 	w := &sweepWatch{changed: make(chan struct{})}
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = watchedDisk{Disk: NewMemDisk(48, 512), w: w}
-	}
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, IOWorkers: 4, RebuildWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4, RebuildWorkers: 1},
+		func(c call, pass func() error) error {
+			if c.op == opRead {
+				w.noteRead()
+			}
+			return pass()
+		})
 	fillAll(t, s, 1)
 	if err := s.Fail(2); err != nil {
 		t.Fatal(err)
@@ -287,8 +239,20 @@ func TestOverlapRebuildWriteBehind(t *testing.T) {
 	w.mu.Lock()
 	w.reads = 0 // the fill's pre-reads
 	w.mu.Unlock()
+	// A one-worker sweep over a quiet array reads G−1 survivors per unit,
+	// so the replacement's write of unit k follows exactly (k+1)·(G−1)
+	// reads: every write but the last returns only once the sweep has gone
+	// on to read for unit k+1.
 	_, total := s.RebuildProgress()
-	if err := s.Rebuild(behindDisk{Disk: NewMemDisk(48, 512), w: w, gather: lay.G() - 1, last: total - 1}); err != nil {
+	behind := &scriptedDisk{under: NewMemDisk(48, 512), slot: 2, hook: func(c call, pass func() error) error {
+		if c.op == opWrite && c.off < total-1 {
+			if err := w.waitReads(int(c.off+1)*(lay.G()-1) + 1); err != nil {
+				return err
+			}
+		}
+		return pass()
+	}}
+	if err := s.Rebuild(behind); err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
 	for n := int64(0); n < s.DataUnits(); n++ {
@@ -299,27 +263,9 @@ func TestOverlapRebuildWriteBehind(t *testing.T) {
 	}
 }
 
-// failAtDisk fails, without retry, reads or writes at the listed offsets.
-type failAtDisk struct {
-	Disk
-	reads, writes map[int64]bool
-}
-
+// errPlanted is the failure a test plants. It wraps ErrDiskFailed so the
+// engine does not retry it.
 var errPlanted = fmt.Errorf("planted: %w", ErrDiskFailed)
-
-func (d failAtDisk) ReadUnit(off int64, p []byte) error {
-	if d.reads[off] {
-		return errPlanted
-	}
-	return d.Disk.ReadUnit(off, p)
-}
-
-func (d failAtDisk) WriteUnit(off int64, p []byte) error {
-	if d.writes[off] {
-		return errPlanted
-	}
-	return d.Disk.WriteUnit(off, p)
-}
 
 // TestOverlapRebuildWriteBehindFailure: a write left behind that fails is
 // found when the worker joins it — after the next unit's gather, which
@@ -330,16 +276,8 @@ func TestOverlapRebuildWriteBehindFailure(t *testing.T) {
 	lay := testLayout(t, 7, 4)
 	const target, k = 2, 10
 	next := layout.RebuildSources(lay, layout.Loc{Disk: target, Offset: k + 1})[0]
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = NewMemDisk(48, 512)
-	}
-	disks[next.Disk] = failAtDisk{Disk: disks[next.Disk], reads: map[int64]bool{next.Offset: true}}
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, IOWorkers: 4, RebuildWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4, RebuildWorkers: 1},
+		failAt(opRead, next))
 	buf := make([]byte, s.UnitSize())
 	for n := int64(0); n < s.DataUnits(); n++ {
 		if stripe, _ := lay.Locate(next); n/s.dataPerStripe == stripe {
@@ -353,7 +291,7 @@ func TestOverlapRebuildWriteBehindFailure(t *testing.T) {
 	if err := s.Fail(target); err != nil {
 		t.Fatal(err)
 	}
-	err = s.Rebuild(failAtDisk{Disk: NewMemDisk(48, 512), writes: map[int64]bool{k: true}})
+	err := s.Rebuild(&scriptedDisk{under: NewMemDisk(48, 512), slot: target, hook: failAt(opWrite, layout.Loc{Disk: target, Offset: k})})
 	if !errors.Is(err, errPlanted) {
 		t.Fatalf("Rebuild = %v, want the planted failure", err)
 	}
@@ -379,11 +317,7 @@ func TestOverlapGateShutOnMemory(t *testing.T) {
 		{"P+Q", testPQLayout(t, 7, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Config{Layout: tc.lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 8, RebuildWorkers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := openStore(t, Config{Layout: tc.lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 8, RebuildWorkers: 2})
 			fillAll(t, s, 1)
 			buf := make([]byte, 8*s.UnitSize())
 			if err := s.WriteRange(1, buf); err != nil {
@@ -410,43 +344,20 @@ func TestOverlapGateShutOnMemory(t *testing.T) {
 	}
 }
 
-// slowDisk wraps a backend with a fixed per-access latency drawn from a
-// shared, switchable knob. The knob starts at zero so a pre-fill runs at
-// memory speed.
-type slowDisk struct {
-	Disk
-	lat *atomic.Int64 // nanoseconds per access, shared across the array
-}
-
-func (d slowDisk) ReadUnit(off int64, p []byte) error {
-	if l := d.lat.Load(); l > 0 {
-		time.Sleep(time.Duration(l))
-	}
-	return d.Disk.ReadUnit(off, p)
-}
-
-func (d slowDisk) WriteUnit(off int64, p []byte) error {
-	if l := d.lat.Load(); l > 0 {
-		time.Sleep(time.Duration(l))
-	}
-	return d.Disk.WriteUnit(off, p)
-}
-
 // TestOverlapGateFollowsDeviceLatency: the gate opens within two timed
 // accesses of the backends turning slow, and shuts again — within the
 // accesses the moving average needs to decay — once they are fast.
 func TestOverlapGateFollowsDeviceLatency(t *testing.T) {
-	lay := testLayout(t, 7, 4)
-	lat := new(atomic.Int64)
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = slowDisk{Disk: NewMemDisk(48, 512), lat: lat}
-	}
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, IOWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	// Every access sleeps for lat, which starts at zero so the fill runs
+	// at memory speed.
+	var lat atomic.Int64
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4},
+		func(c call, pass func() error) error {
+			if l := lat.Load(); l > 0 && c.access() {
+				time.Sleep(time.Duration(l))
+			}
+			return pass()
+		})
 	fillAll(t, s, 1)
 	if st := s.Stats(); st.FanOuts != 0 {
 		t.Fatalf("FanOuts = %d before any latency was injected", st.FanOuts)
@@ -490,12 +401,13 @@ func TestOverlapGateFollowsDeviceLatency(t *testing.T) {
 
 // inGather reports whether the caller is running inside Store.gather — a
 // survivor read of a reconstruction or a pre-read, not a unit's direct
-// read. It is how a test disk tells apart two reads of one unit that the
-// Disk interface shows it identically. The match is by name, and it covers
+// read. It is how a hook tells apart two reads of one unit that the Disk
+// interface shows it identically. The match is by name, and it covers
 // gather's item function, a literal inside gather whose frame name starts
 // with gather's: an overlapped item runs on a helper, with no gather frame
-// under it. Should gather be renamed, mediaOnceDisk's direct read waits for
-// a gather that never shows and its test fails, loudly.
+// under it. Should gather be renamed, the direct read that
+// TestOverlapHealedSpanCountsDegradedReadsOnce holds waits for a gather
+// that never shows and the test fails, loudly.
 func inGather() bool {
 	pcs := make([]uintptr, 32)
 	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
@@ -510,39 +422,6 @@ func inGather() bool {
 	}
 }
 
-// mediaOnceDisk answers, once armed, the first direct read of one offset
-// with a media error — and holds that read until a gather's read of the
-// same offset has returned clean, so the order of the two is the disk's
-// doing, not the scheduler's. Every other access passes through.
-type mediaOnceDisk struct {
-	Disk
-	off      int64
-	armed    atomic.Bool
-	struck   atomic.Bool
-	once     sync.Once
-	gathered chan struct{} // closed when a gather has read off
-}
-
-func (d *mediaOnceDisk) ReadUnit(off int64, p []byte) error {
-	if off != d.off || !d.armed.Load() {
-		return d.Disk.ReadUnit(off, p)
-	}
-	if inGather() {
-		err := d.Disk.ReadUnit(off, p)
-		d.once.Do(func() { close(d.gathered) })
-		return err
-	}
-	if !d.struck.CompareAndSwap(false, true) {
-		return d.Disk.ReadUnit(off, p)
-	}
-	select {
-	case <-d.gathered:
-		return fmt.Errorf("planted: %w", ErrMedia)
-	case <-time.After(stuckAfter):
-		return errStuck
-	}
-}
-
 // TestOverlapHealedSpanCountsDegradedReadsOnce: a span's read batch that
 // meets damage keeps what it read and heals the damaged unit after the
 // batch; a lost unit the batch reconstructed is counted in
@@ -554,22 +433,37 @@ func TestOverlapHealedSpanCountsDegradedReadsOnce(t *testing.T) {
 	forceOverlap(t)
 	lay := testLayout(t, 7, 4)
 	lost, flaky := layout.DataLoc(lay, 0), layout.DataLoc(lay, 1)
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = NewMemDisk(48, 512)
-	}
-	once := &mediaOnceDisk{Disk: disks[flaky.Disk], off: flaky.Offset, gathered: make(chan struct{})}
-	disks[flaky.Disk] = once
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, IOWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	// Once armed, the first direct read of flaky meets a media error, held
+	// until a gather's read of flaky has returned clean — so the order of
+	// the two is the disk's doing, not the scheduler's.
+	var armed, struck atomic.Bool
+	var gatheredOnce sync.Once
+	gathered := make(chan struct{})
+	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4},
+		func(c call, pass func() error) error {
+			if c.op != opRead || c.disk != flaky.Disk || c.off != flaky.Offset || !armed.Load() {
+				return pass()
+			}
+			if inGather() {
+				err := pass()
+				gatheredOnce.Do(func() { close(gathered) })
+				return err
+			}
+			if !struck.CompareAndSwap(false, true) {
+				return pass()
+			}
+			select {
+			case <-gathered:
+				return fmt.Errorf("planted: %w", ErrMedia)
+			case <-time.After(stuckAfter):
+				return errStuck
+			}
+		})
 	fillAll(t, s, 1)
 	if err := s.Fail(lost.Disk); err != nil {
 		t.Fatal(err)
 	}
-	once.armed.Store(true)
+	armed.Store(true)
 
 	before := s.Stats()
 	got := make([]byte, 3*s.UnitSize())
@@ -598,15 +492,14 @@ func TestOverlapHealedSpanCountsDegradedReadsOnce(t *testing.T) {
 // a lost and a damaged unit in one stripe are still recoverable.
 func TestOverlapDamagedSpanCountsDegradedReadsOnce(t *testing.T) {
 	forceOverlap(t)
-	s, fds := faultStore(t, 7, 5, 48, 512,
-		func(int) FaultConfig { return FaultConfig{} },
-		Config{Layout: testPQLayout(t, 7, 5), IOWorkers: 4})
+	latent := new(latentUnits)
+	s := scriptedStore(t, Config{Layout: testPQLayout(t, 7, 5), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4}, latent.hook)
 	fillAll(t, s, 1)
 	lost, live := s.mapper.Loc(0), s.mapper.Loc(1)
 	if err := s.Fail(lost.Disk); err != nil {
 		t.Fatal(err)
 	}
-	fds[live.Disk].InjectLSE(live.Offset)
+	latent.add(live)
 	before := s.Stats().DegradedReads
 	if err := s.ReadRange(0, make([]byte, 3*s.UnitSize())); err != nil {
 		t.Fatal(err)
@@ -614,7 +507,7 @@ func TestOverlapDamagedSpanCountsDegradedReadsOnce(t *testing.T) {
 	if d := s.Stats().DegradedReads - before; d != 1 {
 		t.Fatalf("DegradedReads rose by %d for a span with one lost unit", d)
 	}
-	if fds[live.Disk].Stats().LSEHealed != 1 {
+	if latent.healed.Load() != 1 {
 		t.Fatal("the range read did not heal the latent sector")
 	}
 }

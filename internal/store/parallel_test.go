@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -175,53 +176,36 @@ func parallelMatchesSerial(t *testing.T, open func(Config) (*Store, error)) {
 	}
 }
 
-// recordingIntent wraps memIntent, recording every MarkBatch and
-// ClearBatch and, when gate is non-nil, blocking the first MarkBatch until
-// the gate closes — letting the test pile followers onto the group-commit
-// queue.
-type recordingIntent struct {
-	memIntent
-	mu      sync.Mutex
-	batches [][]int64
-	clears  [][]int64
-	gate    chan struct{}
-	blocked bool
-}
-
-func (ri *recordingIntent) ClearBatch(rs []int64) error {
-	ri.mu.Lock()
-	ri.clears = append(ri.clears, append([]int64(nil), rs...))
-	ri.mu.Unlock()
-	return ri.memIntent.ClearBatch(rs)
-}
-
-func (ri *recordingIntent) MarkBatch(rs []int64) error {
-	ri.mu.Lock()
-	ri.batches = append(ri.batches, append([]int64(nil), rs...))
-	wait := !ri.blocked
-	ri.blocked = true
-	ri.mu.Unlock()
-	if wait && ri.gate != nil {
-		<-ri.gate
-	}
-	return ri.memIntent.MarkBatch(rs)
-}
-
 // TestIntentGroupCommit pins the group-commit window: while a leader's
 // MarkBatch durability barrier is in flight, first-writers to other clean
 // regions queue up and are drained by the leader as one batch — one
 // barrier for all of them.
 func TestIntentGroupCommit(t *testing.T) {
-	ri := &recordingIntent{gate: make(chan struct{})}
+	// The log records every MarkBatch and holds the first until gate
+	// closes, letting the test pile followers onto the group-commit queue.
+	var (
+		mu      sync.Mutex
+		batches [][]int64
+	)
+	gate := make(chan struct{})
+	il := &scriptedIntent{under: new(memIntent), hook: func(c call, pass func() error) error {
+		if c.op != opMarkBatch {
+			return pass()
+		}
+		mu.Lock()
+		batches = append(batches, slices.Clone(c.regions))
+		first := len(batches) == 1
+		mu.Unlock()
+		if first {
+			<-gate
+		}
+		return pass()
+	}}
 	lay := testLayout(t, 7, 4)
-	s, err := New(Config{
+	s := openStore(t, Config{
 		Layout: lay, UnitsPerDisk: 512, UnitSize: 512,
-		IOWorkers: 4, Intent: ri,
+		IOWorkers: 4, Intent: il,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	regions := intentRegions(s.Stripes())
 	const followers = 4
 	if regions < followers+1 {
@@ -240,9 +224,9 @@ func TestIntentGroupCommit(t *testing.T) {
 		}
 	}()
 	waitFor(t, "leader to enter MarkBatch", func() bool {
-		ri.mu.Lock()
-		defer ri.mu.Unlock()
-		return len(ri.batches) == 1
+		mu.Lock()
+		defer mu.Unlock()
+		return len(batches) == 1
 	})
 	wg.Add(followers)
 	for i := 1; i <= followers; i++ {
@@ -258,27 +242,27 @@ func TestIntentGroupCommit(t *testing.T) {
 		defer s.intentMu.Unlock()
 		return len(s.intentPend) == followers
 	})
-	close(ri.gate)
+	close(gate)
 	wg.Wait()
 
-	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	if len(ri.batches) != 2 {
-		t.Fatalf("got %d MarkBatch calls, want 2 (leader + one coalesced batch): %v", len(ri.batches), ri.batches)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(batches) != 2 {
+		t.Fatalf("got %d MarkBatch calls, want 2 (leader + one coalesced batch): %v", len(batches), batches)
 	}
-	if len(ri.batches[0]) != 1 || ri.batches[0][0] != 0 {
-		t.Fatalf("leader batch = %v, want [0]", ri.batches[0])
+	if len(batches[0]) != 1 || batches[0][0] != 0 {
+		t.Fatalf("leader batch = %v, want [0]", batches[0])
 	}
 	got := map[int64]bool{}
-	for _, r := range ri.batches[1] {
+	for _, r := range batches[1] {
 		got[r] = true
 	}
 	if len(got) != followers {
-		t.Fatalf("coalesced batch = %v, want regions 1..%d", ri.batches[1], followers)
+		t.Fatalf("coalesced batch = %v, want regions 1..%d", batches[1], followers)
 	}
 	for r := int64(1); r <= followers; r++ {
 		if !got[r] {
-			t.Fatalf("coalesced batch %v is missing region %d", ri.batches[1], r)
+			t.Fatalf("coalesced batch %v is missing region %d", batches[1], r)
 		}
 	}
 }
@@ -294,50 +278,41 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// failingIntent delivers an error from MarkBatch; writers must surface it
-// and the store must not record the region dirty.
-type failingIntent struct {
-	memIntent
-	err error
-}
-
-func (fi *failingIntent) MarkBatch(rs []int64) error { return fi.err }
-
 // TestIntentMarkFailureSurfaces pins error delivery through the group
 // commit: every waiter whose region failed to mark gets the error, and a
 // later writer retries the mark rather than trusting a phantom success.
+// A clear that fails is Sync's error.
 func TestIntentMarkFailureSurfaces(t *testing.T) {
 	sentinel := errors.New("barrier torn")
-	fi := &failingIntent{err: sentinel}
-	s, err := New(Config{
-		Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, Intent: fi,
+	markErr, clearErr := sentinel, error(nil) // what MarkBatch and ClearBatch deliver instead of their work
+	s := openStore(t, Config{
+		Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512,
+		Intent: &scriptedIntent{under: new(memIntent), hook: func(c call, pass func() error) error {
+			switch {
+			case c.op == opMarkBatch && markErr != nil:
+				return markErr
+			case c.op == opClearBatch && clearErr != nil:
+				return clearErr
+			}
+			return pass()
+		}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	buf := make([]byte, 512)
 	if err := s.WriteUnit(0, buf); !errors.Is(err, sentinel) {
 		t.Fatalf("WriteUnit with failing intent log = %v, want %v", err, sentinel)
 	}
-	fi.err = nil // log recovers; the next write must re-mark and succeed
+	markErr = nil // log recovers; the next write must re-mark and succeed
 	if err := s.WriteUnit(0, buf); err != nil {
 		t.Fatalf("WriteUnit after intent log recovered: %v", err)
 	}
 	if !s.regionDirty[0].Load() {
 		t.Fatal("region 0 not marked dirty after successful retry")
 	}
+	clearErr = sentinel
+	if err := s.Sync(); !errors.Is(err, sentinel) {
+		t.Fatalf("Sync with a failing ClearBatch = %v, want %v", err, sentinel)
+	}
 }
-
-// brokenDisk wraps a Disk, failing Sync and Close with its own errors.
-type brokenDisk struct {
-	Disk
-	syncErr  error
-	closeErr error
-}
-
-func (d brokenDisk) Sync() error  { return d.syncErr }
-func (d brokenDisk) Close() error { return d.closeErr }
 
 // TestSyncAggregatesBackendErrors pins the errors.Join contract: with two
 // failing backends, Sync reports both, not just the first.
@@ -345,18 +320,10 @@ func TestSyncAggregatesBackendErrors(t *testing.T) {
 	lay := testLayout(t, 7, 4)
 	e2 := errors.New("disk 2 sync lost")
 	e5 := errors.New("disk 5 sync lost")
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = NewMemDisk(48, 512)
-	}
-	disks[2] = brokenDisk{Disk: disks[2], syncErr: e2}
-	disks[5] = embedded{brokenDisk{Disk: disks[5], syncErr: e5}} // reached behind a wrapper too
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	err = s.Sync()
+	disks := scriptedDisks(lay.Disks(), 48, 512, failWith(opSync, map[int]error{2: e2, 5: e5}))
+	disks[5] = embedded{disks[5]} // reached behind a wrapper too
+	s := openStore(t, Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks})
+	err := s.Sync()
 	if !errors.Is(err, e2) || !errors.Is(err, e5) {
 		t.Fatalf("Sync = %v, want both backend errors joined", err)
 	}
@@ -365,24 +332,23 @@ func TestSyncAggregatesBackendErrors(t *testing.T) {
 	}
 }
 
-// TestCloseAggregatesBackendErrors pins the same contract for Close.
+// TestCloseAggregatesBackendErrors pins the same contract for Close, the
+// intent log's error joined with the backends'.
 func TestCloseAggregatesBackendErrors(t *testing.T) {
 	lay := testLayout(t, 7, 4)
 	e1 := errors.New("disk 1 will not close")
 	e4 := errors.New("disk 4 will not close")
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = NewMemDisk(48, 512)
-	}
-	disks[1] = brokenDisk{Disk: disks[1], closeErr: e1}
-	disks[4] = brokenDisk{Disk: disks[4], closeErr: e4}
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks})
+	eLog := errors.New("intent log will not close")
+	closeFails := failWith(opClose, map[int]error{1: e1, 4: e4, -1: eLog})
+	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512,
+		Disks:  scriptedDisks(lay.Disks(), 48, 512, closeFails),
+		Intent: &scriptedIntent{under: new(memIntent), hook: closeFails}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = s.Close()
-	if !errors.Is(err, e1) || !errors.Is(err, e4) {
-		t.Fatalf("Close = %v, want both backend errors joined", err)
+	if !errors.Is(err, e1) || !errors.Is(err, e4) || !errors.Is(err, eLog) {
+		t.Fatalf("Close = %v, want the backends' and the intent log's errors joined", err)
 	}
 }
 
@@ -425,14 +391,10 @@ func TestWorkerConfigValidation(t *testing.T) {
 // a store configured serial) runs in index order on the caller with
 // first-error-wins, exactly the serial engine.
 func TestFanOutSerialFallback(t *testing.T) {
-	s, err := New(Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openStore(t, Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 1})
 	var order []int
 	sentinel := errors.New("item 3 failed")
-	err = s.fanOutFunc(6, func(i int) error {
+	err := s.fanOutFunc(6, func(i int) error {
 		order = append(order, i) // no mutex: serial fallback must not spawn helpers
 		if i == 3 {
 			return sentinel
@@ -457,11 +419,7 @@ func TestFanOutSerialFallback(t *testing.T) {
 // lowest-indexed error is the one returned.
 func TestFanOutParallelFirstErrorWins(t *testing.T) {
 	forceOverlap(t)
-	s, err := New(Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openStore(t, Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 8})
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for round := 0; round < 50; round++ {

@@ -29,19 +29,15 @@ import (
 // accessCount is shared by the disks of an array, replacements included.
 type accessCount struct{ reads, writes atomic.Int64 }
 
-type countedDisk struct {
-	Disk
-	n *accessCount
-}
-
-func (d countedDisk) ReadUnit(off int64, p []byte) error {
-	d.n.reads.Add(1)
-	return d.Disk.ReadUnit(off, p)
-}
-
-func (d countedDisk) WriteUnit(off int64, p []byte) error {
-	d.n.writes.Add(1)
-	return d.Disk.WriteUnit(off, p)
+// hook counts every unit read and write.
+func (n *accessCount) hook(c call, pass func() error) error {
+	switch c.op {
+	case opRead:
+		n.reads.Add(1)
+	case opWrite:
+		n.writes.Add(1)
+	}
+	return pass()
 }
 
 // planUnits sizes every flat store (one allocation period of its layout,
@@ -85,7 +81,7 @@ func openFlat(t *testing.T, lay layout.Layout, ioWorkers, unitSize int, dir stri
 func (f *flatStore) blank(t *testing.T) Disk {
 	t.Helper()
 	if f.dir == "" {
-		return countedDisk{Disk: NewMemDisk(f.cfg.UnitsPerDisk, f.cfg.UnitSize), n: f.n}
+		return &scriptedDisk{under: NewMemDisk(f.cfg.UnitsPerDisk, f.cfg.UnitSize), hook: f.n.hook}
 	}
 	return f.openFile(t, filepath.Join(f.dir, fmt.Sprintf("disk%04d.dat", len(f.paths))))
 }
@@ -97,7 +93,7 @@ func (f *flatStore) openFile(t *testing.T, path string) Disk {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cd := countedDisk{Disk: d, n: f.n}
+	cd := &scriptedDisk{under: d, hook: f.n.hook}
 	f.paths[cd] = path
 	return cd
 }
@@ -334,25 +330,6 @@ func TestReadAccessCounts(t *testing.T) {
 	})
 }
 
-// readLog records every unit the disks of a store are asked to read.
-type readLog struct {
-	mu    sync.Mutex
-	reads []layout.Loc
-}
-
-type loggedReadDisk struct {
-	Disk
-	slot int
-	log  *readLog
-}
-
-func (d loggedReadDisk) ReadUnit(off int64, p []byte) error {
-	d.log.mu.Lock()
-	d.log.reads = append(d.log.reads, layout.Loc{Disk: d.slot, Offset: off})
-	d.log.mu.Unlock()
-	return d.Disk.ReadUnit(off, p)
-}
-
 // TestRebuildReadsMatchLayout is the rebuild half of the cost table: a real
 // Rebuild of each disk in turn of a C = 21, G = 5 array, P and P+Q, reads
 // for every lost unit exactly the survivors layout.RebuildSources names — the
@@ -365,18 +342,21 @@ func TestRebuildReadsMatchLayout(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/workers%d", code, workers), func(t *testing.T) {
 				forceOverlap(t)
 				units := lay.UnitsPerDiskPerPeriod() * int64(lay.G()) // a full parity rotation
-				log := new(readLog)
-				disk := func(slot int) Disk { return loggedReadDisk{NewMemDisk(units, 64), slot, log} }
-				disks := make([]Disk, lay.Disks())
-				for i := range disks {
-					disks[i] = disk(i)
+				// reads records every unit the disks are asked to read.
+				var (
+					mu    sync.Mutex
+					reads []layout.Loc
+				)
+				logReads := func(c call, pass func() error) error {
+					if c.op == opRead {
+						mu.Lock()
+						reads = append(reads, layout.Loc{Disk: c.disk, Offset: c.off})
+						mu.Unlock()
+					}
+					return pass()
 				}
-				s, err := New(Config{Layout: lay, UnitsPerDisk: units, UnitSize: 64, Disks: disks,
-					IOWorkers: workers, RebuildWorkers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
+				s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: units, UnitSize: 64,
+					IOWorkers: workers, RebuildWorkers: workers}, logReads)
 				data := make([]byte, s.DataUnits()*64)
 				rand.New(rand.NewSource(int64(workers))).Read(data)
 				if err := s.WriteRange(0, data); err != nil {
@@ -386,12 +366,12 @@ func TestRebuildReadsMatchLayout(t *testing.T) {
 					if err := s.Fail(f); err != nil {
 						t.Fatal(err)
 					}
-					log.reads = nil
-					if err := s.Rebuild(disk(f)); err != nil {
+					reads = nil
+					if err := s.Rebuild(&scriptedDisk{under: NewMemDisk(units, 64), slot: f, hook: logReads}); err != nil {
 						t.Fatal(err)
 					}
 					byStripe := map[int64][]layout.Loc{}
-					for _, u := range log.reads {
+					for _, u := range reads {
 						stripe, _ := lay.Locate(u)
 						byStripe[stripe] = append(byStripe[stripe], u)
 					}

@@ -23,16 +23,7 @@ func testPQLayout(t testing.TB, c, g int) layout.Layout {
 
 func newTestPQStore(t testing.TB, c, g int, unitsPerDisk int64, unitSize int) *Store {
 	t.Helper()
-	s, err := New(Config{
-		Layout:       testPQLayout(t, c, g),
-		UnitsPerDisk: unitsPerDisk,
-		UnitSize:     unitSize,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	return openStore(t, Config{Layout: testPQLayout(t, c, g), UnitsPerDisk: unitsPerDisk, UnitSize: unitSize})
 }
 
 // TestPQTwoErasureDecodeBranches drives each line of the decode matrix by
@@ -63,11 +54,7 @@ func TestPQTwoErasureDecodeBranches(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := openStore(t, Config{Layout: tc.lay, UnitsPerDisk: 64, UnitSize: 512})
 			fillAll(t, s, 1)
 			for _, d := range tc.fails {
 				if err := s.Fail(d); err != nil {

@@ -39,40 +39,23 @@ func (fp *failPoints) count() int {
 	return fp.n
 }
 
-func (fp *failPoints) access(disk int, off int64) error {
+// hook numbers every unit access and fails the dead ones.
+func (fp *failPoints) hook(c call, pass func() error) error {
+	if !c.access() {
+		return pass()
+	}
 	fp.mu.Lock()
-	defer fp.mu.Unlock()
 	fp.n++
 	if fp.n == fp.k {
 		fp.armed = true
-		fp.dead.disk, fp.dead.off = disk, off
+		fp.dead.disk, fp.dead.off = c.disk, c.off
 	}
-	if fp.armed && fp.dead.disk == disk && fp.dead.off == off {
+	dead := fp.armed && fp.dead.disk == c.disk && fp.dead.off == c.off
+	fp.mu.Unlock()
+	if dead {
 		return errPlanted
 	}
-	return nil
-}
-
-// pointDisk is a backend whose accesses failPoints numbers. It has the
-// three Disk methods and no more, like the backends a user brings.
-type pointDisk struct {
-	Disk
-	id int
-	fp *failPoints
-}
-
-func (d pointDisk) ReadUnit(off int64, p []byte) error {
-	if err := d.fp.access(d.id, off); err != nil {
-		return err
-	}
-	return d.Disk.ReadUnit(off, p)
-}
-
-func (d pointDisk) WriteUnit(off int64, p []byte) error {
-	if err := d.fp.access(d.id, off); err != nil {
-		return err
-	}
-	return d.Disk.WriteUnit(off, p)
+	return pass()
 }
 
 // TestRebuildEveryFailurePoint enumerates the failure points of a rebuild:
@@ -109,15 +92,12 @@ func TestRebuildEveryFailurePoint(t *testing.T) {
 					next := code.lay.Disks()
 					fresh := func() Disk {
 						next++
-						return pointDisk{Disk: NewMemDisk(units, unitSize), id: next, fp: fp}
-					}
-					disks := make([]Disk, code.lay.Disks())
-					for i := range disks {
-						disks[i] = pointDisk{Disk: NewMemDisk(units, unitSize), id: i, fp: fp}
+						return &scriptedDisk{under: NewMemDisk(units, unitSize), slot: next, hook: fp.hook}
 					}
 					fp.arm(0)
 					s, err := New(Config{Layout: code.lay, UnitsPerDisk: units, UnitSize: unitSize,
-						Disks: disks, IOWorkers: ioWorkers, RebuildWorkers: ioWorkers})
+						Disks:     scriptedDisks(code.lay.Disks(), units, unitSize, fp.hook),
+						IOWorkers: ioWorkers, RebuildWorkers: ioWorkers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -190,17 +170,6 @@ func TestRebuildEveryFailurePoint(t *testing.T) {
 	}
 }
 
-// closeCounter records Close calls on a backend.
-type closeCounter struct {
-	Disk
-	closed *int
-}
-
-func (d closeCounter) Close() error {
-	*d.closed++
-	return d.Disk.Close()
-}
-
 // TestFailedRebuildLeavesStoreDegraded pins who owns a backend: Close
 // closes every member New took over, failed or not, and every replacement
 // Rebuild installed — healed or discarded — exactly once, and never one
@@ -226,7 +195,7 @@ func TestFailedRebuildLeavesStoreDegraded(t *testing.T) {
 		}},
 		{"discarded replacement", false, 1, func(t *testing.T, s *Store, counted func(Disk) Disk) {
 			mustFail(t, s, 2)
-			dying := failAtDisk{Disk: NewMemDisk(units, unitSize), writes: map[int64]bool{10: true}}
+			dying := &scriptedDisk{under: NewMemDisk(units, unitSize), slot: 2, hook: failAt(opWrite, layout.Loc{Disk: 2, Offset: 10})}
 			if err := s.Rebuild(counted(dying)); !errors.Is(err, errPlanted) {
 				t.Fatalf("Rebuild onto a dying replacement = %v, want the planted failure", err)
 			}
@@ -267,32 +236,35 @@ func TestFailedRebuildLeavesStoreDegraded(t *testing.T) {
 			if row.pq {
 				lay = testPQLayout(t, 7, 4)
 			}
-			members := make([]int, lay.Disks())
-			disks := make([]Disk, lay.Disks())
-			for i := range disks {
-				disks[i] = closeCounter{Disk: NewMemDisk(units, unitSize), closed: &members[i]}
+			// closes counts each backend's Close calls: members in their
+			// slots, replacements after them in the order they are made.
+			closes := make([]int, lay.Disks())
+			countClose := func(c call, pass func() error) error {
+				if c.op == opClose {
+					closes[c.disk]++
+				}
+				return pass()
 			}
-			s, err := New(Config{Layout: lay, UnitsPerDisk: units, UnitSize: unitSize, Disks: disks})
+			s, err := New(Config{Layout: lay, UnitsPerDisk: units, UnitSize: unitSize,
+				Disks: scriptedDisks(lay.Disks(), units, unitSize, countClose)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			fillAll(t, s, 1)
-			var repls []*int
 			row.steps(t, s, func(d Disk) Disk {
-				repls = append(repls, new(int))
-				return closeCounter{Disk: d, closed: repls[len(repls)-1]}
+				closes = append(closes, 0)
+				return &scriptedDisk{under: d, slot: len(closes) - 1, hook: countClose}
 			})
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for i, n := range members {
-				if n != 1 {
-					t.Errorf("member %d closed %d times, want 1", i, n)
+			for i, n := range closes {
+				what, want := fmt.Sprintf("member %d", i), 1
+				if i >= lay.Disks() {
+					what, want = fmt.Sprintf("replacement %d", i-lay.Disks()), row.closes
 				}
-			}
-			for i, n := range repls {
-				if *n != row.closes {
-					t.Errorf("replacement %d closed %d times, want %d", i, *n, row.closes)
+				if n != want {
+					t.Errorf("%s closed %d times, want %d", what, n, want)
 				}
 			}
 		})
@@ -349,12 +321,8 @@ func TestFaultDiskOverBareBackend(t *testing.T) {
 // restored disk counts as done.
 func TestSecondFailureKeepsRebuildProgress(t *testing.T) {
 	const units, unitSize = 48, 512
-	s, err := New(Config{Layout: testPQLayout(t, 7, 4), UnitsPerDisk: units, UnitSize: unitSize,
+	s := openStore(t, Config{Layout: testPQLayout(t, 7, 4), UnitsPerDisk: units, UnitSize: unitSize,
 		RebuildWorkers: 1, RebuildThrottle: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
 	fillAll(t, s, 1)
 	if err := s.Fail(1); err != nil {
 		t.Fatal(err)

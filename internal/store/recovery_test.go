@@ -203,40 +203,6 @@ func (l *callLog) add(what string) {
 	l.mu.Unlock()
 }
 
-// loggedDisk records every unit write.
-type loggedDisk struct {
-	Disk
-	log *callLog
-}
-
-func (d loggedDisk) WriteUnit(off int64, p []byte) error {
-	d.log.add("write")
-	return d.Disk.WriteUnit(off, p)
-}
-
-// slowClearIntent logs every mark and clear and, once armed, holds a
-// ClearBatch in its durability barrier until released.
-type slowClearIntent struct {
-	memIntent
-	log     *callLog
-	entered chan struct{} // closed when the held ClearBatch is inside
-	release chan struct{} // nil until armed
-}
-
-func (l *slowClearIntent) MarkBatch(rs []int64) error {
-	l.log.add("mark")
-	return l.memIntent.MarkBatch(rs)
-}
-
-func (l *slowClearIntent) ClearBatch(rs []int64) error {
-	l.log.add("clear")
-	if l.release != nil {
-		close(l.entered)
-		<-l.release
-	}
-	return l.memIntent.ClearBatch(rs)
-}
-
 // TestSyncClearNeverOutrunsAWriter pins the intent contract against a Sync
 // that runs beside a writer: no disk write may follow a durable "clean" for
 // its region without a durable mark in between. After one settled write,
@@ -247,18 +213,30 @@ func (l *slowClearIntent) ClearBatch(rs []int64) error {
 // through on the fast path: clear, write, write, and a crash between the
 // two writes is an inconsistent stripe the log calls clean.
 func TestSyncClearNeverOutrunsAWriter(t *testing.T) {
-	lay := testLayout(t, 7, 4)
+	// One hook logs every unit write, mark and clear and, once armed (hold
+	// non-nil), holds a ClearBatch in its durability barrier until hold is
+	// closed.
 	log := &callLog{}
-	il := &slowClearIntent{log: log, entered: make(chan struct{})}
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = loggedDisk{Disk: NewMemDisk(48, 512), log: log}
+	entered := make(chan struct{}) // closed when the held ClearBatch is inside
+	var hold chan struct{}
+	logCalls := func(c call, pass func() error) error {
+		switch c.op {
+		case opWrite:
+			log.add("write")
+		case opMarkBatch:
+			log.add("mark")
+		case opClearBatch:
+			log.add("clear")
+			if hold != nil {
+				close(entered)
+				<-hold
+			}
+		}
+		return pass()
 	}
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, Intent: il, IOWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	mem := new(memIntent)
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 4), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 1,
+		Intent: &scriptedIntent{under: mem, hook: logCalls}}, logCalls)
 	buf := make([]byte, s.UnitSize())
 	fill(buf, 0, 1)
 	if err := s.WriteUnit(0, buf); err != nil {
@@ -266,12 +244,12 @@ func TestSyncClearNeverOutrunsAWriter(t *testing.T) {
 	}
 
 	release := make(chan struct{})
-	il.release = release
+	hold = release
 	letGo := sync.OnceFunc(func() { close(release) })
 	defer letGo() // before Close, whose Sync needs the mutex the held one has
 	syncErr := make(chan error, 1)
 	go func() { syncErr <- s.Sync() }()
-	<-il.entered
+	<-entered
 
 	fill(buf, 0, 2)
 	writeErr := make(chan error, 1)
@@ -290,7 +268,7 @@ func TestSyncClearNeverOutrunsAWriter(t *testing.T) {
 	if err := <-writeErr; err != nil {
 		t.Fatalf("WriteUnit: %v", err)
 	}
-	il.release = nil // Close's own Sync clears unhindered
+	hold = nil // Close's own Sync clears unhindered
 
 	// Both goroutines are done: the log and the bits are this one's to read.
 	want := []string{"mark", "write", "write", "clear", "mark", "write", "write"}
@@ -300,7 +278,7 @@ func TestSyncClearNeverOutrunsAWriter(t *testing.T) {
 	if finished {
 		t.Error("the write completed while its region's clear was still in flight")
 	}
-	if !il.dirty[0] {
+	if !mem.dirty[0] {
 		t.Error("region 0 was written after its clear and the log says clean")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"declust/internal/layout"
@@ -49,17 +50,22 @@ func TestScrubRepairsRottedUnit(t *testing.T) {
 }
 
 func TestScrubDetectsLostParityWrite(t *testing.T) {
-	s, fds := faultStore(t, 7, 3, 64, 512,
-		func(int) FaultConfig { return FaultConfig{} }, Config{})
-	fillAll(t, s, 1)
+	lay := testLayout(t, 7, 3)
 	// Drop the parity commit of one write: data goes down, parity stays
 	// stale. The unit checksums all verify — only the parity equation
 	// betrays the lost write, and the scrub resolves it in favor of data.
 	n := int64(3)
-	loc := s.mapper.Loc(n)
-	stripe, _ := s.lay.Locate(loc)
-	ploc := layout.ParityLoc(s.lay, stripe)
-	fds[ploc.Disk].LoseNextWrite()
+	stripe, _ := lay.Locate(layout.DataLoc(lay, n))
+	ploc := layout.ParityLoc(lay, stripe)
+	var lose atomic.Bool
+	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 64, UnitSize: 512}, func(c call, pass func() error) error {
+		if c.op == opWrite && c.disk == ploc.Disk && c.off == ploc.Offset && lose.CompareAndSwap(true, false) {
+			return nil // acknowledged, dropped
+		}
+		return pass()
+	})
+	fillAll(t, s, 1)
+	lose.Store(true)
 	buf := make([]byte, s.UnitSize())
 	fill(buf, n, 2)
 	if err := s.WriteUnit(n, buf); err != nil {
@@ -109,12 +115,12 @@ func TestScrubCountsUnrecoverableStripes(t *testing.T) {
 // one pass, and each is charged to its own cause — one media error, one
 // checksum error, two healed units.
 func TestScrubCountsEachDamageCause(t *testing.T) {
-	s, fds := faultStore(t, 7, 4, 64, 512,
-		func(int) FaultConfig { return FaultConfig{} }, Config{Layout: testPQLayout(t, 7, 4)})
+	latent := new(latentUnits)
+	s := scriptedStore(t, Config{Layout: testPQLayout(t, 7, 4), UnitsPerDisk: 64, UnitSize: 512}, latent.hook)
 	fillAll(t, s, 5)
 	before := s.Stats()
 	lse, rotten := s.lay.Unit(3, 0), s.lay.Unit(3, 2)
-	fds[lse.Disk].InjectLSE(lse.Offset)
+	latent.add(lse)
 	rot(t, s, rotten)
 	res, err := s.Scrub()
 	if err != nil {
@@ -163,25 +169,29 @@ func TestScrubSkipsDegradedStripes(t *testing.T) {
 func TestParityDoubtOutlivesDegradedScrub(t *testing.T) {
 	lay := testLayout(t, 7, 4)
 	pLoc := layout.ParityLocOf(lay, 0, 0) // unit 0 is a data unit of stripe 0
-	planted := map[int64]bool{pLoc.Offset: true}
-	disks := make([]Disk, lay.Disks())
-	for i := range disks {
-		disks[i] = NewMemDisk(48, 512)
-	}
-	disks[pLoc.Disk] = failAtDisk{Disk: disks[pLoc.Disk], writes: planted}
-	ri := &recordingIntent{}
-	s, err := New(Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, Disks: disks, Intent: ri, IOWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	var planted atomic.Bool
+	planted.Store(true)
+	clears := 0
+	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 1,
+		Intent: &scriptedIntent{under: new(memIntent), hook: func(c call, pass func() error) error {
+			if c.op == opClearBatch {
+				clears++
+			}
+			return pass()
+		}}},
+		func(c call, pass func() error) error {
+			if c.op == opWrite && c.disk == pLoc.Disk && c.off == pLoc.Offset && planted.Load() {
+				return errPlanted
+			}
+			return pass()
+		})
 	syncClears := func(when string, want int) {
 		t.Helper()
 		if err := s.Sync(); err != nil {
 			t.Fatalf("Sync %s: %v", when, err)
 		}
-		if got := len(ri.clears); got != want {
-			t.Fatalf("%d ClearBatch calls %s (%v), want %d", got, when, ri.clears, want)
+		if clears != want {
+			t.Fatalf("%d ClearBatch calls %s, want %d", clears, when, want)
 		}
 	}
 
@@ -190,7 +200,7 @@ func TestParityDoubtOutlivesDegradedScrub(t *testing.T) {
 	if err := s.WriteUnit(0, buf); !errors.Is(err, errPlanted) {
 		t.Fatalf("WriteUnit over a failing parity write = %v, want %v", err, errPlanted)
 	}
-	delete(planted, pLoc.Offset)
+	planted.Store(false)
 	if !s.parityDoubt.Load() {
 		t.Fatal("a commit that failed mid-stripe did not latch parity doubt")
 	}
@@ -234,16 +244,24 @@ func TestIntentRecoveryResyncsDirtyRegions(t *testing.T) {
 	lay := testLayout(t, 5, 5)
 	usable := layout.UsableUnitsPerDisk(lay, 40)
 
-	open := func() (*Store, []*FaultDisk) {
-		raw, err := OpenFileDisks(dir, 5, usable, 512)
+	// Once armed, the next write of the unit at lose is acknowledged and
+	// dropped.
+	var (
+		lose  layout.Loc
+		armed atomic.Bool
+	)
+	open := func() *Store {
+		disks, err := OpenFileDisks(dir, 5, usable, 512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fds := make([]*FaultDisk, len(raw))
-		disks := make([]Disk, len(raw))
-		for i, d := range raw {
-			fds[i] = NewFaultDisk(d, FaultConfig{})
-			disks[i] = fds[i]
+		for i, d := range disks {
+			disks[i] = &scriptedDisk{under: d, slot: i, hook: func(c call, pass func() error) error {
+				if c.op == opWrite && c.disk == lose.Disk && c.off == lose.Offset && armed.CompareAndSwap(true, false) {
+					return nil
+				}
+				return pass()
+			}}
 		}
 		s, err := New(Config{
 			Layout:       lay,
@@ -255,10 +273,10 @@ func TestIntentRecoveryResyncsDirtyRegions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, fds
+		return s
 	}
 
-	s1, fds := open()
+	s1 := open()
 	fillAll(t, s1, 1)
 	if err := s1.Sync(); err != nil {
 		t.Fatal(err)
@@ -267,8 +285,8 @@ func TestIntentRecoveryResyncsDirtyRegions(t *testing.T) {
 	n := int64(2)
 	loc := s1.mapper.Loc(n)
 	stripe, _ := s1.lay.Locate(loc)
-	ploc := layout.ParityLoc(s1.lay, stripe)
-	fds[ploc.Disk].LoseNextWrite()
+	lose = layout.ParityLoc(s1.lay, stripe)
+	armed.Store(true)
 	buf := make([]byte, 512)
 	fill(buf, n, 2)
 	if err := s1.WriteUnit(n, buf); err != nil {
@@ -277,7 +295,7 @@ func TestIntentRecoveryResyncsDirtyRegions(t *testing.T) {
 	// "Crash": abandon s1 without Close or Sync. The region is still
 	// marked in intent.log and the parity on disk is stale.
 
-	s2, _ := open()
+	s2 := open()
 	defer s2.Close()
 	st := s2.Stats()
 	if st.ResyncedStripes == 0 {
@@ -303,7 +321,7 @@ func TestCleanCloseClearsIntent(t *testing.T) {
 	dir := t.TempDir()
 	lay := testLayout(t, 5, 5)
 	usable := layout.UsableUnitsPerDisk(lay, 40)
-	openStore := func() *Store {
+	open := func() *Store {
 		disks, err := OpenFileDisks(dir, 5, usable, 512)
 		if err != nil {
 			t.Fatal(err)
@@ -320,12 +338,12 @@ func TestCleanCloseClearsIntent(t *testing.T) {
 		}
 		return s
 	}
-	s1 := openStore()
+	s1 := open()
 	fillAll(t, s1, 1)
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openStore()
+	s2 := open()
 	defer s2.Close()
 	if got := s2.Stats().ResyncedStripes; got != 0 {
 		t.Fatalf("clean reopen resynced %d stripes, want 0", got)

@@ -22,18 +22,20 @@ func testLayout(t testing.TB, c, g int) layout.Layout {
 	return m.Layout
 }
 
-func newTestStore(t testing.TB, c, g int, unitsPerDisk int64, unitSize int) *Store {
+// openStore opens a store of cfg, closed when the test ends.
+func openStore(t testing.TB, cfg Config) *Store {
 	t.Helper()
-	s, err := New(Config{
-		Layout:       testLayout(t, c, g),
-		UnitsPerDisk: unitsPerDisk,
-		UnitSize:     unitSize,
-	})
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+func newTestStore(t testing.TB, c, g int, unitsPerDisk int64, unitSize int) *Store {
+	t.Helper()
+	return openStore(t, Config{Layout: testLayout(t, c, g), UnitsPerDisk: unitsPerDisk, UnitSize: unitSize})
 }
 
 // fill writes a deterministic pattern for (unit, version) into buf.
@@ -85,11 +87,7 @@ func TestRoundTrip(t *testing.T) {
 		stride int64 // every stride-th unit is overwritten
 	}{{"P", 1, 3}, {"P+Q", 2, 2}} {
 		t.Run(code.name, func(t *testing.T) {
-			s, err := New(Config{Layout: codeLayout(t, code.m), UnitsPerDisk: 64, UnitSize: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+			s := openStore(t, Config{Layout: codeLayout(t, code.m), UnitsPerDisk: 64, UnitSize: 512})
 			if got := s.Parities(); got != code.m {
 				t.Fatalf("Parities() = %d, want %d", got, code.m)
 			}
@@ -240,11 +238,7 @@ func TestEveryFailureSetRecovers(t *testing.T) {
 			}
 			for _, set := range sets {
 				t.Run(fmt.Sprint(set), func(t *testing.T) {
-					s, err := New(Config{Layout: lay, UnitsPerDisk: code.unitsPerDisk, UnitSize: 512})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
+					s := openStore(t, Config{Layout: lay, UnitsPerDisk: code.unitsPerDisk, UnitSize: 512})
 					version := func(n int64) uint64 {
 						if i := int(n % 3); i < len(set) {
 							return uint64(2 + i)
@@ -506,11 +500,7 @@ func TestHotPathAllocations(t *testing.T) {
 				name += " gated"
 			}
 			t.Run(name, func(t *testing.T) {
-				s, err := New(Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
+				s := openStore(t, Config{Layout: tc.layout, UnitsPerDisk: 64, UnitSize: 512, IOWorkers: workers})
 				fillAll(t, s, 1)
 				per, size := s.dataPerStripe, int64(1)
 				if tc.stripes > 1 {

@@ -8,12 +8,14 @@ import (
 	"go/types"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// parseSource parses the package's non-test source.
-func parseSource(t *testing.T, fset *token.FileSet) []*ast.File {
+// parseSource parses the package's non-test source, and its test files
+// too when tests is set.
+func parseSource(t *testing.T, fset *token.FileSet, tests bool) []*ast.File {
 	t.Helper()
 	names, err := filepath.Glob("*.go")
 	if err != nil {
@@ -21,7 +23,7 @@ func parseSource(t *testing.T, fset *token.FileSet) []*ast.File {
 	}
 	var files []*ast.File
 	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
+		if !tests && strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
@@ -37,7 +39,7 @@ func parseSource(t *testing.T, fset *token.FileSet) []*ast.File {
 // each node with the name of the function that encloses it.
 func inspectFuncs(t *testing.T, visit func(fn string, n ast.Node)) {
 	t.Helper()
-	for _, f := range parseSource(t, token.NewFileSet()) {
+	for _, f := range parseSource(t, token.NewFileSet(), false) {
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -88,7 +90,7 @@ func TestOneBatchDecisionPoint(t *testing.T) {
 // *stripeScratch) are allowed.
 func TestNoInterfaceAssertions(t *testing.T) {
 	fset := token.NewFileSet()
-	files := parseSource(t, fset)
+	files := parseSource(t, fset, false)
 	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	if _, err := conf.Check("declust/internal/store", fset, files, info); err != nil {
@@ -115,6 +117,58 @@ func TestNoInterfaceAssertions(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestOneTestDevice keeps the suite's scripted device the only one: of the
+// types the package's tests declare, scriptedDisk and scriptedIntent alone
+// declare a method of the Disk or the IntentLog contract, and the only
+// ones that embed a field are embedded, a Disk wrapper that declares
+// nothing of its own, and flatStore, whose *Store is no device. A proof
+// that needs a backend or a log to misbehave writes a hook, not a type.
+func TestOneTestDevice(t *testing.T) {
+	contract := map[string]bool{}
+	for _, iface := range []reflect.Type{reflect.TypeFor[Disk](), reflect.TypeFor[IntentLog]()} {
+		for i := range iface.NumMethod() {
+			contract[iface.Method(i).Name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	got := map[string][]string{} // test type → contract methods it declares and fields it embeds
+	for _, f := range parseSource(t, fset, true) {
+		if !strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && contract[n.Name.Name] {
+					recv := strings.TrimPrefix(types.ExprString(n.Recv.List[0].Type), "*")
+					got[recv] = append(got[recv], n.Name.Name)
+				}
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					for _, field := range st.Fields.List {
+						if field.Names == nil {
+							got[n.Name.Name] = append(got[n.Name.Name], "embeds "+types.ExprString(field.Type))
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, list := range got {
+		slices.Sort(list)
+	}
+	want := map[string][]string{
+		"scriptedDisk":   {"Close", "Geometry", "ReadUnit", "Sync", "WriteUnit"},
+		"scriptedIntent": {"Clear", "ClearBatch", "Close", "Init", "Mark", "MarkBatch"},
+		"embedded":       {"embeds Disk"},
+		"flatStore":      {"embeds *Store"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("test types that declare a Disk or IntentLog method or embed a field: %v, want %v", got, want)
 	}
 }
 

@@ -42,12 +42,8 @@ func TestSweepPacing(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
-				s, err := New(Config{Layout: testLayout(t, 5, 4), UnitsPerDisk: 64, UnitSize: 512,
+				s := openStore(t, Config{Layout: testLayout(t, 5, 4), UnitsPerDisk: 64, UnitSize: 512,
 					RebuildWorkers: workers, RebuildThrottle: pause, ScrubThrottle: pause})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
 				fillAll(t, s, 1)
 				if tc.fail {
 					if err := s.Fail(0); err != nil {
