@@ -41,6 +41,7 @@ import (
 	"declust/internal/blockdesign"
 	"declust/internal/core"
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/layout"
 	"declust/internal/metrics"
 	"declust/internal/store"
@@ -79,7 +80,7 @@ type Loc = layout.Loc
 type Design = blockdesign.Design
 
 // Geometry describes a disk drive model.
-type Geometry = disk.Geometry
+type Geometry = drive.Geometry
 
 // SchedPolicy selects a disk's queue scheduling discipline (see
 // SimConfig.SchedPolicy); the zero value is the paper's CVSCAN.
@@ -185,7 +186,7 @@ type LiveProgress = telemetry.Progress
 func DataLoc(l Layout, n int64) Loc { return layout.DataLoc(l, n) }
 
 // IBM0661 returns the paper's disk model (Table 5-1).
-func IBM0661() Geometry { return disk.IBM0661() }
+func IBM0661() Geometry { return drive.IBM0661() }
 
 // PaperDesign returns one of the six block designs of the paper's appendix
 // (21 disks; g ∈ {3, 4, 5, 6, 10, 18}).

@@ -20,6 +20,7 @@ import (
 	"slices"
 
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/fault"
 	"declust/internal/layout"
 	"declust/internal/metrics"
@@ -66,7 +67,7 @@ func (a ReconAlgorithm) String() string {
 // Config assembles an array.
 type Config struct {
 	Layout layout.Layout
-	Geom   disk.Geometry
+	Geom   drive.Geometry
 	// UnitSectors is the stripe unit size in sectors (8 = 4 KB).
 	UnitSectors int
 	// CvscanBias is the V(R) scheduling bias for every disk.
@@ -210,7 +211,7 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 	if cfg.Layout == nil {
 		return nil, fmt.Errorf("array: nil layout")
 	}
-	if err := cfg.Geom.Validate(); err != nil {
+	if _, err := drive.New(cfg.Geom); err != nil {
 		return nil, err
 	}
 	if cfg.UnitSectors <= 0 {

@@ -3,7 +3,7 @@ package array
 import (
 	"testing"
 
-	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/layout"
 	"declust/internal/sim"
 )
@@ -23,7 +23,7 @@ func raid5Array(t *testing.T, c int, mutate func(*Config)) (*sim.Engine, *Array)
 	}
 	cfg := Config{
 		Layout:      l,
-		Geom:        disk.IBM0661().Scaled(1, 100),
+		Geom:        drive.IBM0661().Scaled(1, 100),
 		UnitSectors: 8,
 		CvscanBias:  0.2,
 		ReconProcs:  1,
@@ -50,14 +50,17 @@ func totalCompleted(a *Array) int64 {
 func TestNewRejectsBadConfig(t *testing.T) {
 	eng := sim.New()
 	l, _ := layout.NewRaid5(5)
-	good := Config{Layout: l, Geom: disk.IBM0661(), UnitSectors: 8}
+	good := Config{Layout: l, Geom: drive.IBM0661(), UnitSectors: 8}
 	if _, err := New(eng, good); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
+	noCurve := drive.IBM0661()
+	noCurve.AvgSeekMS = 3 // valid numbers, but no monotone seek curve has this mean
 	bad := []Config{
-		{Geom: disk.IBM0661(), UnitSectors: 8},             // nil layout
-		{Layout: l, Geom: disk.Geometry{}, UnitSectors: 8}, // bad geometry
-		{Layout: l, Geom: disk.IBM0661(), UnitSectors: 0},  // bad unit size
+		{Geom: drive.IBM0661(), UnitSectors: 8},             // nil layout
+		{Layout: l, Geom: drive.Geometry{}, UnitSectors: 8}, // bad geometry
+		{Layout: l, Geom: noCurve, UnitSectors: 8},          // uncalibratable seek curve
+		{Layout: l, Geom: drive.IBM0661(), UnitSectors: 0},  // bad unit size
 	}
 	for i, cfg := range bad {
 		if _, err := New(eng, cfg); err == nil {

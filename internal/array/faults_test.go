@@ -7,6 +7,7 @@ import (
 
 	"declust/internal/blockdesign"
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/fault"
 	"declust/internal/layout"
 	"declust/internal/sim"
@@ -394,7 +395,7 @@ func TestTransientTimeoutsRetryToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	geom := disk.IBM0661().Scaled(1, 100)
+	geom := drive.IBM0661().Scaled(1, 100)
 	inj, err := fault.New(eng, geom, l.Disks(), fault.Config{
 		Seed: 7, TransientRate: 0.2, TimeoutMS: 5,
 	})

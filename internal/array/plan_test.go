@@ -9,6 +9,7 @@ import (
 
 	"declust/internal/blockdesign"
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/layout"
 	"declust/internal/sim"
 )
@@ -39,7 +40,7 @@ func arrayOn(t *testing.T, c, g, m int, mutate func(*Config)) (*sim.Engine, *Arr
 	}
 	cfg := Config{
 		Layout:      l,
-		Geom:        disk.IBM0661().Scaled(1, 100),
+		Geom:        drive.IBM0661().Scaled(1, 100),
 		UnitSectors: 8,
 		CvscanBias:  0.2,
 		ReconProcs:  1,

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"declust/internal/blockdesign"
-	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/layout"
 	"declust/internal/sim"
 )
@@ -23,7 +23,7 @@ func sparedArray(t *testing.T, mutate func(*Config)) (*sim.Engine, *Array) {
 	}
 	cfg := Config{
 		Layout:             l,
-		Geom:               disk.IBM0661().Scaled(1, 100),
+		Geom:               drive.IBM0661().Scaled(1, 100),
 		UnitSectors:        8,
 		CvscanBias:         0.2,
 		ReconProcs:         4,
@@ -44,7 +44,7 @@ func TestSparingRequiresSpareLayout(t *testing.T) {
 	l, _ := layout.NewRaid5(5)
 	eng := sim.New()
 	_, err := New(eng, Config{
-		Layout: l, Geom: disk.IBM0661().Scaled(1, 100), UnitSectors: 8,
+		Layout: l, Geom: drive.IBM0661().Scaled(1, 100), UnitSectors: 8,
 		DistributedSparing: true,
 	})
 	if err == nil {

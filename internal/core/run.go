@@ -6,6 +6,7 @@ import (
 
 	"declust/internal/array"
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/fault"
 	"declust/internal/layout"
 	"declust/internal/metrics"
@@ -26,7 +27,7 @@ type SimConfig struct {
 	// (numerator/denominator, e.g. 1/10) shrinks the cylinder count to
 	// shorten reconstruction sweeps; response-time behaviour per access
 	// is unchanged and reconstruction time scales linearly.
-	Geom               disk.Geometry
+	Geom               drive.Geometry
 	ScaleNum, ScaleDen int
 	UnitSectors        int     // stripe unit size in sectors; 0 = 8 (4 KB)
 	CvscanBias         float64 // V(R) bias; 0 = 0.2
@@ -143,7 +144,7 @@ type SimConfig struct {
 
 func (c SimConfig) withDefaults() SimConfig {
 	if c.Geom.Cylinders == 0 {
-		c.Geom = disk.IBM0661()
+		c.Geom = drive.IBM0661()
 	}
 	if c.ScaleNum > 0 && c.ScaleDen > 0 {
 		c.Geom = c.Geom.Scaled(c.ScaleNum, c.ScaleDen)

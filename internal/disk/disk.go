@@ -1,9 +1,15 @@
+// Package disk is the simulator's queued drive: a drive.Mechanism attached
+// to the event engine, with a head scheduler (CVSCAN (V(R)) by default),
+// priority classes, a track read-ahead buffer, a fault hook with its
+// timeout path, per-drive stats and telemetry span segments. Every access
+// is priced by drive.Mechanism.Access; this package does no seek, rotation
+// or transfer arithmetic of its own.
 package disk
 
 import (
 	"fmt"
-	"math"
 
+	"declust/internal/drive"
 	"declust/internal/sim"
 	"declust/internal/telemetry"
 )
@@ -96,11 +102,9 @@ type Stats struct {
 // reads served from the track read-ahead buffer, which complete immediately.
 type Disk struct {
 	eng   *sim.Engine
-	geom  Geometry
-	seek  SeekCurve
+	mech  drive.Mechanism
 	sched *schedQueue
 
-	busy    bool
 	headCyl int
 	seq     uint64
 	slot    int // array slot for telemetry segments; -1 when standalone
@@ -116,12 +120,12 @@ type Disk struct {
 
 	// Completion state for the one request in service. startNext fills
 	// these and schedules completeFn — a method value bound once at
-	// construction — so steady-state completions allocate nothing.
-	doneReq    *Request
+	// construction — so steady-state completions allocate nothing. A
+	// timeout's doneTiming holds its Finish alone.
+	doneReq    *Request // nil while the arm is idle
 	doneStart  float64
-	doneFinish float64
+	doneTiming drive.Timing
 	doneStatus Status
-	doneBr     serviceBreakdown
 	completeFn func()
 
 	// Fault injection (nil hook = the drive never errs).
@@ -149,16 +153,11 @@ type Config struct {
 	AgePromoteMS float64
 }
 
-// New creates a disk with CVSCAN (V(R)) scheduling, bias ratio r in [0,1]:
-// r = 0 degenerates to SSTF, r = 1 to SCAN. The paper uses CVSCAN [Geist87];
-// we default experiments to r = 0.2.
-func New(eng *sim.Engine, geom Geometry, r float64) *Disk {
-	return NewWithConfig(eng, geom, Config{Policy: CVSCAN, CvscanBias: r})
-}
-
-// NewWithConfig creates a disk with the full scheduling configuration.
-func NewWithConfig(eng *sim.Engine, geom Geometry, cfg Config) *Disk {
-	if err := geom.Validate(); err != nil {
+// NewWithConfig creates a disk with the full scheduling configuration. It
+// panics if drive.New rejects the geometry.
+func NewWithConfig(eng *sim.Engine, geom drive.Geometry, cfg Config) *Disk {
+	mech, err := drive.New(geom)
+	if err != nil {
 		panic(err)
 	}
 	if cfg.CvscanBias < 0 || cfg.CvscanBias > 1 {
@@ -172,8 +171,7 @@ func NewWithConfig(eng *sim.Engine, geom Geometry, cfg Config) *Disk {
 	}
 	d := &Disk{
 		eng:      eng,
-		geom:     geom,
-		seek:     NewSeekCurve(geom),
+		mech:     mech,
 		sched:    newSchedQueue(cfg.Policy, cfg.CvscanBias, geom.Cylinders, cfg.AgePromoteMS),
 		raTracks: cfg.ReadAheadTracks,
 		slot:     -1,
@@ -183,7 +181,7 @@ func NewWithConfig(eng *sim.Engine, geom Geometry, cfg Config) *Disk {
 }
 
 // Geometry returns the drive geometry.
-func (d *Disk) Geometry() Geometry { return d.geom }
+func (d *Disk) Geometry() drive.Geometry { return d.mech.Geometry }
 
 // SetSlot tags the drive with its array slot index, used to label
 // telemetry segments with the disk track they occurred on. -1 (the
@@ -196,12 +194,6 @@ func (d *Disk) Stats() Stats { return d.stats }
 // QueueLen returns the number of requests waiting (not counting one in
 // service).
 func (d *Disk) QueueLen() int { return d.sched.len() }
-
-// Busy reports whether a request is currently in service.
-func (d *Disk) Busy() bool { return d.busy }
-
-// HeadCylinder returns the arm's current seek position.
-func (d *Disk) HeadCylinder() int { return d.headCyl }
 
 // SetFaultHook installs (or, with nil, removes) a fault hook consulted at
 // each transfer's service time. timeoutMS is the stall a Timeout outcome
@@ -222,9 +214,9 @@ func (d *Disk) Submit(r *Request) {
 	if r.Count <= 0 {
 		panic(fmt.Sprintf("disk: request with count %d", r.Count))
 	}
-	if r.Start < 0 || r.Start+int64(r.Count) > d.geom.TotalSectors() {
+	if r.Start < 0 || r.Start+int64(r.Count) > d.mech.TotalSectors() {
 		panic(fmt.Sprintf("disk: request [%d,%d) outside disk of %d sectors",
-			r.Start, r.Start+int64(r.Count), d.geom.TotalSectors()))
+			r.Start, r.Start+int64(r.Count), d.mech.TotalSectors()))
 	}
 	if d.raTracks > 0 {
 		if r.Write {
@@ -237,12 +229,12 @@ func (d *Disk) Submit(r *Request) {
 	r.queuedAt = d.eng.Now()
 	r.seq = d.seq
 	d.seq++
-	r.cyl = int(r.Start / d.geom.SectorsPerCylinder())
+	r.cyl = int(r.Start / d.mech.SectorsPerCylinder())
 	d.sched.push(r)
 	if n := d.sched.len(); n > d.stats.MaxQueueLen {
 		d.stats.MaxQueueLen = n
 	}
-	if !d.busy {
+	if d.doneReq == nil {
 		d.startNext()
 	}
 }
@@ -252,46 +244,33 @@ func (d *Disk) startNext() {
 	if r == nil {
 		return
 	}
-	d.busy = true
 	start := d.eng.Now()
+	d.doneReq, d.doneStart = r, start
 	d.stats.QueueMS += start - r.queuedAt
 
 	st := OK
 	if d.hook != nil {
 		st = d.hook(r.Start, r.Count, r.Write)
 	}
+	d.doneStatus = st
 	if st == Timeout {
 		// The transfer was swallowed by a transient fault: the drive is
 		// occupied for the timeout window, no sectors move, the arm
 		// stays where it was.
-		finish := start + d.timeoutMS
 		d.stats.BusyMS += d.timeoutMS
 		d.stats.Timeouts++
-		d.doneReq, d.doneStart, d.doneFinish = r, start, finish
-		d.doneStatus = Timeout
-		d.doneBr = serviceBreakdown{}
-		d.eng.At(finish, d.completeFn)
-		return
+		d.doneTiming = drive.Timing{Finish: start + d.timeoutMS}
+	} else {
+		tm := d.mech.Access(d.headCyl, start, r.Start, r.Count)
+		d.stats.SeekMS += tm.SeekMS
+		d.stats.RotateMS += tm.RotateMS
+		d.stats.TransferMS += tm.TransferMS
+		d.stats.BusyMS += tm.Finish - start
+		d.stats.SeekCyls += int64(tm.SeekCyls)
+		d.headCyl = tm.EndCyl
+		d.doneTiming = tm
 	}
-
-	startCyl := d.headCyl
-	finish, endCyl, br := d.serviceTime(start, r.Start, r.Count)
-	d.stats.SeekMS += br.seek
-	d.stats.RotateMS += br.rotate
-	d.stats.TransferMS += br.transfer
-	d.stats.BusyMS += finish - start
-	d.headCyl = endCyl
-	tgt := d.geom.Locate(r.Start)
-	dist := tgt.Cyl - startCyl
-	if dist < 0 {
-		dist = -dist
-	}
-	d.stats.SeekCyls += int64(dist)
-
-	d.doneReq, d.doneStart, d.doneFinish = r, start, finish
-	d.doneStatus = st
-	d.doneBr = br
-	d.eng.At(finish, d.completeFn)
+	d.eng.At(d.doneTiming.Finish, d.completeFn)
 }
 
 // complete delivers the completion of the request in service. It copies the
@@ -299,10 +278,9 @@ func (d *Disk) startNext() {
 // next transfer before OnDone runs.
 func (d *Disk) complete() {
 	r := d.doneReq
-	start, finish, st := d.doneStart, d.doneFinish, d.doneStatus
-	br := d.doneBr
+	start, tm, st := d.doneStart, d.doneTiming, d.doneStatus
+	finish := tm.Finish
 	d.doneReq = nil
-	d.busy = false
 	d.stats.Completed++
 	if st != Timeout {
 		d.stats.SectorsMoved += int64(r.Count)
@@ -324,13 +302,13 @@ func (d *Disk) complete() {
 			sp.Segment(telemetry.SegTimeout, d.slot, start, finish)
 		} else {
 			t := start
-			if br.seek > 0 {
-				sp.Segment(telemetry.SegSeek, d.slot, t, t+br.seek)
-				t += br.seek
+			if tm.SeekMS > 0 {
+				sp.Segment(telemetry.SegSeek, d.slot, t, t+tm.SeekMS)
+				t += tm.SeekMS
 			}
-			if br.rotate > 0 {
-				sp.Segment(telemetry.SegRotate, d.slot, t, t+br.rotate)
-				t += br.rotate
+			if tm.RotateMS > 0 {
+				sp.Segment(telemetry.SegRotate, d.slot, t, t+tm.RotateMS)
+				t += tm.RotateMS
 			}
 			if finish > t {
 				sp.Segment(telemetry.SegTransfer, d.slot, t, finish)
@@ -343,77 +321,4 @@ func (d *Disk) complete() {
 	if r.OnDone != nil {
 		r.OnDone(start, finish, st)
 	}
-}
-
-type serviceBreakdown struct {
-	seek, rotate, transfer float64
-}
-
-// serviceTime computes the completion time of a transfer beginning service
-// at time now, along with the final head cylinder. The transfer is split
-// into per-track runs; each run pays any needed head/cylinder switch, then
-// a rotational delay to the run's first sector, then reads contiguously.
-func (d *Disk) serviceTime(now float64, start int64, count int) (finish float64, endCyl int, br serviceBreakdown) {
-	g := d.geom
-	t := now
-	curCyl := d.headCyl
-	first := true
-
-	lba := start
-	remaining := count
-	for remaining > 0 {
-		chs := g.Locate(lba)
-		// Length of the run on this track.
-		run := g.SectorsPerTrack - chs.Sector
-		if run > remaining {
-			run = remaining
-		}
-		// Arm movement to the run's cylinder.
-		if chs.Cyl != curCyl || first {
-			st := d.seek.Time(chs.Cyl - curCyl)
-			t += st
-			br.seek += st
-			curCyl = chs.Cyl
-		}
-		first = false
-		// Rotational delay to the run's first physical sector.
-		globalTrack := int64(chs.Cyl)*int64(g.TracksPerCyl) + int64(chs.Track)
-		phys := g.PhysicalSector(globalTrack, chs.Sector)
-		rot := d.rotationalDelay(t, phys)
-		t += rot
-		br.rotate += rot
-		// Contiguous transfer of the run.
-		xfer := float64(run) / float64(g.SectorsPerTrack) * g.RevolutionMS
-		t += xfer
-		br.transfer += xfer
-
-		lba += int64(run)
-		remaining -= run
-	}
-	return t, curCyl, br
-}
-
-// rotationalDelay returns the time until physical sector slot `phys` next
-// arrives under the head, given the platter's continuous rotation.
-func (d *Disk) rotationalDelay(t float64, phys int) float64 {
-	g := d.geom
-	spt := float64(g.SectorsPerTrack)
-	// Angular position in sector slots at time t. Floor-based fractional
-	// part instead of math.Mod: Mod's exact-remainder loop dominates this
-	// function's cost, and sub-ulp angular error is far below the guard
-	// threshold applied beneath.
-	f := t / g.RevolutionMS
-	pos := (f - math.Floor(f)) * spt
-	target := float64(phys)
-	delta := target - pos
-	if delta < 0 {
-		delta += spt
-	}
-	// Guard against floating-point jitter: when the head lands exactly on
-	// the target sector, rounding can make delta a hair below a full
-	// revolution, charging a spurious rotation slip.
-	if spt-delta < 1e-6 {
-		delta = 0
-	}
-	return delta / spt * g.RevolutionMS
 }

@@ -5,37 +5,76 @@ import (
 	"math/rand"
 	"testing"
 
+	"declust/internal/drive"
 	"declust/internal/sim"
 )
 
-func newTestDisk(t *testing.T) (*sim.Engine, *Disk) {
-	t.Helper()
+// newDisk is an IBM 0661 configured by cfg, on an engine of its own.
+func newDisk(cfg Config) (*sim.Engine, *Disk) {
 	eng := sim.New()
-	return eng, New(eng, IBM0661(), 0.2)
+	return eng, NewWithConfig(eng, drive.IBM0661(), cfg)
+}
+
+// mechanism is g's calibrated mechanism.
+func mechanism(t *testing.T, g drive.Geometry) *drive.Mechanism {
+	t.Helper()
+	m, err := drive.New(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &m
 }
 
 func TestSingleAccessCompletes(t *testing.T) {
-	eng, d := newTestDisk(t)
-	var start, finish float64
-	d.Submit(&Request{Start: 1000, Count: 8, OnDone: func(s, f float64, _ Status) { start, finish = s, f }})
-	eng.Run()
-	if finish <= start {
-		t.Fatalf("finish %v <= start %v", finish, start)
-	}
-	if d.Stats().Completed != 1 {
-		t.Fatalf("completed = %d", d.Stats().Completed)
-	}
 	// One random 4 KB access from cylinder 0: bounded by max seek + full
 	// rotation + transfer.
-	g := d.Geometry()
-	maxT := g.MaxSeekMS + g.RevolutionMS + 8.0/48.0*g.RevolutionMS + 1
-	if finish-start > maxT {
-		t.Fatalf("service time %v exceeds bound %v", finish-start, maxT)
+	m := mechanism(t, drive.IBM0661())
+	finish := m.Access(0, 0, 1000, 8).Finish
+	maxT := m.MaxSeekMS + m.RevolutionMS + 8.0/48.0*m.RevolutionMS + 1
+	if finish <= 0 || finish > maxT {
+		t.Fatalf("service time %v outside (0, %v]", finish, maxT)
+	}
+}
+
+// TestDiskDelegatesToMechanism pins the queued drive to the pure price: at
+// queue depth 1, with no hook and no read-ahead, each request is served
+// exactly as the mechanism prices it, threaded from head cylinder 0 at time
+// 0, and the stats are the sums of the returned parts.
+func TestDiskDelegatesToMechanism(t *testing.T) {
+	eng, d := newDisk(Config{CvscanBias: 0.2})
+	m := mechanism(t, d.Geometry())
+	rng := rand.New(rand.NewSource(5))
+	var tm, sum drive.Timing
+	done := 0
+	var submit func()
+	submit = func() {
+		count := 1 + rng.Intn(100)
+		start := rng.Int63n(m.TotalSectors() - int64(count))
+		now := tm.Finish
+		tm = m.Access(tm.EndCyl, now, start, count)
+		sum.SeekMS, sum.RotateMS, sum.TransferMS = sum.SeekMS+tm.SeekMS, sum.RotateMS+tm.RotateMS, sum.TransferMS+tm.TransferMS
+		sum.SeekCyls += tm.SeekCyls
+		want := [2]float64{now, tm.Finish}
+		d.Submit(&Request{Start: start, Count: count, Write: rng.Intn(2) == 0, OnDone: func(s, f float64, _ Status) {
+			if got := [2]float64{s, f}; got != want {
+				t.Fatalf("request %d served over %v, priced over %v", done, got, want)
+			}
+			if done++; done < 500 {
+				submit()
+			}
+		}})
+	}
+	submit()
+	eng.Run()
+	st := d.Stats()
+	if done != 500 || st.SeekMS != sum.SeekMS || st.RotateMS != sum.RotateMS ||
+		st.TransferMS != sum.TransferMS || st.SeekCyls != int64(sum.SeekCyls) {
+		t.Fatalf("%d done; stats %+v, priced parts %+v", done, st, sum)
 	}
 }
 
 func TestServiceBreakdownAccounting(t *testing.T) {
-	eng, d := newTestDisk(t)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	for i := 0; i < 50; i++ {
 		d.Submit(&Request{Start: int64(i) * 7919 % d.Geometry().TotalSectors(), Count: 8})
 	}
@@ -48,7 +87,7 @@ func TestServiceBreakdownAccounting(t *testing.T) {
 }
 
 func TestZeroCountPanics(t *testing.T) {
-	_, d := newTestDisk(t)
+	_, d := newDisk(Config{CvscanBias: 0.2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on zero-count request")
@@ -58,7 +97,7 @@ func TestZeroCountPanics(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	_, d := newTestDisk(t)
+	_, d := newDisk(Config{CvscanBias: 0.2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on out-of-range request")
@@ -68,7 +107,7 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestAllQueuedRequestsComplete(t *testing.T) {
-	eng, d := newTestDisk(t)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	rng := rand.New(rand.NewSource(7))
 	const n = 500
 	done := 0
@@ -90,8 +129,7 @@ func TestRandomThroughputNearDatasheet(t *testing.T) {
 	// per second. Saturate the disk with random requests (always 16 deep,
 	// so CVSCAN has some choice, like a loaded array) and check the rate
 	// is at least that; scheduling gains push it somewhat higher.
-	eng := sim.New()
-	d := New(eng, IBM0661(), 0.2)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	rng := rand.New(rand.NewSource(42))
 	completed := 0
 	var submit func()
@@ -115,9 +153,18 @@ func TestRandomThroughputNearDatasheet(t *testing.T) {
 	if rate < 40 || rate > 120 {
 		t.Fatalf("random 4 KB rate = %.1f/s, want roughly datasheet 46+/s", rate)
 	}
-	// Sanity: the naive model matches the paper's 46/s claim.
-	if m := 1000 / d.Geometry().AvgRandomAccessMS(8); m < 44 || m > 48 {
-		t.Fatalf("model rate = %.1f/s, want ~46", m)
+	// The closed form Figure 8-6's Muntz & Lui rate is built on must agree
+	// with the mechanism it summarizes: the mean price of an aligned 4 KB
+	// access at a uniform random start, head cylinder and time.
+	m := mechanism(t, d.Geometry())
+	const draws = 100_000
+	var sum float64
+	for i := 0; i < draws; i++ {
+		now := rng.Float64() * 1000
+		sum += m.Access(rng.Intn(m.Cylinders), now, rng.Int63n(m.TotalSectors()/8)*8, 8).Finish - now
+	}
+	if mean, want := sum/draws, m.AvgRandomAccessMS(8); math.Abs(mean-want) > want/100 {
+		t.Fatalf("mean random 4 KB access = %.3f ms, closed form %.3f ms: more than 1%% apart", mean, want)
 	}
 }
 
@@ -126,44 +173,28 @@ func TestSequentialFasterThanRandom(t *testing.T) {
 	// Muntz & Lui: sequential 4 KB accesses (reconstruction writes) are
 	// far cheaper than random ones because they pay no seek and almost no
 	// rotational wait.
-	g := IBM0661()
-	eng1 := sim.New()
-	seq := New(eng1, g, 0.2)
-	var seqDone float64
-	n := 500
-	for i := 0; i < n; i++ {
-		seq.Submit(&Request{Start: int64(i) * 8, Count: 8, OnDone: func(_, f float64, _ Status) { seqDone = f }})
-	}
-	eng1.Run()
-
-	eng2 := sim.New()
-	rnd := New(eng2, g, 0.2)
+	m := mechanism(t, drive.IBM0661())
 	rng := rand.New(rand.NewSource(3))
-	var rndDone float64
-	for i := 0; i < n; i++ {
-		rnd.Submit(&Request{Start: rng.Int63n(g.TotalSectors()/8) * 8, Count: 8, OnDone: func(_, f float64, _ Status) { rndDone = f }})
+	var seq, rnd drive.Timing // each stream's last access, threaded from cylinder 0 at time 0
+	for i := 0; i < 500; i++ {
+		seq = m.Access(seq.EndCyl, seq.Finish, int64(i)*8, 8)
+		rnd = m.Access(rnd.EndCyl, rnd.Finish, rng.Int63n(m.TotalSectors()/8)*8, 8)
 	}
-	eng2.Run()
-
-	if seqDone*4 > rndDone {
-		t.Fatalf("sequential 4 KB stream (%v ms) not at least 4x faster than random (%v ms)", seqDone, rndDone)
+	if seq.Finish*4 > rnd.Finish {
+		t.Fatalf("sequential 4 KB stream (%v ms) not at least 4x faster than random (%v ms)", seq.Finish, rnd.Finish)
 	}
 }
 
 func TestSequentialTrackReadNearOneRevolutionPerTrack(t *testing.T) {
 	// Reading k consecutive full tracks in one request should take about
 	// k revolutions plus skew slips, not k*(rev + rotational wait).
-	g := IBM0661()
-	eng := sim.New()
-	d := New(eng, g, 0.2)
-	var finish float64
+	m := mechanism(t, drive.IBM0661())
 	const tracks = 10
-	d.Submit(&Request{Start: 0, Count: 48 * tracks, OnDone: func(_, f float64, _ Status) { finish = f }})
-	eng.Run()
+	finish := m.Access(0, 0, 0, 48*tracks).Finish
 	// Lower bound: tracks revolutions of data transfer.
-	lo := float64(tracks) * g.RevolutionMS
+	lo := float64(tracks) * m.RevolutionMS
 	// Upper bound: transfer + skew wait per boundary + initial rotation.
-	hi := lo + float64(tracks)*float64(g.TrackSkew)/48*g.RevolutionMS + g.RevolutionMS + g.MinSeekMS
+	hi := lo + float64(tracks)*float64(m.TrackSkew)/48*m.RevolutionMS + m.RevolutionMS + m.MinSeekMS
 	if finish < lo || finish > hi {
 		t.Fatalf("%d-track read took %v ms, want in [%v, %v]", tracks, finish, lo, hi)
 	}
@@ -172,27 +203,16 @@ func TestSequentialTrackReadNearOneRevolutionPerTrack(t *testing.T) {
 func TestTrackSkewAvoidsFullRotationSlip(t *testing.T) {
 	// Reading across one track boundary should cost roughly the skew
 	// (4/48 of a revolution), not a full revolution.
-	g := IBM0661()
-	eng := sim.New()
-	d := New(eng, g, 0.2)
-	var oneTrack, crossing float64
-	d.Submit(&Request{Start: 0, Count: 48, OnDone: func(s, f float64, _ Status) { oneTrack = f - s }})
-	eng.Run()
-
-	eng2 := sim.New()
-	d2 := New(eng2, g, 0.2)
-	d2.Submit(&Request{Start: 0, Count: 96, OnDone: func(s, f float64, _ Status) { crossing = f - s }})
-	eng2.Run()
-
-	extra := crossing - oneTrack
-	want := g.RevolutionMS + float64(g.TrackSkew)/48*g.RevolutionMS
+	m := mechanism(t, drive.IBM0661())
+	extra := m.Access(0, 0, 0, 96).Finish - m.Access(0, 0, 0, 48).Finish
+	want := m.RevolutionMS + float64(m.TrackSkew)/48*m.RevolutionMS
 	if math.Abs(extra-want) > 0.5 {
 		t.Fatalf("second track cost %v ms, want ~%v (one rev + skew)", extra, want)
 	}
 }
 
 func TestPriorityClassesDominates(t *testing.T) {
-	eng, d := newTestDisk(t)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	var order []int
 	// Fill with low-priority requests, then inject a high-priority one;
 	// it must be served before any remaining low-priority work.
@@ -214,8 +234,7 @@ func TestPriorityClassesDominates(t *testing.T) {
 func TestCvscanBiasZeroIsSSTF(t *testing.T) {
 	// With r=0, the scheduler always picks the closest cylinder even if it
 	// reverses direction.
-	eng := sim.New()
-	d := New(eng, IBM0661(), 0)
+	eng, d := newDisk(Config{})
 	spc := d.Geometry().SectorsPerCylinder()
 	var order []int64
 	d.Submit(&Request{Start: 400 * spc, Count: 8}) // moves head to ~400
@@ -236,8 +255,7 @@ func TestCvscanBiasZeroIsSSTF(t *testing.T) {
 func TestCvscanScanBiasMaintainsDirection(t *testing.T) {
 	// With r=1 (SCAN), a head sweeping up should serve a slightly farther
 	// request in the sweep direction before a closer one behind it.
-	eng := sim.New()
-	d := New(eng, IBM0661(), 1.0)
+	eng, d := newDisk(Config{CvscanBias: 1})
 	spc := d.Geometry().SectorsPerCylinder()
 	var order []int64
 	// Establish upward direction: head 0 -> 400.
@@ -254,7 +272,7 @@ func TestCvscanScanBiasMaintainsDirection(t *testing.T) {
 }
 
 func TestUtilizationBounded(t *testing.T) {
-	eng, d := newTestDisk(t)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
 		d.Submit(&Request{Start: rng.Int63n(d.Geometry().TotalSectors()/8) * 8, Count: 8})
@@ -270,24 +288,21 @@ func TestUtilizationBounded(t *testing.T) {
 }
 
 func TestRequestsDuringServiceQueue(t *testing.T) {
-	eng, d := newTestDisk(t)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	served := 0
-	d.Submit(&Request{Start: 0, Count: 8, OnDone: func(_, _ float64, _ Status) {
-		served++
-		// Disk reports not busy only after queue drains.
-	}})
+	d.Submit(&Request{Start: 0, Count: 8, OnDone: func(_, _ float64, _ Status) { served++ }})
 	d.Submit(&Request{Start: 672, Count: 8, OnDone: func(_, _ float64, _ Status) { served++ }})
 	if d.QueueLen() != 1 {
 		t.Fatalf("queue len = %d, want 1 (one in service, one waiting)", d.QueueLen())
 	}
 	eng.Run()
-	if served != 2 || d.Busy() {
-		t.Fatalf("served=%d busy=%v", served, d.Busy())
+	if served != 2 {
+		t.Fatalf("served=%d, want 2", served)
 	}
 }
 
 func TestFaultHookOutcomes(t *testing.T) {
-	eng, d := newTestDisk(t)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	// Script outcomes: first request times out, second hits a media
 	// error, third succeeds.
 	script := []Status{Timeout, MediaError, OK}
@@ -330,17 +345,20 @@ func TestFaultHookOutcomes(t *testing.T) {
 }
 
 func TestFaultHookTimeoutKeepsArmStill(t *testing.T) {
-	eng, d := newTestDisk(t)
-	d.Submit(&Request{Start: d.Geometry().SectorsPerCylinder() * 100, Count: 8})
+	eng, d := newDisk(Config{CvscanBias: 0.2})
+	cyl100 := d.Geometry().SectorsPerCylinder() * 100
+	d.Submit(&Request{Start: cyl100, Count: 8})
 	eng.Run()
-	was := d.HeadCylinder()
 	d.SetFaultHook(func(int64, int, bool) Status { return Timeout }, 25)
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
-	if d.HeadCylinder() != was {
-		t.Fatalf("head moved to %d during a timeout, want %d", d.HeadCylinder(), was)
-	}
 	d.SetFaultHook(nil, 0)
+	was := d.Stats().SeekCyls
+	d.Submit(&Request{Start: cyl100 + 8, Count: 8})
+	eng.Run()
+	if moved := d.Stats().SeekCyls - was; moved != 0 {
+		t.Fatalf("the access after a timeout crossed %d cylinders back to cylinder 100, want 0", moved)
+	}
 }
 
 // TestSequentialStreamShowsZeroSeeks: the effect Table 8-1 hinges on —
@@ -348,7 +366,7 @@ func TestFaultHookTimeoutKeepsArmStill(t *testing.T) {
 // at least one cylinder, so a total under 5 % of the requests bounds the
 // seeking ones too.
 func TestSequentialStreamShowsZeroSeeks(t *testing.T) {
-	eng, d := newTestDisk(t)
+	eng, d := newDisk(Config{CvscanBias: 0.2})
 	const n = 300
 	for i := 0; i < n; i++ {
 		d.Submit(&Request{Start: int64(i) * 8, Count: 8, Write: true})

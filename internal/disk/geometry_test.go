@@ -1,47 +1,34 @@
 package disk
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
+
+	"declust/internal/drive"
 )
 
 func TestIBM0661Capacity(t *testing.T) {
-	g := IBM0661()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	g := drive.IBM0661()
+	mechanism(t, g) // valid, and its seek curve calibrates
 	if got := g.TotalSectors(); got != 949*14*48 {
 		t.Fatalf("TotalSectors = %d, want %d", got, 949*14*48)
 	}
 	// ~311 MB drive.
-	if mb := g.TotalBytes() / (1 << 20); mb < 300 || mb > 320 {
+	if mb := g.TotalSectors() * int64(g.BytesPerSector) / (1 << 20); mb < 300 || mb > 320 {
 		t.Fatalf("capacity = %d MiB, want ~311", mb)
 	}
 }
 
-func TestLocateLbaRoundTrip(t *testing.T) {
-	g := IBM0661()
-	f := func(seed int64) bool {
-		lba := rand.New(rand.NewSource(seed)).Int63n(g.TotalSectors())
-		return g.Lba(g.Locate(lba)) == lba
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLocateFields(t *testing.T) {
-	g := IBM0661()
+	g := drive.IBM0661()
 	cases := []struct {
 		lba  int64
-		want Chs
+		want drive.Chs
 	}{
-		{0, Chs{0, 0, 0}},
-		{47, Chs{0, 0, 47}},
-		{48, Chs{0, 1, 0}},
-		{14 * 48, Chs{1, 0, 0}},
-		{g.TotalSectors() - 1, Chs{948, 13, 47}},
+		{0, drive.Chs{Cyl: 0, Track: 0, Sector: 0}},
+		{47, drive.Chs{Cyl: 0, Track: 0, Sector: 47}},
+		{48, drive.Chs{Cyl: 0, Track: 1, Sector: 0}},
+		{14 * 48, drive.Chs{Cyl: 1, Track: 0, Sector: 0}},
+		{g.TotalSectors() - 1, drive.Chs{Cyl: 948, Track: 13, Sector: 47}},
 	}
 	for _, c := range cases {
 		if got := g.Locate(c.lba); got != c.want {
@@ -51,7 +38,7 @@ func TestLocateFields(t *testing.T) {
 }
 
 func TestLocateOutOfRangePanics(t *testing.T) {
-	g := IBM0661()
+	g := drive.IBM0661()
 	for _, lba := range []int64{-1, g.TotalSectors()} {
 		func() {
 			defer func() {
@@ -65,7 +52,7 @@ func TestLocateOutOfRangePanics(t *testing.T) {
 }
 
 func TestPhysicalSectorSkew(t *testing.T) {
-	g := IBM0661()
+	g := drive.IBM0661()
 	// Track 0: identity mapping.
 	if got := g.PhysicalSector(0, 5); got != 5 {
 		t.Fatalf("track 0 sector 5 at slot %d, want 5", got)
@@ -81,7 +68,7 @@ func TestPhysicalSectorSkew(t *testing.T) {
 }
 
 func TestPhysicalSectorBijectivePerTrack(t *testing.T) {
-	g := IBM0661()
+	g := drive.IBM0661()
 	for _, track := range []int64{0, 1, 7, 13, 1000} {
 		seen := make(map[int]bool)
 		for s := 0; s < g.SectorsPerTrack; s++ {
@@ -95,37 +82,35 @@ func TestPhysicalSectorBijectivePerTrack(t *testing.T) {
 }
 
 func TestScaled(t *testing.T) {
-	g := IBM0661().Scaled(1, 10)
+	g := drive.IBM0661().Scaled(1, 10)
 	if g.Cylinders != 94 {
 		t.Fatalf("scaled cylinders = %d, want 94", g.Cylinders)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	mechanism(t, g)
 	// Scaling never goes below 2 cylinders.
-	tiny := IBM0661().Scaled(1, 100000)
+	tiny := drive.IBM0661().Scaled(1, 100000)
 	if tiny.Cylinders != 2 {
 		t.Fatalf("tiny cylinders = %d, want 2", tiny.Cylinders)
 	}
 }
 
 func TestValidateRejectsBadGeometry(t *testing.T) {
-	bad := []func(*Geometry){
-		func(g *Geometry) { g.Cylinders = 1 },
-		func(g *Geometry) { g.TracksPerCyl = 0 },
-		func(g *Geometry) { g.SectorsPerTrack = 0 },
-		func(g *Geometry) { g.BytesPerSector = 0 },
-		func(g *Geometry) { g.TrackSkew = -1 },
-		func(g *Geometry) { g.TrackSkew = 48 },
-		func(g *Geometry) { g.RevolutionMS = 0 },
-		func(g *Geometry) { g.AvgSeekMS = g.MinSeekMS - 1 },
-		func(g *Geometry) { g.MaxSeekMS = g.AvgSeekMS - 1 },
+	bad := []func(*drive.Geometry){
+		func(g *drive.Geometry) { g.Cylinders = 1 },
+		func(g *drive.Geometry) { g.TracksPerCyl = 0 },
+		func(g *drive.Geometry) { g.SectorsPerTrack = 0 },
+		func(g *drive.Geometry) { g.BytesPerSector = 0 },
+		func(g *drive.Geometry) { g.TrackSkew = -1 },
+		func(g *drive.Geometry) { g.TrackSkew = 48 },
+		func(g *drive.Geometry) { g.RevolutionMS = 0 },
+		func(g *drive.Geometry) { g.AvgSeekMS = g.MinSeekMS - 1 },
+		func(g *drive.Geometry) { g.MaxSeekMS = g.AvgSeekMS - 1 },
 	}
 	for i, mutate := range bad {
-		g := IBM0661()
+		g := drive.IBM0661()
 		mutate(&g)
-		if g.Validate() == nil {
-			t.Errorf("case %d: bad geometry validated", i)
+		if _, err := drive.New(g); err == nil {
+			t.Errorf("case %d: bad geometry accepted", i)
 		}
 	}
 }

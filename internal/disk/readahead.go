@@ -25,9 +25,9 @@ func (d *Disk) raCovers(start int64, count int) bool {
 // current track" is empty).
 func (d *Disk) raFill(start int64, count int) {
 	end := start + int64(count)
-	spt := int64(d.geom.SectorsPerTrack)
+	spt := int64(d.mech.SectorsPerTrack)
 	hi := ((end-1)/spt + int64(d.raTracks)) * spt
-	if total := d.geom.TotalSectors(); hi > total {
+	if total := d.mech.TotalSectors(); hi > total {
 		hi = total
 	}
 	d.raLo, d.raHi = end, hi

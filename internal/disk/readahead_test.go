@@ -1,20 +1,14 @@
 package disk
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
+	"declust/internal/drive"
 	"declust/internal/sim"
 )
 
-func newRADisk(tracks int) (*sim.Engine, *Disk) {
-	eng := sim.New()
-	return eng, NewWithConfig(eng, IBM0661(), Config{CvscanBias: 0.2, ReadAheadTracks: tracks})
-}
-
 func TestSequentialReadHitsBuffer(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	var first, second struct{ start, finish float64 }
 	d.Submit(&Request{Start: 0, Count: 8, OnDone: func(s, f float64, _ Status) { first.start, first.finish = s, f }})
 	eng.Run()
@@ -37,7 +31,7 @@ func TestSequentialReadHitsBuffer(t *testing.T) {
 }
 
 func TestReadAheadWindowEndsAtTrackBoundary(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
 	// Sectors 8..47 are on the same track: hits. Sector 48 starts the next
@@ -56,7 +50,7 @@ func TestReadAheadWindowEndsAtTrackBoundary(t *testing.T) {
 }
 
 func TestReadAheadMultipleTracks(t *testing.T) {
-	eng, d := newRADisk(2)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 2})
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
 	// A 2-track window after reading [0,8) covers [8, 96).
@@ -74,7 +68,7 @@ func TestReadAheadMultipleTracks(t *testing.T) {
 }
 
 func TestWriteInvalidatesBuffer(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
 	d.Submit(&Request{Start: 16, Count: 8, Write: true})
@@ -91,7 +85,7 @@ func TestWriteInvalidatesBuffer(t *testing.T) {
 }
 
 func TestNonOverlappingWriteKeepsBuffer(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
 	// A write far away does not touch the buffered track.
@@ -106,7 +100,7 @@ func TestNonOverlappingWriteKeepsBuffer(t *testing.T) {
 }
 
 func TestHitWindowConsumedMonotonically(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
 	// Consume [24,32): the window advances past it, so the skipped-over
@@ -122,7 +116,7 @@ func TestHitWindowConsumedMonotonically(t *testing.T) {
 }
 
 func TestHitCompletesWhileArmBusy(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
 	// Occupy the arm with a far request, then submit a buffered read: the
@@ -137,7 +131,7 @@ func TestHitCompletesWhileArmBusy(t *testing.T) {
 }
 
 func TestMediaErrorDoesNotFillBuffer(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	d.SetFaultHook(func(int64, int, bool) Status { return MediaError }, 10)
 	d.Submit(&Request{Start: 0, Count: 8})
 	eng.Run()
@@ -153,7 +147,7 @@ func TestMediaErrorDoesNotFillBuffer(t *testing.T) {
 // TestReadAheadCountsHits: a buffered read counts as a cache hit and
 // completes with no service time and no arm movement.
 func TestReadAheadCountsHits(t *testing.T) {
-	eng, d := newRADisk(1)
+	eng, d := newDisk(Config{CvscanBias: 0.2, ReadAheadTracks: 1})
 	var svc []float64
 	onDone := func(s, f float64, _ Status) { svc = append(svc, f-s) }
 	d.Submit(&Request{Start: 0, Count: 8, OnDone: onDone})
@@ -177,37 +171,11 @@ func TestReadAheadCountsHits(t *testing.T) {
 	}
 }
 
-// TestReadAheadOffIsByteIdenticalToLegacy pins the determinism contract:
-// ReadAheadTracks = 0 leaves every completion time exactly as the
-// pre-read-ahead drive produced it.
-func TestReadAheadOffIsByteIdenticalToLegacy(t *testing.T) {
-	trace := func(d *Disk, eng *sim.Engine) []float64 {
-		rng := rand.New(rand.NewSource(13))
-		var times []float64
-		for i := 0; i < 300; i++ {
-			d.Submit(&Request{
-				Start: rng.Int63n(d.Geometry().TotalSectors()/8) * 8, Count: 8,
-				Write:  i%2 == 0,
-				OnDone: func(_, f float64, _ Status) { times = append(times, f) },
-			})
-		}
-		eng.Run()
-		return times
-	}
-	e1 := sim.New()
-	legacy := trace(New(e1, IBM0661(), 0.2), e1)
-	e2 := sim.New()
-	off := trace(NewWithConfig(e2, IBM0661(), Config{CvscanBias: 0.2, ReadAheadTracks: 0}), e2)
-	if !reflect.DeepEqual(legacy, off) {
-		t.Fatal("ReadAheadTracks=0 diverged from the legacy constructor")
-	}
-}
-
 func TestNegativeReadAheadPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on negative read-ahead")
 		}
 	}()
-	NewWithConfig(sim.New(), IBM0661(), Config{ReadAheadTracks: -1})
+	NewWithConfig(sim.New(), drive.IBM0661(), Config{ReadAheadTracks: -1})
 }

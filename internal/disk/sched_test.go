@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"declust/internal/sim"
 )
 
 // submitAt queues a request targeting the given cylinder and appends its
@@ -18,8 +16,7 @@ func submitAt(d *Disk, cyl int64, prio int, tag int64, order *[]int64) {
 }
 
 func TestFIFOServesInArrivalOrder(t *testing.T) {
-	eng := sim.New()
-	d := NewWithConfig(eng, IBM0661(), Config{Policy: FIFO})
+	eng, d := newDisk(Config{Policy: FIFO})
 	var order []int64
 	d.Submit(&Request{Start: 0, Count: 8}) // occupy the arm
 	for _, cyl := range []int64{700, 10, 400, 5} {
@@ -33,8 +30,7 @@ func TestFIFOServesInArrivalOrder(t *testing.T) {
 }
 
 func TestSSTFServesNearestFirst(t *testing.T) {
-	eng := sim.New()
-	d := NewWithConfig(eng, IBM0661(), Config{Policy: SSTF})
+	eng, d := newDisk(Config{Policy: SSTF})
 	var order []int64
 	d.Submit(&Request{Start: 400 * d.Geometry().SectorsPerCylinder(), Count: 8})
 	for _, cyl := range []int64{700, 390, 430} {
@@ -48,8 +44,7 @@ func TestSSTFServesNearestFirst(t *testing.T) {
 }
 
 func TestCSCANSweepsUpAndWraps(t *testing.T) {
-	eng := sim.New()
-	d := NewWithConfig(eng, IBM0661(), Config{Policy: CSCAN})
+	eng, d := newDisk(Config{Policy: CSCAN})
 	var order []int64
 	// Park the head at cylinder 400, then offer work on both sides: the
 	// circular elevator serves everything at or above 400 in ascending
@@ -66,8 +61,7 @@ func TestCSCANSweepsUpAndWraps(t *testing.T) {
 }
 
 func TestCSCANPrefersAheadOverBehind(t *testing.T) {
-	eng := sim.New()
-	d := NewWithConfig(eng, IBM0661(), Config{Policy: CSCAN})
+	eng, d := newDisk(Config{Policy: CSCAN})
 	var order []int64
 	d.Submit(&Request{Start: 400 * d.Geometry().SectorsPerCylinder(), Count: 8})
 	// 399 is one cylinder behind; CSCAN must still go up to 900 first.
@@ -85,8 +79,7 @@ func TestCSCANPrefersAheadOverBehind(t *testing.T) {
 // beyond the bound: once aged, it competes in the user class even while
 // user work keeps arriving.
 func TestAgePromotionBoundsStarvation(t *testing.T) {
-	eng := sim.New()
-	d := NewWithConfig(eng, IBM0661(), Config{Policy: FIFO, AgePromoteMS: 100})
+	eng, d := newDisk(Config{Policy: FIFO, AgePromoteMS: 100})
 	var reconDone float64
 	spc := d.Geometry().SectorsPerCylinder()
 	d.Submit(&Request{Start: 0, Count: 8})
@@ -122,8 +115,7 @@ func TestAgePromotionBoundsStarvation(t *testing.T) {
 // bound off: the demoted request waits for every user request, even ones
 // that arrived long after it.
 func TestNoAgeBoundPreservesStrictDomination(t *testing.T) {
-	eng := sim.New()
-	d := NewWithConfig(eng, IBM0661(), Config{Policy: FIFO})
+	eng, d := newDisk(Config{Policy: FIFO})
 	var order []int64
 	d.Submit(&Request{Start: 0, Count: 8})
 	submitAt(d, 100, -1, -1, &order)
@@ -136,41 +128,12 @@ func TestNoAgeBoundPreservesStrictDomination(t *testing.T) {
 	}
 }
 
-// TestConfiguredCvscanMatchesLegacyConstructor requires the refactored
-// scheduler to reproduce the original CVSCAN implementation event for
-// event: same service order, same completion times.
-func TestConfiguredCvscanMatchesLegacyConstructor(t *testing.T) {
-	trace := func(d *Disk, eng *sim.Engine) []float64 {
-		rng := rand.New(rand.NewSource(11))
-		var times []float64
-		for i := 0; i < 300; i++ {
-			d.Submit(&Request{
-				Start: rng.Int63n(d.Geometry().TotalSectors()/8) * 8,
-				Count: 8,
-				OnDone: func(_, f float64, _ Status) {
-					times = append(times, f)
-				},
-			})
-		}
-		eng.Run()
-		return times
-	}
-	e1 := sim.New()
-	legacy := trace(New(e1, IBM0661(), 0.2), e1)
-	e2 := sim.New()
-	configured := trace(NewWithConfig(e2, IBM0661(), Config{Policy: CVSCAN, CvscanBias: 0.2}), e2)
-	if !reflect.DeepEqual(legacy, configured) {
-		t.Fatal("Config{CVSCAN, 0.2} diverged from New(…, 0.2)")
-	}
-}
-
 // TestPoliciesDeterministic replays the same submission schedule twice per
 // policy and requires identical completion sequences.
 func TestPoliciesDeterministic(t *testing.T) {
 	for _, p := range []Policy{FIFO, SSTF, CSCAN, CVSCAN} {
 		run := func() []float64 {
-			eng := sim.New()
-			d := NewWithConfig(eng, IBM0661(), Config{Policy: p, CvscanBias: 0.2, AgePromoteMS: 50})
+			eng, d := newDisk(Config{Policy: p, CvscanBias: 0.2, AgePromoteMS: 50})
 			rng := rand.New(rand.NewSource(5))
 			var times []float64
 			for i := 0; i < 200; i++ {
@@ -212,8 +175,7 @@ func TestParsePolicyRoundTrip(t *testing.T) {
 // random queue, seek-optimizing schedulers complete the same work sooner.
 func TestSSTFThroughputBeatsFIFO(t *testing.T) {
 	elapsed := func(p Policy) float64 {
-		eng := sim.New()
-		d := NewWithConfig(eng, IBM0661(), Config{Policy: p})
+		eng, d := newDisk(Config{Policy: p})
 		rng := rand.New(rand.NewSource(21))
 		for i := 0; i < 200; i++ {
 			d.Submit(&Request{Start: rng.Int63n(d.Geometry().TotalSectors()/8) * 8, Count: 8})

@@ -3,45 +3,51 @@ package disk
 import (
 	"math"
 	"testing"
+
+	"declust/internal/drive"
 )
 
+// seekMS is the seek an access from cylinder `from` to the first sector of
+// cylinder `to` pays.
+func seekMS(m *drive.Mechanism, from, to int) float64 {
+	return m.Access(from, 0, int64(to)*m.SectorsPerCylinder(), 1).SeekMS
+}
+
 func TestSeekCurveCalibrationPoints(t *testing.T) {
-	g := IBM0661()
-	s := NewSeekCurve(g)
-	if got := s.Time(0); got != 0 {
-		t.Fatalf("Time(0) = %v, want 0", got)
+	m := mechanism(t, drive.IBM0661())
+	if got := seekMS(m, 0, 0); got != 0 {
+		t.Fatalf("seek(0) = %v, want 0", got)
 	}
-	if got := s.Time(1); math.Abs(got-g.MinSeekMS) > 1e-9 {
-		t.Fatalf("Time(1) = %v, want %v", got, g.MinSeekMS)
+	if got := seekMS(m, 0, 1); math.Abs(got-m.MinSeekMS) > 1e-9 {
+		t.Fatalf("seek(1) = %v, want %v", got, m.MinSeekMS)
 	}
-	if got := s.Time(g.Cylinders - 1); math.Abs(got-g.MaxSeekMS) > 1e-9 {
-		t.Fatalf("Time(max) = %v, want %v", got, g.MaxSeekMS)
+	if got := seekMS(m, 0, m.Cylinders-1); math.Abs(got-m.MaxSeekMS) > 1e-9 {
+		t.Fatalf("seek(max) = %v, want %v", got, m.MaxSeekMS)
 	}
 }
 
 func TestSeekCurveAverage(t *testing.T) {
-	g := IBM0661()
-	s := NewSeekCurve(g)
+	m := mechanism(t, drive.IBM0661())
 	// Exact expectation over the conditioned distance distribution must
 	// match the datasheet average.
-	c := float64(g.Cylinders)
+	c := float64(m.Cylinders)
 	var pSum, e float64
-	for d := 1; d < g.Cylinders; d++ {
+	for d := 1; d < m.Cylinders; d++ {
 		p := 2 * (c - float64(d)) / (c * c)
 		pSum += p
-		e += p * s.Time(d)
+		e += p * seekMS(m, 0, d)
 	}
 	e /= pSum
-	if math.Abs(e-g.AvgSeekMS) > 1e-6 {
-		t.Fatalf("average seek = %v, want %v", e, g.AvgSeekMS)
+	if math.Abs(e-m.AvgSeekMS) > 1e-6 {
+		t.Fatalf("average seek = %v, want %v", e, m.AvgSeekMS)
 	}
 }
 
 func TestSeekCurveMonotone(t *testing.T) {
-	s := NewSeekCurve(IBM0661())
+	m := mechanism(t, drive.IBM0661())
 	prev := 0.0
 	for d := 1; d <= 948; d++ {
-		v := s.Time(d)
+		v := seekMS(m, 0, d)
 		if v < prev {
 			t.Fatalf("seek curve decreases at %d: %v < %v", d, v, prev)
 		}
@@ -50,33 +56,31 @@ func TestSeekCurveMonotone(t *testing.T) {
 }
 
 func TestSeekCurveSymmetricAndClamped(t *testing.T) {
-	s := NewSeekCurve(IBM0661())
-	if s.Time(-100) != s.Time(100) {
-		t.Fatal("seek not symmetric in direction")
+	m := mechanism(t, drive.IBM0661())
+	if seekMS(m, 300, 200) != seekMS(m, 100, 200) || seekMS(m, 300, 200) != seekMS(m, 0, 100) {
+		t.Fatal("seek depends on more than the distance")
 	}
-	if s.Time(5000) != s.Time(948) {
-		t.Fatal("seek not clamped at full stroke")
+	if last := m.Cylinders - 1; seekMS(m, last, 0) != seekMS(m, 0, last) {
+		t.Fatal("full-stroke seek differs by direction")
 	}
 }
 
 func TestSeekCurveScaledGeometries(t *testing.T) {
 	for _, den := range []int{1, 2, 5, 10, 20} {
-		g := IBM0661().Scaled(1, den)
-		s := NewSeekCurve(g) // panics if non-monotone
-		if math.Abs(s.Time(1)-g.MinSeekMS) > 1e-9 {
-			t.Fatalf("den=%d: Time(1) = %v", den, s.Time(1))
+		m := mechanism(t, drive.IBM0661().Scaled(1, den)) // fails if non-monotone
+		if got := seekMS(m, 0, 1); math.Abs(got-m.MinSeekMS) > 1e-9 {
+			t.Fatalf("den=%d: seek(1) = %v", den, got)
 		}
-		if math.Abs(s.Time(g.Cylinders-1)-g.MaxSeekMS) > 1e-9 {
-			t.Fatalf("den=%d: Time(max) = %v", den, s.Time(g.Cylinders-1))
+		if got := seekMS(m, 0, m.Cylinders-1); math.Abs(got-m.MaxSeekMS) > 1e-9 {
+			t.Fatalf("den=%d: seek(max) = %v", den, got)
 		}
 	}
 }
 
 func TestSeekCurveTwoCylinderDegenerate(t *testing.T) {
-	g := IBM0661()
+	g := drive.IBM0661()
 	g.Cylinders = 2
-	s := NewSeekCurve(g)
-	if got := s.Time(1); got != g.MinSeekMS {
-		t.Fatalf("degenerate Time(1) = %v, want min", got)
+	if got := seekMS(mechanism(t, g), 0, 1); got != g.MinSeekMS {
+		t.Fatalf("degenerate seek(1) = %v, want min", got)
 	}
 }

@@ -1,9 +1,13 @@
-// Package disk models magnetic disk drives with sector-accurate service
-// times: a three-point calibrated seek curve, continuous rotation with
-// track-skewed sector layout, multi-track transfers, and CVSCAN (V(R))
-// head scheduling. The default model is the IBM 0661 Model 370 "Lightning"
-// drive used by Holland and Gibson (Table 5-1 of the paper).
-package disk
+// Package drive is a magnetic disk drive's mechanism with sector-accurate
+// service times: a three-point calibrated seek curve, continuous rotation
+// with track-skewed sector layout and multi-track transfers. Pricing one
+// access is a pure function of the geometry, the head's cylinder, the
+// start time and the sectors moved; queueing, scheduling and read-ahead
+// belong to the caller. The default model is the IBM 0661 Model 370
+// "Lightning" drive used by Holland and Gibson (Table 5-1 of the paper).
+// The package imports only the standard library, so both the simulator
+// and the real engine's tools can link it.
+package drive
 
 import "fmt"
 
@@ -45,7 +49,7 @@ func IBM0661() Geometry {
 // the same min/avg/max against the reduced stroke.
 func (g Geometry) Scaled(num, den int) Geometry {
 	if num <= 0 || den <= 0 {
-		panic(fmt.Sprintf("disk: invalid scale %d/%d", num, den))
+		panic(fmt.Sprintf("drive: invalid scale %d/%d", num, den))
 	}
 	s := g
 	s.Cylinders = g.Cylinders * num / den
@@ -68,19 +72,19 @@ func (g Geometry) AvgRandomAccessMS(sectors int) float64 {
 func (g Geometry) Validate() error {
 	switch {
 	case g.Cylinders < 2:
-		return fmt.Errorf("disk: need at least 2 cylinders, have %d", g.Cylinders)
+		return fmt.Errorf("drive: need at least 2 cylinders, have %d", g.Cylinders)
 	case g.TracksPerCyl < 1:
-		return fmt.Errorf("disk: need at least 1 track per cylinder, have %d", g.TracksPerCyl)
+		return fmt.Errorf("drive: need at least 1 track per cylinder, have %d", g.TracksPerCyl)
 	case g.SectorsPerTrack < 1:
-		return fmt.Errorf("disk: need at least 1 sector per track, have %d", g.SectorsPerTrack)
+		return fmt.Errorf("drive: need at least 1 sector per track, have %d", g.SectorsPerTrack)
 	case g.BytesPerSector < 1:
-		return fmt.Errorf("disk: need positive sector size, have %d", g.BytesPerSector)
+		return fmt.Errorf("drive: need positive sector size, have %d", g.BytesPerSector)
 	case g.TrackSkew < 0 || g.TrackSkew >= g.SectorsPerTrack:
-		return fmt.Errorf("disk: track skew %d out of range [0,%d)", g.TrackSkew, g.SectorsPerTrack)
+		return fmt.Errorf("drive: track skew %d out of range [0,%d)", g.TrackSkew, g.SectorsPerTrack)
 	case g.RevolutionMS <= 0:
-		return fmt.Errorf("disk: revolution time must be positive, have %v", g.RevolutionMS)
+		return fmt.Errorf("drive: revolution time must be positive, have %v", g.RevolutionMS)
 	case g.MinSeekMS < 0 || g.AvgSeekMS < g.MinSeekMS || g.MaxSeekMS < g.AvgSeekMS:
-		return fmt.Errorf("disk: seek times must satisfy 0 <= min <= avg <= max, have %v/%v/%v",
+		return fmt.Errorf("drive: seek times must satisfy 0 <= min <= avg <= max, have %v/%v/%v",
 			g.MinSeekMS, g.AvgSeekMS, g.MaxSeekMS)
 	}
 	return nil
@@ -97,11 +101,6 @@ func (g Geometry) TotalSectors() int64 {
 	return int64(g.Cylinders) * g.SectorsPerCylinder()
 }
 
-// TotalBytes returns the drive capacity in bytes.
-func (g Geometry) TotalBytes() int64 {
-	return g.TotalSectors() * int64(g.BytesPerSector)
-}
-
 // Chs is a cylinder/head/sector address.
 type Chs struct {
 	Cyl    int
@@ -112,7 +111,7 @@ type Chs struct {
 // Locate converts a logical block address to a cylinder/head/sector address.
 func (g Geometry) Locate(lba int64) Chs {
 	if lba < 0 || lba >= g.TotalSectors() {
-		panic(fmt.Sprintf("disk: lba %d out of range [0,%d)", lba, g.TotalSectors()))
+		panic(fmt.Sprintf("drive: lba %d out of range [0,%d)", lba, g.TotalSectors()))
 	}
 	spc := g.SectorsPerCylinder()
 	cyl := lba / spc
@@ -122,12 +121,6 @@ func (g Geometry) Locate(lba int64) Chs {
 		Track:  int(rem / int64(g.SectorsPerTrack)),
 		Sector: int(rem % int64(g.SectorsPerTrack)),
 	}
-}
-
-// Lba converts a cylinder/head/sector address to a logical block address.
-func (g Geometry) Lba(c Chs) int64 {
-	return int64(c.Cyl)*g.SectorsPerCylinder() +
-		int64(c.Track)*int64(g.SectorsPerTrack) + int64(c.Sector)
 }
 
 // PhysicalSector returns the angular slot (0..SectorsPerTrack-1) occupied by

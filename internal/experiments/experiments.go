@@ -12,7 +12,7 @@ import (
 	"declust/internal/array"
 	"declust/internal/blockdesign"
 	"declust/internal/core"
-	"declust/internal/disk"
+	"declust/internal/drive"
 )
 
 // Options configures a reproduction run. Zero values select the paper's
@@ -363,7 +363,7 @@ type ModelPoint struct {
 // rate (~46/s).
 func Fig86(o Options) ([]ModelPoint, Table, error) {
 	o = o.withDefaults()
-	geom := disk.IBM0661()
+	geom := drive.IBM0661()
 	if o.ScaleNum > 0 && o.ScaleDen > 0 {
 		geom = geom.Scaled(o.ScaleNum, o.ScaleDen)
 	}

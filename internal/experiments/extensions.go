@@ -5,7 +5,7 @@ import (
 
 	"declust/internal/analytic"
 	"declust/internal/core"
-	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/reliability"
 )
 
@@ -396,7 +396,7 @@ func ExtPQ(o Options, gs []int) ([]PQRow, Table, error) {
 	t := Table{ID: "ext-pq",
 		Title:  "Single parity vs P+Q dual parity (C=21, 8-way recon, rate 210, 50% reads)",
 		Header: []string{"code", "G", "overhead", "fault-free (ms)", "recovering (ms)", "recon (min)", "2nd-failure loss"}}
-	geom := disk.IBM0661()
+	geom := drive.IBM0661()
 	if o.ScaleNum > 0 && o.ScaleDen > 0 {
 		geom = geom.Scaled(o.ScaleNum, o.ScaleDen)
 	}

@@ -5,7 +5,7 @@ import (
 
 	"declust/internal/array"
 	"declust/internal/core"
-	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/sim"
 )
 
@@ -36,7 +36,7 @@ func DoubleFailureLoss(o Options) ([]DoubleFailurePoint, Table, error) {
 	t := Table{ID: "double-failure",
 		Title:  "Second whole-disk failure during rebuild: fraction of at-risk stripes lost (C=21)",
 		Header: []string{"G", "α", "stripes at risk", "stripes lost", "units lost", "lost fraction"}}
-	geom := disk.IBM0661()
+	geom := drive.IBM0661()
 	if o.ScaleNum > 0 && o.ScaleDen > 0 {
 		geom = geom.Scaled(o.ScaleNum, o.ScaleDen)
 	}
@@ -78,7 +78,7 @@ func DoubleFailureLoss(o Options) ([]DoubleFailurePoint, Table, error) {
 // any of disk 0's units are recovered. No workload runs and no simulated
 // time passes. It returns the damage and the fraction of the stripes at
 // risk that were lost (0 when none was at risk).
-func WorstSecondFailure(m *core.Mapping, geom disk.Geometry) (array.DoubleFailure, float64, error) {
+func WorstSecondFailure(m *core.Mapping, geom drive.Geometry) (array.DoubleFailure, float64, error) {
 	arr, err := array.New(sim.New(), array.Config{
 		Layout:      m.Layout,
 		Geom:        geom,

@@ -24,6 +24,7 @@ import (
 	"math/rand"
 
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/sim"
 )
 
@@ -55,7 +56,7 @@ type Stats struct {
 type Injector struct {
 	eng  *sim.Engine
 	cfg  Config
-	geom disk.Geometry
+	geom drive.Geometry
 
 	rngs     []*rand.Rand
 	bad      []map[int64]bool // per-slot latent sector set
@@ -68,7 +69,7 @@ type Injector struct {
 
 // New builds an injector for an array of `disks` slots of the given
 // geometry. It schedules nothing until Start.
-func New(eng *sim.Engine, geom disk.Geometry, disks int, cfg Config) (*Injector, error) {
+func New(eng *sim.Engine, geom drive.Geometry, disks int, cfg Config) (*Injector, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
 	}

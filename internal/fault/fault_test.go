@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/sim"
 )
 
-func testGeom() disk.Geometry { return disk.IBM0661() }
+func testGeom() drive.Geometry { return drive.IBM0661() }
 
 func newTestInjector(t *testing.T, cfg Config) (*sim.Engine, *Injector) {
 	t.Helper()

@@ -36,8 +36,7 @@
 // wrapper that embeds a Disk keeps both: New and Rebuild size every disk
 // before using it, and Store.Sync reaches every member. NewFaultDisk
 // wraps any backend with seed-driven fault injection (transients, latent
-// sector errors, torn writes, corruption, and a lost write on demand) for
-// chaos testing.
+// sector errors, torn writes, corruption) for chaos testing.
 //
 // Failure and durability contract. Every unit carries an 8-byte checksum
 // trailer (PhysUnitSize bytes on the backend); every read verifies it, so

@@ -330,6 +330,27 @@ func TestSyncAggregatesBackendErrors(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, "disk 2") || !strings.Contains(msg, "disk 5") {
 		t.Fatalf("Sync error %q does not name both disks", msg)
 	}
+	// A replacement that a running rebuild writes is synced too, its error
+	// joined with the members'.
+	eR := errors.New("replacement sync lost")
+	replFails := failWith(opSync, map[int]error{3: eR})
+	var first sync.Once
+	var during error
+	syncOnFirstWrite := func(c call, pass func() error) error {
+		if c.op == opWrite {
+			first.Do(func() { during = s.Sync() })
+		}
+		return replFails(c, pass)
+	}
+	if err := s.Fail(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rebuild(&scriptedDisk{under: NewMemDisk(48, 512), slot: 3, hook: syncOnFirstWrite}); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(during, eR) || !errors.Is(during, e2) || !strings.Contains(fmt.Sprint(during), "sync replacement") {
+		t.Fatalf("Sync during a rebuild = %v, want the replacement's error joined with the members'", during)
+	}
 }
 
 // TestCloseAggregatesBackendErrors pins the same contract for Close, the

@@ -279,26 +279,25 @@ func mustFail(t *testing.T, s *Store, d int) {
 }
 
 // TestFaultDiskOverBareBackend: a FaultDisk reports the geometry of the
-// backend under it, and one with none to report is as acceptable wrapped as
-// it is bare — to New and as a replacement.
+// backend under it, so it serves as every member of a store and as the
+// replacement a rebuild writes.
 func TestFaultDiskOverBareBackend(t *testing.T) {
 	lay := testLayout(t, 5, 3)
-	bare := func() Disk { return struct{ Disk }{NewMemDisk(24, 512)} } // ReadUnit, WriteUnit, Close
 	disks := make([]Disk, lay.Disks())
 	for i := range disks {
-		disks[i] = NewFaultDisk(bare(), FaultConfig{Seed: int64(i)})
+		disks[i] = NewFaultDisk(NewMemDisk(24, 512), FaultConfig{Seed: int64(i)})
 	}
 	s, err := New(Config{Layout: lay, UnitsPerDisk: 24, UnitSize: 512, Disks: disks})
 	if err != nil {
-		t.Fatalf("New over FaultDisks on geometry-less backends: %v", err)
+		t.Fatalf("New over FaultDisks: %v", err)
 	}
 	defer s.Close()
 	fillAll(t, s, 2)
 	if err := s.Fail(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Rebuild(NewFaultDisk(bare(), FaultConfig{})); err != nil {
-		t.Fatalf("Rebuild onto a FaultDisk on a geometry-less backend: %v", err)
+	if err := s.Rebuild(NewFaultDisk(NewMemDisk(24, 512), FaultConfig{})); err != nil {
+		t.Fatalf("Rebuild onto a FaultDisk: %v", err)
 	}
 	got, want := make([]byte, s.UnitSize()), make([]byte, s.UnitSize())
 	for n := int64(0); n < s.DataUnits(); n++ {
@@ -309,7 +308,7 @@ func TestFaultDiskOverBareBackend(t *testing.T) {
 			t.Fatalf("unit %d differs after the rebuild", n)
 		}
 	}
-	// A backend that does report a geometry is still held to it.
+	// The geometry it reports is the backend's, and is held to.
 	if err := checkGeometry(NewFaultDisk(NewMemDisk(24, 256), FaultConfig{}), 24, 512); err == nil {
 		t.Error("a FaultDisk over 256-byte units accepted by a 512-byte store")
 	}
