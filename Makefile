@@ -40,11 +40,14 @@ bench:
 # is made of — the trailer's crc32c (stamp, verify), one XOR pass, the
 # stripe lock with the intent mark's fast path, the whole ReadUnit and
 # WriteUnit under P and P+Q at C = 21, G = 5 (the in-package twin of the
-# benchmark module's store.*.healthy_ns) — and the GF(2^8) kernels under
-# them. Compare parent and change on one host, as for every time here.
+# benchmark module's store.*.healthy_ns) — and the byte kernels under them:
+# the GF(2^8) slice kernels, and the crc32c of one 4 KiB unit by the
+# package's kernel (/dispatch) beside hash/crc32's loop (/stdlib). Compare
+# parent and change on one host, as for every time here.
 bench-layers:
 	$(GO) test -run='^$$' -bench='^Benchmark(Trailer|XORBytes|StripeLockIntent|UnitOp)$$' -benchmem -count 5 ./internal/store
 	$(GO) test -run='^$$' -bench=. -benchmem -count 5 ./internal/gf256
+	$(GO) test -run='^$$' -bench='^BenchmarkChecksum$$' -benchmem -count 5 ./internal/crc32c
 
 # The chaos rows of the lifecycle suite and the SIGKILL crash test under the
 # race detector, verbosely: 12 workers against fault-injecting backends
@@ -75,9 +78,10 @@ bench-harness:
 	fi
 
 # Every Fuzz target in the module, FUZZTIME each, found by asking the
-# packages for their lists — a new target needs no edit here. Today seven:
+# packages for their lists — a new target needs no edit here. Today eight:
 # the GF(2^8) slice kernels against the scalar field ops and each
-# dispatching kernel against its portable loop, the layout's helpers that
+# dispatching kernel against its portable loop, the crc32c kernel
+# (FuzzUpdate) against hash/crc32's Castagnoli table, the layout's helpers that
 # place data around parity (FuzzParityPositions) against a brute-force scan
 # of one stripe, the store's two-erasure decode (FuzzDecode) against a
 # byte-at-a-time solution, the crc32c a parity's trailer is derived from
@@ -132,19 +136,22 @@ vet:
 	$(GO) vet ./...
 
 # internal/gf256 has two bodies per slice kernel: AVX2 assembly where the
-# CPU has it, the pure-Go table loops everywhere else. A host with AVX2
-# never runs the second unasked, so run it — the purego tag leaves the
+# CPU has it, the pure-Go table loops everywhere else; internal/crc32c has
+# an AVX-512 carry-less-multiply body where the CPU has AVX-512F and
+# VPCLMULQDQ, and hash/crc32 everywhere else. A host with the features
+# never runs the second body unasked, so run it — the purego tag leaves the
 # assembly out, and the store's suite on top shows the engine's bytes do
 # not depend on which body made them (a P+Q small write then runs one
 # portable fused pass, XorMulAddSlice, per written unit, over its old
-# contents XOR its new); the same tag gives every XOR pass in the
+# contents XOR its new, and every trailer is stamped and verified by
+# hash/crc32); the same tag gives every XOR pass in the
 # store the standard library's generic crypto/subtle.XORBytes loop in
-# place of its vector body — and vet the package for a platform that has
+# place of its vector body — and vet the packages for a platform that has
 # no assembly at all: that is exactly what fails when a fast-path function
 # lacks its portable twin. Both work offline.
 portable:
-	$(GO) test -tags purego ./internal/gf256 ./internal/store
-	GOARCH=arm64 $(GO) vet ./internal/gf256 ./internal/store
+	$(GO) test -tags purego ./internal/gf256 ./internal/crc32c ./internal/store
+	GOARCH=arm64 $(GO) vet ./internal/gf256 ./internal/crc32c ./internal/store
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -178,10 +185,10 @@ cover:
 
 # The full pre-merge gate: formatting, static checks, build, the whole test
 # suite under the race detector (once — the storage chaos and crash tests
-# included), the portable GF(2^8) kernels under the store's suite, the
-# fault-injection lifecycle smoke, the benchmark harness's own tests, ten
-# seconds of each fuzz target (seven of them: 70 s), and a benchmark smoke
-# pass.
+# included), the portable GF(2^8) and crc32c kernels under the store's
+# suite, the fault-injection lifecycle smoke, the benchmark harness's own
+# tests, ten seconds of each fuzz target (eight of them: 80 s), and a
+# benchmark smoke pass.
 verify: fmt-check vet build race portable fault-smoke bench-harness fuzz bench-smoke
 	@echo "verify: OK"
 

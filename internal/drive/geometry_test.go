@@ -1,13 +1,9 @@
-package disk
+package drive
 
-import (
-	"testing"
-
-	"declust/internal/drive"
-)
+import "testing"
 
 func TestIBM0661Capacity(t *testing.T) {
-	g := drive.IBM0661()
+	g := IBM0661()
 	mechanism(t, g) // valid, and its seek curve calibrates
 	if got := g.TotalSectors(); got != 949*14*48 {
 		t.Fatalf("TotalSectors = %d, want %d", got, 949*14*48)
@@ -19,16 +15,16 @@ func TestIBM0661Capacity(t *testing.T) {
 }
 
 func TestLocateFields(t *testing.T) {
-	g := drive.IBM0661()
+	g := IBM0661()
 	cases := []struct {
 		lba  int64
-		want drive.Chs
+		want Chs
 	}{
-		{0, drive.Chs{Cyl: 0, Track: 0, Sector: 0}},
-		{47, drive.Chs{Cyl: 0, Track: 0, Sector: 47}},
-		{48, drive.Chs{Cyl: 0, Track: 1, Sector: 0}},
-		{14 * 48, drive.Chs{Cyl: 1, Track: 0, Sector: 0}},
-		{g.TotalSectors() - 1, drive.Chs{Cyl: 948, Track: 13, Sector: 47}},
+		{0, Chs{Cyl: 0, Track: 0, Sector: 0}},
+		{47, Chs{Cyl: 0, Track: 0, Sector: 47}},
+		{48, Chs{Cyl: 0, Track: 1, Sector: 0}},
+		{14 * 48, Chs{Cyl: 1, Track: 0, Sector: 0}},
+		{g.TotalSectors() - 1, Chs{Cyl: 948, Track: 13, Sector: 47}},
 	}
 	for _, c := range cases {
 		if got := g.Locate(c.lba); got != c.want {
@@ -38,7 +34,7 @@ func TestLocateFields(t *testing.T) {
 }
 
 func TestLocateOutOfRangePanics(t *testing.T) {
-	g := drive.IBM0661()
+	g := IBM0661()
 	for _, lba := range []int64{-1, g.TotalSectors()} {
 		func() {
 			defer func() {
@@ -52,7 +48,7 @@ func TestLocateOutOfRangePanics(t *testing.T) {
 }
 
 func TestPhysicalSectorSkew(t *testing.T) {
-	g := drive.IBM0661()
+	g := IBM0661()
 	// Track 0: identity mapping.
 	if got := g.PhysicalSector(0, 5); got != 5 {
 		t.Fatalf("track 0 sector 5 at slot %d, want 5", got)
@@ -68,7 +64,7 @@ func TestPhysicalSectorSkew(t *testing.T) {
 }
 
 func TestPhysicalSectorBijectivePerTrack(t *testing.T) {
-	g := drive.IBM0661()
+	g := IBM0661()
 	for _, track := range []int64{0, 1, 7, 13, 1000} {
 		seen := make(map[int]bool)
 		for s := 0; s < g.SectorsPerTrack; s++ {
@@ -82,34 +78,34 @@ func TestPhysicalSectorBijectivePerTrack(t *testing.T) {
 }
 
 func TestScaled(t *testing.T) {
-	g := drive.IBM0661().Scaled(1, 10)
+	g := IBM0661().Scaled(1, 10)
 	if g.Cylinders != 94 {
 		t.Fatalf("scaled cylinders = %d, want 94", g.Cylinders)
 	}
 	mechanism(t, g)
 	// Scaling never goes below 2 cylinders.
-	tiny := drive.IBM0661().Scaled(1, 100000)
+	tiny := IBM0661().Scaled(1, 100000)
 	if tiny.Cylinders != 2 {
 		t.Fatalf("tiny cylinders = %d, want 2", tiny.Cylinders)
 	}
 }
 
 func TestValidateRejectsBadGeometry(t *testing.T) {
-	bad := []func(*drive.Geometry){
-		func(g *drive.Geometry) { g.Cylinders = 1 },
-		func(g *drive.Geometry) { g.TracksPerCyl = 0 },
-		func(g *drive.Geometry) { g.SectorsPerTrack = 0 },
-		func(g *drive.Geometry) { g.BytesPerSector = 0 },
-		func(g *drive.Geometry) { g.TrackSkew = -1 },
-		func(g *drive.Geometry) { g.TrackSkew = 48 },
-		func(g *drive.Geometry) { g.RevolutionMS = 0 },
-		func(g *drive.Geometry) { g.AvgSeekMS = g.MinSeekMS - 1 },
-		func(g *drive.Geometry) { g.MaxSeekMS = g.AvgSeekMS - 1 },
+	bad := []func(*Geometry){
+		func(g *Geometry) { g.Cylinders = 1 },
+		func(g *Geometry) { g.TracksPerCyl = 0 },
+		func(g *Geometry) { g.SectorsPerTrack = 0 },
+		func(g *Geometry) { g.BytesPerSector = 0 },
+		func(g *Geometry) { g.TrackSkew = -1 },
+		func(g *Geometry) { g.TrackSkew = 48 },
+		func(g *Geometry) { g.RevolutionMS = 0 },
+		func(g *Geometry) { g.AvgSeekMS = g.MinSeekMS - 1 },
+		func(g *Geometry) { g.MaxSeekMS = g.AvgSeekMS - 1 },
 	}
 	for i, mutate := range bad {
-		g := drive.IBM0661()
+		g := IBM0661()
 		mutate(&g)
-		if _, err := drive.New(g); err == nil {
+		if _, err := New(g); err == nil {
 			t.Errorf("case %d: bad geometry accepted", i)
 		}
 	}

@@ -1,20 +1,18 @@
-package disk
+package drive
 
 import (
 	"math"
 	"testing"
-
-	"declust/internal/drive"
 )
 
 // seekMS is the seek an access from cylinder `from` to the first sector of
 // cylinder `to` pays.
-func seekMS(m *drive.Mechanism, from, to int) float64 {
+func seekMS(m *Mechanism, from, to int) float64 {
 	return m.Access(from, 0, int64(to)*m.SectorsPerCylinder(), 1).SeekMS
 }
 
 func TestSeekCurveCalibrationPoints(t *testing.T) {
-	m := mechanism(t, drive.IBM0661())
+	m := mechanism(t, IBM0661())
 	if got := seekMS(m, 0, 0); got != 0 {
 		t.Fatalf("seek(0) = %v, want 0", got)
 	}
@@ -27,7 +25,7 @@ func TestSeekCurveCalibrationPoints(t *testing.T) {
 }
 
 func TestSeekCurveAverage(t *testing.T) {
-	m := mechanism(t, drive.IBM0661())
+	m := mechanism(t, IBM0661())
 	// Exact expectation over the conditioned distance distribution must
 	// match the datasheet average.
 	c := float64(m.Cylinders)
@@ -44,7 +42,7 @@ func TestSeekCurveAverage(t *testing.T) {
 }
 
 func TestSeekCurveMonotone(t *testing.T) {
-	m := mechanism(t, drive.IBM0661())
+	m := mechanism(t, IBM0661())
 	prev := 0.0
 	for d := 1; d <= 948; d++ {
 		v := seekMS(m, 0, d)
@@ -56,7 +54,7 @@ func TestSeekCurveMonotone(t *testing.T) {
 }
 
 func TestSeekCurveSymmetricAndClamped(t *testing.T) {
-	m := mechanism(t, drive.IBM0661())
+	m := mechanism(t, IBM0661())
 	if seekMS(m, 300, 200) != seekMS(m, 100, 200) || seekMS(m, 300, 200) != seekMS(m, 0, 100) {
 		t.Fatal("seek depends on more than the distance")
 	}
@@ -67,7 +65,7 @@ func TestSeekCurveSymmetricAndClamped(t *testing.T) {
 
 func TestSeekCurveScaledGeometries(t *testing.T) {
 	for _, den := range []int{1, 2, 5, 10, 20} {
-		m := mechanism(t, drive.IBM0661().Scaled(1, den)) // fails if non-monotone
+		m := mechanism(t, IBM0661().Scaled(1, den)) // fails if non-monotone
 		if got := seekMS(m, 0, 1); math.Abs(got-m.MinSeekMS) > 1e-9 {
 			t.Fatalf("den=%d: seek(1) = %v", den, got)
 		}
@@ -78,7 +76,7 @@ func TestSeekCurveScaledGeometries(t *testing.T) {
 }
 
 func TestSeekCurveTwoCylinderDegenerate(t *testing.T) {
-	g := drive.IBM0661()
+	g := IBM0661()
 	g.Cylinders = 2
 	if got := seekMS(mechanism(t, g), 0, 1); got != g.MinSeekMS {
 		t.Fatalf("degenerate seek(1) = %v, want min", got)

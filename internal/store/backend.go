@@ -4,9 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"declust/internal/crc32c"
 )
 
 // Disk is one backing device: a flat array of fixed-size physical units
@@ -139,7 +140,7 @@ func encodeSuperblock(units int64, unitSize int) []byte {
 	binary.LittleEndian.PutUint32(sb[8:], fileFormatVersion)
 	binary.LittleEndian.PutUint32(sb[12:], uint32(unitSize))
 	binary.LittleEndian.PutUint64(sb[16:], uint64(units))
-	binary.LittleEndian.PutUint32(sb[24:], crc32.Checksum(sb[:24], crcTab))
+	binary.LittleEndian.PutUint32(sb[24:], crc32c.Checksum(sb[:24]))
 	return sb
 }
 
@@ -149,7 +150,7 @@ func validateSuperblock(path string, sb []byte, units int64, unitSize int) error
 	if string(sb[:8]) != string(fileMagic[:]) {
 		return fmt.Errorf("store: %s is not a store disk (bad superblock magic; pre-superblock files must be recreated)", path)
 	}
-	if got := binary.LittleEndian.Uint32(sb[24:]); got != crc32.Checksum(sb[:24], crcTab) {
+	if got := binary.LittleEndian.Uint32(sb[24:]); got != crc32c.Checksum(sb[:24]) {
 		return fmt.Errorf("store: %s has a corrupt superblock (header checksum mismatch)", path)
 	}
 	if v := binary.LittleEndian.Uint32(sb[8:]); v != fileFormatVersion {

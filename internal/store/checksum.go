@@ -3,7 +3,8 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+
+	"declust/internal/crc32c"
 )
 
 // Every unit stored on a backend carries an 8-byte trailer after its data:
@@ -14,9 +15,10 @@ import (
 // The first word detects corruption of the data (torn writes, bit rot,
 // firmware lies); the second additionally detects misdirected writes — a
 // unit's bytes landing at the wrong offset verifies against the first word
-// but not the second. CRC32-C is hardware-accelerated by the standard
-// library on amd64 and arm64, which is what keeps verification cheap
-// enough for the hot path.
+// but not the second. CRC32-C comes from internal/crc32c, which folds a
+// unit with carry-less multiplies where the CPU has AVX-512 and VPCLMULQDQ
+// and hands everything else to the standard library's hardware CRC32 path;
+// that is what keeps verification cheap enough for the hot path.
 //
 // A unit whose data and trailer are entirely zero is valid and reads as
 // zeroes: fresh backends (zeroed memory, sparse files) must be readable
@@ -35,8 +37,6 @@ const trailerLen = 8
 // Disk implementations must store units of this physical size.
 func PhysUnitSize(unitSize int) int { return unitSize + trailerLen }
 
-var crcTab = crc32.MakeTable(crc32.Castagnoli)
-
 // offMix hashes a unit offset into the trailer's second word so that a
 // write landing at the wrong offset fails verification.
 func offMix(off int64) uint32 {
@@ -48,7 +48,7 @@ func offMix(off int64) uint32 {
 }
 
 // dataSum is the crc32c of one unit's data: the trailer's first word.
-func dataSum(data []byte) uint32 { return crc32.Checksum(data, crcTab) }
+func dataSum(data []byte) uint32 { return crc32c.Checksum(data) }
 
 // stampTrailer computes and writes the trailer for phys[:us] stored at
 // offset off. phys has length us+trailerLen.

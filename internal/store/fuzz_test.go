@@ -74,12 +74,17 @@ func FuzzSuperblock(f *testing.F) {
 	})
 }
 
+// castagnoli is the oracles' crc32c: the on-disk words these targets
+// expect come from hash/crc32, not from internal/crc32c, which the store
+// computes them with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 // intentFile is an intent-log file as this engine writes it.
 func intentFile(regions int64, dirty ...int64) []byte {
 	b := make([]byte, intentHeaderLen+regions)
 	copy(b, intentMagic[:])
 	binary.LittleEndian.PutUint64(b[8:], uint64(regions))
-	binary.LittleEndian.PutUint32(b[16:], crc32.Checksum(b[:16], crcTab))
+	binary.LittleEndian.PutUint32(b[16:], crc32.Checksum(b[:16], castagnoli))
 	for _, r := range dirty {
 		b[intentHeaderLen+r] = 1
 	}
@@ -142,9 +147,10 @@ func FuzzIntentLog(f *testing.F) {
 	})
 }
 
-// FuzzTrailer: verifyTrailer accepts a physical unit at an offset exactly
-// when it is what stampTrailer produces for those data at that offset, or
-// is all zero. A stamped unit verifies; any one flipped bit, and any other
+// FuzzTrailer: stampTrailer's first word is the data's crc32c as
+// hash/crc32 computes it, and verifyTrailer accepts a physical unit at an
+// offset exactly when it is what stampTrailer produces for those data at
+// that offset, or is all zero. A stamped unit verifies; any one flipped bit, and any other
 // offset (short of a 32-bit collision of offMix), is refused.
 func FuzzTrailer(f *testing.F) {
 	unit := make([]byte, PhysUnitSize(64))
@@ -162,6 +168,9 @@ func FuzzTrailer(f *testing.F) {
 		us := len(phys) - trailerLen
 		stamped := bytes.Clone(phys)
 		stampTrailer(stamped, us, off)
+		if got, want := binary.LittleEndian.Uint32(stamped[us:]), crc32.Checksum(phys[:us], castagnoli); got != want {
+			t.Fatalf("stamped %d B with crc32c %08x, want %08x", us, got, want)
+		}
 		// The oracle compares bytes: allZero, which verifyTrailer uses, goes
 		// a word at a time and is on trial here too, at every length.
 		zero := func(b []byte) bool { return bytes.Equal(b, make([]byte, len(b))) }
@@ -201,7 +210,6 @@ func FuzzTrailerSum(f *testing.F) {
 			f.Add(in, uint8(n-1), uint8(0b10))
 		}
 	}
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	f.Fuzz(func(t *testing.T, in []byte, count, zeros uint8) {
 		n := 1 + int(count)%5
 		us := len(in) / n

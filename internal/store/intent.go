@@ -3,8 +3,9 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
+
+	"declust/internal/crc32c"
 )
 
 // Crash-consistent parity: the engine cannot make the multi-disk parity
@@ -118,7 +119,7 @@ func (l *fileIntent) Init(regions int64) ([]int64, error) {
 		hdr := make([]byte, intentHeaderLen)
 		copy(hdr, intentMagic[:])
 		binary.LittleEndian.PutUint64(hdr[8:], uint64(regions))
-		binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], crcTab))
+		binary.LittleEndian.PutUint32(hdr[16:], crc32c.Checksum(hdr[:16]))
 		if _, err := f.WriteAt(hdr, 0); err != nil {
 			f.Close()
 			return nil, err
@@ -147,7 +148,7 @@ func (l *fileIntent) Init(regions int64) ([]int64, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %s is not an intent log (bad magic)", l.path)
 	}
-	if got := binary.LittleEndian.Uint32(hdr[16:]); got != crc32.Checksum(hdr[:16], crcTab) {
+	if got := binary.LittleEndian.Uint32(hdr[16:]); got != crc32c.Checksum(hdr[:16]) {
 		f.Close()
 		return nil, fmt.Errorf("store: %s has a corrupt intent header", l.path)
 	}
