@@ -108,7 +108,10 @@ fuzz:
 # succeed from any mid-sweep failure point; the SIGKILL crash-recovery test
 # runs twenty kills at fresh timing offsets; both chaos rows of the
 # lifecycle suite run ten times under fresh seeds (each run prints its
-# seed; failures replay with CHAOS_SEED=<seed>); the concurrency-shape tests
+# seed; failures replay with CHAOS_SEED=<seed>, and FaultDisk's draws are
+# keyed per unit access, so the n-th access to a unit meets the same fault in
+# every replay, ten times shown by TestFaultDiskReplaysPerUnitAccess under two
+# opposite goroutine start orders); the concurrency-shape tests
 # (TestOverlap*: rendezvous backends that hang unless a batch is issued as
 # wide as it should be) run twenty times to show they do not flake; ten
 # times each: the store's write and read access counts (the rows of the one
@@ -125,7 +128,7 @@ nightly:
 	$(GO) test -race -run 'TestEveryFailureSetRecovers' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestCrashDuringWriteRecovers' -count=20 -v ./internal/store/
-	$(GO) test -race -run 'TestLifecycle/chaos' -count=10 -v ./internal/store/
+	$(GO) test -race -run 'TestLifecycle/chaos|TestFaultDiskReplaysPerUnitAccess' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestReadAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded|TestSecondFailureKeepsRebuildProgress' -count=10 ./internal/store/

@@ -89,7 +89,7 @@ func main() {
 	flag.Float64Var(&cfg.torn, "torn", 0, "per-write torn-write rate on every disk")
 	flag.Float64Var(&cfg.lse, "lse", 0, "per-read latent-sector-error rate on the -fail disk")
 	flag.Float64Var(&cfg.corrupt, "corrupt", 0, "per-read transient corruption rate on every disk")
-	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 0, "fault injection seed (0 = from the clock)")
+	flag.Int64Var(&cfg.chaosSeed, "chaos-seed", 0, "fault injection seed (0 = from the clock); under one seed the n-th access to a unit meets the same fault in every run")
 	flag.BoolVar(&cfg.scrub, "scrub", false, "run a verifying scrub sweep before the final check")
 	flag.DurationVar(&cfg.scrubThrottle, "scrub-throttle", 0, "scrub throttle per stripe (e.g. 100us)")
 	flag.IntVar(&cfg.retries, "retries", 0, "transient-error retries per op (0 = engine default)")
@@ -140,6 +140,14 @@ func run(cfg config, out io.Writer) error {
 	}
 	if cfg.phaseSecs < 0 {
 		return fmt.Errorf("-secs %g is negative", cfg.phaseSecs)
+	}
+	for _, r := range []struct {
+		flag string
+		v    float64
+	}{{"-transient", cfg.transient}, {"-torn", cfg.torn}, {"-lse", cfg.lse}, {"-corrupt", cfg.corrupt}} {
+		if r.v < 0 || r.v >= 1 {
+			return fmt.Errorf("%s %g outside [0,1)", r.flag, r.v)
+		}
 	}
 	if cfg.parities == 0 {
 		cfg.parities = 1

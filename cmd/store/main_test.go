@@ -181,6 +181,10 @@ func TestRunRejectsBadFailDisk(t *testing.T) {
 		{"-secs", func(c *config) { c.phaseSecs = -1 }},
 		{"-units", func(c *config) { c.units = 0 }},                      // the store's default, a 0-unit replacement
 		{"-units", func(c *config) { c.units = -1000; c.faults = true }}, // NewMemDisk panicked
+		{"-transient", func(c *config) { c.transient = 1.5 }},            // NewFaultDisk panicked
+		{"-torn", func(c *config) { c.torn = 1 }},
+		{"-lse", func(c *config) { c.lse = -0.2 }}, // the run went fault-free
+		{"-corrupt", func(c *config) { c.corrupt = -0.01 }},
 	} {
 		cfg := base
 		tc.set(&cfg)

@@ -5,8 +5,10 @@
 // start time and the sectors moved; queueing, scheduling and read-ahead
 // belong to the caller. The default model is the IBM 0661 Model 370
 // "Lightning" drive used by Holland and Gibson (Table 5-1 of the paper).
-// The package imports only the standard library, so both the simulator
-// and the real engine's tools can link it.
+// The medium's one fault rule lives here too: Latent, the set of sectors
+// that fail reads until next written, and Mix, the hash both fault
+// injectors derive their draws from. The package imports only the standard
+// library, so both the simulator and the real engine can link it.
 package drive
 
 import "fmt"

@@ -59,8 +59,8 @@ type Injector struct {
 	geom drive.Geometry
 
 	rngs     []*rand.Rand
-	bad      []map[int64]bool // per-slot latent sector set
-	arrivals []sim.Timer      // pending LSE arrival per slot
+	bad      []drive.Latent // per-slot latent sectors
+	arrivals []sim.Timer    // pending LSE arrival per slot
 	stopped  bool
 	stats    Stats
 
@@ -94,13 +94,12 @@ func New(eng *sim.Engine, geom drive.Geometry, disks int, cfg Config) (*Injector
 		cfg:          cfg,
 		geom:         geom,
 		rngs:         make([]*rand.Rand, disks),
-		bad:          make([]map[int64]bool, disks),
+		bad:          make([]drive.Latent, disks),
 		arrivals:     make([]sim.Timer, disks),
 		lseRatePerMS: cfg.LSERatePerGBHour * gb / 3_600_000,
 	}
 	for i := range in.rngs {
 		in.rngs[i] = rand.New(rand.NewSource(streamSeed(cfg.Seed, i)))
-		in.bad[i] = make(map[int64]bool)
 	}
 	return in, nil
 }
@@ -108,20 +107,23 @@ func New(eng *sim.Engine, geom drive.Geometry, disks int, cfg Config) (*Injector
 // streamSeed derives a well-mixed per-slot seed so neighboring slots get
 // uncorrelated streams.
 func streamSeed(seed int64, slot int) int64 {
-	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(slot) + 1
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return int64(x ^ (x >> 31))
+	return int64(drive.Mix(uint64(seed)*0x9e3779b97f4a7c15 + uint64(slot) + 1))
 }
 
 // TimeoutMS returns the configured transient stall.
 func (in *Injector) TimeoutMS() float64 { return in.cfg.TimeoutMS }
 
 // Stats returns a copy of the activity counters.
-func (in *Injector) Stats() Stats { return in.stats }
+func (in *Injector) Stats() Stats {
+	s := in.stats
+	for slot := range in.bad {
+		s.BadSectors += int64(in.bad[slot].Len())
+	}
+	return s
+}
 
 // BadSectors reports the current latent error count on one slot.
-func (in *Injector) BadSectors(slot int) int { return len(in.bad[slot]) }
+func (in *Injector) BadSectors(slot int) int { return in.bad[slot].Len() }
 
 // Start begins the per-slot LSE arrival processes. A zero LSE rate
 // schedules nothing.
@@ -151,11 +153,8 @@ func (in *Injector) scheduleLSE(slot int) {
 		if in.stopped {
 			return
 		}
-		sector := in.rngs[slot].Int63n(in.geom.TotalSectors())
-		if !in.bad[slot][sector] {
-			in.bad[slot][sector] = true
+		if in.bad[slot].Add(in.rngs[slot].Int63n(in.geom.TotalSectors())) {
 			in.stats.LSEArrivals++
-			in.stats.BadSectors++
 		}
 		in.scheduleLSE(slot)
 	})
@@ -168,32 +167,15 @@ func (in *Injector) scheduleLSE(slot int) {
 func (in *Injector) Hook(slot int) disk.FaultHook {
 	return func(start int64, count int, write bool) disk.Status {
 		if write {
-			in.heal(slot, start, count)
+			in.stats.Healed += int64(in.bad[slot].Heal(start, count))
 		}
 		if in.cfg.TransientRate > 0 && in.rngs[slot].Float64() < in.cfg.TransientRate {
 			return disk.Timeout
 		}
-		if !write && len(in.bad[slot]) > 0 {
-			for s := start; s < start+int64(count); s++ {
-				if in.bad[slot][s] {
-					return disk.MediaError
-				}
-			}
+		if !write && in.bad[slot].Hit(start, count) {
+			return disk.MediaError
 		}
 		return disk.OK
-	}
-}
-
-func (in *Injector) heal(slot int, start int64, count int) {
-	if len(in.bad[slot]) == 0 {
-		return
-	}
-	for s := start; s < start+int64(count); s++ {
-		if in.bad[slot][s] {
-			delete(in.bad[slot], s)
-			in.stats.BadSectors--
-			in.stats.Healed++
-		}
 	}
 }
 
@@ -201,10 +183,8 @@ func (in *Injector) heal(slot int, start int64, count int) {
 // installed in it. The slot keeps its RNG stream: replacement changes
 // which faults the new drive sees, not the determinism of the run.
 func (in *Injector) ResetDisk(slot int) {
-	n := int64(len(in.bad[slot]))
-	in.stats.BadSectors -= n
-	in.stats.Healed += n
-	in.bad[slot] = make(map[int64]bool)
+	in.stats.Healed += int64(in.bad[slot].Len())
+	in.bad[slot] = drive.Latent{}
 }
 
 // LifetimeMS samples one disk lifetime in simulated milliseconds with the

@@ -106,8 +106,8 @@ func TestLSEDeterminism(t *testing.T) {
 
 func TestHookMediaErrorAndHeal(t *testing.T) {
 	_, in := newTestInjector(t, Config{Seed: 3})
-	in.bad[1][100] = true
-	in.stats.LSEArrivals, in.stats.BadSectors = 1, 1
+	in.bad[1].Add(100)
+	in.stats.LSEArrivals = 1
 
 	hook := in.Hook(1)
 	if st := hook(100, 8, false); st != disk.MediaError {
@@ -148,9 +148,9 @@ func TestHookTransient(t *testing.T) {
 func TestResetDisk(t *testing.T) {
 	_, in := newTestInjector(t, Config{Seed: 5})
 	for s := int64(0); s < 10; s++ {
-		in.bad[2][s] = true
+		in.bad[2].Add(s)
 	}
-	in.stats.LSEArrivals, in.stats.BadSectors = 10, 10
+	in.stats.LSEArrivals = 10
 	in.ResetDisk(2)
 	if in.BadSectors(2) != 0 {
 		t.Errorf("BadSectors(2) = %d after reset", in.BadSectors(2))

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"declust/internal/drive"
 	"declust/internal/layout"
 )
 
@@ -162,23 +163,33 @@ func failWith(o op, errs map[int]error) hook {
 // latentUnits scripts latent sector errors: a unit made latent fails every
 // read with ErrMedia until it is next written, which remaps it.
 type latentUnits struct {
-	bad    sync.Map // layout.Loc → struct{}
+	mu     sync.Mutex
+	bad    map[int]*drive.Latent // disk → its latent units
 	healed atomic.Int64
 }
 
-func (l *latentUnits) add(u layout.Loc) { l.bad.Store(u, struct{}{}) }
+func (l *latentUnits) add(u layout.Loc) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.bad == nil {
+		l.bad = map[int]*drive.Latent{}
+	}
+	if l.bad[u.Disk] == nil {
+		l.bad[u.Disk] = new(drive.Latent)
+	}
+	l.bad[u.Disk].Add(u.Offset)
+}
 
 func (l *latentUnits) hook(c call, pass func() error) error {
-	u := layout.Loc{Disk: c.disk, Offset: c.off}
-	switch c.op {
-	case opRead:
-		if _, bad := l.bad.Load(u); bad {
-			return fmt.Errorf("latent sector error at %v: %w", u, ErrMedia)
-		}
-	case opWrite:
-		if _, bad := l.bad.LoadAndDelete(u); bad {
-			l.healed.Add(1)
-		}
+	l.mu.Lock()
+	bad := l.bad[c.disk]
+	hit := bad != nil && c.op == opRead && bad.Hit(c.off, 1)
+	if bad != nil && c.op == opWrite {
+		l.healed.Add(int64(bad.Heal(c.off, 1)))
+	}
+	l.mu.Unlock()
+	if hit {
+		return fmt.Errorf("latent sector error at %v: %w", layout.Loc{Disk: c.disk, Offset: c.off}, ErrMedia)
 	}
 	return pass()
 }

@@ -2,8 +2,9 @@ package store
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
+
+	"declust/internal/drive"
 )
 
 // FaultConfig parameterizes a FaultDisk. All rates are per-operation
@@ -12,11 +13,11 @@ import (
 // backends (Thomasian, arXiv:1801.08873: transients, latent sector
 // errors, and silent corruption dominate real-array reliability).
 type FaultConfig struct {
-	// Seed drives every random draw. Concurrent callers interleave their
-	// draws nondeterministically, so a seed reproduces the fault mix and
-	// rates exactly but the per-operation outcome sequence only
-	// approximately; record it anyway — rerunning a chaos seed explores
-	// the same fault regime.
+	// Seed keys every draw, exact per unit access: the fate of the n-th
+	// access to a unit is a hash of (Seed, unit, n), so it is the same in
+	// every run whatever the order in which concurrent callers reach other
+	// units. A rerun of a chaos seed meets the same faults at the same
+	// accesses wherever each unit sees the same sequence of accesses.
 	Seed int64
 	// TransientRate is the probability an operation fails with an error
 	// wrapping ErrTransient before touching the medium. A retry draws a
@@ -76,11 +77,11 @@ type FaultStats struct {
 type FaultDisk struct {
 	under Disk
 
-	mu    sync.Mutex
-	cfg   FaultConfig
-	rng   *rand.Rand
-	bad   map[int64]bool // latent units: reads fail until next write
-	stats FaultStats
+	mu     sync.Mutex
+	cfg    FaultConfig
+	bad    drive.Latent     // latent units: reads fail until next write
+	access map[int64]uint64 // unit → accesses it has had
+	stats  FaultStats
 }
 
 // NewFaultDisk wraps d with fault injection per cfg. It panics on an
@@ -90,17 +91,12 @@ func NewFaultDisk(d Disk, cfg FaultConfig) *FaultDisk {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &FaultDisk{
-		under: d,
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		bad:   make(map[int64]bool),
-	}
+	return &FaultDisk{under: d, cfg: cfg, access: make(map[int64]uint64)}
 }
 
-// SetConfig replaces the fault rates, keeping the RNG stream and any
-// latent errors already injected. Chaos harnesses use it to reshape the
-// fault regime between phases.
+// SetConfig replaces the fault rates, keeping the seed, each unit's access
+// count and any latent errors already injected. Chaos harnesses use it to
+// reshape the fault regime between phases.
 func (d *FaultDisk) SetConfig(cfg FaultConfig) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -120,7 +116,29 @@ func (d *FaultDisk) Quiesce() { d.SetConfig(FaultConfig{}) }
 func (d *FaultDisk) Stats() FaultStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.stats
+	s := d.stats
+	s.Latent = int64(d.bad.Len())
+	return s
+}
+
+// fate is one unit access's draws: the splitmix64 stream keyed by (seed,
+// unit, n-th access to the unit), whose class-th word is the draw of that
+// fault class. drawWhere places a tear, or a flip's byte (low half of the
+// word) and bits (high half).
+type fate uint64
+
+const drawTransient, drawTorn, drawLSE, drawCorrupt, drawWhere = 1, 2, 3, 4, 5
+
+func (f fate) word(class uint64) uint64 { return drive.Mix(uint64(f) + class*0x9e3779b97f4a7c15) }
+
+// hit reports whether the access meets the class's fault at rate.
+func (f fate) hit(class uint64, rate float64) bool { return float64(f.word(class)>>11)/(1<<53) < rate }
+
+// next counts an access to unit off and returns its fate. The caller holds mu.
+func (d *FaultDisk) next(off int64) fate {
+	n := d.access[off]
+	d.access[off] = n + 1
+	return fate(drive.Mix(drive.Mix(uint64(d.cfg.Seed)*0x9e3779b97f4a7c15+uint64(off)) + n))
 }
 
 func (d *FaultDisk) Geometry() (int64, int) { return d.under.Geometry() }
@@ -136,21 +154,21 @@ func (d *FaultDisk) ReadUnit(off int64, dst []byte) error {
 	)
 	d.mu.Lock()
 	d.stats.Reads++
+	f := d.next(off)
 	switch {
-	case d.bad[off]:
+	case d.bad.Hit(off, 1):
 		outcome = fmt.Errorf("faultdisk: latent sector error at unit %d: %w", off, ErrMedia)
-	case d.cfg.TransientRate > 0 && d.rng.Float64() < d.cfg.TransientRate:
+	case f.hit(drawTransient, d.cfg.TransientRate):
 		d.stats.Transients++
 		outcome = fmt.Errorf("faultdisk: injected read timeout at unit %d: %w", off, ErrTransient)
-	case d.cfg.LSERate > 0 && d.rng.Float64() < d.cfg.LSERate:
-		d.bad[off] = true
+	case f.hit(drawLSE, d.cfg.LSERate):
+		d.bad.Add(off)
 		d.stats.LSEInjected++
-		d.stats.Latent++
 		outcome = fmt.Errorf("faultdisk: latent sector error at unit %d: %w", off, ErrMedia)
-	case d.cfg.CorruptRate > 0 && d.rng.Float64() < d.cfg.CorruptRate:
+	case f.hit(drawCorrupt, d.cfg.CorruptRate):
 		corrupt = true
-		flipByte = d.rng.Intn(len(dst))
-		flipBits = byte(1 + d.rng.Intn(255))
+		w := f.word(drawWhere)
+		flipByte, flipBits = int(uint32(w)%uint32(len(dst))), byte(1+(w>>32)%255)
 		d.stats.CorruptReads++
 	}
 	d.mu.Unlock()
@@ -173,21 +191,20 @@ func (d *FaultDisk) WriteUnit(off int64, src []byte) error {
 	)
 	d.mu.Lock()
 	d.stats.Writes++
+	f := d.next(off)
 	switch {
-	case d.cfg.TransientRate > 0 && d.rng.Float64() < d.cfg.TransientRate:
+	case f.hit(drawTransient, d.cfg.TransientRate):
 		d.stats.Transients++
 		outcome = fmt.Errorf("faultdisk: injected write timeout at unit %d: %w", off, ErrTransient)
-	case d.cfg.TornWriteRate > 0 && d.rng.Float64() < d.cfg.TornWriteRate:
+	case f.hit(drawTorn, d.cfg.TornWriteRate):
 		// Tear somewhere strictly inside the unit: a zero-length tear
 		// is a lost write and a full-length tear is a clean write.
-		tearAt = 1 + d.rng.Intn(len(src)-1)
+		tearAt = 1 + int(f.word(drawWhere)%uint64(len(src)-1))
 		d.stats.TornWrites++
 	}
-	if outcome == nil && d.bad[off] {
+	if outcome == nil {
 		// The write (even a torn one) remaps the latent sector.
-		delete(d.bad, off)
-		d.stats.LSEHealed++
-		d.stats.Latent--
+		d.stats.LSEHealed += int64(d.bad.Heal(off, 1))
 	}
 	d.mu.Unlock()
 	if outcome != nil {

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"declust/internal/layout"
@@ -46,11 +49,47 @@ func TestFaultConfigValidation(t *testing.T) {
 
 var updateStream = flag.Bool("update", false, "rewrite testdata/faultdisk_stream.txt instead of comparing against it")
 
+// scriptStep makes step i of the fault tests' access script to unit off of
+// fd, whose medium is under: a write every third step, of bytes the unit
+// never held before, a read otherwise. It reports the access as "read" or
+// "write" and how it came back: "" when clean, else failed, torn and where,
+// gone latent, or corrupted and where.
+func scriptStep(t *testing.T, fd *FaultDisk, under Disk, off int64, i int, p, medium []byte) (what, outcome string) {
+	what, err := "read", error(nil)
+	if i%3 == 0 {
+		what = "write"
+		copy(p, bytes.Repeat([]byte{byte(i%250 + 1)}, len(p)))
+		err = fd.WriteUnit(off, p)
+	} else {
+		err = fd.ReadUnit(off, p)
+	}
+	if err := under.ReadUnit(off, medium); err != nil {
+		t.Error(err)
+		return what, ""
+	}
+	diff := 0 // the first byte where the medium is not p
+	for diff < len(p) && p[diff] == medium[diff] {
+		diff++
+	}
+	switch {
+	case errors.Is(err, ErrMedia):
+		return what, "latent"
+	case err != nil && what == "write" && diff > 0:
+		return what, fmt.Sprintf("torn at %d", diff)
+	case err != nil:
+		return what, "transient"
+	case diff < len(p):
+		return what, fmt.Sprintf("corrupt byte %d ^%#02x", diff, p[diff]^medium[diff])
+	}
+	return what, ""
+}
+
 // TestFaultDiskSeededStream pins the outcome stream a seed draws, so that
 // CHAOS_SEED replays the regime it names: one goroutine runs a fixed script
 // of writes and reads under each fault rate alone, and every access that
-// does not come back clean — failed, torn and where, gone latent, corrupted
-// and where — must match testdata/faultdisk_stream.txt.
+// does not come back clean must match testdata/faultdisk_stream.txt. Each
+// class's injected count must also lie within 4σ of its rate times the
+// accesses that could meet it, which a degenerate draw would not.
 func TestFaultDiskSeededStream(t *testing.T) {
 	const units, us = 16, 64
 	var out strings.Builder
@@ -60,36 +99,32 @@ func TestFaultDiskSeededStream(t *testing.T) {
 		fd := NewFaultDisk(under, cfg)
 		fmt.Fprintf(&out, "%+v\n", cfg)
 		p, medium := make([]byte, PhysUnitSize(us)), make([]byte, PhysUnitSize(us))
+		var latent int64 // reads that met a latent error, new or not
 		for i := 0; i < 300; i++ {
-			off, what, err := int64(i*5)%units, "read", error(nil)
-			if i%3 == 0 {
-				what = "write"
-				copy(p, bytes.Repeat([]byte{byte(i%250 + 1)}, len(p))) // never what the unit held before
-				err = fd.WriteUnit(off, p)
-			} else {
-				err = fd.ReadUnit(off, p)
-			}
-			if err := under.ReadUnit(off, medium); err != nil {
-				t.Fatal(err)
-			}
-			diff := 0 // the first byte where the medium is not p
-			for diff < len(p) && p[diff] == medium[diff] {
-				diff++
-			}
-			switch {
-			case errors.Is(err, ErrMedia):
-				fmt.Fprintf(&out, "%d %s %d: latent\n", i, what, off)
-			case err != nil && what == "write" && diff > 0:
-				fmt.Fprintf(&out, "%d %s %d: torn at %d\n", i, what, off, diff)
-			case err != nil:
-				fmt.Fprintf(&out, "%d %s %d: transient\n", i, what, off)
-			case diff < len(p):
-				fmt.Fprintf(&out, "%d %s %d: corrupt byte %d ^%#02x\n", i, what, off, diff, p[diff]^medium[diff])
+			off := int64(i*5) % units
+			if what, outcome := scriptStep(t, fd, under, off, i, p, medium); outcome != "" {
+				fmt.Fprintf(&out, "%d %s %d: %s\n", i, what, off, outcome)
+				if outcome == "latent" {
+					latent++
+				}
 			}
 		}
 		st := fd.Stats()
 		fmt.Fprintf(&out, "reads %d writes %d transients %d torn %d latent %d/%d healed %d corrupt %d\n",
 			st.Reads, st.Writes, st.Transients, st.TornWrites, st.Latent, st.LSEInjected, st.LSEHealed, st.CorruptReads)
+		injected, trials, rate := st.Transients, st.Reads+st.Writes, cfg.TransientRate
+		switch {
+		case cfg.TornWriteRate > 0:
+			injected, trials, rate = st.TornWrites, st.Writes, cfg.TornWriteRate
+		case cfg.LSERate > 0: // a read of a unit already latent draws nothing
+			injected, trials, rate = st.LSEInjected, st.Reads-(latent-st.LSEInjected), cfg.LSERate
+		case cfg.CorruptRate > 0:
+			injected, trials, rate = st.CorruptReads, st.Reads, cfg.CorruptRate
+		}
+		mean, sd := float64(trials)*rate, math.Sqrt(float64(trials)*rate*(1-rate))
+		if math.Abs(float64(injected)-mean) > 4*sd {
+			t.Errorf("%+v: %d injected over %d accesses, want %.1f ± %.1f", cfg, injected, trials, mean, 4*sd)
+		}
 	}
 	golden := filepath.Join("testdata", "faultdisk_stream.txt")
 	if *updateStream {
@@ -99,6 +134,67 @@ func TestFaultDiskSeededStream(t *testing.T) {
 	}
 	if want, err := os.ReadFile(golden); err != nil || out.String() != string(want) {
 		t.Errorf("seeded outcome stream moved (%v):\n%s\nwant:\n%s", err, out.String(), want)
+	}
+}
+
+// TestFaultDiskReplaysPerUnitAccess holds a seed to its promise under
+// concurrency: the n-th access to a unit meets the same fault whatever the
+// order in which other units are reached. One goroutine per unit runs the
+// access script on it with every fault class on; goroutine k starts once
+// its predecessor has made its first access, and the two runs take the
+// goroutines in opposite orders. Every (unit, n) must come back the same.
+func TestFaultDiskReplaysPerUnitAccess(t *testing.T) {
+	const units, us, steps = 8, 64, 60
+	run := func(order []int) map[[2]int]string {
+		under := NewMemDisk(units, us)
+		fd := NewFaultDisk(under, FaultConfig{Seed: 48, TransientRate: 0.1, TornWriteRate: 0.1, LSERate: 0.05, CorruptRate: 0.1})
+		var (
+			mu  sync.Mutex
+			got = map[[2]int]string{}
+			wg  sync.WaitGroup
+		)
+		gate := make(chan struct{})
+		close(gate)
+		for _, u := range order {
+			started := make(chan struct{})
+			wg.Add(1)
+			go func(u int, after <-chan struct{}, started chan<- struct{}) {
+				defer wg.Done()
+				<-after
+				p, medium := make([]byte, PhysUnitSize(us)), make([]byte, PhysUnitSize(us))
+				for i := 0; i < steps; i++ {
+					what, outcome := scriptStep(t, fd, under, int64(u), i, p, medium)
+					if i == 0 {
+						close(started)
+					}
+					mu.Lock()
+					got[[2]int{u, i}] = what + " " + outcome
+					mu.Unlock()
+				}
+			}(u, gate, started)
+			gate = started
+		}
+		wg.Wait()
+		return got
+	}
+	order := make([]int, units)
+	for i := range order {
+		order[i] = i
+	}
+	forward := run(order)
+	slices.Reverse(order)
+	backward := run(order)
+	faults := 0
+	for k, o := range forward {
+		if o != backward[k] {
+			t.Errorf("access %d to unit %d came back %q in one order and %q in the other", k[1], k[0], o, backward[k])
+		}
+		if !strings.HasSuffix(o, " ") {
+			faults++
+		}
+	}
+	if faults == 0 {
+		t.Fatal("no access met a fault")
 	}
 }
 
