@@ -123,7 +123,9 @@ fuzz:
 # with scheduling), the backend-ownership table and a second failure racing
 # a running rebuild's sweep (its progress must survive); and the Scrub
 # suite with the sweep pacing test (a scrub's counts are state its shards
-# share, under one mutex). Every fuzz target gets five minutes.
+# share, under one mutex) and the damage matrix (TestErasureBudget: every
+# path that can meet a damaged unit, both codes, serial and overlapped).
+# Every fuzz target gets five minutes.
 nightly:
 	$(GO) test -race -run 'TestEveryFailureSetRecovers' -count=5 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildAnyFailurePoint' -count=5 -v ./internal/store/
@@ -132,7 +134,7 @@ nightly:
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestReadAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded|TestSecondFailureKeepsRebuildProgress' -count=10 ./internal/store/
-	$(GO) test -race -run 'TestScrub|TestPQScrubHealsTwoDamagedUnits|TestParityDoubtOutlivesDegradedScrub|TestSweepPacing' -count=10 ./internal/store/
+	$(GO) test -race -run 'TestScrub|TestErasureBudget|TestParityDoubtOutlivesDegradedScrub|TestSweepPacing' -count=10 ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 
 vet:

@@ -70,8 +70,6 @@ type Config struct {
 	Geom   drive.Geometry
 	// UnitSectors is the stripe unit size in sectors (8 = 4 KB).
 	UnitSectors int
-	// CvscanBias is the V(R) scheduling bias for every disk.
-	CvscanBias float64
 	// SchedPolicy selects each disk's queue scheduler; the zero value is
 	// CVSCAN, the original behaviour.
 	SchedPolicy disk.Policy
@@ -288,25 +286,25 @@ func New(eng *sim.Engine, cfg Config) (*Array, error) {
 	return a, nil
 }
 
+// cvscanBias is every drive's V(R) scheduling bias: the paper's 0.2.
+const cvscanBias = 0.2
+
 // diskConfig builds the per-drive configuration shared by the initial
 // drives and any replacement installed later, so a replacement schedules
 // and caches exactly like the drive it replaces.
 func (a *Array) diskConfig() disk.Config {
 	return disk.Config{
 		Policy:          a.cfg.SchedPolicy,
-		CvscanBias:      a.cfg.CvscanBias,
+		CvscanBias:      cvscanBias,
 		ReadAheadTracks: a.cfg.ReadAheadTracks,
 		AgePromoteMS:    a.cfg.PrioAgeMS,
 	}
 }
 
-// splitmix64 is a tiny strong mixer for generating distinct unit values.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// phi is splitmix64's stream increment: drive.Mix(x + phi) is the word the
+// stream yields after state x, distinct for every x — what gives every
+// data unit, and every user write, its own value.
+const phi = 0x9e3779b97f4a7c15
 
 // initContents gives every data unit a distinct value and every parity
 // unit its equation's sum over its stripe's data.
@@ -319,7 +317,7 @@ func (a *Array) initContents() {
 	_, stripeMajor := a.mapper.(layout.StripeIndexMapper)
 	if !stripeMajor {
 		for n := int64(0); n < a.dataUnits; n++ {
-			a.expected[n] = splitmix64(uint64(n) + 1)
+			a.expected[n] = drive.Mix(uint64(n) + 1 + phi)
 			a.setUnitVal(a.mapper.Loc(n), a.expected[n])
 		}
 	}
@@ -337,7 +335,7 @@ func (a *Array) initContents() {
 			}
 			u := a.lay.Unit(s, j)
 			if stripeMajor {
-				a.expected[n] = splitmix64(uint64(n) + 1)
+				a.expected[n] = drive.Mix(uint64(n) + 1 + phi)
 				a.contents[u.Disk][u.Offset] = a.expected[n]
 				n++
 			}

@@ -25,7 +25,6 @@ func raid5Array(t *testing.T, c int, mutate func(*Config)) (*sim.Engine, *Array)
 		Layout:      l,
 		Geom:        drive.IBM0661().Scaled(1, 100),
 		UnitSectors: 8,
-		CvscanBias:  0.2,
 		ReconProcs:  1,
 	}
 	if mutate != nil {

@@ -403,7 +403,7 @@ func TestTransientTimeoutsRetryToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := New(eng, Config{
-		Layout: l, Geom: geom, UnitSectors: 8, CvscanBias: 0.2,
+		Layout: l, Geom: geom, UnitSectors: 8,
 		ReconProcs: 1, Faults: inj,
 	})
 	if err != nil {

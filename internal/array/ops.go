@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"declust/internal/disk"
+	"declust/internal/drive"
 	"declust/internal/gf256"
 	"declust/internal/layout"
 	"declust/internal/telemetry"
@@ -222,7 +223,7 @@ func writesOf(locs []layout.Loc) []xfer {
 // newValue mints a fresh distinct content word for a user write.
 func (a *Array) newValue() uint64 {
 	a.writeSeq++
-	return splitmix64(a.writeSeq | 1<<63)
+	return drive.Mix((a.writeSeq | 1<<63) + phi)
 }
 
 // weigh multiplies v by the coefficient a stripe's d-th data unit carries

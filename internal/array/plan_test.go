@@ -42,7 +42,6 @@ func arrayOn(t *testing.T, c, g, m int, mutate func(*Config)) (*sim.Engine, *Arr
 		Layout:      l,
 		Geom:        drive.IBM0661().Scaled(1, 100),
 		UnitSectors: 8,
-		CvscanBias:  0.2,
 		ReconProcs:  1,
 	}
 	if mutate != nil {

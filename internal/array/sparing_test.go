@@ -25,7 +25,6 @@ func sparedArray(t *testing.T, mutate func(*Config)) (*sim.Engine, *Array) {
 		Layout:             l,
 		Geom:               drive.IBM0661().Scaled(1, 100),
 		UnitSectors:        8,
-		CvscanBias:         0.2,
 		ReconProcs:         4,
 		DistributedSparing: true,
 	}

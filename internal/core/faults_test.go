@@ -210,17 +210,3 @@ func TestLifecycleWithFaultInjectionDeterministic(t *testing.T) {
 		t.Fatalf("same seeds, different lifecycle reports:\n%+v\n%+v", a, b)
 	}
 }
-
-// TestLifecycleWeibullLifetimes checks the Weibull failure process drives
-// the same machinery (shape > 1 models wear-out).
-func TestLifecycleWeibullLifetimes(t *testing.T) {
-	cfg := lifecycleCfg()
-	cfg.WeibullShape = 2.0
-	rep, err := RunLifecycle(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Failures == 0 {
-		t.Fatal("no failures under Weibull lifetimes")
-	}
-}

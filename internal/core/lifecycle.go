@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"declust/internal/fault"
 	"declust/internal/stats"
 )
 
@@ -27,12 +26,6 @@ type LifecycleConfig struct {
 	DurationMS float64
 	// FailureSeed drives the failure process (workload keeps Sim.Seed).
 	FailureSeed int64
-	// WeibullShape, when not 0 or 1, draws failure inter-arrival times
-	// from a Weibull with that shape instead of the exponential (< 1
-	// models infant mortality, > 1 wear-out). The pooled arrival stream
-	// keeps mean MTTF/C either way; this is an approximation of C
-	// independent Weibull lifetimes, exact only in the exponential case.
-	WeibullShape float64
 }
 
 // LifecycleReport summarizes a continuous-operation run.
@@ -170,13 +163,12 @@ func RunLifecycle(cfg LifecycleConfig) (LifecycleReport, error) {
 	}
 
 	// Failure arrivals across C disks as one pooled stream at rate
-	// C/MTTF, re-armed unconditionally after each arrival: disks keep
-	// dying whatever state the array is in. Each arrival strikes a
-	// uniformly random slot.
+	// C/MTTF — exponential inter-arrival times — re-armed unconditionally
+	// after each arrival: disks keep dying whatever state the array is in.
+	// Each arrival strikes a uniformly random slot.
 	var onFailure func()
 	scheduleFailure := func() {
-		delay := fault.LifetimeMS(rng, cfg.WeibullShape, mttfMS/c)
-		r.eng.Schedule(delay, onFailure)
+		r.eng.Schedule(rng.ExpFloat64()*(mttfMS/c), onFailure)
 	}
 	onFailure = func() {
 		if r.eng.Now() >= cfg.DurationMS {

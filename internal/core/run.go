@@ -17,20 +17,18 @@ import (
 	"declust/internal/workload"
 )
 
-// SimConfig describes one simulation run. The zero values of optional
-// fields select the paper's configuration (IBM 0661 disks, 4 KB units,
-// CVSCAN bias 0.2, one reconstruction process).
+// SimConfig describes one simulation run on the paper's drive, the IBM
+// 0661. The zero values of optional fields select the paper's
+// configuration (4 KB units, one reconstruction process).
 type SimConfig struct {
 	C, G int
 
-	// Geom is the drive model; zero selects the full IBM 0661. Scale
-	// (numerator/denominator, e.g. 1/10) shrinks the cylinder count to
-	// shorten reconstruction sweeps; response-time behaviour per access
-	// is unchanged and reconstruction time scales linearly.
-	Geom               drive.Geometry
+	// Scale (numerator/denominator, e.g. 1/10) shrinks the drive's
+	// cylinder count to shorten reconstruction sweeps; response-time
+	// behaviour per access is unchanged and reconstruction time scales
+	// linearly.
 	ScaleNum, ScaleDen int
-	UnitSectors        int     // stripe unit size in sectors; 0 = 8 (4 KB)
-	CvscanBias         float64 // V(R) bias; 0 = 0.2
+	UnitSectors        int // stripe unit size in sectors; 0 = 8 (4 KB)
 
 	// SchedPolicy selects the per-disk queue scheduler; the zero value is
 	// disk.CVSCAN, the original behaviour.
@@ -143,17 +141,8 @@ type SimConfig struct {
 }
 
 func (c SimConfig) withDefaults() SimConfig {
-	if c.Geom.Cylinders == 0 {
-		c.Geom = drive.IBM0661()
-	}
-	if c.ScaleNum > 0 && c.ScaleDen > 0 {
-		c.Geom = c.Geom.Scaled(c.ScaleNum, c.ScaleDen)
-	}
 	if c.UnitSectors == 0 {
 		c.UnitSectors = 8
-	}
-	if c.CvscanBias == 0 {
-		c.CvscanBias = 0.2
 	}
 	if c.ReconProcs == 0 {
 		c.ReconProcs = 1
@@ -333,6 +322,10 @@ func newRunner(cfg SimConfig) (*runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	geom := drive.IBM0661()
+	if cfg.ScaleNum > 0 && cfg.ScaleDen > 0 {
+		geom = geom.Scaled(cfg.ScaleNum, cfg.ScaleDen)
+	}
 	eng := sim.New()
 	var mapper layout.DataMapper
 	if cfg.ParallelDataMap {
@@ -340,7 +333,7 @@ func newRunner(cfg SimConfig) (*runner, error) {
 	}
 	var inj *fault.Injector
 	if cfg.faultsEnabled() {
-		inj, err = fault.New(eng, cfg.Geom, m.Layout.Disks(), fault.Config{
+		inj, err = fault.New(eng, geom, m.Layout.Disks(), fault.Config{
 			Seed:             cfg.FaultSeed,
 			LSERatePerGBHour: cfg.LSERatePerGBHour,
 			TransientRate:    cfg.TransientRate,
@@ -352,9 +345,8 @@ func newRunner(cfg SimConfig) (*runner, error) {
 	}
 	arr, err := array.New(eng, array.Config{
 		Layout:                    m.Layout,
-		Geom:                      cfg.Geom,
+		Geom:                      geom,
 		UnitSectors:               cfg.UnitSectors,
-		CvscanBias:                cfg.CvscanBias,
 		SchedPolicy:               cfg.SchedPolicy,
 		ReadAheadTracks:           cfg.ReadAheadTracks,
 		PrioAgeMS:                 cfg.PrioAgeMS,

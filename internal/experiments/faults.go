@@ -83,7 +83,6 @@ func WorstSecondFailure(m *core.Mapping, geom drive.Geometry) (array.DoubleFailu
 		Layout:      m.Layout,
 		Geom:        geom,
 		UnitSectors: 8,
-		CvscanBias:  0.2,
 	})
 	if err != nil {
 		return array.DoubleFailure{}, 0, err

@@ -2,8 +2,8 @@
 // simulated disk array. It models the three failure classes that dominate
 // real array reliability (Thomasian, arXiv:1801.08873):
 //
-//   - full-disk failures, via exponential or Weibull lifetime sampling
-//     (the lifecycle driver decides when to apply them);
+//   - full-disk failures, exponential lifetimes that the lifecycle driver
+//     (core.RunLifecycle) draws and applies itself;
 //   - latent sector errors (LSEs), arriving per disk as a Poisson process
 //     proportional to its capacity, discovered only when the sector is
 //     next read, and healed when it is next written (remapping);
@@ -20,7 +20,6 @@ package fault
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"declust/internal/disk"
@@ -185,18 +184,4 @@ func (in *Injector) Hook(slot int) disk.FaultHook {
 func (in *Injector) ResetDisk(slot int) {
 	in.stats.Healed += int64(in.bad[slot].Len())
 	in.bad[slot] = drive.Latent{}
-}
-
-// LifetimeMS samples one disk lifetime in simulated milliseconds with the
-// given mean. shape <= 0 or shape == 1 selects the exponential
-// distribution; any other shape selects a Weibull with that shape and the
-// scale matched to the mean (shape < 1 models infant mortality and
-// clustered failures, shape > 1 wear-out).
-func LifetimeMS(rng *rand.Rand, shape, meanMS float64) float64 {
-	if shape <= 0 || shape == 1 {
-		return rng.ExpFloat64() * meanMS
-	}
-	scale := meanMS / math.Gamma(1+1/shape)
-	u := rng.Float64()
-	return scale * math.Pow(-math.Log(1-u), 1/shape)
 }

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"declust/internal/disk"
@@ -160,25 +158,5 @@ func TestResetDisk(t *testing.T) {
 	}
 	if st := in.Hook(2)(0, 8, false); st != disk.OK {
 		t.Errorf("read after reset = %v, want OK", st)
-	}
-}
-
-func TestLifetimeMS(t *testing.T) {
-	const mean = 1000.0
-	for _, shape := range []float64{0, 1, 0.7, 1.5, 3} {
-		rng := rand.New(rand.NewSource(11))
-		var sum float64
-		const n = 200_000
-		for i := 0; i < n; i++ {
-			v := LifetimeMS(rng, shape, mean)
-			if v < 0 {
-				t.Fatalf("shape %v: negative lifetime %v", shape, v)
-			}
-			sum += v
-		}
-		got := sum / n
-		if math.Abs(got-mean)/mean > 0.02 {
-			t.Errorf("shape %v: sample mean %v, want ≈%v", shape, got, mean)
-		}
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/subtle"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"declust/internal/gf256"
@@ -68,8 +69,18 @@ func (s *Store) parityPos(stripe int64) (pp [2]int) {
 }
 
 // erase returns the erasure of position j (unit u) of stripe, solving into
-// out, or into pooled scratch when out is nil.
+// out, or into pooled scratch when out is nil. A unit found damaged (cause
+// set) is charged here, where it becomes an erasure, and nowhere else: a
+// checksum error counted (a media error was, where the backend reported
+// it: readPhys) and a point against its disk. Damage past the code's
+// budget never becomes an erasure, so it is not charged.
 func (s *Store) erase(stripe int64, j int, u layout.Loc, out []byte, cause error) erasure {
+	if cause != nil {
+		if !errors.Is(cause, ErrMedia) {
+			s.checksumErrs.Add(1)
+		}
+		s.scoreDiskError(u.Disk)
+	}
 	e := erasure{loc: u, out: out, cause: cause}
 	switch pp := s.parityPos(stripe); j {
 	case pp[0]:
@@ -97,27 +108,23 @@ func (s *Store) freeErasures(list []erasure) {
 
 // erasures starts the erasure list for recovering unit want into wantOut:
 // every lost unit of the stripe (the others solve into pooled scratch),
-// plus want itself when it is not lost but damaged in place. One erasure
-// more than the code has parities is ErrUnrecoverable.
-func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, want layout.Loc, wantOut []byte) ([]erasure, error) {
+// then want itself, lost or — cause set — damaged in place. No room left
+// for want, one erasure more than the code has parities, is
+// ErrUnrecoverable. (Fail keeps the lost units within the budget.)
+func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, want layout.Loc, wantOut []byte, cause error) ([]erasure, error) {
 	list := sc.eras[:0]
+	_, at := s.lay.Locate(want)
 	for j, g := 0, s.lay.G(); j < g; j++ {
-		u := s.lay.Unit(stripe, j)
-		if u != want && !st.lost(u) {
-			continue
+		if u := s.lay.Unit(stripe, j); j != at && st.lost(u) {
+			list = append(list, s.erase(stripe, j, u, nil, nil))
 		}
-		if len(list) == s.parities {
-			s.freeErasures(list)
-			return nil, fmt.Errorf("%w: recovering %v: stripe %d has more than %d unreadable units",
-				ErrUnrecoverable, want, stripe, len(list))
-		}
-		var out []byte
-		if u == want {
-			out = wantOut
-		}
-		list = append(list, s.erase(stripe, j, u, out, nil))
 	}
-	return list, nil
+	if len(list) == s.parities {
+		s.freeErasures(list)
+		return nil, fmt.Errorf("%w: recovering %v: stripe %d has more than %d unreadable units",
+			ErrUnrecoverable, want, stripe, len(list))
+	}
+	return append(list, s.erase(stripe, at, want, wantOut, cause)), nil
 }
 
 // sumOwners puts an erasure list (one or two entries) in role order and
@@ -218,11 +225,11 @@ func decode(list []erasure, px, qx []byte) {
 // solve computes every listed erasure's contents into its out buffer from
 // the rest of the stripe, in one gather of only the units the pattern
 // needs; the out buffers double as the accumulators. Reads are plain (no
-// healing): a damaged survivor is returned (its err set) — the first in
-// list order — for the caller to absorb or escalate. The list must hold
+// healing): the damaged survivors are returned, in list order, for the
+// caller to absorb or escalate, and nothing is solved. The list must hold
 // every lost unit of the stripe. Caller holds at least the stripe's read
 // lock.
-func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []erasure) (damagedUnit, error) {
+func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []erasure) ([]damagedUnit, error) {
 	var px, qx []byte
 	po, qo := sumOwners(list)
 	if po != nil {
@@ -232,14 +239,11 @@ func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []era
 		qx = qo.out
 	}
 	damaged, err := s.gatherSums(st, sc, stripe, list, px, qx)
-	if err != nil {
-		return damagedUnit{}, err
-	}
-	if len(damaged) > 0 {
-		return damaged[0], nil
+	if err != nil || len(damaged) > 0 {
+		return damaged, err
 	}
 	decode(list, px, qx)
-	return damagedUnit{}, nil
+	return nil, nil
 }
 
 // reconstructLocked computes loc (lost) into dst from its stripe's
@@ -252,57 +256,58 @@ func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) err
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
 	stripe, _ := s.lay.Locate(loc)
-	list, err := s.erasures(st, sc, stripe, loc, dst)
+	list, err := s.erasures(st, sc, stripe, loc, dst, nil)
 	if err != nil {
 		return err
 	}
 	defer s.freeErasures(list)
-	dmg, err := s.solve(st, sc, stripe, list)
-	if err != nil {
+	damaged, err := s.solve(st, sc, stripe, list)
+	if err != nil || len(damaged) == 0 {
 		return err
 	}
-	return dmg.err // escalates to healRead, which may absorb it
+	return damaged[0].err // escalates to healRead, which may absorb it
 }
 
-// recoverInto computes the contents of unit u — lost or damaged — from
-// the rest of its stripe, into out, under the stripe's WRITE lock: u and
-// every lost unit of the stripe are erased, and a damaged unit discovered
-// along the way is absorbed as one more erasure — and healed in place —
-// while the code's budget of one erasure per parity lasts. Under single
-// parity that budget is spent on u itself, so any damaged sibling is
-// unrecoverable and nothing is rewritten.
-func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte) error {
+// recoverInto is the store's one heal path. It computes the contents of
+// unit u into out from the rest of its stripe, under the stripe's WRITE
+// lock: u is lost, or — cause set — was found damaged by cause, and also
+// lists more units of the stripe a read under the same lock found damaged,
+// each solved into its own out. Those, and every damaged unit the solve
+// meets on the way, become erasures (charged there: erase) while the
+// code's budget of one erasure per parity lasts, so no damaged unit is
+// read twice; once all are solved, each erasure with a cause — u included
+// — is rewritten in place (healUnit). Past the budget it is
+// ErrUnrecoverable and nothing is rewritten. A failed rewrite leaves its
+// unit damaged and its disk charged, but the operation that needed the
+// contents has them.
+func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error, also ...damagedUnit) error {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
 	stripe, _ := s.lay.Locate(u)
-	list, err := s.erasures(st, sc, stripe, u, out)
+	list, err := s.erasures(st, sc, stripe, u, out, cause)
 	if err != nil {
 		return err
 	}
 	defer func() { s.freeErasures(list) }()
-	for {
-		dmg, err := s.solve(st, sc, stripe, list)
-		if err != nil {
+	for damaged := also; ; {
+		if len(list)+len(damaged) > s.parities {
+			return fmt.Errorf("%w: recovering %v: %v is unreadable too and stripe %d has %d erasures already: %v",
+				ErrUnrecoverable, u, damaged[0].loc, stripe, len(list), damaged[0].err)
+		}
+		for _, d := range damaged {
+			_, j := s.lay.Locate(d.loc)
+			list = append(list, s.erase(stripe, j, d.loc, d.out, d.err))
+		}
+		if damaged, err = s.solve(st, sc, stripe, list); err != nil {
 			return err
 		}
-		if dmg.err == nil {
+		if len(damaged) == 0 {
 			break
 		}
-		if len(list) == s.parities {
-			return fmt.Errorf("%w: %v and %v are both unreadable and stripe %d has %d erasures already: %v",
-				ErrUnrecoverable, u, dmg.loc, stripe, len(list), dmg.err)
-		}
-		// Budget left: absorb the damaged unit as another erasure and
-		// re-solve; its reconstructed contents heal it in place below.
-		s.countHeal(dmg.err)
-		s.scoreDiskError(dmg.loc.Disk)
-		_, j := s.lay.Locate(dmg.loc)
-		list = append(list, s.erase(stripe, j, dmg.loc, nil, dmg.err))
 	}
-	for i := range list {
-		// u, if damaged rather than lost, is the caller's to rewrite.
-		if e := &list[i]; e.cause != nil {
-			s.healUnit(st, e.loc, e.out)
+	for _, e := range list {
+		if e.cause != nil {
+			_ = s.healUnit(st, e.loc, e.out) // a failed rewrite is charged; out holds the contents
 		}
 	}
 	return nil
@@ -460,7 +465,7 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 				need = append(need, t)
 			default:
 				lBuf := s.getBuf()
-				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize])
+				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize], nil)
 				if err == nil {
 					sc.sums.forgetSum()
 					t.foldInto(&sc.sums, (*lBuf)[:s.unitSize], 0)

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"declust/internal/layout"
@@ -247,25 +248,6 @@ func TestTransientErrorsAreRetried(t *testing.T) {
 	}
 }
 
-func TestLatentSectorErrorSelfHeals(t *testing.T) {
-	latent := new(latentUnits)
-	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 64, UnitSize: 512}, latent.hook)
-	fillAll(t, s, 3)
-	latent.add(s.mapper.Loc(5))
-	verifyUnit(t, s, 5, 3) // discovery read reconstructs and rewrites
-	st := s.Stats()
-	if st.MediaErrors == 0 || st.HealedUnits == 0 {
-		t.Fatalf("MediaErrors=%d HealedUnits=%d, want both > 0", st.MediaErrors, st.HealedUnits)
-	}
-	if latent.healed.Load() != 1 {
-		t.Fatal("healing rewrite did not clear the latent sector")
-	}
-	verifyUnit(t, s, 5, 3) // now served straight from the medium
-	if got := s.Stats().HealedUnits; got != st.HealedUnits {
-		t.Fatalf("second read healed again (HealedUnits %d -> %d)", st.HealedUnits, got)
-	}
-}
-
 func TestTransientCorruptionClearsOnReRead(t *testing.T) {
 	s, _ := faultStore(t, 7, 3, 64, 512,
 		func(int) FaultConfig { return FaultConfig{Seed: 11, CorruptRate: 0.3} },
@@ -276,59 +258,32 @@ func TestTransientCorruptionClearsOnReRead(t *testing.T) {
 	}
 }
 
+// TestPersistentCorruptionHealsFromParity rots a data unit on the medium;
+// a read must return its written bytes from parity, count the checksum
+// error, heal the unit, and leave parity balanced.
 func TestPersistentCorruptionHealsFromParity(t *testing.T) {
 	s := newTestStore(t, 7, 3, 64, 512)
 	fillAll(t, s, 2)
-	// Rot a unit on the medium: valid-looking garbage with a bad trailer.
-	loc := s.mapper.Loc(7)
-	st := s.st.Load()
-	junk := bytes.Repeat([]byte{0xDB}, s.physSize)
-	if err := st.disks[loc.Disk].WriteUnit(loc.Offset, junk); err != nil {
-		t.Fatal(err)
-	}
+	rot(t, s, s.mapper.Loc(7))
 	verifyUnit(t, s, 7, 2)
-	stats := s.Stats()
-	if stats.ChecksumErrors == 0 || stats.HealedUnits == 0 {
-		t.Fatalf("ChecksumErrors=%d HealedUnits=%d, want both > 0", stats.ChecksumErrors, stats.HealedUnits)
+	if st := s.Stats(); st.ChecksumErrors == 0 || st.HealedUnits == 0 {
+		t.Fatalf("ChecksumErrors=%d HealedUnits=%d, want both > 0", st.ChecksumErrors, st.HealedUnits)
 	}
 	if err := s.CheckParity(); err != nil {
 		t.Fatalf("CheckParity after heal: %v", err)
 	}
 }
 
-func TestRangeReadHealsDamage(t *testing.T) {
-	s := newTestStore(t, 7, 3, 64, 512)
-	fillAll(t, s, 4)
-	loc := s.mapper.Loc(2)
-	st := s.st.Load()
-	if err := st.disks[loc.Disk].WriteUnit(loc.Offset, make([]byte, s.physSize)); err != nil {
-		t.Fatal(err)
-	}
-	// All-zero reads as valid zeroes, so rot it with a nonzero bad image.
-	junk := bytes.Repeat([]byte{1}, s.physSize)
-	if err := st.disks[loc.Disk].WriteUnit(loc.Offset, junk); err != nil {
-		t.Fatal(err)
-	}
-	n := int64(6)
-	dst := make([]byte, int(n)*s.UnitSize())
-	if err := s.ReadRange(0, dst); err != nil {
-		t.Fatalf("ReadRange over damaged unit: %v", err)
-	}
-	want := make([]byte, s.UnitSize())
-	for u := int64(0); u < n; u++ {
-		fill(want, u, 4)
-		if !bytes.Equal(dst[u*int64(s.UnitSize()):(u+1)*int64(s.UnitSize())], want) {
-			t.Fatalf("range read unit %d mismatch", u)
-		}
-	}
-	if s.Stats().HealedUnits == 0 {
-		t.Fatal("range read did not heal the damaged unit")
-	}
-}
-
 func TestAutoFailThreshold(t *testing.T) {
 	latent := new(latentUnits)
-	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 64, UnitSize: 512, FailThreshold: 2}, latent.hook)
+	var refused atomic.Pointer[layout.Loc] // writes of this unit fail
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 64, UnitSize: 512, FailThreshold: 2},
+		func(c call, pass func() error) error {
+			if u := refused.Load(); u != nil && c.op == opWrite && c.disk == u.Disk && c.off == u.Offset {
+				return errors.New("planted: write refused")
+			}
+			return latent.hook(c, pass)
+		})
 	fillAll(t, s, 5)
 	// Two latent sectors on one disk: each discovery is a persistent
 	// error, and the second crosses the threshold.
@@ -366,5 +321,23 @@ func TestAutoFailThreshold(t *testing.T) {
 	}
 	if s.DiskErrors()[4] != 0 {
 		t.Fatal("replacement inherited the failed slot's error score")
+	}
+
+	// A rotted unit whose heal the disk refuses costs two points, one for
+	// the damage and one for the failed rewrite, and the read still returns
+	// the reconstructed bytes.
+	n := int64(0)
+	if s.mapper.Loc(n).Disk == 4 { // the replacement, under no hook
+		n++
+	}
+	u := s.mapper.Loc(n)
+	rot(t, s, u)
+	refused.Store(&u)
+	verifyUnit(t, s, n, 5)
+	if got := s.DiskErrors()[u.Disk]; got != 2 {
+		t.Fatalf("a refused heal left disk %d scored %d, want 2", u.Disk, got)
+	}
+	if got := s.FailedDisks(); len(got) != 1 || got[0] != u.Disk {
+		t.Fatalf("FailedDisks = %v, want [%d]", got, u.Disk)
 	}
 }

@@ -311,11 +311,13 @@ func store(sum, data []byte) {
 func sameBuf(a, b []byte) bool { return &a[0] == &b[0] }
 
 // damagedUnit records a unit a gather found damaged (media error or
-// checksum mismatch), in ascending item order.
+// checksum mismatch), in ascending item order, and where recoverInto is to
+// solve it (nil: pooled scratch).
 type damagedUnit struct {
 	idx int
 	loc layout.Loc
 	err error
+	out []byte
 }
 
 // readLive reads unit u, which must not be lost, into phys, as readPhys.
@@ -377,70 +379,40 @@ func (sc *stripeScratch) readBuf(terms []term, i int) []byte {
 	return sc.phys[i]
 }
 
-// gatherHealing is gather for callers holding the stripe's WRITE lock:
-// units the batch reports damaged are healed in place, serially, once the
-// batch's other reads are done, and folded in after all — each through the
-// scratch's unit buffer of its index, which a damaged read left free or,
-// for a term read in place, never used: its sum was started by the next
-// term to reach it, over the damaged bytes. A healed unit's crc32c is not
-// known, so P is then stamped by computing. No listed unit may be lost.
+// gatherHealing is gather for callers holding the stripe's WRITE lock: the
+// units the batch reports damaged go, once its other reads are done, to
+// recoverInto under that same lock — their reads are not repeated — which
+// solves them from the rest of the stripe and rewrites them, each into the
+// scratch's unit buffer of its index (left free by its damaged read or, for
+// a term read in place, never used: its sum was started by the next term
+// to reach it, over the damaged bytes). They are folded in after all. A
+// healed unit's crc32c is not known, so P is then stamped by computing. No
+// listed unit may be lost.
 func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) error {
 	damaged, err := s.gather(st, sc, terms)
-	if err != nil {
+	if err != nil || len(damaged) == 0 {
 		return err
 	}
+	for i := range damaged {
+		damaged[i].out = sc.phys[damaged[i].idx][:s.unitSize]
+	}
+	if err := s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, damaged[1:]...); err != nil {
+		return err
+	}
+	sc.sums.forgetSum()
 	for _, d := range damaged {
-		data := sc.phys[d.idx][:s.unitSize]
-		if err := s.readUnitHealing(st, d.loc, data); err != nil {
-			return err
-		}
-		sc.sums.forgetSum()
-		terms[d.idx].foldInto(&sc.sums, data, 0)
+		terms[d.idx].foldInto(&sc.sums, d.out, 0)
 	}
-	return nil
-}
-
-// countHeal classifies a damaged-unit cause into the stats counters.
-func (s *Store) countHeal(cause error) {
-	if errors.Is(cause, ErrMedia) {
-		// mediaErrs was already counted at detection time in readPhys.
-		return
-	}
-	s.checksumErrs.Add(1)
-}
-
-// readUnitHealing reads unit u's data into out (one logical unit) under
-// the stripe's WRITE lock, healing damage in place: a media error or
-// persistent checksum mismatch triggers reconstruction from the stripe's
-// survivors and a rewrite of the damaged unit. u must not be lost.
-func (s *Store) readUnitHealing(st *diskState, u layout.Loc, out []byte) error {
-	phys := s.getBuf()
-	_, err := s.readPhys(st.disk(u), u.Disk, u.Offset, *phys)
-	if err == nil {
-		copy(out, (*phys)[:s.unitSize])
-		s.putBuf(phys)
-		return nil
-	}
-	s.putBuf(phys)
-	if !needsHeal(err) {
-		return err
-	}
-	s.countHeal(err)
-	s.scoreDiskError(u.Disk)
-	if rerr := s.recoverInto(st, u, out); rerr != nil {
-		return rerr
-	}
-	s.healUnit(st, u, out)
 	return nil
 }
 
 // healUnit rewrites damaged unit u with its reconstructed contents (heals a
-// latent sector error, replaces rotted bytes). A failed rewrite is charged
-// to the disk, but the operation that needed the contents has them.
-func (s *Store) healUnit(st *diskState, u layout.Loc, data []byte) {
-	if err := s.writeDataUnit(st.disk(u), u.Disk, u.Offset, data, dataSum(data)); err == nil {
+// latent sector error, replaces rotted bytes) — the only rewrite a healed
+// unit gets. A failed rewrite is charged to the disk once, by writePhysRaw.
+func (s *Store) healUnit(st *diskState, u layout.Loc, data []byte) error {
+	err := s.writeDataUnit(st.disk(u), u.Disk, u.Offset, data, dataSum(data))
+	if err == nil {
 		s.healedUnits.Add(1)
-	} else {
-		s.scoreDiskError(u.Disk)
 	}
+	return err
 }

@@ -128,19 +128,10 @@ func TestPQThirdFailureRejected(t *testing.T) {
 func TestPQScrubHealsTwoDamagedUnits(t *testing.T) {
 	s := newTestPQStore(t, 7, 4, 64, 512)
 	fillAll(t, s, 4)
-	st := s.st.Load()
-	for j := 0; j < 2; j++ {
-		u := s.lay.Unit(0, j)
-		if err := st.disks[u.Disk].WriteUnit(u.Offset, bytes.Repeat([]byte{0xEE}, s.physSize)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := s.Scrub()
-	if err != nil {
-		t.Fatalf("Scrub: %v", err)
-	}
-	if res.UnitRepairs != 1 {
-		t.Fatalf("UnitRepairs = %d stripes, want 1", res.UnitRepairs)
+	rot(t, s, s.lay.Unit(0, 0))
+	rot(t, s, s.lay.Unit(0, 1))
+	if res, err := s.Scrub(); err != nil || res.UnitRepairs != 1 {
+		t.Fatalf("Scrub = (%+v, %v), want UnitRepairs 1", res, err)
 	}
 	if healed := s.Stats().HealedUnits; healed != 2 {
 		t.Fatalf("HealedUnits = %d, want 2", healed)
@@ -151,21 +142,11 @@ func TestPQScrubHealsTwoDamagedUnits(t *testing.T) {
 	for n := int64(0); n < s.DataUnits(); n++ {
 		verifyUnit(t, s, n, 4)
 	}
-
-	// Three rotted units in one stripe exceed even P+Q.
-	st = s.st.Load()
 	for j := 0; j < 3; j++ {
-		u := s.lay.Unit(1, j)
-		if err := st.disks[u.Disk].WriteUnit(u.Offset, bytes.Repeat([]byte{0xBD}, s.physSize)); err != nil {
-			t.Fatal(err)
-		}
+		rot(t, s, s.lay.Unit(1, j))
 	}
-	res, err = s.Scrub()
-	if err == nil || !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("Scrub returned %v, want ErrUnrecoverable", err)
-	}
-	if res.Unrecoverable != 1 {
-		t.Fatalf("Unrecoverable = %d, want 1", res.Unrecoverable)
+	if res, err := s.Scrub(); !errors.Is(err, ErrUnrecoverable) || res.Unrecoverable != 1 {
+		t.Fatalf("Scrub = (%+v, %v), want Unrecoverable 1 and ErrUnrecoverable", res, err)
 	}
 }
 
@@ -176,30 +157,21 @@ func TestPQScrubHealsTwoDamagedUnits(t *testing.T) {
 func TestPQSelfHealingDegradedRead(t *testing.T) {
 	s := newTestPQStore(t, 7, 4, 64, 512)
 	fillAll(t, s, 1)
-	// Find a data unit, fail its disk, then rot one sibling of its stripe.
 	n := int64(5)
 	loc := s.mapper.Loc(n)
 	stripe, _ := s.lay.Locate(loc)
 	if err := s.Fail(loc.Disk); err != nil {
 		t.Fatal(err)
 	}
-	st := s.st.Load()
-	var sib layout.Loc
-	for j := 0; j < s.lay.G(); j++ {
-		u := s.lay.Unit(stripe, j)
-		if u.Disk != loc.Disk {
-			sib = u
-			break
-		}
+	sib := s.lay.Unit(stripe, 0)
+	if sib == loc {
+		sib = s.lay.Unit(stripe, 1)
 	}
-	if err := st.disks[sib.Disk].WriteUnit(sib.Offset, bytes.Repeat([]byte{0xAA}, s.physSize)); err != nil {
-		t.Fatal(err)
-	}
+	rot(t, s, sib)
 	verifyUnit(t, s, n, 1)
-	if s.Stats().HealedUnits == 0 {
-		t.Fatal("damaged survivor was not healed in place")
+	if s.Stats().HealedUnits != 1 || damagedOnBackend(s, sib) {
+		t.Fatalf("damaged survivor %v was not healed in place (HealedUnits %d)", sib, s.Stats().HealedUnits)
 	}
-	// The whole store must still verify.
 	for u := int64(0); u < s.DataUnits(); u++ {
 		verifyUnit(t, s, u, 1)
 	}

@@ -62,12 +62,9 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 		}
 		decode(list, px, qx)
 		for _, e := range list {
-			s.countHeal(e.cause)
-			s.scoreDiskError(e.loc.Disk)
-			if err := s.writeDataUnit(st.disk(e.loc), e.loc.Disk, e.loc.Offset, e.out, dataSum(e.out)); err != nil {
+			if err := s.healUnit(st, e.loc, e.out); err != nil {
 				return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", e.loc, err)
 			}
-			s.healedUnits.Add(1)
 		}
 		return fixUnit, nil
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"path/filepath"
 	"sync/atomic"
@@ -25,27 +24,6 @@ func TestScrubCleanStoreVerifiesEverything(t *testing.T) {
 	}
 	if s.Stats().Scrubs != 1 {
 		t.Fatalf("Scrubs = %d, want 1", s.Stats().Scrubs)
-	}
-}
-
-func TestScrubRepairsRottedUnit(t *testing.T) {
-	s := newTestStore(t, 7, 3, 64, 512)
-	fillAll(t, s, 6)
-	loc := s.mapper.Loc(11)
-	st := s.st.Load()
-	if err := st.disks[loc.Disk].WriteUnit(loc.Offset, bytes.Repeat([]byte{0xEE}, s.physSize)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Scrub()
-	if err != nil {
-		t.Fatalf("Scrub: %v", err)
-	}
-	if res.UnitRepairs != 1 {
-		t.Fatalf("UnitRepairs = %d, want 1", res.UnitRepairs)
-	}
-	verifyUnit(t, s, 11, 6)
-	if err := s.CheckParity(); err != nil {
-		t.Fatalf("CheckParity after scrub: %v", err)
 	}
 }
 
@@ -85,61 +63,6 @@ func TestScrubDetectsLostParityWrite(t *testing.T) {
 		t.Fatalf("CheckParity after scrub: %v", err)
 	}
 	verifyUnit(t, s, n, 2)
-}
-
-func TestScrubCountsUnrecoverableStripes(t *testing.T) {
-	s := newTestStore(t, 7, 3, 64, 512)
-	fillAll(t, s, 1)
-	// Rot two units of stripe 0: beyond single parity.
-	st := s.st.Load()
-	for j := 0; j < 2; j++ {
-		u := s.lay.Unit(0, j)
-		if err := st.disks[u.Disk].WriteUnit(u.Offset, bytes.Repeat([]byte{0xBD}, s.physSize)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := s.Scrub()
-	if err == nil || !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("Scrub returned %v, want an ErrUnrecoverable", err)
-	}
-	if res.Unrecoverable != 1 {
-		t.Fatalf("Unrecoverable = %d, want 1", res.Unrecoverable)
-	}
-	if res.Stripes != s.Stripes()-1 {
-		t.Fatalf("scrub stopped early: verified %d of %d stripes", res.Stripes, s.Stripes()-1)
-	}
-}
-
-// TestScrubCountsEachDamageCause puts a latent sector error and a
-// checksum-rotted unit in the same P+Q stripe: the scrub heals both from
-// one pass, and each is charged to its own cause — one media error, one
-// checksum error, two healed units.
-func TestScrubCountsEachDamageCause(t *testing.T) {
-	latent := new(latentUnits)
-	s := scriptedStore(t, Config{Layout: testPQLayout(t, 7, 4), UnitsPerDisk: 64, UnitSize: 512}, latent.hook)
-	fillAll(t, s, 5)
-	before := s.Stats()
-	lse, rotten := s.lay.Unit(3, 0), s.lay.Unit(3, 2)
-	latent.add(lse)
-	rot(t, s, rotten)
-	res, err := s.Scrub()
-	if err != nil {
-		t.Fatalf("Scrub: %v", err)
-	}
-	if res.UnitRepairs != 1 {
-		t.Fatalf("UnitRepairs = %d stripes, want 1", res.UnitRepairs)
-	}
-	after := s.Stats()
-	if c, m, h := after.ChecksumErrors-before.ChecksumErrors, after.MediaErrors-before.MediaErrors,
-		after.HealedUnits-before.HealedUnits; c != 1 || m != 1 || h != 2 {
-		t.Fatalf("ChecksumErrors, MediaErrors, HealedUnits grew by %d, %d, %d; want 1, 1, 2", c, m, h)
-	}
-	if err := s.CheckParity(); err != nil {
-		t.Fatalf("CheckParity after scrub: %v", err)
-	}
-	for n := int64(0); n < s.DataUnits(); n++ {
-		verifyUnit(t, s, n, 5)
-	}
 }
 
 func TestScrubSkipsDegradedStripes(t *testing.T) {

@@ -133,10 +133,14 @@ type Stats struct {
 	// Retries counts backend operations retried after a transient error.
 	Retries int64
 	// ChecksumErrors counts units whose trailer failed verification
-	// persistently (torn writes, bit rot) and entered the heal path.
+	// persistently (torn writes, bit rot), each as it becomes an erasure
+	// to heal; damage past the code's budget is not counted.
 	ChecksumErrors int64
 	// MediaErrors counts unrecoverable media errors (latent sector
-	// errors) reported by backends.
+	// errors) as backends report them, one per failed read — not per
+	// damaged unit: a read that finds one under the shared stripe lock
+	// and re-reads it under the exclusive lock to heal it reports one
+	// latent unit twice.
 	MediaErrors int64
 	// HealedUnits counts damaged units rewritten in place with contents
 	// reconstructed from their stripe's survivors (self-healing reads,
@@ -620,8 +624,10 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 }
 
 // healRead re-serves a read that found damage, under the stripe's write
-// lock so it may repair: re-read (transient corruption clears), else
-// reconstruct from survivors and rewrite the damaged unit.
+// lock so it may repair. Its read lock was released in between, so a
+// writer may have rewritten the unit: it reads again (transient corruption
+// clears too), and damage still there goes to recoverInto, which
+// reconstructs the unit from survivors and rewrites it.
 func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
 	s.locks.lock(stripe)
 	defer s.locks.unlock(stripe)
@@ -630,13 +636,22 @@ func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
 		// Lost, and a survivor was damaged: one exclusive retry under the
 		// write lock, where damage the code can still absorb (a transient
 		// that clears, or — under P+Q — a second erasure) is repaired.
-		if err := s.recoverInto(st, loc, dst); err != nil {
-			return err
+		err := s.recoverInto(st, loc, dst, nil)
+		if err == nil {
+			s.degradedReads.Add(1)
 		}
-		s.degradedReads.Add(1)
-		return nil
+		return err
 	}
-	return s.readUnitHealing(st, loc, dst)
+	phys := s.getBuf()
+	defer s.putBuf(phys)
+	_, err := s.readPhys(st.disk(loc), loc.Disk, loc.Offset, *phys)
+	switch {
+	case err == nil:
+		copy(dst, (*phys)[:s.unitSize])
+	case needsHeal(err):
+		err = s.recoverInto(st, loc, dst, err)
+	}
+	return err
 }
 
 // WriteUnit writes src (exactly one unit) to logical data unit n,
@@ -889,7 +904,7 @@ func (s *Store) Rebuild(repl Disk) error {
 				s.locks.unlock(stripe)
 				return nil
 			}
-			err := failed(off, s.recoverInto(stc, loc, phys[:s.unitSize]))
+			err := failed(off, s.recoverInto(stc, loc, phys[:s.unitSize], nil))
 			if jerr := join(); jerr != nil {
 				err = jerr // the write behind is at a lower offset
 			}

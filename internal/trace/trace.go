@@ -120,13 +120,11 @@ func (l *Log) MeanLatency() float64 {
 
 // Replayer replays a trace's arrival process: each Next returns the gap to
 // the next recorded arrival and its op, so a simulation driven by it sees
-// the original workload timing. TimeScale stretches (>1) or compresses
-// (<1) the gaps; 0 means 1.
+// the original workload timing.
 type Replayer struct {
-	records   []Record
-	i         int
-	last      float64
-	TimeScale float64
+	records []Record
+	i       int
+	last    float64
 }
 
 // NewReplayer builds a replayer over the log's records in arrival order.
@@ -160,17 +158,13 @@ func (r *Replayer) Passes() int { return r.i / len(r.records) }
 // the trace is exhausted it repeats from the start (steady-state replay),
 // continuing the clock seamlessly.
 func (r *Replayer) Next() (delayMS float64, op workload.Op) {
-	scale := r.TimeScale
-	if scale <= 0 {
-		scale = 1
-	}
 	rec := r.records[r.i%len(r.records)]
 	base := rec.ArriveMS
 	if r.i%len(r.records) == 0 && r.i > 0 {
 		// Wrapped: restart the arrival clock.
 		r.last = 0
 	}
-	delay := (base - r.last) * scale
+	delay := base - r.last
 	if delay < 0 {
 		delay = 0
 	}

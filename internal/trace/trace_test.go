@@ -124,12 +124,24 @@ func TestReplayerWraps(t *testing.T) {
 	}
 }
 
-func TestReplayerTimeScale(t *testing.T) {
+// TestReplayerWrapResetsClockUnderTimeScale drives three full passes at
+// the trace's own time scale (recorded milliseconds): each replays the same
+// gaps and ops, the wrap restarting the arrival clock — its gap is the
+// first arrival's offset, not the difference against the previous pass's
+// last arrival.
+func TestReplayerWrapResetsClockUnderTimeScale(t *testing.T) {
 	r, _ := NewReplayer(sampleLog())
-	r.TimeScale = 2
-	d, _ := r.Next()
-	if d != 10 {
-		t.Fatalf("scaled delay %v, want 10", d)
+	// Arrival order 5, 10, 20 -> gaps 5, 5, 10.
+	wantGaps, wantUnits := []float64{5, 5, 10}, []int64{7, 100, 0}
+	for pass := 0; pass < 3; pass++ {
+		if r.Passes() != pass {
+			t.Fatalf("before pass %d: Passes() = %d", pass, r.Passes())
+		}
+		for i, w := range wantGaps {
+			if d, op := r.Next(); d != w || op.Unit != wantUnits[i] {
+				t.Fatalf("pass %d: gap %d = %v to unit %d, want %v to unit %d", pass, i, d, op.Unit, w, wantUnits[i])
+			}
+		}
 	}
 }
 
@@ -141,32 +153,6 @@ func TestNewReplayerEmpty(t *testing.T) {
 
 // Replayer must satisfy the workload.Source interface.
 var _ workload.Source = (*Replayer)(nil)
-
-// TestReplayerWrapResetsClockUnderTimeScale drives several full passes with
-// a non-unit TimeScale, exercising the wrap path that resets the arrival
-// clock: the wrap gap must be the first arrival offset (scaled), not the
-// raw difference against the previous pass's last arrival.
-func TestReplayerWrapResetsClockUnderTimeScale(t *testing.T) {
-	r, err := NewReplayer(sampleLog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.TimeScale = 3
-	// Arrival order 5, 10, 20 -> gaps 5, 5, 10; every pass, including the
-	// first, must replay those gaps scaled by 3.
-	want := []float64{15, 15, 30}
-	for pass := 0; pass < 3; pass++ {
-		if r.Passes() != pass {
-			t.Fatalf("before pass %d: Passes() = %d", pass, r.Passes())
-		}
-		for i, w := range want {
-			d, _ := r.Next()
-			if math.Abs(d-w) > 1e-9 {
-				t.Fatalf("pass %d gap %d = %v, want %v", pass, i, d, w)
-			}
-		}
-	}
-}
 
 // TestWriteReadRoundTripProperty round-trips random logs through the text
 // format. Times are rounded to whole microseconds so the %.6f encoding is
