@@ -116,8 +116,8 @@ fuzz:
 # wide as it should be) run twenty times to show they do not flake; ten
 # times each: the store's write and read access counts (the rows of the one
 # table both engines read, internal/testdata/costs.txt), a rebuild's reads
-# against the layout's decode rule (its shards interleave differently each
-# run) and the generated range ops against a flat reference (a fresh seed
+# against the layout's decode rule, one disk down and two under P+Q (its
+# shards interleave differently each run) and the generated range ops against a flat reference (a fresh seed
 # each repetition, in memory and on files); the enumeration of a rebuild's
 # failure points (which access comes k-th over the forced-open store varies
 # with scheduling), the backend-ownership table and a second failure racing

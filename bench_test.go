@@ -22,7 +22,7 @@ import (
 
 func benchOpts(seed int64) experiments.Options {
 	return experiments.Options{
-		ScaleNum: 1, ScaleDen: 20,
+		Scale:     20,
 		Seed:      seed,
 		WarmupMS:  5_000,
 		MeasureMS: 30_000,
@@ -245,7 +245,7 @@ func BenchmarkDesignGeneration(b *testing.B) {
 func runFaultFree(parities int, instrumented bool, measureMS float64) (declust.Metrics, error) {
 	cfg := declust.SimConfig{
 		C: 21, G: 5, Parities: parities,
-		ScaleNum: 1, ScaleDen: 20,
+		Scale:        20,
 		RatePerSec:   210,
 		ReadFraction: 0.5,
 		Seed:         11,

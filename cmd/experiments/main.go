@@ -9,10 +9,8 @@
 //	experiments -run fig8-1     # one experiment
 //	experiments -j 8            # fan sweep points over 8 workers
 //
-// Experiments: fig4-3, fig6-1, fig6-2, fig8 (8-1..8-4), table8-1, fig8-6,
-// ext-throttle, ext-priority, ext-mttdl, ext-lse, ext-datamap, ext-mirror,
-// ext-sparing, ext-unitsize, ext-skew, ext-sched, ext-readahead,
-// ext-phases, ext-pq, double-failure.
+// The experiment ids are those of catalog; -run with an id it lacks fails
+// and lists them.
 package main
 
 import (
@@ -20,11 +18,132 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"declust/internal/experiments"
 )
+
+// experiment is one entry of the catalog: the ids that select it, comma-
+// separated (the first names it; an id shared by several entries, like
+// fig8, selects them all), and what it runs.
+type experiment struct {
+	ids string
+	run func(o experiments.Options, spansDir string) ([]experiments.Table, error)
+}
+
+// tables adapts an experiment function's table and error results.
+func tables(ts ...any) ([]experiments.Table, error) {
+	var out []experiments.Table
+	for _, v := range ts {
+		switch v := v.(type) {
+		case experiments.Table:
+			out = append(out, v)
+		case error:
+			return nil, v
+		}
+	}
+	return out, nil
+}
+
+// catalog lists every experiment, in the order a run prints them.
+var catalog = []experiment{
+	{ids: "fig4-3", run: func(experiments.Options, string) ([]experiments.Table, error) {
+		return tables(experiments.Fig43(41))
+	}},
+	{ids: "fig6-1", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.Fig6(o, 1.0))
+	}},
+	{ids: "fig6-2", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.Fig6(o, 0.0))
+	}},
+	{ids: "fig8,fig8-1,fig8-2", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.Fig8(o, 1))
+	}},
+	{ids: "fig8,fig8-3,fig8-4", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.Fig8(o, 8))
+	}},
+	{ids: "table8-1", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.Table81(o))
+	}},
+	{ids: "fig8-6", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.Fig86(o))
+	}},
+	{ids: "ext-throttle", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtThrottle(o, 5, nil))
+	}},
+	{ids: "ext-priority", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtPriority(o, 5))
+	}},
+	{ids: "ext-mttdl", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtReliability(o, 8))
+	}},
+	{ids: "ext-lse", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtLatent(o))
+	}},
+	{ids: "ext-datamap", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtDataMap(o, 5, nil))
+	}},
+	{ids: "ext-mirror", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtMirror(o))
+	}},
+	{ids: "ext-sparing", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtSparing(o, 5))
+	}},
+	{ids: "ext-unitsize", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtUnitSize(o, 5, nil))
+	}},
+	{ids: "ext-skew", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtSkew(o, 5))
+	}},
+	{ids: "ext-sched", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtSched(o, nil))
+	}},
+	{ids: "ext-readahead", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtReadahead(o, 5))
+	}},
+	{ids: "ext-phases", run: func(o experiments.Options, spansDir string) ([]experiments.Table, error) {
+		return tables(experiments.ExtPhases(o, nil, spansDir))
+	}},
+	{ids: "ext-pq", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.ExtPQ(o, nil))
+	}},
+	{ids: "double-failure", run: func(o experiments.Options, _ string) ([]experiments.Table, error) {
+		return tables(experiments.DoubleFailureLoss(o))
+	}},
+}
+
+// selectExperiments returns the catalog entries a -run value selects, in
+// catalog order: every entry for "all", else each entry one of the
+// comma-separated ids names. An id no entry has is an error that lists
+// the valid ones.
+func selectExperiments(run string) ([]experiment, error) {
+	valid := []string{"all"}
+	for _, e := range catalog {
+		for _, id := range strings.Split(e.ids, ",") {
+			if !slices.Contains(valid, id) {
+				valid = append(valid, id)
+			}
+		}
+	}
+	want := strings.Split(run, ",")
+	for i, id := range want {
+		want[i] = strings.TrimSpace(id)
+		if !slices.Contains(valid, want[i]) {
+			return nil, fmt.Errorf("unknown experiment %q; valid ids: %s", want[i], strings.Join(valid, ", "))
+		}
+	}
+	var out []experiment
+	for _, e := range catalog {
+		if slices.Contains(want, "all") || slices.ContainsFunc(strings.Split(e.ids, ","), func(id string) bool {
+			return slices.Contains(want, id)
+		}) {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
 
 func main() {
 	scale := flag.Int("scale", 1, "disk capacity divisor (1 = full IBM 0661)")
@@ -41,126 +160,19 @@ func main() {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if *scale > 1 {
-		o.ScaleNum, o.ScaleDen = 1, *scale
+		o.Scale = *scale
 	}
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(id)] = true
-	}
-	all := want["all"]
-	selected := func(id string) bool { return all || want[id] }
+	selected, err := selectExperiments(*run)
+	check(err)
 
 	start := time.Now()
-	emit := func(tables ...experiments.Table) {
-		for _, t := range tables {
+	for _, e := range selected {
+		ts, err := e.run(o, *spansDir)
+		check(err)
+		for _, t := range ts {
 			fmt.Println(t)
 			fmt.Printf("[%s done at %v]\n\n", t.ID, time.Since(start).Round(time.Second))
 		}
-	}
-
-	if selected("fig4-3") {
-		emit(experiments.Fig43(41))
-	}
-	if selected("fig6-1") {
-		_, t, err := experiments.Fig6(o, 1.0)
-		check(err)
-		emit(t)
-	}
-	if selected("fig6-2") {
-		_, t, err := experiments.Fig6(o, 0.0)
-		check(err)
-		emit(t)
-	}
-	if selected("fig8") || selected("fig8-1") || selected("fig8-2") {
-		_, tt, tr, err := experiments.Fig8(o, 1)
-		check(err)
-		emit(tt, tr)
-	}
-	if selected("fig8") || selected("fig8-3") || selected("fig8-4") {
-		_, tt, tr, err := experiments.Fig8(o, 8)
-		check(err)
-		emit(tt, tr)
-	}
-	if selected("table8-1") {
-		_, t, err := experiments.Table81(o)
-		check(err)
-		emit(t)
-	}
-	if selected("fig8-6") {
-		_, t, err := experiments.Fig86(o)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-throttle") {
-		_, t, err := experiments.ExtThrottle(o, 5, nil)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-priority") {
-		_, t, err := experiments.ExtPriority(o, 5)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-mttdl") {
-		_, t, err := experiments.ExtReliability(o, 8)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-lse") {
-		t, err := experiments.ExtLatent(o)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-datamap") {
-		_, t, err := experiments.ExtDataMap(o, 5, nil)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-mirror") {
-		_, t, err := experiments.ExtMirror(o)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-sparing") {
-		_, t, err := experiments.ExtSparing(o, 5)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-unitsize") {
-		_, t, err := experiments.ExtUnitSize(o, 5, nil)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-skew") {
-		_, t, err := experiments.ExtSkew(o, 5)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-sched") {
-		_, t, err := experiments.ExtSched(o, nil)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-readahead") {
-		_, t, err := experiments.ExtReadahead(o, 5)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-phases") {
-		_, t, err := experiments.ExtPhases(o, nil, *spansDir)
-		check(err)
-		emit(t)
-	}
-	if selected("ext-pq") {
-		_, t, err := experiments.ExtPQ(o, nil)
-		check(err)
-		emit(t)
-	}
-	if selected("double-failure") {
-		_, t, err := experiments.DoubleFailureLoss(o)
-		check(err)
-		emit(t)
 	}
 }
 

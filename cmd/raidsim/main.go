@@ -135,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	cfg := declust.SimConfig{
 		C: *c, G: *g,
-		ScaleNum: 1, ScaleDen: *scale,
+		Scale:        *scale,
 		RatePerSec:   *rate,
 		ReadFraction: *reads,
 		AccessUnits:  *size,
@@ -505,7 +505,7 @@ func reportSecondFailure(stdout io.Writer, c, g, scale, parities int) error {
 	}
 	geom := declust.IBM0661()
 	if scale > 1 {
-		geom = geom.Scaled(1, scale)
+		geom = geom.Scaled(scale)
 	}
 	df, frac, err := experiments.WorstSecondFailure(m, geom)
 	if err != nil {

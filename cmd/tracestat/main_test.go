@@ -18,7 +18,7 @@ func writeRun(t *testing.T, dir string, g int, mode string) string {
 	t.Helper()
 	cfg := core.SimConfig{
 		C: 21, G: g,
-		ScaleNum: 1, ScaleDen: 50,
+		Scale:        50,
 		RatePerSec:   105,
 		ReadFraction: 0.5,
 		Seed:         42,

@@ -167,7 +167,7 @@ func TestFacadeSelectDesign(t *testing.T) {
 func TestFacadeSimulation(t *testing.T) {
 	res, err := declust.RunReconstruction(declust.SimConfig{
 		C: 21, G: 5,
-		ScaleNum: 1, ScaleDen: 50,
+		Scale:      50,
 		RatePerSec: 105, ReadFraction: 0.5,
 		ReconProcs: 8,
 		Algorithm:  declust.Redirect,

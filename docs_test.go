@@ -106,8 +106,8 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 
 // commandNames returns what cmd/<cmd>/main.go defines: its flag names (the
 // first argument of each String, Bool, Int, Int64 or Float64 call on fs or
-// on package flag) and the experiment ids it selects (the argument of each
-// selected call).
+// on package flag) and the experiment ids it selects (the comma-separated
+// ids of each catalog entry).
 func commandNames(t *testing.T, cmd string) (flags, ids map[string]bool) {
 	path := filepath.Join("cmd", cmd, "main.go")
 	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
@@ -116,6 +116,17 @@ func commandNames(t *testing.T, cmd string) (flags, ids map[string]bool) {
 	}
 	flags, ids = map[string]bool{}, map[string]bool{}
 	ast.Inspect(f, func(n ast.Node) bool {
+		if kv, ok := n.(*ast.KeyValueExpr); ok {
+			if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "ids" {
+				if lit, ok := kv.Value.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					list, _ := strconv.Unquote(lit.Value)
+					for _, id := range strings.Split(list, ",") {
+						ids[id] = true
+					}
+				}
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
@@ -128,12 +139,7 @@ func commandNames(t *testing.T, cmd string) (flags, ids map[string]bool) {
 		if err != nil {
 			return true
 		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if fun.Name == "selected" {
-				ids[name] = true
-			}
-		case *ast.SelectorExpr:
+		if fun, ok := call.Fun.(*ast.SelectorExpr); ok {
 			recv, ok := fun.X.(*ast.Ident)
 			if !ok || (recv.Name != "fs" && recv.Name != "flag") {
 				return true
@@ -147,6 +153,9 @@ func commandNames(t *testing.T, cmd string) (flags, ids map[string]bool) {
 	})
 	if len(flags) == 0 {
 		t.Fatalf("found no flag definitions in %s", path)
+	}
+	if cmd == "experiments" && len(ids) == 0 {
+		t.Fatalf("found no experiment ids in %s", path)
 	}
 	return flags, ids
 }

@@ -20,7 +20,7 @@ import (
 func main() {
 	base := declust.SimConfig{
 		C: 21, G: 5,
-		ScaleNum: 1, ScaleDen: 20, // accelerated demo scale
+		Scale:        20, // accelerated demo scale
 		RatePerSec:   210,
 		ReadFraction: 0.5,
 		Algorithm:    declust.Redirect,

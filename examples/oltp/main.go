@@ -32,7 +32,7 @@ func main() {
 	for _, g := range []int{4, 5, 6, 10, 21} {
 		cfg := declust.SimConfig{
 			C: 21, G: g,
-			ScaleNum: 1, ScaleDen: 10, // quick demo scale
+			Scale:        10, // quick demo scale
 			RatePerSec:   rate,
 			ReadFraction: 0.5,
 			Algorithm:    declust.Redirect,

@@ -41,7 +41,7 @@ func main() {
 	// Scale fields for the full 311 MB drives.)
 	res, err := declust.RunReconstruction(declust.SimConfig{
 		C: 21, G: 5,
-		ScaleNum: 1, ScaleDen: 10,
+		Scale:        10,
 		RatePerSec:   210,
 		ReadFraction: 0.5,
 		Algorithm:    declust.Redirect,

@@ -27,7 +27,7 @@ func main() {
 		for _, alg := range algorithms {
 			res, err := declust.RunReconstruction(declust.SimConfig{
 				C: 21, G: 5,
-				ScaleNum: 1, ScaleDen: 10,
+				Scale:        10,
 				RatePerSec:   210,
 				ReadFraction: 0.5,
 				Algorithm:    alg,

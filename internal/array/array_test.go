@@ -23,7 +23,7 @@ func raid5Array(t *testing.T, c int, mutate func(*Config)) (*sim.Engine, *Array)
 	}
 	cfg := Config{
 		Layout:      l,
-		Geom:        drive.IBM0661().Scaled(1, 100),
+		Geom:        drive.IBM0661().Scaled(100),
 		UnitSectors: 8,
 		ReconProcs:  1,
 	}

@@ -15,8 +15,8 @@ import (
 // balances wherever it can be evaluated, and whatever is lost remains
 // decodable — with one parity: readable data is current, a whole stripe's
 // parity is the XOR of its data, and a lost data unit is the XOR of the
-// survivors. (Losses beyond the code are restored out of band; recordLoss
-// keeps the model consistent through them.)
+// survivors. (Losses beyond the code are restored out of band; the model's
+// contents are never erased, so it stays consistent through them.)
 //
 // This proves the driver's degraded paths (parity folding, redirection,
 // piggybacking) never corrupt or strand data.

@@ -2,6 +2,7 @@ package array
 
 import (
 	"fmt"
+	"slices"
 
 	"declust/internal/layout"
 )
@@ -22,14 +23,14 @@ type FaultStats struct {
 // FaultStats returns a copy of the fault counters.
 func (a *Array) FaultStats() FaultStats { return a.fstats }
 
-// DataLossEvent records one stripe losing more units than single-failure
-// redundancy can rebuild: a media error on a survivor of a degraded
-// stripe, two media errors in one stripe, or (via SecondFail) a second
-// whole-disk failure.
+// DataLossEvent records one stripe losing more units than its code can
+// rebuild: under single parity a media error on a survivor of a degraded
+// stripe, or two media errors in one stripe; under P+Q a third erasure.
 type DataLossEvent struct {
 	TMS    float64
 	Stripe int64
-	// Units are the unreadable stripe units at the time of loss.
+	// Units are the stripe's erasures at the time of loss, unreadable or
+	// lost, bar a unit the operation that met them was overwriting.
 	Units []layout.Loc
 }
 
@@ -42,87 +43,67 @@ func (a *Array) DataLosses() []DataLossEvent {
 	return out
 }
 
-// recordLoss books units beyond redundancy's reach. The model's contents
+// recordLoss books n units beyond the code's reach. The model's contents
 // are not erased — the continuation rewrites the units "from backup" — so
 // consistency checks stay meaningful while the loss is fully accounted.
-func (a *Array) recordLoss(stripe int64, units []layout.Loc) {
-	a.lossEvents = append(a.lossEvents, DataLossEvent{
-		TMS: a.eng.Now(), Stripe: stripe,
-		Units: append([]layout.Loc(nil), units...),
-	})
-	a.fstats.LostUnits += int64(len(units))
-	a.mLostUnits.Add(int64(len(units)))
+func (a *Array) recordLoss(n int64) {
+	a.fstats.LostUnits += n
+	a.mLostUnits.Add(n)
 }
 
 // repairThen continues an operation whose read phase may have surfaced
 // media errors: with none it continues immediately, otherwise it repairs
-// under the already-held stripe lock first.
-func (a *Array) repairThen(stripe int64, fails []xfer, prio int, cont func()) {
+// under the already-held stripe lock first. written lists the data units
+// the operation goes on to overwrite (nil unless it is a write).
+func (a *Array) repairThen(stripe int64, fails []xfer, written []target, prio int, cont func()) {
 	if len(fails) == 0 {
 		cont()
 		return
 	}
-	a.repairLocked(stripe, fails, prio, cont)
+	a.repairLocked(stripe, fails, written, prio, cont)
 }
 
-// repairLocked handles media-errored reads of one stripe, its lock held.
-// Each unreadable unit is classified: recoverable when the stripe's total
-// dead units (media-errored or unavailable) fit within the code's
-// correction power — one for single parity, two for P+Q — lost otherwise.
-// Recoverable units charge survivor reads plus a rewrite; lost units are
-// recorded as a DataLossEvent and restored out of band — a rewrite, as if
-// from backup — so the simulation, like the array operator, carries on.
-// The rewrite remaps the latent sectors either way. Media errors struck
-// during the repair's own survivor reads stay latent for the scrubber or
-// a later read to find.
-func (a *Array) repairLocked(stripe int64, fails []xfer, prio int, cont func()) {
-	bad := make(map[layout.Loc]bool, len(fails))
-	for _, x := range fails {
-		bad[x.loc] = true
-	}
-	g := a.lay.G()
-	dead := 0
-	for j := 0; j < g; j++ {
+// repairLocked is the one path of an unreadable unit, its stripe lock
+// held. The stripe's erasures are its unreadable units and its lost ones
+// (unavailable, on the failed disk). Within the code's budget — one for
+// single parity, two for P+Q — each unreadable unit is a latent repair:
+// the decode reads exactly layout.RebuildSources of the erasure set, then
+// the unreadable units are rewritten. Past it, one DataLossEvent names
+// every erasure except a unit the operation overwrites (a fold's written
+// unit takes new contents, so nothing of it is lost), and the unreadable
+// units are restored out of band — a rewrite, as if from backup — so the
+// simulation, like the array operator, carries on. The rewrite remaps the
+// latent sectors either way. Media errors struck during the repair's own
+// reads stay latent for the scrubber or a later read to find.
+func (a *Array) repairLocked(stripe int64, fails []xfer, written []target, prio int, cont func()) {
+	var erased []layout.Loc
+	for j := 0; j < a.lay.G(); j++ {
 		u := a.lay.Unit(stripe, j)
-		if bad[u] || !a.available(u) {
-			dead++
+		if !a.available(u) || slices.ContainsFunc(fails, func(x xfer) bool { return x.loc == u }) {
+			erased = append(erased, u)
 		}
 	}
-	var recov, lost []layout.Loc
-	for _, x := range fails {
-		if dead <= a.parities {
-			recov = append(recov, x.loc)
-		} else {
-			lost = append(lost, x.loc)
+	rewrite := make([]xfer, len(fails))
+	for i, x := range fails {
+		rewrite[i] = xfer{loc: x.loc, write: true}
+	}
+	done := func(_ []xfer) { cont() }
+	if len(erased) > a.parities {
+		lost := slices.DeleteFunc(erased, func(u layout.Loc) bool {
+			return slices.ContainsFunc(written, func(t target) bool { return t.loc == u })
+		})
+		if len(lost) > 0 {
+			a.lossEvents = append(a.lossEvents, DataLossEvent{TMS: a.eng.Now(), Stripe: stripe, Units: lost})
+			a.recordLoss(int64(len(lost)))
 		}
-	}
-	if len(recov) > 0 {
-		a.fstats.LatentRepairs += int64(len(recov))
-		a.mRepairs.Add(int64(len(recov)))
-	}
-	if len(lost) > 0 {
-		a.recordLoss(stripe, lost)
-	}
-	rewrite := func() {
-		a.io(writesOf(append(recov, lost...)), prio, func(_ []xfer) { cont() })
-	}
-	if len(recov) == 0 {
-		rewrite()
+		a.io(rewrite, prio, done)
 		return
 	}
-	// One survivor pass feeds every recoverable rebuild.
-	var srcs []layout.Loc
-	for j := 0; j < g; j++ {
-		u := a.lay.Unit(stripe, j)
-		if !bad[u] && a.available(u) {
-			srcs = append(srcs, u)
-		}
-	}
-	if len(srcs) == 0 {
-		rewrite()
-		return
-	}
-	a.io(reads(srcs), prio, func(_ []xfer) { rewrite() })
+	a.fstats.LatentRepairs += int64(len(fails))
+	a.mRepairs.Add(int64(len(fails)))
+	a.io(reads(layout.RebuildSources(a.lay, erased...)), prio, func(_ []xfer) {
+		a.io(rewrite, prio, done)
+	})
 }
 
 // DoubleFailure summarizes a true second whole-disk failure while the
@@ -204,8 +185,7 @@ func (a *Array) SecondFail(d int) (DoubleFailure, error) {
 		}
 	}
 	a.doubleFailures = append(a.doubleFailures, df)
-	a.fstats.LostUnits += df.UnitsLost
-	a.mLostUnits.Add(df.UnitsLost)
+	a.recordLoss(df.UnitsLost)
 	if a.cfg.Faults != nil {
 		a.cfg.Faults.ResetDisk(d)
 	}

@@ -102,36 +102,41 @@ func TestSecondFailValidation(t *testing.T) {
 }
 
 // A media error on a user read is repaired from parity: the value returned
-// is correct, the repair is charged, and the array stays consistent.
+// is correct, the repair is charged, and the array stays consistent. The
+// repair reads what layout's decode rule reads for the one erasure.
 func TestReadMediaErrorRepairsFromParity(t *testing.T) {
-	eng, a := testArray(t, nil)
-	unit, loc := dataUnitOn(t, a, 5)
-	r := markBadUnit(a, loc)
-	got := make([]uint64, 1)
-	a.ReadRange(unit, got, func() {})
-	eng.Run()
-	if got[0] != a.ExpectedValue(unit) {
-		t.Fatalf("read through media error got %#x, want %#x", got[0], a.ExpectedValue(unit))
-	}
-	if !r.healed {
-		t.Fatal("repair did not rewrite the bad region")
-	}
-	fs := a.FaultStats()
-	if fs.MediaErrors == 0 || fs.LatentRepairs != 1 || fs.LostUnits != 0 {
-		t.Fatalf("fault stats %+v: want a repaired media error, no loss", fs)
-	}
-	// Repair charges survivor reads and a rewrite beyond the first read:
-	// 1 failed read + (G-1) survivors + 1 rewrite.
-	if n := totalCompleted(a); n != int64(1+a.Layout().G()-1+1) {
-		t.Fatalf("repairing read used %d accesses, want %d", n, 1+a.Layout().G()-1+1)
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
+	bothCodes(t, func(t *testing.T, m int) {
+		eng, a := arrayOf(t, 5, m, nil)
+		unit, loc := dataUnitOn(t, a, 5)
+		r := markBadUnit(a, loc)
+		got := make([]uint64, 1)
+		a.ReadRange(unit, got, func() {})
+		eng.Run()
+		if got[0] != a.ExpectedValue(unit) {
+			t.Fatalf("read through media error got %#x, want %#x", got[0], a.ExpectedValue(unit))
+		}
+		if !r.healed {
+			t.Fatal("repair did not rewrite the bad region")
+		}
+		fs := a.FaultStats()
+		if fs.MediaErrors == 0 || fs.LatentRepairs != 1 || fs.LostUnits != 0 {
+			t.Fatalf("fault stats %+v: want a repaired media error, no loss", fs)
+		}
+		// 1 failed read + the decode's sources (G−1 under P, G−2 under
+		// P+Q) + 1 rewrite.
+		if n, want := totalCompleted(a), int64(1+a.Layout().G()-m+1); n != want {
+			t.Fatalf("repairing read used %d accesses, want %d", n, want)
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
-// A media error on a survivor of a degraded stripe is beyond parity: the
-// loss is recorded, the units restored out of band, and the sim continues.
+// A media error on a survivor of a degraded single-parity stripe is beyond
+// parity: the loss names both erasures, the unreadable survivor and the
+// unit the read was decoding, as the sweep books the same stripe; the
+// survivor is restored out of band, and the sim continues.
 func TestDegradedSurvivorMediaErrorIsDataLoss(t *testing.T) {
 	eng, a := testArray(t, nil)
 	a.Fail(2)
@@ -145,13 +150,13 @@ func TestDegradedSurvivorMediaErrorIsDataLoss(t *testing.T) {
 		t.Fatalf("degraded read got %#x, want %#x (out-of-band restore)", got[0], a.ExpectedValue(unit))
 	}
 	fs := a.FaultStats()
-	if fs.LostUnits != 1 || fs.LatentRepairs != 0 {
-		t.Fatalf("fault stats %+v: want one lost unit, no repair", fs)
+	if fs.LostUnits != 2 || fs.LatentRepairs != 0 {
+		t.Fatalf("fault stats %+v: want two lost units, no repair", fs)
 	}
 	losses := a.DataLosses()
 	stripe, _ := a.Layout().Locate(loc)
-	if len(losses) != 1 || losses[0].Stripe != stripe || len(losses[0].Units) != 1 {
-		t.Fatalf("losses %+v: want one event on stripe %d", losses, stripe)
+	if len(losses) != 1 || losses[0].Stripe != stripe || len(losses[0].Units) != 2 {
+		t.Fatalf("losses %+v: want one 2-unit event on stripe %d", losses, stripe)
 	}
 	if !r.healed {
 		t.Fatal("out-of-band restore did not rewrite the bad region")
@@ -161,38 +166,83 @@ func TestDegradedSurvivorMediaErrorIsDataLoss(t *testing.T) {
 	}
 }
 
-// The reconstruction sweep must survive an unreadable survivor: the cycle
-// records the loss (bad survivor + unrebuildable unit), restores both, and
-// keeps sweeping to completion.
+// A fold — a write of a lost unit — that meets an unreadable survivor: the
+// written unit is an erasure, but it takes the written value, so under P
+// the loss names the survivor alone; under P+Q the two erasures decode and
+// the survivor is a latent repair.
+func TestFoldSurvivorMediaError(t *testing.T) {
+	bothCodes(t, func(t *testing.T, m int) {
+		eng, a := arrayOf(t, 5, m, nil)
+		a.Fail(2)
+		unit, loc := dataUnitOn(t, a, 2)
+		stripe, _ := a.Layout().Locate(loc)
+		dp := int64(layout.DataPerStripe(a.Layout()))
+		other := layout.DataLoc(a.Layout(), stripe*dp)
+		if other == loc {
+			other = layout.DataLoc(a.Layout(), stripe*dp+1)
+		}
+		r := markBadUnit(a, other)
+		a.WriteRange(unit, 1, func() {})
+		eng.Run()
+		fs, losses := a.FaultStats(), a.DataLosses()
+		if m == 1 {
+			if fs.LostUnits != 1 || fs.LatentRepairs != 0 || len(losses) != 1 ||
+				len(losses[0].Units) != 1 || losses[0].Units[0] != other {
+				t.Fatalf("fault stats %+v, losses %+v: want the survivor %v alone lost", fs, losses, other)
+			}
+		} else if fs.LostUnits != 0 || fs.LatentRepairs != 1 || len(losses) != 0 {
+			t.Fatalf("fault stats %+v, losses %+v: want one latent repair, no loss", fs, losses)
+		}
+		if !r.healed {
+			t.Fatal("the unreadable survivor was not rewritten")
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		checkReadBack(t, eng, a, unit, 1)
+	})
+}
+
+// The reconstruction sweep must survive an unreadable survivor, through the
+// one repair path. Under P the stripe is past its budget: the cycle books
+// one 2-unit loss (bad survivor + unit under rebuild) and restores the
+// survivor. Under P+Q the two erasures decode: one latent repair, no loss.
+// Either way the sweep keeps going to completion.
 func TestReconSurvivesUnreadableSurvivor(t *testing.T) {
-	eng, a := testArray(t, nil)
-	a.Fail(2)
-	_, loc := dataUnitOn(t, a, 2)
-	surv := layout.RebuildSources(a.Layout(), loc)
-	r := markBadUnit(a, surv[0])
-	a.Replace()
-	if err := a.Reconstruct(nil); err != nil {
-		t.Fatal(err)
-	}
-	eng.Run()
-	if a.Degraded() {
-		t.Fatal("reconstruction did not complete")
-	}
-	fs := a.FaultStats()
-	if fs.LostUnits != 2 {
-		t.Fatalf("LostUnits = %d, want 2 (bad survivor + unit under rebuild)", fs.LostUnits)
-	}
-	stripe, _ := a.Layout().Locate(loc)
-	losses := a.DataLosses()
-	if len(losses) != 1 || losses[0].Stripe != stripe || len(losses[0].Units) != 2 {
-		t.Fatalf("losses %+v: want one 2-unit event on stripe %d", losses, stripe)
-	}
-	if !r.healed {
-		t.Fatal("restore did not rewrite the bad survivor")
-	}
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
+	bothCodes(t, func(t *testing.T, m int) {
+		eng, a := arrayOf(t, 5, m, nil)
+		a.Fail(2)
+		_, loc := dataUnitOn(t, a, 2)
+		surv := layout.RebuildSources(a.Layout(), loc)
+		r := markBadUnit(a, surv[0])
+		a.Replace()
+		if err := a.Reconstruct(nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if a.Degraded() {
+			t.Fatal("reconstruction did not complete")
+		}
+		fs := a.FaultStats()
+		stripe, _ := a.Layout().Locate(loc)
+		losses := a.DataLosses()
+		if m == 1 {
+			if fs.LostUnits != 2 || fs.LatentRepairs != 0 {
+				t.Fatalf("fault stats %+v: want LostUnits 2 (bad survivor + unit under rebuild), no repair", fs)
+			}
+			if len(losses) != 1 || losses[0].Stripe != stripe || len(losses[0].Units) != 2 {
+				t.Fatalf("losses %+v: want one 2-unit event on stripe %d", losses, stripe)
+			}
+		} else if fs.LostUnits != 0 || fs.LatentRepairs != 1 || len(losses) != 0 {
+			t.Fatalf("fault stats %+v, losses %+v: want one latent repair, no loss", fs, losses)
+		}
+		if !r.healed {
+			t.Fatal("restore did not rewrite the bad survivor")
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // InterruptRecon keeps the checkpoint: the resumed sweep only recycles the
@@ -395,7 +445,7 @@ func TestTransientTimeoutsRetryToCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	geom := drive.IBM0661().Scaled(1, 100)
+	geom := drive.IBM0661().Scaled(100)
 	inj, err := fault.New(eng, geom, l.Disks(), fault.Config{
 		Seed: 7, TransientRate: 0.2, TimeoutMS: 5,
 	})

@@ -211,15 +211,6 @@ func reads(locs []layout.Loc) []xfer {
 	return xs
 }
 
-// writesOf builds write transfers for a set of locations.
-func writesOf(locs []layout.Loc) []xfer {
-	xs := make([]xfer, len(locs))
-	for i, l := range locs {
-		xs[i] = xfer{loc: l, write: true}
-	}
-	return xs
-}
-
 // newValue mints a fresh distinct content word for a user write.
 func (a *Array) newValue() uint64 {
 	a.writeSeq++
@@ -259,15 +250,6 @@ func (a *Array) paritySum(k int, stripe int64, locs []layout.Loc) uint64 {
 		v ^= a.term(k, stripe, u, a.unitVal(u))
 	}
 	return v
-}
-
-// reconValue computes loc's contents from its layout.RebuildSources, the
-// sum of its layout.DecodeParity equation over them. A parity unit is its
-// equation's sum over the data; a data unit is the XOR of the other data
-// and P, which is the P sum taken over all the sources.
-func (a *Array) reconValue(loc layout.Loc, srcs []layout.Loc) uint64 {
-	stripe, j := a.lay.Locate(loc)
-	return a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, srcs)
 }
 
 // target is one logical data unit a write covers: where it lives and the
@@ -369,7 +351,7 @@ func (op *userOp) fetched(fails []xfer) {
 		return
 	}
 	a.locks.acquire(op.stripe, func() {
-		a.repairLocked(op.stripe, fails, userPriority, func() {
+		a.repairLocked(op.stripe, fails, nil, userPriority, func() {
 			a.locks.release(op.stripe)
 			op.deliver()
 		})
@@ -403,7 +385,7 @@ func (a *Array) readLost(sp *telemetry.Span, unit int64, v *uint64, done func())
 		if loc.Disk != a.failed || a.redirectableRead(loc) {
 			a.phaseSpan = sp
 			a.io([]xfer{{loc: loc}}, userPriority, func(fails []xfer) {
-				a.repairThen(stripe, fails, userPriority, func() {
+				a.repairThen(stripe, fails, nil, userPriority, func() {
 					a.locks.release(stripe)
 					*v = a.unitVal(loc)
 					done()
@@ -411,41 +393,52 @@ func (a *Array) readLost(sp *telemetry.Span, unit int64, v *uint64, done func())
 			})
 			return
 		}
-		surv := layout.RebuildSources(a.lay, loc)
 		a.mOTFRecons.Inc()
 		otf := sp.Child(telemetry.PhaseOTF, a.eng.Now())
-		a.phaseSpan = otf
-		a.io(reads(surv), userPriority, func(fails []xfer) {
-			// An unreadable survivor means the lost unit is really gone
-			// (two dead units in the stripe): repairThen records the
-			// loss and restores out of band; the value read below is
-			// the model's, standing in for the backup's.
-			a.repairThen(stripe, fails, userPriority, func() {
-				value := a.reconValue(loc, surv)
-				otf.End(a.eng.Now())
-				if a.cfg.Algorithm == RedirectPiggyback && (a.replacement || a.spareLay != nil) && !a.reconDone[loc.Offset] {
-					// The user's data is ready now; the piggybacked
-					// write to the replacement continues under the
-					// stripe lock. Its span is a fresh root: the user's
-					// response does not include it.
-					*v = value
-					done()
-					pg := a.spans.Root(telemetry.PhasePiggyback, telemetry.KindRecon, unit, a.eng.Now())
-					a.phaseSpan = pg
-					a.io([]xfer{{loc: loc, write: true}}, userPriority, func(_ []xfer) {
-						a.setUnitVal(loc, value)
-						a.markReconstructed(loc.Offset)
-						pg.End(a.eng.Now())
-						a.locks.release(stripe)
-					})
-					return
-				}
-				a.locks.release(stripe)
+		a.decodeLost(loc, otf, userPriority, func(value uint64) {
+			otf.End(a.eng.Now())
+			if a.cfg.Algorithm == RedirectPiggyback && (a.replacement || a.spareLay != nil) && !a.reconDone[loc.Offset] {
+				// The user's data is ready now; the piggybacked write to
+				// the replacement continues under the stripe lock. Its
+				// span is a fresh root: the user's response does not
+				// include it.
 				*v = value
 				done()
-			})
+				pg := a.spans.Root(telemetry.PhasePiggyback, telemetry.KindRecon, unit, a.eng.Now())
+				a.phaseSpan = pg
+				a.io([]xfer{{loc: loc, write: true}}, userPriority, func(_ []xfer) {
+					a.setUnitVal(loc, value)
+					a.markReconstructed(loc.Offset)
+					pg.End(a.eng.Now())
+					a.locks.release(stripe)
+				})
+				return
+			}
+			a.locks.release(stripe)
+			*v = value
+			done()
 		})
 	})
+}
+
+// decodeLost decodes the lost unit loc under its stripe's lock, which the
+// caller holds, and hands its value to then: it reads loc's
+// layout.RebuildSources in a phase under sp, sends any of them found
+// unreadable down the one repair path (repairThen), and returns the
+// sources it reads. The value is the sum of loc's layout.DecodeParity
+// equation over them — a parity unit's sum over the data, a data unit's
+// P sum over the others — taken from the model, which stands in for the
+// backup when the repair found the stripe past its code's budget.
+func (a *Array) decodeLost(loc layout.Loc, sp *telemetry.Span, prio int, then func(value uint64)) []layout.Loc {
+	stripe, j := a.lay.Locate(loc)
+	surv := layout.RebuildSources(a.lay, loc)
+	a.phaseSpan = sp
+	a.io(reads(surv), prio, func(fails []xfer) {
+		a.repairThen(stripe, fails, nil, prio, func() {
+			then(a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, surv))
+		})
+	})
+	return surv
 }
 
 // redirectableRead reports whether a read of a lost unit may be serviced
@@ -673,11 +666,10 @@ func (op *userOp) run() {
 }
 
 // repair recovers the first round's unreadable units before the plan
-// continues. In a fold they are survivors of a stripe that already lost a
-// unit, so the value being folded rests on a loss: repairThen records it
-// and restores out of band.
+// continues. The units the write covers are not booked lost if the stripe
+// is past its budget: they take the write's new contents.
 func (op *userOp) repair(fails []xfer) {
-	op.a.repairThen(op.stripe, fails, userPriority, op.commitFn)
+	op.a.repairThen(op.stripe, fails, op.data, userPriority, op.commitFn)
 }
 
 // commit issues the second round.

@@ -40,7 +40,7 @@ func arrayOn(t *testing.T, c, g, m int, mutate func(*Config)) (*sim.Engine, *Arr
 	}
 	cfg := Config{
 		Layout:      l,
-		Geom:        drive.IBM0661().Scaled(1, 100),
+		Geom:        drive.IBM0661().Scaled(100),
 		UnitSectors: 8,
 		ReconProcs:  1,
 	}

@@ -89,9 +89,10 @@ func (a *Array) deferRecon(delay float64) {
 }
 
 // reconStep runs one reconstruction cycle of one process: claim the next
-// unit, lock its stripe, read the survivors its decode needs
-// (layout.RebuildSources: G−1 under P, G−2 under P+Q), sum them, write the
-// result to the replacement, then schedule the next cycle.
+// unit, lock its stripe, decode it (decodeLost: its layout.RebuildSources,
+// G−1 under P, G−2 under P+Q, and the one repair path for any of them
+// found unreadable), write the result to the replacement, then schedule
+// the next cycle.
 func (a *Array) reconStep() {
 	if !a.reconActive {
 		a.reconProcsLive--
@@ -128,41 +129,19 @@ func (a *Array) reconStep() {
 			a.deferRecon(0)
 			return
 		}
-		surv := layout.RebuildSources(a.lay, loc)
-		for _, u := range surv {
-			a.reconReads[u.Disk]++
-		}
 		readStart := a.eng.Now()
 		readSp := cycleSp.Child(telemetry.PhaseReconRead, readStart)
-		a.phaseSpan = readSp
-		a.io(reads(surv), a.reconPrio(), func(fails []xfer) {
+		surv := a.decodeLost(loc, readSp, a.reconPrio(), func(value uint64) {
 			if e != a.reconEpoch {
 				a.locks.release(stripe)
 				return
 			}
-			value := a.reconValue(loc, surv)
 			a.readPhase.Add(a.eng.Now() - readStart)
 			readSp.End(a.eng.Now())
 			writeStart := a.eng.Now()
 			writeSp := cycleSp.Child(telemetry.PhaseReconWrit, writeStart)
-			ws := []xfer{{loc: loc, write: true}}
-			if len(fails) > 0 {
-				// Unreadable survivors: the lost unit cannot really be
-				// rebuilt, and each bad survivor is itself beyond parity
-				// (its stripe already lost the unit under
-				// reconstruction). Record all of them as lost, restore
-				// them out of band in this cycle's write phase (the
-				// rewrites remap the latent sectors), and keep sweeping.
-				lostLocs := make([]layout.Loc, 0, len(fails)+1)
-				for _, f := range fails {
-					lostLocs = append(lostLocs, f.loc)
-					ws = append(ws, xfer{loc: f.loc, write: true})
-				}
-				lostLocs = append(lostLocs, loc)
-				a.recordLoss(stripe, lostLocs)
-			}
 			a.phaseSpan = writeSp
-			a.io(ws, a.reconPrio(), func(_ []xfer) {
+			a.io([]xfer{{loc: loc, write: true}}, a.reconPrio(), func(_ []xfer) {
 				if e != a.reconEpoch {
 					a.locks.release(stripe)
 					return
@@ -178,6 +157,9 @@ func (a *Array) reconStep() {
 				a.scheduleNextCycle(cycleStart)
 			})
 		})
+		for _, u := range surv {
+			a.reconReads[u.Disk]++
+		}
 	})
 }
 

@@ -30,9 +30,10 @@ func (a *Array) ScrubStats() ScrubStats { return a.scrubStats }
 // StartScrub begins the background scrub: one parity stripe is read and
 // verified every spacingMS, lowest disk priority, looping over the array
 // forever (a full pass takes Stripes()×spacingMS plus service time). Any
-// media error found is repaired from parity on the spot — or recorded as
-// a DataLossEvent when the stripe also has a dead unit. Stop with
-// StopScrub; the engine cannot drain while a scrub is scheduled.
+// media error found goes down the one repair path (repairLocked): rebuilt
+// from parity on the spot, or recorded as a DataLossEvent when the stripe
+// is past its code's budget. Stop with StopScrub; the engine cannot drain
+// while a scrub is scheduled.
 func (a *Array) StartScrub(spacingMS float64) error {
 	if spacingMS <= 0 {
 		return fmt.Errorf("array: scrub spacing %v ms", spacingMS)
@@ -95,7 +96,7 @@ func (a *Array) scrubStripe() {
 		a.scrubStats.UnitsScanned += int64(len(locs))
 		a.io(reads(locs), scrubPriority, func(fails []xfer) {
 			a.scrubStats.ErrorsFound += int64(len(fails))
-			a.repairThen(s, fails, scrubPriority, next)
+			a.repairThen(s, fails, nil, scrubPriority, next)
 		})
 	})
 }

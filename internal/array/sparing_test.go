@@ -23,7 +23,7 @@ func sparedArray(t *testing.T, mutate func(*Config)) (*sim.Engine, *Array) {
 	}
 	cfg := Config{
 		Layout:             l,
-		Geom:               drive.IBM0661().Scaled(1, 100),
+		Geom:               drive.IBM0661().Scaled(100),
 		UnitSectors:        8,
 		ReconProcs:         4,
 		DistributedSparing: true,
@@ -43,7 +43,7 @@ func TestSparingRequiresSpareLayout(t *testing.T) {
 	l, _ := layout.NewRaid5(5)
 	eng := sim.New()
 	_, err := New(eng, Config{
-		Layout: l, Geom: drive.IBM0661().Scaled(1, 100), UnitSectors: 8,
+		Layout: l, Geom: drive.IBM0661().Scaled(100), UnitSectors: 8,
 		DistributedSparing: true,
 	})
 	if err == nil {

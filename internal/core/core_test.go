@@ -76,7 +76,7 @@ func TestNewMappingRejects(t *testing.T) {
 func smallCfg(g int) SimConfig {
 	return SimConfig{
 		C: 21, G: g,
-		ScaleNum: 1, ScaleDen: 50,
+		Scale:        50,
 		RatePerSec:   105,
 		ReadFraction: 0.5,
 		Seed:         42,

@@ -37,7 +37,6 @@ func TestInstrumentationDeterminism(t *testing.T) {
 	do := func() run {
 		cfg, reg := instrumentedCfg()
 		reports := 0
-		cfg.LiveEveryMS = 500
 		cfg.OnLive = func(telemetry.Progress) { reports++ }
 		m, err := RunReconstruction(cfg)
 		if err != nil {

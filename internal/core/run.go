@@ -23,12 +23,12 @@ import (
 type SimConfig struct {
 	C, G int
 
-	// Scale (numerator/denominator, e.g. 1/10) shrinks the drive's
-	// cylinder count to shorten reconstruction sweeps; response-time
+	// Scale, when above zero, divides the drive's cylinder count (10 runs
+	// 1/10-size disks) to shorten reconstruction sweeps; response-time
 	// behaviour per access is unchanged and reconstruction time scales
 	// linearly.
-	ScaleNum, ScaleDen int
-	UnitSectors        int // stripe unit size in sectors; 0 = 8 (4 KB)
+	Scale       int
+	UnitSectors int // stripe unit size in sectors; 0 = 8 (4 KB)
 
 	// SchedPolicy selects the per-disk queue scheduler; the zero value is
 	// disk.CVSCAN, the original behaviour.
@@ -128,17 +128,18 @@ type SimConfig struct {
 	// service segments from the drives. Export with WriteJSONL or
 	// WriteChromeTrace, or feed Attribute for a latency breakdown.
 	Spans *telemetry.Tracer
-	// OnLive, when non-nil, is called every LiveEveryMS of simulated time
-	// (default 1000) with the run's status — response so far, per-disk
-	// activity, sweep progress with an ETA, the engine's event count —
-	// for as long as arrivals run or a sweep does, and once more when both
-	// are over. It is the one periodic report: progress lines and the live
+	// OnLive, when non-nil, is called every liveEveryMS of simulated time
+	// with the run's status — response so far, per-disk activity, sweep
+	// progress with an ETA, the engine's event count — for as long as
+	// arrivals run or a sweep does, and once more when both are over. It is the one periodic report: progress lines and the live
 	// telemetry server both consume it. Slices are freshly allocated per
 	// call, so a receiver may hand them to another goroutine. The callback
 	// reads state only; enabling it changes nothing but the event count.
-	OnLive      func(telemetry.Progress)
-	LiveEveryMS float64
+	OnLive func(telemetry.Progress)
 }
+
+// liveEveryMS is the simulated time between two OnLive reports.
+const liveEveryMS = 1000
 
 func (c SimConfig) withDefaults() SimConfig {
 	if c.UnitSectors == 0 {
@@ -241,7 +242,6 @@ type runner struct {
 	sampleMS  float64
 	spans     *telemetry.Tracer
 	onLive    func(telemetry.Progress)
-	liveMS    float64
 
 	// Arrival fast path: arriveFn is bound once; nextOp carries the one
 	// arrival scheduled but not yet fired (pump schedules the next arrival
@@ -323,8 +323,8 @@ func newRunner(cfg SimConfig) (*runner, error) {
 		return nil, err
 	}
 	geom := drive.IBM0661()
-	if cfg.ScaleNum > 0 && cfg.ScaleDen > 0 {
-		geom = geom.Scaled(cfg.ScaleNum, cfg.ScaleDen)
+	if cfg.Scale > 0 {
+		geom = geom.Scaled(cfg.Scale)
 	}
 	eng := sim.New()
 	var mapper layout.DataMapper
@@ -391,10 +391,7 @@ func newRunner(cfg SimConfig) (*runner, error) {
 		eng: eng, arr: arr, gen: src, capture: cfg.CaptureTrace, to: -1,
 		faults: inj, scrubMS: cfg.ScrubIntervalMS, raOn: cfg.ReadAheadTracks > 0,
 		reg: cfg.Metrics, sampleMS: cfg.SampleEveryMS,
-		spans: cfg.Spans, onLive: cfg.OnLive, liveMS: cfg.LiveEveryMS,
-	}
-	if r.onLive != nil && r.liveMS <= 0 {
-		r.liveMS = 1000
+		spans: cfg.Spans, onLive: cfg.OnLive,
 	}
 	if r.reg != nil {
 		r.respHist = r.reg.Histogram("user_response_ms")
@@ -507,7 +504,7 @@ func (r *runner) startSampling() {
 }
 
 // startLive begins the status clock behind SimConfig.OnLive: a report every
-// liveMS of simulated time while arrivals run or a sweep does, and a last
+// liveEveryMS of simulated time while arrivals run or a sweep does, and a last
 // one from the drain when both are over.
 func (r *runner) startLive() {
 	if r.onLive == nil {
@@ -515,7 +512,7 @@ func (r *runner) startLive() {
 	}
 	n := r.arr.Layout().Disks()
 	prev := make([]disk.Stats, n)
-	r.every(r.liveMS, func() bool {
+	r.every(liveEveryMS, func() bool {
 		p := telemetry.Progress{
 			SimMS:          r.eng.Now(),
 			Requests:       r.resp.N(),
@@ -525,7 +522,7 @@ func (r *runner) startLive() {
 			EngineEvents:   r.eng.Fired(),
 		}
 		for i := range prev {
-			p.DiskUtil[i] = r.diskActivity(i, prev).BusyMS / r.liveMS
+			p.DiskUtil[i] = r.diskActivity(i, prev).BusyMS / liveEveryMS
 			p.DiskQueue[i] = r.arr.Disk(i).QueueLen()
 		}
 		p.ReconDone, p.ReconTotal = r.arr.ReconProgress()

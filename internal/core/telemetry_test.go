@@ -142,7 +142,6 @@ func TestOnLiveSnapshots(t *testing.T) {
 	do := func() []telemetry.Progress {
 		cfg := smallCfg(5)
 		var snaps []telemetry.Progress
-		cfg.LiveEveryMS = 500
 		cfg.OnLive = func(st telemetry.Progress) { snaps = append(snaps, st) }
 		if _, err := RunReconstruction(cfg); err != nil {
 			t.Fatal(err)

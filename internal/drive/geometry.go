@@ -45,16 +45,16 @@ func IBM0661() Geometry {
 	}
 }
 
-// Scaled returns a copy of g with the cylinder count scaled by num/den
-// (at least 2 cylinders). Experiments use this to sweep smaller disks while
+// Scaled returns a copy of g with the cylinder count divided by den (at
+// least 2 cylinders). Experiments use this to sweep smaller disks while
 // keeping per-access behaviour identical; the seek curve is recalibrated to
 // the same min/avg/max against the reduced stroke.
-func (g Geometry) Scaled(num, den int) Geometry {
-	if num <= 0 || den <= 0 {
-		panic(fmt.Sprintf("drive: invalid scale %d/%d", num, den))
+func (g Geometry) Scaled(den int) Geometry {
+	if den <= 0 {
+		panic(fmt.Sprintf("drive: invalid scale 1/%d", den))
 	}
 	s := g
-	s.Cylinders = g.Cylinders * num / den
+	s.Cylinders = g.Cylinders / den
 	if s.Cylinders < 2 {
 		s.Cylinders = 2
 	}

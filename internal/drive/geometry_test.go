@@ -78,13 +78,13 @@ func TestPhysicalSectorBijectivePerTrack(t *testing.T) {
 }
 
 func TestScaled(t *testing.T) {
-	g := IBM0661().Scaled(1, 10)
+	g := IBM0661().Scaled(10)
 	if g.Cylinders != 94 {
 		t.Fatalf("scaled cylinders = %d, want 94", g.Cylinders)
 	}
 	mechanism(t, g)
 	// Scaling never goes below 2 cylinders.
-	tiny := IBM0661().Scaled(1, 100000)
+	tiny := IBM0661().Scaled(100000)
 	if tiny.Cylinders != 2 {
 		t.Fatalf("tiny cylinders = %d, want 2", tiny.Cylinders)
 	}

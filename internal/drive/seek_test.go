@@ -65,7 +65,7 @@ func TestSeekCurveSymmetricAndClamped(t *testing.T) {
 
 func TestSeekCurveScaledGeometries(t *testing.T) {
 	for _, den := range []int{1, 2, 5, 10, 20} {
-		m := mechanism(t, IBM0661().Scaled(1, den)) // fails if non-monotone
+		m := mechanism(t, IBM0661().Scaled(den)) // fails if non-monotone
 		if got := seekMS(m, 0, 1); math.Abs(got-m.MinSeekMS) > 1e-9 {
 			t.Fatalf("den=%d: seek(1) = %v", den, got)
 		}

@@ -18,9 +18,9 @@ import (
 // Options configures a reproduction run. Zero values select the paper's
 // full-scale setup.
 type Options struct {
-	// ScaleNum/ScaleDen shrink the disks (1/10 runs ~10x faster;
-	// reconstruction times scale linearly with capacity). 0/0 = full.
-	ScaleNum, ScaleDen int
+	// Scale divides the disks' capacity (10 runs ~10x faster;
+	// reconstruction times scale linearly with capacity). 0 = full.
+	Scale int
 	// Gs are the parity stripe sizes to sweep; nil = the paper's
 	// {3,4,5,6,10,18,21} for §6 and {4,5,6,10,18,21} for §8 (the paper
 	// drops α = 0.1 after §6).
@@ -62,7 +62,7 @@ func (o Options) gs(section8 bool) []int {
 func (o Options) simConfig(g int, rate, readFrac float64) core.SimConfig {
 	return core.SimConfig{
 		C: 21, G: g,
-		ScaleNum: o.ScaleNum, ScaleDen: o.ScaleDen,
+		Scale:        o.Scale,
 		RatePerSec:   rate,
 		ReadFraction: readFrac,
 		Seed:         o.Seed,
@@ -364,8 +364,8 @@ type ModelPoint struct {
 func Fig86(o Options) ([]ModelPoint, Table, error) {
 	o = o.withDefaults()
 	geom := drive.IBM0661()
-	if o.ScaleNum > 0 && o.ScaleDen > 0 {
-		geom = geom.Scaled(o.ScaleNum, o.ScaleDen)
+	if o.Scale > 0 {
+		geom = geom.Scaled(o.Scale)
 	}
 	t := Table{ID: "fig8-6",
 		Title:  "Muntz & Lui model vs 8-way simulation: reconstruction time (min), rate 210, 50% reads",

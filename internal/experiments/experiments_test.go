@@ -11,7 +11,7 @@ import (
 // minute while preserving per-access behaviour.
 func fastOpts() Options {
 	return Options{
-		ScaleNum: 1, ScaleDen: 50,
+		Scale:     50,
 		Seed:      7,
 		WarmupMS:  2_000,
 		MeasureMS: 20_000,

@@ -397,8 +397,8 @@ func ExtPQ(o Options, gs []int) ([]PQRow, Table, error) {
 		Title:  "Single parity vs P+Q dual parity (C=21, 8-way recon, rate 210, 50% reads)",
 		Header: []string{"code", "G", "overhead", "fault-free (ms)", "recovering (ms)", "recon (min)", "2nd-failure loss"}}
 	geom := drive.IBM0661()
-	if o.ScaleNum > 0 && o.ScaleDen > 0 {
-		geom = geom.Scaled(o.ScaleNum, o.ScaleDen)
+	if o.Scale > 0 {
+		geom = geom.Scaled(o.Scale)
 	}
 	type job struct {
 		g, parities int

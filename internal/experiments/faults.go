@@ -37,8 +37,8 @@ func DoubleFailureLoss(o Options) ([]DoubleFailurePoint, Table, error) {
 		Title:  "Second whole-disk failure during rebuild: fraction of at-risk stripes lost (C=21)",
 		Header: []string{"G", "α", "stripes at risk", "stripes lost", "units lost", "lost fraction"}}
 	geom := drive.IBM0661()
-	if o.ScaleNum > 0 && o.ScaleDen > 0 {
-		geom = geom.Scaled(o.ScaleNum, o.ScaleDen)
+	if o.Scale > 0 {
+		geom = geom.Scaled(o.Scale)
 	}
 	gs := o.gs(true)
 	pts, err := RunPoints(o.Workers, len(gs), func(i int) (DoubleFailurePoint, error) {

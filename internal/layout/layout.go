@@ -15,7 +15,10 @@
 // is Q (the GF(2^8) Reed–Solomon sum; see internal/gf256).
 package layout
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Loc addresses one stripe unit: a disk and a unit offset on that disk.
 type Loc struct {
@@ -144,20 +147,36 @@ func FromScratch(dataUnits, written int) bool {
 	return written == dataUnits || written >= 2 && dataUnits-written <= written
 }
 
-// RebuildSources returns the units a decode of loc reads when loc is its
-// stripe's only lost unit: the stripe's other data units and the parity
-// unit of its DecodeParity equation — G−1 units under P, G−2 under P+Q,
-// where the equation it does not use is skipped.
-func RebuildSources(l Layout, loc Loc) []Loc {
-	stripe, lost := l.Locate(loc)
-	via := l.ParityPos(stripe, DecodeParity(l, stripe, lost))
+// RebuildSources returns the units a decode reads when erased, distinct
+// units of one stripe, are the stripe's lost units. A lone erasure reads
+// the stripe's other data units and the parity unit of its DecodeParity
+// equation: G−1 units under P, G−2 under P+Q, where the equation it does
+// not use is skipped. A larger set within the code's budget uses every
+// equation, so it reads every other unit: G−2 for two erasures under P+Q.
+// Past the budget, or with nothing erased, there is no decode and it
+// returns nil.
+func RebuildSources(l Layout, erased ...Loc) []Loc {
+	if len(erased) == 0 || len(erased) > l.Parities() {
+		return nil
+	}
+	stripe, first := l.Locate(erased[0])
+	for _, u := range erased[1:] {
+		if s, _ := l.Locate(u); s != stripe {
+			panic(fmt.Sprintf("layout: erasures %v span stripes %d and %d", erased, stripe, s))
+		}
+	}
+	via := -1 // every parity is read, unless a lone erasure skips some
+	if len(erased) == 1 {
+		via = l.ParityPos(stripe, DecodeParity(l, stripe, first))
+	}
 	g := l.G()
-	out := make([]Loc, 0, g-1)
+	out := make([]Loc, 0, g-len(erased))
 	for j := 0; j < g; j++ {
-		if j == lost || (j != via && IsParityPos(l, stripe, j)) {
+		u := l.Unit(stripe, j)
+		if slices.Contains(erased, u) || (via >= 0 && j != via && IsParityPos(l, stripe, j)) {
 			continue
 		}
-		out = append(out, l.Unit(stripe, j))
+		out = append(out, u)
 	}
 	return out
 }

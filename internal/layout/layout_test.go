@@ -1,7 +1,9 @@
 package layout
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -275,6 +277,73 @@ func TestRebuildSources(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRebuildSourcesErasureSets: the decode rule over an erasure set of a
+// G = 5 stripe, named by role (d0..d3 its data units in order, P, Q). A lone
+// erasure skips the equation it does not use; a set that fills the code's
+// budget reads every other unit; past the budget there is no decode.
+func TestRebuildSourcesErasureSets(t *testing.T) {
+	l := paperLayout(t, 5)
+	pq, err := NewDualParity(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stripe = 7
+	for _, c := range []struct {
+		lay          Layout
+		erased, want []string
+	}{
+		{l, []string{"d1"}, []string{"d0", "d2", "d3", "P"}},
+		{l, []string{"P"}, []string{"d0", "d1", "d2", "d3"}},
+		{l, []string{"d1", "d2"}, nil},
+		{l, []string{"d0", "P"}, nil},
+		{l, nil, nil},
+		{pq, []string{"d1"}, []string{"d0", "d2", "P"}},
+		{pq, []string{"P"}, []string{"d0", "d1", "d2"}},
+		{pq, []string{"Q"}, []string{"d0", "d1", "d2"}},
+		{pq, []string{"d0", "d2"}, []string{"d1", "P", "Q"}},
+		{pq, []string{"d1", "P"}, []string{"d0", "d2", "Q"}},
+		{pq, []string{"Q", "d0"}, []string{"d1", "d2", "P"}},
+		{pq, []string{"P", "Q"}, []string{"d0", "d1", "d2"}},
+		{pq, []string{"d0", "d1", "d2"}, nil},
+		{pq, []string{"d0", "P", "Q"}, nil},
+	} {
+		role := map[string]Loc{"P": ParityLocOf(c.lay, stripe, 0)}
+		if c.lay.Parities() == 2 {
+			role["Q"] = ParityLocOf(c.lay, stripe, 1)
+		}
+		for d := 0; d < DataPerStripe(c.lay); d++ {
+			role[fmt.Sprintf("d%d", d)] = DataLoc(c.lay, stripe*int64(DataPerStripe(c.lay))+int64(d))
+		}
+		locs := func(names []string) []Loc {
+			var out []Loc
+			for _, n := range names {
+				out = append(out, role[n])
+			}
+			return out
+		}
+		got, want := RebuildSources(c.lay, locs(c.erased)...), locs(c.want)
+		slices.SortFunc(got, func(a, b Loc) int { return a.Disk - b.Disk })
+		slices.SortFunc(want, func(a, b Loc) int { return a.Disk - b.Disk })
+		if !slices.Equal(got, want) {
+			t.Errorf("m=%d, %v erased: sources %v, want %v (%v)", c.lay.Parities(), c.erased, got, c.want, want)
+		}
+	}
+}
+
+// RebuildSources of a set that spans two stripes is a caller's bug.
+func TestRebuildSourcesPanicsAcrossStripes(t *testing.T) {
+	pq, err := NewDualParity(paperLayout(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for erasures in two stripes")
+		}
+	}()
+	RebuildSources(pq, pq.Unit(0, 0), pq.Unit(1, 0))
 }
 
 func TestReconstructionWorkloadBalance(t *testing.T) {

@@ -333,62 +333,101 @@ func TestReadAccessCounts(t *testing.T) {
 // TestRebuildReadsMatchLayout is the rebuild half of the cost table: a real
 // Rebuild of each disk in turn of a C = 21, G = 5 array, P and P+Q, reads
 // for every lost unit exactly the survivors layout.RebuildSources names — the
-// layout's one decode rule, which the simulator's sweep follows. Reads are
-// grouped by stripe, so the order the shards issue them in does not matter.
+// layout's one decode rule, which the simulator's sweep and repairs follow.
+// Under P+Q with two disks down, the first Rebuild reads for each stripe it
+// touches the sources of that stripe's erasure set: all G−2 others where
+// both disks hold a unit, the lone-erasure set elsewhere. Reads are grouped
+// by stripe, so the order the shards issue them in does not matter.
 func TestRebuildReadsMatchLayout(t *testing.T) {
-	for _, lay := range []layout.Layout{testLayout(t, 21, 5), testPQLayout(t, 21, 5)} {
+	pq := testPQLayout(t, 21, 5)
+	for _, lay := range []layout.Layout{testLayout(t, 21, 5), pq} {
 		for _, workers := range []int{1, 4} {
 			code := [...]string{1: "P", 2: "P+Q"}[lay.Parities()]
 			t.Run(fmt.Sprintf("%s/workers%d", code, workers), func(t *testing.T) {
-				forceOverlap(t)
-				units := lay.UnitsPerDiskPerPeriod() * int64(lay.G()) // a full parity rotation
-				// reads records every unit the disks are asked to read.
-				var (
-					mu    sync.Mutex
-					reads []layout.Loc
-				)
-				logReads := func(c call, pass func() error) error {
-					if c.op == opRead {
-						mu.Lock()
-						reads = append(reads, layout.Loc{Disk: c.disk, Offset: c.off})
-						mu.Unlock()
-					}
-					return pass()
-				}
-				s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: units, UnitSize: 64,
-					IOWorkers: workers, RebuildWorkers: workers}, logReads)
-				data := make([]byte, s.DataUnits()*64)
-				rand.New(rand.NewSource(int64(workers))).Read(data)
-				if err := s.WriteRange(0, data); err != nil {
-					t.Fatal(err)
-				}
+				rebuild := rebuildReads(t, lay, workers)
 				for f := 0; f < lay.Disks(); f++ {
-					if err := s.Fail(f); err != nil {
-						t.Fatal(err)
-					}
-					reads = nil
-					if err := s.Rebuild(&scriptedDisk{under: NewMemDisk(units, 64), slot: f, hook: logReads}); err != nil {
-						t.Fatal(err)
-					}
-					byStripe := map[int64][]layout.Loc{}
-					for _, u := range reads {
-						stripe, _ := lay.Locate(u)
-						byStripe[stripe] = append(byStripe[stripe], u)
-					}
-					for off := int64(0); off < units; off++ {
-						lost := layout.Loc{Disk: f, Offset: off}
-						stripe, _ := lay.Locate(lost)
-						got, want := sortedLocs(byStripe[stripe]), sortedLocs(layout.RebuildSources(lay, lost))
-						delete(byStripe, stripe)
-						if !slices.Equal(got, want) {
-							t.Errorf("disk %d rebuilt: stripe %d read %v, want layout.RebuildSources %v", f, stripe, got, want)
-						}
-					}
-					for stripe, got := range byStripe {
-						t.Errorf("disk %d rebuilt: stripe %d, which lost no unit, read %v", f, stripe, got)
-					}
+					rebuild(f, -1)
 				}
 			})
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("P+Q-two-failed/workers%d", workers), func(t *testing.T) {
+			for f := 0; f < pq.Disks(); f += 4 {
+				rebuildReads(t, pq, workers)(f, (f+1+f/4)%pq.Disks())
+			}
+		})
+	}
+}
+
+// rebuildReads opens a store on lay, fills it, and returns a check that
+// fails disk f — and then disk second, unless it is negative — rebuilds
+// f, and compares the reads of every stripe f has a unit in with
+// layout.RebuildSources of its erasures (f's unit and second's, if any).
+// A stripe f has no unit in must read nothing.
+func rebuildReads(t *testing.T, lay layout.Layout, workers int) func(f, second int) {
+	forceOverlap(t)
+	units := lay.UnitsPerDiskPerPeriod() * int64(lay.G()) // a full parity rotation
+	// reads records every unit the disks are asked to read.
+	var (
+		mu    sync.Mutex
+		reads []layout.Loc
+	)
+	logReads := func(c call, pass func() error) error {
+		if c.op == opRead {
+			mu.Lock()
+			reads = append(reads, layout.Loc{Disk: c.disk, Offset: c.off})
+			mu.Unlock()
+		}
+		return pass()
+	}
+	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: units, UnitSize: 64,
+		IOWorkers: workers, RebuildWorkers: workers}, logReads)
+	data := make([]byte, s.DataUnits()*64)
+	rand.New(rand.NewSource(int64(workers))).Read(data)
+	if err := s.WriteRange(0, data); err != nil {
+		t.Fatal(err)
+	}
+	return func(f, second int) {
+		for _, d := range []int{f, second} {
+			if d < 0 {
+				continue
+			}
+			if err := s.Fail(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reads = nil
+		if err := s.Rebuild(&scriptedDisk{under: NewMemDisk(units, 64), slot: f, hook: logReads}); err != nil {
+			t.Fatal(err)
+		}
+		byStripe := map[int64][]layout.Loc{}
+		for _, u := range reads {
+			stripe, _ := lay.Locate(u)
+			byStripe[stripe] = append(byStripe[stripe], u)
+		}
+		double := 0 // stripes with two erasures
+		for off := int64(0); off < units; off++ {
+			lost := layout.Loc{Disk: f, Offset: off}
+			stripe, _ := lay.Locate(lost)
+			erased := []layout.Loc{lost}
+			for j := 0; j < lay.G(); j++ {
+				if u := lay.Unit(stripe, j); u.Disk == second {
+					erased = append(erased, u)
+					double++
+				}
+			}
+			got, want := sortedLocs(byStripe[stripe]), sortedLocs(layout.RebuildSources(lay, erased...))
+			delete(byStripe, stripe)
+			if !slices.Equal(got, want) {
+				t.Errorf("disk %d rebuilt, %v erased: stripe %d read %v, want layout.RebuildSources %v", f, erased, stripe, got, want)
+			}
+		}
+		for stripe, got := range byStripe {
+			t.Errorf("disk %d rebuilt: stripe %d, which lost no unit, read %v", f, stripe, got)
+		}
+		if second >= 0 && double == 0 {
+			t.Errorf("disks %d and %d share no stripe; the two-erasure rule went untested", f, second)
 		}
 	}
 }
