@@ -51,10 +51,14 @@ bench-layers:
 
 # The chaos rows of the lifecycle suite and the SIGKILL crash test under the
 # race detector, verbosely: 12 workers against fault-injecting backends
-# (transients, latent sector errors, torn writes, read corruption) while one
-# disk (TestLifecycle/chaos/P) or two (TestLifecycle/chaos/P+Q) fail and
-# rebuild mid-run; every acknowledged write must read back byte-for-byte
-# and parity must end clean. `race` already runs these once, so this target
+# (transients, latent sector errors on every disk, torn writes, read
+# corruption) while one disk (TestLifecycle/chaos/P) or two
+# (TestLifecycle/chaos/P+Q) fail and rebuild mid-run. Faults may collide: a
+# stripe past the code's budget loses its units (Stats.LostUnits) and a
+# client restores a lost unit from its ledger. No write may fail, no more
+# units may be restored than were booked lost, every other read and the
+# final read-back must match byte-for-byte, and parity must end clean.
+# `race` already runs these once, so this target
 # is for replaying a failure: CHAOS_SEED=<seed> make store-chaos. Every run
 # prints its seed; a failing one appends it to $STORE_CHAOS_DIR/<test
 # name>.seed, the subtest's slashes turned into underscores
@@ -107,7 +111,8 @@ fuzz:
 # each pair under P+Q (TestEveryFailureSetRecovers) — and a rebuild must
 # succeed from any mid-sweep failure point; the SIGKILL crash-recovery test
 # runs twenty kills at fresh timing offsets; both chaos rows of the
-# lifecycle suite run ten times under fresh seeds (each run prints its
+# lifecycle suite, whose latent errors land on every disk and so collide
+# into counted losses, run ten times under fresh seeds (each run prints its
 # seed; failures replay with CHAOS_SEED=<seed>, and FaultDisk's draws are
 # keyed per unit access, so the n-th access to a unit meets the same fault in
 # every replay, ten times shown by TestFaultDiskReplaysPerUnitAccess under two
@@ -120,8 +125,11 @@ fuzz:
 # shards interleave differently each run) and the generated range ops against a flat reference (a fresh seed
 # each repetition, in memory and on files); the enumeration of a rebuild's
 # failure points (which access comes k-th over the forced-open store varies
-# with scheduling), the backend-ownership table and a second failure racing
-# a running rebuild's sweep (its progress must survive); and the Scrub
+# with scheduling), the backend-ownership table, a second failure racing
+# a running rebuild's sweep (its progress must survive) and the loss tests
+# (a stripe past its budget loses its units, not the rebuild, through a
+# later hard error, a disk with no replacement and a reopen, and a loss
+# that will not clear is reported); and the Scrub
 # suite with the sweep pacing test (a scrub's counts are state its shards
 # share, under one mutex) and the damage matrix (TestErasureBudget: every
 # path that can meet a damaged unit, both codes, serial and overlapped).
@@ -133,7 +141,7 @@ nightly:
 	$(GO) test -race -run 'TestLifecycle/chaos|TestFaultDiskReplaysPerUnitAccess' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestOverlap' -count=20 ./internal/store/
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestReadAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
-	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded|TestSecondFailureKeepsRebuildProgress' -count=10 ./internal/store/
+	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded|TestSecondFailureKeepsRebuildProgress|TestRebuildLosesAUnitNotTheArray|TestLossThenFailedRebuild|TestLostUnitOnDownDiskRebuildsAsPoison|TestLossOutlivesReopen|TestLossThatWillNotClearIsReported|TestWritingAPoisonBlockIsRefused' -count=10 ./internal/store/
 	$(GO) test -race -run 'TestScrub|TestErasureBudget|TestParityDoubtOutlivesDegradedScrub|TestSweepPacing' -count=10 ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 

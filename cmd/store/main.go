@@ -490,9 +490,9 @@ func run(cfg config, out io.Writer) error {
 	st := s.Stats()
 	fmt.Fprintf(out, "stats: %d reads (%d reconstructed on the fly), %d writes (%d folded, %d redirected, %d reconstruct-writes), %d units rebuilt\n",
 		st.Reads, st.DegradedReads, st.Writes, st.FoldedWrites, st.RedirectedWrites, st.ReconstructWrites, st.RebuiltUnits)
-	if faultsOn || st.Retries > 0 || st.HealedUnits > 0 {
-		fmt.Fprintf(out, "robustness: %d retries, %d units healed (%d media, %d checksum), %d scrub repairs, %d stale parity rewrites\n",
-			st.Retries, st.HealedUnits, st.MediaErrors, st.ChecksumErrors, st.ScrubUnitRepairs, st.ScrubParityFixes)
+	if faultsOn || st.Retries > 0 || st.HealedUnits > 0 || st.LostUnits > 0 {
+		fmt.Fprintf(out, "robustness: %d retries, %d units healed (%d media, %d checksum), %d units lost, %d scrub repairs, %d stale parity rewrites\n",
+			st.Retries, st.HealedUnits, st.MediaErrors, st.ChecksumErrors, st.LostUnits, st.ScrubUnitRepairs, st.ScrubParityFixes)
 	}
 	if ioWorkers > 1 {
 		fmt.Fprintf(out, "overlap: %d batches fanned out, %d turned down by the latency gate and issued inline, device latency %v (moving average)\n",

@@ -64,7 +64,7 @@ func TestRunFaultScenario(t *testing.T) {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	got := out.String()
-	for _, want := range []string{"fault injection on", "pre-failure scrub", "final scrub", "robustness:", "verify: OK"} {
+	for _, want := range []string{"fault injection on", "pre-failure scrub", "final scrub", "robustness:", " units lost, ", "verify: OK"} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)
 		}

@@ -53,29 +53,32 @@ func (a *Array) recordLoss(n int64) {
 
 // repairThen continues an operation whose read phase may have surfaced
 // media errors: with none it continues immediately, otherwise it repairs
-// under the already-held stripe lock first. written lists the data units
-// the operation goes on to overwrite (nil unless it is a write).
-func (a *Array) repairThen(stripe int64, fails []xfer, written []target, prio int, cont func()) {
+// under the already-held stripe lock first. phase is that read phase, whose
+// clean reads the repair need not repeat; written lists the data units the
+// operation goes on to overwrite (nil unless it is a write).
+func (a *Array) repairThen(stripe int64, fails, phase []xfer, written []target, prio int, cont func()) {
 	if len(fails) == 0 {
 		cont()
 		return
 	}
-	a.repairLocked(stripe, fails, written, prio, cont)
+	a.repairLocked(stripe, fails, phase, written, prio, cont)
 }
 
 // repairLocked is the one path of an unreadable unit, its stripe lock
 // held. The stripe's erasures are its unreadable units and its lost ones
 // (unavailable, on the failed disk). Within the code's budget — one for
 // single parity, two for P+Q — each unreadable unit is a latent repair:
-// the decode reads exactly layout.RebuildSources of the erasure set, then
-// the unreadable units are rewritten. Past it, one DataLossEvent names
+// the decode needs exactly layout.RebuildSources of the erasure set, and
+// reads those of them the caller's phase did not read under this lock
+// hold (a write in the phase holds no value), then the unreadable units
+// are rewritten. Past it, one DataLossEvent names
 // every erasure except a unit the operation overwrites (a fold's written
 // unit takes new contents, so nothing of it is lost), and the unreadable
 // units are restored out of band — a rewrite, as if from backup — so the
 // simulation, like the array operator, carries on. The rewrite remaps the
 // latent sectors either way. Media errors struck during the repair's own
 // reads stay latent for the scrubber or a later read to find.
-func (a *Array) repairLocked(stripe int64, fails []xfer, written []target, prio int, cont func()) {
+func (a *Array) repairLocked(stripe int64, fails, phase []xfer, written []target, prio int, cont func()) {
 	var erased []layout.Loc
 	for j := 0; j < a.lay.G(); j++ {
 		u := a.lay.Unit(stripe, j)
@@ -101,7 +104,14 @@ func (a *Array) repairLocked(stripe int64, fails []xfer, written []target, prio 
 	}
 	a.fstats.LatentRepairs += int64(len(fails))
 	a.mRepairs.Add(int64(len(fails)))
-	a.io(reads(layout.RebuildSources(a.lay, erased...)), prio, func(_ []xfer) {
+	need := slices.DeleteFunc(layout.RebuildSources(a.lay, erased...), func(u layout.Loc) bool {
+		return slices.ContainsFunc(phase, func(x xfer) bool { return !x.write && x.loc == u })
+	})
+	if len(need) == 0 {
+		a.io(rewrite, prio, done)
+		return
+	}
+	a.io(reads(need), prio, func(_ []xfer) {
 		a.io(rewrite, prio, done)
 	})
 }

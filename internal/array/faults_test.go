@@ -210,16 +210,25 @@ func TestFoldSurvivorMediaError(t *testing.T) {
 // Either way the sweep keeps going to completion.
 func TestReconSurvivesUnreadableSurvivor(t *testing.T) {
 	bothCodes(t, func(t *testing.T, m int) {
-		eng, a := arrayOf(t, 5, m, nil)
-		a.Fail(2)
-		_, loc := dataUnitOn(t, a, 2)
-		surv := layout.RebuildSources(a.Layout(), loc)
-		r := markBadUnit(a, surv[0])
-		a.Replace()
-		if err := a.Reconstruct(nil); err != nil {
-			t.Fatal(err)
+		// rebuild fails disk 2 and rebuilds it, with the first source of one
+		// of its data units unreadable when bad is set.
+		rebuild := func(bad bool) (*Array, *regionFault, layout.Loc) {
+			eng, a := arrayOf(t, 5, m, nil)
+			a.Fail(2)
+			_, loc := dataUnitOn(t, a, 2)
+			var r *regionFault
+			if bad {
+				r = markBadUnit(a, layout.RebuildSources(a.Layout(), loc)[0])
+			}
+			a.Replace()
+			if err := a.Reconstruct(nil); err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			return a, r, loc
 		}
-		eng.Run()
+		clean, _, _ := rebuild(false)
+		a, r, loc := rebuild(true)
 		if a.Degraded() {
 			t.Fatal("reconstruction did not complete")
 		}
@@ -235,6 +244,13 @@ func TestReconSurvivesUnreadableSurvivor(t *testing.T) {
 			}
 		} else if fs.LostUnits != 0 || fs.LatentRepairs != 1 || len(losses) != 0 {
 			t.Fatalf("fault stats %+v, losses %+v: want one latent repair, no loss", fs, losses)
+		}
+		// Beyond a clean sweep's accesses: the bad survivor's rewrite and,
+		// under P+Q, the one source of the repair the sweep cycle had not
+		// read (Q); the cycle's clean reads are not repeated.
+		if got, want := totalCompleted(a)-totalCompleted(clean), int64(m); got != want {
+			t.Fatalf("the bad survivor cost %d accesses (%d against %d), want %d",
+				got, totalCompleted(a), totalCompleted(clean), want)
 		}
 		if !r.healed {
 			t.Fatal("restore did not rewrite the bad survivor")

@@ -343,7 +343,8 @@ func (a *Array) putOp(op *userOp) {
 // value over and recycles the node before answering; a latent sector error
 // is first recovered under the stripe lock (the repair updates the
 // platter, racing parity writers), so the user's latency includes the
-// recovery.
+// recovery. The reads were made before the lock, so the repair reads its
+// sources afresh.
 func (op *userOp) fetched(fails []xfer) {
 	a := op.a
 	if len(fails) == 0 {
@@ -351,7 +352,7 @@ func (op *userOp) fetched(fails []xfer) {
 		return
 	}
 	a.locks.acquire(op.stripe, func() {
-		a.repairLocked(op.stripe, fails, nil, userPriority, func() {
+		a.repairLocked(op.stripe, fails, nil, nil, userPriority, func() {
 			a.locks.release(op.stripe)
 			op.deliver()
 		})
@@ -385,7 +386,7 @@ func (a *Array) readLost(sp *telemetry.Span, unit int64, v *uint64, done func())
 		if loc.Disk != a.failed || a.redirectableRead(loc) {
 			a.phaseSpan = sp
 			a.io([]xfer{{loc: loc}}, userPriority, func(fails []xfer) {
-				a.repairThen(stripe, fails, nil, userPriority, func() {
+				a.repairThen(stripe, fails, nil, nil, userPriority, func() {
 					a.locks.release(stripe)
 					*v = a.unitVal(loc)
 					done()
@@ -424,17 +425,18 @@ func (a *Array) readLost(sp *telemetry.Span, unit int64, v *uint64, done func())
 // decodeLost decodes the lost unit loc under its stripe's lock, which the
 // caller holds, and hands its value to then: it reads loc's
 // layout.RebuildSources in a phase under sp, sends any of them found
-// unreadable down the one repair path (repairThen), and returns the
-// sources it reads. The value is the sum of loc's layout.DecodeParity
+// unreadable down the one repair path (repairThen) with the ones it read,
+// and returns the sources it reads. The value is the sum of loc's layout.DecodeParity
 // equation over them — a parity unit's sum over the data, a data unit's
 // P sum over the others — taken from the model, which stands in for the
 // backup when the repair found the stripe past its code's budget.
 func (a *Array) decodeLost(loc layout.Loc, sp *telemetry.Span, prio int, then func(value uint64)) []layout.Loc {
 	stripe, j := a.lay.Locate(loc)
 	surv := layout.RebuildSources(a.lay, loc)
+	phase := reads(surv)
 	a.phaseSpan = sp
-	a.io(reads(surv), prio, func(fails []xfer) {
-		a.repairThen(stripe, fails, nil, prio, func() {
+	a.io(phase, prio, func(fails []xfer) {
+		a.repairThen(stripe, fails, phase, nil, prio, func() {
 			then(a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, surv))
 		})
 	})
@@ -666,10 +668,11 @@ func (op *userOp) run() {
 }
 
 // repair recovers the first round's unreadable units before the plan
-// continues. The units the write covers are not booked lost if the stripe
-// is past its budget: they take the write's new contents.
+// continues, reading none of the round's clean reads again. The units the
+// write covers are not booked lost if the stripe is past its budget: they
+// take the write's new contents.
 func (op *userOp) repair(fails []xfer) {
-	op.a.repairThen(op.stripe, fails, op.data, userPriority, op.commitFn)
+	op.a.repairThen(op.stripe, fails, op.rounds[0], op.data, userPriority, op.commitFn)
 }
 
 // commit issues the second round.

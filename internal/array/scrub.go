@@ -94,9 +94,10 @@ func (a *Array) scrubStripe() {
 			return
 		}
 		a.scrubStats.UnitsScanned += int64(len(locs))
-		a.io(reads(locs), scrubPriority, func(fails []xfer) {
+		phase := reads(locs)
+		a.io(phase, scrubPriority, func(fails []xfer) {
 			a.scrubStats.ErrorsFound += int64(len(fails))
-			a.repairThen(s, fails, nil, scrubPriority, next)
+			a.repairThen(s, fails, phase, nil, scrubPriority, next)
 		})
 	})
 }

@@ -48,9 +48,11 @@ var ErrTransient = errors.New("store: transient I/O error")
 // reconstructs its contents from the stripe's survivors and rewrites it.
 var ErrMedia = errors.New("store: unrecoverable media error")
 
-// ErrUnrecoverable reports genuine data loss: a stripe with more damaged
-// or missing units than it has parity units (two under single parity,
-// three under P+Q), which the code cannot reconstruct.
+// ErrUnrecoverable reports genuine data loss: a read of a data unit whose
+// stripe was found with more damaged or missing units than it has parity
+// units (two under single parity, three under P+Q), which the code cannot
+// reconstruct. The stripe was rewritten with the unit marked lost (its
+// poison block), and reads report this until the unit is next written.
 var ErrUnrecoverable = errors.New("store: unrecoverable stripe (multiple damaged units)")
 
 // geometry is a backend's capacity and data unit size. It answers

@@ -26,6 +26,44 @@ import (
 // convention is unambiguous — any legitimately written unit, including an
 // all-zero one, carries a nonzero trailer.
 
+// A lost unit — a data unit of a stripe found past its erasure budget
+// (loseStripe) — is written as its poison block: a fixed, nonzero
+// function of its logical unit number, stored as ordinary data with an
+// ordinary trailer. A read that returns a unit's poison block reports
+// ErrUnrecoverable, and a write of one is refused, so the marker reads
+// back only where a loss put it. Because it is data, not a trailer value,
+// it needs no format of its own and survives every path data takes:
+// folded into parity, decoded by a degraded read or a rebuild, undone with
+// a failed rebuild.
+
+// poisonWord is word i of logical unit n's poison block, never zero.
+func poisonWord(n int64, i int) uint64 {
+	x := uint64(n)*0x9e3779b97f4a7c15 ^ uint64(i)*0xc2b2ae3d27d4eb4f
+	x ^= x >> 31
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 29
+	return x | 1
+}
+
+// poisonBlock fills b, one unit, with logical unit n's poison block.
+func poisonBlock(n int64, b []byte) {
+	for i := 0; i < len(b); i += 8 {
+		binary.LittleEndian.PutUint64(b[i:], poisonWord(n, i/8))
+	}
+}
+
+// isPoisonBlock reports whether b, one unit, is logical unit n's poison
+// block: its first word settles it for nearly every unit, and only a match
+// compares the rest.
+func isPoisonBlock(n int64, b []byte) bool {
+	for i := 0; i < len(b); i += 8 {
+		if binary.LittleEndian.Uint64(b[i:]) != poisonWord(n, i/8) {
+			return false
+		}
+	}
+	return true
+}
+
 // trailerLen is the per-unit checksum trailer size in bytes: two 32-bit
 // words. With the unit size a multiple of 8 (New's rule), a physical unit
 // is a multiple of 8 too, so units laid back to back on a backend each

@@ -69,18 +69,10 @@ func (s *Store) parityPos(stripe int64) (pp [2]int) {
 }
 
 // erase returns the erasure of position j (unit u) of stripe, solving into
-// out, or into pooled scratch when out is nil. A unit found damaged (cause
-// set) is charged here, where it becomes an erasure, and nowhere else: a
-// checksum error counted (a media error was, where the backend reported
-// it: readPhys) and a point against its disk. Damage past the code's
-// budget never becomes an erasure, so it is not charged.
+// out, or into pooled scratch when out is nil. cause is the read error that
+// found the unit damaged, nil for a lost one; recoverInto charges it once
+// the stripe is solved.
 func (s *Store) erase(stripe int64, j int, u layout.Loc, out []byte, cause error) erasure {
-	if cause != nil {
-		if !errors.Is(cause, ErrMedia) {
-			s.checksumErrs.Add(1)
-		}
-		s.scoreDiskError(u.Disk)
-	}
 	e := erasure{loc: u, out: out, cause: cause}
 	switch pp := s.parityPos(stripe); j {
 	case pp[0]:
@@ -108,10 +100,10 @@ func (s *Store) freeErasures(list []erasure) {
 
 // erasures starts the erasure list for recovering unit want into wantOut:
 // every lost unit of the stripe (the others solve into pooled scratch),
-// then want itself, lost or — cause set — damaged in place. No room left
-// for want, one erasure more than the code has parities, is
-// ErrUnrecoverable. (Fail keeps the lost units within the budget.)
-func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, want layout.Loc, wantOut []byte, cause error) ([]erasure, error) {
+// then want itself, lost or — cause set — damaged in place. Fail keeps the
+// lost units within the budget; a damaged want may take the list past it,
+// which recoverInto checks.
+func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, want layout.Loc, wantOut []byte, cause error) []erasure {
 	list := sc.eras[:0]
 	_, at := s.lay.Locate(want)
 	for j, g := 0, s.lay.G(); j < g; j++ {
@@ -119,12 +111,7 @@ func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, want la
 			list = append(list, s.erase(stripe, j, u, nil, nil))
 		}
 	}
-	if len(list) == s.parities {
-		s.freeErasures(list)
-		return nil, fmt.Errorf("%w: recovering %v: stripe %d has more than %d unreadable units",
-			ErrUnrecoverable, want, stripe, len(list))
-	}
-	return append(list, s.erase(stripe, at, want, wantOut, cause)), nil
+	return append(list, s.erase(stripe, at, want, wantOut, cause))
 }
 
 // sumOwners puts an erasure list (one or two entries) in role order and
@@ -256,10 +243,7 @@ func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) err
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
 	stripe, _ := s.lay.Locate(loc)
-	list, err := s.erasures(st, sc, stripe, loc, dst, nil)
-	if err != nil {
-		return err
-	}
+	list := s.erasures(st, sc, stripe, loc, dst, nil)
 	defer s.freeErasures(list)
 	damaged, err := s.solve(st, sc, stripe, list)
 	if err != nil || len(damaged) == 0 {
@@ -268,36 +252,37 @@ func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) err
 	return damaged[0].err // escalates to healRead, which may absorb it
 }
 
-// recoverInto is the store's one heal path. It computes the contents of
-// unit u into out from the rest of its stripe, under the stripe's WRITE
-// lock: u is lost, or — cause set — was found damaged by cause, and also
-// lists more units of the stripe a read under the same lock found damaged,
-// each solved into its own out. Those, and every damaged unit the solve
-// meets on the way, become erasures (charged there: erase) while the
-// code's budget of one erasure per parity lasts, so no damaged unit is
-// read twice; once all are solved, each erasure with a cause — u included
-// — is rewritten in place (healUnit). Past the budget it is
-// ErrUnrecoverable and nothing is rewritten. A failed rewrite leaves its
+// recoverInto is the store's one heal path and the one place the erasure
+// budget is checked. It computes the contents of unit u into out from the
+// rest of its stripe, under the stripe's WRITE lock: u is lost, or — cause
+// set — was found damaged by cause, and also lists more units of the
+// stripe a read under the same lock found damaged, each solved into its
+// own out. Those, and every damaged unit the solve meets on the way,
+// become erasures while the code's budget of one erasure per parity lasts,
+// so no damaged unit is read twice; once all are solved, each erasure with
+// a cause — u included — is charged (a checksum error counted, a media
+// error was where the backend reported it: readPhys; a point against its
+// disk) and rewritten in place (healUnit). A failed rewrite leaves its
 // unit damaged and its disk charged, but the operation that needed the
-// contents has them.
-func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error, also ...damagedUnit) error {
+// contents has them. Past the budget the stripe is lost (loseStripe) and
+// recoverInto returns errLost: nothing was charged, and the caller runs its
+// operation again (carryOn). written lists the units the caller's write goes on to
+// overwrite (nil for any other caller).
+func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error, written []layout.Loc, also ...damagedUnit) error {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
 	stripe, _ := s.lay.Locate(u)
-	list, err := s.erasures(st, sc, stripe, u, out, cause)
-	if err != nil {
-		return err
-	}
+	list := s.erasures(st, sc, stripe, u, out, cause)
 	defer func() { s.freeErasures(list) }()
 	for damaged := also; ; {
 		if len(list)+len(damaged) > s.parities {
-			return fmt.Errorf("%w: recovering %v: %v is unreadable too and stripe %d has %d erasures already: %v",
-				ErrUnrecoverable, u, damaged[0].loc, stripe, len(list), damaged[0].err)
+			return s.loseStripe(st, stripe, list, damaged, written)
 		}
 		for _, d := range damaged {
 			_, j := s.lay.Locate(d.loc)
 			list = append(list, s.erase(stripe, j, d.loc, d.out, d.err))
 		}
+		var err error
 		if damaged, err = s.solve(st, sc, stripe, list); err != nil {
 			return err
 		}
@@ -307,10 +292,90 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error
 	}
 	for _, e := range list {
 		if e.cause != nil {
+			if !errors.Is(e.cause, ErrMedia) {
+				s.checksumErrs.Add(1)
+			}
+			s.scoreDiskError(e.loc.Disk)
 			_ = s.healUnit(st, e.loc, e.out) // a failed rewrite is charged; out holds the contents
 		}
 	}
 	return nil
+}
+
+// errLost is recoverInto's answer when it found the stripe past its
+// erasure budget and loseStripe rewrote it: the caller, still holding the
+// stripe's write lock, runs its operation again (carryOn). It is returned
+// bare.
+var errLost = errors.New("store: stripe rewritten after a loss")
+
+// maxLosses bounds how many times one operation loses its stripe. A loss
+// rewrites every unit it can reach, so the operation that runs again finds
+// the stripe past its budget only if fresh damage struck in between; a
+// stripe lost over and over sits on a device that drops the rewrite, and
+// the operation reports that rather than hold the stripe's lock for ever.
+const maxLosses = 3
+
+// carryOn runs op, the part of an operation that holds stripe's write
+// lock, and runs it again after each loss it meets, up to maxLosses.
+func carryOn(stripe int64, op func() error) error {
+	for n := 1; ; n++ {
+		err := op()
+		if err != errLost {
+			return err
+		}
+		if n == maxLosses {
+			return fmt.Errorf("%w: stripe %d is still past its erasure budget after %d rewrites", ErrUnrecoverable, stripe, n)
+		}
+	}
+}
+
+// loseStripe is the store's one rule for a stripe past its erasure budget,
+// the simulator's too (repairLocked in internal/array): book the loss and
+// carry on. Under the stripe's write lock, which the caller holds, it
+// rewrites the stripe whole through writeStripeLocked: every data unit that
+// reads keeps its contents, every erased one — in list or damaged, or found
+// damaged by this read — becomes its poison block, and the parities are
+// recomputed, and not written where their disk is down. Stats.LostUnits
+// then grows by the stripe's erasures bar the units in written, which the
+// caller's write overwrites. It returns errLost, or the error that stopped
+// the rewrite.
+func (s *Store) loseStripe(st *diskState, stripe int64, list []erasure, damaged []damagedUnit, written []layout.Loc) error {
+	erased := make([]layout.Loc, 0, s.lay.G())
+	for _, e := range list {
+		erased = append(erased, e.loc)
+	}
+	for _, d := range damaged {
+		erased = append(erased, d.loc)
+	}
+	// A full-stripe write gathers nothing, so the scratch's unit buffers
+	// are free to hold the new contents.
+	sc := s.scratch.Get().(*stripeScratch)
+	defer s.scratch.Put(sc)
+	sc.locs, sc.datas = sc.locs[:0], sc.datas[:0]
+	for n := stripe * s.dataPerStripe; n < (stripe+1)*s.dataPerStripe; n++ {
+		u, phys := s.mapper.Loc(n), sc.phys[len(sc.locs)]
+		if indexLoc(erased, u) < 0 {
+			if _, err := s.readLive(st, u, phys); needsHeal(err) {
+				erased = append(erased, u)
+			} else if err != nil {
+				return err
+			}
+		}
+		if indexLoc(erased, u) >= 0 {
+			poisonBlock(n, phys[:s.unitSize])
+		}
+		sc.locs = append(sc.locs, u)
+		sc.datas = append(sc.datas, phys[:s.unitSize])
+	}
+	if err := s.writeStripeLocked(stripe, sc); err != nil {
+		return err
+	}
+	for _, u := range erased {
+		if indexLoc(written, u) < 0 {
+			s.lostUnits.Add(1)
+		}
+	}
+	return errLost
 }
 
 // paritySums hands out stripe's parity sums: one pooled buffer per parity
@@ -465,7 +530,7 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 				need = append(need, t)
 			default:
 				lBuf := s.getBuf()
-				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize], nil)
+				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize], nil, sc.locs)
 				if err == nil {
 					sc.sums.forgetSum()
 					t.foldInto(&sc.sums, (*lBuf)[:s.unitSize], 0)

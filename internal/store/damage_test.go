@@ -47,6 +47,7 @@ type damagePath struct {
 	lose, damage []string
 	minLost      int
 	maxLost      int
+	read         bool // a read: past the budget it returns ErrUnrecoverable
 	repeat       bool // a second pass may run the operation again
 	written      int64
 	op           func(t *testing.T, s *Store, d []int64) error
@@ -88,19 +89,19 @@ func writeVersion2(s *Store, first, n int64) error {
 func once(string, int) int { return 1 }
 
 var damagePaths = []damagePath{{
-	name: "ReadUnit-damaged", lose: []string{"P", "Q"}, damage: []string{"d0", "d1", "d2"}, maxLost: 2, repeat: true,
+	name: "ReadUnit-damaged", lose: []string{"P", "Q"}, damage: []string{"d0", "d1", "d2"}, maxLost: 2, read: true, repeat: true,
 	op: func(t *testing.T, s *Store, d []int64) error { return readBack(t, s, d[0], 1) },
 	// d0 under the read lock, then under the write lock (healRead), whose
 	// recovery meets the others.
 	meets: func(r string, _ int) int { return 1 + b2i(r == "d0") },
 }, {
-	name: "ReadUnit-lost", lose: []string{"d2", "Q"}, damage: []string{"P", "d0", "d1"}, minLost: 1, maxLost: 2, repeat: true,
+	name: "ReadUnit-lost", lose: []string{"d2", "Q"}, damage: []string{"P", "d0", "d1"}, minLost: 1, maxLost: 2, read: true, repeat: true,
 	op: func(t *testing.T, s *Store, d []int64) error { return readBack(t, s, d[2], 1) },
 	// The reconstruction under the read lock, the recovery under the write
 	// lock.
 	meets: func(string, int) int { return 2 },
 }, {
-	name: "ReadRange", lose: []string{"d2", "Q"}, damage: []string{"d0", "d1", "P"}, maxLost: 2, repeat: true,
+	name: "ReadRange", lose: []string{"d2", "Q"}, damage: []string{"d0", "d1", "P"}, maxLost: 2, read: true, repeat: true,
 	// From the last unit of the stripe before to the first of the one after.
 	op: func(t *testing.T, s *Store, d []int64) error { return readBack(t, s, d[0]-1, 5) },
 	// The read-locked batch reads a data unit directly and, when d2 is
@@ -121,10 +122,11 @@ var damagePaths = []damagePath{{
 	// A scrub skips degraded stripes, so it meets damage only at ℓ = 0.
 	name: "Scrub", damage: []string{"Q", "d0", "P"}, repeat: true,
 	op: func(t *testing.T, s *Store, _ []int64) error {
-		healed := s.Stats().HealedUnits
+		before := s.Stats()
 		res, err := s.Scrub()
-		want := ScrubResult{Stripes: s.Stripes(), UnitRepairs: int64(b2i(s.Stats().HealedUnits > healed))}
-		if err != nil {
+		after := s.Stats()
+		want := ScrubResult{Stripes: s.Stripes(), UnitRepairs: int64(b2i(after.HealedUnits > before.HealedUnits))}
+		if after.LostUnits > before.LostUnits {
 			want.Stripes, want.Unrecoverable = want.Stripes-1, 1
 		}
 		if res != want {
@@ -135,8 +137,8 @@ var damagePaths = []damagePath{{
 	meets: once,
 }, {
 	// The first lost disk is rebuilt; a rebuild that fails leaves the store
-	// Degraded. ROADMAP item 12 will make the P row at ℓ = 1, k = 1 — today
-	// ErrUnrecoverable — a counted loss instead.
+	// Degraded. Past the budget the unit under rebuild is lost with the rest
+	// of the stripe's erasures, and the rebuild completes.
 	name: "Rebuild", lose: []string{"d2", "Q"}, damage: []string{"d0", "P", "d1"}, minLost: 1, maxLost: 2,
 	op: func(t *testing.T, s *Store, _ []int64) error {
 		err := s.Rebuild(NewMemDisk(s.unitsPerDisk, s.UnitSize()))
@@ -186,11 +188,15 @@ func (l *damageLog) hook(c call, pass func() error) error {
 // bytes, and each damaged unit is healed exactly once: HealedUnits grows by
 // k and the backend then holds a clean unit; ChecksumErrors grows by the
 // rotted units, and each damaged unit's disk score by 1 — no other disk's.
-// A second pass heals nothing, and once every lost disk is rebuilt parity
-// checks and every unit reads back. Past it the operation returns
-// ErrUnrecoverable and rewrites nothing, and the intact units beside the
-// damage still read. Either way a damaged unit is read 1 + Retries times
-// (rotted) or once (latent) each time the operation meets it
+// Past it the stripe is lost and rewritten (loseStripe): a read returns
+// ErrUnrecoverable and every other operation succeeds; LostUnits grows by
+// the stripe's ℓ + k erasures bar the units the operation writes; nothing
+// is healed, charged or scored, yet every damaged unit is clean on its
+// backend; and exactly the erased data units the operation does not write
+// read ErrUnrecoverable from then on. Either way a second pass heals and
+// loses nothing, once every lost disk is rebuilt parity checks over every
+// stripe and every other unit reads back, and a damaged unit is read 1 +
+// Retries times (rotted) or once (latent) each time the operation meets it
 // (damagePath.meets): a write, a scrub or a rebuild meets it once, under
 // its one lock hold, and never reads it again to heal it. Each latent read
 // is one backend report in MediaErrors.
@@ -302,37 +308,42 @@ func damageRow(t *testing.T, p damagePath, m, lost, k int, kind string, workers 
 		t.Errorf("MediaErrors grew by %d for %d latent reads", got, latentReads)
 	}
 
-	if lost+k > m {
+	past := lost+k > m
+	switch {
+	case past && p.read:
 		if !errors.Is(err, ErrUnrecoverable) {
 			t.Fatalf("%s = %v, want ErrUnrecoverable", p.name, err)
 		}
-		if got := after.HealedUnits - before.HealedUnits; got != 0 {
-			t.Errorf("an unrecoverable %s healed %d units", p.name, got)
-		}
-		for i, n := range d {
-			if r := fmt.Sprint("d", i); !slices.Contains(damaged, r) && !s.st.Load().lost(loc[r]) {
-				verifyUnit(t, s, n, 1)
-			}
-		}
-		for _, r := range damaged {
-			if !damagedOnBackend(s, loc[r]) {
-				t.Errorf("an unrecoverable %s rewrote damaged %s", p.name, r)
-			}
-		}
-		return
-	}
-
-	if err != nil {
+	case err != nil:
 		t.Fatalf("%s: %v", p.name, err)
 	}
-	if got := after.HealedUnits - before.HealedUnits; got != int64(k) {
-		t.Errorf("HealedUnits grew by %d, want %d", got, k)
+	written := func(r string) bool { return r[0] == 'd' && int64(r[1]-'0') < p.written }
+	healed, lostUnits, poisoned := int64(k), int64(0), map[int64]bool{}
+	if past {
+		healed, rotten = 0, 0
+		for _, r := range append(code(p.lose)[:lost], damaged...) {
+			if !written(r) {
+				lostUnits++
+				if r[0] == 'd' {
+					poisoned[d[r[1]-'0']] = true
+				}
+			}
+		}
+	} else {
+		for _, r := range damaged {
+			scores[loc[r].Disk]++
+		}
+	}
+	if got := after.HealedUnits - before.HealedUnits; got != healed {
+		t.Errorf("HealedUnits grew by %d, want %d", got, healed)
 	}
 	if got := after.ChecksumErrors - before.ChecksumErrors; got != rotten {
 		t.Errorf("ChecksumErrors grew by %d, want %d", got, rotten)
 	}
+	if got := after.LostUnits - before.LostUnits; got != lostUnits {
+		t.Errorf("LostUnits grew by %d, want %d", got, lostUnits)
+	}
 	for _, r := range damaged {
-		scores[loc[r].Disk]++
 		if damagedOnBackend(s, loc[r]) {
 			t.Errorf("damaged %s is still damaged on its backend", r)
 		}
@@ -341,18 +352,26 @@ func damageRow(t *testing.T, p damagePath, m, lost, k int, kind string, workers 
 		t.Errorf("disk scores %v, want %v", got, scores)
 	}
 	if p.repeat {
-		if err := p.op(t, s, d); err != nil {
+		if err := p.op(t, s, d); (err != nil) != (past && p.read) {
 			t.Fatalf("second %s: %v", p.name, err)
 		}
-		if got := s.Stats().HealedUnits; got != after.HealedUnits {
-			t.Errorf("a second %s healed %d units", p.name, got-after.HealedUnits)
+		if got := s.Stats(); got.HealedUnits != after.HealedUnits || got.LostUnits != after.LostUnits {
+			t.Errorf("a second %s healed %d units and lost %d", p.name,
+				got.HealedUnits-after.HealedUnits, got.LostUnits-after.LostUnits)
 		}
 	}
 	rebuildEach(t, s, len(s.FailedDisks()), func(int) Disk { return NewMemDisk(s.unitsPerDisk, s.UnitSize()) })
 	if err := s.CheckParity(); err != nil {
 		t.Fatal(err)
 	}
+	buf := make([]byte, s.UnitSize())
 	for n := int64(0); n < s.DataUnits(); n++ {
+		if poisoned[n] {
+			if err := s.ReadUnit(n, buf); !errors.Is(err, ErrUnrecoverable) {
+				t.Errorf("lost unit %d reads %v, want ErrUnrecoverable", n, err)
+			}
+			continue
+		}
 		verifyUnit(t, s, n, 1+uint64(b2i(n >= d[0] && n < d[0]+p.written)))
 	}
 }

@@ -379,15 +379,15 @@ func (sc *stripeScratch) readBuf(terms []term, i int) []byte {
 	return sc.phys[i]
 }
 
-// gatherHealing is gather for callers holding the stripe's WRITE lock: the
-// units the batch reports damaged go, once its other reads are done, to
-// recoverInto under that same lock — their reads are not repeated — which
-// solves them from the rest of the stripe and rewrites them, each into the
-// scratch's unit buffer of its index (left free by its damaged read or, for
-// a term read in place, never used: its sum was started by the next term
-// to reach it, over the damaged bytes). They are folded in after all. A
-// healed unit's crc32c is not known, so P is then stamped by computing. No
-// listed unit may be lost.
+// gatherHealing is gather for a parity update, which holds the stripe's
+// WRITE lock and writes sc.locs: the units the batch reports damaged go,
+// once its other reads are done, to recoverInto under that same lock —
+// their reads are not repeated — which solves them from the rest of the
+// stripe and rewrites them, each into the scratch's unit buffer of its
+// index (left free by its damaged read or, for a term read in place, never
+// used: its sum was started by the next term to reach it, over the damaged
+// bytes). They are folded in after all. A healed unit's crc32c is not
+// known, so P is then stamped by computing. No listed unit may be lost.
 func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) error {
 	damaged, err := s.gather(st, sc, terms)
 	if err != nil || len(damaged) == 0 {
@@ -396,7 +396,7 @@ func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) er
 	for i := range damaged {
 		damaged[i].out = sc.phys[damaged[i].idx][:s.unitSize]
 	}
-	if err := s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, damaged[1:]...); err != nil {
+	if err := s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, sc.locs, damaged[1:]...); err != nil {
 		return err
 	}
 	sc.sums.forgetSum()

@@ -30,19 +30,14 @@ import (
 // advanced, never on a sleep, and fails when two minutes pass.
 //
 // The chaos rows run on fault-injecting backends: transient errors, latent
-// sector errors, torn writes and transient read corruption. Fault placement
-// is collision-free by construction (the code repairs at most m damaged
-// units a stripe): LSEs arrive on one designated disk only (a stripe holds
-// at most one unit per disk), corruption is transient (the re-read readPhys
-// already performs clears it), torn writes return errors and are repaired
-// by the engine's own write retry, and the LSE disk is quiesced and
-// scrubbed while the store is still healthy, then failed first — the
-// real-world "scrub before rebuild" discipline, because a latent error on a
-// survivor mid-rebuild is genuine data loss under single parity, and the
-// two-down window of P+Q has no correction power left for one either.
+// sector errors on every disk, torn writes and transient read corruption.
+// Faults may collide: a latent error on a survivor of a degraded stripe, or
+// two in one stripe, is more than the code repairs, and the store loses
+// the stripe's erased units (Stats.LostUnits) and carries on. A client
+// whose read returns ErrUnrecoverable restores that unit from its ledger,
+// as an operator restores from backup; the run checks that no more units
+// were restored than the store booked lost, and no write fails.
 // make store-chaos runs the chaos rows under the race detector.
-
-const chaosLSEDisk = 3
 
 func chaosSeed(t *testing.T) int64 {
 	if env := os.Getenv("CHAOS_SEED"); env != "" {
@@ -152,16 +147,12 @@ func setRetryBackoff(t *testing.T, d time.Duration) {
 	t.Cleanup(func() { retryBackoff = old })
 }
 
-func chaosRates(disk int) FaultConfig {
-	cfg := FaultConfig{
-		TransientRate: 0.02,
-		TornWriteRate: 0.015,
-		CorruptRate:   0.008,
-	}
-	if disk == chaosLSEDisk {
-		cfg.LSERate = 0.003
-	}
-	return cfg
+// chaosRates is every chaos disk's fault mix.
+var chaosRates = FaultConfig{
+	TransientRate: 0.02,
+	TornWriteRate: 0.015,
+	LSERate:       0.003,
+	CorruptRate:   0.008,
 }
 
 // codeLayout is the suite's array under parity count m: C = 7 with two
@@ -192,13 +183,15 @@ func rebuildEach(t *testing.T, s *Store, n int, repl func(i int) Disk) {
 }
 
 // client is one lifecycle worker: it alone writes units [lo, hi), and
-// vers[u-lo] is the version of u's last acknowledged write.
+// vers[u-lo] is the version of u's last acknowledged write. restored holds
+// the units it wrote back after the store lost them.
 type client struct {
-	s      *Store
-	lo, hi int64
-	vers   []uint64
-	rng    *rand.Rand
-	buf    []byte // room for the whole range
+	s        *Store
+	lo, hi   int64
+	vers     []uint64
+	rng      *rand.Rand
+	buf      []byte // room for the whole range
+	restored map[int64]bool
 }
 
 // write writes units [u, u+n) at their next versions — one WriteUnit when
@@ -225,7 +218,8 @@ func (c *client) write(u, n int64, unit bool) error {
 }
 
 // read reads units [u, u+n) — one ReadUnit when unit is set, else one
-// ReadRange — and checks each against its acknowledged version.
+// ReadRange — and checks each against its acknowledged version. A read
+// that meets a lost unit is served again by restore.
 func (c *client) read(u, n int64, unit bool) error {
 	us := int64(c.s.UnitSize())
 	b := c.buf[:n*us]
@@ -235,12 +229,43 @@ func (c *client) read(u, n int64, unit bool) error {
 	} else {
 		err = c.s.ReadRange(u, b)
 	}
+	if errors.Is(err, ErrUnrecoverable) {
+		return c.restore(u, n)
+	}
 	if err != nil {
 		return fmt.Errorf("read [%d, %d): %w", u, u+n, err)
 	}
 	for i := int64(0); i < n; i++ {
 		if v := c.vers[u+i-c.lo]; !patternMatches(b[i*us:(i+1)*us], u+i, v) {
 			return fmt.Errorf("unit %d does not match acknowledged version %d", u+i, v)
+		}
+	}
+	return nil
+}
+
+// restore reads units [u, u+n) one by one and checks each against its
+// acknowledged version, as read does; a unit that reads ErrUnrecoverable
+// is written back at that version from the ledger, recorded in restored,
+// and read again — a few times over, since a latent error beside it may
+// lose it again before the read.
+func (c *client) restore(u, n int64) error {
+	b := c.buf[:c.s.UnitSize()]
+	for i := u; i < u+n; i++ {
+		v := c.vers[i-c.lo]
+		err := c.s.ReadUnit(i, b)
+		for try := 0; try < 10 && errors.Is(err, ErrUnrecoverable); try++ {
+			fill(b, i, v)
+			if err := c.s.WriteUnit(i, b); err != nil {
+				return fmt.Errorf("restore of unit %d: %w", i, err)
+			}
+			c.restored[i] = true
+			err = c.s.ReadUnit(i, b)
+		}
+		if err != nil {
+			return fmt.Errorf("read %d: %w", i, err)
+		}
+		if !patternMatches(b, i, v) {
+			return fmt.Errorf("unit %d does not match acknowledged version %d", i, v)
 		}
 	}
 	return nil
@@ -327,10 +352,10 @@ func TestLifecycle(t *testing.T) {
 			healthyOps: 20, windowOps: 20,
 			cfg:     Config{IOWorkers: 8, RebuildWorkers: 4, RebuildThrottle: 100 * time.Microsecond},
 			overlap: true},
-		{name: "chaos/P", m: 1, workers: 12, op: mixedOps, victims: []int{chaosLSEDisk},
+		{name: "chaos/P", m: 1, workers: 12, op: mixedOps, victims: []int{3},
 			healthyOps: 4000, windowOps: 1000,
 			cfg: Config{Retries: 6, IOWorkers: 8, RebuildWorkers: 4}, overlap: true, faults: true},
-		{name: "chaos/P+Q", m: 2, workers: 12, op: mixedOps, victims: []int{chaosLSEDisk, 0},
+		{name: "chaos/P+Q", m: 2, workers: 12, op: mixedOps, victims: []int{3, 0},
 			healthyOps: 4000, windowOps: 1000,
 			cfg: Config{Retries: 6, IOWorkers: 8, RebuildWorkers: 4}, overlap: true, faults: true},
 	} {
@@ -354,7 +379,7 @@ func runLifecycle(t *testing.T, row lifecycleRow) {
 	if row.faults {
 		setRetryBackoff(t, 100*time.Microsecond)
 		s, fds = faultStore(t, 7, cfg.Layout.G(), 64, 512, func(disk int) FaultConfig {
-			fc := chaosRates(disk)
+			fc := chaosRates
 			fc.Seed = seed + int64(disk)
 			return fc
 		}, cfg)
@@ -392,7 +417,7 @@ func runLifecycle(t *testing.T, row lifecycleRow) {
 		}
 		c := &client{s: s, lo: lo, hi: hi, vers: make([]uint64, hi-lo),
 			rng: rand.New(rand.NewSource(seed*mul + int64(w))),
-			buf: make([]byte, (hi-lo)*int64(s.UnitSize()))}
+			buf: make([]byte, (hi-lo)*int64(s.UnitSize())), restored: map[int64]bool{}}
 		clients[w] = c
 		wg.Add(1)
 		go func() {
@@ -434,16 +459,6 @@ func runLifecycle(t *testing.T, row lifecycleRow) {
 	}
 
 	window("healthy traffic", row.healthyOps, func(st Stats) bool { return st.Reads > 200 && st.Writes > 200 })
-	if row.faults {
-		// Quiesce the LSE source and scrub while the store is healthy: the
-		// scrub covers every stripe only while nothing is lost.
-		lse := chaosRates(chaosLSEDisk)
-		lse.LSERate = 0
-		fds[chaosLSEDisk].SetConfig(lse)
-		if _, err := s.Scrub(); err != nil {
-			t.Fatalf("pre-failure scrub: %v", err)
-		}
-	}
 	for i, d := range row.victims {
 		base := s.Stats()
 		if err := s.Fail(d); err != nil {
@@ -478,23 +493,21 @@ func runLifecycle(t *testing.T, row lifecycleRow) {
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync after the run: %v", err)
 	}
-	buf := make([]byte, s.UnitSize())
+	restored := 0
 	for _, c := range clients {
-		for i, v := range c.vers {
-			u := c.lo + int64(i)
-			if err := s.ReadUnit(u, buf); err != nil {
-				t.Fatalf("final ReadUnit(%d): %v", u, err)
-			}
-			if !patternMatches(buf, u, v) {
-				t.Fatalf("unit %d lost acknowledged version %d", u, v)
-			}
+		if err := c.restore(c.lo, c.hi-c.lo); err != nil {
+			t.Fatalf("final read-back: %v", err)
 		}
+		restored += len(c.restored)
 	}
 
 	st := s.Stats()
-	t.Logf("ops=%d retries=%d healed=%d media=%d checksum=%d degradedReads=%d folded=%d rebuilt=%d scrubRepairs=%d",
+	t.Logf("ops=%d retries=%d healed=%d media=%d checksum=%d degradedReads=%d folded=%d rebuilt=%d scrubRepairs=%d lost=%d restored=%d",
 		ops.Load(), st.Retries, st.HealedUnits, st.MediaErrors, st.ChecksumErrors,
-		st.DegradedReads, st.FoldedWrites, st.RebuiltUnits, st.ScrubUnitRepairs)
+		st.DegradedReads, st.FoldedWrites, st.RebuiltUnits, st.ScrubUnitRepairs, st.LostUnits, restored)
+	if int64(restored) > st.LostUnits {
+		t.Errorf("clients restored %d units, more than the %d the store booked lost", restored, st.LostUnits)
+	}
 	if row.faults && st.Retries == 0 {
 		t.Error("run exercised no retries")
 	}

@@ -1,0 +1,321 @@
+package store
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+
+	"declust/internal/layout"
+)
+
+// The loss tests: a stripe found past its erasure budget is rewritten whole
+// with its lost data units as their poison blocks (loseStripe), and the
+// operation that found it carries on. The poison block is data, so the
+// mark must survive whatever data survives: a failed rebuild's undo, a
+// decode through a disk with no replacement, a reopen and the resync at
+// open.
+
+// On the array most loss tests use, C = 7 and G = 3 under P, unit 5 of
+// disk 3 is P of stripe 12 and unit 4 of disk 0 one of its data units.
+var (
+	lossP    = layout.Loc{Disk: 3, Offset: 5}
+	lossData = layout.Loc{Disk: 0, Offset: 4}
+)
+
+// checkLossShape fails the test unless lossP and lossData are P and a data
+// unit of one stripe of s.
+func checkLossShape(t *testing.T, s *Store) {
+	t.Helper()
+	stripe, _ := s.lay.Locate(lossData)
+	if layout.ParityLocOf(s.lay, stripe, 0) != lossP {
+		t.Fatalf("%v is not P of %v's stripe %d", lossP, lossData, stripe)
+	}
+}
+
+// readBackLost reads every unit of s: the units of lost read
+// ErrUnrecoverable, every other unit version v.
+func readBackLost(t *testing.T, s *Store, v uint64, lost ...layout.Loc) {
+	t.Helper()
+	buf := make([]byte, s.UnitSize())
+	for n := int64(0); n < s.DataUnits(); n++ {
+		err := s.ReadUnit(n, buf)
+		if loc := s.mapper.Loc(n); indexLoc(lost, loc) >= 0 {
+			if !errors.Is(err, ErrUnrecoverable) {
+				t.Errorf("lost unit %d (%v) reads %v, want ErrUnrecoverable", n, loc, err)
+			}
+			continue
+		}
+		if err != nil || !patternMatches(buf, n, v) {
+			t.Errorf("unit %d: %v, or not version %d", n, err, v)
+		}
+	}
+}
+
+// TestRebuildLosesAUnitNotTheArray: P of a stripe is latent when a disk of
+// the same stripe fails, so the rebuild meets two erasures under one
+// parity. One latent sector used to end the whole rebuild here. The stripe's two units are lost, not
+// the rebuild: it returns nil and heals the store, d3:5 is rewritten clean,
+// the data unit that was under rebuild alone reads ErrUnrecoverable, and
+// parity checks.
+func TestRebuildLosesAUnitNotTheArray(t *testing.T) {
+	lat := new(latentUnits)
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 40, UnitSize: 512}, lat.hook)
+	checkLossShape(t, s)
+	fillAll(t, s, 1)
+	lat.add(lossP)
+	if err := s.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rebuild(NewMemDisk(40, 512)); err != nil {
+		t.Fatalf("Rebuild: %v", err)
+	}
+	if m := s.Mode(); m != Healthy {
+		t.Fatalf("Mode after the rebuild = %v, want healthy", m)
+	}
+	if got := s.Stats().LostUnits; got != 2 {
+		t.Errorf("LostUnits = %d, want 2 (%v and %v)", got, lossData, lossP)
+	}
+	if damagedOnBackend(s, lossP) {
+		t.Errorf("%v is still damaged on its backend", lossP)
+	}
+	readBackLost(t, s, 1, lossData)
+	if err := s.CheckParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLossThenFailedRebuild: the sweep loses a unit, then a hard error later
+// in the same sweep (the replacement refuses its last write) fails the
+// rebuild, whose undo drops the replacement and the poison block written
+// there. The block lives on in parity: the lost unit still reads
+// ErrUnrecoverable through a degraded decode, and the rebuild retried onto
+// a good disk decodes it again, books no new loss and heals the store.
+func TestLossThenFailedRebuild(t *testing.T) {
+	lat := new(latentUnits)
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 40, UnitSize: 512, RebuildWorkers: 1}, lat.hook)
+	checkLossShape(t, s)
+	fillAll(t, s, 1)
+	lat.add(lossP)
+	if err := s.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	last := layout.Loc{Disk: 0, Offset: s.unitsPerDisk - 1}
+	dying := &scriptedDisk{under: NewMemDisk(40, 512), slot: 0, hook: failAt(opWrite, last)}
+	if err := s.Rebuild(dying); !errors.Is(err, errPlanted) {
+		t.Fatalf("Rebuild onto a replacement failing at %v = %v, want %v", last, err, errPlanted)
+	}
+	if m, lost := s.Mode(), s.Stats().LostUnits; m != Degraded || lost != 2 {
+		t.Fatalf("after the failed rebuild: Mode %v, LostUnits %d; want degraded, 2", m, lost)
+	}
+	readBackLost(t, s, 1, lossData)
+	if err := s.Rebuild(NewMemDisk(40, 512)); err != nil {
+		t.Fatalf("retried Rebuild: %v", err)
+	}
+	if m, lost := s.Mode(), s.Stats().LostUnits; m != Healthy || lost != 2 {
+		t.Fatalf("after the retried rebuild: Mode %v, LostUnits %d; want healthy, 2", m, lost)
+	}
+	readBackLost(t, s, 1, lossData)
+	if err := s.CheckParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLostUnitOnDownDiskRebuildsAsPoison: under P+Q with both data disks
+// of a stripe down and its P latent, the first rebuild loses all three. The
+// lost unit of the disk still down has no replacement to hold its poison
+// block, so the block is folded into the recomputed parities; that disk's
+// own rebuild decodes it and writes it, with a valid trailer, to its
+// replacement.
+func TestLostUnitOnDownDiskRebuildsAsPoison(t *testing.T) {
+	lat := new(latentUnits)
+	s := scriptedStore(t, Config{Layout: testPQLayout(t, 7, 4), UnitsPerDisk: 40, UnitSize: 512}, lat.hook)
+	fillAll(t, s, 1)
+	const stripe = 3
+	a, b := s.mapper.Loc(stripe*s.dataPerStripe), s.mapper.Loc(stripe*s.dataPerStripe+1)
+	lat.add(layout.ParityLocOf(s.lay, stripe, 0))
+	for _, d := range []int{a.Disk, b.Disk} {
+		if err := s.Fail(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Rebuild(NewMemDisk(40, 512)); err != nil {
+		t.Fatalf("first Rebuild: %v", err)
+	}
+	if got := s.Stats().LostUnits; got != 3 {
+		t.Fatalf("LostUnits = %d, want 3 (both data units and P)", got)
+	}
+	readBackLost(t, s, 1, a, b)
+	repl := NewMemDisk(40, 512)
+	if err := s.Rebuild(repl); err != nil {
+		t.Fatalf("second Rebuild: %v", err)
+	}
+	phys := make([]byte, s.physSize)
+	if err := repl.ReadUnit(b.Offset, phys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := verifyTrailer(phys, s.unitSize, b.Offset); !ok || !isPoisonBlock(stripe*s.dataPerStripe+1, phys[:s.unitSize]) {
+		t.Fatalf("%v on its replacement: trailer valid %v, poison block %v; want both", b, ok, isPoisonBlock(stripe*s.dataPerStripe+1, phys[:s.unitSize]))
+	}
+	if m, lost := s.Mode(), s.Stats().LostUnits; m != Healthy || lost != 3 {
+		t.Fatalf("Mode %v, LostUnits %d; want healthy, 3", m, lost)
+	}
+	readBackLost(t, s, 1, a, b)
+	if err := s.CheckParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLossOutlivesReopen: a file-backed store loses a unit in its rebuild
+// and is closed; reopened, the unit still reads ErrUnrecoverable. Then a
+// crash leaves a region dirty over a stripe with two rotted data units, and
+// the resync at the next open loses that stripe too: New succeeds, both
+// units read ErrUnrecoverable, and the region's flag is down with its log
+// entry cleared, so the next write to it marks it again.
+func TestLossOutlivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	lay := testLayout(t, 7, 3)
+	usable := layout.UsableUnitsPerDisk(lay, 40)
+	open := func(h hook) *Store {
+		t.Helper()
+		disks, err := OpenFileDisks(dir, lay.Disks(), usable, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range disks {
+			disks[i] = &scriptedDisk{under: disks[i], slot: i, hook: h}
+		}
+		s, err := New(Config{Layout: lay, UnitsPerDisk: 40, UnitSize: 512, Disks: disks,
+			Intent: OpenFileIntent(filepath.Join(dir, "intent.log"))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	lat := new(latentUnits)
+	s := open(lat.hook)
+	checkLossShape(t, s)
+	fillAll(t, s, 1)
+	lat.add(lossP)
+	if err := s.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	repl, err := OpenFileDisk(filepath.Join(dir, "replacement.dat"), usable, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rebuild(repl); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, "replacement.dat"), filepath.Join(dir, "disk0000.dat")); err != nil {
+		t.Fatal(err)
+	}
+
+	s = open(nil)
+	readBackLost(t, s, 1, lossData)
+	if err := s.CheckParity(); err != nil {
+		t.Fatal(err)
+	}
+	const stripe = 30
+	x0, x1 := stripe*s.dataPerStripe, stripe*s.dataPerStripe+1
+	buf := make([]byte, s.UnitSize())
+	fill(buf, x0, 2)
+	if err := s.WriteUnit(x0, buf); err != nil {
+		t.Fatal(err)
+	}
+	rot(t, s, s.mapper.Loc(x0))
+	rot(t, s, s.mapper.Loc(x1))
+	// The crash: the backends and the log close with the region dirty.
+	for _, d := range s.adopted {
+		d.Close()
+	}
+	s.intent.Close()
+
+	s = open(nil)
+	t.Cleanup(func() { s.Close() })
+	r := stripe / intentRegionStripes
+	if st := s.Stats(); st.ResyncRepairs == 0 || st.LostUnits != 2 || s.regionDirty[r].Load() {
+		t.Fatalf("after the resync at open: %d repairs, LostUnits %d, region %d flagged %v; want ≥ 1, 2, false",
+			st.ResyncRepairs, st.LostUnits, r, s.regionDirty[r].Load())
+	}
+	readBackLost(t, s, 1, lossData, s.mapper.Loc(x0), s.mapper.Loc(x1))
+	if err := s.CheckParity(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLossThatWillNotClearIsReported: P of a degraded stripe is latent and
+// its disk drops every rewrite of it, so each loss leaves the stripe past
+// its budget. A read and a write of the stripe each lose it maxLosses
+// times, then return ErrUnrecoverable instead of holding its lock for ever.
+func TestLossThatWillNotClearIsReported(t *testing.T) {
+	lat := new(latentUnits)
+	var dropping atomic.Bool
+	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 40, UnitSize: 512},
+		func(c call, pass func() error) error {
+			if dropping.Load() && c.op == opWrite && c.disk == lossP.Disk && c.off == lossP.Offset {
+				return nil
+			}
+			return lat.hook(c, pass)
+		})
+	checkLossShape(t, s)
+	fillAll(t, s, 1)
+	lat.add(lossP)
+	dropping.Store(true)
+	if err := s.Fail(0); err != nil {
+		t.Fatal(err)
+	}
+	stripe, j := s.lay.Locate(lossData)
+	n, first := s.mapper.Index(stripe, j), stripe*s.dataPerStripe
+	other := first + (first + 1 - n) // the stripe's other data unit
+	buf := make([]byte, s.UnitSize())
+	if err := s.ReadUnit(n, buf); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("ReadUnit = %v, want ErrUnrecoverable", err)
+	}
+	fill(buf, other, 2)
+	if err := s.WriteUnit(other, buf); !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("WriteUnit = %v, want ErrUnrecoverable", err)
+	}
+	// Each rewrite loses the unit on the failed disk and P.
+	if got := s.Stats().LostUnits; got != 4*maxLosses {
+		t.Fatalf("LostUnits = %d, want %d: two units at each of %d rewrites, twice", got, 4*maxLosses, maxLosses)
+	}
+}
+
+// TestWritingAPoisonBlockIsRefused: a unit's poison block is the one content
+// no write may store, so a read can tell a lost unit from data. The
+// refusal, by WriteUnit or inside a WriteRange, leaves the unit as it was;
+// another unit's block is ordinary data.
+func TestWritingAPoisonBlockIsRefused(t *testing.T) {
+	s := newTestStore(t, 7, 3, 40, 512)
+	fillAll(t, s, 1)
+	us := int64(s.UnitSize())
+	buf := make([]byte, 3*us)
+	poisonBlock(5, buf[:us])
+	if err := s.WriteUnit(5, buf[:us]); err == nil {
+		t.Fatal("WriteUnit of unit 5's poison block succeeded")
+	}
+	fill(buf[:us], 4, 2)
+	poisonBlock(5, buf[us:2*us])
+	fill(buf[2*us:], 6, 2)
+	if err := s.WriteRange(4, buf); err == nil {
+		t.Fatal("WriteRange carrying unit 5's poison block succeeded")
+	}
+	verifyUnit(t, s, 4, 1)
+	verifyUnit(t, s, 5, 1)
+	poisonBlock(6, buf[:us])
+	if err := s.WriteUnit(5, buf[:us]); err != nil {
+		t.Fatalf("WriteUnit of unit 6's poison block to unit 5: %v", err)
+	}
+	got := make([]byte, us)
+	if err := s.ReadUnit(5, got); err != nil || !isPoisonBlock(6, got) {
+		t.Fatalf("ReadUnit(5) = %v, or not unit 6's poison block", err)
+	}
+	if err := s.CheckParity(); err != nil {
+		t.Fatal(err)
+	}
+}

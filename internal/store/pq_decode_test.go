@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"testing"
 
 	"declust/internal/layout"
@@ -48,8 +47,8 @@ func TestPQResyncLostWriteParity(t *testing.T) {
 }
 
 // TestPQResyncRepairsDamage: resyncStripe reconstructs and rewrites up
-// to two checksum-failing units in a stripe, and reports the third as
-// unrecoverable.
+// to two checksum-failing units in a stripe, and a third makes the stripe
+// lost: rewritten with its lost units marked.
 func TestPQResyncRepairsDamage(t *testing.T) {
 	s := newTestPQStore(t, 7, 4, 64, 512)
 	fillAll(t, s, 13)
@@ -62,7 +61,7 @@ func TestPQResyncRepairsDamage(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		rot(t, s, s.lay.Unit(5, j))
 	}
-	if _, err := s.resyncStripe(st, 5); !errors.Is(err, ErrUnrecoverable) {
-		t.Fatalf("three damaged: resync = %v, want ErrUnrecoverable", err)
+	if fix, err := s.resyncStripe(st, 5); err != nil || fix != fixLost {
+		t.Fatalf("three damaged: resync = (%v, %v), want (fixLost, nil)", fix, err)
 	}
 }

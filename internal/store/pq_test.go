@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -124,7 +123,8 @@ func TestPQThirdFailureRejected(t *testing.T) {
 
 // TestPQScrubHealsTwoDamagedUnits rots two units of one stripe — beyond
 // single parity, within P+Q — and expects the scrub to reconstruct and
-// rewrite both. A third rotted unit must report ErrUnrecoverable.
+// rewrite both. Three rotted units are a lost stripe: the scrub counts it
+// Unrecoverable, books its three units lost and carries on.
 func TestPQScrubHealsTwoDamagedUnits(t *testing.T) {
 	s := newTestPQStore(t, 7, 4, 64, 512)
 	fillAll(t, s, 4)
@@ -145,8 +145,8 @@ func TestPQScrubHealsTwoDamagedUnits(t *testing.T) {
 	for j := 0; j < 3; j++ {
 		rot(t, s, s.lay.Unit(1, j))
 	}
-	if res, err := s.Scrub(); !errors.Is(err, ErrUnrecoverable) || res.Unrecoverable != 1 {
-		t.Fatalf("Scrub = (%+v, %v), want Unrecoverable 1 and ErrUnrecoverable", res, err)
+	if res, err := s.Scrub(); err != nil || res.Unrecoverable != 1 || s.Stats().LostUnits != 3 {
+		t.Fatalf("Scrub = (%+v, %v), LostUnits %d: want Unrecoverable 1, 3 units lost", res, err, s.Stats().LostUnits)
 	}
 }
 

@@ -130,7 +130,8 @@ type spanJob struct {
 // lost one reconstructed. A batch cannot repair (its reads share the
 // lock), so the damaged units it finds are collected and, once the read
 // lock is released, re-served one by one under the write lock (healRead),
-// as a gather's are. ReadUnit is its one-unit span.
+// as a gather's are. A unit that reads as its poison block was lost
+// (loseStripe), and is ErrUnrecoverable. ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
@@ -156,8 +157,12 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	})
 	s.locks.runlock(stripe)
 	for i := 0; err == nil && i < int(hi-lo); i++ {
+		n, out := lo+int64(i), dst[i*us:(i+1)*us]
 		if sc.errs[i] != nil {
-			err = s.healRead(stripe, s.mapper.Loc(lo+int64(i)), dst[i*us:(i+1)*us])
+			err = s.healRead(stripe, s.mapper.Loc(n), out)
+		}
+		if err == nil && isPoisonBlock(n, out) {
+			err = fmt.Errorf("%w: data unit %d was lost", ErrUnrecoverable, n)
 		}
 	}
 	return err
@@ -179,15 +184,20 @@ func (s *Store) WriteRange(start int64, src []byte) error {
 
 // writeStripeSpan commits the units [lo, hi) — all belonging to stripe —
 // from src, whose first byte corresponds to logical unit start, as one
-// parity update under the stripe's write lock.
+// parity update under the stripe's write lock. A unit's poison block is
+// refused, so every acknowledged write reads back.
 func (s *Store) writeStripeSpan(stripe, start, lo, hi int64, src []byte) error {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
 	sc.locs, sc.datas = sc.locs[:0], sc.datas[:0]
 	us := int64(s.unitSize)
 	for v := lo; v < hi; v++ {
+		data := src[(v-start)*us : (v-start+1)*us]
+		if isPoisonBlock(v, data) {
+			return fmt.Errorf("store: data unit %d: its poison block marks a lost unit and cannot be written", v)
+		}
 		sc.locs = append(sc.locs, s.mapper.Loc(v))
-		sc.datas = append(sc.datas, src[(v-start)*us:(v-start+1)*us])
+		sc.datas = append(sc.datas, data)
 	}
 	s.locks.lock(stripe)
 	err := s.writeStripeLocked(stripe, sc)

@@ -2,7 +2,6 @@ package store
 
 import (
 	"crypto/subtle"
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -10,13 +9,13 @@ import (
 // The scrubber is the engine's background integrity sweep: it walks every
 // stripe, verifies each unit's checksum trailer and the stripe's parity
 // equations, and repairs what the code can repair — damaged units, as many
-// as the stripe has parities, are solved from the rest and rewritten; a
-// stripe whose units are all individually valid but whose equations do
-// not balance (the lost-write signature, or a crash between data and
-// parity commits) gets the unbalanced parity recomputed from data,
-// resolving the conflict in favor of data. The same per-stripe repair is
-// what the write-intent recovery pass runs at open, just over dirty
-// regions only.
+// as the stripe has parities, are solved from the rest and rewritten, and
+// a stripe with more is lost and rewritten whole (loseStripe); a stripe
+// whose units are all individually valid but whose equations do not
+// balance (the lost-write signature, or a crash between data and parity
+// commits) gets the unbalanced parity recomputed from data, resolving the
+// conflict in favor of data. The same per-stripe repair is what the
+// write-intent recovery pass runs at open, just over dirty regions only.
 
 // stripeFix reports what resyncStripe had to do to a stripe.
 type stripeFix int
@@ -25,48 +24,32 @@ const (
 	fixNone   stripeFix = iota // stripe verified clean
 	fixUnit                    // damaged units reconstructed and rewritten
 	fixParity                  // parity recomputed from data
+	fixLost                    // past the budget: rewritten with its lost units marked
 )
 
 // resyncStripe verifies and repairs one stripe under its write lock (or
 // before the store serves traffic), from one pass over its units (see
-// syndromes). No unit of the stripe may be lost. Damage within the code's
-// correction power — one unit per parity — is solved from the sums the
-// pass already holds and rewritten in place; anything beyond is
-// unrecoverable and nothing is rewritten.
+// syndromes). No unit of the stripe may be lost. The damaged units the
+// pass found go to recoverInto, which solves and rewrites them within the
+// code's budget and rewrites the stripe whole with its lost units marked
+// past it (loseStripe).
 func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
-	px, qx, damaged, err := s.syndromes(st, sc, stripe)
+	_, _, damaged, err := s.syndromes(st, sc, stripe)
 	defer s.putParity(sc)
 	if err != nil {
 		return fixNone, err
 	}
-	if len(damaged) > s.parities {
-		return fixNone, fmt.Errorf("%w: stripe %d has %d damaged units (%v, %v, ...): %v",
-			ErrUnrecoverable, stripe, len(damaged), damaged[0].loc, damaged[1].loc, damaged[0].err)
-	}
 	if len(damaged) > 0 {
-		// The pass read the stripe in position order, so a damaged unit's
-		// index is its position. The units are solved in place in the sums:
-		// sumOwners says which erasure each sum turns into.
-		list := sc.eras[:0]
-		for _, d := range damaged {
-			list = append(list, s.erase(stripe, d.idx, d.loc, px, d.err))
+		switch err := s.recoverInto(st, damaged[0].loc, nil, damaged[0].err, nil, damaged[1:]...); err {
+		case nil:
+			return fixUnit, nil
+		case errLost:
+			return fixLost, nil
+		default:
+			return fixNone, err
 		}
-		po, qo := sumOwners(list)
-		if qo != nil {
-			qo.out = qx
-		}
-		if po != nil {
-			po.out = px
-		}
-		decode(list, px, qx)
-		for _, e := range list {
-			if err := s.healUnit(st, e.loc, e.out); err != nil {
-				return fixNone, fmt.Errorf("store: rewriting damaged unit %v: %w", e.loc, err)
-			}
-		}
-		return fixUnit, nil
 	}
 
 	// All units individually valid: each equation must balance. One that
@@ -91,9 +74,6 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	}
 	return fix, nil
 }
-
-// isUnrecoverable reports damage beyond the code's correction power.
-func isUnrecoverable(err error) bool { return errors.Is(err, ErrUnrecoverable) }
 
 // stripeHasLost reports whether any unit of stripe is lost in st.
 func (s *Store) stripeHasLost(st *diskState, stripe int64) bool {
@@ -124,8 +104,9 @@ type ScrubResult struct {
 	// data.
 	ParityRewrites int64
 	// Unrecoverable counts stripes with more damaged units than the code
-	// has parities (two under single parity, three under P+Q). They are
-	// left as found.
+	// has parities (two under single parity, three under P+Q). Each is
+	// rewritten whole, its damaged data units as their poison blocks, and
+	// its units are counted in Stats.LostUnits.
 	Unrecoverable int64
 }
 
@@ -135,14 +116,14 @@ type ScrubResult struct {
 // store's sweeps (Config.RebuildWorkers shards, so that many stripes — at
 // most G reads each — are in flight at once), paced by
 // Config.ScrubThrottle. Stripes with a lost unit are skipped, and paused
-// after like the rest. Unrecoverable stripes are counted, left untouched,
-// and reported in the returned error (the lowest such stripe's); all other
-// stripes are still verified. A hard error (failed backend, exhausted
-// retries) stops the sweep, and the stripes verified before it still
-// count. A clean sweep of the whole array — no unrecoverable damage, and
-// no stripe skipped, since a skipped one may be the one in doubt — clears
-// the engine's parity-doubt latch, letting Sync resume clearing intent-log
-// regions after a mid-stripe write failure. Only one Scrub runs at a time.
+// after like the rest. A stripe past the code's budget is counted
+// Unrecoverable and rewritten with its lost units marked, and the sweep
+// goes on. A hard error (failed backend, exhausted retries) stops the
+// sweep, and the stripes verified before it still count. A clean sweep of
+// the whole array — no stripe skipped, since a skipped one may be the one
+// in doubt — clears the engine's parity-doubt latch, letting Sync resume
+// clearing intent-log regions after a mid-stripe write failure. Only one
+// Scrub runs at a time.
 func (s *Store) Scrub() (ScrubResult, error) {
 	if !s.scrubbing.CompareAndSwap(false, true) {
 		return ScrubResult{}, fmt.Errorf("store: scrub already in progress")
@@ -150,10 +131,8 @@ func (s *Store) Scrub() (ScrubResult, error) {
 	defer s.scrubbing.Store(false)
 
 	var (
-		mu       sync.Mutex // guards the three below
-		res      ScrubResult
-		firstErr error // the lowest unrecoverable stripe's
-		firstAt  int64
+		mu  sync.Mutex // guards res
+		res ScrubResult
 	)
 	scrub := func(stripe int64) error {
 		s.locks.lock(stripe)
@@ -164,7 +143,7 @@ func (s *Store) Scrub() (ScrubResult, error) {
 			fix, err = s.resyncStripe(st, stripe)
 		}
 		s.locks.unlock(stripe)
-		if err != nil && !isUnrecoverable(err) {
+		if err != nil {
 			return fmt.Errorf("store: scrub of stripe %d: %w", stripe, err)
 		}
 		mu.Lock()
@@ -172,11 +151,8 @@ func (s *Store) Scrub() (ScrubResult, error) {
 		switch {
 		case lost:
 			res.Skipped++
-		case err != nil:
+		case fix == fixLost:
 			res.Unrecoverable++
-			if firstErr == nil || stripe < firstAt {
-				firstErr, firstAt = err, stripe
-			}
 		default:
 			res.Stripes++
 			switch fix {
@@ -190,17 +166,17 @@ func (s *Store) Scrub() (ScrubResult, error) {
 		}
 		return nil
 	}
-	hardErr := s.sweep(s.numStripes, s.scrubThrottle, func() (func(int64) error, func() error) { return scrub, nil })
+	err := s.sweep(s.numStripes, s.scrubThrottle, func() (func(int64) error, func() error) { return scrub, nil })
 	s.scrubbedStripes.Add(res.Stripes)
-	if hardErr != nil {
-		return res, hardErr
+	if err != nil {
+		return res, err
 	}
 	s.scrubs.Add(1)
-	if firstErr == nil && res.Skipped == 0 {
-		// Every stripe verified clean (or was repaired): any doubt left by
-		// an earlier failed write is resolved. A sweep that passed over
-		// degraded stripes has not looked at all of them.
+	if res.Skipped == 0 {
+		// Every stripe verified clean, or was repaired or rewritten: any
+		// doubt left by an earlier failed write is resolved. A sweep that
+		// passed over degraded stripes has not looked at all of them.
 		s.parityDoubt.Store(false)
 	}
-	return res, firstErr
+	return res, nil
 }

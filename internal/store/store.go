@@ -146,6 +146,13 @@ type Stats struct {
 	// reconstructed from their stripe's survivors (self-healing reads,
 	// RMW pre-reads, and scrub repairs).
 	HealedUnits int64
+	// LostUnits counts what stripes found past the code's erasure budget
+	// lost, as the simulator's FaultStats.LostUnits does: every erasure of
+	// such a stripe — lost or damaged, data or parity — bar the units the
+	// operation that met it overwrote. Each such stripe is rewritten whole,
+	// its erased data units as their poison blocks, which read
+	// ErrUnrecoverable until next written.
+	LostUnits int64
 	// AutoFails counts disks taken out of service by the
 	// persistent-error threshold.
 	AutoFails int64
@@ -286,6 +293,7 @@ type Store struct {
 	retriesDone              atomic.Int64
 	checksumErrs, mediaErrs  atomic.Int64
 	healedUnits, autoFails   atomic.Int64
+	lostUnits                atomic.Int64
 	scrubs, scrubbedStripes  atomic.Int64
 	scrubRepairs, scrubFixes atomic.Int64
 	resyncStripes            atomic.Int64
@@ -448,9 +456,13 @@ func (s *Store) recoverIntent(dirty []int64) error {
 	}
 	// All dirty regions are consistent again: clear them with one
 	// durability barrier. A crash before the clear lands just resyncs
-	// them again on the next open.
+	// them again on the next open. A lost stripe's rewrite marked its
+	// region; the clear covers it.
 	if err := s.intent.ClearBatch(dirty); err != nil {
 		return fmt.Errorf("store: intent log: %w", err)
+	}
+	for _, r := range dirty {
+		s.regionDirty[r].Store(false)
 	}
 	return nil
 }
@@ -573,6 +585,7 @@ func (s *Store) Stats() Stats {
 		ChecksumErrors:    s.checksumErrs.Load(),
 		MediaErrors:       s.mediaErrs.Load(),
 		HealedUnits:       s.healedUnits.Load(),
+		LostUnits:         s.lostUnits.Load(),
 		AutoFails:         s.autoFails.Load(),
 		Scrubs:            s.scrubs.Load(),
 		ScrubbedStripes:   s.scrubbedStripes.Load(),
@@ -627,31 +640,34 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 // lock so it may repair. Its read lock was released in between, so a
 // writer may have rewritten the unit: it reads again (transient corruption
 // clears too), and damage still there goes to recoverInto, which
-// reconstructs the unit from survivors and rewrites it.
+// reconstructs the unit from survivors and rewrites it. A lost unit whose
+// survivor was damaged gets the same exclusive retry, where damage the code
+// can still absorb (a transient that clears, or — under P+Q — a second
+// erasure) is repaired. A stripe found past its budget is rewritten
+// (loseStripe), and the read runs again on it.
 func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
 	s.locks.lock(stripe)
 	defer s.locks.unlock(stripe)
-	st := s.st.Load()
-	if st.lost(loc) {
-		// Lost, and a survivor was damaged: one exclusive retry under the
-		// write lock, where damage the code can still absorb (a transient
-		// that clears, or — under P+Q — a second erasure) is repaired.
-		err := s.recoverInto(st, loc, dst, nil)
-		if err == nil {
-			s.degradedReads.Add(1)
-		}
-		return err
-	}
 	phys := s.getBuf()
 	defer s.putBuf(phys)
-	_, err := s.readPhys(st.disk(loc), loc.Disk, loc.Offset, *phys)
-	switch {
-	case err == nil:
-		copy(dst, (*phys)[:s.unitSize])
-	case needsHeal(err):
-		err = s.recoverInto(st, loc, dst, err)
-	}
-	return err
+	return carryOn(stripe, func() error {
+		st := s.st.Load()
+		if st.lost(loc) {
+			err := s.recoverInto(st, loc, dst, nil, nil)
+			if err == nil {
+				s.degradedReads.Add(1)
+			}
+			return err
+		}
+		_, err := s.readPhys(st.disk(loc), loc.Disk, loc.Offset, *phys)
+		switch {
+		case err == nil:
+			copy(dst, (*phys)[:s.unitSize])
+		case needsHeal(err):
+			err = s.recoverInto(st, loc, dst, err, nil)
+		}
+		return err
+	})
 }
 
 // WriteUnit writes src (exactly one unit) to logical data unit n,
@@ -675,7 +691,9 @@ func (s *Store) WriteUnit(n int64, src []byte) error {
 // the stripe's region is durably marked dirty before any disk is touched,
 // so a crash mid-update is always covered by the recovery pass. Caller
 // holds the stripe's write lock; sc.locs are distinct data-unit locations
-// of this stripe and sc.datas their new contents.
+// of this stripe and sc.datas their new contents. An update that finds the
+// stripe past its erasure budget, rewritten (loseStripe), runs again
+// (carryOn).
 func (s *Store) writeStripeLocked(stripe int64, sc *stripeScratch) error {
 	r := stripe / intentRegionStripes
 	s.regionActive[r].Add(1)
@@ -683,7 +701,7 @@ func (s *Store) writeStripeLocked(stripe int64, sc *stripeScratch) error {
 	if err := s.markIntent(r); err != nil {
 		return err
 	}
-	if err := s.commitStripeLocked(stripe, sc); err != nil {
+	if err := carryOn(stripe, func() error { return s.commitStripeLocked(stripe, sc) }); err != nil {
 		// The stripe may now be parity-inconsistent (some units committed,
 		// others not). Its region stays intent-marked, and Sync refuses to
 		// clear any region until a clean scrub re-establishes consistency.
@@ -827,10 +845,13 @@ func (s *Store) Fail(d int) error {
 // under P+Q a doubly-failed store goes Rebuilding → Degraded after the
 // first Rebuild and back to Healthy after the second. repl must hold at
 // least the usable unit count and should be blank; its prior contents are
-// overwritten. A Rebuild that returns an error leaves the store as it found
-// it — Degraded, no replacement installed; a repl whose sweep failed is
-// kept only to be closed with the store, and one refused before its
-// install is not the store's to close.
+// overwritten. A unit whose stripe is past its erasure budget is lost, not
+// the rebuild: the stripe is rewritten with its lost units marked
+// (loseStripe) and the sweep carries on. A Rebuild that returns an error —
+// a hard I/O error, such as a replacement that fails its writes — leaves
+// the store as it found it: Degraded, no replacement installed; a repl
+// whose sweep failed is kept only to be closed with the store, and one
+// refused before its install is not the store's to close.
 func (s *Store) Rebuild(repl Disk) error {
 	if repl == nil {
 		return fmt.Errorf("store: nil replacement disk")
@@ -898,13 +919,22 @@ func (s *Store) Rebuild(repl Disk) error {
 			stripe, _ := s.lay.Locate(loc)
 			phys := *bufs[cur]
 			s.locks.lock(stripe)
-			stc := s.st.Load()
-			f := stc.slot(target)
-			if f == nil || f.rebuilt[off] {
+			var f *failSlot
+			err := carryOn(stripe, func() error {
+				// Run again after a loss, a lost data unit has landed here
+				// as its poison block; a parity unit is still to recompute.
+				stc := s.st.Load()
+				if f = stc.slot(target); f == nil || f.rebuilt[off] {
+					f = nil
+					return nil
+				}
+				return s.recoverInto(stc, loc, phys[:s.unitSize], nil, nil)
+			})
+			if err == nil && f == nil {
 				s.locks.unlock(stripe)
 				return nil
 			}
-			err := failed(off, s.recoverInto(stc, loc, phys[:s.unitSize], nil))
+			err = failed(off, err)
 			if jerr := join(); jerr != nil {
 				err = jerr // the write behind is at a lower offset
 			}
@@ -914,7 +944,7 @@ func (s *Store) Rebuild(repl Disk) error {
 			}
 			if s.gate.pays(2) {
 				pending, cur = true, cur^1
-				go func() { behind <- failed(off, s.writeRebuilt(repl, f, stripe, loc, phys)) }()
+				go func(f *failSlot) { behind <- failed(off, s.writeRebuilt(repl, f, stripe, loc, phys)) }(f)
 				return nil
 			}
 			return failed(off, s.writeRebuilt(repl, f, stripe, loc, phys))
