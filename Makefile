@@ -132,7 +132,11 @@ fuzz:
 # that will not clear is reported); and the Scrub
 # suite with the sweep pacing test (a scrub's counts are state its shards
 # share, under one mutex) and the damage matrix (TestErasureBudget: every
-# path that can meet a damaged unit, both codes, serial and overlapped).
+# path that can meet a damaged unit, both codes, serial and overlapped);
+# and TestPlanesAgree, the store held to the simulator on one seeded
+# stream of reads, writes, failures, rebuilds and latent units, ten times,
+# each with a fresh seed beside its fixed ones (printed; CHAOS_SEED=<seed>
+# replays one, and a failing one is appended under $STORE_CHAOS_DIR).
 # Every fuzz target gets five minutes.
 nightly:
 	$(GO) test -race -run 'TestEveryFailureSetRecovers' -count=5 -v ./internal/store/
@@ -143,6 +147,7 @@ nightly:
 	$(GO) test -race -run 'TestWritePlanAccessCounts|TestReadAccessCounts|TestRebuildReadsMatchLayout|TestGeneratedRangeOps' -count=10 -v ./internal/store/
 	$(GO) test -race -run 'TestRebuildEveryFailurePoint|TestFailedRebuildLeavesStoreDegraded|TestSecondFailureKeepsRebuildProgress|TestRebuildLosesAUnitNotTheArray|TestLossThenFailedRebuild|TestLostUnitOnDownDiskRebuildsAsPoison|TestLossOutlivesReopen|TestLossThatWillNotClearIsReported|TestWritingAPoisonBlockIsRefused' -count=10 ./internal/store/
 	$(GO) test -race -run 'TestScrub|TestErasureBudget|TestParityDoubtOutlivesDegradedScrub|TestSweepPacing' -count=10 ./internal/store/
+	$(GO) test -race -run 'TestPlanesAgree' -count=10 -v ./internal/store/
 	$(MAKE) fuzz FUZZTIME=5m
 
 vet:

@@ -11,8 +11,11 @@
 // only three units, and degraded-mode accesses reconstruct on the fly.
 //
 // Unlike a timing-only simulator, the array carries real unit contents
-// (one 64-bit word per 4 KB unit, parity = XOR over the stripe), so every
-// algorithm's correctness — not just its timing — is checked by tests.
+// (one 64-bit word per 4 KB unit; P the XOR of the stripe's data and, under
+// P+Q, Q their Reed–Solomon sum — see weigh), so every algorithm's
+// correctness — not just its timing — is checked by tests, and the storage
+// engine's access counts are held to the array's (TestPlanesAgree in
+// internal/store).
 package array
 
 import (

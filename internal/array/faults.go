@@ -69,51 +69,104 @@ func (a *Array) repairThen(stripe int64, fails, phase []xfer, written []target, 
 // (unavailable, on the failed disk). Within the code's budget — one for
 // single parity, two for P+Q — each unreadable unit is a latent repair:
 // the decode needs exactly layout.RebuildSources of the erasure set, and
-// reads those of them the caller's phase did not read under this lock
-// hold (a write in the phase holds no value), then the unreadable units
-// are rewritten. Past it, one DataLossEvent names
-// every erasure except a unit the operation overwrites (a fold's written
-// unit takes new contents, so nothing of it is lost), and the unreadable
-// units are restored out of band — a rewrite, as if from backup — so the
-// simulation, like the array operator, carries on. The rewrite remaps the
-// latent sectors either way. Media errors struck during the repair's own
-// reads stay latent for the scrubber or a later read to find.
+// reads those of them not yet read clean under this lock hold — by the
+// caller's phase (a write in the phase holds no value) or by an earlier
+// round — then the unreadable units are rewritten. A source found
+// unreadable joins the erasure set, and the decode asks again. Past the
+// budget the stripe is lost, as the store loses one (loseStripe in
+// internal/store): the data units not yet read are read, and any of them
+// unreadable is an erasure too; one DataLossEvent names every erasure
+// except a unit the operation overwrites (a fold's written unit takes new
+// contents, so nothing of it is lost); and every available unit of the
+// stripe is rewritten, as if from backup, so the simulation, like the
+// array operator, carries on. A rewrite remaps the latent sectors either
+// way.
 func (a *Array) repairLocked(stripe int64, fails, phase []xfer, written []target, prio int, cont func()) {
-	var erased []layout.Loc
-	for j := 0; j < a.lay.G(); j++ {
-		u := a.lay.Unit(stripe, j)
-		if !a.available(u) || slices.ContainsFunc(fails, func(x xfer) bool { return x.loc == u }) {
-			erased = append(erased, u)
+	var clean []layout.Loc // read clean under this lock hold
+	for _, x := range phase {
+		if !x.write && !slices.ContainsFunc(fails, func(f xfer) bool { return f.loc == x.loc }) {
+			clean = append(clean, x.loc)
 		}
 	}
-	rewrite := make([]xfer, len(fails))
-	for i, x := range fails {
-		rewrite[i] = xfer{loc: x.loc, write: true}
+	unread := func(locs []layout.Loc) []layout.Loc {
+		return slices.DeleteFunc(locs, func(u layout.Loc) bool { return slices.Contains(clean, u) })
 	}
-	done := func(_ []xfer) { cont() }
-	if len(erased) > a.parities {
-		lost := slices.DeleteFunc(erased, func(u layout.Loc) bool {
-			return slices.ContainsFunc(written, func(t target) bool { return t.loc == u })
+	// readThen reads locs, which may be none, and hands on the ones found
+	// unreadable; the rest join clean.
+	readThen := func(locs []layout.Loc, then func(more []xfer)) {
+		if len(locs) == 0 {
+			then(nil)
+			return
+		}
+		a.io(reads(locs), prio, func(more []xfer) {
+			for _, u := range locs {
+				if !slices.ContainsFunc(more, func(x xfer) bool { return x.loc == u }) {
+					clean = append(clean, u)
+				}
+			}
+			then(more)
 		})
-		if len(lost) > 0 {
-			a.lossEvents = append(a.lossEvents, DataLossEvent{TMS: a.eng.Now(), Stripe: stripe, Units: lost})
-			a.recordLoss(int64(len(lost)))
+	}
+	rewrite := func(locs []layout.Loc) {
+		xs := make([]xfer, len(locs))
+		for i, u := range locs {
+			xs[i] = xfer{loc: u, write: true}
 		}
-		a.io(rewrite, prio, done)
-		return
+		a.io(xs, prio, func(_ []xfer) { cont() })
 	}
-	a.fstats.LatentRepairs += int64(len(fails))
-	a.mRepairs.Add(int64(len(fails)))
-	need := slices.DeleteFunc(layout.RebuildSources(a.lay, erased...), func(u layout.Loc) bool {
-		return slices.ContainsFunc(phase, func(x xfer) bool { return !x.write && x.loc == u })
-	})
-	if len(need) == 0 {
-		a.io(rewrite, prio, done)
-		return
+	erasedBy := func(fails []xfer) []layout.Loc {
+		var erased []layout.Loc
+		for j := 0; j < a.lay.G(); j++ {
+			u := a.lay.Unit(stripe, j)
+			if !a.available(u) || slices.ContainsFunc(fails, func(x xfer) bool { return x.loc == u }) {
+				erased = append(erased, u)
+			}
+		}
+		return erased
 	}
-	a.io(reads(need), prio, func(_ []xfer) {
-		a.io(rewrite, prio, done)
-	})
+	var round func(fails []xfer)
+	round = func(fails []xfer) {
+		erased := erasedBy(fails)
+		if len(erased) > a.parities {
+			var data []layout.Loc
+			for d := 0; d < layout.DataPerStripe(a.lay); d++ {
+				if u := a.lay.Unit(stripe, layout.DataPos(a.lay, stripe, d)); !slices.Contains(erased, u) {
+					data = append(data, u)
+				}
+			}
+			readThen(unread(data), func(more []xfer) {
+				lost := slices.DeleteFunc(erasedBy(append(fails, more...)), func(u layout.Loc) bool {
+					return slices.ContainsFunc(written, func(t target) bool { return t.loc == u })
+				})
+				if len(lost) > 0 {
+					a.lossEvents = append(a.lossEvents, DataLossEvent{TMS: a.eng.Now(), Stripe: stripe, Units: lost})
+					a.recordLoss(int64(len(lost)))
+				}
+				var all []layout.Loc
+				for j := 0; j < a.lay.G(); j++ {
+					if u := a.lay.Unit(stripe, j); a.available(u) {
+						all = append(all, u)
+					}
+				}
+				rewrite(all)
+			})
+			return
+		}
+		readThen(unread(layout.RebuildSources(a.lay, erased...)), func(more []xfer) {
+			if len(more) > 0 {
+				round(append(fails, more...))
+				return
+			}
+			a.fstats.LatentRepairs += int64(len(fails))
+			a.mRepairs.Add(int64(len(fails)))
+			locs := make([]layout.Loc, len(fails))
+			for i, x := range fails {
+				locs[i] = x.loc
+			}
+			rewrite(locs)
+		})
+	}
+	round(fails)
 }
 
 // DoubleFailure summarizes a true second whole-disk failure while the

@@ -122,9 +122,9 @@ func TestReadMediaErrorRepairsFromParity(t *testing.T) {
 		if fs.MediaErrors == 0 || fs.LatentRepairs != 1 || fs.LostUnits != 0 {
 			t.Fatalf("fault stats %+v: want a repaired media error, no loss", fs)
 		}
-		// 1 failed read + the decode's sources (G−1 under P, G−2 under
-		// P+Q) + 1 rewrite.
-		if n, want := totalCompleted(a), int64(1+a.Layout().G()-m+1); n != want {
+		// 1 failed read, the same read again under the stripe lock, the
+		// decode's sources (G−1 under P, G−2 under P+Q) and 1 rewrite.
+		if n, want := totalCompleted(a), int64(2+a.Layout().G()-m+1); n != want {
 			t.Fatalf("repairing read used %d accesses, want %d", n, want)
 		}
 		if err := a.CheckConsistency(); err != nil {
@@ -245,10 +245,15 @@ func TestReconSurvivesUnreadableSurvivor(t *testing.T) {
 		} else if fs.LostUnits != 0 || fs.LatentRepairs != 1 || len(losses) != 0 {
 			t.Fatalf("fault stats %+v, losses %+v: want one latent repair, no loss", fs, losses)
 		}
-		// Beyond a clean sweep's accesses: the bad survivor's rewrite and,
-		// under P+Q, the one source of the repair the sweep cycle had not
-		// read (Q); the cycle's clean reads are not repeated.
-		if got, want := totalCompleted(a)-totalCompleted(clean), int64(m); got != want {
+		// Beyond a clean sweep's accesses: under P+Q, the bad survivor's
+		// rewrite and the one source of the repair the sweep cycle had not
+		// read (Q); under P, the lost stripe's rewrite, every unit but the
+		// one under rebuild, G−1. The cycle's clean reads are not repeated.
+		want := int64(2)
+		if m == 1 {
+			want = int64(a.Layout().G() - 1)
+		}
+		if got := totalCompleted(a) - totalCompleted(clean); got != want {
 			t.Fatalf("the bad survivor cost %d accesses (%d against %d), want %d",
 				got, totalCompleted(a), totalCompleted(clean), want)
 		}

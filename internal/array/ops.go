@@ -343,8 +343,10 @@ func (a *Array) putOp(op *userOp) {
 // value over and recycles the node before answering; a latent sector error
 // is first recovered under the stripe lock (the repair updates the
 // platter, racing parity writers), so the user's latency includes the
-// recovery. The reads were made before the lock, so the repair reads its
-// sources afresh.
+// recovery. The reads were made before the lock, so the units that failed
+// are read again under it — a writer, or a degraded read of the same
+// stripe, may have rewritten them meanwhile, as the store's healRead
+// allows for — and the repair reads its sources afresh.
 func (op *userOp) fetched(fails []xfer) {
 	a := op.a
 	if len(fails) == 0 {
@@ -352,9 +354,11 @@ func (op *userOp) fetched(fails []xfer) {
 		return
 	}
 	a.locks.acquire(op.stripe, func() {
-		a.repairLocked(op.stripe, fails, nil, nil, userPriority, func() {
-			a.locks.release(op.stripe)
-			op.deliver()
+		a.io(fails, userPriority, func(still []xfer) {
+			a.repairThen(op.stripe, still, fails, nil, userPriority, func() {
+				a.locks.release(op.stripe)
+				op.deliver()
+			})
 		})
 	})
 }

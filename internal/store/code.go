@@ -236,9 +236,9 @@ func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []era
 // reconstructLocked computes loc (lost) into dst from its stripe's
 // survivors: under single parity the XOR of the other G−1 units, under P+Q
 // the decode around up to two lost units. Caller holds (at least) the
-// stripe's read lock; damaged survivors are reported (needsHeal), not
-// repaired — repairing requires the write lock, which healRead takes for
-// the exclusive retry.
+// stripe's read lock; damaged survivors are reported (sourcesDamaged, which
+// needsHeal accepts), not repaired — repairing requires the write lock,
+// which healRead takes for the exclusive retry.
 func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) error {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
@@ -249,8 +249,17 @@ func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) err
 	if err != nil || len(damaged) == 0 {
 		return err
 	}
-	return damaged[0].err // escalates to healRead, which may absorb it
+	return &sourcesDamaged{damaged} // escalates to healRead, which may absorb it
 }
+
+// sourcesDamaged is a degraded read's error when the decode of its lost unit
+// found survivors damaged: it wraps the first one's read error, so needsHeal
+// holds, and lists them all, so healRead, under the write lock, reads each
+// again and solves what is still damaged with the lost unit at once.
+type sourcesDamaged struct{ units []damagedUnit }
+
+func (e *sourcesDamaged) Error() string { return e.units[0].err.Error() }
+func (e *sourcesDamaged) Unwrap() error { return e.units[0].err }
 
 // recoverInto is the store's one heal path and the one place the erasure
 // budget is checked. It computes the contents of unit u into out from the
@@ -276,7 +285,7 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error
 	defer func() { s.freeErasures(list) }()
 	for damaged := also; ; {
 		if len(list)+len(damaged) > s.parities {
-			return s.loseStripe(st, stripe, list, damaged, written)
+			return s.loseStripe(st, stripe, list, damaged, written, nil)
 		}
 		for _, d := range damaged {
 			_, j := s.lay.Locate(d.loc)
@@ -290,16 +299,24 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error
 			break
 		}
 	}
+	s.healErasures(st, list)
+	return nil
+}
+
+// healErasures charges each solved erasure with a cause — a checksum error
+// counted (a media error was, where readPhys saw it), a point against its
+// disk — and rewrites it in place (healUnit). A failed rewrite leaves its
+// unit damaged and its disk charged, but its out holds the contents.
+func (s *Store) healErasures(st *diskState, list []erasure) {
 	for _, e := range list {
 		if e.cause != nil {
 			if !errors.Is(e.cause, ErrMedia) {
 				s.checksumErrs.Add(1)
 			}
 			s.scoreDiskError(e.loc.Disk)
-			_ = s.healUnit(st, e.loc, e.out) // a failed rewrite is charged; out holds the contents
+			_ = s.healUnit(st, e.loc, e.out)
 		}
 	}
-	return nil
 }
 
 // errLost is recoverInto's answer when it found the stripe past its
@@ -337,9 +354,11 @@ func carryOn(stripe int64, op func() error) error {
 // damaged by this read — becomes its poison block, and the parities are
 // recomputed, and not written where their disk is down. Stats.LostUnits
 // then grows by the stripe's erasures bar the units in written, which the
-// caller's write overwrites. It returns errLost, or the error that stopped
-// the rewrite.
-func (s *Store) loseStripe(st *diskState, stripe int64, list []erasure, damaged []damagedUnit, written []layout.Loc) error {
+// caller's write overwrites. held, when not nil, is the scratch of a pass
+// over the whole stripe (syndromes): position j read into its unit buffer
+// j, clean where its error slot is nil, and such a unit is not read again.
+// It returns errLost, or the error that stopped the rewrite.
+func (s *Store) loseStripe(st *diskState, stripe int64, list []erasure, damaged []damagedUnit, written []layout.Loc, held *stripeScratch) error {
 	erased := make([]layout.Loc, 0, s.lay.G())
 	for _, e := range list {
 		erased = append(erased, e.loc)
@@ -354,7 +373,9 @@ func (s *Store) loseStripe(st *diskState, stripe int64, list []erasure, damaged 
 	sc.locs, sc.datas = sc.locs[:0], sc.datas[:0]
 	for n := stripe * s.dataPerStripe; n < (stripe+1)*s.dataPerStripe; n++ {
 		u, phys := s.mapper.Loc(n), sc.phys[len(sc.locs)]
-		if indexLoc(erased, u) < 0 {
+		if _, j := s.lay.Locate(u); held != nil && held.errs[j] == nil {
+			phys = held.phys[j]
+		} else if indexLoc(erased, u) < 0 {
 			if _, err := s.readLive(st, u, phys); needsHeal(err) {
 				erased = append(erased, u)
 			} else if err != nil {

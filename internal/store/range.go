@@ -129,7 +129,7 @@ type spanJob struct {
 // forces (a physical unit is its data and trailer, contiguous) — and a
 // lost one reconstructed. A batch cannot repair (its reads share the
 // lock), so the damaged units it finds are collected and, once the read
-// lock is released, re-served one by one under the write lock (healRead),
+// lock is released, re-served together under the write lock (healRead),
 // as a gather's are. A unit that reads as its poison block was lost
 // (loseStripe), and is ErrUnrecoverable. ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
@@ -157,11 +157,13 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	})
 	s.locks.runlock(stripe)
 	for i := 0; err == nil && i < int(hi-lo); i++ {
-		n, out := lo+int64(i), dst[i*us:(i+1)*us]
 		if sc.errs[i] != nil {
-			err = s.healRead(stripe, s.mapper.Loc(n), out)
+			err = s.healRead(stripe, lo, sc.errs[:hi-lo], dst)
+			break
 		}
-		if err == nil && isPoisonBlock(n, out) {
+	}
+	for i := 0; err == nil && i < int(hi-lo); i++ {
+		if n := lo + int64(i); isPoisonBlock(n, dst[i*us:(i+1)*us]) {
 			err = fmt.Errorf("%w: data unit %d was lost", ErrUnrecoverable, n)
 		}
 	}

@@ -27,6 +27,65 @@ func TestScrubCleanStoreVerifiesEverything(t *testing.T) {
 	}
 }
 
+// TestScrubReadsEachUnitOnce pins a serial scrub's backend reads at C = 7,
+// G = 4, 24 units per disk: every unit once, 168, and beside a rotted unit
+// only its own re-reads — readPhys reads a unit whose trailer does not
+// verify 1 + Retries times, 3 more — and nothing else. Within the budget
+// the damaged units are solved from the pass's own sums; past it the
+// stripe is rewritten from the data units the pass read (loseStripe).
+func TestScrubReadsEachUnitOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		m, rotted int
+		reads     int64
+	}{
+		{"clean", 1, 0, 168},
+		{"P/one-rotted", 1, 1, 171},
+		{"P+Q/one-rotted", 2, 1, 171},
+		{"P+Q/two-rotted", 2, 2, 174},
+		{"P/two-rotted-lost", 1, 2, 174},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lay := testLayout(t, 7, 4)
+			if tc.m == 2 {
+				lay = testPQLayout(t, 7, 4)
+			}
+			var reads atomic.Int64
+			s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 24, UnitSize: 512, IOWorkers: 1, RebuildWorkers: 1},
+				func(c call, pass func() error) error {
+					if c.op == opRead {
+						reads.Add(1)
+					}
+					return pass()
+				})
+			fillAll(t, s, 1)
+			for d := range tc.rotted {
+				rot(t, s, lay.Unit(0, layout.DataPos(lay, 0, d)))
+			}
+			reads.Store(0)
+			res, err := s.Scrub()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reads.Load(); got != tc.reads {
+				t.Errorf("scrub read %d units, want %d", got, tc.reads)
+			}
+			lost := tc.rotted > tc.m
+			if res.UnitRepairs != int64(b2i(tc.rotted > 0 && !lost)) || res.Unrecoverable != int64(b2i(lost)) {
+				t.Errorf("scrub result %+v", res)
+			}
+			if err := s.CheckParity(); err != nil {
+				t.Fatal(err)
+			}
+			for n := int64(0); n < s.DataUnits(); n++ {
+				if !lost || n >= int64(tc.rotted) {
+					verifyUnit(t, s, n, 1)
+				}
+			}
+		})
+	}
+}
+
 func TestScrubDetectsLostParityWrite(t *testing.T) {
 	lay := testLayout(t, 7, 3)
 	// Drop the parity commit of one write: data goes down, parity stays

@@ -636,37 +636,74 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 	return nil
 }
 
-// healRead re-serves a read that found damage, under the stripe's write
-// lock so it may repair. Its read lock was released in between, so a
-// writer may have rewritten the unit: it reads again (transient corruption
-// clears too), and damage still there goes to recoverInto, which
-// reconstructs the unit from survivors and rewrites it. A lost unit whose
-// survivor was damaged gets the same exclusive retry, where damage the code
-// can still absorb (a transient that clears, or — under P+Q — a second
-// erasure) is repaired. A stripe found past its budget is rewritten
-// (loseStripe), and the read runs again on it.
-func (s *Store) healRead(stripe int64, loc layout.Loc, dst []byte) error {
+// healRead re-serves the units of a span read that found damage — errs[i]
+// set for unit lo+i, whose contents go to the i-th unit of dst — under the
+// stripe's write lock, so it may repair. The read lock was released in
+// between, so a writer may have rewritten them: each damaged unit, and each
+// source a lost unit's decode found damaged (sourcesDamaged), is read again
+// (transient corruption clears too), and the damage still there goes to
+// recoverInto as one erasure list, with the span's lost unit, so they are
+// solved together and rewritten. A stripe found past its budget is
+// rewritten (loseStripe), and the read runs again on it.
+func (s *Store) healRead(stripe, lo int64, errs []error, dst []byte) error {
 	s.locks.lock(stripe)
 	defer s.locks.unlock(stripe)
+	us := s.unitSize
 	phys := s.getBuf()
 	defer s.putBuf(phys)
 	return carryOn(stripe, func() error {
 		st := s.st.Load()
-		if st.lost(loc) {
-			err := s.recoverInto(st, loc, dst, nil, nil)
-			if err == nil {
-				s.degradedReads.Add(1)
+		var again []damagedUnit // damaged under the read lock: read again
+		var lost []int          // the span's lost units
+		var found []damagedUnit // the damaged sources their decodes found
+		for i, e := range errs {
+			if e == nil {
+				continue
 			}
-			return err
+			if u := s.mapper.Loc(lo + int64(i)); !st.lost(u) {
+				again = append(again, damagedUnit{loc: u, out: dst[i*us : (i+1)*us]})
+				continue
+			}
+			lost = append(lost, i)
+			var sd *sourcesDamaged
+			if errors.As(e, &sd) {
+				found = append(found, sd.units...)
+			}
 		}
-		_, err := s.readPhys(st.disk(loc), loc.Disk, loc.Offset, *phys)
-		switch {
-		case err == nil:
-			copy(dst, (*phys)[:s.unitSize])
-		case needsHeal(err):
-			err = s.recoverInto(st, loc, dst, err, nil)
+		for _, d := range found {
+			if !st.lost(d.loc) && !slices.ContainsFunc(again, func(a damagedUnit) bool { return a.loc == d.loc }) {
+				again = append(again, damagedUnit{loc: d.loc})
+			}
 		}
-		return err
+		damaged := again[:0]
+		for _, d := range again {
+			_, err := s.readPhys(st.disk(d.loc), d.loc.Disk, d.loc.Offset, *phys)
+			switch {
+			case err == nil:
+				if d.out != nil {
+					copy(d.out, (*phys)[:us])
+				}
+			case needsHeal(err):
+				d.err = err
+				damaged = append(damaged, d)
+			default:
+				return err
+			}
+		}
+		if len(lost) == 0 {
+			if len(damaged) == 0 {
+				return nil
+			}
+			return s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, nil, damaged[1:]...)
+		}
+		for _, i := range lost {
+			if err := s.recoverInto(st, s.mapper.Loc(lo+int64(i)), dst[i*us:(i+1)*us], nil, nil, damaged...); err != nil {
+				return err
+			}
+			s.degradedReads.Add(1)
+			damaged = nil // solved and rewritten by the first
+		}
+		return nil
 	})
 }
 
