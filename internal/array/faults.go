@@ -65,8 +65,10 @@ func (a *Array) repairThen(stripe int64, fails, phase []xfer, written []target, 
 }
 
 // repairLocked is the one path of an unreadable unit, its stripe lock
-// held. The stripe's erasures are its unreadable units and its lost ones
-// (unavailable, on the failed disk). Within the code's budget — one for
+// held. The stripe's erasures are its unreadable units, its lost ones
+// (unavailable, on the failed disk) and any unit the caller's phase wrote:
+// the small write writes its data unit beside its one read, so when that
+// read fails the old contents a decode would need are gone. Within the code's budget — one for
 // single parity, two for P+Q — each unreadable unit is a latent repair:
 // the decode needs exactly layout.RebuildSources of the erasure set, and
 // reads those of them not yet read clean under this lock hold — by the
@@ -78,9 +80,9 @@ func (a *Array) repairThen(stripe int64, fails, phase []xfer, written []target, 
 // unreadable is an erasure too; one DataLossEvent names every erasure
 // except a unit the operation overwrites (a fold's written unit takes new
 // contents, so nothing of it is lost); and every available unit of the
-// stripe is rewritten, as if from backup, so the simulation, like the
-// array operator, carries on. A rewrite remaps the latent sectors either
-// way.
+// stripe the phase did not just write is rewritten, as if from backup, so
+// the simulation, like the array operator, carries on. A rewrite remaps
+// the latent sectors either way.
 func (a *Array) repairLocked(stripe int64, fails, phase []xfer, written []target, prio int, cont func()) {
 	var clean []layout.Loc // read clean under this lock hold
 	for _, x := range phase {
@@ -114,11 +116,14 @@ func (a *Array) repairLocked(stripe int64, fails, phase []xfer, written []target
 		}
 		a.io(xs, prio, func(_ []xfer) { cont() })
 	}
+	wrote := func(u layout.Loc) bool {
+		return slices.ContainsFunc(phase, func(x xfer) bool { return x.write && x.loc == u })
+	}
 	erasedBy := func(fails []xfer) []layout.Loc {
 		var erased []layout.Loc
 		for j := 0; j < a.lay.G(); j++ {
 			u := a.lay.Unit(stripe, j)
-			if !a.available(u) || slices.ContainsFunc(fails, func(x xfer) bool { return x.loc == u }) {
+			if !a.available(u) || wrote(u) || slices.ContainsFunc(fails, func(x xfer) bool { return x.loc == u }) {
 				erased = append(erased, u)
 			}
 		}
@@ -144,7 +149,7 @@ func (a *Array) repairLocked(stripe int64, fails, phase []xfer, written []target
 				}
 				var all []layout.Loc
 				for j := 0; j < a.lay.G(); j++ {
-					if u := a.lay.Unit(stripe, j); a.available(u) {
+					if u := a.lay.Unit(stripe, j); a.available(u) && !wrote(u) {
 						all = append(all, u)
 					}
 				}

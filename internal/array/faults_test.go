@@ -133,6 +133,97 @@ func TestReadMediaErrorRepairsFromParity(t *testing.T) {
 	})
 }
 
+// A read whose disk fails under it, with or without a replacement
+// installed at once, returns the unit's value. One that read clean
+// returns what the platter held; one that met a media error is not read
+// again under the stripe lock: the unit is lost, so the read decodes it
+// from its stripe's survivors, as a read of a lost unit does.
+func TestReadOnDiskFailingInFlight(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		latent, replace bool
+	}{
+		{"media-error", true, false},
+		{"media-error-replaced", true, true},
+		{"clean-replaced", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bothCodes(t, func(t *testing.T, m int) {
+				eng, a := arrayOf(t, 5, m, nil)
+				unit, loc := dataUnitOn(t, a, 5)
+				want := int64(0)
+				if c.latent {
+					markBadUnit(a, loc)
+					want = 1
+				}
+				got := make([]uint64, 1)
+				a.ReadRange(unit, got, func() {})
+				eng.Schedule(0.01, func() {
+					if err := a.Fail(loc.Disk); err != nil {
+						t.Fatal(err)
+					}
+					if c.replace {
+						if err := a.Replace(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+				eng.Run()
+				if fs := a.FaultStats(); fs.MediaErrors != want {
+					t.Fatalf("fault stats %+v: want %d media errors, the read's own", fs, want)
+				}
+				if got[0] != a.ExpectedValue(unit) {
+					t.Fatalf("read got %#x, want %#x", got[0], a.ExpectedValue(unit))
+				}
+				if err := a.CheckConsistency(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
+// The small write (G = 3, single parity) writes its data unit beside its
+// read of the other one, so when that read fails the old data a decode of
+// the other unit needs is gone: the other unit is lost, not rebuilt from
+// the new data and the old parity. The stripe is rewritten but for the
+// unit just written, and the write goes on to write P.
+func TestSmallWriteMeetingLatentOtherUnitLosesIt(t *testing.T) {
+	eng, a := arrayOf(t, 3, 1, nil)
+	const unit = 0
+	loc := layout.DataLoc(a.Layout(), unit)
+	stripe, _ := a.Layout().Locate(loc)
+	other := layout.DataLoc(a.Layout(), unit+1)
+	if s, _ := a.Layout().Locate(other); s != stripe {
+		t.Fatalf("units %d and %d are not one stripe's", unit, unit+1)
+	}
+	r := markBadUnit(a, other)
+	done := false
+	a.WriteRange(unit, 1, func() { done = true })
+	eng.Run()
+	if !done {
+		t.Fatal("write did not finish")
+	}
+	fs := a.FaultStats()
+	if fs.LostUnits != 1 || fs.LatentRepairs != 0 {
+		t.Fatalf("fault stats %+v: want one lost unit, no repair", fs)
+	}
+	if losses := a.DataLosses(); len(losses) != 1 || losses[0].Stripe != stripe || len(losses[0].Units) != 1 || losses[0].Units[0] != other {
+		t.Fatalf("losses %+v: want one event on stripe %d naming %v", losses, stripe, other)
+	}
+	if !r.healed {
+		t.Fatal("the stripe's rewrite did not remap the bad region")
+	}
+	// The failed read and the data write, the rewrite of the other unit
+	// and P, and the write of P.
+	if n := totalCompleted(a); n != 5 {
+		t.Fatalf("small write over a latent unit used %d accesses, want 5", n)
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A media error on a survivor of a degraded single-parity stripe is beyond
 // parity: the loss names both erasures, the unreadable survivor and the
 // unit the read was decoding, as the sweep books the same stripe; the

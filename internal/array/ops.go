@@ -346,7 +346,9 @@ func (a *Array) putOp(op *userOp) {
 // recovery. The reads were made before the lock, so the units that failed
 // are read again under it — a writer, or a degraded read of the same
 // stripe, may have rewritten them meanwhile, as the store's healRead
-// allows for — and the repair reads its sources afresh.
+// allows for — and the repair reads its sources afresh. A unit whose disk
+// failed since is not read again: it is lost, so the repair counts it as
+// an erasure, and the read decodes it as readLost would.
 func (op *userOp) fetched(fails []xfer) {
 	a := op.a
 	if len(fails) == 0 {
@@ -354,21 +356,49 @@ func (op *userOp) fetched(fails []xfer) {
 		return
 	}
 	a.locks.acquire(op.stripe, func() {
-		a.io(fails, userPriority, func(still []xfer) {
-			a.repairThen(op.stripe, still, fails, nil, userPriority, func() {
-				a.locks.release(op.stripe)
-				op.deliver()
+		lost := -1
+		for i, t := range op.data {
+			if !a.available(t.loc) && slices.ContainsFunc(fails, func(x xfer) bool { return x.loc == t.loc }) {
+				lost = i
+			}
+		}
+		again := slices.DeleteFunc(fails, func(x xfer) bool { return !a.available(x.loc) })
+		finish := func(still []xfer) {
+			a.repairThen(op.stripe, still, again, nil, userPriority, func() {
+				if lost < 0 {
+					a.locks.release(op.stripe)
+					op.deliver()
+					return
+				}
+				t := op.data[lost]
+				op.data = slices.Delete(op.data, lost, lost+1)
+				a.decodeLost(t.loc, nil, userPriority, func(v uint64) {
+					a.locks.release(op.stripe)
+					op.dst[t.unit-op.first] = v
+					op.deliver()
+				})
 			})
-		})
+		}
+		if len(again) == 0 {
+			finish(nil)
+			return
+		}
+		a.io(again, userPriority, finish)
 	})
 }
 
 // deliver puts the value of every unit read in dst, recycles the node and
-// calls done.
+// calls done. A unit whose disk failed while it was read gets the value it
+// held when the read was issued: the platter answered before it went, and
+// a replacement installed since holds nothing yet.
 func (op *userOp) deliver() {
 	a, done := op.a, op.done
 	for _, t := range op.data {
-		op.dst[t.unit-op.first] = a.unitVal(t.loc)
+		v := t.value
+		if a.available(t.loc) {
+			v = a.unitVal(t.loc)
+		}
+		op.dst[t.unit-op.first] = v
 	}
 	a.putOp(op)
 	done()
@@ -628,7 +658,10 @@ func (op *userOp) split() {
 //   - single parity, G = 3, one unit written: the small write (§6's
 //     α = 0.1 exception) — overlap the read of the other data unit with the
 //     data write, then write parity from the two new values, three
-//     accesses; the store takes the four-access delta here.
+//     accesses; the store takes the four-access delta here. The overlap
+//     has a price under latent errors: if the read fails, the old data
+//     that would decode the other unit is already overwritten, so that
+//     unit is lost (repairLocked).
 //   - the written unit lost, or layout.FromScratch: build every live parity
 //     from the stripe's new contents (planFromScratch).
 //   - otherwise: read-modify-write over the live parities (planRMW).

@@ -76,7 +76,7 @@ func (a *Array) readUnits(sp *telemetry.Span, first int64, dst []uint64, done fu
 	lost := int64(-1)
 	for _, n := range units {
 		if loc := a.mapper.Loc(n); loc.Disk != a.failed || a.redirectableRead(loc) {
-			op.data = append(op.data, target{unit: n, loc: loc})
+			op.data = append(op.data, target{unit: n, loc: loc, value: a.unitVal(loc)})
 			op.read(loc)
 		} else {
 			lost = n

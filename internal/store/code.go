@@ -277,7 +277,13 @@ func (e *sourcesDamaged) Unwrap() error { return e.units[0].err }
 // recoverInto returns errLost: nothing was charged, and the caller runs its
 // operation again (carryOn). written lists the units the caller's write goes on to
 // overwrite (nil for any other caller).
-func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error, written []layout.Loc, also ...damagedUnit) error {
+//
+// held, when not nil, is the scratch of a pass over the whole stripe
+// (syndromes), none of it lost, that found u and also damaged: its sums,
+// on held.par, are already the decode's, so the solve reads nothing, and
+// a loss reuses the data units the pass read clean. Each erasure's out
+// then becomes the sum it owns (sumOwners).
+func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error, written []layout.Loc, held *stripeScratch, also ...damagedUnit) error {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
 	stripe, _ := s.lay.Locate(u)
@@ -285,11 +291,26 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error
 	defer func() { s.freeErasures(list) }()
 	for damaged := also; ; {
 		if len(list)+len(damaged) > s.parities {
-			return s.loseStripe(st, stripe, list, damaged, written, nil)
+			return s.loseStripe(st, stripe, list, damaged, written, held)
 		}
 		for _, d := range damaged {
 			_, j := s.lay.Locate(d.loc)
 			list = append(list, s.erase(stripe, j, d.loc, d.out, d.err))
+		}
+		if held != nil {
+			var sums [2][]byte
+			for k, p := range held.par {
+				sums[k] = (*p.buf)[:s.unitSize]
+			}
+			po, qo := sumOwners(list)
+			if po != nil {
+				po.out = sums[0]
+			}
+			if qo != nil {
+				qo.out = sums[1]
+			}
+			decode(list, sums[0], sums[1])
+			break
 		}
 		var err error
 		if damaged, err = s.solve(st, sc, stripe, list); err != nil {
@@ -299,24 +320,16 @@ func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error
 			break
 		}
 	}
-	s.healErasures(st, list)
-	return nil
-}
-
-// healErasures charges each solved erasure with a cause — a checksum error
-// counted (a media error was, where readPhys saw it), a point against its
-// disk — and rewrites it in place (healUnit). A failed rewrite leaves its
-// unit damaged and its disk charged, but its out holds the contents.
-func (s *Store) healErasures(st *diskState, list []erasure) {
 	for _, e := range list {
 		if e.cause != nil {
 			if !errors.Is(e.cause, ErrMedia) {
 				s.checksumErrs.Add(1)
 			}
 			s.scoreDiskError(e.loc.Disk)
-			_ = s.healUnit(st, e.loc, e.out)
+			_ = s.healUnit(st, e.loc, e.out) // a failed rewrite is charged; out holds the contents
 		}
 	}
+	return nil
 }
 
 // errLost is recoverInto's answer when it found the stripe past its
@@ -551,7 +564,7 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 				need = append(need, t)
 			default:
 				lBuf := s.getBuf()
-				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize], nil, sc.locs)
+				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize], nil, sc.locs, nil)
 				if err == nil {
 					sc.sums.forgetSum()
 					t.foldInto(&sc.sums, (*lBuf)[:s.unitSize], 0)

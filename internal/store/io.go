@@ -396,7 +396,7 @@ func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) er
 	for i := range damaged {
 		damaged[i].out = sc.phys[damaged[i].idx][:s.unitSize]
 	}
-	if err := s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, sc.locs, damaged[1:]...); err != nil {
+	if err := s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, sc.locs, nil, damaged[1:]...); err != nil {
 		return err
 	}
 	sc.sums.forgetSum()

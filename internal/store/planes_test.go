@@ -137,8 +137,9 @@ const (
 var planeRows = [...]planeRow{
 	rowSmallWrite: {deliberate, "small write",
 		"a one-unit write to a healthy single-parity stripe of G = 3 is §6's small write in the simulator: it reads the other data unit beside the data write, then writes P. " +
-			"The store takes the delta as at every G: it reads the old data and P, and reads nothing else. " +
-			"The two read different units, so a latent unit there would be met by one plane only: the stream keeps latent units out of the stripes it writes one unit of at G = 3"},
+			"The store takes the delta as at every G: it reads the old data and P, and not the other data unit. One more store read of each of the two, one fewer of the other unit. " +
+			"The two meet different units, so with a latent unit in the stripe they heal or lose different ones (the simulator loses a latent other unit: its data write has overwritten the old data a decode would need); " +
+			"the stream passes such a write over on both planes"},
 	rowSplitWrite: {deliberate, "split write",
 		"the simulator writes a multi-unit share of a stripe that has lost a written unit or a parity one unit at a time; the store plans it as one update (internal/testdata/costs.txt prices that). " +
 			"The stream writes such a share one unit at a time on the store too"},
@@ -466,6 +467,12 @@ func (p *planes) read(unit, n int64) error {
 }
 
 func (p *planes) write(unit, n int64) error {
+	for _, sg := range p.segments(unit, n) {
+		if p.smallOverLatent(sg[0], sg[1]) {
+			p.rows[rowSmallWrite]++
+			return nil
+		}
+	}
 	// The store's share of each stripe the simulator splits is written one
 	// unit at a time (rowSplitWrite); the rest of the span goes in runs.
 	var runs [][2]int64
@@ -811,6 +818,17 @@ func (p *planes) splits(lo, hi int64) bool {
 	return p.roleOf(f) != "d"
 }
 
+// smallOverLatent reports whether the share [lo, hi) of a stripe is the
+// simulator's small write to a stripe that holds a latent unit
+// (rowSmallWrite).
+func (p *planes) smallOverLatent(lo, hi int64) bool {
+	stripe := lo / p.dps
+	if _, degraded := p.lostOf(stripe); p.m != 1 || p.lay.G() != 3 || hi-lo != 1 || degraded {
+		return false
+	}
+	return len(p.latentOf(layout.StripeUnits(p.lay, stripe))) > 0
+}
+
 // modelWrite models one write plan: the data units [lo, hi) of one stripe.
 func (p *planes) modelWrite(lo, hi int64) error {
 	stripe := lo / p.dps
@@ -827,12 +845,7 @@ func (p *planes) modelWrite(lo, hi int64) error {
 	case len(live) == 0:
 	case p.m == 1 && p.lay.G() == 3 && len(span) == 1 && !degraded:
 		// rowSmallWrite: the store reads the old data and P, the simulator
-		// the other data unit.
-		for j := range p.lay.G() {
-			if u := p.lay.Unit(stripe, j); p.latent[u] {
-				return fmt.Errorf("model: a one-unit write at G = 3 to stripe %d, which holds latent unit %v", stripe, u)
-			}
-		}
+		// the other data unit; no unit of the stripe is latent.
 		p.reread(rowSmallWrite, span[0], live[0])
 		p.want[p.index(without(data, span)[0])]--
 		return nil
@@ -917,9 +930,7 @@ func shrink(lay layout.Layout, steps []step) []step {
 // each — latent units, perhaps a failure of one of its disks, a few reads
 // and writes in and around it, perhaps a rebuild — so latent units, a
 // failure and the operations that meet them collide. Most episodes are on
-// one of three focus stripes, so damage piles up there. At G = 3 under P
-// latent units go on focus stripes only, and no write covers one unit of a
-// focus stripe (rowSmallWrite); a sublist keeps that.
+// one of three focus stripes, so damage piles up there.
 func genSteps(lay layout.Layout, seed int64, n int) []step {
 	rng := rand.New(rand.NewSource(seed))
 	dps := int64(layout.DataPerStripe(lay))
@@ -927,19 +938,6 @@ func genSteps(lay layout.Layout, seed int64, n int) []step {
 	data := layout.DataUnits(lay, upd)
 	stripes := data / dps
 	focus := []int64{rng.Int63n(stripes), rng.Int63n(stripes), rng.Int63n(stripes)}
-	small := lay.Parities() == 1 && lay.G() == 3
-	// smallWriteTo reports whether a write of [unit, unit+k) covers one
-	// unit of a focus stripe.
-	smallWriteTo := func(unit, k int64) bool {
-		for lo := unit; lo < unit+k; {
-			hi := min((lo/dps+1)*dps, unit+k)
-			if hi-lo == 1 && slices.Contains(focus, lo/dps) {
-				return true
-			}
-			lo = hi
-		}
-		return false
-	}
 	var steps []step
 	add := func(s step) {
 		if len(steps) < n {
@@ -955,19 +953,16 @@ func genSteps(lay layout.Layout, seed int64, n int) []step {
 		}
 		first := stripe * dps
 		for range rng.Intn(lay.Parities() + 2) {
-			if !small || slices.Contains(focus, stripe) {
-				add(step{kind: stepLatent, loc: lay.Unit(stripe, rng.Intn(lay.G()))})
-			}
+			add(step{kind: stepLatent, loc: lay.Unit(stripe, rng.Intn(lay.G()))})
 		}
 		if rng.Intn(2) == 0 {
 			add(step{kind: stepFail, loc: lay.Unit(stripe, rng.Intn(lay.G()))})
 		}
 		for range 1 + rng.Intn(4) {
 			unit, k := spanAround(rng, first, dps, data)
-			switch {
-			case rng.Intn(2) == 0:
+			if rng.Intn(2) == 0 {
 				add(step{kind: stepRead, unit: unit, n: k})
-			case !small || !smallWriteTo(unit, k):
+			} else {
 				add(step{kind: stepWrite, unit: unit, n: k})
 			}
 		}

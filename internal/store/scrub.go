@@ -29,41 +29,29 @@ const (
 
 // resyncStripe verifies and repairs one stripe under its write lock (or
 // before the store serves traffic), from one pass over its units (see
-// syndromes). No unit of the stripe may be lost. The pass's sums, with the
-// damaged units it found left out, are what decode solves those units
-// from, so within the code's budget they are solved from the pass and
-// rewritten (healErasures), reading nothing again; past it the stripe is
-// rewritten whole with its lost units marked (loseStripe), from the data
-// units the pass read clean.
+// syndromes). No unit of the stripe may be lost. The damaged units the
+// pass found go to recoverInto with the pass itself, whose sums are what
+// decode solves them from: within the code's budget they are solved and
+// rewritten reading nothing again, and past it the stripe is rewritten
+// whole with its lost units marked (loseStripe), from the data units the
+// pass read clean.
 func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	sc := s.scratch.Get().(*stripeScratch)
 	defer s.scratch.Put(sc)
-	px, qx, damaged, err := s.syndromes(st, sc, stripe)
+	_, _, damaged, err := s.syndromes(st, sc, stripe)
 	defer s.putParity(sc)
-	switch {
-	case err != nil:
+	if err != nil {
 		return fixNone, err
-	case len(damaged) > s.parities:
-		if err := s.loseStripe(st, stripe, nil, damaged, nil, sc); err != errLost {
+	}
+	if len(damaged) > 0 {
+		switch err := s.recoverInto(st, damaged[0].loc, nil, damaged[0].err, nil, sc, damaged[1:]...); err {
+		case nil:
+			return fixUnit, nil
+		case errLost:
+			return fixLost, nil
+		default:
 			return fixNone, err
 		}
-		return fixLost, nil
-	case len(damaged) > 0:
-		list := sc.eras[:0]
-		for _, d := range damaged {
-			_, j := s.lay.Locate(d.loc)
-			list = append(list, s.erase(stripe, j, d.loc, px, d.err)) // out is the sum sumOwners gives it
-		}
-		po, qo := sumOwners(list)
-		if po != nil {
-			po.out = px
-		}
-		if qo != nil {
-			qo.out = qx
-		}
-		decode(list, px, qx)
-		s.healErasures(st, list)
-		return fixUnit, nil
 	}
 
 	// All units individually valid: each equation must balance. One that

@@ -694,10 +694,10 @@ func (s *Store) healRead(stripe, lo int64, errs []error, dst []byte) error {
 			if len(damaged) == 0 {
 				return nil
 			}
-			return s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, nil, damaged[1:]...)
+			return s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, nil, nil, damaged[1:]...)
 		}
 		for _, i := range lost {
-			if err := s.recoverInto(st, s.mapper.Loc(lo+int64(i)), dst[i*us:(i+1)*us], nil, nil, damaged...); err != nil {
+			if err := s.recoverInto(st, s.mapper.Loc(lo+int64(i)), dst[i*us:(i+1)*us], nil, nil, nil, damaged...); err != nil {
 				return err
 			}
 			s.degradedReads.Add(1)
@@ -965,7 +965,7 @@ func (s *Store) Rebuild(repl Disk) error {
 					f = nil
 					return nil
 				}
-				return s.recoverInto(stc, loc, phys[:s.unitSize], nil, nil)
+				return s.recoverInto(stc, loc, phys[:s.unitSize], nil, nil, nil)
 			})
 			if err == nil && f == nil {
 				s.locks.unlock(stripe)
