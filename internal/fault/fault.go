@@ -10,10 +10,14 @@
 //   - transient request faults, an independent per-request timeout
 //     probability; a retry draws a fresh outcome.
 //
-// Determinism contract: every random draw comes from per-slot RNG streams
-// derived from one seed, and all injector activity rides the simulation
-// engine's deterministic event order — the same seed and configuration
-// produce byte-identical fault sequences. With zero rates the injector
+// Determinism contract: every random draw comes from two RNG streams per
+// slot, both derived from one seed — one draws the transient outcome of each
+// access (Hook), the other the time and sector of each latent-sector arrival
+// — and all injector activity rides the simulation engine's deterministic
+// event order, so the same seed and configuration produce byte-identical
+// fault sequences. The arrivals are a fixed input to the array: how many
+// accesses it makes, and so how many transient outcomes are drawn, moves no
+// arrival (TestArrivalsIgnoreAccesses). With zero rates the injector
 // schedules no events and draws nothing, so a disabled injector leaves a
 // simulation bit-for-bit identical to one with no injector at all.
 package fault
@@ -57,7 +61,8 @@ type Injector struct {
 	cfg  Config
 	geom drive.Geometry
 
-	rngs     []*rand.Rand
+	access   []*rand.Rand   // per slot: transient outcomes
+	arrival  []*rand.Rand   // per slot: latent-sector arrival times and sectors
 	bad      []drive.Latent // per-slot latent sectors
 	arrivals []sim.Timer    // pending LSE arrival per slot
 	stopped  bool
@@ -92,21 +97,29 @@ func New(eng *sim.Engine, geom drive.Geometry, disks int, cfg Config) (*Injector
 		eng:          eng,
 		cfg:          cfg,
 		geom:         geom,
-		rngs:         make([]*rand.Rand, disks),
+		access:       make([]*rand.Rand, disks),
+		arrival:      make([]*rand.Rand, disks),
 		bad:          make([]drive.Latent, disks),
 		arrivals:     make([]sim.Timer, disks),
 		lseRatePerMS: cfg.LSERatePerGBHour * gb / 3_600_000,
 	}
-	for i := range in.rngs {
-		in.rngs[i] = rand.New(rand.NewSource(streamSeed(cfg.Seed, i)))
+	for i := range disks {
+		in.access[i] = rand.New(rand.NewSource(streamSeed(cfg.Seed, i, accessStream)))
+		in.arrival[i] = rand.New(rand.NewSource(streamSeed(cfg.Seed, i, arrivalStream)))
 	}
 	return in, nil
 }
 
-// streamSeed derives a well-mixed per-slot seed so neighboring slots get
-// uncorrelated streams.
-func streamSeed(seed int64, slot int) int64 {
-	return int64(drive.Mix(uint64(seed)*0x9e3779b97f4a7c15 + uint64(slot) + 1))
+// The salts of a slot's two streams.
+const (
+	accessStream  = 0
+	arrivalStream = 1 << 32
+)
+
+// streamSeed derives a well-mixed seed for one stream of one slot, so
+// neighboring slots, and a slot's two streams, get uncorrelated streams.
+func streamSeed(seed int64, slot int, stream uint64) int64 {
+	return int64(drive.Mix(uint64(seed)*0x9e3779b97f4a7c15 + uint64(slot) + 1 + stream))
 }
 
 // TimeoutMS returns the configured transient stall.
@@ -147,12 +160,12 @@ func (in *Injector) Stop() {
 }
 
 func (in *Injector) scheduleLSE(slot int) {
-	delay := in.rngs[slot].ExpFloat64() / in.lseRatePerMS
+	delay := in.arrival[slot].ExpFloat64() / in.lseRatePerMS
 	in.arrivals[slot] = in.eng.Schedule(delay, func() {
 		if in.stopped {
 			return
 		}
-		if in.bad[slot].Add(in.rngs[slot].Int63n(in.geom.TotalSectors())) {
+		if in.bad[slot].Add(in.arrival[slot].Int63n(in.geom.TotalSectors())) {
 			in.stats.LSEArrivals++
 		}
 		in.scheduleLSE(slot)
@@ -168,7 +181,7 @@ func (in *Injector) Hook(slot int) disk.FaultHook {
 		if write {
 			in.stats.Healed += int64(in.bad[slot].Heal(start, count))
 		}
-		if in.cfg.TransientRate > 0 && in.rngs[slot].Float64() < in.cfg.TransientRate {
+		if in.cfg.TransientRate > 0 && in.access[slot].Float64() < in.cfg.TransientRate {
 			return disk.Timeout
 		}
 		if !write && in.bad[slot].Hit(start, count) {
@@ -179,7 +192,7 @@ func (in *Injector) Hook(slot int) disk.FaultHook {
 }
 
 // ResetDisk clears a slot's latent errors — call when a fresh drive is
-// installed in it. The slot keeps its RNG stream: replacement changes
+// installed in it. The slot keeps its RNG streams: replacement changes
 // which faults the new drive sees, not the determinism of the run.
 func (in *Injector) ResetDisk(slot int) {
 	in.stats.Healed += int64(in.bad[slot].Len())

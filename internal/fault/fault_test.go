@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"declust/internal/disk"
@@ -158,5 +159,55 @@ func TestResetDisk(t *testing.T) {
 	}
 	if st := in.Hook(2)(0, 8, false); st != disk.OK {
 		t.Errorf("read after reset = %v, want OK", st)
+	}
+}
+
+// TestArrivalsIgnoreAccesses: latent-sector arrivals are a fixed input to
+// the array, not a function of its accesses. Two injectors on one seed
+// schedule the same arrivals — the same times, slots and sectors — though
+// one of them draws a transient outcome for 1000 more accesses between
+// every two arrivals.
+func TestArrivalsIgnoreAccesses(t *testing.T) {
+	geom := drive.IBM0661().Scaled(1000) // 1344 sectors: every one can be checked
+	type arrival struct {
+		ms        float64
+		slot, bad int
+	}
+	run := func(extra int) ([]arrival, [4][]bool) {
+		eng := sim.New()
+		in, err := New(eng, geom, 4, Config{Seed: 11, LSERatePerGBHour: 2e7, TransientRate: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.Start()
+		var got []arrival
+		var prev [4]int
+		for eng.Now() < 100_000 && eng.Step() {
+			for slot := range prev {
+				if n := in.BadSectors(slot); n != prev[slot] {
+					got = append(got, arrival{eng.Now(), slot, n})
+					prev[slot] = n
+					for range extra {
+						in.Hook(slot)(0, 1, false)
+					}
+				}
+			}
+		}
+		in.Stop()
+		var bad [4][]bool
+		for slot := range bad {
+			for s := range geom.TotalSectors() {
+				bad[slot] = append(bad[slot], in.bad[slot].Hit(s, 1))
+			}
+		}
+		return got, bad
+	}
+	quiet, quietBad := run(0)
+	busy, busyBad := run(1000)
+	if len(quiet) < 100 {
+		t.Fatalf("only %d arrivals: the rate is too low to show anything", len(quiet))
+	}
+	if !slices.Equal(quiet, busy) || !slices.EqualFunc(quietBad[:], busyBad[:], slices.Equal) {
+		t.Errorf("1000 accesses between arrivals moved them: %d arrivals against %d", len(busy), len(quiet))
 	}
 }

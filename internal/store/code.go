@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
@@ -53,9 +54,9 @@ const (
 type erasure struct {
 	role  int // roleP, roleQ, or the data ordinal d (its Q coefficient is g^d)
 	loc   layout.Loc
-	out   []byte  // receives the solved contents (unitSize)
-	buf   *[]byte // pooled backing for out when the caller supplied none
-	cause error   // the read error that erased a damaged unit; nil for a lost one
+	pos   int    // its position in the stripe
+	out   []byte // receives the solved contents (unitSize)
+	cause error  // the read error that erased a damaged unit; nil for a lost one
 }
 
 // parityPos returns the positions of stripe's P and Q units, −1 for a
@@ -68,50 +69,38 @@ func (s *Store) parityPos(stripe int64) (pp [2]int) {
 	return pp
 }
 
-// erase returns the erasure of position j (unit u) of stripe, solving into
-// out, or into pooled scratch when out is nil. cause is the read error that
-// found the unit damaged, nil for a lost one; recoverInto charges it once
-// the stripe is solved.
-func (s *Store) erase(stripe int64, j int, u layout.Loc, out []byte, cause error) erasure {
-	e := erasure{loc: u, out: out, cause: cause}
-	switch pp := s.parityPos(stripe); j {
-	case pp[0]:
-		e.role = roleP
-	case pp[1]:
-		e.role = roleQ
-	default:
-		e.role = layout.DataOrdinal(s.lay, stripe, j)
-	}
-	if out == nil {
-		e.buf = s.getBuf()
-		e.out = (*e.buf)[:s.unitSize]
-	}
-	return e
-}
-
-// freeErasures returns the pooled buffers of an erasure list.
-func (s *Store) freeErasures(list []erasure) {
-	for i := range list {
-		if list[i].buf != nil {
-			s.putBuf(list[i].buf)
-		}
-	}
-}
-
-// erasures starts the erasure list for recovering unit want into wantOut:
-// every lost unit of the stripe (the others solve into pooled scratch),
-// then want itself, lost or — cause set — damaged in place. Fail keeps the
-// lost units within the budget; a damaged want may take the list past it,
-// which recoverInto checks.
-func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, want layout.Loc, wantOut []byte, cause error) []erasure {
+// erasures lists, in position order, what recovering unit u of stripe
+// solves: every lost unit of the stripe, every position sc's record holds
+// damaged — its cause with it, for recoverInto to charge once the stripe
+// is solved — and u itself. Each solves into its unit buffer in sc, u into
+// out when out is not nil. Fail keeps the lost units within the budget;
+// damage may take the list past it, which recoverInto checks.
+func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, u layout.Loc, out []byte) []erasure {
 	list := sc.eras[:0]
-	_, at := s.lay.Locate(want)
+	pp := s.parityPos(stripe)
 	for j, g := 0, s.lay.G(); j < g; j++ {
-		if u := s.lay.Unit(stripe, j); j != at && st.lost(u) {
-			list = append(list, s.erase(stripe, j, u, nil, nil))
+		v := s.lay.Unit(stripe, j)
+		if v != u && sc.has[j] != damaged && !st.lost(v) {
+			continue
 		}
+		e := erasure{loc: v, pos: j, out: sc.phys[j][:s.unitSize]}
+		switch j {
+		case pp[0]:
+			e.role = roleP
+		case pp[1]:
+			e.role = roleQ
+		default:
+			e.role = layout.DataOrdinal(s.lay, stripe, j)
+		}
+		if sc.has[j] == damaged && !st.lost(v) {
+			e.cause = sc.errs[j]
+		}
+		if v == u && out != nil {
+			e.out = out
+		}
+		list = append(list, e)
 	}
-	return append(list, s.erase(stripe, at, want, wantOut, cause))
+	return list
 }
 
 // sumOwners puts an erasure list (one or two entries) in role order and
@@ -139,12 +128,14 @@ func sumOwners(list []erasure) (p, q *erasure) {
 // the stored P into px and the stored Q into qx. A nil sum is one nobody
 // needs: nothing folds into it and its parity unit is not read — which is
 // why recovering one lost unit of a P+Q stripe reads G−2 units, not G−1.
+// The units listed are layout.RebuildSources of the erasure set, the rule
+// the simulator reads by (TestRebuildReadsMatchLayout).
 func (s *Store) sumTerms(stripe int64, terms []term, erased []erasure, px, qx []byte) []term {
 	pp := s.parityPos(stripe)
 	d := 0
 next:
 	for j, g := 0, s.lay.G(); j < g; j++ {
-		t := term{loc: s.lay.Unit(stripe, j), p: px}
+		t := term{loc: s.lay.Unit(stripe, j), pos: j, p: px}
 		switch j {
 		case pp[0]:
 		case pp[1]:
@@ -159,7 +150,7 @@ next:
 			continue
 		}
 		for i := range erased {
-			if erased[i].loc == t.loc {
+			if erased[i].pos == j {
 				continue next
 			}
 		}
@@ -168,16 +159,16 @@ next:
 	return terms
 }
 
-// gatherSums gathers sumTerms into px and qx, which arrive dirty — out of
-// the pool, or a caller's buffer — and leave as the sums over every unit
-// that read clean: started by their first term, or cleared if every unit
-// that folds into them is erased or damaged. The damaged ones are returned
-// as gather returns them.
-func (s *Store) gatherSums(st *diskState, sc *stripeScratch, stripe int64, erased []erasure, px, qx []byte) ([]damagedUnit, error) {
-	sc.sums = startSums(px, qx)
-	damaged, err := s.gather(st, sc, s.sumTerms(stripe, sc.terms[:0], erased, px, qx))
-	sc.sums.settle()
-	return damaged, err
+// gatherSums gathers terms into px and qx, which arrive dirty — out of the
+// pool, or a caller's buffer — and leave as the sums over them: started by
+// their first term, or cleared if no term folds into them. It returns what
+// gather returns: the index of a term held damaged, in which case nothing
+// was folded, or −1.
+func (s *Store) gatherSums(st *diskState, sc *stripeScratch, terms []term, px, qx []byte) (int, error) {
+	sm := startSums(px, qx)
+	i, err := s.gather(st, sc, terms, &sm)
+	sm.settle()
+	return i, err
 }
 
 // decode turns the parity sums gathered around an erasure list — px and qx,
@@ -210,13 +201,13 @@ func decode(list []erasure, px, qx []byte) {
 }
 
 // solve computes every listed erasure's contents into its out buffer from
-// the rest of the stripe, in one gather of only the units the pattern
-// needs; the out buffers double as the accumulators. Reads are plain (no
-// healing): the damaged survivors are returned, in list order, for the
-// caller to absorb or escalate, and nothing is solved. The list must hold
+// the rest of the stripe, gathering the units the pattern needs that the
+// lock hold does not hold yet; the out buffers double as the accumulators.
+// Reads are plain (no healing): when a source is held damaged, solve
+// reports it (the record names it) and solves nothing. The list must hold
 // every lost unit of the stripe. Caller holds at least the stripe's read
 // lock.
-func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []erasure) ([]damagedUnit, error) {
+func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []erasure) (bool, error) {
 	var px, qx []byte
 	po, qo := sumOwners(list)
 	if po != nil {
@@ -225,12 +216,12 @@ func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []era
 	if qo != nil {
 		qx = qo.out
 	}
-	damaged, err := s.gatherSums(st, sc, stripe, list, px, qx)
-	if err != nil || len(damaged) > 0 {
-		return damaged, err
+	i, err := s.gatherSums(st, sc, s.sumTerms(stripe, sc.src[:0], list, px, qx), px, qx)
+	if err != nil || i >= 0 {
+		return i >= 0, err
 	}
 	decode(list, px, qx)
-	return nil, nil
+	return false, nil
 }
 
 // reconstructLocked computes loc (lost) into dst from its stripe's
@@ -240,96 +231,82 @@ func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []era
 // needsHeal accepts), not repaired — repairing requires the write lock,
 // which healRead takes for the exclusive retry.
 func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) error {
-	sc := s.scratch.Get().(*stripeScratch)
+	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 	stripe, _ := s.lay.Locate(loc)
-	list := s.erasures(st, sc, stripe, loc, dst, nil)
-	defer s.freeErasures(list)
-	damaged, err := s.solve(st, sc, stripe, list)
-	if err != nil || len(damaged) == 0 {
+	more, err := s.solve(st, sc, stripe, s.erasures(st, sc, stripe, loc, dst))
+	if err != nil || !more {
 		return err
 	}
-	return &sourcesDamaged{damaged} // escalates to healRead, which may absorb it
+	sd := &sourcesDamaged{}
+	for j, h := range sc.has {
+		if h == damaged {
+			sd.pos = append(sd.pos, j)
+			sd.err = cmp.Or(sd.err, sc.errs[j])
+		}
+	}
+	return sd // escalates to healRead, which may absorb it
 }
 
 // sourcesDamaged is a degraded read's error when the decode of its lost unit
 // found survivors damaged: it wraps the first one's read error, so needsHeal
-// holds, and lists them all, so healRead, under the write lock, reads each
-// again and solves what is still damaged with the lost unit at once.
-type sourcesDamaged struct{ units []damagedUnit }
+// holds, and lists their stripe positions, so healRead, under the write
+// lock, reads each again and solves what is still damaged with the lost
+// unit at once.
+type sourcesDamaged struct {
+	err error
+	pos []int
+}
 
-func (e *sourcesDamaged) Error() string { return e.units[0].err.Error() }
-func (e *sourcesDamaged) Unwrap() error { return e.units[0].err }
+func (e *sourcesDamaged) Error() string { return e.err.Error() }
+func (e *sourcesDamaged) Unwrap() error { return e.err }
 
 // recoverInto is the store's one heal path and the one place the erasure
-// budget is checked. It computes the contents of unit u into out from the
-// rest of its stripe, under the stripe's WRITE lock: u is lost, or — cause
-// set — was found damaged by cause, and also lists more units of the
-// stripe a read under the same lock found damaged, each solved into its
-// own out. Those, and every damaged unit the solve meets on the way,
-// become erasures while the code's budget of one erasure per parity lasts,
-// so no damaged unit is read twice; once all are solved, each erasure with
-// a cause — u included — is charged (a checksum error counted, a media
-// error was where the backend reported it: readPhys; a point against its
-// disk) and rewritten in place (healUnit). A failed rewrite leaves its
-// unit damaged and its disk charged, but the operation that needed the
-// contents has them. Past the budget the stripe is lost (loseStripe) and
-// recoverInto returns errLost: nothing was charged, and the caller runs its
-// operation again (carryOn). written lists the units the caller's write goes on to
-// overwrite (nil for any other caller).
-//
-// held, when not nil, is the scratch of a pass over the whole stripe
-// (syndromes), none of it lost, that found u and also damaged: its sums,
-// on held.par, are already the decode's, so the solve reads nothing, and
-// a loss reuses the data units the pass read clean. Each erasure's out
-// then becomes the sum it owns (sumOwners).
-func (s *Store) recoverInto(st *diskState, u layout.Loc, out []byte, cause error, written []layout.Loc, held *stripeScratch, also ...damagedUnit) error {
-	sc := s.scratch.Get().(*stripeScratch)
-	defer s.scratch.Put(sc)
+// budget is checked. Under the stripe's WRITE lock, held by the operation
+// whose scratch is sc, it computes the contents of unit u — lost, or held
+// damaged by sc's record — into out (nil: u's unit buffer) from the rest of
+// its stripe. Every lost unit and every position the record holds damaged
+// is solved with it (erasures), and the solve reads only the sources of
+// that erasure set the hold does not hold: none of what the operation read
+// is read again. A source the solve finds damaged grows the set, and the
+// next round asks for the sources of the larger set and again reads only
+// what is new — the simulator's rule (repairLocked in internal/array) —
+// while the code's budget of one erasure per parity lasts. Once all are
+// solved, each is held solved, and each with a cause is charged (a checksum
+// error counted, a media error was where the backend reported it:
+// readPhys; a point against its disk) and rewritten in place (healUnit). A
+// failed rewrite leaves its unit damaged and its disk charged, but the
+// operation that needed the contents has them. Past the budget the stripe
+// is lost (loseStripe) and recoverInto returns errLost: nothing was
+// charged, and the caller runs its operation again (carryOn). written
+// lists the units the caller's write goes on to overwrite (nil for any
+// other caller).
+func (s *Store) recoverInto(st *diskState, sc *stripeScratch, u layout.Loc, out []byte, written []layout.Loc) error {
 	stripe, _ := s.lay.Locate(u)
-	list := s.erasures(st, sc, stripe, u, out, cause)
-	defer func() { s.freeErasures(list) }()
-	for damaged := also; ; {
-		if len(list)+len(damaged) > s.parities {
-			return s.loseStripe(st, stripe, list, damaged, written, held)
+	for {
+		list := s.erasures(st, sc, stripe, u, out)
+		if len(list) > s.parities {
+			return s.loseStripe(st, sc, stripe, written)
 		}
-		for _, d := range damaged {
-			_, j := s.lay.Locate(d.loc)
-			list = append(list, s.erase(stripe, j, d.loc, d.out, d.err))
-		}
-		if held != nil {
-			var sums [2][]byte
-			for k, p := range held.par {
-				sums[k] = (*p.buf)[:s.unitSize]
-			}
-			po, qo := sumOwners(list)
-			if po != nil {
-				po.out = sums[0]
-			}
-			if qo != nil {
-				qo.out = sums[1]
-			}
-			decode(list, sums[0], sums[1])
-			break
-		}
-		var err error
-		if damaged, err = s.solve(st, sc, stripe, list); err != nil {
+		more, err := s.solve(st, sc, stripe, list)
+		if err != nil {
 			return err
 		}
-		if len(damaged) == 0 {
-			break
+		if more {
+			continue
 		}
-	}
-	for _, e := range list {
-		if e.cause != nil {
-			if !errors.Is(e.cause, ErrMedia) {
-				s.checksumErrs.Add(1)
+		for _, e := range list {
+			sc.has[e.pos], sc.at[e.pos] = solved, e.out
+			if e.cause != nil {
+				if !errors.Is(e.cause, ErrMedia) {
+					s.checksumErrs.Add(1)
+				}
+				s.scoreDiskError(e.loc.Disk)
+				_ = s.healUnit(st, e.loc, e.out) // a failed rewrite is charged; out holds the contents
 			}
-			s.scoreDiskError(e.loc.Disk)
-			_ = s.healUnit(st, e.loc, e.out) // a failed rewrite is charged; out holds the contents
 		}
+		return nil
 	}
-	return nil
 }
 
 // errLost is recoverInto's answer when it found the stripe past its
@@ -346,8 +323,11 @@ var errLost = errors.New("store: stripe rewritten after a loss")
 const maxLosses = 3
 
 // carryOn runs op, the part of an operation that holds stripe's write
-// lock, and runs it again after each loss it meets, up to maxLosses.
-func carryOn(stripe int64, op func() error) error {
+// lock with sc as its scratch, and runs it again after each loss it meets,
+// up to maxLosses. Before each run again sc's record is forgotten: the
+// stripe has been rewritten, and only reading it again finds a rewrite the
+// device dropped.
+func carryOn(stripe int64, sc *stripeScratch, op func() error) error {
 	for n := 1; ; n++ {
 		err := op()
 		if err != errLost {
@@ -356,59 +336,61 @@ func carryOn(stripe int64, op func() error) error {
 		if n == maxLosses {
 			return fmt.Errorf("%w: stripe %d is still past its erasure budget after %d rewrites", ErrUnrecoverable, stripe, n)
 		}
+		sc.forget()
 	}
 }
 
 // loseStripe is the store's one rule for a stripe past its erasure budget,
 // the simulator's too (repairLocked in internal/array): book the loss and
-// carry on. Under the stripe's write lock, which the caller holds, it
-// rewrites the stripe whole through writeStripeLocked: every data unit that
-// reads keeps its contents, every erased one — in list or damaged, or found
-// damaged by this read — becomes its poison block, and the parities are
-// recomputed, and not written where their disk is down. Stats.LostUnits
-// then grows by the stripe's erasures bar the units in written, which the
-// caller's write overwrites. held, when not nil, is the scratch of a pass
-// over the whole stripe (syndromes): position j read into its unit buffer
-// j, clean where its error slot is nil, and such a unit is not read again.
-// It returns errLost, or the error that stopped the rewrite.
-func (s *Store) loseStripe(st *diskState, stripe int64, list []erasure, damaged []damagedUnit, written []layout.Loc, held *stripeScratch) error {
-	erased := make([]layout.Loc, 0, s.lay.G())
-	for _, e := range list {
-		erased = append(erased, e.loc)
-	}
-	for _, d := range damaged {
-		erased = append(erased, d.loc)
-	}
-	// A full-stripe write gathers nothing, so the scratch's unit buffers
-	// are free to hold the new contents.
-	sc := s.scratch.Get().(*stripeScratch)
-	defer s.scratch.Put(sc)
-	sc.locs, sc.datas = sc.locs[:0], sc.datas[:0]
-	for n := stripe * s.dataPerStripe; n < (stripe+1)*s.dataPerStripe; n++ {
-		u, phys := s.mapper.Loc(n), sc.phys[len(sc.locs)]
-		if _, j := s.lay.Locate(u); held != nil && held.errs[j] == nil {
-			phys = held.phys[j]
-		} else if indexLoc(erased, u) < 0 {
-			if _, err := s.readLive(st, u, phys); needsHeal(err) {
-				erased = append(erased, u)
-			} else if err != nil {
-				return err
-			}
+// carry on. Under the stripe's write lock, which the caller holds, it reads
+// the data units that are neither lost nor held by sc's record, one batch,
+// and rewrites the stripe whole through writeStripeLocked: every data unit
+// that reads keeps its contents, every erased one — lost, or held damaged,
+// or found damaged by this read — becomes its poison block, and the
+// parities are recomputed, and not written where their disk is down.
+// Stats.LostUnits then grows by the stripe's erasures bar the units in
+// written, which the caller's write overwrites. It returns errLost, or the
+// error that stopped the rewrite.
+func (s *Store) loseStripe(st *diskState, sc *stripeScratch, stripe int64, written []layout.Loc) error {
+	pp := s.parityPos(stripe)
+	terms := sc.src[:0]
+	for j, g := 0, s.lay.G(); j < g; j++ {
+		if u := s.lay.Unit(stripe, j); j != pp[0] && j != pp[1] && !st.lost(u) {
+			terms = append(terms, term{loc: u, pos: j})
 		}
-		if indexLoc(erased, u) >= 0 {
-			poisonBlock(n, phys[:s.unitSize])
-		}
-		sc.locs = append(sc.locs, u)
-		sc.datas = append(sc.datas, phys[:s.unitSize])
 	}
-	if err := s.writeStripeLocked(stripe, sc); err != nil {
+	if _, err := s.gather(st, sc, terms, &sums{}); err != nil {
 		return err
 	}
-	for _, u := range erased {
-		if indexLoc(written, u) < 0 {
-			s.lostUnits.Add(1)
+	// A full-stripe write gathers nothing: a scratch of its own carries the
+	// new contents, which are the units this hold holds and poison blocks
+	// in the erased units' buffers.
+	w := s.getScratch()
+	defer s.scratch.Put(w)
+	w.locs, w.datas = w.locs[:0], w.datas[:0]
+	n, lost := stripe*s.dataPerStripe, int64(0)
+	for j, g := 0, s.lay.G(); j < g; j++ {
+		u := s.lay.Unit(stripe, j)
+		erased := st.lost(u) || sc.has[j] == damaged
+		if erased && indexLoc(written, u) < 0 {
+			lost++
 		}
+		if j == pp[0] || j == pp[1] {
+			continue
+		}
+		data := sc.at[j]
+		if erased {
+			data = sc.phys[j]
+			poisonBlock(n, data[:s.unitSize])
+		}
+		w.locs = append(w.locs, u)
+		w.datas = append(w.datas, data[:s.unitSize])
+		n++
 	}
+	if err := s.writeStripeLocked(stripe, w); err != nil {
+		return err
+	}
+	s.lostUnits.Add(lost)
 	return errLost
 }
 
@@ -421,10 +403,11 @@ func (s *Store) paritySums(st *diskState, sc *stripeScratch, stripe int64) (px, 
 	var sum [2][]byte
 	sc.par = sc.par[:0]
 	for k := 0; k < s.parities; k++ {
-		if loc := layout.ParityLocOf(s.lay, stripe, k); !st.lost(loc) {
+		j := s.lay.ParityPos(stripe, k)
+		if loc := s.lay.Unit(stripe, j); !st.lost(loc) {
 			buf := s.getBuf()
 			sum[k] = (*buf)[:s.unitSize]
-			sc.par = append(sc.par, parityWrite{loc: loc, buf: buf})
+			sc.par = append(sc.par, parityWrite{loc: loc, pos: j, buf: buf})
 		}
 	}
 	return sum[0], sum[1]
@@ -440,15 +423,16 @@ func (s *Store) putParity(sc *stripeScratch) {
 
 // syndromes reads every unit of stripe — none may be lost — into its
 // parity equations: on return px is ⊕data ⊕ P and qx is Σ g^d·data_d ⊕ Q
-// (nil without a Q) over the units that read clean. Both are zero when the
-// stripe is consistent, and with the damaged units — returned in position
-// order — left out they are exactly the sums decode solves those units
-// from. It is the one pass CheckParity reports from and resyncStripe
-// repairs from. The sums live on sc.par; release with putParity.
-func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, qx []byte, damaged []damagedUnit, err error) {
+// (nil without a Q). Both are zero when the stripe is consistent. It is the
+// one pass CheckParity reports from and resyncStripe repairs from: when a
+// unit reads damaged, i is the index of its term in sc.terms and the sums
+// are not formed, and either way sc's record holds every unit that read
+// clean. The sums live on sc.par; release with putParity.
+func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, qx []byte, i int, err error) {
 	px, qx = s.paritySums(st, sc, stripe)
-	damaged, err = s.gatherSums(st, sc, stripe, nil, px, qx)
-	return px, qx, damaged, err
+	sc.terms = s.sumTerms(stripe, sc.terms[:0], nil, px, qx)
+	i, err = s.gatherSums(st, sc, sc.terms, px, qx)
+	return px, qx, i, err
 }
 
 // commitStripeLocked performs the stripe's parity-maintaining update in
@@ -490,9 +474,9 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	wr := sc.terms[:len(sc.locs)]
 	writtenLost := false
 	for i, loc := range sc.locs {
-		wr[i] = term{loc: loc, p: px}
+		_, j := s.lay.Locate(loc)
+		wr[i] = term{loc: loc, pos: j, p: px}
 		if qx != nil {
-			_, j := s.lay.Locate(loc)
 			wr[i].coef = gf256.Exp(layout.DataOrdinal(s.lay, stripe, j))
 		}
 		writtenLost = writtenLost || st.lost(loc)
@@ -514,7 +498,7 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		// unwritten units don't disturb the delta.
 		sc.sums = startSums(px, qx) // px is nil with P lost
 		for _, p := range sc.par {
-			need = append(need, term{loc: p.loc, p: (*p.buf)[:s.unitSize], in: *p.buf})
+			need = append(need, term{loc: p.loc, pos: p.pos, p: (*p.buf)[:s.unitSize], in: *p.buf})
 		}
 		for i, t := range wr {
 			t.new, t.newSum = sc.datas[i], sc.newSums[i]
@@ -546,34 +530,29 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	if scratch {
 		// What the new parities lack is the units the span leaves alone.
 		// Survivors are gathered; a lost one (P+Q only: a second failure,
-		// beside a lost written unit) contributes its decoded old value,
-		// before the gather — decoding may heal, a heal rewrites.
+		// beside a lost written unit) is decoded into its unit buffer
+		// first, and held solved for the gather to fold — decoding may
+		// heal, a heal rewrites, and what the decode read is not read
+		// again.
 		left := int(s.dataPerStripe) - len(sc.locs)
 		if left > 0 && !writtenLost {
 			s.reconstructWrites.Add(1)
 		}
 		for d := 0; left > 0; d++ {
-			t := term{loc: s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d)), p: px}
+			j := layout.DataPos(s.lay, stripe, d)
+			t := term{loc: s.lay.Unit(stripe, j), pos: j, p: px}
 			if qx != nil {
 				t.coef = gf256.Exp(d)
 			}
-			switch {
-			case indexLoc(sc.locs, t.loc) >= 0:
+			if indexLoc(sc.locs, t.loc) >= 0 {
 				continue
-			case !st.lost(t.loc):
-				need = append(need, t)
-			default:
-				lBuf := s.getBuf()
-				err := s.recoverInto(st, t.loc, (*lBuf)[:s.unitSize], nil, sc.locs, nil)
-				if err == nil {
-					sc.sums.forgetSum()
-					t.foldInto(&sc.sums, (*lBuf)[:s.unitSize], 0)
-				}
-				s.putBuf(lBuf)
-				if err != nil {
+			}
+			if st.lost(t.loc) {
+				if err := s.recoverInto(st, sc, t.loc, nil, sc.locs); err != nil {
 					return err
 				}
 			}
+			need = append(need, t)
 			left--
 		}
 	}

@@ -48,8 +48,9 @@
 // lasts; beyond it the stripe's erased units are lost, not the operation:
 // the stripe is rewritten whole with each lost data unit as its poison
 // block, Stats.LostUnits counts them, reads of a lost unit report
-// ErrUnrecoverable until it is next written, and the read, write, scrub or
-// rebuild that found it carries on. Persistent errors score against the disk and
+// ErrUnrecoverable until it is next written (a range read still reads,
+// returns and heals every other unit it covers), and the read, write,
+// scrub or rebuild that found it carries on. Persistent errors score against the disk and
 // Config.FailThreshold can auto-Fail a dying device. Parity is made
 // crash-consistent by a region-granular write-intent log: a stripe's
 // region is durably marked dirty before its first write and cleared

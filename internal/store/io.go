@@ -173,6 +173,7 @@ func (s *Store) writeStamped(d Disk, dn int, off int64, phys []byte) error {
 // buffer its old contents were read into and folds the difference once.
 type term struct {
 	loc    layout.Loc
+	pos    int // loc's position in its stripe: where the hold's record keeps it
 	p      []byte
 	coef   byte
 	in     []byte // read into this physical buffer, not the gather's own
@@ -185,10 +186,10 @@ type term struct {
 // yet. The buffers come from the pool holding whatever their last user
 // left, and nobody clears them: the first term to reach a sum stores over
 // it (start) and only the later ones accumulate, so a sum of n terms costs
-// n−1 passes that read it back, not a clear and n. It lives on the
-// stripe's scratch, and gather folds into it once its batch is over, in
-// list order: the term that stores is the list's first, however the reads
-// were issued.
+// n−1 passes that read it back, not a clear and n. A parity update's lives
+// on the stripe's scratch, a solve's on its stack, and gather folds into it
+// once its batch is over, in list order: the term that stores is the list's
+// first, however the reads were issued.
 //
 // Beside P's bytes it keeps their crc32c, derived rather than computed
 // (xorSum): crc is the XOR of the crc32c of every unit folded into p, n
@@ -310,27 +311,9 @@ func store(sum, data []byte) {
 // sameBuf reports whether two non-empty slices start at the same byte.
 func sameBuf(a, b []byte) bool { return &a[0] == &b[0] }
 
-// damagedUnit records a unit a gather found damaged (media error or
-// checksum mismatch), in ascending item order, and where recoverInto is to
-// solve it (nil: pooled scratch).
-type damagedUnit struct {
-	idx int
-	loc layout.Loc
-	err error
-	out []byte
-}
-
-// readLive reads unit u, which must not be lost, into phys, as readPhys.
-func (s *Store) readLive(st *diskState, u layout.Loc, phys []byte) (uint32, error) {
-	if st.lost(u) {
-		return 0, fmt.Errorf("store: unit %v is lost", u)
-	}
-	return s.readPhys(st.disk(u), u.Disk, u.Offset, phys)
-}
-
-// gatherJob is what the items of one gather share: item i reads terms[i]
-// into the scratch's unit buffer i, or in place (term.in), and leaves its
-// damage and its crc32c in the scratch's slots i.
+// gatherJob is what the items of one gather share: item k reads the term
+// sc.todo[k] names into its position's unit buffer, or in place (term.in),
+// and records it in sc.
 type gatherJob struct {
 	s     *Store
 	st    *diskState
@@ -338,72 +321,90 @@ type gatherJob struct {
 	terms []term
 }
 
-// gather reads every listed unit as one batch, then folds each clean one
-// into its term's accumulators in sc.sums, in list order — so the term that
-// starts a sum is the same whether the batch ran inline or overlapped. It
-// is the first round of every parity update and the whole of every
-// reconstruction. A lost unit or a hard read error aborts it; damaged units
-// (needsHeal) are left out and returned in list order so callers holding
-// the stripe's write lock can heal them serially — healing rewrites units,
-// which must never race the batch's other reads. Caller holds (at least)
-// the stripe's read lock.
-func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term) ([]damagedUnit, error) {
-	err := fanOut(s, len(terms), gatherJob{s, st, sc, terms}, func(j gatherJob, i int) error {
-		sum, err := j.s.readLive(j.st, j.terms[i].loc, j.sc.readBuf(j.terms, i))
+// gather reads, as one batch, every listed unit the lock hold does not hold
+// yet, and records each in sc: clean with its crc32c, or damaged (needsHeal)
+// with its cause. If every term is then held clean or solved, it folds each
+// into its term's accumulators in sm, in list order — so the term that
+// starts a sum is the same whether the batch ran inline or overlapped — and
+// returns −1. Otherwise it folds nothing and returns the index of a term
+// held damaged, and the held units stay as they were read, for the caller
+// to solve the damaged ones from (recoverInto) under the write lock, or to
+// report; healing rewrites units, which must never race the batch's other
+// reads. A term folded over in place — a written unit's old contents turned
+// into old ⊕ new, a stored parity read into the sum it starts — is held no
+// longer. It is the first round of every parity update, the whole of every
+// reconstruction, and with readStripeSpan the store's one doorway for
+// reads. A lost unit not held, or a hard read error, aborts it. Caller
+// holds (at least) the stripe's read lock.
+func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term, sm *sums) (int, error) {
+	sc.todo = sc.todo[:0]
+	for i, t := range terms {
+		if sc.has[t.pos] == unread {
+			sc.todo = append(sc.todo, i)
+		}
+	}
+	err := fanOut(s, len(sc.todo), gatherJob{s, st, sc, terms}, func(j gatherJob, k int) error {
+		t := j.terms[j.sc.todo[k]]
+		if j.st.lost(t.loc) {
+			return fmt.Errorf("store: unit %v is lost", t.loc)
+		}
+		buf := t.in
+		if buf == nil {
+			buf = j.sc.phys[t.pos]
+		}
+		sum, err := j.s.readPhys(j.st.disk(t.loc), t.loc.Disk, t.loc.Offset, buf)
 		if err != nil && !needsHeal(err) {
 			return err
 		}
-		j.sc.errs[i], j.sc.crcs[i] = err, sum
+		j.sc.record(t.pos, buf, sum, err)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return -1, err
 	}
-	var damaged []damagedUnit
 	for i, t := range terms {
-		if err := sc.errs[i]; err != nil {
-			damaged = append(damaged, damagedUnit{idx: i, loc: t.loc, err: err})
-		} else {
-			t.foldInto(&sc.sums, sc.readBuf(terms, i)[:s.unitSize], sc.crcs[i])
+		if sc.has[t.pos] == damaged {
+			return i, nil
 		}
 	}
-	return damaged, nil
+	for _, t := range terms {
+		if sc.has[t.pos] == solved {
+			sm.forgetSum() // no read verified its crc32c
+		}
+		t.foldInto(sm, sc.at[t.pos][:s.unitSize], sc.crcs[t.pos])
+		if t.new != nil || t.in != nil {
+			sc.has[t.pos] = unread
+		}
+	}
+	return -1, nil
 }
 
-// readBuf is the physical buffer item i of a gather over terms reads into:
-// the scratch's unit buffer i, or the term's own (term.in).
-func (sc *stripeScratch) readBuf(terms []term, i int) []byte {
-	if terms[i].in != nil {
-		return terms[i].in
+// record notes in the hold's record that position j was read into buf:
+// clean, its crc32c sum, or damaged by err.
+func (sc *stripeScratch) record(j int, buf []byte, sum uint32, err error) {
+	sc.has[j], sc.at[j], sc.crcs[j], sc.errs[j] = clean, buf, sum, err
+	if err != nil {
+		sc.has[j] = damaged
 	}
-	return sc.phys[i]
 }
 
 // gatherHealing is gather for a parity update, which holds the stripe's
-// WRITE lock and writes sc.locs: the units the batch reports damaged go,
-// once its other reads are done, to recoverInto under that same lock —
-// their reads are not repeated — which solves them from the rest of the
-// stripe and rewrites them, each into the scratch's unit buffer of its
-// index (left free by its damaged read or, for a term read in place, never
-// used: its sum was started by the next term to reach it, over the damaged
-// bytes). They are folded in after all. A healed unit's crc32c is not
-// known, so P is then stamped by computing. No listed unit may be lost.
+// WRITE lock and writes sc.locs: when the batch finds units damaged,
+// recoverInto solves them under that same lock from what the batch read —
+// reading only the sources it lacks — and rewrites them, and the terms are
+// folded once all are held, the healed ones from where they were solved. A
+// healed unit's crc32c is not known, so P is then stamped by computing. A
+// listed unit that is lost must be held solved.
 func (s *Store) gatherHealing(st *diskState, sc *stripeScratch, terms []term) error {
-	damaged, err := s.gather(st, sc, terms)
-	if err != nil || len(damaged) == 0 {
+	i, err := s.gather(st, sc, terms, &sc.sums)
+	if err != nil || i < 0 {
 		return err
 	}
-	for i := range damaged {
-		damaged[i].out = sc.phys[damaged[i].idx][:s.unitSize]
-	}
-	if err := s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, sc.locs, nil, damaged[1:]...); err != nil {
+	if err := s.recoverInto(st, sc, terms[i].loc, nil, sc.locs); err != nil {
 		return err
 	}
-	sc.sums.forgetSum()
-	for _, d := range damaged {
-		terms[d.idx].foldInto(&sc.sums, d.out, 0)
-	}
-	return nil
+	_, err = s.gather(st, sc, terms, &sc.sums) // every term is held: nothing is read
+	return err
 }
 
 // healUnit rewrites damaged unit u with its reconstructed contents (heals a

@@ -2,8 +2,10 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -255,10 +257,14 @@ func TestLossOutlivesReopen(t *testing.T) {
 func TestLossThatWillNotClearIsReported(t *testing.T) {
 	lat := new(latentUnits)
 	var dropping atomic.Bool
+	var pReads atomic.Int64
 	s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 40, UnitSize: 512},
 		func(c call, pass func() error) error {
-			if dropping.Load() && c.op == opWrite && c.disk == lossP.Disk && c.off == lossP.Offset {
-				return nil
+			if dropping.Load() && c.disk == lossP.Disk && c.off == lossP.Offset {
+				if c.op == opWrite {
+					return nil
+				}
+				pReads.Add(1)
 			}
 			return lat.hook(c, pass)
 		})
@@ -283,6 +289,49 @@ func TestLossThatWillNotClearIsReported(t *testing.T) {
 	// Each rewrite loses the unit on the failed disk and P.
 	if got := s.Stats().LostUnits; got != 4*maxLosses {
 		t.Fatalf("LostUnits = %d, want %d: two units at each of %d rewrites, twice", got, 4*maxLosses, maxLosses)
+	}
+	// Each run reads P again, under a record forgotten since the rewrite:
+	// that read is what finds the rewrite dropped. The read's decode read
+	// it once more, under the read lock.
+	if got := pReads.Load(); got != 1+2*maxLosses {
+		t.Errorf("P read %d times, want %d: once under the read lock, then once per run of the read and of the write", got, 1+2*maxLosses)
+	}
+}
+
+// TestRangeReadReadsPastALoss: a range read whose first stripe is past its
+// budget (a data unit and P latent) still reads, returns and heals every
+// stripe after it — at one I/O worker, where the stripes run in order, and
+// at four with every batch overlapped — and only then returns
+// ErrUnrecoverable, naming the lost unit: the third stripe's latent unit is
+// healed and its bytes are in dst.
+func TestRangeReadReadsPastALoss(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			if workers > 1 {
+				forceOverlap(t)
+			}
+			lat := new(latentUnits)
+			s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 40, UnitSize: 512, IOWorkers: workers}, lat.hook)
+			fillAll(t, s, 1)
+			lat.add(s.mapper.Loc(0))
+			lat.add(layout.ParityLocOf(s.lay, 0, 0))
+			lat.add(s.mapper.Loc(2 * s.dataPerStripe)) // the third stripe's first data unit
+			healed := s.Stats().HealedUnits
+			us := int64(s.UnitSize())
+			buf := make([]byte, 3*s.dataPerStripe*us)
+			err := s.ReadRange(0, buf)
+			if !errors.Is(err, ErrUnrecoverable) || !strings.Contains(err.Error(), "data unit 0 ") {
+				t.Fatalf("ReadRange = %v, want ErrUnrecoverable for data unit 0", err)
+			}
+			for n := int64(1); n < 3*s.dataPerStripe; n++ {
+				if !patternMatches(buf[n*us:(n+1)*us], n, 1) {
+					t.Errorf("unit %d is not in dst", n)
+				}
+			}
+			if got := s.Stats().HealedUnits - healed; got != 1 {
+				t.Errorf("HealedUnits grew by %d, want 1: the third stripe's latent unit", got)
+			}
+		})
 	}
 }
 

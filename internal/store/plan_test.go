@@ -297,12 +297,15 @@ func TestWritePlanAccessCounts(t *testing.T) {
 		// the survivors the span leaves alone and writing nothing for the
 		// lost unit; a parity lost has no say in the rule — and two units
 		// lost at once, past its single-failure model: the unwritten one
-		// decoded first, one survivor gathered, then the decode's own
-		// three reads.
+		// decoded first, and the survivor the span leaves alone not read
+		// again, since the decode read it under the same lock hold — at
+		// G = 5 the decode's three reads are all, at G = 6 its four, one of
+		// them the written unit's old contents.
 		costRow{c: 11, g: 5, m: 1, lost: "written", k: 2, reads: 2, writes: 2, reconstruct: "no"},
 		costRow{c: 11, g: 5, m: 2, lost: "P", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
 		costRow{c: 11, g: 5, m: 2, lost: "Q", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
-		costRow{c: 11, g: 5, m: 2, lost: "written unwritten", k: 1, reads: 4, writes: 2, reconstruct: "no"},
+		costRow{c: 11, g: 5, m: 2, lost: "written unwritten", k: 1, reads: 3, writes: 2, reconstruct: "no"},
+		costRow{c: 11, g: 6, m: 2, lost: "written unwritten", k: 2, reads: 4, writes: 3, reconstruct: "no"},
 	)
 	playCosts(t, rows, func(t *testing.T, f *flatStore, rng *rand.Rand, start int64, k int) {
 		f.write(t, rng, f.WriteRange, start, int64(k))

@@ -28,9 +28,9 @@ import (
 // written, or lost in both: the store's ErrUnrecoverable), on the units
 // healed and lost, on the latent units left, and on parity
 // (CheckConsistency, CheckParity). Where a count rule differs, planeRows
-// names it, its kind and its reason, and the test adds the difference it
-// pins; every other difference fails the test with its seed and the step
-// list shrunk to a minimal one.
+// names it and its reason, and the test adds the difference it pins; every
+// other difference fails the test with its seed and the step list shrunk
+// to a minimal one.
 //
 // The fixed seeds reach every decode shape: a lone data unit, P and Q, the
 // pairs {P,Q}, {P,d}, {d,Q} and {d,d}, and a stripe past its budget; -v
@@ -74,7 +74,7 @@ func TestPlanesAgree(t *testing.T) {
 			}
 			t.Logf("decode shapes both planes reached: %s", strings.Join(sortedKeys(reached), " "))
 			for i, r := range planeRows {
-				t.Logf("%-11s %-20s met %d times", r.kind, r.rule, rows[i])
+				t.Logf("%-18s met %d times", r.rule, rows[i])
 			}
 		})
 	}
@@ -96,21 +96,9 @@ const planeSectors = 56
 // patterns are compared.
 const planeUnitSize = 64
 
-// rowKind says why a count rule differs between the planes.
-type rowKind string
-
-const (
-	// deliberate: the planes do a different thing on purpose.
-	deliberate rowKind = "deliberate"
-	// reread: a store repair reads again what its operation already read;
-	// one stripe plan shared by both planes would bring these to zero.
-	reread rowKind = "reread"
-)
-
 // planeRow is one count rule on which the store differs from the
-// simulator.
+// simulator on purpose.
 type planeRow struct {
-	kind   rowKind
 	rule   string
 	reason string
 }
@@ -120,51 +108,35 @@ const (
 	rowSmallWrite = iota
 	rowSplitWrite
 	rowSharedDecode
-	rowStopsAtLoss
 	rowTwoDown
-	rowGatherHealing
-	rowEscalation
-	rowSolveRounds
-	rowLoseStripe
 	rowCarryOn
 )
 
 // planeRows is the one list of the count rules on which the store and the
-// simulator differ, each with its reason; DESIGN.md §6 points here. A row
-// that changes counts adds exactly the store's extra reads its rule names
-// (want), a row that changes what the stream plays says so, and no row is
-// keyed to a seed.
+// simulator differ, each with its reason; DESIGN.md §6 points here. Every
+// row is deliberate: within one lock hold both planes read a unit once
+// (the store's record of the hold, stripeScratch), and the rows that read
+// more read under a new hold. A row that changes counts adds exactly the
+// store's extra reads its rule names (want), a row that changes what the
+// stream plays says so, and no row is keyed to a seed.
 var planeRows = [...]planeRow{
-	rowSmallWrite: {deliberate, "small write",
+	rowSmallWrite: {"small write",
 		"a one-unit write to a healthy single-parity stripe of G = 3 is §6's small write in the simulator: it reads the other data unit beside the data write, then writes P. " +
 			"The store takes the delta as at every G: it reads the old data and P, and not the other data unit. One more store read of each of the two, one fewer of the other unit. " +
 			"The two meet different units, so with a latent unit in the stripe they heal or lose different ones (the simulator loses a latent other unit: its data write has overwritten the old data a decode would need); " +
 			"the stream passes such a write over on both planes"},
-	rowSplitWrite: {deliberate, "split write",
+	rowSplitWrite: {"split write",
 		"the simulator writes a multi-unit share of a stripe that has lost a written unit or a parity one unit at a time; the store plans it as one update (internal/testdata/costs.txt prices that). " +
 			"The stream writes such a share one unit at a time on the store too"},
-	rowSharedDecode: {deliberate, "shared-lock decode",
-		"the store decodes a read's lost unit under the stripe's shared read lock, so the damaged sources that decode found are read again under the write lock before they are healed, as healRead reads the span's own damaged units again; " +
-			"the simulator decodes under its one exclusive lock. One more read of each damaged source outside the span"},
-	rowStopsAtLoss: {deliberate, "read stops at a loss",
-		"a range read returns ErrUnrecoverable at the first stripe that lost a unit it covers, and reads no stripe after it; the simulator, whose lost units are restored out of band, reads them all. " +
-			"The stream reads the stripes after it one ReadRange each"},
-	rowTwoDown: {deliberate, "two disks down",
+	rowSharedDecode: {"shared-lock decode",
+		"the store decodes a read's lost unit under the stripe's shared read lock, and repairs under the write lock, a new hold: the read lock was released, so a writer may have rewritten what the decode read. " +
+			"It reads again, under the write lock, each source the decode found damaged (as the simulator reads a span's own damaged units again) and, when the repair needs it, each source the decode read clean; " +
+			"the simulator decodes and repairs under its one exclusive lock. One more read of each"},
+	rowTwoDown: {"two disks down",
 		"the simulator holds one failed disk (SecondFail restores the second at once), so the stream fails one disk at a time, under P+Q too"},
-	rowGatherHealing: {reread, "gatherHealing",
-		"a write whose first round met damage hands recoverInto the damaged units but not the units the round read clean: the solve reads them again. " +
-			"One more read of each source of the first erasure set the round read clean"},
-	rowEscalation: {reread, "read-lock escalation",
-		"a degraded read whose decode met damage under the read lock is solved again under the write lock from the same erasure set, and the solve reads the sources the decode read clean again. " +
-			"One more read of each of them"},
-	rowSolveRounds: {reread, "recoverInto rounds",
-		"a solve that meets further damage gathers every source of the larger erasure set, the ones it has read clean under this lock hold too; the simulator reads only the new ones. " +
-			"One more read of each source read clean before"},
-	rowLoseStripe: {reread, "loseStripe",
-		"a stripe past its budget is rewritten from every data unit that is not erased, read again though the operation read it clean. One more read of each"},
-	rowCarryOn: {reread, "carryOn re-run",
-		"after a loss the operation runs again on the rewritten stripe (carryOn): a read reads its damaged units again, and decodes its lost unit again; a write its first round; " +
-			"a rebuild of a parity unit, which the rewrite does not write, decodes it again. One more read of each"},
+	rowCarryOn: {"carryOn re-run",
+		"after a loss the store runs the operation again on the rewritten stripe (carryOn), under a new record, so as to find a rewrite the device dropped: a read reads its damaged units again and decodes its lost unit again, from what it does not hold; a write its first round; " +
+			"a rebuild of a parity unit, which the rewrite does not write, decodes it again. The simulator carries on from the rewrite. One more read of each"},
 }
 
 // stepKind is what one step of the stream does.
@@ -403,8 +375,7 @@ func (p *planes) segments(unit, n int64) (segs [][2]int64) {
 }
 
 func (p *planes) read(unit, n int64) error {
-	segs := p.segments(unit, n)
-	for _, sg := range segs {
+	for _, sg := range p.segments(unit, n) {
 		if err := p.modelRead(sg[0], sg[1]); err != nil {
 			return err
 		}
@@ -427,40 +398,16 @@ func (p *planes) read(unit, n int64) error {
 		err = p.st.ReadRange(unit, buf)
 	}
 	p.bookLosses()
-	// rowStopsAtLoss: the stripes after the first lost one, one ReadRange
-	// each. Every stripe is checked against its own outcome.
-	outcome := make([]error, len(segs))
-	stop := len(segs)
-	for i, sg := range segs {
-		if slices.Contains(p.lost[sg[0]:sg[1]], true) {
-			stop = i
-			break
-		}
-	}
-	if stop < len(segs) {
-		if !errors.Is(err, ErrUnrecoverable) {
-			return fmt.Errorf("store: a read of lost units returned %v, want ErrUnrecoverable", err)
-		}
-		outcome[stop] = err
-		if stop+1 < len(segs) {
-			p.rows[rowStopsAtLoss]++
-		}
-		for i := stop + 1; i < len(segs); i++ {
-			sg := segs[i]
-			outcome[i] = p.st.ReadRange(sg[0], buf[(sg[0]-unit)*planeUnitSize:(sg[1]-unit)*planeUnitSize])
-		}
-	} else if err != nil {
+	switch lost := slices.Contains(p.lost[unit:unit+n], true); {
+	case lost && !errors.Is(err, ErrUnrecoverable):
+		return fmt.Errorf("store: a read of lost units returned %v, want ErrUnrecoverable", err)
+	case !lost && err != nil:
 		return fmt.Errorf("store: %v", err)
 	}
-	for i, sg := range segs {
-		lost := slices.Contains(p.lost[sg[0]:sg[1]], true)
-		switch err := outcome[i]; {
-		case lost && !errors.Is(err, ErrUnrecoverable):
-			return fmt.Errorf("store: a read of lost units in [%d,%d) returned %v, want ErrUnrecoverable", sg[0], sg[1], err)
-		case !lost && err != nil:
-			return fmt.Errorf("store: reading [%d,%d): %v", sg[0], sg[1], err)
-		case !lost && string(buf[(sg[0]-unit)*planeUnitSize:(sg[1]-unit)*planeUnitSize]) != string(p.pattern(sg[0], sg[1]-sg[0])):
-			return fmt.Errorf("store: [%d,%d) does not read back its last write", sg[0], sg[1])
+	for i := range n {
+		got := buf[i*planeUnitSize : (i+1)*planeUnitSize]
+		if !p.lost[unit+i] && string(got) != string(p.pattern(unit+i, 1)) {
+			return fmt.Errorf("store: unit %d does not read back its last write", unit+i)
 		}
 	}
 	return p.compare()
@@ -648,8 +595,9 @@ func (p *planes) shape(erased []layout.Loc) string {
 // it — the failed disk and the latent units — and the rule each plane
 // follows. Both planes solve one erasure set at a time, the same sets in
 // the same order (layout.RebuildSources, growing by each source found
-// unreadable, lost past the budget); the rows say which of their reads the
-// store makes again.
+// unreadable, lost past the budget), and neither reads a unit twice under
+// one lock hold; the rows say which reads the store makes again under a new
+// one.
 
 // lostOf returns stripe's unit on the failed disk.
 func (p *planes) lostOf(stripe int64) (layout.Loc, bool) {
@@ -706,38 +654,25 @@ func without(locs, drop []layout.Loc) []layout.Loc {
 	return slices.DeleteFunc(slices.Clone(locs), func(u layout.Loc) bool { return slices.Contains(drop, u) })
 }
 
-func union(a, b []layout.Loc) []layout.Loc {
-	out := slices.Clone(a)
-	for _, u := range b {
-		if !slices.Contains(out, u) {
-			out = append(out, u)
-		}
+// repair models one damaged stripe's repair from the erasure set erased.
+// Each round both planes read the sources of the set that they do not hold
+// under their lock hold, and a source found latent joins the set; past the
+// budget both read the data units not erased that they do not hold, and
+// rewrite the stripe's live units. The store holds what the simulator
+// holds but for stale, which it read under the read lock only
+// (rowSharedDecode) and reads again when it needs it. It reports whether
+// the stripe was lost.
+func (p *planes) repair(stripe int64, erased, stale []layout.Loc) bool {
+	again := func(locs []layout.Loc) {
+		need := slices.DeleteFunc(slices.Clone(locs), func(u layout.Loc) bool { return !slices.Contains(stale, u) })
+		p.reread(rowSharedDecode, need...)
+		stale = without(stale, need)
 	}
-	return out
-}
-
-// repair models one damaged stripe's repair from the erasure set erased,
-// with clean read clean under the operation's lock hold. Each round the
-// simulator reads the sources it has not read clean, the store all of
-// them: round 0's extra reads are row first's, later rounds' rowSolveRounds'.
-// A source found latent joins the set. Past the budget the store reads
-// every data unit not erased again (rowLoseStripe), the simulator those it
-// has not read, and both rewrite the stripe's live units. It reports
-// whether the stripe was lost.
-func (p *planes) repair(stripe int64, erased, clean []layout.Loc, first int) bool {
-	clean = slices.Clone(clean)
-	for round := 0; ; round++ {
+	for {
 		if len(erased) > p.m {
 			data := without(p.dataOf(stripe), erased)
-			var again []layout.Loc
-			for _, u := range data {
-				if slices.Contains(clean, u) {
-					again = append(again, u)
-				} else if p.latent[u] {
-					erased = append(erased, u)
-				}
-			}
-			p.reread(rowLoseStripe, again...)
+			again(data)
+			erased = append(erased, p.latentOf(data)...)
 			p.shapes["past the budget"] = true
 			for j := range p.lay.G() {
 				delete(p.latent, p.lay.Unit(stripe, j))
@@ -745,14 +680,9 @@ func (p *planes) repair(stripe int64, erased, clean []layout.Loc, first int) boo
 			return true
 		}
 		src := layout.RebuildSources(p.lay, erased...)
-		r := first
-		if round > 0 {
-			r = rowSolveRounds
-		}
-		p.reread(r, slices.DeleteFunc(slices.Clone(src), func(u layout.Loc) bool { return !slices.Contains(clean, u) })...)
+		again(src)
 		p.shapes[p.shape(erased)] = true
 		found := p.latentOf(src)
-		clean = union(clean, without(src, found))
 		if len(found) == 0 {
 			for _, u := range erased {
 				delete(p.latent, u)
@@ -780,10 +710,9 @@ func (p *planes) modelRead(lo, hi int64) error {
 		if len(found) == 0 {
 			return nil
 		}
-		direct := p.latentOf(span)
-		p.reread(rowSharedDecode, without(found, direct)...)
-		if p.repair(stripe, append([]layout.Loc{f}, found...), without(src, found), rowEscalation) {
-			p.reread(rowCarryOn, append(found, src...)...)
+		p.reread(rowSharedDecode, without(found, p.latentOf(span))...)
+		if p.repair(stripe, append([]layout.Loc{f}, found...), without(src, found)) {
+			p.reread(rowCarryOn, src...)
 		}
 		return nil
 	}
@@ -795,7 +724,7 @@ func (p *planes) modelRead(lo, hi int64) error {
 	if degraded {
 		erased = append([]layout.Loc{f}, damaged...)
 	}
-	if p.repair(stripe, erased, nil, rowSolveRounds) {
+	if p.repair(stripe, erased, nil) {
 		p.reread(rowCarryOn, damaged...)
 	}
 	return nil
@@ -860,7 +789,7 @@ func (p *planes) modelWrite(lo, hi int64) error {
 		if degraded {
 			erased = append([]layout.Loc{f}, damaged...)
 		}
-		if p.repair(stripe, erased, without(first, damaged), rowGatherHealing) {
+		if p.repair(stripe, erased, nil) {
 			p.reread(rowCarryOn, first...)
 		}
 	}
@@ -882,7 +811,7 @@ func (p *planes) modelRebuild(f layout.Loc) error {
 	if len(found) == 0 {
 		return nil
 	}
-	if p.repair(stripe, append([]layout.Loc{f}, found...), without(src, found), rowSolveRounds) && p.roleOf(f) != "d" {
+	if p.repair(stripe, append([]layout.Loc{f}, found...), nil) && p.roleOf(f) != "d" {
 		p.reread(rowCarryOn, src...)
 	}
 	return nil

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 
 	"declust/internal/layout"
 )
@@ -24,21 +25,57 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 // a range write's per-stripe job, or WriteUnit's one-unit span — that is
 // the units written, their new contents and those contents' crc32c, the
 // pre-reads the update needs, and the parity writes that finish it; a
-// reconstruction uses terms and eras, a verification terms and par. All of
-// them fold into sums, through the unit buffers a gather reads into; a span
-// read reads its live units into the same buffers.
+// verification uses terms and par, a repair (recoverInto) src and eras.
+//
+// Its G unit buffers, one per stripe position, carry the record of the
+// lock hold the job is under: what each position has been read as since
+// the hold began — unread, held clean with the crc32c its read verified,
+// held solved (decoded or healed, crc32c unknown), or damaged with its
+// cause. gather reads only the positions not held yet, so nothing read
+// clean under a hold is read again under it, and every repair reuses what
+// its operation read. The record is forgotten whenever the job may have
+// lost what it held: a scratch comes out of the pool forgotten
+// (getScratch), healRead forgets when it trades the read lock for the
+// write lock, and carryOn before it runs an operation again on a stripe
+// it has just rewritten.
 type stripeScratch struct {
 	locs    []layout.Loc
 	datas   [][]byte
 	newSums []uint32      // crc32c of each of datas, computed once: stamps the unit, derives P's
-	terms   []term        // how written units fold; or the reads of a solve or a verify
+	terms   []term        // how written units fold; or the reads of a verify or a heal
 	rest    []term        // first round: what the new parities must gather
+	src     []term        // a repair's reads: a solve's sources, a loss's data units
+	todo    []int         // the terms of a gather not held yet
 	par     []parityWrite // the live parity sums: second round, beside locs
 	eras    []erasure     // a solve's erased positions
-	sums    sums          // the job's P and Q sums, and which still wait for a first term
-	phys    [][]byte      // a gather's or a span read's physical unit buffers, one per item
-	errs    []error       // the damage each item of a gather or a span read found
-	crcs    []uint32      // the crc32c each clean item of a gather verified
+	sums    sums          // the update's P and Q sums, and which still wait for a first term
+
+	phys [][]byte  // position j's unit buffer: a gather or a span read reads it here
+	has  []holding // what the hold holds of position j
+	at   [][]byte  // a held position's contents: phys[j], a term's in, or where it was solved
+	errs []error   // a damaged position's cause
+	crcs []uint32  // a clean position's crc32c
+}
+
+// holding is what the record of a lock hold says of one stripe position.
+type holding uint8
+
+const (
+	unread  holding = iota
+	clean           // read and verified: at[j], crcs[j]
+	solved          // decoded or healed under this hold: at[j]
+	damaged         // read damaged (media error or checksum mismatch): errs[j]
+)
+
+// forget starts the record afresh: every position unread.
+func (sc *stripeScratch) forget() { clear(sc.has) }
+
+// getScratch takes a stripe job's scratch from the pool, its record
+// forgotten.
+func (s *Store) getScratch() *stripeScratch {
+	sc := s.scratch.Get().(*stripeScratch)
+	sc.forget()
+	return sc
 }
 
 // newStripeScratch sizes every list for a stripe of g units, m of them
@@ -51,9 +88,13 @@ func newStripeScratch(g, m, physSize int) *stripeScratch {
 		newSums: make([]uint32, 0, g),
 		terms:   make([]term, 0, g),
 		rest:    make([]term, 0, g),
+		src:     make([]term, 0, g),
+		todo:    make([]int, 0, g),
 		par:     make([]parityWrite, 0, m),
-		eras:    make([]erasure, 0, m),
+		eras:    make([]erasure, 0, g),
 		phys:    make([][]byte, g),
+		has:     make([]holding, g),
+		at:      make([][]byte, g),
 		errs:    make([]error, g),
 		crcs:    make([]uint32, g),
 	}
@@ -75,13 +116,31 @@ func (s *Store) span(stripe, start, n int64) (lo, hi int64) {
 
 // ReadRange reads the logical data units [start, start+len(dst)/UnitSize)
 // into dst, taking each stripe's lock once for all of its units; the
-// stripes are independent jobs (stripeJobs).
+// stripes are independent jobs (stripeJobs). Every stripe is read, and
+// healed, whatever another met: once all have run, a unit that read as its
+// poison block was lost (loseStripe), and the read is ErrUnrecoverable,
+// naming the lowest.
 func (s *Store) ReadRange(start int64, dst []byte) error {
 	n, err := s.stripeJobs(start, dst, (*Store).readStripeSpan)
+	if err == nil {
+		err = s.checkLost(start, dst)
+	}
 	if err == nil {
 		s.reads.Add(n)
 	}
 	return err
+}
+
+// checkLost returns ErrUnrecoverable naming the lowest data unit, counting
+// from start, whose contents in buf are its poison block, or nil.
+func (s *Store) checkLost(start int64, buf []byte) error {
+	us := s.unitSize
+	for i := 0; i < len(buf)/us; i++ {
+		if n := start + int64(i); isPoisonBlock(n, buf[i*us:(i+1)*us]) {
+			return fmt.Errorf("%w: data unit %d was lost", ErrUnrecoverable, n)
+		}
+	}
+	return nil
 }
 
 // rangeJob is what the per-stripe jobs of one range operation share.
@@ -113,7 +172,7 @@ func (s *Store) stripeJobs(start int64, buf []byte, job func(s *Store, stripe, s
 
 // spanJob is what the items of a span read share: item i reads unit lo+i
 // into the i-th unit of dst — a live one through the scratch's unit buffer
-// i — and leaves damage in the scratch's error slot i.
+// of its position — and records it in the scratch.
 type spanJob struct {
 	s   *Store
 	st  *diskState
@@ -125,49 +184,51 @@ type spanJob struct {
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe — into
 // dst, whose first byte corresponds to logical unit start, as one batch
 // under the stripe's read lock: a live unit is read — into the scratch's
-// unit buffer of its index, then copied out, a copy the Disk contract
+// unit buffer of its position, then copied out, a copy the Disk contract
 // forces (a physical unit is its data and trailer, contiguous) — and a
 // lost one reconstructed. A batch cannot repair (its reads share the
-// lock), so the damaged units it finds are collected and, once the read
-// lock is released, re-served together under the write lock (healRead),
-// as a gather's are. A unit that reads as its poison block was lost
-// (loseStripe), and is ErrUnrecoverable. ReadUnit is its one-unit span.
+// lock), so the damage it finds is recorded and, once the read lock is
+// released, re-served under the write lock (healRead). A lost unit reads
+// as its poison block (loseStripe); the caller checks (checkLost).
+// ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
-	sc := s.scratch.Get().(*stripeScratch)
+	sc := s.getScratch()
 	defer s.scratch.Put(sc)
-	us := s.unitSize
-	dst = dst[int(lo-start)*us : int(hi-start)*us]
+	dst = dst[int(lo-start)*s.unitSize : int(hi-start)*s.unitSize]
 	s.locks.rlock(stripe)
 	err := fanOut(s, int(hi-lo), spanJob{s, s.st.Load(), sc, lo, dst}, func(j spanJob, i int) error {
-		loc := j.s.mapper.Loc(j.lo + int64(i))
-		out := j.dst[i*j.s.unitSize : (i+1)*j.s.unitSize]
+		loc, pos := j.s.dataUnit(j.lo + int64(i))
+		buf, out := j.sc.phys[pos], j.dst[i*j.s.unitSize:(i+1)*j.s.unitSize]
+		var sum uint32
 		var err error
 		if j.st.lost(loc) {
 			if err = j.s.reconstructLocked(j.st, loc, out); err == nil {
 				j.s.degradedReads.Add(1)
+				j.sc.has[pos], j.sc.at[pos] = solved, out
+				return nil
 			}
-		} else if _, err = j.s.readPhys(j.st.disk(loc), loc.Disk, loc.Offset, j.sc.phys[i]); err == nil {
-			copy(out, j.sc.phys[i][:j.s.unitSize])
+		} else if sum, err = j.s.readPhys(j.st.disk(loc), loc.Disk, loc.Offset, buf); err == nil {
+			copy(out, buf[:j.s.unitSize])
 		}
 		if err != nil && !needsHeal(err) {
 			return err
 		}
-		j.sc.errs[i] = err
+		j.sc.record(pos, buf, sum, err)
 		return nil
 	})
 	s.locks.runlock(stripe)
-	for i := 0; err == nil && i < int(hi-lo); i++ {
-		if sc.errs[i] != nil {
-			err = s.healRead(stripe, lo, sc.errs[:hi-lo], dst)
-			break
-		}
-	}
-	for i := 0; err == nil && i < int(hi-lo); i++ {
-		if n := lo + int64(i); isPoisonBlock(n, dst[i*us:(i+1)*us]) {
-			err = fmt.Errorf("%w: data unit %d was lost", ErrUnrecoverable, n)
-		}
+	if err == nil && slices.Contains(sc.has, damaged) {
+		err = s.healRead(sc, stripe, lo, dst)
 	}
 	return err
+}
+
+// dataUnit returns data unit n's location, as s.mapper.Loc does, and its
+// position in its stripe, which that computes and drops.
+func (s *Store) dataUnit(n int64) (layout.Loc, int) {
+	stripe := n / s.dataPerStripe
+	j := layout.DataPos(s.lay, stripe, int(n%s.dataPerStripe))
+	return s.lay.Unit(stripe, j), j
 }
 
 // WriteRange writes src over the logical data units starting at start,
@@ -189,7 +250,7 @@ func (s *Store) WriteRange(start int64, src []byte) error {
 // parity update under the stripe's write lock. A unit's poison block is
 // refused, so every acknowledged write reads back.
 func (s *Store) writeStripeSpan(stripe, start, lo, hi int64, src []byte) error {
-	sc := s.scratch.Get().(*stripeScratch)
+	sc := s.getScratch()
 	defer s.scratch.Put(sc)
 	sc.locs, sc.datas = sc.locs[:0], sc.datas[:0]
 	us := int64(s.unitSize)

@@ -30,21 +30,22 @@ const (
 // resyncStripe verifies and repairs one stripe under its write lock (or
 // before the store serves traffic), from one pass over its units (see
 // syndromes). No unit of the stripe may be lost. The damaged units the
-// pass found go to recoverInto with the pass itself, whose sums are what
-// decode solves them from: within the code's budget they are solved and
-// rewritten reading nothing again, and past it the stripe is rewritten
-// whole with its lost units marked (loseStripe), from the data units the
-// pass read clean.
+// pass found go to recoverInto, which solves them from the units the pass
+// read clean and reads nothing again: within the code's budget they are
+// solved and rewritten, and past it the stripe is rewritten whole with its
+// lost units marked (loseStripe). A stored parity the pass found unbalanced
+// is recomputed from the pass's sum and its own contents, as the pass read
+// them.
 func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
-	sc := s.scratch.Get().(*stripeScratch)
+	sc := s.getScratch()
 	defer s.scratch.Put(sc)
-	_, _, damaged, err := s.syndromes(st, sc, stripe)
+	_, _, i, err := s.syndromes(st, sc, stripe)
 	defer s.putParity(sc)
 	if err != nil {
 		return fixNone, err
 	}
-	if len(damaged) > 0 {
-		switch err := s.recoverInto(st, damaged[0].loc, nil, damaged[0].err, nil, sc, damaged[1:]...); err {
+	if i >= 0 {
+		switch err := s.recoverInto(st, sc, sc.terms[i].loc, nil, nil); err {
 		case nil:
 			return fixUnit, nil
 		case errLost:
@@ -61,14 +62,8 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	fix := fixNone
 	for _, p := range sc.par {
 		if sum := (*p.buf)[:s.unitSize]; !allZero(sum) {
-			phys := s.getBuf()
-			_, err := s.readPhys(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *phys)
-			if err == nil {
-				subtle.XORBytes(sum, sum, (*phys)[:s.unitSize])
-				err = s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf)
-			}
-			s.putBuf(phys)
-			if err != nil {
+			subtle.XORBytes(sum, sum, sc.at[p.pos][:s.unitSize])
+			if err := s.writeStamped(st.disk(p.loc), p.loc.Disk, p.loc.Offset, *p.buf); err != nil {
 				return fixNone, fmt.Errorf("store: rewriting parity %v: %w", p.loc, err)
 			}
 			fix = fixParity

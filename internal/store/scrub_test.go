@@ -31,19 +31,24 @@ func TestScrubCleanStoreVerifiesEverything(t *testing.T) {
 // G = 4, 24 units per disk: every unit once, 168, and beside a rotted unit
 // only its own re-reads — readPhys reads a unit whose trailer does not
 // verify 1 + Retries times, 3 more — and nothing else. Within the budget
-// the damaged units are solved from the pass's own sums; past it the
-// stripe is rewritten from the data units the pass read (loseStripe).
+// the damaged units are solved from the units the pass read; past it the
+// stripe is rewritten from the data units the pass read (loseStripe); and
+// a parity whose write was dropped is recomputed from the pass's sum and
+// the contents the pass read it with, not read again.
 func TestScrubReadsEachUnitOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		m, rotted int
+		dropP     bool // a write of stripe 0's data unit 0 lands, and its P write is dropped
 		reads     int64
 	}{
-		{"clean", 1, 0, 168},
-		{"P/one-rotted", 1, 1, 171},
-		{"P+Q/one-rotted", 2, 1, 171},
-		{"P+Q/two-rotted", 2, 2, 174},
-		{"P/two-rotted-lost", 1, 2, 174},
+		{"clean", 1, 0, false, 168},
+		{"P/one-rotted", 1, 1, false, 171},
+		{"P+Q/one-rotted", 2, 1, false, 171},
+		{"P+Q/two-rotted", 2, 2, false, 174},
+		{"P/two-rotted-lost", 1, 2, false, 174},
+		{"P/lost-parity-write", 1, 0, true, 168},
+		{"P+Q/lost-parity-write", 2, 0, true, 168},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lay := testLayout(t, 7, 4)
@@ -51,16 +56,29 @@ func TestScrubReadsEachUnitOnce(t *testing.T) {
 				lay = testPQLayout(t, 7, 4)
 			}
 			var reads atomic.Int64
+			var drop atomic.Bool
+			p := layout.ParityLocOf(lay, 0, 0)
 			s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 24, UnitSize: 512, IOWorkers: 1, RebuildWorkers: 1},
 				func(c call, pass func() error) error {
 					if c.op == opRead {
 						reads.Add(1)
+					}
+					if c.op == opWrite && c.disk == p.Disk && c.off == p.Offset && drop.CompareAndSwap(true, false) {
+						return nil // acknowledged, dropped
 					}
 					return pass()
 				})
 			fillAll(t, s, 1)
 			for d := range tc.rotted {
 				rot(t, s, lay.Unit(0, layout.DataPos(lay, 0, d)))
+			}
+			if tc.dropP {
+				drop.Store(true)
+				buf := make([]byte, s.UnitSize())
+				fill(buf, 0, 2)
+				if err := s.WriteUnit(0, buf); err != nil {
+					t.Fatal(err)
+				}
 			}
 			reads.Store(0)
 			res, err := s.Scrub()
@@ -71,14 +89,17 @@ func TestScrubReadsEachUnitOnce(t *testing.T) {
 				t.Errorf("scrub read %d units, want %d", got, tc.reads)
 			}
 			lost := tc.rotted > tc.m
-			if res.UnitRepairs != int64(b2i(tc.rotted > 0 && !lost)) || res.Unrecoverable != int64(b2i(lost)) {
+			if res.UnitRepairs != int64(b2i(tc.rotted > 0 && !lost)) || res.Unrecoverable != int64(b2i(lost)) || res.ParityRewrites != int64(b2i(tc.dropP)) {
 				t.Errorf("scrub result %+v", res)
 			}
 			if err := s.CheckParity(); err != nil {
 				t.Fatal(err)
 			}
 			for n := int64(0); n < s.DataUnits(); n++ {
-				if !lost || n >= int64(tc.rotted) {
+				switch {
+				case tc.dropP && n == 0:
+					verifyUnit(t, s, n, 2)
+				case !lost || n >= int64(tc.rotted):
 					verifyUnit(t, s, n, 1)
 				}
 			}

@@ -632,76 +632,63 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 	if err := s.readStripeSpan(n/s.dataPerStripe, n, n, n+1, dst); err != nil {
 		return err
 	}
+	if err := s.checkLost(n, dst); err != nil {
+		return err
+	}
 	s.reads.Add(1)
 	return nil
 }
 
-// healRead re-serves the units of a span read that found damage — errs[i]
-// set for unit lo+i, whose contents go to the i-th unit of dst — under the
-// stripe's write lock, so it may repair. The read lock was released in
-// between, so a writer may have rewritten them: each damaged unit, and each
-// source a lost unit's decode found damaged (sourcesDamaged), is read again
-// (transient corruption clears too), and the damage still there goes to
-// recoverInto as one erasure list, with the span's lost unit, so they are
-// solved together and rewritten. A stripe found past its budget is
-// rewritten (loseStripe), and the read runs again on it.
-func (s *Store) healRead(stripe, lo int64, errs []error, dst []byte) error {
+// healRead re-serves, under the stripe's write lock so it may repair, the
+// units of a span read that met damage — damaged, or lost with a decode that
+// found damaged sources (sourcesDamaged) — as sc, the span read's scratch,
+// recorded them; unit lo+i lands in the i-th unit of dst. The read lock was
+// released in between, so a writer may have rewritten what it read: the
+// record is forgotten, and each such unit and each damaged source is read
+// again (transient corruption clears too). What is still damaged is solved
+// with the span's lost units by recoverInto, from what this hold reads, and
+// rewritten. A stripe found past its budget is rewritten (loseStripe), and
+// the read runs again on it.
+func (s *Store) healRead(sc *stripeScratch, stripe, lo int64, dst []byte) error {
+	us := s.unitSize
+	var redo []int                   // the span's units that met damage
+	again := make([]bool, s.lay.G()) // their positions and their decodes' damaged sources'
+	for i := 0; i < len(dst)/us; i++ {
+		if _, j := s.dataUnit(lo + int64(i)); sc.has[j] == damaged {
+			redo, again[j] = append(redo, i), true
+			var sd *sourcesDamaged
+			if errors.As(sc.errs[j], &sd) {
+				for _, k := range sd.pos {
+					again[k] = true
+				}
+			}
+		}
+	}
 	s.locks.lock(stripe)
 	defer s.locks.unlock(stripe)
-	us := s.unitSize
-	phys := s.getBuf()
-	defer s.putBuf(phys)
-	return carryOn(stripe, func() error {
+	sc.forget()
+	return carryOn(stripe, sc, func() error {
 		st := s.st.Load()
-		var again []damagedUnit // damaged under the read lock: read again
-		var lost []int          // the span's lost units
-		var found []damagedUnit // the damaged sources their decodes found
-		for i, e := range errs {
-			if e == nil {
-				continue
-			}
-			if u := s.mapper.Loc(lo + int64(i)); !st.lost(u) {
-				again = append(again, damagedUnit{loc: u, out: dst[i*us : (i+1)*us]})
-				continue
-			}
-			lost = append(lost, i)
-			var sd *sourcesDamaged
-			if errors.As(e, &sd) {
-				found = append(found, sd.units...)
+		terms := sc.terms[:0]
+		for j, a := range again {
+			if u := s.lay.Unit(stripe, j); a && !st.lost(u) {
+				terms = append(terms, term{loc: u, pos: j})
 			}
 		}
-		for _, d := range found {
-			if !st.lost(d.loc) && !slices.ContainsFunc(again, func(a damagedUnit) bool { return a.loc == d.loc }) {
-				again = append(again, damagedUnit{loc: d.loc})
-			}
+		if _, err := s.gather(st, sc, terms, &sums{}); err != nil {
+			return err
 		}
-		damaged := again[:0]
-		for _, d := range again {
-			_, err := s.readPhys(st.disk(d.loc), d.loc.Disk, d.loc.Offset, *phys)
-			switch {
-			case err == nil:
-				if d.out != nil {
-					copy(d.out, (*phys)[:us])
-				}
-			case needsHeal(err):
-				d.err = err
-				damaged = append(damaged, d)
-			default:
+		for _, i := range redo {
+			u, j := s.dataUnit(lo + int64(i))
+			out := dst[i*us : (i+1)*us]
+			if h := sc.has[j]; h == clean || h == solved {
+				copy(out, sc.at[j][:us])
+			} else if err := s.recoverInto(st, sc, u, out, nil); err != nil {
 				return err
 			}
-		}
-		if len(lost) == 0 {
-			if len(damaged) == 0 {
-				return nil
+			if st.lost(u) {
+				s.degradedReads.Add(1)
 			}
-			return s.recoverInto(st, damaged[0].loc, damaged[0].out, damaged[0].err, nil, nil, damaged[1:]...)
-		}
-		for _, i := range lost {
-			if err := s.recoverInto(st, s.mapper.Loc(lo+int64(i)), dst[i*us:(i+1)*us], nil, nil, nil, damaged...); err != nil {
-				return err
-			}
-			s.degradedReads.Add(1)
-			damaged = nil // solved and rewritten by the first
 		}
 		return nil
 	})
@@ -738,7 +725,7 @@ func (s *Store) writeStripeLocked(stripe int64, sc *stripeScratch) error {
 	if err := s.markIntent(r); err != nil {
 		return err
 	}
-	if err := carryOn(stripe, func() error { return s.commitStripeLocked(stripe, sc) }); err != nil {
+	if err := carryOn(stripe, sc, func() error { return s.commitStripeLocked(stripe, sc) }); err != nil {
 		// The stripe may now be parity-inconsistent (some units committed,
 		// others not). Its region stays intent-marked, and Sync refuses to
 		// clear any region until a clean scrub re-establishes consistency.
@@ -753,6 +740,7 @@ func (s *Store) writeStripeLocked(stripe int64, sc *stripeScratch) error {
 // it was derived (a P sum's; sums.pSum), or to be stamped by computing.
 type parityWrite struct {
 	loc     layout.Loc
+	pos     int // loc's position in the stripe
 	buf     *[]byte
 	sum     uint32
 	derived bool
@@ -955,9 +943,10 @@ func (s *Store) Rebuild(repl Disk) error {
 			loc := layout.Loc{Disk: target, Offset: off}
 			stripe, _ := s.lay.Locate(loc)
 			phys := *bufs[cur]
+			sc := s.getScratch()
 			s.locks.lock(stripe)
 			var f *failSlot
-			err := carryOn(stripe, func() error {
+			err := carryOn(stripe, sc, func() error {
 				// Run again after a loss, a lost data unit has landed here
 				// as its poison block; a parity unit is still to recompute.
 				stc := s.st.Load()
@@ -965,8 +954,9 @@ func (s *Store) Rebuild(repl Disk) error {
 					f = nil
 					return nil
 				}
-				return s.recoverInto(stc, loc, phys[:s.unitSize], nil, nil, nil)
+				return s.recoverInto(stc, sc, loc, phys[:s.unitSize], nil)
 			})
+			s.scratch.Put(sc)
 			if err == nil && f == nil {
 				s.locks.unlock(stripe)
 				return nil
@@ -1083,7 +1073,7 @@ func (s *Store) sweep(n int64, pause time.Duration, shard func() (step func(int6
 // damage; Scrub repairs it.
 func (s *Store) CheckParity() error {
 	check := func(stripe int64) error {
-		sc := s.scratch.Get().(*stripeScratch)
+		sc := s.getScratch()
 		defer s.scratch.Put(sc)
 		s.locks.rlock(stripe)
 		defer s.locks.runlock(stripe)
@@ -1091,10 +1081,10 @@ func (s *Store) CheckParity() error {
 		if s.stripeHasLost(st, stripe) {
 			return nil
 		}
-		px, qx, damaged, err := s.syndromes(st, sc, stripe)
+		px, qx, i, err := s.syndromes(st, sc, stripe)
 		defer s.putParity(sc)
-		if err == nil && len(damaged) > 0 {
-			err = damaged[0].err
+		if err == nil && i >= 0 {
+			err = sc.errs[sc.terms[i].pos]
 		}
 		switch {
 		case err != nil:

@@ -83,6 +83,26 @@ func TestOneBatchDecisionPoint(t *testing.T) {
 	}
 }
 
+// TestOneReadDoorway pins where the engine reads a unit: readPhys, the
+// one call of a backend's ReadUnit, is called only by gather, which reads
+// the units a stripe's lock hold does not hold yet and records them in the
+// hold's record (stripeScratch), and by readStripeSpan, a read's own span
+// under the read lock. A repair that read around the record — and so read
+// again what its operation read clean under the same hold — fails it.
+func TestOneReadDoorway(t *testing.T) {
+	calls := map[string]int{} // enclosing function → calls of readPhys
+	inspectFuncs(t, func(fn string, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "readPhys" {
+				calls[fn]++
+			}
+		}
+	})
+	if want := (map[string]int{"gather": 1, "readStripeSpan": 1}); !reflect.DeepEqual(calls, want) {
+		t.Errorf("readPhys called from %v, want %v", calls, want)
+	}
+}
+
 // TestNoInterfaceAssertions keeps the Disk contract closed: no non-test
 // file type-asserts to an interface type, so no method of a backend is
 // found by discovery, where a wrapper that embeds a Disk would silently
