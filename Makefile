@@ -82,12 +82,13 @@ bench-harness:
 	fi
 
 # Every Fuzz target in the module, FUZZTIME each, found by asking the
-# packages for their lists — a new target needs no edit here. Today eight:
+# packages for their lists — a new target needs no edit here. Today nine:
 # the GF(2^8) slice kernels against the scalar field ops and each
 # dispatching kernel against its portable loop, the crc32c kernel
 # (FuzzUpdate) against hash/crc32's Castagnoli table, the layout's helpers that
 # place data around parity (FuzzParityPositions) against a brute-force scan
-# of one stripe, the store's two-erasure decode (FuzzDecode) against a
+# of one stripe, the stripe plan (FuzzStripePlan) against the rules it is
+# drawn from, the store's two-erasure decode (FuzzDecode) against a
 # byte-at-a-time solution, the crc32c a parity's trailer is derived from
 # (FuzzTrailerSum) against crc32.Checksum of the units' XOR, and
 # the store's three on-disk parsers (superblock, intent log, checksum
@@ -205,7 +206,7 @@ cover:
 # suite under the race detector (once — the storage chaos and crash tests
 # included), the portable GF(2^8) and crc32c kernels under the store's
 # suite, the fault-injection lifecycle smoke, the benchmark harness's own
-# tests, ten seconds of each fuzz target (eight of them: 80 s), and a
+# tests, ten seconds of each fuzz target (nine of them: 90 s), and a
 # benchmark smoke pass.
 verify: fmt-check vet build race portable fault-smoke bench-harness fuzz bench-smoke
 	@echo "verify: OK"

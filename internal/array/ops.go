@@ -241,13 +241,14 @@ func (a *Array) term(k int, stripe int64, loc layout.Loc, v uint64) uint64 {
 	return weigh(k, layout.DataOrdinal(a.lay, stripe, j), v)
 }
 
-// paritySum is the k-th parity of the current contents of a set of one
-// stripe's data units. With k = 0 it is a plain XOR and the set may
-// include parity units too (the P equation sums to zero over the stripe).
-func (a *Array) paritySum(k int, stripe int64, locs []layout.Loc) uint64 {
+// paritySum is the k-th parity of the current contents of the units a
+// round of one stripe's transfers reads. With k = 0 it is a plain XOR and
+// the units may include parity units too (the P equation sums to zero over
+// the stripe).
+func (a *Array) paritySum(k int, stripe int64, xs []xfer) uint64 {
 	var v uint64
-	for _, u := range locs {
-		v ^= a.term(k, stripe, u, a.unitVal(u))
+	for _, x := range xs {
+		v ^= a.term(k, stripe, x.loc, a.unitVal(x.loc))
 	}
 	return v
 }
@@ -260,22 +261,18 @@ type target struct {
 	value uint64
 }
 
-// parityUnit is one of a stripe's parity units: P (k = 0) or Q (k = 1).
-type parityUnit struct {
-	k   int
-	loc layout.Loc
-}
-
 // userOp tracks one stripe's share of a user operation through its rounds
-// of transfers. A read's share is one round: the direct reads of the units
-// its disks still hold, whose values land in dst when the round completes
-// (fetched). A write's share — of a WriteRange — is, once its stripe lock
-// is held, a plan: at most two rounds, the units of the second usually
-// being the ones the first pre-read. The one planner, plan, fills it from
-// what the stripe has — which of its parity units are live, whether the
-// written units are — and how many of its data units the write covers;
-// run plays it: round 1, repair of its failed reads, round 2, finish. Every
-// write transfer carries the value its unit takes when its round completes.
+// of transfers. A read's share is a plan's one round of reads: the direct
+// reads of the units its disks still hold, whose values land in dst when
+// the round completes (fetched), or, when the span holds the stripe's lost
+// unit, the reads layout.PlanStripe lists, under the stripe lock, and the
+// decode (locked). A write's share — of a WriteRange — is, once its
+// stripe lock is held, a plan of at most two rounds, the units of the
+// second usually being the ones the first pre-read: layout.PlanStripe's,
+// priced here, or §6's small write, the one plan the simulator makes
+// itself (price). run plays it: round 1, repair of its failed reads, round
+// 2, finish. Every write transfer carries the value its unit takes
+// when its round completes.
 //
 // All of those values are computed while planning, i.e. when the first
 // round is submitted, not when it completes: the stripe lock guarantees no
@@ -286,25 +283,28 @@ type parityUnit struct {
 //
 // Nodes are pooled on the Array with the stage continuations pre-bound and
 // the plan's buffers kept, so unit reads and writes allocate nothing in
-// steady state, whatever the stripe's condition (the list of data units a
-// from-scratch plan reads excepted).
+// steady state, whatever the stripe's condition.
 type userOp struct {
 	a        *Array
 	stripe   int64
-	data     []target     // the units read, or what a write covers
-	live     []parityUnit // the stripe's available parity units, P first
+	data     []target // the units read, or what a write covers
+	pos      []int    // data's positions in the stripe
+	erased   []int    // the stripe's positions the plan treats as lost
+	plan     layout.Plan
 	rounds   [2][]xfer
-	names    [2]string // span of round 1 (or of a lone round 2), and of round 2 ("" stays in it)
-	redirect bool      // the plan writes a lost data unit to its replacement, reconstructing it
-	first    int64     // a read's first unit: unit n lands in dst[n-first]
+	names    [2]string  // span of round 1 (or of a lone round 2), and of round 2 ("" stays in it)
+	redirect bool       // the plan writes its lost data unit to the replacement, reconstructing it
+	rebuilt  layout.Loc // that unit
+	first    int64      // a read's first unit: unit n lands in dst[n-first]
 	dst      []uint64
 	done     func()
 	span     *telemetry.Span // root span handed over by the caller; nil when off
 	phase    *telemetry.Span // open lifecycle-phase child, ended by the stage that retires it
 
-	// Stage continuations, bound once per node.
+	// Stage continuations, bound once per node; a read and a write share
+	// the ones after the lock.
 	fetchedFn    func([]xfer)
-	planFn       func()
+	lockedFn     func()
 	repairFn     func([]xfer)
 	commitFn     func()
 	commitDoneFn func([]xfer)
@@ -316,9 +316,12 @@ func (a *Array) getOp() *userOp {
 		a.opFree = a.opFree[:n-1]
 		return op
 	}
-	op := &userOp{a: a}
+	g := a.lay.G()
+	buf := make([]int, 5*g) // one allocation: pos, erased and the plan's three lists
+	op := &userOp{a: a, pos: buf[:0:g], erased: buf[g : g : 2*g],
+		plan: layout.Plan{Reads: buf[2*g : 2*g : 3*g], Decode: buf[3*g : 3*g : 4*g], Writes: buf[4*g : 4*g : 5*g]}}
 	op.fetchedFn = op.fetched
-	op.planFn = op.plan
+	op.lockedFn = op.locked
 	op.repairFn = op.repair
 	op.commitFn = op.commit
 	op.commitDoneFn = op.commitDone
@@ -327,7 +330,7 @@ func (a *Array) getOp() *userOp {
 
 func (a *Array) putOp(op *userOp) {
 	op.data = op.data[:0]
-	op.live = op.live[:0]
+	op.pos = op.pos[:0]
 	op.rounds[0] = op.rounds[0][:0]
 	op.rounds[1] = op.rounds[1][:0]
 	op.names = [2]string{}
@@ -348,7 +351,7 @@ func (a *Array) putOp(op *userOp) {
 // stripe, may have rewritten them meanwhile, as the store's healRead
 // allows for — and the repair reads its sources afresh. A unit whose disk
 // failed since is not read again: it is lost, so the repair counts it as
-// an erasure, and the read decodes it as readLost would.
+// an erasure, and the read decodes it (decodeLost).
 func (op *userOp) fetched(fails []xfer) {
 	a := op.a
 	if len(fails) == 0 {
@@ -388,9 +391,10 @@ func (op *userOp) fetched(fails []xfer) {
 }
 
 // deliver puts the value of every unit read in dst, recycles the node and
-// calls done. A unit whose disk failed while it was read gets the value it
-// held when the read was issued: the platter answered before it went, and
-// a replacement installed since holds nothing yet.
+// calls done. A unit its disk cannot serve — lost, or failed while it was
+// read — gets the value planned for it: the one decoded, or the one it
+// held when its read was issued (the platter answered before it went, and
+// a replacement installed since holds nothing yet).
 func (op *userOp) deliver() {
 	a, done := op.a, op.done
 	for _, t := range op.data {
@@ -404,55 +408,91 @@ func (op *userOp) deliver() {
 	done()
 }
 
-// readLost reads a lost data unit into *v, then calls done: on-the-fly
-// reconstruction from its stripe's survivors, under the stripe lock — a
-// consistent multi-unit read that must not interleave with parity updates.
-// Under RedirectPiggyback with a replacement installed, the value is also
-// written there once the user has it.
-func (a *Array) readLost(sp *telemetry.Span, unit int64, v *uint64, done func()) {
-	loc := a.mapper.Loc(unit)
-	stripe, _ := a.lay.Locate(loc)
-	lockSp := sp.Child(telemetry.PhaseLockWait, a.eng.Now())
-	a.locks.acquire(stripe, func() {
-		lockSp.End(a.eng.Now())
-		// Re-evaluate: reconstruction or healing may have happened
-		// while waiting for the lock.
-		if loc.Disk != a.failed || a.redirectableRead(loc) {
-			a.phaseSpan = sp
-			a.io([]xfer{{loc: loc}}, userPriority, func(fails []xfer) {
-				a.repairThen(stripe, fails, nil, nil, userPriority, func() {
-					a.locks.release(stripe)
-					*v = a.unitVal(loc)
-					done()
-				})
-			})
-			return
+// erasures lists in out the positions of stripe an op must treat as lost:
+// none while no disk is failed, or else the failed disk's unit, unless it
+// serves the op directly — available, to a write; to a read, readable from
+// its rebuilt copy (redirectableRead).
+func (a *Array) erasures(stripe int64, read bool, out []int) []int {
+	out = out[:0]
+	for j := 0; a.failed >= 0 && j < a.lay.G(); j++ {
+		if u := a.lay.Unit(stripe, j); u.Disk == a.failed && (read && !a.redirectableRead(u) || !read && !a.available(u)) {
+			out = append(out, j)
 		}
+	}
+	return out
+}
+
+// locked plans the op once its stripe lock is held, so the failure state
+// it sees cannot change under it, and starts it: a write's share (price),
+// or a read's that holds the lost unit.
+func (op *userOp) locked() {
+	a, read := op.a, op.dst != nil
+	op.phase.End(a.eng.Now()) // lock wait is over; the plan opens the next phase
+	for _, t := range op.data {
+		_, j := a.lay.Locate(t.loc)
+		op.pos = append(op.pos, j)
+	}
+	op.erased = a.erasures(op.stripe, read, op.erased)
+	layout.PlanStripe(&op.plan, a.lay, op.stripe, !read, op.pos, op.erased)
+	if !read {
+		op.price()
+		op.run()
+		return
+	}
+	// A read's share that holds the lost unit (§7: a consistent multi-unit
+	// read must not interleave with parity updates). Its plan — the unit
+	// may have been rebuilt while the read waited, and is then read
+	// directly — reads one round: the span's other units and the decode's
+	// sources, G − m in all. The round's unreadable units are repaired
+	// (repair) before the read finishes (decoded).
+	for _, j := range op.plan.Reads {
+		op.read(a.lay.Unit(op.stripe, j))
+	}
+	a.phaseSpan = op.span
+	if len(op.plan.Decode) > 0 {
 		a.mOTFRecons.Inc()
-		otf := sp.Child(telemetry.PhaseOTF, a.eng.Now())
-		a.decodeLost(loc, otf, userPriority, func(value uint64) {
-			otf.End(a.eng.Now())
-			if a.cfg.Algorithm == RedirectPiggyback && (a.replacement || a.spareLay != nil) && !a.reconDone[loc.Offset] {
-				// The user's data is ready now; the piggybacked write to
-				// the replacement continues under the stripe lock. Its
-				// span is a fresh root: the user's response does not
-				// include it.
-				*v = value
-				done()
-				pg := a.spans.Root(telemetry.PhasePiggyback, telemetry.KindRecon, unit, a.eng.Now())
-				a.phaseSpan = pg
-				a.io([]xfer{{loc: loc, write: true}}, userPriority, func(_ []xfer) {
-					a.setUnitVal(loc, value)
-					a.markReconstructed(loc.Offset)
-					pg.End(a.eng.Now())
-					a.locks.release(stripe)
-				})
-				return
-			}
-			a.locks.release(stripe)
-			*v = value
-			done()
-		})
+		op.phase = op.span.Child(telemetry.PhaseOTF, a.eng.Now())
+		a.phaseSpan = op.phase
+	}
+	a.io(op.rounds[0], userPriority, op.repairFn)
+}
+
+// decoded finishes a locked read: the lost unit's value is its
+// layout.DecodeParity equation summed over what the round read — taken
+// from the model, which stands in for the backup when the repair found the
+// stripe past its code's budget. The array holds one failed disk, so a
+// read decodes at most one unit. Under RedirectPiggyback with a
+// replacement installed, the value is also written there once the user has
+// it, under the stripe lock, in a root span of its own: the user's
+// response does not include it.
+func (op *userOp) decoded() {
+	a, stripe := op.a, op.stripe
+	if len(op.plan.Decode) == 0 {
+		a.locks.release(stripe)
+		op.deliver()
+		return
+	}
+	j := op.plan.Decode[0]
+	lost, value := a.lay.Unit(stripe, j), a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, op.rounds[0])
+	i := slices.Index(op.pos, j)
+	op.data[i].value = value
+	unit := op.data[i].unit
+	op.phase.End(a.eng.Now())
+	piggyback := a.cfg.Algorithm == RedirectPiggyback && (a.replacement || a.spareLay != nil) && !a.reconDone[lost.Offset]
+	if !piggyback {
+		a.locks.release(stripe)
+	}
+	op.deliver()
+	if !piggyback {
+		return
+	}
+	pg := a.spans.Root(telemetry.PhasePiggyback, telemetry.KindRecon, unit, a.eng.Now())
+	a.phaseSpan = pg
+	a.io([]xfer{{loc: lost, write: true}}, userPriority, func(_ []xfer) {
+		a.setUnitVal(lost, value)
+		a.markReconstructed(lost.Offset)
+		pg.End(a.eng.Now())
+		a.locks.release(stripe)
 	})
 }
 
@@ -471,7 +511,7 @@ func (a *Array) decodeLost(loc layout.Loc, sp *telemetry.Span, prio int, then fu
 	a.phaseSpan = sp
 	a.io(phase, prio, func(fails []xfer) {
 		a.repairThen(stripe, fails, phase, nil, prio, func() {
-			then(a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, surv))
+			then(a.paritySum(layout.DecodeParity(a.lay, stripe, j), stripe, phase))
 		})
 	})
 	return surv
@@ -506,190 +546,96 @@ func (op *userOp) writeAt(r int, loc layout.Loc, v uint64) {
 	op.rounds[r] = append(op.rounds[r], xfer{loc: loc, write: true, val: v})
 }
 
-// writeData adds the covered data units' writes to round r.
-func (op *userOp) writeData(r int) {
-	for _, t := range op.data {
-		op.writeAt(r, t.loc, t.value)
-	}
-}
-
-// writeParities adds to the second round a write of each live parity,
-// recomputed from the new data and the current contents of others — the
-// stripe's data units the write does not cover, which the first round
-// reads unless there are none.
-func (op *userOp) writeParities(others []layout.Loc) {
-	a := op.a
-	for _, p := range op.live {
-		v := a.paritySum(p.k, op.stripe, others)
-		for _, t := range op.data {
-			v ^= a.term(p.k, op.stripe, t.loc, t.value)
-		}
-		op.writeAt(1, p.loc, v)
-	}
-}
-
-// planRMW plans the read-modify-write: pre-read the covered data units and
-// the live parities, then overwrite them all, each parity moved by the
-// data's change — 2(k+1) accesses under single parity, or P+Q with one
-// parity lost, the paper's four for k = 1 (§6); 2(k+2) with P and Q live.
-func (op *userOp) planRMW() {
-	a := op.a
-	op.names = [2]string{telemetry.PhasePreread, telemetry.PhaseCommit}
-	for _, t := range op.data {
-		op.read(t.loc)
-	}
-	op.writeData(1)
-	for _, p := range op.live {
-		v := a.unitVal(p.loc)
-		for _, t := range op.data {
-			v ^= a.term(p.k, op.stripe, t.loc, a.unitVal(t.loc)^t.value)
-		}
-		op.read(p.loc)
-		op.writeAt(1, p.loc, v)
-	}
-}
-
-// planFromScratch plans a write that builds every live parity from the
-// stripe's new contents: read the data units the write leaves alone, then
-// write the data, in round dataRound, and the parities. What it reads names
-// the plan:
+// price turns a write's plan into the two rounds of transfers, each write
+// carrying its unit's new value, and names their phases:
 //
-//   - nothing: the large write; at G = 2 mirroring, the parity unit a copy
-//     of the data unit (Copeland & Keller's interleaved declustering, §3);
-//   - some units: the reconstruct-write, or, with dataRound 0, the small
-//     write, its one read overlapping the data write;
-//   - with the written unit lost, whatever it reads: the fold. The parities
-//     carry the new value until the sweep rebuilds it; once a replacement
-//     is installed, every algorithm but Baseline also writes it there,
-//     which counts as reconstruction.
+//   - the delta: pre-read the written data and the live parities, then
+//     overwrite them all, each parity moved by the data's change — 2(k+1)
+//     accesses with one live parity, the paper's four for k = 1 (§6);
+//     2(k+2) with P and Q live. With no live parity there is nothing to
+//     keep, and the data is written alone (§7);
+//   - from scratch: read the data units the write leaves alone, then write
+//     the data and every live parity, built from the stripe's new contents
+//     — nothing read for the large write (at G = 2 mirroring, the parity a
+//     copy of the data, Copeland & Keller's interleaved declustering, §3),
+//     some units for the reconstruct-write, and with a written unit lost
+//     the fold: the parities carry its new value until the sweep rebuilds
+//     it, and once a replacement is installed every algorithm but Baseline
+//     also writes it there, which counts as reconstruction.
 //
-// A lost unit among the ones it would read would cost a decode, so the
-// read-modify-write runs instead, which never needs one.
-func (op *userOp) planFromScratch(lost bool, dataRound int) {
-	a := op.a
-	others := op.uncovered()
-	if !lost && slices.ContainsFunc(others, func(u layout.Loc) bool { return !a.available(u) }) {
-		op.planRMW()
-		return
-	}
-	op.read(others...)
-	switch {
-	case lost:
-		op.names[0] = telemetry.PhaseFold
-		op.redirect = (a.replacement || a.spareLay != nil) && a.cfg.Algorithm != Baseline
-		op.writeParities(others)
-		if op.redirect {
-			op.writeData(1)
-		}
-		return
-	case dataRound == 0:
+// It overrides the plan once: a one-unit write to a whole single-parity
+// stripe of G = 3 is §6's small write (its α = 0.1 exception), where the
+// layout plans the delta — overlap the read of the other data unit with the
+// data write, then write P from the two new values, three accesses. The
+// store takes the delta. The overlap has a price under latent errors: if
+// the read fails, the old data that would decode the other unit is
+// already overwritten, so that unit is lost (repairLocked).
+func (op *userOp) price() {
+	a, p := op.a, &op.plan
+	if a.parities == 1 && a.lay.G() == 3 && len(op.data) == 1 && len(op.erased) == 0 {
+		t := op.data[0]
+		other := a.lay.Unit(op.stripe, 3-op.pos[0]-a.lay.ParityPos(op.stripe, 0))
 		op.names = [2]string{telemetry.PhaseSWPreread, telemetry.PhaseSWCommit}
-	case a.lay.G() == 2:
+		op.read(other)
+		op.writeAt(0, t.loc, t.value)
+		op.writeAt(1, layout.ParityLoc(a.lay, op.stripe), a.unitVal(other)^t.value)
+		return
+	}
+	for _, j := range p.Reads {
+		op.read(a.lay.Unit(op.stripe, j))
+	}
+	fold := false
+	for _, j := range p.Writes {
+		loc := a.lay.Unit(op.stripe, j)
+		switch i := slices.Index(op.pos, j); {
+		case i < 0:
+			op.writeAt(1, loc, op.parity(j, loc))
+		case !a.available(loc):
+			fold = true
+			op.redirect, op.rebuilt = (a.replacement || a.spareLay != nil) && a.cfg.Algorithm != Baseline, loc
+			if op.redirect {
+				op.writeAt(1, loc, op.data[i].value)
+			}
+		default:
+			op.writeAt(1, loc, op.data[i].value)
+		}
+	}
+	switch {
+	case !p.FromScratch && len(p.Reads) == 0:
+		op.names[0] = telemetry.PhaseDataWrite
+	case fold:
+		op.names[0] = telemetry.PhaseFold
+	case p.FromScratch && a.lay.G() == 2:
 		op.names[0] = telemetry.PhaseMirror
-	case len(others) == 0:
+	case len(p.Reads) == 0:
 		op.names[0] = telemetry.PhaseCommit
 	default:
 		op.names = [2]string{telemetry.PhasePreread, telemetry.PhaseCommit}
 	}
-	op.writeData(dataRound)
-	op.writeParities(others)
 }
 
-// findLive lists the stripe's available parity units.
-func (op *userOp) findLive() {
-	a := op.a
-	for k := 0; k < a.parities; k++ {
-		if pl := layout.ParityLocOf(a.lay, op.stripe, k); a.available(pl) {
-			op.live = append(op.live, parityUnit{k, pl})
+// parity is the new value of the stripe's parity unit at position j, loc
+// — P's or Q's sum: under the delta its old value moved by each written
+// unit's change; from scratch the sum of the new data and of the units the
+// first round reads, which are the data units the write leaves alone.
+func (op *userOp) parity(j int, loc layout.Loc) uint64 {
+	a, k := op.a, 0
+	if j != a.lay.ParityPos(op.stripe, 0) {
+		k = 1
+	}
+	var v uint64
+	if op.plan.FromScratch {
+		v = a.paritySum(k, op.stripe, op.rounds[0])
+		for _, t := range op.data {
+			v ^= a.term(k, op.stripe, t.loc, t.value)
 		}
+		return v
 	}
-}
-
-// uncovered returns the stripe's data units the write does not cover, in
-// position order: nil, allocating nothing, when it covers them all.
-func (op *userOp) uncovered() []layout.Loc {
-	a := op.a
-	var out []layout.Loc
-	for d := 0; d < layout.DataPerStripe(a.lay); d++ {
-		u := a.lay.Unit(op.stripe, layout.DataPos(a.lay, op.stripe, d))
-		if !slices.ContainsFunc(op.data, func(t target) bool { return t.loc == u }) {
-			out = append(out, u)
-		}
+	v = a.unitVal(loc)
+	for _, t := range op.data {
+		v ^= a.term(k, op.stripe, t.loc, a.unitVal(t.loc)^t.value)
 	}
-	return out
-}
-
-// writable reports whether every parity unit of the write's stripe and
-// every unit the write covers is available.
-func (op *userOp) writable() bool {
-	a := op.a
-	for k := 0; k < a.parities; k++ {
-		if !a.available(layout.ParityLocOf(a.lay, op.stripe, k)) {
-			return false
-		}
-	}
-	return !slices.ContainsFunc(op.data, func(t target) bool { return !a.available(t.loc) })
-}
-
-// split recycles a multi-unit write and writes its units one at a time, as
-// separate one-unit writes sharing its span and completion: the write of a
-// stripe that has lost a unit or a parity is planned unit by unit.
-func (op *userOp) split() {
-	a, sp, part := op.a, op.span, join(len(op.data), op.done)
-	units := make([]int64, len(op.data))
-	for i, t := range op.data {
-		units[i] = t.unit
-	}
-	a.putOp(op)
-	for _, n := range units {
-		a.writeUnits(sp, part, n)
-	}
-}
-
-// plan is the array's one write planner. It runs with the stripe lock
-// held, so the failure state it sees cannot change under it, and starts
-// the plan it makes. The plan depends only on what the stripe has and on
-// how many of its data units the write covers, weighed by the rule the
-// store plans by, layout.FromScratch:
-//
-//   - no live parity: there is nothing to keep, so the write is the data
-//     alone (§7); the parity is recomputed from data when its turn in the
-//     sweep comes.
-//   - single parity, G = 3, one unit written: the small write (§6's
-//     α = 0.1 exception) — overlap the read of the other data unit with the
-//     data write, then write parity from the two new values, three
-//     accesses; the store takes the four-access delta here. The overlap
-//     has a price under latent errors: if the read fails, the old data
-//     that would decode the other unit is already overwritten, so that
-//     unit is lost (repairLocked).
-//   - the written unit lost, or layout.FromScratch: build every live parity
-//     from the stripe's new contents (planFromScratch).
-//   - otherwise: read-modify-write over the live parities (planRMW).
-//
-// A multi-unit write whose stripe lost a unit or a parity while it waited
-// for the lock is split, as WriteRange splits it before the lock.
-func (op *userOp) plan() {
-	a := op.a
-	op.phase.End(a.eng.Now()) // lock wait is over; run opens the next phase
-	if len(op.data) > 1 && !op.writable() {
-		a.locks.release(op.stripe)
-		op.split()
-		return
-	}
-	op.findLive()
-	g, k, lost := a.lay.G(), len(op.data), !a.available(op.data[0].loc)
-	switch {
-	case len(op.live) == 0:
-		op.names[0] = telemetry.PhaseDataWrite
-		op.writeData(1)
-	case a.parities == 1 && g == 3 && k == 1 && !lost:
-		op.planFromScratch(false, 0)
-	case lost || layout.FromScratch(g-a.parities, k):
-		op.planFromScratch(lost, 1)
-	default:
-		op.planRMW()
-	}
-	op.run()
+	return v
 }
 
 // run plays the plan: the first round if it has one, then commit.
@@ -705,16 +651,25 @@ func (op *userOp) run() {
 }
 
 // repair recovers the first round's unreadable units before the plan
-// continues, reading none of the round's clean reads again. The units the
+// continues, reading none of the round's clean reads again. The units a
 // write covers are not booked lost if the stripe is past its budget: they
-// take the write's new contents.
+// take the write's new contents. A read overwrites nothing.
 func (op *userOp) repair(fails []xfer) {
-	op.a.repairThen(op.stripe, fails, op.rounds[0], op.data, userPriority, op.commitFn)
+	written := op.data
+	if op.dst != nil {
+		written = nil
+	}
+	op.a.repairThen(op.stripe, fails, op.rounds[0], written, userPriority, op.commitFn)
 }
 
-// commit issues the second round.
+// commit issues a write's second round, or finishes a locked read
+// (decoded).
 func (op *userOp) commit() {
 	a := op.a
+	if op.dst != nil {
+		op.decoded()
+		return
+	}
 	a.land(op.rounds[0])
 	if name := op.names[1]; name != "" {
 		op.phase.End(a.eng.Now())
@@ -744,7 +699,7 @@ func (op *userOp) commitDone(_ []xfer) {
 		a.expected[t.unit] = t.value
 	}
 	if op.redirect {
-		a.markReconstructed(op.data[0].loc.Offset)
+		a.markReconstructed(op.rebuilt.Offset)
 	}
 	op.phase.End(a.eng.Now())
 	a.locks.release(op.stripe)

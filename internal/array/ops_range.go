@@ -48,8 +48,9 @@ func join(n int, done func()) func() {
 // into dst, invoking done once every value has landed. It is the array's
 // one way to read, as WriteRange is its one way to write: each stripe's
 // share of the range is one read (readUnits). Healthy units are read
-// directly, in parallel across disks; a lost unit is reconstructed on the
-// fly or, under the Redirect algorithms once rebuilt, read from the
+// directly, in parallel across disks; a share that holds a lost unit is
+// read under its stripe lock in one round, which decodes the unit on the
+// fly or, under the Redirect algorithms once rebuilt, reads it from the
 // replacement.
 func (a *Array) ReadRange(unit int64, dst []uint64, done func()) {
 	a.checkRange(unit, len(dst))
@@ -67,45 +68,39 @@ func (a *Array) ReadRange(unit int64, dst []uint64, done func()) {
 }
 
 // readUnits reads units, which share one stripe, into dst — unit n lands in
-// dst[n-first] — then calls done; sp is the user operation's root span. The
-// units a disk can serve (redirectableRead counts a rebuilt one) are one
-// round of direct reads; the stripe's lost unit, if the range holds it, is
-// read by readLost.
+// dst[n-first] — then calls done; sp is the user operation's root span.
+// When a disk can serve every unit (redirectableRead counts a rebuilt one)
+// they are one round of direct reads; when the share holds the stripe's
+// lost unit, it waits for the stripe lock and reads what its plan names
+// (userOp.locked).
 func (a *Array) readUnits(sp *telemetry.Span, first int64, dst []uint64, done func(), units ...int64) {
 	op := a.getOp()
-	lost := int64(-1)
+	direct := true
 	for _, n := range units {
-		if loc := a.mapper.Loc(n); loc.Disk != a.failed || a.redirectableRead(loc) {
-			op.data = append(op.data, target{unit: n, loc: loc, value: a.unitVal(loc)})
-			op.read(loc)
-		} else {
-			lost = n
-		}
-	}
-	if len(op.data) == 0 {
-		a.putOp(op)
-		a.readLost(sp, lost, &dst[lost-first], done)
-		return
-	}
-	if lost >= 0 {
-		done = join(2, done)
+		loc := a.mapper.Loc(n)
+		op.data = append(op.data, target{unit: n, loc: loc, value: a.unitVal(loc)})
+		direct = direct && (loc.Disk != a.failed || a.redirectableRead(loc))
 	}
 	op.stripe, _ = a.lay.Locate(op.data[0].loc)
-	op.first, op.dst, op.done = first, dst, done
+	op.first, op.dst, op.done, op.span = first, dst, done, sp
+	if !direct {
+		op.phase = sp.Child(telemetry.PhaseLockWait, a.eng.Now())
+		a.locks.acquire(op.stripe, op.lockedFn)
+		return
+	}
+	for _, t := range op.data {
+		op.read(t.loc)
+	}
 	a.phaseSpan = sp // segments attach to the root: one phase only
 	a.io(op.rounds[0], userPriority, op.fetchedFn)
-	if lost >= 0 {
-		a.readLost(sp, lost, &dst[lost-first], done)
-	}
 }
 
 // WriteRange writes count consecutive logical data units starting at unit,
 // invoking done when the array has committed data and parity. It is the
 // array's one way to write: each stripe's share of the range is one write,
-// planned once its stripe lock is held (userOp.plan) by the rule the store
-// plans by — large write, reconstruct-write or read-modify-write, with the
-// fold and the small write among them. The share of a stripe that has lost
-// a unit or a parity is written unit by unit.
+// planned once its stripe lock is held (userOp.locked) by the plan the
+// store runs too, layout.PlanStripe — large write, reconstruct-write,
+// read-modify-write or fold — or as §6's small write.
 func (a *Array) WriteRange(unit int64, count int, done func()) {
 	a.checkRange(unit, count)
 	a.mUserWrites.Inc()
@@ -131,12 +126,8 @@ func (a *Array) writeUnits(sp *telemetry.Span, done func(), units ...int64) {
 	op.stripe, _ = a.lay.Locate(op.data[0].loc)
 	op.done = done
 	op.span = sp
-	if len(units) > 1 && !op.writable() {
-		op.split()
-		return
-	}
 	op.phase = sp.Child(telemetry.PhaseLockWait, a.eng.Now())
-	a.locks.acquire(op.stripe, op.planFn)
+	a.locks.acquire(op.stripe, op.lockedFn)
 }
 
 func (a *Array) checkRange(unit int64, count int) {

@@ -2,8 +2,6 @@ package array
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,6 +10,7 @@ import (
 	"declust/internal/drive"
 	"declust/internal/layout"
 	"declust/internal/sim"
+	"declust/internal/testdata"
 )
 
 // arrayOf builds a 21-disk declustered array with parity stripe size g and
@@ -82,44 +81,18 @@ func unitWithLost(t *testing.T, a *Array, d int, role lostRole) int64 {
 	return -1
 }
 
-// costRow is one row of internal/testdata/costs.txt; its header says what
-// the columns mean.
-type costRow struct {
-	op, plane, lost, reconstruct, name string
-	c, g, m, k, reads, writes          int
-}
-
-// costRows returns the table's rows of op (R or W) for plane and for both.
-// A key (op C G m lost k) must have one both row, or one array row and then
-// one store row.
-func costRows(t *testing.T, op, plane string) []costRow {
+// costRows returns the rows of internal/testdata/costs.txt that price op
+// (R or W) on the simulator.
+func costRows(t *testing.T, op string) []testdata.Cost {
 	t.Helper()
-	text, err := os.ReadFile(filepath.Join("..", "testdata", "costs.txt"))
+	all, err := testdata.Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []costRow
-	planes := map[string]string{}
-	for _, line := range strings.Split(string(text), "\n") {
-		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
-			continue
-		}
-		var r costRow
-		if _, err := fmt.Sscan(line, &r.op, &r.plane, &r.c, &r.g, &r.m, &r.lost, &r.k, &r.reads, &r.writes, &r.reconstruct, &r.name); err != nil {
-			t.Fatalf("costs.txt: %q: %v", line, err)
-		}
-		if r.op != "R" && r.op != "W" {
-			t.Fatalf("costs.txt: %q: op %q, want R or W", line, r.op)
-		}
-		key := fmt.Sprint(r.op, r.c, r.g, r.m, r.lost, r.k)
-		planes[key] += " " + r.plane
-		if r.op == op && (r.plane == plane || r.plane == "both") {
+	var rows []testdata.Cost
+	for _, r := range all {
+		if r.For(op, "array") {
 			rows = append(rows, r)
-		}
-	}
-	for key, p := range planes {
-		if p != " both" && p != " array store" {
-			t.Errorf("costs.txt: key %s has rows%s; want both, or array then store", key, p)
 		}
 	}
 	return rows
@@ -128,20 +101,20 @@ func costRows(t *testing.T, op, plane string) []costRow {
 // tableArray builds row r's array and fails the disk that holds the unit r
 // says is lost, of the stripe the row's access starts; first is the
 // stripe's first data unit.
-func tableArray(t *testing.T, r costRow) (eng *sim.Engine, a *Array, first int64) {
+func tableArray(t *testing.T, r testdata.Cost) (eng *sim.Engine, a *Array, first int64) {
 	t.Helper()
-	eng, a = arrayOn(t, r.c, r.g, r.m, nil)
+	eng, a = arrayOn(t, r.C, r.G, r.M, nil)
 	const stripe = 3
 	// Stripe-index mapping: a stripe's data units are consecutive.
 	first = stripe * int64(layout.DataPerStripe(a.lay))
 	lost := layout.Loc{Disk: -1}
-	switch r.lost {
+	switch r.Lost {
 	case "written", "read":
 		lost = a.mapper.Loc(first)
 	case "unwritten", "unread":
-		lost = a.mapper.Loc(first + int64(r.k))
+		lost = a.mapper.Loc(first + int64(r.K))
 	case "P", "Q":
-		lost = layout.ParityLocOf(a.lay, stripe, strings.Index("PQ", r.lost))
+		lost = layout.ParityLocOf(a.lay, stripe, strings.Index("PQ", r.Lost))
 	}
 	if lost.Disk >= 0 {
 		if err := a.Fail(lost.Disk); err != nil {
@@ -161,12 +134,11 @@ var code = [...]string{1: "P", 2: "PQ"}
 // name reads too; the ones below them are the simulator's own. Each row then
 // checks the array stayed consistent and that the written units read back.
 func TestWritePlanAccessCounts(t *testing.T) {
-	for _, r := range costRows(t, "W", "array") {
-		r := r
-		t.Run(code[r.m]+"/"+r.name, func(t *testing.T) {
+	for _, r := range costRows(t, "W") {
+		t.Run(code[r.M]+"/"+r.Name, func(t *testing.T) {
 			eng, a, first := tableArray(t, r)
-			checkAccess(t, eng, a, r.reads, r.writes, func() { a.WriteRange(first, r.k, func() {}) })
-			checkReadBack(t, eng, a, first, r.k)
+			checkAccess(t, eng, a, r.Reads, r.Writes, func() { a.WriteRange(first, r.K, func() {}) })
+			checkReadBack(t, eng, a, first, r.K)
 		})
 	}
 	const failed = 2
@@ -224,12 +196,11 @@ func TestWritePlanAccessCounts(t *testing.T) {
 // simulator's own, a lost unit read with a replacement installed under
 // each kind of algorithm (§8). Every row checks the values read.
 func TestReadAccessCounts(t *testing.T) {
-	for _, r := range costRows(t, "R", "array") {
-		r := r
-		t.Run(code[r.m]+"/"+r.name, func(t *testing.T) {
+	for _, r := range costRows(t, "R") {
+		t.Run(code[r.M]+"/"+r.Name, func(t *testing.T) {
 			eng, a, first := tableArray(t, r)
-			got := make([]uint64, r.k)
-			checkAccess(t, eng, a, r.reads, r.writes, func() { a.ReadRange(first, got, func() {}) })
+			got := make([]uint64, r.K)
+			checkAccess(t, eng, a, r.Reads, r.Writes, func() { a.ReadRange(first, got, func() {}) })
 			checkValues(t, a, first, got)
 		})
 	}
@@ -319,4 +290,38 @@ func bothCodes(t *testing.T, body func(t *testing.T, m int)) {
 		m := m
 		t.Run(fmt.Sprintf("parities=%d", m), func(t *testing.T) { body(t, m) })
 	}
+}
+
+// TestMultiUnitFoldRebuildsItsLostUnit: a two-unit write to a stripe whose
+// second data unit written is lost, under Redirect with a replacement
+// installed, is one fold — it reads the two data units it leaves alone and
+// writes the live one, P, and the lost one to the replacement — and marks
+// that lost unit reconstructed, not the first unit it writes: a read of it
+// afterwards is one direct access to the replacement, not a decode.
+func TestMultiUnitFoldRebuildsItsLostUnit(t *testing.T) {
+	const failed = 2
+	eng, a := arrayOf(t, 5, 1, func(c *Config) { c.Algorithm = Redirect })
+	if err := a.Fail(failed); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Replace(); err != nil {
+		t.Fatal(err)
+	}
+	dps := int64(layout.DataPerStripe(a.lay))
+	lost := int64(-1)
+	for n := int64(0); n < a.DataUnits() && lost < 0; n++ {
+		if n%dps != 0 && a.mapper.Loc(n).Disk == failed {
+			lost = n
+		}
+	}
+	if lost < 0 {
+		t.Fatalf("no data unit on disk %d past the first of its stripe", failed)
+	}
+	checkAccess(t, eng, a, 2, 3, func() { a.WriteRange(lost-1, 2, func() {}) })
+	if off := a.mapper.Loc(lost).Offset; !a.reconDone[off] {
+		t.Fatalf("the fold left unit %d (d%d:%d) unreconstructed", lost, failed, off)
+	}
+	got := make([]uint64, 1)
+	checkAccess(t, eng, a, 1, 0, func() { a.ReadRange(lost, got, func() {}) })
+	checkValues(t, a, lost, got)
 }

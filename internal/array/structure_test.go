@@ -77,3 +77,17 @@ func TestOneErasurePath(t *testing.T) {
 		t.Errorf("reconStep references %v and builds %d write transfers; want none, and its own one write", inRecon, writes)
 	}
 }
+
+// TestOnePlanner keeps the write rule in the layout: no function of the
+// package calls layout.FromScratch. A stripe's accesses are the plan
+// layout.PlanStripe makes, which the store runs too, priced here with one
+// override, §6's small write; a second choice of plan beside it fails this.
+func TestOnePlanner(t *testing.T) {
+	inspectFuncs(t, func(fn string, n ast.Node) {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "FromScratch" {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "layout" {
+				t.Errorf("%s calls layout.FromScratch", fn)
+			}
+		}
+	})
+}

@@ -15,10 +15,7 @@
 // is Q (the GF(2^8) Reed–Solomon sum; see internal/gf256).
 package layout
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Loc addresses one stripe unit: a disk and a unit offset on that disk.
 type Loc struct {
@@ -138,11 +135,11 @@ func DecodeParity(l Layout, stripe int64, j int) int {
 // unit (the large write), or at least two and it leaves no more unwritten
 // than it writes (the reconstruct-write). The delta's parity reads stay out
 // of the comparison, since from scratch costs more in bytes (DESIGN.md,
-// "The simulator's write plans"), and a one-unit write of a wider stripe is
-// the paper's small write, always a delta. This is the one home of the
-// rule; each engine adds its own failure-state checks — a lost written unit
-// has no old contents, so from scratch, and a lost unwritten one would cost
-// a decode, so the delta.
+// "The stripe plan"), and a one-unit write of a wider stripe is the paper's
+// small write, always a delta. This is the one home of the rule, and
+// PlanStripe its one caller outside tests: it adds the failure-state checks
+// — a lost written unit has no old contents, so from scratch, and a lost
+// unwritten one would cost a decode, so the delta.
 func FromScratch(dataUnits, written int) bool {
 	return written == dataUnits || written >= 2 && dataUnits-written <= written
 }
@@ -159,24 +156,19 @@ func RebuildSources(l Layout, erased ...Loc) []Loc {
 	if len(erased) == 0 || len(erased) > l.Parities() {
 		return nil
 	}
-	stripe, first := l.Locate(erased[0])
-	for _, u := range erased[1:] {
-		if s, _ := l.Locate(u); s != stripe {
+	stripe, _ := l.Locate(erased[0])
+	pos := make([]int, len(erased))
+	for i, u := range erased {
+		s, j := l.Locate(u)
+		if s != stripe {
 			panic(fmt.Sprintf("layout: erasures %v span stripes %d and %d", erased, stripe, s))
 		}
+		pos[i] = j
 	}
-	via := -1 // every parity is read, unless a lone erasure skips some
-	if len(erased) == 1 {
-		via = l.ParityPos(stripe, DecodeParity(l, stripe, first))
-	}
-	g := l.G()
-	out := make([]Loc, 0, g-len(erased))
-	for j := 0; j < g; j++ {
-		u := l.Unit(stripe, j)
-		if slices.Contains(erased, u) || (via >= 0 && j != via && IsParityPos(l, stripe, j)) {
-			continue
-		}
-		out = append(out, u)
+	src := sources(l, stripe, pos, make([]int, 0, l.G()-len(erased)))
+	out := make([]Loc, len(src))
+	for i, j := range src {
+		out[i] = l.Unit(stripe, j)
 	}
 	return out
 }

@@ -18,6 +18,16 @@ func ParityLocOf(l Layout, stripe int64, k int) Loc {
 // position, so no position equals it or lies beyond it.
 const noQ = math.MaxInt
 
+// ParityPositions returns the positions of stripe s's P and Q, P first:
+// Q's is past every position (noQ) when the stripe carries P alone.
+func ParityPositions(l Layout, stripe int64) [2]int {
+	pq := [2]int{l.ParityPos(stripe, 0), noQ}
+	if l.Parities() == 2 {
+		pq[1] = l.ParityPos(stripe, 1)
+	}
+	return pq
+}
+
 // parityPositions returns stripe s's parity positions in ascending order,
 // hi = noQ when the stripe carries P alone. It asks for Q only when there
 // is one.

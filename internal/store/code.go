@@ -1,11 +1,11 @@
 package store
 
 import (
-	"cmp"
 	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"declust/internal/gf256"
 	"declust/internal/layout"
@@ -59,16 +59,6 @@ type erasure struct {
 	cause error  // the read error that erased a damaged unit; nil for a lost one
 }
 
-// parityPos returns the positions of stripe's P and Q units, −1 for a
-// parity the code does not have.
-func (s *Store) parityPos(stripe int64) (pp [2]int) {
-	pp = [2]int{-1, -1}
-	for k := 0; k < s.parities; k++ {
-		pp[k] = s.lay.ParityPos(stripe, k)
-	}
-	return pp
-}
-
 // erasures lists, in position order, what recovering unit u of stripe
 // solves: every lost unit of the stripe, every position sc's record holds
 // damaged — its cause with it, for recoverInto to charge once the stripe
@@ -77,7 +67,7 @@ func (s *Store) parityPos(stripe int64) (pp [2]int) {
 // damage may take the list past it, which recoverInto checks.
 func (s *Store) erasures(st *diskState, sc *stripeScratch, stripe int64, u layout.Loc, out []byte) []erasure {
 	list := sc.eras[:0]
-	pp := s.parityPos(stripe)
+	pp := layout.ParityPositions(s.lay, stripe)
 	for j, g := 0, s.lay.G(); j < g; j++ {
 		v := s.lay.Unit(stripe, j)
 		if v != u && sc.has[j] != damaged && !st.lost(v) {
@@ -131,7 +121,7 @@ func sumOwners(list []erasure) (p, q *erasure) {
 // The units listed are layout.RebuildSources of the erasure set, the rule
 // the simulator reads by (TestRebuildReadsMatchLayout).
 func (s *Store) sumTerms(stripe int64, terms []term, erased []erasure, px, qx []byte) []term {
-	pp := s.parityPos(stripe)
+	pp := layout.ParityPositions(s.lay, stripe)
 	d := 0
 next:
 	for j, g := 0, s.lay.G(); j < g; j++ {
@@ -224,43 +214,6 @@ func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []era
 	return false, nil
 }
 
-// reconstructLocked computes loc (lost) into dst from its stripe's
-// survivors: under single parity the XOR of the other G−1 units, under P+Q
-// the decode around up to two lost units. Caller holds (at least) the
-// stripe's read lock; damaged survivors are reported (sourcesDamaged, which
-// needsHeal accepts), not repaired — repairing requires the write lock,
-// which healRead takes for the exclusive retry.
-func (s *Store) reconstructLocked(st *diskState, loc layout.Loc, dst []byte) error {
-	sc := s.getScratch()
-	defer s.scratch.Put(sc)
-	stripe, _ := s.lay.Locate(loc)
-	more, err := s.solve(st, sc, stripe, s.erasures(st, sc, stripe, loc, dst))
-	if err != nil || !more {
-		return err
-	}
-	sd := &sourcesDamaged{}
-	for j, h := range sc.has {
-		if h == damaged {
-			sd.pos = append(sd.pos, j)
-			sd.err = cmp.Or(sd.err, sc.errs[j])
-		}
-	}
-	return sd // escalates to healRead, which may absorb it
-}
-
-// sourcesDamaged is a degraded read's error when the decode of its lost unit
-// found survivors damaged: it wraps the first one's read error, so needsHeal
-// holds, and lists their stripe positions, so healRead, under the write
-// lock, reads each again and solves what is still damaged with the lost
-// unit at once.
-type sourcesDamaged struct {
-	err error
-	pos []int
-}
-
-func (e *sourcesDamaged) Error() string { return e.err.Error() }
-func (e *sourcesDamaged) Unwrap() error { return e.err }
-
 // recoverInto is the store's one heal path and the one place the erasure
 // budget is checked. Under the stripe's WRITE lock, held by the operation
 // whose scratch is sc, it computes the contents of unit u — lost, or held
@@ -352,14 +305,14 @@ func carryOn(stripe int64, sc *stripeScratch, op func() error) error {
 // written, which the caller's write overwrites. It returns errLost, or the
 // error that stopped the rewrite.
 func (s *Store) loseStripe(st *diskState, sc *stripeScratch, stripe int64, written []layout.Loc) error {
-	pp := s.parityPos(stripe)
+	pp := layout.ParityPositions(s.lay, stripe)
 	terms := sc.src[:0]
 	for j, g := 0, s.lay.G(); j < g; j++ {
 		if u := s.lay.Unit(stripe, j); j != pp[0] && j != pp[1] && !st.lost(u) {
 			terms = append(terms, term{loc: u, pos: j})
 		}
 	}
-	if _, err := s.gather(st, sc, terms, &sums{}); err != nil {
+	if _, err := s.gather(st, sc, terms, nil); err != nil {
 		return err
 	}
 	// A full-stripe write gathers nothing: a scratch of its own carries the
@@ -367,12 +320,12 @@ func (s *Store) loseStripe(st *diskState, sc *stripeScratch, stripe int64, writt
 	// in the erased units' buffers.
 	w := s.getScratch()
 	defer s.scratch.Put(w)
-	w.locs, w.datas = w.locs[:0], w.datas[:0]
+	w.pos, w.locs, w.datas = w.pos[:0], w.locs[:0], w.datas[:0]
 	n, lost := stripe*s.dataPerStripe, int64(0)
 	for j, g := 0, s.lay.G(); j < g; j++ {
 		u := s.lay.Unit(stripe, j)
 		erased := st.lost(u) || sc.has[j] == damaged
-		if erased && indexLoc(written, u) < 0 {
+		if erased && !slices.Contains(written, u) {
 			lost++
 		}
 		if j == pp[0] || j == pp[1] {
@@ -383,6 +336,7 @@ func (s *Store) loseStripe(st *diskState, sc *stripeScratch, stripe int64, writt
 			data = sc.phys[j]
 			poisonBlock(n, data[:s.unitSize])
 		}
+		w.pos = append(w.pos, j)
 		w.locs = append(w.locs, u)
 		w.datas = append(w.datas, data[:s.unitSize])
 		n++
@@ -435,23 +389,24 @@ func (s *Store) syndromes(st *diskState, sc *stripeScratch, stripe int64) (px, q
 	return px, qx, i, err
 }
 
-// commitStripeLocked performs the stripe's parity-maintaining update in
-// two rounds of independent accesses, each issued as one batch: gather
-// whatever the new parities need beyond the new contents themselves, then
-// write data and parity. However many units are written, the update is
-// two device waits when the batches overlap, and the same accesses in
-// index order when they do not. Caller holds the stripe's write lock and
-// the region's intent mark.
+// commitStripeLocked performs the stripe's parity-maintaining update: the
+// plan layout.PlanStripe makes of the span and the stripe's lost units, run
+// as two rounds of independent accesses, each issued as one batch — gather
+// what the plan reads, then write data and parity (commitWrites). However
+// many units are written, the update is two device waits when the batches
+// overlap, and the same accesses in index order when they do not. Caller
+// holds the stripe's write lock and the region's intent mark; sc.pos holds
+// the positions of sc.locs.
 //
 //   - delta: gather the old parities and old data, and fold each written
 //     unit's difference old ⊕ new into P bare and into Q times g^d: read
 //     P[,Q],D then write D,P[,Q], the four-access small write under single
 //     parity and the six-access one under P+Q;
-//   - from scratch: gather the data units the span does not write and
-//     build the parities from the stripe's new contents — nothing to gather
-//     for a large write, the minority of the stripe for a reconstruct-write,
-//     and the fold-forward when a written unit is lost (a lost unwritten
-//     one is decoded from the old parities first). fromScratch chooses;
+//   - from scratch: gather the data units the span leaves alone and build
+//     the parities from the stripe's new contents — nothing to gather for a
+//     large write, the minority of the stripe for a reconstruct-write, and
+//     the fold when a written unit is lost, after decoding a lost unit it
+//     leaves alone (the plan's Decode);
 //   - a lost parity unit is simply not written (its rebuild recomputes
 //     it); with every parity lost the data writes go through alone (§7).
 //
@@ -464,6 +419,8 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	for _, d := range sc.datas {
 		sc.newSums = append(sc.newSums, dataSum(d))
 	}
+	plan := &sc.plan
+	layout.PlanStripe(plan, s.lay, stripe, true, sc.pos, s.lostPositions(st, stripe, nil, sc.erased))
 	px, qx := s.paritySums(st, sc, stripe)
 	defer s.putParity(sc)
 	if len(sc.par) == 0 {
@@ -474,28 +431,26 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 	wr := sc.terms[:len(sc.locs)]
 	writtenLost := false
 	for i, loc := range sc.locs {
-		_, j := s.lay.Locate(loc)
-		wr[i] = term{loc: loc, pos: j, p: px}
+		wr[i] = term{loc: loc, pos: sc.pos[i], p: px}
 		if qx != nil {
-			wr[i].coef = gf256.Exp(layout.DataOrdinal(s.lay, stripe, j))
+			wr[i].coef = gf256.Exp(layout.DataOrdinal(s.lay, stripe, sc.pos[i]))
 		}
 		writtenLost = writtenLost || st.lost(loc)
 	}
 
-	// First round: whatever the sums need from the disks, gathered and
-	// folded in list order.
+	// First round: what the plan reads, gathered and folded in list order.
 	need := sc.rest[:0]
-	scratch := s.fromScratch(st, stripe, len(sc.locs), writtenLost)
 	switch {
-	case !scratch:
+	case !plan.FromScratch:
 		// Delta read-modify-write: P' = P ⊕ Σ(old ⊕ new) and Q' = Q ⊕
-		// Σ g^d·(old ⊕ new). The stored parities are listed first and read
-		// in place, into the buffers they are written back from, so each
-		// starts its sum with no pass; each written unit's term carries its
-		// new contents, and its fold forms old ⊕ new where the old contents
-		// were read and folds it once, in one pass into both sums. Every
-		// written unit reaches every live sum, so none ends unreached. Lost
-		// unwritten units don't disturb the delta.
+		// Σ g^d·(old ⊕ new). The plan reads the written units and the live
+		// parities, the ones paritySums queued; the stored parities are
+		// listed first and read in place, into the buffers they are written
+		// back from, so each starts its sum with no pass; each written
+		// unit's term carries its new contents, and its fold forms old ⊕ new
+		// where the old contents were read and folds it once, in one pass
+		// into both sums. Every written unit reaches every live sum, so none
+		// ends unreached. Lost unwritten units don't disturb the delta.
 		sc.sums = startSums(px, qx) // px is nil with P lost
 		for _, p := range sc.par {
 			need = append(need, term{loc: p.loc, pos: p.pos, p: (*p.buf)[:s.unitSize], in: *p.buf})
@@ -527,39 +482,34 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		// reach them, and the new contents fold in after the gather.
 		sc.sums = startSums(px, qx)
 	}
-	if scratch {
-		// What the new parities lack is the units the span leaves alone.
-		// Survivors are gathered; a lost one (P+Q only: a second failure,
-		// beside a lost written unit) is decoded into its unit buffer
-		// first, and held solved for the gather to fold — decoding may
-		// heal, a heal rewrites, and what the decode read is not read
-		// again.
-		left := int(s.dataPerStripe) - len(sc.locs)
-		if left > 0 && !writtenLost {
+	if plan.FromScratch {
+		// What the new parities lack is the units the span leaves alone:
+		// the plan's reads, and a lost one (P+Q only: a second failure,
+		// beside a lost written unit) decoded into its unit buffer first
+		// and held solved for the gather to fold — decoding may heal, a
+		// heal rewrites, and what the decode read is not read again.
+		if len(plan.Reads) > 0 && !writtenLost {
 			s.reconstructWrites.Add(1)
 		}
-		for d := 0; left > 0; d++ {
-			j := layout.DataPos(s.lay, stripe, d)
-			t := term{loc: s.lay.Unit(stripe, j), pos: j, p: px}
-			if qx != nil {
-				t.coef = gf256.Exp(d)
+		for _, j := range plan.Decode {
+			if err := s.recoverInto(st, sc, s.lay.Unit(stripe, j), nil, sc.locs); err != nil {
+				return err
 			}
-			if indexLoc(sc.locs, t.loc) >= 0 {
-				continue
-			}
-			if st.lost(t.loc) {
-				if err := s.recoverInto(st, sc, t.loc, nil, sc.locs); err != nil {
-					return err
+		}
+		for _, list := range [2][]int{plan.Reads, plan.Decode} {
+			for _, j := range list {
+				t := term{loc: s.lay.Unit(stripe, j), pos: j, p: px}
+				if qx != nil {
+					t.coef = gf256.Exp(layout.DataOrdinal(s.lay, stripe, j))
 				}
+				need = append(need, t)
 			}
-			need = append(need, t)
-			left--
 		}
 	}
 	if err := s.gatherHealing(st, sc, need); err != nil {
 		return err
 	}
-	if scratch && qx != nil {
+	if plan.FromScratch && qx != nil {
 		for i, t := range wr {
 			t.foldInto(&sc.sums, sc.datas[i], sc.newSums[i])
 		}
@@ -568,40 +518,8 @@ func (s *Store) commitStripeLocked(stripe int64, sc *stripeScratch) error {
 		sc.par[0].sum, sc.par[0].derived = sc.sums.pSum(s.zeroSum)
 	}
 	// Second round: data writes (redirected to a replacement or folded
-	// when lost) and the live parities, one batch.
+	// when lost) and the live parities, one batch: the plan's writes.
 	return s.commitWrites(st, sc)
-}
-
-// fromScratch picks a stripe update's plan by layout.FromScratch, the rule
-// the simulator plans by too, and the stripe's failure state: a lost written
-// unit has no old contents to take a delta from, so from scratch; a lost
-// unwritten one would cost a decode, G−2 more reads, so the delta.
-func (s *Store) fromScratch(st *diskState, stripe int64, written int, writtenLost bool) bool {
-	k := int(s.dataPerStripe)
-	switch {
-	case writtenLost:
-		return true
-	case !layout.FromScratch(k, written):
-		return false
-	case len(st.fails) == 0:
-		return true
-	}
-	for d := 0; d < k; d++ {
-		if st.lost(s.lay.Unit(stripe, layout.DataPos(s.lay, stripe, d))) {
-			return false // an unwritten one: no written unit is lost
-		}
-	}
-	return true
-}
-
-// indexLoc returns the index of u in locs, or −1.
-func indexLoc(locs []layout.Loc, u layout.Loc) int {
-	for i, loc := range locs {
-		if loc == u {
-			return i
-		}
-	}
-	return -1
 }
 
 // allZero reports whether every byte of b is zero (true for a nil sum),

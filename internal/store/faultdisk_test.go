@@ -264,7 +264,7 @@ func TestTransientCorruptionClearsOnReRead(t *testing.T) {
 func TestPersistentCorruptionHealsFromParity(t *testing.T) {
 	s := newTestStore(t, 7, 3, 64, 512)
 	fillAll(t, s, 2)
-	rot(t, s, s.mapper.Loc(7))
+	rot(t, s, layout.DataLoc(s.lay, 7))
 	verifyUnit(t, s, 7, 2)
 	if st := s.Stats(); st.ChecksumErrors == 0 || st.HealedUnits == 0 {
 		t.Fatalf("ChecksumErrors=%d HealedUnits=%d, want both > 0", st.ChecksumErrors, st.HealedUnits)
@@ -289,7 +289,7 @@ func TestAutoFailThreshold(t *testing.T) {
 	// error, and the second crosses the threshold.
 	var units []int64
 	for n := int64(0); n < s.DataUnits() && len(units) < 2; n++ {
-		if s.mapper.Loc(n).Disk == 4 {
+		if layout.DataLoc(s.lay, n).Disk == 4 {
 			units = append(units, n)
 		}
 	}
@@ -297,7 +297,7 @@ func TestAutoFailThreshold(t *testing.T) {
 		t.Fatal("disk 4 holds fewer than two data units")
 	}
 	for _, n := range units {
-		latent.add(s.mapper.Loc(n))
+		latent.add(layout.DataLoc(s.lay, n))
 		verifyUnit(t, s, n, 5)
 	}
 	if got := s.Mode(); got != Degraded {
@@ -327,10 +327,10 @@ func TestAutoFailThreshold(t *testing.T) {
 	// the damage and one for the failed rewrite, and the read still returns
 	// the reconstructed bytes.
 	n := int64(0)
-	if s.mapper.Loc(n).Disk == 4 { // the replacement, under no hook
+	if layout.DataLoc(s.lay, n).Disk == 4 { // the replacement, under no hook
 		n++
 	}
-	u := s.mapper.Loc(n)
+	u := layout.DataLoc(s.lay, n)
 	rot(t, s, u)
 	refused.Store(&u)
 	verifyUnit(t, s, n, 5)

@@ -324,7 +324,8 @@ type gatherJob struct {
 // gather reads, as one batch, every listed unit the lock hold does not hold
 // yet, and records each in sc: clean with its crc32c, or damaged (needsHeal)
 // with its cause. If every term is then held clean or solved, it folds each
-// into its term's accumulators in sm, in list order — so the term that
+// into its term's accumulators in sm — nothing with sm nil, a plain read —
+// in list order — so the term that
 // starts a sum is the same whether the batch ran inline or overlapped — and
 // returns −1. Otherwise it folds nothing and returns the index of a term
 // held damaged, and the held units stay as they were read, for the caller
@@ -332,19 +333,20 @@ type gatherJob struct {
 // report; healing rewrites units, which must never race the batch's other
 // reads. A term folded over in place — a written unit's old contents turned
 // into old ⊕ new, a stored parity read into the sum it starts — is held no
-// longer. It is the first round of every parity update, the whole of every
-// reconstruction, and with readStripeSpan the store's one doorway for
-// reads. A lost unit not held, or a hard read error, aborts it. Caller
+// longer. It is the first round of every parity update and every span
+// read (readStripeSpan), the whole of every reconstruction, and the
+// store's one doorway for reads. A lost unit not held, or a hard read
+// error, aborts it. Caller
 // holds (at least) the stripe's read lock.
 func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term, sm *sums) (int, error) {
 	sc.todo = sc.todo[:0]
-	for i, t := range terms {
-		if sc.has[t.pos] == unread {
+	for i := range terms {
+		if sc.has[terms[i].pos] == unread {
 			sc.todo = append(sc.todo, i)
 		}
 	}
 	err := fanOut(s, len(sc.todo), gatherJob{s, st, sc, terms}, func(j gatherJob, k int) error {
-		t := j.terms[j.sc.todo[k]]
+		t := &j.terms[j.sc.todo[k]]
 		if j.st.lost(t.loc) {
 			return fmt.Errorf("store: unit %v is lost", t.loc)
 		}
@@ -362,10 +364,13 @@ func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term, sm *sums)
 	if err != nil {
 		return -1, err
 	}
-	for i, t := range terms {
-		if sc.has[t.pos] == damaged {
+	for i := range terms {
+		if sc.has[terms[i].pos] == damaged {
 			return i, nil
 		}
+	}
+	if sm == nil {
+		return -1, nil
 	}
 	for _, t := range terms {
 		if sc.has[t.pos] == solved {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,7 +44,7 @@ func readBackLost(t *testing.T, s *Store, v uint64, lost ...layout.Loc) {
 	buf := make([]byte, s.UnitSize())
 	for n := int64(0); n < s.DataUnits(); n++ {
 		err := s.ReadUnit(n, buf)
-		if loc := s.mapper.Loc(n); indexLoc(lost, loc) >= 0 {
+		if loc := layout.DataLoc(s.lay, n); slices.Contains(lost, loc) {
 			if !errors.Is(err, ErrUnrecoverable) {
 				t.Errorf("lost unit %d (%v) reads %v, want ErrUnrecoverable", n, loc, err)
 			}
@@ -135,7 +136,7 @@ func TestLostUnitOnDownDiskRebuildsAsPoison(t *testing.T) {
 	s := scriptedStore(t, Config{Layout: testPQLayout(t, 7, 4), UnitsPerDisk: 40, UnitSize: 512}, lat.hook)
 	fillAll(t, s, 1)
 	const stripe = 3
-	a, b := s.mapper.Loc(stripe*s.dataPerStripe), s.mapper.Loc(stripe*s.dataPerStripe+1)
+	a, b := layout.DataLoc(s.lay, stripe*s.dataPerStripe), layout.DataLoc(s.lay, stripe*s.dataPerStripe+1)
 	lat.add(layout.ParityLocOf(s.lay, stripe, 0))
 	for _, d := range []int{a.Disk, b.Disk} {
 		if err := s.Fail(d); err != nil {
@@ -229,8 +230,8 @@ func TestLossOutlivesReopen(t *testing.T) {
 	if err := s.WriteUnit(x0, buf); err != nil {
 		t.Fatal(err)
 	}
-	rot(t, s, s.mapper.Loc(x0))
-	rot(t, s, s.mapper.Loc(x1))
+	rot(t, s, layout.DataLoc(s.lay, x0))
+	rot(t, s, layout.DataLoc(s.lay, x1))
 	// The crash: the backends and the log close with the region dirty.
 	for _, d := range s.adopted {
 		d.Close()
@@ -244,7 +245,7 @@ func TestLossOutlivesReopen(t *testing.T) {
 		t.Fatalf("after the resync at open: %d repairs, LostUnits %d, region %d flagged %v; want ≥ 1, 2, false",
 			st.ResyncRepairs, st.LostUnits, r, s.regionDirty[r].Load())
 	}
-	readBackLost(t, s, 1, lossData, s.mapper.Loc(x0), s.mapper.Loc(x1))
+	readBackLost(t, s, 1, lossData, layout.DataLoc(s.lay, x0), layout.DataLoc(s.lay, x1))
 	if err := s.CheckParity(); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestLossThatWillNotClearIsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	stripe, j := s.lay.Locate(lossData)
-	n, first := s.mapper.Index(stripe, j), stripe*s.dataPerStripe
+	n, first := layout.DataIndex(s.lay, stripe, j), stripe*s.dataPerStripe
 	other := first + (first + 1 - n) // the stripe's other data unit
 	buf := make([]byte, s.UnitSize())
 	if err := s.ReadUnit(n, buf); !errors.Is(err, ErrUnrecoverable) {
@@ -313,9 +314,9 @@ func TestRangeReadReadsPastALoss(t *testing.T) {
 			lat := new(latentUnits)
 			s := scriptedStore(t, Config{Layout: testLayout(t, 7, 3), UnitsPerDisk: 40, UnitSize: 512, IOWorkers: workers}, lat.hook)
 			fillAll(t, s, 1)
-			lat.add(s.mapper.Loc(0))
+			lat.add(layout.DataLoc(s.lay, 0))
 			lat.add(layout.ParityLocOf(s.lay, 0, 0))
-			lat.add(s.mapper.Loc(2 * s.dataPerStripe)) // the third stripe's first data unit
+			lat.add(layout.DataLoc(s.lay, 2*s.dataPerStripe)) // the third stripe's first data unit
 			healed := s.Stats().HealedUnits
 			us := int64(s.UnitSize())
 			buf := make([]byte, 3*s.dataPerStripe*us)

@@ -158,50 +158,40 @@ func TestOverlapEveryClientWriteIsTwoRounds(t *testing.T) {
 }
 
 // flightCount watches the reads of one operation: how many are in flight,
-// in how many stripes, and how many within one batch — a stripe's direct
-// reads are its span's batch, its gather reads its lost unit's. The first
-// `first` reads to arrive are held until all of them have, so the peaks
-// below are those of a run in which the outermost batch did overlap.
+// in how many stripes, and how many within one stripe — a stripe's reads
+// are one batch, the gather of its span's plan. The first `first` reads to
+// arrive are held until all of them have, so the peaks below are those of
+// a run in which the outermost batch did overlap.
 type flightCount struct {
 	lay     layout.Layout
 	first   int
 	arrived chan struct{} // closed when the first-th read arrives
 
-	mu                                        sync.Mutex
-	total, now                                int
-	stripes, direct, gathered                 map[int64]int
-	peak, peakStripes, peakDirect, peakGather int
+	mu                            sync.Mutex
+	total, now                    int
+	stripes                       map[int64]int
+	peak, peakStripes, peakGather int
 }
 
-func (fc *flightCount) enter(stripe int64, gather bool) (held bool) {
+func (fc *flightCount) enter(stripe int64) (held bool) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	fc.total++
 	if fc.total == fc.first {
 		close(fc.arrived)
 	}
-	batch, peak := fc.direct, &fc.peakDirect
-	if gather {
-		batch, peak = fc.gathered, &fc.peakGather
-	}
 	fc.now++
 	fc.stripes[stripe]++
-	batch[stripe]++
 	fc.peak = max(fc.peak, fc.now)
 	fc.peakStripes = max(fc.peakStripes, len(fc.stripes))
-	*peak = max(*peak, batch[stripe])
+	fc.peakGather = max(fc.peakGather, fc.stripes[stripe])
 	return fc.total < fc.first
 }
 
-func (fc *flightCount) leave(stripe int64, gather bool) {
+func (fc *flightCount) leave(stripe int64) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	batch := fc.direct
-	if gather {
-		batch = fc.gathered
-	}
 	fc.now--
-	batch[stripe]--
 	if fc.stripes[stripe]--; fc.stripes[stripe] == 0 {
 		delete(fc.stripes, stripe)
 	}
@@ -213,9 +203,8 @@ func (fc *flightCount) hook(c call, pass func() error) error {
 		return pass()
 	}
 	stripe, _ := fc.lay.Locate(layout.Loc{Disk: c.disk, Offset: c.off})
-	gather := inGather()
-	held := fc.enter(stripe, gather)
-	defer fc.leave(stripe, gather)
+	held := fc.enter(stripe)
+	defer fc.leave(stripe)
 	if held {
 		select {
 		case <-fc.arrived:
@@ -228,10 +217,12 @@ func (fc *flightCount) hook(c call, pass func() error) error {
 }
 
 // TestOverlapNestedBatchesAreBoundedEach: a degraded eight-stripe range
-// read is three levels of batches — stripes, the units of a stripe's span,
-// the survivors of a lost unit. With nothing shared between them each
-// level is still bounded by IOWorkers, the read issues exactly the
-// accesses it needs, and so never has more in flight than it has. At
+// read is two levels of batches — the stripes, and each stripe's gather of
+// its plan's reads: its span's units, or, where the span holds the lost
+// unit, the G − 1 survivors that decode it, which hold the span's other
+// units. With nothing shared between them each level is still bounded by
+// IOWorkers, the read issues exactly the accesses its plans name, G − 1
+// per stripe read whole, and so never has more in flight than it has. At
 // IOWorkers=8 no batch of this array is wider than the bound; at 3 every
 // one is.
 func TestOverlapNestedBatchesAreBoundedEach(t *testing.T) {
@@ -247,20 +238,19 @@ func TestOverlapNestedBatchesAreBoundedEach(t *testing.T) {
 				t.Fatal(err)
 			}
 			per := int(s.dataPerStripe)
-			accesses := 0
+			decoded := 0
 			for n := int64(0); n < int64(stripes*per); n++ {
-				if s.mapper.Loc(n).Disk == victim {
-					accesses += lay.G() - 1
-				} else {
-					accesses++
+				if layout.DataLoc(s.lay, n).Disk == victim {
+					decoded++
 				}
 			}
-			if accesses == stripes*per {
+			if decoded == 0 {
 				t.Fatalf("disk %d holds no data unit of the first %d stripes", victim, stripes)
 			}
+			accesses := stripes * (lay.G() - 1)
 
 			fc.arrived = make(chan struct{})
-			fc.stripes, fc.direct, fc.gathered = map[int64]int{}, map[int64]int{}, map[int64]int{}
+			fc.stripes = map[int64]int{}
 			fc.first = min(stripes, workers)
 			got := make([]byte, stripes*per*s.UnitSize())
 			if err := s.ReadRange(0, got); err != nil {
@@ -284,8 +274,7 @@ func TestOverlapNestedBatchesAreBoundedEach(t *testing.T) {
 				peak, items int
 			}{
 				{"stripes being read", fc.peakStripes, stripes},
-				{"direct reads of one span", fc.peakDirect, per},
-				{"survivor reads of one gather", fc.peakGather, lay.G() - 1},
+				{"reads of one gather", fc.peakGather, lay.G() - 1},
 			} {
 				if b.peak > min(b.items, workers) {
 					t.Errorf("%d %s at once, batch of %d", b.peak, b.what, b.items)

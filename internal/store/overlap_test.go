@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,7 +169,7 @@ func TestOverlapDegradedAndRangeReads(t *testing.T) {
 	}
 	var lost int64 = -1
 	for n := int64(0); n < s.DataUnits(); n++ {
-		if s.mapper.Loc(n).Disk == victim {
+		if layout.DataLoc(s.lay, n).Disk == victim {
 			lost = n
 			break
 		}
@@ -399,65 +398,23 @@ func TestOverlapGateFollowsDeviceLatency(t *testing.T) {
 	}
 }
 
-// inGather reports whether the caller is running inside Store.gather — a
-// survivor read of a reconstruction or a pre-read, not a unit's direct
-// read. It is how a hook tells apart two reads of one unit that the Disk
-// interface shows it identically. The match is by name, and it covers
-// gather's item function, a literal inside gather whose frame name starts
-// with gather's: an overlapped item runs on a helper, with no gather frame
-// under it. Should gather be renamed, the direct read that
-// TestOverlapHealedSpanCountsDegradedReadsOnce holds waits for a gather
-// that never shows and the test fails, loudly.
-func inGather() bool {
-	pcs := make([]uintptr, 32)
-	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
-	for {
-		f, more := frames.Next()
-		if strings.Contains(f.Function, "(*Store).gather") {
-			return true
-		}
-		if !more {
-			return false
-		}
-	}
-}
-
 // TestOverlapHealedSpanCountsDegradedReadsOnce: a span's read batch that
-// meets damage keeps what it read and heals the damaged unit after the
-// batch; a lost unit the batch reconstructed is counted in
-// Stats.DegradedReads once. The damaged read is the span's second unit
-// read directly; its read inside the first unit's reconstruction is clean,
-// and the disk makes it the earlier of the two however the batch's items
-// are scheduled.
+// meets damage keeps what it read and re-serves the damaged unit and the
+// lost one under the write lock (healRead); the lost unit is counted in
+// Stats.DegradedReads once. The damage is a media error on the first read
+// of the span's second unit, in the batch that also decodes the first, and
+// does not recur.
 func TestOverlapHealedSpanCountsDegradedReadsOnce(t *testing.T) {
 	forceOverlap(t)
 	lay := testLayout(t, 7, 4)
 	lost, flaky := layout.DataLoc(lay, 0), layout.DataLoc(lay, 1)
-	// Once armed, the first direct read of flaky meets a media error, held
-	// until a gather's read of flaky has returned clean — so the order of
-	// the two is the disk's doing, not the scheduler's.
 	var armed, struck atomic.Bool
-	var gatheredOnce sync.Once
-	gathered := make(chan struct{})
 	s := scriptedStore(t, Config{Layout: lay, UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4},
 		func(c call, pass func() error) error {
-			if c.op != opRead || c.disk != flaky.Disk || c.off != flaky.Offset || !armed.Load() {
+			if c.op != opRead || c.disk != flaky.Disk || c.off != flaky.Offset || !armed.Load() || !struck.CompareAndSwap(false, true) {
 				return pass()
 			}
-			if inGather() {
-				err := pass()
-				gatheredOnce.Do(func() { close(gathered) })
-				return err
-			}
-			if !struck.CompareAndSwap(false, true) {
-				return pass()
-			}
-			select {
-			case <-gathered:
-				return fmt.Errorf("planted: %w", ErrMedia)
-			case <-time.After(stuckAfter):
-				return errStuck
-			}
+			return fmt.Errorf("planted: %w", ErrMedia)
 		})
 	fillAll(t, s, 1)
 	if err := s.Fail(lost.Disk); err != nil {
@@ -495,7 +452,7 @@ func TestOverlapDamagedSpanCountsDegradedReadsOnce(t *testing.T) {
 	latent := new(latentUnits)
 	s := scriptedStore(t, Config{Layout: testPQLayout(t, 7, 5), UnitsPerDisk: 48, UnitSize: 512, IOWorkers: 4}, latent.hook)
 	fillAll(t, s, 1)
-	lost, live := s.mapper.Loc(0), s.mapper.Loc(1)
+	lost, live := layout.DataLoc(s.lay, 0), layout.DataLoc(s.lay, 1)
 	if err := s.Fail(lost.Disk); err != nil {
 		t.Fatal(err)
 	}

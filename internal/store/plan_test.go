@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -14,14 +13,18 @@ import (
 	"testing"
 
 	"declust/internal/layout"
+	"declust/internal/testdata"
 )
 
-// A stripe update is one of two plans (commitStripeLocked), and which one
-// runs is visible from outside as accesses: the delta reads what it
-// overwrites and the parities, from scratch reads what the span leaves
-// alone. TestWritePlanAccessCounts pins the count of every row of the rule,
-// and TestReadAccessCounts of every read, from the table the simulator's
-// tests of the same names in internal/array read too;
+// A stripe access runs the plan layout.PlanStripe makes of it
+// (commitStripeLocked, readStripeSpan), and which plan ran is visible from
+// outside as accesses: the delta reads what it overwrites and the
+// parities, from scratch reads what the span leaves alone, a read that
+// holds the lost unit reads its decode's sources.
+// TestWritePlanAccessCounts pins the count of every row of the rule, and
+// TestReadAccessCounts of every read, from the table the simulator's tests
+// of the same names in internal/array read too, and internal/layout's
+// TestPlanMatchesCosts holds the plan itself to;
 // TestRebuildReadsMatchLayout pins a rebuild's reads to the layout's decode
 // rule, which the simulator follows; and TestGeneratedRangeOps pins that,
 // whichever plan ran, the bytes are those of a flat array.
@@ -177,45 +180,18 @@ func (f *flatStore) heal(t *testing.T) {
 	}
 }
 
-// costRow is one row of internal/testdata/costs.txt; its header says what
-// the columns mean.
-type costRow struct {
-	op, plane, lost, reconstruct, name string
-	c, g, m, k                         int
-	reads, writes                      int64
-}
-
-// costRows returns the table's rows of op (R or W) for plane and for both.
-// A key (op C G m lost k) must have one both row, or one array row and then
-// one store row.
-func costRows(t *testing.T, op, plane string) []costRow {
+// costRows returns the rows of internal/testdata/costs.txt that price op
+// (R or W) on the store.
+func costRows(t *testing.T, op string) []testdata.Cost {
 	t.Helper()
-	text, err := os.ReadFile(filepath.Join("..", "testdata", "costs.txt"))
+	all, err := testdata.Costs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []costRow
-	planes := map[string]string{}
-	for _, line := range strings.Split(string(text), "\n") {
-		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
-			continue
-		}
-		var r costRow
-		if _, err := fmt.Sscan(line, &r.op, &r.plane, &r.c, &r.g, &r.m, &r.lost, &r.k, &r.reads, &r.writes, &r.reconstruct, &r.name); err != nil {
-			t.Fatalf("costs.txt: %q: %v", line, err)
-		}
-		if r.op != "R" && r.op != "W" {
-			t.Fatalf("costs.txt: %q: op %q, want R or W", line, r.op)
-		}
-		key := fmt.Sprint(r.op, r.c, r.g, r.m, r.lost, r.k)
-		planes[key] += " " + r.plane
-		if r.op == op && (r.plane == plane || r.plane == "both") {
+	var rows []testdata.Cost
+	for _, r := range all {
+		if r.For(op, "store") {
 			rows = append(rows, r)
-		}
-	}
-	for key, p := range planes {
-		if p != " both" && p != " array store" {
-			t.Errorf("costs.txt: key %s has rows%s; want both, or array then store", key, p)
 		}
 	}
 	return rows
@@ -227,21 +203,21 @@ func costRows(t *testing.T, op, plane string) []costRow {
 // row's one access of k units from the stripe's first data unit, and checks
 // whether Stats.ReconstructWrites moved. It ends with the whole array
 // against the flat reference, before and after a rebuild.
-func playCosts(t *testing.T, rows []costRow, access func(t *testing.T, f *flatStore, rng *rand.Rand, start int64, k int)) {
+func playCosts(t *testing.T, rows []testdata.Cost, access func(t *testing.T, f *flatStore, rng *rand.Rand, start int64, k int)) {
 	for _, ioWorkers := range []int{1, 4} {
 		for _, r := range rows {
-			lay := testLayout(t, r.c, r.g)
-			if r.m == 2 {
-				lay = testPQLayout(t, r.c, r.g)
+			lay := testLayout(t, r.C, r.G)
+			if r.M == 2 {
+				lay = testPQLayout(t, r.C, r.G)
 			}
 			var lose []string
-			if r.lost != "-" {
-				lose = strings.Fields(r.lost)
+			if r.Lost != "-" {
+				lose = strings.Fields(r.Lost)
 			}
-			code := [...]string{1: "P", 2: "P+Q"}[r.m]
-			t.Run(fmt.Sprintf("io%d/%s-G%d/j%d/lost%v", ioWorkers, code, r.g, r.k, lose), func(t *testing.T) {
+			code := [...]string{1: "P", 2: "P+Q"}[r.M]
+			t.Run(fmt.Sprintf("io%d/%s-G%d/j%d/lost%v", ioWorkers, code, r.G, r.K, lose), func(t *testing.T) {
 				forceOverlap(t)
-				rng := rand.New(rand.NewSource(int64(r.g*100 + r.k)))
+				rng := rand.New(rand.NewSource(int64(r.G*100 + r.K)))
 				f := openFlat(t, lay, ioWorkers, 64, "")
 				f.write(t, rng, f.WriteRange, 0, f.DataUnits())
 				const stripe = 3
@@ -250,9 +226,9 @@ func playCosts(t *testing.T, rows []costRow, access func(t *testing.T, f *flatSt
 					var loc layout.Loc
 					switch what {
 					case "written", "read":
-						loc = f.mapper.Loc(start)
+						loc = layout.DataLoc(f.lay, start)
 					case "unwritten", "unread":
-						loc = f.mapper.Loc(start + int64(r.k))
+						loc = layout.DataLoc(f.lay, start+int64(r.K))
 					case "P", "Q":
 						loc = layout.ParityLocOf(f.lay, stripe, strings.Index("PQ", what))
 					}
@@ -263,14 +239,14 @@ func playCosts(t *testing.T, rows []costRow, access func(t *testing.T, f *flatSt
 				before := f.Stats().ReconstructWrites
 				f.n.reads.Store(0)
 				f.n.writes.Store(0)
-				access(t, f, rng, start, r.k)
+				access(t, f, rng, start, r.K)
 				reads, writes := f.n.reads.Load(), f.n.writes.Load()
-				if reads != r.reads || writes != r.writes {
+				if reads != int64(r.Reads) || writes != int64(r.Writes) {
 					t.Errorf("%d of %d data units: %d reads and %d writes, want %d and %d",
-						r.k, f.dataPerStripe, reads, writes, r.reads, r.writes)
+						r.K, f.dataPerStripe, reads, writes, r.Reads, r.Writes)
 				}
 				want := int64(0)
-				if r.reconstruct == "yes" {
+				if r.Reconstruct == "yes" {
 					want = 1
 				}
 				if got := f.Stats().ReconstructWrites - before; got != want {
@@ -290,22 +266,15 @@ func playCosts(t *testing.T, rows []costRow, access func(t *testing.T, f *flatSt
 // more data units are the paper's small write and hold at any commit: four
 // accesses, six under P+Q.
 func TestWritePlanAccessCounts(t *testing.T) {
-	rows := append(costRows(t, "W", "store"),
-		// Rows the simulator plays another way: a multi-unit write to a
-		// stripe that has lost a written unit or a parity, which it writes
-		// unit by unit — a written unit lost is the fold-forward, reading
-		// the survivors the span leaves alone and writing nothing for the
-		// lost unit; a parity lost has no say in the rule — and two units
-		// lost at once, past its single-failure model: the unwritten one
-		// decoded first, and the survivor the span leaves alone not read
-		// again, since the decode read it under the same lock hold — at
-		// G = 5 the decode's three reads are all, at G = 6 its four, one of
-		// them the written unit's old contents.
-		costRow{c: 11, g: 5, m: 1, lost: "written", k: 2, reads: 2, writes: 2, reconstruct: "no"},
-		costRow{c: 11, g: 5, m: 2, lost: "P", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
-		costRow{c: 11, g: 5, m: 2, lost: "Q", k: 2, reads: 1, writes: 3, reconstruct: "yes"},
-		costRow{c: 11, g: 5, m: 2, lost: "written unwritten", k: 1, reads: 3, writes: 2, reconstruct: "no"},
-		costRow{c: 11, g: 6, m: 2, lost: "written unwritten", k: 2, reads: 4, writes: 3, reconstruct: "no"},
+	rows := append(costRows(t, "W"),
+		// Two units lost at once, past the simulator's single-failure
+		// model: the unwritten one decoded first (the plan's Decode), and
+		// the survivor the span leaves alone not read again, since the
+		// decode read it under the same lock hold — at G = 5 the decode's
+		// three reads are all, at G = 6 its four, one of them the written
+		// unit's old contents.
+		testdata.Cost{C: 11, G: 5, M: 2, Lost: "written unwritten", K: 1, Reads: 3, Writes: 2, Reconstruct: "no"},
+		testdata.Cost{C: 11, G: 6, M: 2, Lost: "written unwritten", K: 2, Reads: 4, Writes: 3, Reconstruct: "no"},
 	)
 	playCosts(t, rows, func(t *testing.T, f *flatStore, rng *rand.Rand, start int64, k int) {
 		f.write(t, rng, f.WriteRange, start, int64(k))
@@ -317,10 +286,10 @@ func TestWritePlanAccessCounts(t *testing.T) {
 // writes counted exactly. A read of the stripe's lost unit decodes it from
 // the survivors layout.RebuildSources names, beside the span's other units.
 func TestReadAccessCounts(t *testing.T) {
-	rows := append(costRows(t, "R", "store"),
+	rows := append(costRows(t, "R"),
 		// Two units lost at once, past the simulator's single-failure
 		// model: the lost unit read decodes from the three survivors.
-		costRow{c: 11, g: 5, m: 2, lost: "read unread", k: 1, reads: 3, writes: 0, reconstruct: "no"},
+		testdata.Cost{C: 11, G: 5, M: 2, Lost: "read unread", K: 1, Reads: 3, Writes: 0, Reconstruct: "no"},
 	)
 	playCosts(t, rows, func(t *testing.T, f *flatStore, _ *rand.Rand, start int64, k int) {
 		got := make([]byte, k*f.cfg.UnitSize)

@@ -106,7 +106,6 @@ type planeRow struct {
 // The rows of planeRows.
 const (
 	rowSmallWrite = iota
-	rowSplitWrite
 	rowSharedDecode
 	rowTwoDown
 	rowCarryOn
@@ -125,13 +124,10 @@ var planeRows = [...]planeRow{
 			"The store takes the delta as at every G: it reads the old data and P, and not the other data unit. One more store read of each of the two, one fewer of the other unit. " +
 			"The two meet different units, so with a latent unit in the stripe they heal or lose different ones (the simulator loses a latent other unit: its data write has overwritten the old data a decode would need); " +
 			"the stream passes such a write over on both planes"},
-	rowSplitWrite: {"split write",
-		"the simulator writes a multi-unit share of a stripe that has lost a written unit or a parity one unit at a time; the store plans it as one update (internal/testdata/costs.txt prices that). " +
-			"The stream writes such a share one unit at a time on the store too"},
 	rowSharedDecode: {"shared-lock decode",
-		"the store decodes a read's lost unit under the stripe's shared read lock, and repairs under the write lock, a new hold: the read lock was released, so a writer may have rewritten what the decode read. " +
-			"It reads again, under the write lock, each source the decode found damaged (as the simulator reads a span's own damaged units again) and, when the repair needs it, each source the decode read clean; " +
-			"the simulator decodes and repairs under its one exclusive lock. One more read of each"},
+		"the store reads a span that holds its stripe's lost unit under the stripe's shared read lock, and repairs under the write lock, a new hold: the read lock was released, so a writer may have rewritten what the read read. " +
+			"It reads again, under the write lock, each unit the read found damaged and, when the repair needs it, each source the read read clean; " +
+			"the simulator reads and repairs under its one exclusive lock. One more read of each"},
 	rowTwoDown: {"two disks down",
 		"the simulator holds one failed disk (SecondFail restores the second at once), so the stream fails one disk at a time, under P+Q too"},
 	rowCarryOn: {"carryOn re-run",
@@ -376,9 +372,7 @@ func (p *planes) segments(unit, n int64) (segs [][2]int64) {
 
 func (p *planes) read(unit, n int64) error {
 	for _, sg := range p.segments(unit, n) {
-		if err := p.modelRead(sg[0], sg[1]); err != nil {
-			return err
-		}
+		p.modelRead(sg[0], sg[1])
 	}
 	vals, done := make([]uint64, n), false
 	p.arr.ReadRange(unit, vals, func() { done = true })
@@ -420,31 +414,8 @@ func (p *planes) write(unit, n int64) error {
 			return nil
 		}
 	}
-	// The store's share of each stripe the simulator splits is written one
-	// unit at a time (rowSplitWrite); the rest of the span goes in runs.
-	var runs [][2]int64
-	joined := false // the last run may take the next stripe's share
 	for _, sg := range p.segments(unit, n) {
-		if sg[1]-sg[0] > 1 && p.splits(sg[0], sg[1]) {
-			p.rows[rowSplitWrite]++
-			for u := sg[0]; u < sg[1]; u++ {
-				if err := p.modelWrite(u, u+1); err != nil {
-					return err
-				}
-				runs = append(runs, [2]int64{u, u + 1})
-			}
-			joined = false
-			continue
-		}
-		if err := p.modelWrite(sg[0], sg[1]); err != nil {
-			return err
-		}
-		if joined {
-			runs[len(runs)-1][1] = sg[1]
-		} else {
-			runs = append(runs, sg)
-		}
-		joined = true
+		p.modelWrite(sg[0], sg[1])
 	}
 	done := false
 	p.arr.WriteRange(unit, int(n), func() { done = true })
@@ -454,16 +425,14 @@ func (p *planes) write(unit, n int64) error {
 	for i := range n {
 		p.version[unit+i]++
 	}
-	for _, r := range runs {
-		var err error
-		if r[1]-r[0] == 1 {
-			err = p.st.WriteUnit(r[0], p.pattern(r[0], 1))
-		} else {
-			err = p.st.WriteRange(r[0], p.pattern(r[0], r[1]-r[0]))
-		}
-		if err != nil {
-			return fmt.Errorf("store: writing [%d,%d): %v", r[0], r[1], err)
-		}
+	var err error
+	if n == 1 {
+		err = p.st.WriteUnit(unit, p.pattern(unit, 1))
+	} else {
+		err = p.st.WriteRange(unit, p.pattern(unit, n))
+	}
+	if err != nil {
+		return fmt.Errorf("store: writing [%d,%d): %v", unit, unit+n, err)
 	}
 	p.bookLosses()
 	for i := range n {
@@ -477,9 +446,7 @@ func (p *planes) write(unit, n int64) error {
 func (p *planes) rebuild() error {
 	d := p.failed
 	for off := range p.upd {
-		if err := p.modelRebuild(layout.Loc{Disk: d, Offset: off}); err != nil {
-			return err
-		}
+		p.modelRebuild(layout.Loc{Disk: d, Offset: off})
 	}
 	if err := p.arr.Replace(); err != nil {
 		return fmt.Errorf("simulator: %v", err)
@@ -618,17 +585,6 @@ func (p *planes) dataOf(stripe int64) []layout.Loc {
 	return out
 }
 
-// liveParities lists stripe's parity units not on the failed disk.
-func (p *planes) liveParities(stripe int64) []layout.Loc {
-	var out []layout.Loc
-	for k := range p.m {
-		if u := layout.ParityLocOf(p.lay, stripe, k); u.Disk != p.failed {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // latentOf lists the units of locs that are latent.
 func (p *planes) latentOf(locs []layout.Loc) []layout.Loc {
 	var out []layout.Loc
@@ -693,32 +649,47 @@ func (p *planes) repair(stripe int64, erased, stale []layout.Loc) bool {
 	}
 }
 
-// modelRead models a read of the data units [lo, hi) of one stripe.
-func (p *planes) modelRead(lo, hi int64) error {
-	stripe := lo / p.dps
-	m := layout.StripeIndexMapper{L: p.lay}
-	var span []layout.Loc
+// planOf returns the plan both planes make of an access to the data units
+// [lo, hi) of stripe, and its first round's units.
+func (p *planes) planOf(stripe, lo, hi int64, write bool) (layout.Plan, []layout.Loc) {
+	var span, erased []int
 	for n := lo; n < hi; n++ {
-		span = append(span, m.Loc(n))
+		span = append(span, layout.DataPos(p.lay, stripe, int(n-stripe*p.dps)))
 	}
+	if f, degraded := p.lostOf(stripe); degraded {
+		_, j := p.lay.Locate(f)
+		erased = []int{j}
+	}
+	plan := layout.NewPlan(p.lay.G())
+	layout.PlanStripe(&plan, p.lay, stripe, write, span, erased)
+	var first []layout.Loc
+	for _, j := range plan.Reads {
+		first = append(first, p.lay.Unit(stripe, j))
+	}
+	return plan, first
+}
+
+// modelRead models a read of the data units [lo, hi) of one stripe.
+func (p *planes) modelRead(lo, hi int64) {
+	stripe := lo / p.dps
+	plan, first := p.planOf(stripe, lo, hi, false)
 	f, degraded := p.lostOf(stripe)
-	if degraded && slices.Contains(span, f) {
-		// The lost unit is decoded; the span's other units are read.
-		src := layout.RebuildSources(p.lay, f)
+	damaged := p.latentOf(first)
+	if len(plan.Decode) > 0 {
+		// One round reads the lost unit's sources, the span's other units
+		// among them, and decodes it.
 		p.shapes[p.shape([]layout.Loc{f})] = true
-		found := p.latentOf(src)
-		if len(found) == 0 {
-			return nil
+		if len(damaged) == 0 {
+			return
 		}
-		p.reread(rowSharedDecode, without(found, p.latentOf(span))...)
-		if p.repair(stripe, append([]layout.Loc{f}, found...), without(src, found)) {
-			p.reread(rowCarryOn, src...)
+		p.reread(rowSharedDecode, damaged...)
+		if p.repair(stripe, append([]layout.Loc{f}, damaged...), without(first, damaged)) {
+			p.reread(rowCarryOn, first...)
 		}
-		return nil
+		return
 	}
-	damaged := p.latentOf(span)
 	if len(damaged) == 0 {
-		return nil
+		return
 	}
 	erased := damaged
 	if degraded {
@@ -727,24 +698,6 @@ func (p *planes) modelRead(lo, hi int64) error {
 	if p.repair(stripe, erased, nil) {
 		p.reread(rowCarryOn, damaged...)
 	}
-	return nil
-}
-
-// splits reports whether the simulator writes its share [lo, hi) of a
-// stripe one unit at a time: the stripe has lost a written unit or a
-// parity.
-func (p *planes) splits(lo, hi int64) bool {
-	f, degraded := p.lostOf(lo / p.dps)
-	if !degraded {
-		return false
-	}
-	m := layout.StripeIndexMapper{L: p.lay}
-	for n := lo; n < hi; n++ {
-		if m.Loc(n) == f {
-			return true
-		}
-	}
-	return p.roleOf(f) != "d"
 }
 
 // smallOverLatent reports whether the share [lo, hi) of a stripe is the
@@ -759,30 +712,16 @@ func (p *planes) smallOverLatent(lo, hi int64) bool {
 }
 
 // modelWrite models one write plan: the data units [lo, hi) of one stripe.
-func (p *planes) modelWrite(lo, hi int64) error {
+func (p *planes) modelWrite(lo, hi int64) {
 	stripe := lo / p.dps
-	m := layout.StripeIndexMapper{L: p.lay}
-	var span []layout.Loc
-	for n := lo; n < hi; n++ {
-		span = append(span, m.Loc(n))
-	}
-	data := p.dataOf(stripe)
 	f, degraded := p.lostOf(stripe)
-	live := p.liveParities(stripe)
-	var first []layout.Loc // the plan's first round
-	switch {
-	case len(live) == 0:
-	case p.m == 1 && p.lay.G() == 3 && len(span) == 1 && !degraded:
+	plan, first := p.planOf(stripe, lo, hi, true)
+	if p.m == 1 && p.lay.G() == 3 && hi-lo == 1 && !degraded {
 		// rowSmallWrite: the store reads the old data and P, the simulator
 		// the other data unit; no unit of the stripe is latent.
-		p.reread(rowSmallWrite, span[0], live[0])
-		p.want[p.index(without(data, span)[0])]--
-		return nil
-	case degraded && slices.Contains(span, f), layout.FromScratch(int(p.dps), len(span)) && !(degraded && slices.Contains(data, f)):
-		// The fold, or from scratch with no unwritten data unit lost.
-		first = without(data, span)
-	default:
-		first = append(slices.Clone(span), live...)
+		p.reread(rowSmallWrite, first...)
+		p.want[p.index(without(p.dataOf(stripe), first)[0])]--
+		return
 	}
 	if damaged := p.latentOf(first); len(damaged) > 0 {
 		erased := damaged
@@ -793,28 +732,23 @@ func (p *planes) modelWrite(lo, hi int64) error {
 			p.reread(rowCarryOn, first...)
 		}
 	}
-	for _, u := range append(span, live...) {
-		delete(p.latent, u)
+	for _, j := range plan.Writes {
+		delete(p.latent, p.lay.Unit(stripe, j))
 	}
-	return nil
 }
 
 // modelRebuild models the sweep's cycle for lost unit f: the simulator
 // decodes it, then repairs what the decode found unreadable; the store's
 // recoverInto solves it from the start, and its first round is that
 // decode.
-func (p *planes) modelRebuild(f layout.Loc) error {
+func (p *planes) modelRebuild(f layout.Loc) {
 	stripe, _ := p.lay.Locate(f)
 	src := layout.RebuildSources(p.lay, f)
 	p.shapes[p.shape([]layout.Loc{f})] = true
 	found := p.latentOf(src)
-	if len(found) == 0 {
-		return nil
-	}
-	if p.repair(stripe, append([]layout.Loc{f}, found...), nil) && p.roleOf(f) != "d" {
+	if len(found) > 0 && p.repair(stripe, append([]layout.Loc{f}, found...), nil) && p.roleOf(f) != "d" {
 		p.reread(rowCarryOn, src...)
 	}
-	return nil
 }
 
 // result is one replay of a stream.

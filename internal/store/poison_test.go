@@ -189,12 +189,12 @@ func TestDeltaFoldsInAnyOrder(t *testing.T) {
 
 			// The write, as writeStripeSpan issues it but on a scratch kept here.
 			n := stripe*s.dataPerStripe + int64(tc.ordinal)
-			u := s.mapper.Loc(n)
+			u := layout.DataLoc(s.lay, n)
 			data := make([]byte, us)
 			fill(data, n, 2)
 			version[n] = 2
 			sc := newStripeScratch(s.lay.G(), s.Parities(), s.physSize)
-			sc.locs, sc.datas = append(sc.locs, u), append(sc.datas, data)
+			sc.pos, sc.locs, sc.datas = append(sc.pos, layout.DataPos(s.lay, stripe, tc.ordinal)), append(sc.locs, u), append(sc.datas, data)
 			s.locks.lock(stripe)
 			err = s.writeStripeLocked(stripe, sc)
 			s.locks.unlock(stripe)
@@ -303,7 +303,7 @@ func TestDeltaWriteHealsFirstRound(t *testing.T) {
 				}
 				const stripe = 2
 				n := stripe*s.dataPerStripe + 1 // data ordinal 1: a Q coefficient other than 1
-				bad := s.mapper.Loc(n)
+				bad := layout.DataLoc(s.lay, n)
 				if victim < m {
 					bad = layout.ParityLocOf(s.lay, stripe, victim)
 				}
@@ -419,7 +419,7 @@ func narrowStripeCase(t *testing.T, cfg Config, pat erasurePattern, path string)
 	defer func() {
 		if t.Failed() {
 			t.Logf("case: %s, positions %v of stripe 0 (P at %d, Q at %d) erased as %s (L lost, D damaged)",
-				path, pat.pos, s.parityPos(0)[0], s.parityPos(0)[1], pat.kinds)
+				path, pat.pos, layout.ParityPositions(s.lay, 0)[0], layout.ParityPositions(s.lay, 0)[1], pat.kinds)
 		}
 	}()
 	version := make([]uint64, s.DataUnits())

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"declust/internal/core"
@@ -158,7 +159,7 @@ func TestPQSelfHealingDegradedRead(t *testing.T) {
 	s := newTestPQStore(t, 7, 4, 64, 512)
 	fillAll(t, s, 1)
 	n := int64(5)
-	loc := s.mapper.Loc(n)
+	loc := layout.DataLoc(s.lay, n)
 	stripe, _ := s.lay.Locate(loc)
 	if err := s.Fail(loc.Disk); err != nil {
 		t.Fatal(err)
@@ -277,7 +278,7 @@ func compareWithReference(t *testing.T, s *Store, version []uint64, mayRot []lay
 	us := s.unitSize
 	logical := map[layout.Loc]int64{}
 	for n := int64(0); n < s.DataUnits(); n++ {
-		logical[s.mapper.Loc(n)] = n
+		logical[layout.DataLoc(s.lay, n)] = n
 	}
 	st := s.st.Load()
 	phys := make([]byte, s.physSize)
@@ -310,7 +311,7 @@ func compareWithReference(t *testing.T, s *Store, version []uint64, mayRot []lay
 				t.Fatal(err)
 			}
 			if _, ok := verifyTrailer(phys, us, u.Offset); !ok {
-				if indexLoc(mayRot, u) >= 0 {
+				if slices.Contains(mayRot, u) {
 					continue
 				}
 				t.Fatalf("stripe %d position %d (%v): trailer does not verify", stripe, j, u)

@@ -21,10 +21,12 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 }
 
 // stripeScratch is the working set of one stripe job, recycled through
-// Store.scratch so the unit paths allocate nothing. For a parity update —
-// a range write's per-stripe job, or WriteUnit's one-unit span — that is
-// the units written, their new contents and those contents' crc32c, the
-// pre-reads the update needs, and the parity writes that finish it; a
+// Store.scratch so the unit paths allocate nothing. For a span read or a
+// parity update — a range's per-stripe job, or ReadUnit's or WriteUnit's
+// one-unit span — that is the span's positions, the stripe's lost ones and
+// the plan made of them (layout.PlanStripe); for an update also the units
+// written, their new contents and those contents' crc32c, the terms of the
+// gather the plan reads, and the parity writes that finish it; a
 // verification uses terms and par, a repair (recoverInto) src and eras.
 //
 // Its G unit buffers, one per stripe position, carry the record of the
@@ -39,6 +41,9 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 // write lock, and carryOn before it runs an operation again on a stripe
 // it has just rewritten.
 type stripeScratch struct {
+	pos     []int // the span's positions, in span order
+	erased  []int // the stripe's lost positions
+	plan    layout.Plan
 	locs    []layout.Loc
 	datas   [][]byte
 	newSums []uint32      // crc32c of each of datas, computed once: stamps the unit, derives P's
@@ -50,7 +55,7 @@ type stripeScratch struct {
 	eras    []erasure     // a solve's erased positions
 	sums    sums          // the update's P and Q sums, and which still wait for a first term
 
-	phys [][]byte  // position j's unit buffer: a gather or a span read reads it here
+	phys [][]byte  // position j's unit buffer: a gather reads it here
 	has  []holding // what the hold holds of position j
 	at   [][]byte  // a held position's contents: phys[j], a term's in, or where it was solved
 	errs []error   // a damaged position's cause
@@ -83,6 +88,9 @@ func (s *Store) getScratch() *stripeScratch {
 // buffers of physSize bytes.
 func newStripeScratch(g, m, physSize int) *stripeScratch {
 	sc := &stripeScratch{
+		pos:     make([]int, 0, g),
+		erased:  make([]int, 0, g),
+		plan:    layout.NewPlan(g),
 		locs:    make([]layout.Loc, 0, g),
 		datas:   make([][]byte, 0, g),
 		newSums: make([]uint32, 0, g),
@@ -170,72 +178,95 @@ func (s *Store) stripeJobs(start int64, buf []byte, job func(s *Store, stripe, s
 	})
 }
 
-// spanJob is what the items of a span read share: item i reads unit lo+i
-// into the i-th unit of dst — a live one through the scratch's unit buffer
-// of its position — and records it in the scratch.
-type spanJob struct {
-	s   *Store
-	st  *diskState
-	sc  *stripeScratch
-	lo  int64
-	dst []byte
-}
-
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe — into
-// dst, whose first byte corresponds to logical unit start, as one batch
-// under the stripe's read lock: a live unit is read — into the scratch's
-// unit buffer of its position, then copied out, a copy the Disk contract
-// forces (a physical unit is its data and trailer, contiguous) — and a
-// lost one reconstructed. A batch cannot repair (its reads share the
-// lock), so the damage it finds is recorded and, once the read lock is
-// released, re-served under the write lock (healRead). A lost unit reads
-// as its poison block (loseStripe); the caller checks (checkLost).
-// ReadUnit is its one-unit span.
+// dst, whose first byte corresponds to logical unit start, under the
+// stripe's read lock: it gathers the reads of the span's plan
+// (layout.PlanStripe) as one batch, each into the scratch's unit buffer of
+// its position — the span's units, or, when the span holds a lost unit,
+// the sources of the stripe's erasure set, which hold the span's other
+// units — copies each live unit out, a copy the Disk contract forces (a
+// physical unit is its data and trailer, contiguous), and decodes each
+// lost one from what the batch read. A batch cannot repair (its reads share
+// the lock), so the damage it finds is recorded and, once the read lock is
+// released, re-served under the write lock (healRead), the lost units with
+// it. A lost unit reads as its poison block (loseStripe); the caller checks
+// (checkLost). ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
-	dst = dst[int(lo-start)*s.unitSize : int(hi-start)*s.unitSize]
+	us := s.unitSize
+	dst = dst[int(lo-start)*us : int(hi-start)*us]
+	s.spanPositions(sc, stripe, lo, hi)
 	s.locks.rlock(stripe)
-	err := fanOut(s, int(hi-lo), spanJob{s, s.st.Load(), sc, lo, dst}, func(j spanJob, i int) error {
-		loc, pos := j.s.dataUnit(j.lo + int64(i))
-		buf, out := j.sc.phys[pos], j.dst[i*j.s.unitSize:(i+1)*j.s.unitSize]
-		var sum uint32
-		var err error
-		if j.st.lost(loc) {
-			if err = j.s.reconstructLocked(j.st, loc, out); err == nil {
-				j.s.degradedReads.Add(1)
-				j.sc.has[pos], j.sc.at[pos] = solved, out
-				return nil
+	st := s.st.Load()
+	plan := &sc.plan
+	layout.PlanStripe(plan, s.lay, stripe, false, sc.pos, s.lostPositions(st, stripe, sc.pos, sc.erased))
+	terms := sc.terms[:0]
+	for _, j := range plan.Reads {
+		terms = append(terms, term{loc: s.lay.Unit(stripe, j), pos: j})
+	}
+	damage, err := s.gather(st, sc, terms, nil)
+	for i, j := range sc.pos {
+		if err != nil {
+			break
+		}
+		out := dst[i*us : (i+1)*us]
+		switch h := sc.has[j]; {
+		case h == clean || h == solved:
+			copy(out, sc.at[j][:us])
+		case h == unread && damage < 0:
+			// A lost unit, with every source held clean: the solve reads
+			// nothing, and solves the stripe's other lost unit with it.
+			list := s.erasures(st, sc, stripe, s.lay.Unit(stripe, j), out)
+			if _, err = s.solve(st, sc, stripe, list); err == nil {
+				for _, e := range list {
+					sc.has[e.pos], sc.at[e.pos] = solved, e.out
+				}
 			}
-		} else if sum, err = j.s.readPhys(j.st.disk(loc), loc.Disk, loc.Offset, buf); err == nil {
-			copy(out, buf[:j.s.unitSize])
 		}
-		if err != nil && !needsHeal(err) {
-			return err
-		}
-		j.sc.record(pos, buf, sum, err)
-		return nil
-	})
+	}
 	s.locks.runlock(stripe)
-	if err == nil && slices.Contains(sc.has, damaged) {
-		err = s.healRead(sc, stripe, lo, dst)
+	if err == nil && damage >= 0 {
+		return s.healRead(sc, stripe, dst)
+	}
+	if n := len(plan.Decode); err == nil && n > 0 {
+		s.degradedReads.Add(int64(n))
 	}
 	return err
 }
 
-// dataUnit returns data unit n's location, as s.mapper.Loc does, and its
-// position in its stripe, which that computes and drops.
-func (s *Store) dataUnit(n int64) (layout.Loc, int) {
-	stripe := n / s.dataPerStripe
-	j := layout.DataPos(s.lay, stripe, int(n%s.dataPerStripe))
-	return s.lay.Unit(stripe, j), j
+// spanPositions fills sc.pos with the positions of the data units [lo, hi)
+// of stripe.
+func (s *Store) spanPositions(sc *stripeScratch, stripe, lo, hi int64) {
+	sc.pos = sc.pos[:0]
+	for v := lo; v < hi; v++ {
+		sc.pos = append(sc.pos, layout.DataPos(s.lay, stripe, int(v-stripe*s.dataPerStripe)))
+	}
+}
+
+// lostPositions lists in out the positions of stripe that are lost in st:
+// none, with no layout work, while no disk is failed, or while none of span
+// is — a read's plan needs the erasure set only when its span holds a lost
+// unit; a write's, which asks with span nil, always.
+func (s *Store) lostPositions(st *diskState, stripe int64, span, out []int) []int {
+	out = out[:0]
+	lost := func(j int) bool { return st.lost(s.lay.Unit(stripe, j)) }
+	if len(st.fails) == 0 || span != nil && !slices.ContainsFunc(span, lost) {
+		return out
+	}
+	for j := 0; j < s.lay.G(); j++ {
+		if lost(j) {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // WriteRange writes src over the logical data units starting at start,
 // one parity update per touched stripe. A segment covering a whole stripe
 // uses the large-write optimization (parity from the new contents, no
 // pre-reads); a partial one reads whichever is less, the units it leaves
-// alone or the ones it overwrites (fromScratch). The stripes are
+// alone or the ones it overwrites (layout.PlanStripe). The stripes are
 // independent jobs (stripeJobs).
 func (s *Store) WriteRange(start int64, src []byte) error {
 	n, err := s.stripeJobs(start, src, (*Store).writeStripeSpan)
@@ -254,12 +285,13 @@ func (s *Store) writeStripeSpan(stripe, start, lo, hi int64, src []byte) error {
 	defer s.scratch.Put(sc)
 	sc.locs, sc.datas = sc.locs[:0], sc.datas[:0]
 	us := int64(s.unitSize)
-	for v := lo; v < hi; v++ {
+	s.spanPositions(sc, stripe, lo, hi)
+	for i, v := 0, lo; v < hi; i, v = i+1, v+1 {
 		data := src[(v-start)*us : (v-start+1)*us]
 		if isPoisonBlock(v, data) {
 			return fmt.Errorf("store: data unit %d: its poison block marks a lost unit and cannot be written", v)
 		}
-		sc.locs = append(sc.locs, s.mapper.Loc(v))
+		sc.locs = append(sc.locs, s.lay.Unit(stripe, sc.pos[i]))
 		sc.datas = append(sc.datas, data)
 	}
 	s.locks.lock(stripe)

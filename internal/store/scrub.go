@@ -72,17 +72,6 @@ func (s *Store) resyncStripe(st *diskState, stripe int64) (stripeFix, error) {
 	return fix, nil
 }
 
-// stripeHasLost reports whether any unit of stripe is lost in st.
-func (s *Store) stripeHasLost(st *diskState, stripe int64) bool {
-	g := s.lay.G()
-	for j := 0; j < g; j++ {
-		if st.lost(s.lay.Unit(stripe, j)) {
-			return true
-		}
-	}
-	return false
-}
-
 // ScrubResult summarizes one Scrub sweep.
 type ScrubResult struct {
 	// Stripes is how many stripes were verified (and repaired if needed).
@@ -134,7 +123,7 @@ func (s *Store) Scrub() (ScrubResult, error) {
 	scrub := func(stripe int64) error {
 		s.locks.lock(stripe)
 		st := s.st.Load()
-		lost := s.stripeHasLost(st, stripe)
+		lost := len(s.lostPositions(st, stripe, nil, nil)) > 0
 		fix, err := fixNone, error(nil)
 		if !lost {
 			fix, err = s.resyncStripe(st, stripe)

@@ -286,7 +286,7 @@ func TestIntentRecoveryResyncsDirtyRegions(t *testing.T) {
 	}
 	// Re-dirty one region with a write whose parity commit is dropped.
 	n := int64(2)
-	loc := s1.mapper.Loc(n)
+	loc := layout.DataLoc(s1.lay, n)
 	stripe, _ := s1.lay.Locate(loc)
 	lose = layout.ParityLoc(s1.lay, stripe)
 	armed.Store(true)

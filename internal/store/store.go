@@ -239,7 +239,6 @@ func (st *diskState) disk(loc layout.Loc) Disk {
 // comment for the concurrency model and the failure/durability contract.
 type Store struct {
 	lay           layout.Layout
-	mapper        layout.StripeIndexMapper
 	parities      int   // parity units per stripe: 1 (P) or 2 (P+Q)
 	dataPerStripe int64 // data units per stripe: G − parities
 	unitSize      int
@@ -370,7 +369,6 @@ func New(cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		lay:            l,
-		mapper:         layout.StripeIndexMapper{L: l},
 		parities:       parities,
 		dataPerStripe:  int64(layout.DataPerStripe(l)),
 		unitSize:       cfg.UnitSize,
@@ -640,47 +638,41 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 }
 
 // healRead re-serves, under the stripe's write lock so it may repair, the
-// units of a span read that met damage — damaged, or lost with a decode that
-// found damaged sources (sourcesDamaged) — as sc, the span read's scratch,
-// recorded them; unit lo+i lands in the i-th unit of dst. The read lock was
-// released in between, so a writer may have rewritten what it read: the
-// record is forgotten, and each such unit and each damaged source is read
-// again (transient corruption clears too). What is still damaged is solved
-// with the span's lost units by recoverInto, from what this hold reads, and
-// rewritten. A stripe found past its budget is rewritten (loseStripe), and
-// the read runs again on it.
-func (s *Store) healRead(sc *stripeScratch, stripe, lo int64, dst []byte) error {
+// units of a span read that its read-locked batch did not deliver —
+// damaged, or lost with damaged sources — as sc, the span read's scratch,
+// recorded them; the span's i-th unit, at position sc.pos[i], lands in the
+// i-th unit of dst. The read lock was released in between, so a writer may
+// have rewritten what it read: the record is forgotten, and each unit the
+// batch held damaged is read again (transient corruption clears too). What
+// is still damaged is solved with the span's lost units by recoverInto,
+// from what this hold reads, and rewritten. A stripe found past its budget
+// is rewritten (loseStripe), and the read runs again on it.
+func (s *Store) healRead(sc *stripeScratch, stripe int64, dst []byte) error {
 	us := s.unitSize
-	var redo []int                   // the span's units that met damage
-	again := make([]bool, s.lay.G()) // their positions and their decodes' damaged sources'
-	for i := 0; i < len(dst)/us; i++ {
-		if _, j := s.dataUnit(lo + int64(i)); sc.has[j] == damaged {
-			redo, again[j] = append(redo, i), true
-			var sd *sourcesDamaged
-			if errors.As(sc.errs[j], &sd) {
-				for _, k := range sd.pos {
-					again[k] = true
-				}
-			}
+	var redo []int // the span's units to serve again
+	for i, j := range sc.pos {
+		if h := sc.has[j]; h != clean && h != solved {
+			redo = append(redo, i)
 		}
 	}
+	again := slices.Clone(sc.has) // damaged: read again
 	s.locks.lock(stripe)
 	defer s.locks.unlock(stripe)
 	sc.forget()
 	return carryOn(stripe, sc, func() error {
 		st := s.st.Load()
 		terms := sc.terms[:0]
-		for j, a := range again {
-			if u := s.lay.Unit(stripe, j); a && !st.lost(u) {
+		for j, h := range again {
+			if u := s.lay.Unit(stripe, j); h == damaged && !st.lost(u) {
 				terms = append(terms, term{loc: u, pos: j})
 			}
 		}
-		if _, err := s.gather(st, sc, terms, &sums{}); err != nil {
+		if _, err := s.gather(st, sc, terms, nil); err != nil {
 			return err
 		}
 		for _, i := range redo {
-			u, j := s.dataUnit(lo + int64(i))
-			out := dst[i*us : (i+1)*us]
+			j := sc.pos[i]
+			u, out := s.lay.Unit(stripe, j), dst[i*us:(i+1)*us]
 			if h := sc.has[j]; h == clean || h == solved {
 				copy(out, sc.at[j][:us])
 			} else if err := s.recoverInto(st, sc, u, out, nil); err != nil {
@@ -1078,7 +1070,7 @@ func (s *Store) CheckParity() error {
 		s.locks.rlock(stripe)
 		defer s.locks.runlock(stripe)
 		st := s.st.Load()
-		if s.stripeHasLost(st, stripe) {
+		if len(s.lostPositions(st, stripe, nil, sc.erased)) > 0 {
 			return nil
 		}
 		px, qx, i, err := s.syndromes(st, sc, stripe)

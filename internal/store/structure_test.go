@@ -86,9 +86,10 @@ func TestOneBatchDecisionPoint(t *testing.T) {
 // TestOneReadDoorway pins where the engine reads a unit: readPhys, the
 // one call of a backend's ReadUnit, is called only by gather, which reads
 // the units a stripe's lock hold does not hold yet and records them in the
-// hold's record (stripeScratch), and by readStripeSpan, a read's own span
-// under the read lock. A repair that read around the record — and so read
-// again what its operation read clean under the same hold — fails it.
+// hold's record (stripeScratch) — a span read's plan, a parity update's
+// first round, a repair's sources. A read beside it — one that read around
+// the record, and so read again what its operation read clean under the
+// same hold — fails it.
 func TestOneReadDoorway(t *testing.T) {
 	calls := map[string]int{} // enclosing function → calls of readPhys
 	inspectFuncs(t, func(fn string, n ast.Node) {
@@ -98,9 +99,23 @@ func TestOneReadDoorway(t *testing.T) {
 			}
 		}
 	})
-	if want := (map[string]int{"gather": 1, "readStripeSpan": 1}); !reflect.DeepEqual(calls, want) {
+	if want := (map[string]int{"gather": 1}); !reflect.DeepEqual(calls, want) {
 		t.Errorf("readPhys called from %v, want %v", calls, want)
 	}
+}
+
+// TestOnePlanner keeps the write rule in the layout: no function of the
+// package calls layout.FromScratch. A stripe's accesses are the plan
+// layout.PlanStripe makes, which the simulator runs too; a second choice
+// of plan here, beside it, fails this.
+func TestOnePlanner(t *testing.T) {
+	inspectFuncs(t, func(fn string, n ast.Node) {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "FromScratch" {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "layout" {
+				t.Errorf("%s calls layout.FromScratch", fn)
+			}
+		}
+	})
 }
 
 // TestNoInterfaceAssertions keeps the Disk contract closed: no non-test
