@@ -265,14 +265,14 @@ type target struct {
 // of transfers. A read's share is a plan's one round of reads: the direct
 // reads of the units its disks still hold, whose values land in dst when
 // the round completes (fetched), or, when the span holds the stripe's lost
-// unit, the reads layout.PlanStripe lists, under the stripe lock, and the
-// decode (locked). A write's share — of a WriteRange — is, once its
-// stripe lock is held, a plan of at most two rounds, the units of the
-// second usually being the ones the first pre-read: layout.PlanStripe's,
-// priced here, or §6's small write, the one plan the simulator makes
-// itself (price). run plays it: round 1, repair of its failed reads, round
-// 2, finish. Every write transfer carries the value its unit takes
-// when its round completes.
+// unit or the direct round met a media error, the reads layout.PlanStripe
+// lists, under the stripe lock, their repair and the decode (locked). A
+// write's share — of a WriteRange — is, once its stripe lock is held, a
+// plan of at most two rounds, the units of the second usually being the
+// ones the first pre-read: layout.PlanStripe's, priced here, or §6's small
+// write, the one plan the simulator makes itself (price). run plays it:
+// round 1, repair of its failed reads, round 2, finish. Every write
+// transfer carries the value its unit takes when its round completes.
 //
 // All of those values are computed while planning, i.e. when the first
 // round is submitted, not when it completes: the stripe lock guarantees no
@@ -343,51 +343,22 @@ func (a *Array) putOp(op *userOp) {
 }
 
 // fetched completes a stripe's direct reads. The clean case hands every
-// value over and recycles the node before answering; a latent sector error
-// is first recovered under the stripe lock (the repair updates the
-// platter, racing parity writers), so the user's latency includes the
-// recovery. The reads were made before the lock, so the units that failed
-// are read again under it — a writer, or a degraded read of the same
-// stripe, may have rewritten them meanwhile, as the store's healRead
-// allows for — and the repair reads its sources afresh. A unit whose disk
-// failed since is not read again: it is lost, so the repair counts it as
-// an erasure, and the read decodes it (decodeLost).
+// value over and recycles the node before answering. A read that met a
+// media error serves nothing from them: it clears its round and runs again
+// under the stripe lock (locked), which plans afresh — a writer may have
+// rewritten the units meanwhile, and a unit whose disk failed since is lost
+// by then, which the plan decodes — and repairs what that round finds
+// unreadable (the repair updates the platter, racing parity writers), so
+// the user's latency includes the recovery. The store does the same: a span
+// read that met damage under the read lock is served again under the write
+// lock.
 func (op *userOp) fetched(fails []xfer) {
-	a := op.a
 	if len(fails) == 0 {
 		op.deliver()
 		return
 	}
-	a.locks.acquire(op.stripe, func() {
-		lost := -1
-		for i, t := range op.data {
-			if !a.available(t.loc) && slices.ContainsFunc(fails, func(x xfer) bool { return x.loc == t.loc }) {
-				lost = i
-			}
-		}
-		again := slices.DeleteFunc(fails, func(x xfer) bool { return !a.available(x.loc) })
-		finish := func(still []xfer) {
-			a.repairThen(op.stripe, still, again, nil, userPriority, func() {
-				if lost < 0 {
-					a.locks.release(op.stripe)
-					op.deliver()
-					return
-				}
-				t := op.data[lost]
-				op.data = slices.Delete(op.data, lost, lost+1)
-				a.decodeLost(t.loc, nil, userPriority, func(v uint64) {
-					a.locks.release(op.stripe)
-					op.dst[t.unit-op.first] = v
-					op.deliver()
-				})
-			})
-		}
-		if len(again) == 0 {
-			finish(nil)
-			return
-		}
-		a.io(again, userPriority, finish)
-	})
+	op.rounds[0] = op.rounds[0][:0]
+	op.a.locks.acquire(op.stripe, op.lockedFn)
 }
 
 // deliver puts the value of every unit read in dst, recycles the node and
@@ -424,7 +395,7 @@ func (a *Array) erasures(stripe int64, read bool, out []int) []int {
 
 // locked plans the op once its stripe lock is held, so the failure state
 // it sees cannot change under it, and starts it: a write's share (price),
-// or a read's that holds the lost unit.
+// or a read's that holds the lost unit or whose direct round met damage.
 func (op *userOp) locked() {
 	a, read := op.a, op.dst != nil
 	op.phase.End(a.eng.Now()) // lock wait is over; the plan opens the next phase
@@ -440,11 +411,13 @@ func (op *userOp) locked() {
 		return
 	}
 	// A read's share that holds the lost unit (§7: a consistent multi-unit
-	// read must not interleave with parity updates). Its plan — the unit
-	// may have been rebuilt while the read waited, and is then read
-	// directly — reads one round: the span's other units and the decode's
-	// sources, G − m in all. The round's unreadable units are repaired
-	// (repair) before the read finishes (decoded).
+	// read must not interleave with parity updates), or that met damage.
+	// Its plan — the unit may have been rebuilt while the read waited, and
+	// is then read directly; a unit whose disk failed since it was read is
+	// lost, and decoded — reads one round: the span, or, holding a lost
+	// unit, the span's other units and the decode's sources, G − m in all.
+	// The round's unreadable units are repaired (repair) before the read
+	// finishes (decoded).
 	for _, j := range op.plan.Reads {
 		op.read(a.lay.Unit(op.stripe, j))
 	}
@@ -496,14 +469,16 @@ func (op *userOp) decoded() {
 	})
 }
 
-// decodeLost decodes the lost unit loc under its stripe's lock, which the
-// caller holds, and hands its value to then: it reads loc's
-// layout.RebuildSources in a phase under sp, sends any of them found
-// unreadable down the one repair path (repairThen) with the ones it read,
-// and returns the sources it reads. The value is the sum of loc's layout.DecodeParity
-// equation over them — a parity unit's sum over the data, a data unit's
-// P sum over the others — taken from the model, which stands in for the
-// backup when the repair found the stripe past its code's budget.
+// decodeLost is the rebuild sweep's decode (reconStep): it decodes the lost
+// unit loc under its stripe's lock, which the caller holds, and hands its
+// value to then: it reads loc's layout.RebuildSources in a phase under sp,
+// sends any of them found unreadable down the one repair path (repairThen)
+// with the ones it read, and returns the sources it reads. A user read
+// decodes through its plan instead (locked). The value is the sum of loc's
+// layout.DecodeParity equation over them — a parity unit's sum over the
+// data, a data unit's P sum over the others — taken from the model, which
+// stands in for the backup when the repair found the stripe past its
+// code's budget.
 func (a *Array) decodeLost(loc layout.Loc, sp *telemetry.Span, prio int, then func(value uint64)) []layout.Loc {
 	stripe, j := a.lay.Locate(loc)
 	surv := layout.RebuildSources(a.lay, loc)

@@ -71,8 +71,8 @@ func (a *Array) ReadRange(unit int64, dst []uint64, done func()) {
 // dst[n-first] — then calls done; sp is the user operation's root span.
 // When a disk can serve every unit (redirectableRead counts a rebuilt one)
 // they are one round of direct reads; when the share holds the stripe's
-// lost unit, it waits for the stripe lock and reads what its plan names
-// (userOp.locked).
+// lost unit, or the direct round met a media error (userOp.fetched), it
+// waits for the stripe lock and reads what its plan names (userOp.locked).
 func (a *Array) readUnits(sp *telemetry.Span, first int64, dst []uint64, done func(), units ...int64) {
 	op := a.getOp()
 	direct := true

@@ -2,41 +2,11 @@ package array
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
-)
 
-// inspectFuncs walks the body of every non-test function of the package,
-// calling visit on each node with the name of the function that encloses it.
-func inspectFuncs(t *testing.T, visit func(fn string, n ast.Node)) {
-	t.Helper()
-	names, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					visit(fn.Name.Name, n)
-					return true
-				})
-			}
-		}
-	}
-}
+	"declust/internal/testdata"
+)
 
 // TestOneErasurePath reads the package's non-test source and pins the one
 // path of an unreadable unit: a loss is booked (recordLoss) only by
@@ -49,7 +19,7 @@ func TestOneErasurePath(t *testing.T) {
 	refs := map[string]map[string]int{"recordLoss": {}, "lossEvents": {}} // name → enclosing function → count
 	var inRecon []string
 	writes := 0
-	inspectFuncs(t, func(fn string, n ast.Node) {
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			if by, ok := refs[n.Sel.Name]; ok {
@@ -78,12 +48,31 @@ func TestOneErasurePath(t *testing.T) {
 	}
 }
 
+// TestOneSolve pins the simulator's decode of a lost unit outside a user
+// plan: decodeLost is called only by reconStep, the rebuild sweep. A user
+// read decodes through its plan under the stripe lock (userOp.locked), a
+// read that met damage too, so a read path that decodes on its own fails
+// it.
+func TestOneSolve(t *testing.T) {
+	calls := map[string]int{} // enclosing function → calls of decodeLost
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "decodeLost" {
+				calls[fn]++
+			}
+		}
+	})
+	if want := (map[string]int{"reconStep": 1}); !reflect.DeepEqual(calls, want) {
+		t.Errorf("decodeLost called from %v, want %v", calls, want)
+	}
+}
+
 // TestOnePlanner keeps the write rule in the layout: no function of the
 // package calls layout.FromScratch. A stripe's accesses are the plan
 // layout.PlanStripe makes, which the store runs too, priced here with one
 // override, §6's small write; a second choice of plan beside it fails this.
 func TestOnePlanner(t *testing.T) {
-	inspectFuncs(t, func(fn string, n ast.Node) {
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
 		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "FromScratch" {
 			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "layout" {
 				t.Errorf("%s calls layout.FromScratch", fn)

@@ -195,8 +195,7 @@ func decode(list []erasure, px, qx []byte) {
 // lock hold does not hold yet; the out buffers double as the accumulators.
 // Reads are plain (no healing): when a source is held damaged, solve
 // reports it (the record names it) and solves nothing. The list must hold
-// every lost unit of the stripe. Caller holds at least the stripe's read
-// lock.
+// every lost unit of the stripe. Its one caller is recoverInto.
 func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []erasure) (bool, error) {
 	var px, qx []byte
 	po, qo := sumOwners(list)
@@ -214,26 +213,29 @@ func (s *Store) solve(st *diskState, sc *stripeScratch, stripe int64, list []era
 	return false, nil
 }
 
-// recoverInto is the store's one heal path and the one place the erasure
-// budget is checked. Under the stripe's WRITE lock, held by the operation
-// whose scratch is sc, it computes the contents of unit u — lost, or held
-// damaged by sc's record — into out (nil: u's unit buffer) from the rest of
-// its stripe. Every lost unit and every position the record holds damaged
-// is solved with it (erasures), and the solve reads only the sources of
-// that erasure set the hold does not hold: none of what the operation read
-// is read again. A source the solve finds damaged grows the set, and the
-// next round asks for the sources of the larger set and again reads only
-// what is new — the simulator's rule (repairLocked in internal/array) —
-// while the code's budget of one erasure per parity lasts. Once all are
-// solved, each is held solved, and each with a cause is charged (a checksum
-// error counted, a media error was where the backend reported it:
-// readPhys; a point against its disk) and rewritten in place (healUnit). A
-// failed rewrite leaves its unit damaged and its disk charged, but the
-// operation that needed the contents has them. Past the budget the stripe
-// is lost (loseStripe) and recoverInto returns errLost: nothing was
-// charged, and the caller runs its operation again (carryOn). written
-// lists the units the caller's write goes on to overwrite (nil for any
-// other caller).
+// recoverInto is the store's one solve and heal path and the one place the
+// erasure budget is checked (TestOneSolve). Under the stripe's WRITE lock,
+// held by the operation whose scratch is sc, it computes the contents of
+// unit u — lost, or held damaged by sc's record — into out (nil: u's unit
+// buffer) from the rest of its stripe. A span read calls it under the READ
+// lock too, but only while sc's record holds no damage and every source of
+// the stripe's erasure set clean (serveSpan): it then reads nothing, heals
+// nothing and loses nothing, and only decodes the lost units. Every lost
+// unit and every position the record holds damaged is solved with it
+// (erasures), and the solve reads only the sources of that erasure set the
+// hold does not hold: none of what the operation read is read again. A
+// source the solve finds damaged grows the set, and the next round asks for
+// the sources of the larger set and again reads only what is new — the
+// simulator's rule (repairLocked in internal/array) — while the code's
+// budget of one erasure per parity lasts. Once all are solved, each is held
+// solved, and each with a cause is charged (a checksum error counted, a
+// media error was where the backend reported it: readPhys; a point against
+// its disk) and rewritten in place (healUnit). A failed rewrite leaves its
+// unit damaged and its disk charged, but the operation that needed the
+// contents has them. Past the budget the stripe is lost (loseStripe) and
+// recoverInto returns errLost: nothing was charged, and the caller runs its
+// operation again (carryOn). written lists the units the caller's write goes
+// on to overwrite (nil for any other caller).
 func (s *Store) recoverInto(st *diskState, sc *stripeScratch, u layout.Loc, out []byte, written []layout.Loc) error {
 	stripe, _ := s.lay.Locate(u)
 	for {

@@ -91,8 +91,8 @@ func once(string, int) int { return 1 }
 var damagePaths = []damagePath{{
 	name: "ReadUnit-damaged", lose: []string{"P", "Q"}, damage: []string{"d0", "d1", "d2"}, maxLost: 2, read: true, repeat: true,
 	op: func(t *testing.T, s *Store, d []int64) error { return readBack(t, s, d[0], 1) },
-	// d0 under the read lock, then under the write lock (healRead), whose
-	// recovery meets the others.
+	// d0 under the read lock, then under the write lock (serveSpan run
+	// again), whose recovery meets the others.
 	meets: func(r string, _ int) int { return 1 + b2i(r == "d0") },
 }, {
 	name: "ReadUnit-lost", lose: []string{"d2", "Q"}, damage: []string{"P", "d0", "d1"}, minLost: 1, maxLost: 2, read: true, repeat: true,

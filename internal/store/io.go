@@ -325,19 +325,19 @@ type gatherJob struct {
 // yet, and records each in sc: clean with its crc32c, or damaged (needsHeal)
 // with its cause. If every term is then held clean or solved, it folds each
 // into its term's accumulators in sm — nothing with sm nil, a plain read —
-// in list order — so the term that
-// starts a sum is the same whether the batch ran inline or overlapped — and
-// returns −1. Otherwise it folds nothing and returns the index of a term
-// held damaged, and the held units stay as they were read, for the caller
-// to solve the damaged ones from (recoverInto) under the write lock, or to
-// report; healing rewrites units, which must never race the batch's other
-// reads. A term folded over in place — a written unit's old contents turned
-// into old ⊕ new, a stored parity read into the sum it starts — is held no
-// longer. It is the first round of every parity update and every span
-// read (readStripeSpan), the whole of every reconstruction, and the
-// store's one doorway for reads. A lost unit not held, or a hard read
-// error, aborts it. Caller
-// holds (at least) the stripe's read lock.
+// in list order — so the term that starts a sum is the same whether the
+// batch ran inline or overlapped — and returns −1. Otherwise it folds
+// nothing and returns the index of a term held damaged, and the held units
+// stay as they were read, for the caller to solve the damaged ones from
+// (recoverInto) under the write lock, or, under a span read's read lock, to
+// serve nothing and run again under the write lock (serveSpan); healing
+// rewrites units, which must never race the batch's other reads. A term
+// folded over in place — a written unit's old contents turned into old ⊕
+// new, a stored parity read into the sum it starts — is held no longer. It
+// is the first round of every parity update and every span read
+// (readStripeSpan), the whole of every reconstruction, and the store's one
+// doorway for reads. A lost unit not held, or a hard read error, aborts it.
+// Caller holds (at least) the stripe's read lock.
 func (s *Store) gather(st *diskState, sc *stripeScratch, terms []term, sm *sums) (int, error) {
 	sc.todo = sc.todo[:0]
 	for i := range terms {

@@ -399,11 +399,11 @@ func TestOverlapGateFollowsDeviceLatency(t *testing.T) {
 }
 
 // TestOverlapHealedSpanCountsDegradedReadsOnce: a span's read batch that
-// meets damage keeps what it read and re-serves the damaged unit and the
-// lost one under the write lock (healRead); the lost unit is counted in
-// Stats.DegradedReads once. The damage is a media error on the first read
-// of the span's second unit, in the batch that also decodes the first, and
-// does not recur.
+// meets damage serves nothing, and the span, the damaged unit and the lost
+// one with it, is served again under the write lock (serveSpan); the lost
+// unit is counted in Stats.DegradedReads once. The damage is a media error
+// on the first read of the span's second unit, in the batch that also
+// decodes the first, and does not recur.
 func TestOverlapHealedSpanCountsDegradedReadsOnce(t *testing.T) {
 	forceOverlap(t)
 	lay := testLayout(t, 7, 4)

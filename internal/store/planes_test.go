@@ -125,13 +125,12 @@ var planeRows = [...]planeRow{
 			"The two meet different units, so with a latent unit in the stripe they heal or lose different ones (the simulator loses a latent other unit: its data write has overwritten the old data a decode would need); " +
 			"the stream passes such a write over on both planes"},
 	rowSharedDecode: {"shared-lock decode",
-		"the store reads a span that holds its stripe's lost unit under the stripe's shared read lock, and repairs under the write lock, a new hold: the read lock was released, so a writer may have rewritten what the read read. " +
-			"It reads again, under the write lock, each unit the read found damaged and, when the repair needs it, each source the read read clean; " +
-			"the simulator reads and repairs under its one exclusive lock. One more read of each"},
+		"the store reads a span that holds its stripe's lost unit under the stripe's shared read lock; when that pass meets damage it serves nothing, and the span is served again from the start under the write lock, a new hold: the read lock was released, so a writer may have rewritten what the read read. " +
+			"So the store reads its degraded span's plan again under the write lock; the simulator reads and repairs under its one exclusive lock. One more read of each unit of the plan"},
 	rowTwoDown: {"two disks down",
 		"the simulator holds one failed disk (SecondFail restores the second at once), so the stream fails one disk at a time, under P+Q too"},
 	rowCarryOn: {"carryOn re-run",
-		"after a loss the store runs the operation again on the rewritten stripe (carryOn), under a new record, so as to find a rewrite the device dropped: a read reads its damaged units again and decodes its lost unit again, from what it does not hold; a write its first round; " +
+		"after a loss the store runs the operation again on the rewritten stripe (carryOn), under a new record, so as to find a rewrite the device dropped: a read or a write reads its first round again; " +
 			"a rebuild of a parity unit, which the rewrite does not write, decodes it again. The simulator carries on from the rewrite. One more read of each"},
 }
 
@@ -614,21 +613,12 @@ func without(locs, drop []layout.Loc) []layout.Loc {
 // Each round both planes read the sources of the set that they do not hold
 // under their lock hold, and a source found latent joins the set; past the
 // budget both read the data units not erased that they do not hold, and
-// rewrite the stripe's live units. The store holds what the simulator
-// holds but for stale, which it read under the read lock only
-// (rowSharedDecode) and reads again when it needs it. It reports whether
-// the stripe was lost.
-func (p *planes) repair(stripe int64, erased, stale []layout.Loc) bool {
-	again := func(locs []layout.Loc) {
-		need := slices.DeleteFunc(slices.Clone(locs), func(u layout.Loc) bool { return !slices.Contains(stale, u) })
-		p.reread(rowSharedDecode, need...)
-		stale = without(stale, need)
-	}
+// rewrite the stripe's live units. Both hold the same units, so the repair
+// adds no row. It reports whether the stripe was lost.
+func (p *planes) repair(stripe int64, erased []layout.Loc) bool {
 	for {
 		if len(erased) > p.m {
-			data := without(p.dataOf(stripe), erased)
-			again(data)
-			erased = append(erased, p.latentOf(data)...)
+			erased = append(erased, p.latentOf(without(p.dataOf(stripe), erased))...)
 			p.shapes["past the budget"] = true
 			for j := range p.lay.G() {
 				delete(p.latent, p.lay.Unit(stripe, j))
@@ -636,7 +626,6 @@ func (p *planes) repair(stripe int64, erased, stale []layout.Loc) bool {
 			return true
 		}
 		src := layout.RebuildSources(p.lay, erased...)
-		again(src)
 		p.shapes[p.shape(erased)] = true
 		found := p.latentOf(src)
 		if len(found) == 0 {
@@ -669,34 +658,31 @@ func (p *planes) planOf(stripe, lo, hi int64, write bool) (layout.Plan, []layout
 	return plan, first
 }
 
-// modelRead models a read of the data units [lo, hi) of one stripe.
+// modelRead models a read of the data units [lo, hi) of one stripe. Both
+// planes read its first round twice when it meets damage — the simulator
+// directly and then under the stripe lock, the store under the read lock
+// and then under the write lock — but for a span holding the lost unit,
+// which the simulator reads under the lock alone (rowSharedDecode).
 func (p *planes) modelRead(lo, hi int64) {
 	stripe := lo / p.dps
 	plan, first := p.planOf(stripe, lo, hi, false)
 	f, degraded := p.lostOf(stripe)
-	damaged := p.latentOf(first)
 	if len(plan.Decode) > 0 {
-		// One round reads the lost unit's sources, the span's other units
-		// among them, and decodes it.
 		p.shapes[p.shape([]layout.Loc{f})] = true
-		if len(damaged) == 0 {
-			return
-		}
-		p.reread(rowSharedDecode, damaged...)
-		if p.repair(stripe, append([]layout.Loc{f}, damaged...), without(first, damaged)) {
-			p.reread(rowCarryOn, first...)
-		}
-		return
 	}
+	damaged := p.latentOf(first)
 	if len(damaged) == 0 {
 		return
+	}
+	if len(plan.Decode) > 0 {
+		p.reread(rowSharedDecode, first...)
 	}
 	erased := damaged
 	if degraded {
 		erased = append([]layout.Loc{f}, damaged...)
 	}
-	if p.repair(stripe, erased, nil) {
-		p.reread(rowCarryOn, damaged...)
+	if p.repair(stripe, erased) {
+		p.reread(rowCarryOn, first...)
 	}
 }
 
@@ -728,7 +714,7 @@ func (p *planes) modelWrite(lo, hi int64) {
 		if degraded {
 			erased = append([]layout.Loc{f}, damaged...)
 		}
-		if p.repair(stripe, erased, nil) {
+		if p.repair(stripe, erased) {
 			p.reread(rowCarryOn, first...)
 		}
 	}
@@ -746,7 +732,7 @@ func (p *planes) modelRebuild(f layout.Loc) {
 	src := layout.RebuildSources(p.lay, f)
 	p.shapes[p.shape([]layout.Loc{f})] = true
 	found := p.latentOf(src)
-	if len(found) > 0 && p.repair(stripe, append([]layout.Loc{f}, found...), nil) && p.roleOf(f) != "d" {
+	if len(found) > 0 && p.repair(stripe, append([]layout.Loc{f}, found...)) && p.roleOf(f) != "d" {
 		p.reread(rowCarryOn, src...)
 	}
 }

@@ -37,9 +37,9 @@ func (s *Store) checkRange(start int64, buf []byte) (int64, error) {
 // clean under a hold is read again under it, and every repair reuses what
 // its operation read. The record is forgotten whenever the job may have
 // lost what it held: a scratch comes out of the pool forgotten
-// (getScratch), healRead forgets when it trades the read lock for the
-// write lock, and carryOn before it runs an operation again on a stripe
-// it has just rewritten.
+// (getScratch), a span read forgets when it trades the read lock for the
+// write lock to serve its span again (readStripeSpan), and carryOn before
+// it runs an operation again on a stripe it has just rewritten.
 type stripeScratch struct {
 	pos     []int // the span's positions, in span order
 	erased  []int // the stripe's lost positions
@@ -179,18 +179,15 @@ func (s *Store) stripeJobs(start int64, buf []byte, job func(s *Store, stripe, s
 }
 
 // readStripeSpan reads the units [lo, hi) — all belonging to stripe — into
-// dst, whose first byte corresponds to logical unit start, under the
-// stripe's read lock: it gathers the reads of the span's plan
-// (layout.PlanStripe) as one batch, each into the scratch's unit buffer of
-// its position — the span's units, or, when the span holds a lost unit,
-// the sources of the stripe's erasure set, which hold the span's other
-// units — copies each live unit out, a copy the Disk contract forces (a
-// physical unit is its data and trailer, contiguous), and decodes each
-// lost one from what the batch read. A batch cannot repair (its reads share
-// the lock), so the damage it finds is recorded and, once the read lock is
-// released, re-served under the write lock (healRead), the lost units with
-// it. A lost unit reads as its poison block (loseStripe); the caller checks
-// (checkLost). ReadUnit is its one-unit span.
+// dst, whose first byte corresponds to logical unit start. It serves the
+// span (serveSpan) under the stripe's read lock; when that pass meets
+// damage it serves nothing, and the span is served once more, from the
+// start, under the write lock, which may repair: the read lock was
+// released in between, so a writer may have rewritten what the first pass
+// read, and the record is forgotten. A stripe found past its budget there
+// is rewritten (loseStripe), and the read runs again on it (carryOn). A
+// lost unit reads as its poison block; the caller checks (checkLost).
+// ReadUnit is its one-unit span.
 func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
@@ -198,6 +195,35 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 	dst = dst[int(lo-start)*us : int(hi-start)*us]
 	s.spanPositions(sc, stripe, lo, hi)
 	s.locks.rlock(stripe)
+	served, err := s.serveSpan(sc, stripe, dst, false)
+	s.locks.runlock(stripe)
+	if served || err != nil {
+		return err
+	}
+	s.locks.lock(stripe)
+	defer s.locks.unlock(stripe)
+	sc.forget()
+	return carryOn(stripe, sc, func() error {
+		_, err := s.serveSpan(sc, stripe, dst, true)
+		return err
+	})
+}
+
+// serveSpan is the one body of a span read, run under the stripe's read
+// lock or, with locked, its write lock: it plans the span
+// (layout.PlanStripe), gathers the plan's reads as one batch, each into the
+// scratch's unit buffer of its position — the span's units, or, when the
+// span holds a lost unit, the sources of the stripe's erasure set, which
+// hold the span's other units — copies out each unit the hold holds, a copy
+// the Disk contract forces (a physical unit is its data and trailer,
+// contiguous), and solves each it does not (recoverInto). Under the read
+// lock a gather that met damage serves nothing and reports the span not
+// served, for the write lock to serve: a repair rewrites units, which must
+// not race the shared lock's other reads. So recoverInto is reached there
+// only when the hold holds no damage, and it solves the lost units from
+// what the gather read, reading nothing, healing nothing, losing nothing.
+func (s *Store) serveSpan(sc *stripeScratch, stripe int64, dst []byte, locked bool) (bool, error) {
+	us := s.unitSize
 	st := s.st.Load()
 	plan := &sc.plan
 	layout.PlanStripe(plan, s.lay, stripe, false, sc.pos, s.lostPositions(st, stripe, sc.pos, sc.erased))
@@ -206,33 +232,21 @@ func (s *Store) readStripeSpan(stripe, start, lo, hi int64, dst []byte) error {
 		terms = append(terms, term{loc: s.lay.Unit(stripe, j), pos: j})
 	}
 	damage, err := s.gather(st, sc, terms, nil)
+	if err != nil || damage >= 0 && !locked {
+		return false, err
+	}
 	for i, j := range sc.pos {
-		if err != nil {
-			break
-		}
 		out := dst[i*us : (i+1)*us]
-		switch h := sc.has[j]; {
-		case h == clean || h == solved:
+		if h := sc.has[j]; h == clean || h == solved {
 			copy(out, sc.at[j][:us])
-		case h == unread && damage < 0:
-			// A lost unit, with every source held clean: the solve reads
-			// nothing, and solves the stripe's other lost unit with it.
-			list := s.erasures(st, sc, stripe, s.lay.Unit(stripe, j), out)
-			if _, err = s.solve(st, sc, stripe, list); err == nil {
-				for _, e := range list {
-					sc.has[e.pos], sc.at[e.pos] = solved, e.out
-				}
-			}
+		} else if err := s.recoverInto(st, sc, s.lay.Unit(stripe, j), out, nil); err != nil {
+			return false, err
 		}
 	}
-	s.locks.runlock(stripe)
-	if err == nil && damage >= 0 {
-		return s.healRead(sc, stripe, dst)
-	}
-	if n := len(plan.Decode); err == nil && n > 0 {
+	if n := len(plan.Decode); n > 0 {
 		s.degradedReads.Add(int64(n))
 	}
-	return err
+	return true, nil
 }
 
 // spanPositions fills sc.pos with the positions of the data units [lo, hi)

@@ -637,55 +637,6 @@ func (s *Store) ReadUnit(n int64, dst []byte) error {
 	return nil
 }
 
-// healRead re-serves, under the stripe's write lock so it may repair, the
-// units of a span read that its read-locked batch did not deliver —
-// damaged, or lost with damaged sources — as sc, the span read's scratch,
-// recorded them; the span's i-th unit, at position sc.pos[i], lands in the
-// i-th unit of dst. The read lock was released in between, so a writer may
-// have rewritten what it read: the record is forgotten, and each unit the
-// batch held damaged is read again (transient corruption clears too). What
-// is still damaged is solved with the span's lost units by recoverInto,
-// from what this hold reads, and rewritten. A stripe found past its budget
-// is rewritten (loseStripe), and the read runs again on it.
-func (s *Store) healRead(sc *stripeScratch, stripe int64, dst []byte) error {
-	us := s.unitSize
-	var redo []int // the span's units to serve again
-	for i, j := range sc.pos {
-		if h := sc.has[j]; h != clean && h != solved {
-			redo = append(redo, i)
-		}
-	}
-	again := slices.Clone(sc.has) // damaged: read again
-	s.locks.lock(stripe)
-	defer s.locks.unlock(stripe)
-	sc.forget()
-	return carryOn(stripe, sc, func() error {
-		st := s.st.Load()
-		terms := sc.terms[:0]
-		for j, h := range again {
-			if u := s.lay.Unit(stripe, j); h == damaged && !st.lost(u) {
-				terms = append(terms, term{loc: u, pos: j})
-			}
-		}
-		if _, err := s.gather(st, sc, terms, nil); err != nil {
-			return err
-		}
-		for _, i := range redo {
-			j := sc.pos[i]
-			u, out := s.lay.Unit(stripe, j), dst[i*us:(i+1)*us]
-			if h := sc.has[j]; h == clean || h == solved {
-				copy(out, sc.at[j][:us])
-			} else if err := s.recoverInto(st, sc, u, out, nil); err != nil {
-				return err
-			}
-			if st.lost(u) {
-				s.degradedReads.Add(1)
-			}
-		}
-		return nil
-	})
-}
-
 // WriteUnit writes src (exactly one unit) to logical data unit n,
 // maintaining parity: the read-modify-write of the unit and each parity
 // when the stripe is whole — two device waits, the pre-reads overlapped

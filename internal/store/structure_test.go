@@ -3,53 +3,15 @@ package store
 import (
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"declust/internal/testdata"
 )
-
-// parseSource parses the package's non-test source, and its test files
-// too when tests is set.
-func parseSource(t *testing.T, fset *token.FileSet, tests bool) []*ast.File {
-	t.Helper()
-	names, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []*ast.File
-	for _, name := range names {
-		if !tests && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	return files
-}
-
-// inspectFuncs walks the body of every non-test function, calling visit on
-// each node with the name of the function that encloses it.
-func inspectFuncs(t *testing.T, visit func(fn string, n ast.Node)) {
-	t.Helper()
-	for _, f := range parseSource(t, token.NewFileSet(), false) {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					visit(fn.Name.Name, n)
-					return true
-				})
-			}
-		}
-	}
-}
 
 // TestOneBatchDecisionPoint reads the package's non-test source and pins
 // where a batch's inline-or-overlapped choice can be made: overlap is
@@ -62,7 +24,7 @@ func inspectFuncs(t *testing.T, visit func(fn string, n ast.Node)) {
 func TestOneBatchDecisionPoint(t *testing.T) {
 	refs := map[string]map[string]int{"overlap": {}, "pays": {}} // name → enclosing function → count
 	gos := map[string]int{}                                      // enclosing function → go statements
-	inspectFuncs(t, func(fn string, n ast.Node) {
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			gos[fn]++
@@ -92,7 +54,7 @@ func TestOneBatchDecisionPoint(t *testing.T) {
 // same hold — fails it.
 func TestOneReadDoorway(t *testing.T) {
 	calls := map[string]int{} // enclosing function → calls of readPhys
-	inspectFuncs(t, func(fn string, n ast.Node) {
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "readPhys" {
 				calls[fn]++
@@ -104,12 +66,33 @@ func TestOneReadDoorway(t *testing.T) {
 	}
 }
 
+// TestOneSolve pins the store's one solve: solve and erasures, which list
+// and compute a stripe's erasure set, are called only by recoverInto, which
+// checks the erasure budget and heals what it solves. A span read reaches
+// them through recoverInto under either lock, so a decode written beside
+// it, one that could solve past the budget or skip a heal, fails it.
+func TestOneSolve(t *testing.T) {
+	calls := map[string]map[string]int{"solve": {}, "erasures": {}} // callee → enclosing function → calls
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if by, ok := calls[sel.Sel.Name]; ok {
+					by[fn]++
+				}
+			}
+		}
+	})
+	if want := (map[string]map[string]int{"solve": {"recoverInto": 1}, "erasures": {"recoverInto": 1}}); !reflect.DeepEqual(calls, want) {
+		t.Errorf("solve and erasures called from %v, want %v", calls, want)
+	}
+}
+
 // TestOnePlanner keeps the write rule in the layout: no function of the
 // package calls layout.FromScratch. A stripe's accesses are the plan
 // layout.PlanStripe makes, which the simulator runs too; a second choice
 // of plan here, beside it, fails this.
 func TestOnePlanner(t *testing.T) {
-	inspectFuncs(t, func(fn string, n ast.Node) {
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
 		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "FromScratch" {
 			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "layout" {
 				t.Errorf("%s calls layout.FromScratch", fn)
@@ -125,7 +108,7 @@ func TestOnePlanner(t *testing.T) {
 // *stripeScratch) are allowed.
 func TestNoInterfaceAssertions(t *testing.T) {
 	fset := token.NewFileSet()
-	files := parseSource(t, fset, false)
+	files := testdata.ParseSource(t, fset, false)
 	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	if _, err := conf.Check("declust/internal/store", fset, files, info); err != nil {
@@ -170,7 +153,7 @@ func TestOneTestDevice(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	got := map[string][]string{} // test type → contract methods it declares and fields it embeds
-	for _, f := range parseSource(t, fset, true) {
+	for _, f := range testdata.ParseSource(t, fset, true) {
 		if !strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
@@ -215,7 +198,7 @@ func TestOneTestDevice(t *testing.T) {
 // reset — fails it.
 func TestOneFailureTransition(t *testing.T) {
 	stores := map[string]int{} // enclosing function → stores to .st
-	inspectFuncs(t, func(fn string, n ast.Node) {
+	testdata.InspectFuncs(t, func(fn string, n ast.Node) {
 		if call, ok := n.(*ast.CallExpr); ok {
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Store" {
 				if x, ok := sel.X.(*ast.SelectorExpr); ok && x.Sel.Name == "st" {

@@ -1,5 +1,7 @@
-// Package testdata holds costs.txt, the table of access costs both engines
-// and the layout's stripe plan are held to, and its one parser. A package
+// Package testdata holds what the tests of several packages share:
+// costs.txt, the table of access costs both engines and the layout's
+// stripe plan are held to, with its one parser, and the go/parser walker
+// of the structure tests (source.go). A package
 // under a testdata directory is passed over by `go build ./...` and `go
 // test ./...`; the tests that read the table import it by its path.
 package testdata
